@@ -101,11 +101,7 @@ impl PublicResolver {
         if response.header.rcode != Rcode::NoError {
             return false;
         }
-        let Some(text) = response
-            .answers
-            .iter()
-            .find_map(|r| r.rdata.txt_string())
-        else {
+        let Some(text) = response.answers.iter().find_map(|r| r.rdata.txt_str()) else {
             return false;
         };
         match self.key {

@@ -9,11 +9,11 @@
 
 use crate::config::{CpeConfig, DnsMode, ForwarderSpec, InterceptSpec, WanMode};
 use bytes::Bytes;
-use dns_wire::{EncodeScratch, Message, RClass, Rcode};
+use dns_wire::{Message, RClass, Rcode};
 use netsim::{
     CaptureKind, Ctx, Device, DnatRule, IfaceId, IpPacket, NatEngine, NatVerdict, Proto,
 };
-use resolver_sim::{ForwarderCore, FwdAction, ResolveCtx, ZoneDb};
+use resolver_sim::{encode_payload, ForwarderCore, FwdAction, ResolveCtx, ZoneDb};
 use std::any::Any;
 use std::net::IpAddr;
 use std::sync::Arc;
@@ -53,14 +53,6 @@ pub struct CpeDevice {
     /// WAN-side queries relayed upstream with the client source preserved
     /// ([`WanMode::Transparent`]).
     pub transparent_relays: u64,
-    scratch: EncodeScratch,
-}
-
-/// Encodes `msg` through the device's scratch and the simulator's payload
-/// pool: no fresh `Vec` per response, no per-payload `Bytes` allocation.
-fn pooled_payload(ctx: &mut Ctx<'_>, msg: &Message, scratch: &mut EncodeScratch) -> Option<Bytes> {
-    let wire = msg.encode_into(scratch).ok()?;
-    Some(ctx.alloc_payload(wire))
 }
 
 impl CpeDevice {
@@ -101,7 +93,6 @@ impl CpeDevice {
             intercepted_queries: 0,
             self_queries: 0,
             transparent_relays: 0,
-            scratch: EncodeScratch::new(),
         }
     }
 
@@ -163,7 +154,7 @@ impl CpeDevice {
         let Some(fc) = &mut self.forwarder else { return };
         match fc.handle_query(query, path) {
             FwdAction::Respond(resp) => {
-                let Some(payload) = pooled_payload(ctx, &resp, &mut self.scratch) else { return };
+                let Some(payload) = encode_payload(ctx, &resp) else { return };
                 if wan_side {
                     if let Some(reply) = resolver_sim::reply_packet(&request, payload) {
                         ctx.send(WAN, reply);
@@ -173,8 +164,7 @@ impl CpeDevice {
                 }
             }
             FwdAction::Forward(relayed) => {
-                let Some(payload) =
-                    pooled_payload(ctx, &relayed, &mut self.scratch) else { return };
+                let Some(payload) = encode_payload(ctx, &relayed) else { return };
                 // Choose upstream by the family the CPE can speak.
                 let (src, dst) = match (request.is_v4(), upstream_v6, self.config.wan_v6) {
                     (false, Some(up6), Some(wan6)) => (IpAddr::V6(wan6), up6),
@@ -214,7 +204,7 @@ impl CpeDevice {
         let Ok(response) = Message::parse(&udp.payload) else { return };
         let Some(fc) = &mut self.forwarder else { return };
         let Some((path, restored)) = fc.handle_upstream_response(response) else { return };
-        let Some(payload) = pooled_payload(ctx, &restored, &mut self.scratch) else { return };
+        let Some(payload) = encode_payload(ctx, &restored) else { return };
         match path {
             ReplyPath::Direct(request) => {
                 if let Some(reply) = resolver_sim::reply_packet(&request, payload) {
@@ -290,7 +280,7 @@ impl CpeDevice {
                 resp
             }
         };
-        let Some(payload) = pooled_payload(ctx, &resp, &mut self.scratch) else { return };
+        let Some(payload) = encode_payload(ctx, &resp) else { return };
         if let Some(reply) = resolver_sim::reply_packet(packet, payload) {
             ctx.send(WAN, reply);
         }
@@ -378,9 +368,7 @@ impl CpeDevice {
                         let Ok(query) = Message::parse(&udp.payload) else { return };
                         let Some(fc) = &mut self.forwarder else { return };
                         if let FwdAction::Respond(resp) = fc.handle_query(query, path) {
-                            if let Some(payload) =
-                                pooled_payload(ctx, &resp, &mut self.scratch)
-                            {
+                            if let Some(payload) = encode_payload(ctx, &resp) {
                                 if let Some(reply) =
                                     resolver_sim::reply_packet(&packet, payload)
                                 {

@@ -26,49 +26,92 @@ use crate::name::Name;
 use crate::types::{RClass, RType};
 use std::sync::OnceLock;
 
-/// Interns a fixed name: parsed once per process, every caller gets a
-/// refcount-bumped clone. The debugging-query names are asked on every
+/// The fixed debugging names, interned: parsed once per process, and every
+/// caller gets a refcount-bumped clone. These names are asked on every
 /// single probe, so per-call parsing would be the hot path's main
-/// allocation source.
-fn interned(cell: &OnceLock<Name>, text: &str) -> Name {
-    cell.get_or_init(|| text.parse().expect("static name is valid")).clone()
+/// allocation source; [`Name::parse`] also hands out these copies when it
+/// decodes one of them byte for byte.
+struct Interned {
+    version_bind: Name,
+    id_server: Name,
+    hostname_bind: Name,
+    version_server: Name,
+    id_bind: Name,
+    google_myaddr: Name,
+    opendns_debug: Name,
+    whoami_akamai: Name,
+}
+
+fn interned() -> &'static Interned {
+    static NAMES: OnceLock<Interned> = OnceLock::new();
+    NAMES.get_or_init(|| {
+        let name = |text: &str| text.parse().expect("static name is valid");
+        Interned {
+            version_bind: name("version.bind"),
+            id_server: name("id.server"),
+            hostname_bind: name("hostname.bind"),
+            version_server: name("version.server"),
+            id_bind: name("id.bind"),
+            google_myaddr: name("o-o.myaddr.l.google.com"),
+            opendns_debug: name("debug.opendns.com"),
+            whoami_akamai: name("whoami.akamai.com"),
+        }
+    })
+}
+
+impl Interned {
+    /// The CHAOS server-identification names BIND-like software accepts.
+    fn server_id(&self) -> [&Name; 5] {
+        [
+            &self.version_bind,
+            &self.id_server,
+            &self.hostname_bind,
+            &self.version_server,
+            &self.id_bind,
+        ]
+    }
+}
+
+/// The interned copy of the fixed debugging name whose canonical wire form
+/// is exactly `wire`, case included.
+pub(crate) fn interned_wire(wire: &[u8]) -> Option<&'static Name> {
+    let names = interned();
+    names
+        .server_id()
+        .into_iter()
+        .chain([&names.google_myaddr, &names.opendns_debug, &names.whoami_akamai])
+        .find(|name| name.as_wire() == wire)
 }
 
 /// Returns the `version.bind` name.
 pub fn version_bind() -> Name {
-    static NAME: OnceLock<Name> = OnceLock::new();
-    interned(&NAME, "version.bind")
+    interned().version_bind.clone()
 }
 
 /// Returns the `id.server` name.
 pub fn id_server() -> Name {
-    static NAME: OnceLock<Name> = OnceLock::new();
-    interned(&NAME, "id.server")
+    interned().id_server.clone()
 }
 
 /// Returns the `hostname.bind` name.
 pub fn hostname_bind() -> Name {
-    static NAME: OnceLock<Name> = OnceLock::new();
-    interned(&NAME, "hostname.bind")
+    interned().hostname_bind.clone()
 }
 
 /// Returns Google's `o-o.myaddr.l.google.com` self-address name.
 pub fn google_myaddr() -> Name {
-    static NAME: OnceLock<Name> = OnceLock::new();
-    interned(&NAME, "o-o.myaddr.l.google.com")
+    interned().google_myaddr.clone()
 }
 
 /// Returns OpenDNS's `debug.opendns.com` name.
 pub fn opendns_debug() -> Name {
-    static NAME: OnceLock<Name> = OnceLock::new();
-    interned(&NAME, "debug.opendns.com")
+    interned().opendns_debug.clone()
 }
 
 /// Returns Akamai's `whoami.akamai.com` resolver-identity name, used by the
 /// paper's transparency test (§4.1.2).
 pub fn whoami_akamai() -> Name {
-    static NAME: OnceLock<Name> = OnceLock::new();
-    interned(&NAME, "whoami.akamai.com")
+    interned().whoami_akamai.clone()
 }
 
 /// Builds a CHAOS TXT `version.bind` query message.
@@ -90,14 +133,9 @@ pub fn hostname_bind_query(id: u16) -> Message {
 /// (`version.bind`, `id.server`, `hostname.bind`, or their `.server`/`.bind`
 /// cross-spellings, all of which BIND-like software accepts).
 pub fn is_server_id_question(q: &Question) -> bool {
-    if q.qclass != RClass::Chaos || !matches!(q.qtype, RType::Txt | RType::Any) {
-        return false;
-    }
-    let name = q.qname.to_string().to_ascii_lowercase();
-    matches!(
-        name.as_str(),
-        "version.bind." | "id.server." | "hostname.bind." | "version.server." | "id.bind."
-    )
+    q.qclass == RClass::Chaos
+        && matches!(q.qtype, RType::Txt | RType::Any)
+        && interned().server_id().into_iter().any(|name| q.qname == *name)
 }
 
 /// Which server-identification question a CHAOS query is asking.
@@ -115,10 +153,11 @@ pub fn server_id_kind(q: &Question) -> Option<ServerIdKind> {
     if !is_server_id_question(q) {
         return None;
     }
-    let name = q.qname.to_string().to_ascii_lowercase();
-    match name.as_str() {
-        "version.bind." | "version.server." => Some(ServerIdKind::Version),
-        _ => Some(ServerIdKind::Identity),
+    let names = interned();
+    if q.qname == names.version_bind || q.qname == names.version_server {
+        Some(ServerIdKind::Version)
+    } else {
+        Some(ServerIdKind::Identity)
     }
 }
 
@@ -163,6 +202,22 @@ mod tests {
     fn case_insensitive_names() {
         let q = Question::chaos_txt("VERSION.BIND".parse().unwrap());
         assert_eq!(server_id_kind(&q), Some(ServerIdKind::Version));
+    }
+
+    #[test]
+    fn cross_spellings_classify_like_bind() {
+        for (text, kind) in [
+            ("version.server", Some(ServerIdKind::Version)),
+            ("ID.Bind", Some(ServerIdKind::Identity)),
+            ("hostname.bind.", Some(ServerIdKind::Identity)),
+            ("id.server.example", None),
+            ("version", None),
+            ("bind", None),
+        ] {
+            let q = Question::chaos_txt(text.parse().unwrap());
+            assert_eq!(server_id_kind(&q), kind, "{text}");
+            assert_eq!(is_server_id_question(&q), kind.is_some(), "{text}");
+        }
     }
 
     #[test]

@@ -225,7 +225,10 @@ impl Name {
     /// compressed), which is what message parsing needs.
     ///
     /// Decompresses through a stack buffer (names are at most 255 octets),
-    /// so the only heap allocation is the final shared buffer.
+    /// so the only heap allocation is the final shared buffer. A name whose
+    /// wire form is exactly that of one of the fixed debugging-query names
+    /// (case included) shares the interned buffer instead, with no
+    /// allocation at all.
     pub fn parse(r: &mut Reader<'_>) -> Result<Self, ParseError> {
         let mut buf = [0u8; MAX_NAME_LEN];
         let mut len = 0usize;
@@ -242,7 +245,11 @@ impl Name {
         debug_assert!(complete, "walk_name never aborts with an always-true visitor");
         buf[len] = 0;
         len += 1;
-        Ok(Name { wire: Arc::from(&buf[..len]), labels })
+        let wire = &buf[..len];
+        if let Some(name) = crate::debug_queries::interned_wire(wire) {
+            return Ok(name.clone());
+        }
+        Ok(Name { wire: Arc::from(wire), labels })
     }
 
     /// Encodes the name, compressing against previously written names.
@@ -438,6 +445,26 @@ mod tests {
         assert_eq!(r.label_count(), 0);
         assert_eq!(name("."), r);
         assert_eq!(name(""), r);
+    }
+
+    #[test]
+    fn parse_shares_interned_debug_names_byte_exact() {
+        use crate::debug_queries;
+        let parse = |wire: &[u8]| Name::parse(&mut Reader::new(wire)).unwrap();
+        let interned = debug_queries::version_bind();
+        let parsed = parse(b"\x07version\x04bind\x00");
+        assert!(std::ptr::eq(parsed.as_wire().as_ptr(), interned.as_wire().as_ptr()));
+        assert_eq!(parsed.label_count(), 2);
+        // Another case is the same name but keeps its own bytes.
+        let upper = parse(b"\x07VERSION\x04bind\x00");
+        assert_eq!(upper, interned);
+        assert!(!std::ptr::eq(upper.as_wire().as_ptr(), interned.as_wire().as_ptr()));
+        assert_eq!(upper.as_wire(), b"\x07VERSION\x04bind\x00");
+        assert_eq!(upper.to_string(), "VERSION.bind.");
+        // A name that merely contains a debugging name is not interned.
+        let longer = parse(b"\x02id\x07version\x04bind\x00");
+        assert_eq!(longer.to_string(), "id.version.bind.");
+        assert_eq!(longer.label_count(), 3);
     }
 
     #[test]

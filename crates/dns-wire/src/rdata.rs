@@ -6,6 +6,7 @@ use crate::types::RType;
 use crate::wire::{Reader, Writer};
 use bytes::Bytes;
 use core::fmt;
+use std::borrow::Cow;
 use std::net::{Ipv4Addr, Ipv6Addr};
 
 /// SOA record fields (RFC 1035 §3.3.13).
@@ -90,14 +91,18 @@ impl RData {
     /// convention `dig` uses when printing a multi-string TXT), lossily
     /// decoded as UTF-8.
     pub fn txt_string(&self) -> Option<String> {
+        self.txt_str().map(Cow::into_owned)
+    }
+
+    /// [`txt_string`](RData::txt_string) without the copy where it can be
+    /// avoided: a single valid UTF-8 string, the shape of every answer to
+    /// the debugging queries, is borrowed from the record.
+    pub fn txt_str(&self) -> Option<Cow<'_, str>> {
         match self {
-            RData::Txt(parts) => {
-                let mut joined = Vec::new();
-                for p in parts {
-                    joined.extend_from_slice(p);
-                }
-                Some(String::from_utf8_lossy(&joined).into_owned())
-            }
+            RData::Txt(parts) => match parts.as_slice() {
+                [one] => Some(String::from_utf8_lossy(one)),
+                _ => Some(Cow::Owned(String::from_utf8_lossy(&parts.concat()).into_owned())),
+            },
             _ => None,
         }
     }
@@ -350,6 +355,22 @@ mod tests {
         let multi = RData::Txt(vec![b"ab".to_vec(), b"cd".to_vec()]);
         assert_eq!(multi.txt_string().unwrap(), "abcd");
         assert_eq!(RData::A(Ipv4Addr::LOCALHOST).txt_string(), None);
+    }
+
+    #[test]
+    fn txt_str_borrows_single_utf8_strings_only() {
+        let one = RData::txt("IAD");
+        assert!(matches!(one.txt_str(), Some(Cow::Borrowed("IAD"))));
+        let multi = RData::Txt(vec![b"ab".to_vec(), b"cd".to_vec()]);
+        assert_eq!(multi.txt_str().as_deref(), Some("abcd"));
+        let empty = RData::Txt(vec![]);
+        assert_eq!(empty.txt_str().as_deref(), Some(""));
+        let invalid = RData::Txt(vec![vec![b'a', 0xFF]]);
+        assert!(matches!(invalid.txt_str(), Some(Cow::Owned(_))));
+        assert_eq!(invalid.txt_str().as_deref(), Some("a\u{FFFD}"));
+        for rd in [one, multi, empty, invalid, RData::A(Ipv4Addr::LOCALHOST)] {
+            assert_eq!(rd.txt_str().map(Cow::into_owned), rd.txt_string());
+        }
     }
 
     #[test]

@@ -179,13 +179,15 @@ impl SimTransport {
         let deadline = sim.now() + SimDuration::from_millis(opts.timeout_ms);
         sim.run_until(deadline);
 
-        let deliveries =
-            sim.device_mut::<Host>(node).expect("vantage is a Host").drain_inbox();
+        let host = sim.device_mut::<Host>(node).expect("vantage is a Host");
         // First right-txid reply from an address other than the queried
         // server; kept so a properly sourced answer later in the inbox
         // still wins, as it would on a real unconnected socket.
         let mut mismatch: Option<(Message, IpAddr, SimTime)> = None;
-        for d in deliveries {
+        let mut accepted: Option<(Message, SimTime)> = None;
+        // Drained in place, so the inbox keeps its capacity for the next
+        // query; whatever the loop leaves is dropped with the iterator.
+        for d in host.drain_deliveries() {
             let Some(udp) = d.packet.udp_payload() else { continue };
             if udp.dst_port != sport || udp.src_port != 53 {
                 continue;
@@ -205,14 +207,18 @@ impl SimTransport {
             if d.packet.src() == server {
                 let mut resp = view.to_message();
                 resp.header.id = id;
-                self.record_rtt(inject_at, d.at);
-                return QueryOutcome::Response(resp);
+                accepted = Some((resp, d.at));
+                break;
             }
             if mismatch.is_none() {
                 let mut resp = view.to_message();
                 resp.header.id = id;
                 mismatch = Some((resp, d.packet.src(), d.at));
             }
+        }
+        if let Some((resp, at)) = accepted {
+            self.record_rtt(inject_at, at);
+            return QueryOutcome::Response(resp);
         }
         match mismatch {
             Some((message, from, at)) => {

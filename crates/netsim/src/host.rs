@@ -9,7 +9,6 @@ use crate::packet::{IcmpMessage, IpPacket, Transport};
 use crate::sim::{Ctx, Device, IfaceId};
 use crate::time::SimTime;
 use std::any::Any;
-use std::collections::HashSet;
 use std::net::IpAddr;
 
 /// A received packet with its delivery time.
@@ -24,7 +23,8 @@ pub struct Delivery {
 /// A simple end host.
 pub struct Host {
     name: String,
-    addrs: HashSet<IpAddr>,
+    /// A host owns one or two addresses, so a scan beats hashing.
+    addrs: Vec<IpAddr>,
     inbox: Vec<Delivery>,
     /// Packets not addressed to this host (mis-deliveries) — should stay 0
     /// in a correctly wired topology; tests assert on it.
@@ -34,12 +34,12 @@ pub struct Host {
 impl Host {
     /// Creates a host owning the given addresses.
     pub fn new(name: impl Into<String>, addrs: impl IntoIterator<Item = IpAddr>) -> Host {
-        Host {
-            name: name.into(),
-            addrs: addrs.into_iter().collect(),
-            inbox: Vec::new(),
-            misdeliveries: 0,
+        let mut host =
+            Host { name: name.into(), addrs: Vec::new(), inbox: Vec::new(), misdeliveries: 0 };
+        for addr in addrs {
+            host.add_addr(addr);
         }
+        host
     }
 
     /// Boxed convenience constructor.
@@ -49,7 +49,9 @@ impl Host {
 
     /// Adds an address after construction.
     pub fn add_addr(&mut self, addr: IpAddr) {
-        self.addrs.insert(addr);
+        if !self.addrs.contains(&addr) {
+            self.addrs.push(addr);
+        }
     }
 
     /// True if the host owns `addr`.
@@ -65,6 +67,13 @@ impl Host {
     /// Removes and returns all delivered packets.
     pub fn drain_inbox(&mut self) -> Vec<Delivery> {
         std::mem::take(&mut self.inbox)
+    }
+
+    /// Removes all delivered packets in place, keeping the inbox's
+    /// capacity for the next deliveries. Packets the caller does not
+    /// consume are dropped with the iterator.
+    pub fn drain_deliveries(&mut self) -> std::vec::Drain<'_, Delivery> {
+        self.inbox.drain(..)
     }
 }
 

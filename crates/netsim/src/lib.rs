@@ -23,6 +23,7 @@
 
 pub mod bogon;
 mod capture;
+mod fxhash;
 mod host;
 mod nat;
 mod packet;
@@ -37,6 +38,7 @@ pub use capture::{
     CaptureBuffer, CaptureEvent, CaptureKind, CaptureSink, DropReason, FaultCause, NatPhase,
     NullCapture,
 };
+pub use fxhash::{FxHashMap, FxHashSet, FxHasher};
 pub use host::{Delivery, Host};
 pub use nat::{DnatRule, FlowTuple, Masquerade, NatEngine, NatVerdict, Proto};
 pub use packet::{

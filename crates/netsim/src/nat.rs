@@ -9,9 +9,9 @@
 //! responses "arrive with the source address spoofed to be that of the
 //! target resolver" (§2) and the interception is transparent.
 
+use crate::fxhash::FxHashMap;
 use crate::packet::{IpPacket, Transport};
 use crate::time::{SimDuration, SimTime};
-use std::collections::HashMap;
 use std::net::IpAddr;
 
 /// Transport protocol selector for NAT rules.
@@ -171,7 +171,7 @@ pub struct NatEngine {
     /// locally instead of forwarding).
     local_addrs: Vec<IpAddr>,
     /// Keyed by the tuple a *reply* arriving from outside will carry.
-    conntrack: HashMap<FlowTuple, ConntrackEntry>,
+    conntrack: FxHashMap<FlowTuple, ConntrackEntry>,
     /// Entry lifetime.
     timeout: SimDuration,
     next_ephemeral: u16,
@@ -185,7 +185,7 @@ impl NatEngine {
             masquerade_v4: None,
             masquerade_v6: None,
             local_addrs: Vec::new(),
-            conntrack: HashMap::new(),
+            conntrack: FxHashMap::default(),
             timeout: SimDuration::from_secs(30),
             next_ephemeral: 49152,
         }
@@ -240,10 +240,11 @@ impl NatEngine {
 
         // DNAT phase.
         let mut dnat_applied = false;
-        let rule_hit = self.dnat_rules.iter().find(|r| r.matches(&pkt)).cloned();
-        if let Some(rule) = rule_hit {
-            pkt.set_dst(rule.to_addr);
-            if let (Some(port), Some(udp)) = (rule.to_port, pkt.udp_payload_mut()) {
+        let rule_hit =
+            self.dnat_rules.iter().find(|r| r.matches(&pkt)).map(|r| (r.to_addr, r.to_port));
+        if let Some((to_addr, to_port)) = rule_hit {
+            pkt.set_dst(to_addr);
+            if let (Some(port), Some(udp)) = (to_port, pkt.udp_payload_mut()) {
                 udp.dst_port = port;
             }
             dnat_applied = true;

@@ -108,9 +108,11 @@ impl FromStr for Cidr {
 
 /// A longest-prefix-match routing table mapping prefixes to interfaces.
 ///
-/// Tables are small (a handful of routes per simulated router), so the
-/// implementation is a plain sorted scan — simple and obviously correct, per
-/// the smoltcp philosophy.
+/// Tables are small (a handful of routes per simulated router, a few dozen
+/// at the internet core), so the implementation is a scan over a `Vec`
+/// kept in lookup order: longest prefix first and, among equal lengths,
+/// the latest addition first. The first route that contains the
+/// destination is then the longest-prefix match, and a lookup stops there.
 #[derive(Debug, Clone, Default)]
 pub struct RouteTable {
     routes: Vec<(Cidr, IfaceId)>,
@@ -124,7 +126,11 @@ impl RouteTable {
 
     /// Adds a route. Later additions win ties on prefix length.
     pub fn add(&mut self, prefix: Cidr, iface: IfaceId) -> &mut Self {
-        self.routes.push((prefix, iface));
+        // Ahead of every route of equal or shorter prefix, behind every
+        // longer one.
+        let len = prefix.prefix_len();
+        let at = self.routes.partition_point(|(p, _)| p.prefix_len() > len);
+        self.routes.insert(at, (prefix, iface));
         self
     }
 
@@ -140,14 +146,7 @@ impl RouteTable {
 
     /// Longest-prefix-match lookup. `None` means no route (drop).
     pub fn lookup(&self, dst: IpAddr) -> Option<IfaceId> {
-        self.routes
-            .iter()
-            .enumerate()
-            .filter(|(_, (p, _))| p.contains(dst))
-            // max_by_key keeps the *last* maximum, so later-added routes win
-            // ties — documented in `add`.
-            .max_by_key(|(idx, (p, _))| (p.prefix_len(), *idx))
-            .map(|(_, (_, iface))| *iface)
+        self.routes.iter().find(|(p, _)| p.contains(dst)).map(|&(_, iface)| iface)
     }
 
     /// Number of routes installed.

@@ -13,7 +13,6 @@ use crate::packet::{IcmpMessage, IpPacket, Transport};
 use crate::route::RouteTable;
 use crate::sim::{Ctx, Device, IfaceId};
 use std::any::Any;
-use std::collections::HashSet;
 use std::net::IpAddr;
 
 /// What a router does with a packet addressed to one of its own addresses.
@@ -32,12 +31,14 @@ pub enum LocalPolicy {
 /// Router configuration and state.
 pub struct Router {
     name: String,
-    /// Addresses owned by this router (local delivery).
-    addrs: HashSet<IpAddr>,
+    /// Addresses owned by this router (local delivery), in the order they
+    /// were added; the first one sources the router's ICMP errors. A
+    /// router owns one or two addresses, so a scan beats hashing.
+    addrs: Vec<IpAddr>,
     /// Forwarding table.
     pub routes: RouteTable,
-    /// Optional NAT engine with the set of "inside" interfaces.
-    nat: Option<(NatEngine, HashSet<IfaceId>)>,
+    /// Optional NAT engine with the "inside" interfaces.
+    nat: Option<(NatEngine, Vec<IfaceId>)>,
     /// Drop packets whose destination is bogon space (AS border behaviour).
     drop_bogon_dst: bool,
     /// Emit ICMP destination-unreachable when no route exists.
@@ -56,7 +57,7 @@ impl Router {
     pub fn new(name: impl Into<String>) -> Router {
         Router {
             name: name.into(),
-            addrs: HashSet::new(),
+            addrs: Vec::new(),
             routes: RouteTable::new(),
             nat: None,
             drop_bogon_dst: false,
@@ -70,7 +71,9 @@ impl Router {
 
     /// Assigns an address to the router (enables local delivery for it).
     pub fn add_addr(&mut self, addr: IpAddr) -> &mut Self {
-        self.addrs.insert(addr);
+        if !self.addrs.contains(&addr) {
+            self.addrs.push(addr);
+        }
         self
     }
 
@@ -133,9 +136,9 @@ impl Router {
         }
         if !packet.decrement_ttl() {
             self.ttl_drops += 1;
-            if let Some(&any_addr) = self.addrs.iter().next() {
+            if let Some(&source) = self.addrs.first() {
                 if let Some(te) = IpPacket::icmp(
-                    any_addr,
+                    source,
                     packet.src(),
                     IcmpMessage::TimeExceeded { original: packet.flow_summary() },
                 ) {
@@ -163,9 +166,9 @@ impl Router {
             None => {
                 self.no_route_drops += 1;
                 if self.emit_unreachable {
-                    if let Some(&any_addr) = self.addrs.iter().next() {
+                    if let Some(&source) = self.addrs.first() {
                         if let Some(unreach) = IpPacket::icmp(
-                            any_addr,
+                            source,
                             packet.src(),
                             IcmpMessage::DestUnreachable {
                                 code: 0,
@@ -336,6 +339,22 @@ mod tests {
             back[0].transport,
             Transport::Icmp(IcmpMessage::TimeExceeded { .. })
         ));
+    }
+
+    #[test]
+    fn icmp_errors_come_from_the_first_configured_address() {
+        let (mut sim, a, _b, r) = two_sided();
+        // A second address that sorts and hashes differently from the
+        // first: the error must still come from 10.0.0.1.
+        sim.device_mut::<Router>(r).unwrap().add_addr("203.0.113.250".parse().unwrap());
+        let mut p = dns_pkt("10.0.0.2", "8.8.8.8");
+        p.ttl = 1;
+        sim.inject(a, IfaceId(0), p);
+        sim.run_to_quiescence();
+        let back = &sim.device::<Sink>(a).unwrap().received;
+        assert_eq!(back.len(), 1);
+        assert!(matches!(back[0].transport, Transport::Icmp(IcmpMessage::TimeExceeded { .. })));
+        assert_eq!(back[0].src(), "10.0.0.1".parse::<IpAddr>().unwrap());
     }
 
     #[test]

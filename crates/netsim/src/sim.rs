@@ -10,6 +10,7 @@
 use crate::capture::{
     CaptureBuffer, CaptureEvent, CaptureKind, CaptureSink, FaultCause, NatPhase, NullCapture,
 };
+use crate::fxhash::FxHashMap;
 use crate::packet::{FlowSummary, IpPacket};
 use crate::pool::PayloadPool;
 use crate::time::{SimDuration, SimTime};
@@ -18,7 +19,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::any::Any;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 /// Identifies a device within one simulator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -314,7 +315,7 @@ pub struct TraceEntry {
 pub struct SimScratch {
     devices: Vec<Box<dyn Device>>,
     links: Vec<Link>,
-    attachments: HashMap<Attachment, LinkId>,
+    attachments: FxHashMap<Attachment, LinkId>,
     queue: Vec<Reverse<Event>>,
     trace: Vec<TraceEntry>,
     actions: Vec<Action>,
@@ -326,7 +327,7 @@ pub struct Simulator {
     devices: Vec<Box<dyn Device>>,
     links: Vec<Link>,
     /// (node, iface) -> link index.
-    attachments: HashMap<Attachment, LinkId>,
+    attachments: FxHashMap<Attachment, LinkId>,
     queue: BinaryHeap<Reverse<Event>>,
     now: SimTime,
     seq: u64,

@@ -3,7 +3,7 @@
 use bytes::Bytes;
 use netsim::{Cidr, DnatRule, IpPacket, NatEngine, NatVerdict, RouteTable, SimTime};
 use proptest::prelude::*;
-use std::net::{IpAddr, Ipv4Addr};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
 fn arb_v4() -> impl Strategy<Value = Ipv4Addr> {
     any::<[u8; 4]>().prop_map(Ipv4Addr::from)
@@ -13,8 +13,59 @@ fn arb_cidr_v4() -> impl Strategy<Value = Cidr> {
     (arb_v4(), 0u8..=32).prop_map(|(a, p)| Cidr::v4(a, p))
 }
 
+/// Prefix lengths the route-table property draws from: few enough that a
+/// random set repeats lengths, so equal-length ties come up constantly.
+const V4_LENS: [u8; 6] = [0, 8, 16, 24, 30, 32];
+const V6_LENS: [u8; 6] = [0, 32, 48, 64, 126, 128];
+
+/// Addresses near 10.1.2.0 and 2001:db8::, with an occasional address
+/// from anywhere: routes built from them overlap heavily.
+fn arb_route_addr() -> impl Strategy<Value = IpAddr> {
+    prop_oneof![
+        (0u32..4).prop_map(|low| IpAddr::V4(Ipv4Addr::from(0x0a01_0200 | low))),
+        (0u16..4).prop_map(|low| IpAddr::V6(Ipv6Addr::new(0x2001, 0xdb8, 0, 0, 0, 0, 0, low))),
+        arb_v4().prop_map(IpAddr::V4),
+        any::<[u8; 16]>().prop_map(|b| IpAddr::V6(Ipv6Addr::from(b))),
+    ]
+}
+
+fn arb_route() -> impl Strategy<Value = (Cidr, netsim::IfaceId)> {
+    (arb_route_addr(), 0usize..6, 0usize..4).prop_map(|(addr, len, iface)| {
+        let cidr = match addr {
+            IpAddr::V4(a) => Cidr::v4(a, V4_LENS[len]),
+            IpAddr::V6(a) => Cidr::v6(a, V6_LENS[len]),
+        };
+        (cidr, netsim::IfaceId(iface))
+    })
+}
+
+/// The reference longest-prefix match: every matching route, the longest
+/// prefix, and among equal lengths the route added last.
+fn reference_lookup(routes: &[(Cidr, netsim::IfaceId)], dst: IpAddr) -> Option<netsim::IfaceId> {
+    routes
+        .iter()
+        .enumerate()
+        .filter(|(_, (p, _))| p.contains(dst))
+        .max_by_key(|(idx, (p, _))| (p.prefix_len(), *idx))
+        .map(|(_, (_, iface))| *iface)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn route_lookup_equals_reference_scan(
+        routes in proptest::collection::vec(arb_route(), 0..24),
+        dsts in proptest::collection::vec(arb_route_addr(), 1..16),
+    ) {
+        let mut table = RouteTable::new();
+        for (cidr, iface) in &routes {
+            table.add(*cidr, *iface);
+        }
+        for dst in dsts {
+            prop_assert_eq!(table.lookup(dst), reference_lookup(&routes, dst));
+        }
+    }
 
     #[test]
     fn cidr_parse_display_roundtrip(c in arb_cidr_v4()) {

@@ -7,10 +7,9 @@
 
 use crate::server::send_reply;
 use crate::zone::{ResolveCtx, Zone, ZoneAnswer};
-use dns_wire::{EncodeScratch, Message, Name, RData, Rcode, Record};
-use netsim::{Ctx, Device, IfaceId, IpPacket};
+use dns_wire::{Message, Name, RData, Rcode, Record};
+use netsim::{Ctx, Device, FxHashSet, IfaceId, IpPacket};
 use std::any::Any;
-use std::collections::HashSet;
 use std::net::IpAddr;
 use std::sync::Arc;
 
@@ -41,11 +40,10 @@ pub struct ServedZone {
 /// The authoritative server device.
 pub struct AuthoritativeServer {
     name: String,
-    service_addrs: HashSet<IpAddr>,
+    service_addrs: FxHashSet<IpAddr>,
     zones: Vec<ServedZone>,
     /// Queries handled.
     pub queries_handled: u64,
-    scratch: EncodeScratch,
 }
 
 impl AuthoritativeServer {
@@ -59,7 +57,6 @@ impl AuthoritativeServer {
             service_addrs: service_addrs.into_iter().collect(),
             zones: Vec::new(),
             queries_handled: 0,
-            scratch: EncodeScratch::new(),
         }
     }
 
@@ -145,7 +142,7 @@ impl Device for AuthoritativeServer {
         }
         self.queries_handled += 1;
         let resp = self.answer(&query, packet.src());
-        send_reply(ctx, iface, &packet, &resp, &mut self.scratch);
+        send_reply(ctx, iface, &packet, &resp);
     }
 
     fn name(&self) -> &str {

@@ -2,8 +2,7 @@
 
 use crate::zone::ResolveResult;
 use dns_wire::Question;
-use netsim::{SimDuration, SimTime};
-use std::collections::HashMap;
+use netsim::{FxHashMap, SimDuration, SimTime};
 
 /// Cache key: (name, type, class) — lower-cased by `Name`'s own hashing.
 type Key = (dns_wire::Name, u16, u16);
@@ -14,7 +13,7 @@ const NEGATIVE_TTL_SECS: u64 = 30;
 /// A bounded TTL cache for resolution results.
 #[derive(Debug)]
 pub struct DnsCache {
-    map: HashMap<Key, (SimTime, ResolveResult)>,
+    map: FxHashMap<Key, (SimTime, ResolveResult)>,
     capacity: usize,
     /// Cache hits served.
     pub hits: u64,
@@ -25,7 +24,7 @@ pub struct DnsCache {
 impl DnsCache {
     /// Creates a cache holding at most `capacity` entries.
     pub fn new(capacity: usize) -> DnsCache {
-        DnsCache { map: HashMap::new(), capacity: capacity.max(1), hits: 0, misses: 0 }
+        DnsCache { map: FxHashMap::default(), capacity: capacity.max(1), hits: 0, misses: 0 }
     }
 
     fn key(q: &Question) -> Key {

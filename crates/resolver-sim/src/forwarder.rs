@@ -9,7 +9,7 @@
 use crate::server::handle_server_id;
 use crate::software::SoftwareProfile;
 use dns_wire::{Message, Name, RClass, Rcode};
-use std::collections::HashMap;
+use netsim::FxHashMap;
 use std::net::IpAddr;
 
 /// What the forwarder wants done with a client query.
@@ -42,7 +42,7 @@ pub struct ForwarderCore<M> {
     pub upstream: IpAddr,
     /// Names answered locally with NXDOMAIN (Pi-hole style blocklist).
     pub blocklist: Vec<Name>,
-    pending: HashMap<u16, PendingQuery<M>>,
+    pending: FxHashMap<u16, PendingQuery<M>>,
     next_txid: u16,
     /// Queries forwarded upstream.
     pub forwarded: u64,
@@ -57,7 +57,7 @@ impl<M> ForwarderCore<M> {
             profile,
             upstream,
             blocklist: Vec::new(),
-            pending: HashMap::new(),
+            pending: FxHashMap::default(),
             next_txid: 0x4000,
             forwarded: 0,
             answered_locally: 0,

@@ -9,13 +9,12 @@
 //! hold on the true packet path).
 
 use crate::cache::DnsCache;
-use crate::server::{handle_server_id, send_reply};
+use crate::server::{encode_payload, handle_server_id, send_reply};
 use crate::software::SoftwareProfile;
 use crate::zone::ResolveResult;
-use dns_wire::{EncodeScratch, Message, Name, Question, RClass, RData, RType, Rcode, Record};
-use netsim::{Ctx, Device, IfaceId, IpPacket, SimDuration};
+use dns_wire::{Message, Name, Question, RClass, RData, RType, Rcode, Record};
+use netsim::{Ctx, Device, FxHashMap, FxHashSet, IfaceId, IpPacket, SimDuration};
 use std::any::Any;
-use std::collections::{HashMap, HashSet};
 use std::net::IpAddr;
 
 /// Source port for upstream queries.
@@ -65,14 +64,14 @@ struct Iteration {
 /// The iterative resolver device.
 pub struct IterativeResolver {
     name: String,
-    service_addrs: HashSet<IpAddr>,
+    service_addrs: FxHashSet<IpAddr>,
     /// Source address for upstream queries (must route back to us).
     egress: IpAddr,
     root_hints: Vec<IpAddr>,
     /// Software identity for CHAOS queries.
     pub profile: SoftwareProfile,
     cache: DnsCache,
-    pending: HashMap<u16, Iteration>,
+    pending: FxHashMap<u16, Iteration>,
     next_txid: u16,
     /// Total client queries handled.
     pub queries_handled: u64,
@@ -80,7 +79,6 @@ pub struct IterativeResolver {
     pub upstream_queries: u64,
     /// Resolutions that ended in SERVFAIL.
     pub servfails: u64,
-    scratch: EncodeScratch,
 }
 
 impl IterativeResolver {
@@ -99,12 +97,11 @@ impl IterativeResolver {
             root_hints,
             profile,
             cache: DnsCache::new(4096),
-            pending: HashMap::new(),
+            pending: FxHashMap::default(),
             next_txid: 0x7000,
             queries_handled: 0,
             upstream_queries: 0,
             servfails: 0,
-            scratch: EncodeScratch::new(),
         }
     }
 
@@ -139,8 +136,7 @@ impl IterativeResolver {
         resp.header.id = client.txid;
         resp.header.qr = true;
         resp.header.ra = true;
-        let Ok(wire) = resp.encode_into(&mut self.scratch) else { return };
-        let payload = ctx.alloc_payload(wire);
+        let Some(payload) = encode_payload(ctx, &resp) else { return };
         if let Some(pkt) =
             IpPacket::udp(client.queried, client.src, 53, client.sport, payload)
         {
@@ -172,8 +168,7 @@ impl IterativeResolver {
         let sends = iter.sends;
         let question = iter.current.clone();
         let msg = Message::query(txid, question);
-        let Ok(wire) = msg.encode_into(&mut self.scratch) else { return };
-        let payload = ctx.alloc_payload(wire);
+        let Some(payload) = encode_payload(ctx, &msg) else { return };
         if let Some(pkt) = IpPacket::udp(self.egress, server, UPSTREAM_SPORT, 53, payload) {
             self.upstream_queries += 1;
             ctx.send(iface, pkt);
@@ -203,13 +198,13 @@ impl IterativeResolver {
         // CHAOS identity queries are answered locally.
         if let Some(maybe) = handle_server_id(&query, &self.profile) {
             if let Some(resp) = maybe {
-                send_reply(ctx, iface, packet, &resp, &mut self.scratch);
+                send_reply(ctx, iface, packet, &resp);
             }
             return;
         }
         if q.qclass != RClass::In {
             let resp = Message::response_to(&query, Rcode::NotImp);
-            send_reply(ctx, iface, packet, &resp, &mut self.scratch);
+            send_reply(ctx, iface, packet, &resp);
             return;
         }
 

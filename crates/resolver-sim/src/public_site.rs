@@ -4,10 +4,9 @@
 use crate::server::send_reply;
 use crate::zone::{ResolveCtx, ZoneDb};
 use dns_wire::debug_queries::{self, ServerIdKind};
-use dns_wire::{EncodeScratch, Message, Name, RClass, RData, RType, Rcode, Record};
-use netsim::{Ctx, Device, IfaceId, IpPacket};
+use dns_wire::{Message, Name, RClass, RData, RType, Rcode, Record};
+use netsim::{Ctx, Device, FxHashSet, IfaceId, IpPacket};
 use std::any::Any;
-use std::collections::HashSet;
 use std::net::IpAddr;
 use std::sync::Arc;
 
@@ -38,7 +37,7 @@ impl PublicBrand {
 pub struct PublicResolverSite {
     name: String,
     brand: PublicBrand,
-    service_addrs: HashSet<IpAddr>,
+    service_addrs: FxHashSet<IpAddr>,
     /// IATA code of the site ("IAD", "SFO", "AMS", …).
     iata: String,
     /// Node number within the site, for Quad9/OpenDNS identity strings.
@@ -49,7 +48,11 @@ pub struct PublicResolverSite {
     pub dnssec_validating: bool,
     /// Total queries handled.
     pub queries_handled: u64,
-    scratch: EncodeScratch,
+    /// The TXT answers the site serves, each built the first time it is
+    /// asked for: the identity, the version, and the OpenDNS debug string.
+    identity_txt: Option<RData>,
+    version_txt: Option<RData>,
+    debug_txt: Option<RData>,
 }
 
 impl PublicResolverSite {
@@ -74,7 +77,9 @@ impl PublicResolverSite {
             // not.
             dnssec_validating: brand != PublicBrand::OpenDns,
             queries_handled: 0,
-            scratch: EncodeScratch::new(),
+            identity_txt: None,
+            version_txt: None,
+            debug_txt: None,
         }
     }
 
@@ -109,43 +114,44 @@ impl PublicResolverSite {
         }
     }
 
-    fn answer_chaos(&self, query: &Message, kind: ServerIdKind) -> Message {
+    fn answer_chaos(&mut self, query: &Message, kind: ServerIdKind) -> Message {
         let q = query.question().expect("caller checked");
-        match kind {
-            ServerIdKind::Version => {
-                // Only Quad9 answers version.bind (§3.2).
-                if self.brand == PublicBrand::Quad9 {
-                    Message::response_to(query, Rcode::NoError).with_answer(Record::chaos_txt(
-                        q.qname.clone(),
-                        format!("Q9-P-6.1-{}", self.iata.to_ascii_lowercase()),
-                    ))
-                } else {
-                    Message::response_to(query, Rcode::NotImp)
-                }
+        let text = match kind {
+            // Only Quad9 answers version.bind (§3.2).
+            ServerIdKind::Version if self.brand == PublicBrand::Quad9 => {
+                let iata = &self.iata;
+                Some(&*self.version_txt.get_or_insert_with(|| {
+                    RData::txt(format!("Q9-P-6.1-{}", iata.to_ascii_lowercase()))
+                }))
             }
-            ServerIdKind::Identity => match self.identity_string() {
-                Some(id) => Message::response_to(query, Rcode::NoError)
-                    .with_answer(Record::chaos_txt(q.qname.clone(), id)),
-                None => Message::response_to(query, Rcode::NotImp),
-            },
+            ServerIdKind::Version => None,
+            ServerIdKind::Identity => {
+                if self.identity_txt.is_none() {
+                    self.identity_txt = self.identity_string().map(RData::txt);
+                }
+                self.identity_txt.as_ref()
+            }
+        };
+        match text {
+            Some(rdata) => Message::response_to(query, Rcode::NoError).with_answer(Record {
+                class: RClass::Chaos,
+                ..Record::new(q.qname.clone(), 0, rdata.clone())
+            }),
+            None => Message::response_to(query, Rcode::NotImp),
         }
     }
 
-    fn answer_in(&self, query: &Message) -> Message {
+    fn answer_in(&mut self, query: &Message) -> Message {
         let q = query.question().expect("caller checked");
         // OpenDNS synthesizes debug.opendns.com at the resolver itself.
         if self.brand == PublicBrand::OpenDns && is_opendns_debug(&q.qname) && q.qtype == RType::Txt
         {
+            let (node_index, iata) = (self.node_index, &self.iata);
+            let server = self.debug_txt.get_or_insert_with(|| {
+                RData::txt(format!("server m{node_index}.{}", iata.to_ascii_lowercase()))
+            });
             let mut resp = Message::response_to(query, Rcode::NoError);
-            resp.answers.push(Record::new(
-                q.qname.clone(),
-                0,
-                RData::txt(format!(
-                    "server m{}.{}",
-                    self.node_index,
-                    self.iata.to_ascii_lowercase()
-                )),
-            ));
+            resp.answers.push(Record::new(q.qname.clone(), 0, server.clone()));
             resp.answers.push(Record::new(
                 q.qname.clone(),
                 0,
@@ -185,7 +191,7 @@ impl Device for PublicResolverSite {
         } else {
             Message::response_to(&query, Rcode::NotImp)
         };
-        send_reply(ctx, iface, &packet, &resp, &mut self.scratch);
+        send_reply(ctx, iface, &packet, &resp);
     }
 
     fn name(&self) -> &str {

@@ -12,17 +12,16 @@ use crate::cache::DnsCache;
 use crate::server::{encode_reply, handle_server_id, send_reply};
 use crate::software::SoftwareProfile;
 use crate::zone::{ResolveCtx, ResolveResult, ZoneDb};
-use dns_wire::{EncodeScratch, Message, RClass, RData, RType, Rcode, Record};
-use netsim::{Ctx, Device, IfaceId, IpPacket, SimDuration};
+use dns_wire::{Message, RClass, RData, RType, Rcode, Record};
+use netsim::{Ctx, Device, FxHashMap, FxHashSet, IfaceId, IpPacket, SimDuration};
 use std::any::Any;
-use std::collections::{HashMap, HashSet};
 use std::net::{IpAddr, Ipv4Addr};
 use std::sync::Arc;
 
 /// A recursive resolver bound to a set of service addresses.
 pub struct RecursiveResolver {
     name: String,
-    service_addrs: HashSet<IpAddr>,
+    service_addrs: FxHashSet<IpAddr>,
     egress: ResolveCtx,
     zonedb: Arc<ZoneDb>,
     /// Software identity for CHAOS queries.
@@ -38,11 +37,10 @@ pub struct RecursiveResolver {
     /// from signed zones). Most ISP alternate resolvers do not — the
     /// downgrade a validating client can notice (§1's DNSSEC interference).
     pub dnssec_validating: bool,
-    pending: HashMap<u64, (IfaceId, IpPacket)>,
+    pending: FxHashMap<u64, (IfaceId, IpPacket)>,
     next_token: u64,
     /// Total queries handled.
     pub queries_handled: u64,
-    scratch: EncodeScratch,
 }
 
 impl RecursiveResolver {
@@ -65,10 +63,9 @@ impl RecursiveResolver {
             nxdomain_wildcard: None,
             refuse_all: false,
             dnssec_validating: false,
-            pending: HashMap::new(),
+            pending: FxHashMap::default(),
             next_token: 0,
             queries_handled: 0,
-            scratch: EncodeScratch::new(),
         }
     }
 
@@ -153,7 +150,7 @@ impl Device for RecursiveResolver {
         // CHAOS server-identification queries answer per software profile.
         if let Some(maybe_resp) = handle_server_id(&query, &self.profile) {
             if let Some(resp) = maybe_resp {
-                send_reply(ctx, iface, &packet, &resp, &mut self.scratch);
+                send_reply(ctx, iface, &packet, &resp);
             }
             return;
         }
@@ -161,12 +158,12 @@ impl Device for RecursiveResolver {
         let q = query.question().expect("checked above");
         if q.qclass != RClass::In {
             let resp = Message::response_to(&query, Rcode::NotImp);
-            send_reply(ctx, iface, &packet, &resp, &mut self.scratch);
+            send_reply(ctx, iface, &packet, &resp);
             return;
         }
 
         let (resp, was_miss) = self.answer_in_query(&query, ctx.now());
-        let Some(reply) = encode_reply(ctx, &packet, &resp, &mut self.scratch) else { return };
+        let Some(reply) = encode_reply(ctx, &packet, &resp) else { return };
         if was_miss && self.resolve_latency > SimDuration::ZERO {
             // Cache miss: delay the reply by the recursion latency.
             let token = self.next_token;

@@ -6,6 +6,16 @@ use bytes::Bytes;
 use dns_wire::debug_queries::{self, ServerIdKind};
 use dns_wire::{EncodeScratch, Message, Rcode, Record};
 use netsim::{Ctx, IfaceId, IpPacket};
+use std::cell::RefCell;
+
+thread_local! {
+    /// The encode scratch every DNS device on this thread shares. A
+    /// campaign builds fresh devices for every probe, so a scratch owned by
+    /// a device would grow again from empty in each one; this one stays
+    /// warm from probe to probe. Encoding clears it first, so what an
+    /// earlier encode left behind never reaches the wire.
+    static SCRATCH: RefCell<EncodeScratch> = RefCell::new(EncodeScratch::new());
+}
 
 /// Builds the UDP reply packet for `request`: source/destination and ports
 /// swapped, carrying `payload`.
@@ -14,32 +24,27 @@ pub fn reply_packet(request: &IpPacket, payload: Bytes) -> Option<IpPacket> {
     IpPacket::udp(request.dst(), request.src(), udp.dst_port, udp.src_port, payload)
 }
 
-/// Builds the reply packet for `request` carrying `resp`, encoding through
-/// the caller's scratch and the simulator's payload pool so the steady state
-/// allocates nothing per reply. Returns `None` if encoding fails or the
-/// request is not UDP.
-pub fn encode_reply(
-    ctx: &mut Ctx<'_>,
-    request: &IpPacket,
-    resp: &Message,
-    scratch: &mut EncodeScratch,
-) -> Option<IpPacket> {
-    let wire = resp.encode_into(scratch).ok()?;
-    let payload = ctx.alloc_payload(wire);
-    reply_packet(request, payload)
+/// Encodes `msg` through the thread's shared scratch into a slab of the
+/// simulator's payload pool, so the steady state allocates nothing per
+/// message. Returns `None` if encoding fails.
+pub fn encode_payload(ctx: &mut Ctx<'_>, msg: &Message) -> Option<Bytes> {
+    SCRATCH.with(|scratch| {
+        let mut scratch = scratch.borrow_mut();
+        let wire = msg.encode_into(&mut scratch).ok()?;
+        Some(ctx.alloc_payload(wire))
+    })
+}
+
+/// Builds the reply packet for `request` carrying `resp`. Returns `None` if
+/// encoding fails or the request is not UDP.
+pub fn encode_reply(ctx: &mut Ctx<'_>, request: &IpPacket, resp: &Message) -> Option<IpPacket> {
+    reply_packet(request, encode_payload(ctx, resp)?)
 }
 
 /// Encodes `resp` and sends it out `iface` as the reply to `request`.
-/// Encoding failures and non-UDP requests are silently dropped, matching
-/// the previous per-device behaviour.
-pub fn send_reply(
-    ctx: &mut Ctx<'_>,
-    iface: IfaceId,
-    request: &IpPacket,
-    resp: &Message,
-    scratch: &mut EncodeScratch,
-) {
-    if let Some(reply) = encode_reply(ctx, request, resp, scratch) {
+/// Encoding failures and non-UDP requests are silently dropped.
+pub fn send_reply(ctx: &mut Ctx<'_>, iface: IfaceId, request: &IpPacket, resp: &Message) {
+    if let Some(reply) = encode_reply(ctx, request, resp) {
         ctx.send(iface, reply);
     }
 }
