@@ -5,9 +5,11 @@
 //! capacity — a probe query that crosses the simulated home and dies
 //! without an answer must not allocate at all: cached encode, pooled
 //! payload, packet forwarding hop by hop, and the borrowed-view receive
-//! filter are all allocation-free. The same counter also pins the
-//! component pieces individually, so a regression report names the layer
-//! that started allocating rather than just "the path".
+//! filter are all allocation-free. A warm *answered* round trip is pinned
+//! to its exact count: the owned DNS messages each side still builds. The
+//! same counter also pins the component pieces individually, so a
+//! regression report names the layer that started allocating rather than
+//! just "the path".
 //!
 //! Everything runs inside one `#[test]` because the counter is a process
 //! global; parallel test threads would bleed into each other's deltas.
@@ -69,6 +71,37 @@ fn steady_state_probe_path_allocates_nothing() {
         allocs, 0,
         "steady-state probe wire path allocated {allocs} times; \
          the hot path must be allocation-free once warm"
+    );
+
+    // --- End to end, answered: a warm probe-vantage CHAOS `id.server`
+    // query to 1.1.1.1 across the clean home, answered by the Cloudflare
+    // site. Every hop, the CPE's masquerade, the site's reply encode
+    // (thread-shared scratch, pooled payload slab), the interned names on
+    // both parses and the in-place inbox drain are allocation-free; what
+    // remains is the owned `Message` on each side:
+    //   site:  query parse — the question Vec                        1
+    //          response_to — the copied question Vec                 1
+    //          answer Vec, and its TXT RData cloned from the site's
+    //          cached answer (outer Vec + one string)                3
+    //   stub:  the accepted reply's owned Message — question Vec,
+    //          answer Vec, TXT RData (outer Vec + one string)        4
+    // The CPE's conntrack gains one entry per query (each query has a
+    // fresh source port), and its table grows at the 4th, 8th, 15th, 29th
+    // ... entry; the ninth query falls between two growths.
+    let mut probe = SimTransport::new(HomeScenario::clean().build());
+    let cloudflare = IpAddr::V4("1.1.1.1".parse().unwrap());
+    let id_server = Question::chaos_txt(dns_wire::debug_queries::id_server());
+    for i in 0..8 {
+        let out = probe.query(cloudflare, &id_server, 0x7000 + i, opts);
+        assert!(out.response().is_some(), "the clean home reaches Cloudflare");
+    }
+    let (allocs, out) = allocations_in(|| probe.query(cloudflare, &id_server, 0x7100, opts));
+    let reply = out.response().expect("answered");
+    assert_eq!(reply.answers[0].rdata.txt_string().as_deref(), Some("IAD"));
+    assert_eq!(
+        allocs, 9,
+        "warm answered id.server round trip allocated {allocs} times; \
+         9 are the owned messages listed above"
     );
 
     // --- Component: cached query encoding re-stamps the txid in place.
