@@ -57,6 +57,10 @@ impl OrgSpec {
         let octet = 24 + (org_index as u8 % 70);
         let v4_prefix = Ipv4Addr::new(octet, 0, 0, 0);
         let v6_prefix = Ipv6Addr::new(0x2600 + org_index as u16, 0, 0, 0, 0, 0, 0, 0);
+        // The resolver lives above every customer /64: `customer_v6(n)`
+        // delegates the /64 numbered n + 1 above the prefix, so every
+        // customer prefix lies below <isp>:2::.
+        let infra_v6 = |host| Ipv6Addr::new(0x2600 + org_index as u16, 0x53, 0, 0, 0, 0, 0, host);
         IspProfile {
             asn: self.asn,
             name: self.name.clone(),
@@ -65,9 +69,9 @@ impl OrgSpec {
             v4_prefix_len: 8,
             v6_prefix,
             resolver_v4: Ipv4Addr::new(octet, 75, 75, 75),
-            resolver_v6: Ipv6Addr::new(0x2600 + org_index as u16, 0, 0, 0x53, 0, 0, 0, 1),
+            resolver_v6: infra_v6(1),
             resolver_egress_v4: Ipv4Addr::new(octet, 75, 75, 10),
-            resolver_egress_v6: Ipv6Addr::new(0x2600 + org_index as u16, 0, 0, 0x53, 0, 0, 0, 10),
+            resolver_egress_v6: infra_v6(0x10),
             resolver_version: self.resolver_version.clone(),
             resolver_mode: interception::ResolverMode::Normal,
             resolver_in_as: true,
@@ -345,6 +349,25 @@ mod tests {
         prefixes.sort();
         prefixes.dedup();
         assert_eq!(prefixes.len(), before);
+    }
+
+    #[test]
+    fn no_customer_prefix_holds_the_isp_resolver() {
+        let cat = default_catalog();
+        for (i, org) in cat.iter().enumerate() {
+            let p = org.isp_profile(i);
+            let base = u128::from(p.v6_prefix);
+            for addr in [p.resolver_v6, p.resolver_egress_v6] {
+                // customer_v6(n) delegates the /64 numbered n + 1 above the
+                // prefix, for every u32 n.
+                let slot = (u128::from(addr) - base) >> 64;
+                assert!(slot == 0 || slot > 1 << 32, "{addr} is in customer /64 {slot}");
+                for n in [0, 81, 82, 83, 65_534, u32::MAX] {
+                    let (_, _, _, prefix) = p.customer_v6(n);
+                    assert!(!prefix.contains(std::net::IpAddr::V6(addr)), "{addr} in {prefix}");
+                }
+            }
+        }
     }
 
     #[test]
