@@ -344,9 +344,9 @@ mod tests {
     #[test]
     fn icmp_errors_come_from_the_first_configured_address() {
         let (mut sim, a, _b, r) = two_sided();
-        // A second address that sorts and hashes differently from the
-        // first: the error must still come from 10.0.0.1.
-        sim.device_mut::<Router>(r).unwrap().add_addr("203.0.113.250".parse().unwrap());
+        // A second address that sorts before the first: the error must
+        // still come from 10.0.0.1, the first one configured.
+        sim.device_mut::<Router>(r).unwrap().add_addr("1.2.3.4".parse().unwrap());
         let mut p = dns_pkt("10.0.0.2", "8.8.8.8");
         p.ttl = 1;
         sim.inject(a, IfaceId(0), p);
