@@ -363,8 +363,10 @@ mod tests {
                 let slot = (u128::from(addr) - base) >> 64;
                 assert!(slot == 0 || slot > 1 << 32, "{addr} is in customer /64 {slot}");
                 for n in [0, 81, 82, 83, 65_534, u32::MAX] {
-                    let (_, _, _, prefix) = p.customer_v6(n);
+                    let (wan, _, _, prefix) = p.customer_v6(n);
                     assert!(!prefix.contains(std::net::IpAddr::V6(addr)), "{addr} in {prefix}");
+                    // Nor does any customer's WAN address share its /64.
+                    assert_ne!(u128::from(wan) >> 64, u128::from(addr) >> 64, "{wan} near {addr}");
                 }
             }
         }

@@ -105,10 +105,14 @@ impl IspProfile {
 
     /// Allocates the `n`-th customer /64 and the CPE/probe addresses in it:
     /// (cpe_wan_v6, cpe_lan_v6, probe_v6, lan_prefix).
+    ///
+    /// Customer `n` is delegated the /64 numbered `n + 1` above the prefix,
+    /// so the /64 at the prefix itself is never delegated, for any `u32`
+    /// index; every customer's WAN address lives there, at `<prefix>::<n+1>`.
     pub fn customer_v6(&self, n: u32) -> (Ipv6Addr, Ipv6Addr, Ipv6Addr, netsim::Cidr) {
         let base = u128::from(self.v6_prefix);
         let lan_net = base + ((n as u128 + 1) << 64);
-        let wan = Ipv6Addr::from(base + (0xFFFF << 64) + n as u128 + 1);
+        let wan = Ipv6Addr::from(base + n as u128 + 1);
         let lan = Ipv6Addr::from(lan_net + 1);
         let probe = Ipv6Addr::from(lan_net + 0x100);
         (wan, lan, probe, netsim::Cidr::v6(Ipv6Addr::from(lan_net), 64))
@@ -189,25 +193,44 @@ mod tests {
         assert_ne!(a, isp.resolver_v4);
     }
 
+    /// Customer indices at both ends of the range, and around the /64 the
+    /// WAN addresses once shared with customer 65,534's LAN.
+    const EDGE_CUSTOMERS: [u32; 6] = [0, 1, 3, 65_534, 65_535, u32::MAX];
+
     #[test]
     fn customer_v6_allocation() {
         let isp = IspProfile::comcast_like();
-        let (wan, lan, probe, prefix) = isp.customer_v6(3);
-        assert!(prefix.contains(IpAddr::V6(lan)));
-        assert!(prefix.contains(IpAddr::V6(probe)));
-        assert!(!prefix.contains(IpAddr::V6(wan)));
-        assert!(isp.v6_cidr().contains(IpAddr::V6(wan)));
-        assert_ne!(lan, probe);
+        let base = u128::from(isp.v6_prefix);
+        for n in EDGE_CUSTOMERS {
+            let (wan, lan, probe, prefix) = isp.customer_v6(n);
+            assert!(prefix.contains(IpAddr::V6(lan)));
+            assert!(prefix.contains(IpAddr::V6(probe)));
+            assert!(!prefix.contains(IpAddr::V6(wan)));
+            assert!(isp.v6_cidr().contains(IpAddr::V6(wan)));
+            assert!(isp.v6_cidr().contains(IpAddr::V6(probe)));
+            assert_ne!(lan, probe);
+            // The WAN /64 is the one at the prefix itself, which no
+            // customer is delegated: customer m gets /64 number m + 1.
+            assert_eq!((u128::from(wan) - base) >> 64, 0, "customer {n}'s WAN {wan}");
+            for m in EDGE_CUSTOMERS {
+                let (_, _, _, other) = isp.customer_v6(m);
+                assert!(!other.contains(IpAddr::V6(wan)), "{wan} in customer {m}'s {other}");
+            }
+        }
     }
 
     #[test]
     fn distinct_customers_get_distinct_v6() {
         let isp = IspProfile::comcast_like();
-        let (w1, _, p1, pre1) = isp.customer_v6(1);
-        let (w2, _, p2, pre2) = isp.customer_v6(2);
-        assert_ne!(w1, w2);
-        assert_ne!(p1, p2);
-        assert_ne!(pre1, pre2);
+        for (i, &a) in EDGE_CUSTOMERS.iter().enumerate() {
+            for &b in &EDGE_CUSTOMERS[i + 1..] {
+                let (w1, _, p1, pre1) = isp.customer_v6(a);
+                let (w2, _, p2, pre2) = isp.customer_v6(b);
+                assert_ne!(w1, w2);
+                assert_ne!(p1, p2);
+                assert_ne!(pre1, pre2);
+            }
+        }
     }
 
     #[test]
