@@ -378,7 +378,7 @@ mod tests {
     fn null_sink_is_disabled() {
         assert!(!NullSink.enabled());
         let mut s = NullSink;
-        (&mut s).record(TraceEvent::RunFinished {
+        s.record(TraceEvent::RunFinished {
             intercepted: false,
             location: None,
             queries_sent: 0,
