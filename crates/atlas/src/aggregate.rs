@@ -727,7 +727,7 @@ impl fmt::Display for CampaignSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::run_campaign;
+    use crate::campaign::{run_campaign, CampaignOptions};
     use crate::fleet::{generate, FleetConfig};
     use std::sync::OnceLock;
 
@@ -735,7 +735,7 @@ mod tests {
         static FLEET: OnceLock<Fleet> = OnceLock::new();
         let fleet =
             FLEET.get_or_init(|| generate(FleetConfig { size: 800, ..FleetConfig::default() }));
-        let results = run_campaign(fleet, 8);
+        let results = run_campaign(fleet, CampaignOptions::new(8), None, None, None);
         (fleet, results)
     }
 
@@ -786,14 +786,16 @@ mod tests {
     #[test]
     fn retry_stats_track_the_budget() {
         let base = FleetConfig { size: 250, flaky_rate: 0.3, ..FleetConfig::default() };
-        let single = retry_stats(&run_campaign(&generate(base.clone()), 4));
+        let campaign = |fleet: &Fleet| {
+            retry_stats(&run_campaign(fleet, CampaignOptions::new(4), None, None, None))
+        };
+        let single = campaign(&generate(base.clone()));
         assert_eq!(single.wire_attempts, single.queries_sent);
         assert_eq!(single.retried_queries, 0);
         assert_eq!(single.probes_with_retries, 0);
         assert!(single.timeout_cells > 0);
 
-        let retried =
-            retry_stats(&run_campaign(&generate(FleetConfig { attempts: 3, ..base }), 4));
+        let retried = campaign(&generate(FleetConfig { attempts: 3, ..base }));
         assert!(retried.wire_attempts > retried.queries_sent);
         assert!(retried.retried_queries > 0);
         assert!(retried.probes_with_retries > 0);

@@ -1,6 +1,13 @@
 //! The measurement campaign: runs the three-step technique from every
 //! responding probe, in parallel, deterministically.
 //!
+//! Every campaign, the open-DNS taxonomy scan of [`crate::classify`]
+//! included, is one scheduler loop ([`run_work_stealing`]) over one
+//! per-probe path: [`WorkerArena::build`] builds the probe's world, the
+//! locator (or the classifier) runs in it, and [`WorkerArena::finish`]
+//! hands the world back. The campaign's optional observers — metrics,
+//! telemetry, timing — travel together as one [`Observers`] value.
+//!
 //! Scheduling is work-stealing with **batched claims**: workers take the
 //! next [`CampaignOptions::batch_size`] unmeasured probes per `fetch_add`
 //! on a shared atomic cursor instead of one probe (or a fixed chunk) at a
@@ -29,14 +36,19 @@
 use crate::aggregate::AggregateReport;
 use crate::fleet::{scenario_for, Fleet, ProbeSpec};
 use crate::metrics::MetricsRegistry;
+use crate::raw::{RawMeasurement, RecordingTransport};
 use crate::telemetry::CampaignTelemetry;
 use crate::timing::{TimingRegistry, WALL_PROBE_TOTAL, WALL_WORLD_BUILD};
 use crossbeam::thread;
 use dns_wire::QueryEncoder;
-use interception::{GroundTruth, ProbeTimingLog, QueryFlow, SimTransport, WorldTemplate};
-use locator::{HijackLocator, MetricsFolder, ProbeReport, QueryTransport};
+use interception::{
+    GroundTruth, HomeScenario, ProbeTimingLog, QueryFlow, SimTransport, WorldTemplate,
+};
+use locator::{HijackLocator, LocatorConfig, MetricsFolder, ProbeReport, QueryTransport};
 use netsim::SimScratch;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::time::Instant;
 use timing::Span;
 
 /// Scheduling knobs for one campaign run.
@@ -46,10 +58,12 @@ pub struct CampaignOptions {
     pub threads: usize,
     /// Probes claimed per `fetch_add` on the shared cursor. Larger batches
     /// mean fewer contended atomic writes; smaller batches balance a
-    /// heavy-tail fleet better. The default suits both: at ~76µs per probe
-    /// a batch of [`CampaignOptions::DEFAULT_BATCH`] costs ~2.4ms — long
-    /// enough to amortize the claim, short enough that no worker drags a
-    /// meaningful tail. Clamped to at least 1.
+    /// heavy-tail fleet better. The default suits both: the repository
+    /// benchmark measures ~44µs of CPU per census probe (one worker, a
+    /// shared 2-vCPU x86-64 host), so a batch of
+    /// [`CampaignOptions::DEFAULT_BATCH`] costs ~1.4ms — long enough to
+    /// amortize the claim, short enough that no worker drags a meaningful
+    /// tail. Clamped to at least 1.
     pub batch_size: usize,
 }
 
@@ -69,33 +83,103 @@ impl Default for CampaignOptions {
     }
 }
 
-/// Per-worker reusable state, carried from probe to probe: the warm
-/// [`QueryEncoder`] (the fixed location-query set is encoded once per
-/// worker, not per probe) and the recycled simulator containers (each
-/// probe's world is built into the previous world's allocations).
-pub struct WorkerArena {
-    pub(crate) encoder: QueryEncoder,
-    pub(crate) scratch: SimScratch,
-    /// The worker's recycled timing log (lazily created on the first timed
-    /// probe, cleared and reused for every probe after — so timed
-    /// steady-state recording allocates nothing).
-    pub(crate) timing_log: Option<Box<ProbeTimingLog>>,
+/// A campaign's optional observers, carried together from the entry point
+/// to every worker and probe. None of them changes a result, and an absent
+/// one costs nothing: no clock read, no log, no atomic update.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct Observers<'o> {
+    /// Per-probe metrics and the scheduler totals.
+    pub(crate) metrics: Option<&'o MetricsRegistry>,
+    /// Live claim and completion counters, and per-probe wall time.
+    pub(crate) telemetry: Option<&'o CampaignTelemetry>,
+    /// Virtual-clock RTT and wall-clock phase histograms.
+    pub(crate) timing: Option<&'o TimingRegistry>,
+}
+
+impl Observers<'_> {
+    /// One probe's wall time, read once, into both observers that keep it:
+    /// the telemetry ticker's latency and the `probe-total` histogram.
+    fn note_probe_us(&self, us: u64) {
+        if let Some(t) = self.telemetry {
+            t.note_probe_us(us);
+        }
+        if let Some(t) = self.timing {
+            t.wall().record_us(WALL_PROBE_TOTAL, us);
+        }
+    }
+}
+
+/// Per-worker reusable state, carried from probe to probe: the shared
+/// world template, the warm [`QueryEncoder`] (the fixed location-query set
+/// is encoded once per worker, not per probe), the recycled simulator
+/// containers (each probe's world is built into the previous world's
+/// allocations) and the recycled timing log.
+pub(crate) struct WorkerArena {
+    template: Arc<WorldTemplate>,
+    encoder: QueryEncoder,
+    scratch: SimScratch,
+    /// Created on the first timed probe, cleared and reused for every
+    /// probe after — so timed steady-state recording allocates nothing.
+    timing_log: Option<Box<ProbeTimingLog>>,
 }
 
 impl WorkerArena {
     /// A cold arena; it warms up over the worker's first probe.
-    pub fn new() -> WorkerArena {
+    pub(crate) fn new() -> WorkerArena {
         WorkerArena {
+            template: WorldTemplate::shared(),
             encoder: QueryEncoder::new(),
             scratch: SimScratch::default(),
             timing_log: None,
         }
     }
-}
 
-impl Default for WorkerArena {
-    fn default() -> WorkerArena {
-        WorkerArena::new()
+    /// The first half of the per-probe path: builds `scenario`'s world
+    /// into the arena's recycled containers (under the `world-build` span
+    /// when `timing` is on) and wraps it in a transport carrying the
+    /// arena's warm encoder and, when `timing` is on, its timing log.
+    /// Returns the transport and the probe's locator config, with the
+    /// fleet's retry policy applied.
+    pub(crate) fn build(
+        &mut self,
+        fleet: &Fleet,
+        scenario: &HomeScenario,
+        timing: Option<&TimingRegistry>,
+    ) -> (SimTransport, LocatorConfig) {
+        let built = {
+            let _build_span = Span::maybe(timing.map(|t| t.wall().histogram(WALL_WORLD_BUILD)));
+            scenario.build_with_scratch(&self.template, std::mem::take(&mut self.scratch))
+        };
+        let mut config = built.locator_config();
+        config.query_options.attempts = fleet.config.attempts;
+        config.query_options.retry_backoff_ms = fleet.config.retry_backoff_ms;
+        let mut transport = SimTransport::with_encoder(built, std::mem::take(&mut self.encoder));
+        if timing.is_some() {
+            let log = self.timing_log.take().unwrap_or_else(|| Box::new(ProbeTimingLog::new()));
+            transport.attach_timing(log);
+        }
+        (transport, config)
+    }
+
+    /// The second half: takes the warm encoder back, folds the timing log
+    /// into `timing` against the probe's `report` and keeps the log for the
+    /// next probe, then moves the ground truth out — nothing is cloned —
+    /// and tears the spent simulator back down into reusable capacity.
+    pub(crate) fn finish(
+        &mut self,
+        mut transport: SimTransport,
+        report: &ProbeReport,
+        timing: Option<&TimingRegistry>,
+    ) -> GroundTruth {
+        self.encoder = transport.take_encoder();
+        if let (Some(t), Some(mut log)) = (timing, transport.take_timing()) {
+            t.fold_probe(report, &log);
+            log.clear();
+            self.timing_log = Some(log);
+        }
+        let truth = transport.scenario.truth;
+        self.scratch = transport.scenario.sim.into_scratch();
+        truth
     }
 }
 
@@ -114,70 +198,46 @@ pub struct ProbeResult<'a> {
     pub expected: Option<locator::InterceptorLocation>,
 }
 
-/// Runs the full campaign. Results come back ordered by probe id; the
-/// computation is embarrassingly parallel and each probe's world is seeded
-/// independently, so thread count does not affect the outcome.
-pub fn run_campaign(fleet: &Fleet, threads: usize) -> Vec<ProbeResult<'_>> {
-    run_campaign_metered(fleet, threads, None)
-}
-
-/// [`run_campaign`], optionally aggregating per-probe metrics into a
-/// shared [`MetricsRegistry`] as workers finish each probe. Because the
-/// registry only ever adds commutative counters, the aggregate — like the
-/// results themselves — is independent of thread count.
-pub fn run_campaign_metered<'a>(
-    fleet: &'a Fleet,
-    threads: usize,
-    registry: Option<&MetricsRegistry>,
-) -> Vec<ProbeResult<'a>> {
-    run_campaign_observed(fleet, threads, registry, None)
-}
-
-/// [`run_campaign_metered`] with a live observation point: when
-/// `telemetry` is given, workers bump its claim/completion counters as
-/// they go, so a monitor thread can render progress while the campaign
-/// runs. Telemetry updates are relaxed atomic increments off the
-/// simulator's path — results and metrics stay bitwise identical with
-/// telemetry on or off.
-pub fn run_campaign_observed<'a>(
-    fleet: &'a Fleet,
-    threads: usize,
-    registry: Option<&MetricsRegistry>,
-    telemetry: Option<&CampaignTelemetry>,
-) -> Vec<ProbeResult<'a>> {
-    run_campaign_configured(fleet, CampaignOptions::new(threads), registry, telemetry)
-}
-
-/// [`run_campaign_observed`] with the full set of scheduling knobs
-/// ([`CampaignOptions`]): thread count and probes-per-claim batch size.
-/// Results are bitwise identical for every `(threads, batch_size)` pair.
-pub fn run_campaign_configured<'a>(
+/// Runs the full campaign and collects every probe's result, ordered by
+/// probe id. The computation is embarrassingly parallel and each probe's
+/// world is seeded independently, so results are bitwise identical for
+/// every `(threads, batch_size)` pair.
+///
+/// Each observer is optional and none changes a result: `metrics`
+/// aggregates per-probe metrics and the scheduler totals (commutative
+/// counters, so thread-count invariant too), `telemetry` counts claims and
+/// completions live for a progress monitor, and `timing` folds each
+/// probe's RTT and wall-clock phase samples.
+pub fn run_campaign<'a>(
     fleet: &'a Fleet,
     options: CampaignOptions,
-    registry: Option<&MetricsRegistry>,
-    telemetry: Option<&CampaignTelemetry>,
-) -> Vec<ProbeResult<'a>> {
-    run_campaign_configured_timed(fleet, options, registry, telemetry, None)
-}
-
-/// [`run_campaign_configured`] with the latency observer attached (the
-/// collect-all counterpart of [`run_campaign_timed`]): per-probe results
-/// come back as usual while RTT and wall-phase samples fold into
-/// `timing`. With `timing` absent this *is* [`run_campaign_configured`].
-pub fn run_campaign_configured_timed<'a>(
-    fleet: &'a Fleet,
-    options: CampaignOptions,
-    registry: Option<&MetricsRegistry>,
+    metrics: Option<&MetricsRegistry>,
     telemetry: Option<&CampaignTelemetry>,
     timing: Option<&TimingRegistry>,
 ) -> Vec<ProbeResult<'a>> {
-    let responding: Vec<&ProbeSpec> = fleet.responding().collect();
-    let template = WorldTemplate::shared();
-    let results = run_collected(&responding, options, telemetry, |probe, arena| {
-        measure_probe_timed_with(fleet, probe, registry, &template, arena, timing)
-    });
-    record_schedule(registry, results.len());
-    results
+    let observers = Observers { metrics, telemetry, timing };
+    run_collected(fleet, options, observers, |probe, arena| {
+        measure(fleet, probe, arena, observers, false).0
+    })
+}
+
+/// [`run_campaign`] with the packet-level flight recorder on: every
+/// probe's simulator captures each hop, and the events are reconstructed
+/// into per-query [`QueryFlow`] timelines returned alongside the result.
+/// The capture path draws no randomness and schedules nothing, so reports,
+/// metrics and virtual-clock timings are bitwise identical to an
+/// uncaptured run.
+pub fn run_campaign_captured<'a>(
+    fleet: &'a Fleet,
+    options: CampaignOptions,
+    metrics: Option<&MetricsRegistry>,
+    telemetry: Option<&CampaignTelemetry>,
+    timing: Option<&TimingRegistry>,
+) -> Vec<(ProbeResult<'a>, Vec<QueryFlow>)> {
+    let observers = Observers { metrics, telemetry, timing };
+    run_collected(fleet, options, observers, |probe, arena| {
+        measure(fleet, probe, arena, observers, true)
+    })
 }
 
 /// Runs the campaign without ever holding more than one [`ProbeResult`]
@@ -189,7 +249,7 @@ pub fn run_campaign_configured_timed<'a>(
 ///
 /// Every aggregate counter is a commutative, order-independent sum, so the
 /// returned aggregate is bitwise identical to aggregating the output of
-/// [`run_campaign_configured`] — at any thread count or batch size.
+/// [`run_campaign`] — at any thread count or batch size.
 pub fn run_campaign_streaming(
     fleet: &Fleet,
     options: CampaignOptions,
@@ -212,13 +272,12 @@ pub fn run_campaign_timed(
     telemetry: Option<&CampaignTelemetry>,
     timing: Option<&TimingRegistry>,
 ) -> AggregateReport {
-    let responding: Vec<&ProbeSpec> = fleet.responding().collect();
-    let template = WorldTemplate::shared();
+    let observers = Observers { metrics: registry, telemetry, timing };
     let partials = run_work_stealing(
-        &responding,
+        fleet,
         options,
-        telemetry,
-        |probe, arena| measure_probe_timed_with(fleet, probe, registry, &template, arena, timing),
+        observers,
+        |probe, arena| measure(fleet, probe, arena, observers, false).0,
         AggregateReport::new,
         |acc, _idx, result| acc.fold(fleet, &result),
     );
@@ -226,331 +285,52 @@ pub fn run_campaign_timed(
     for partial in partials {
         merged.merge(partial);
     }
-    record_schedule(registry, merged.probes() as usize);
     merged
-}
-
-/// Runs the campaign with the packet-level flight recorder on: every
-/// probe's simulator captures each hop, and the events are reconstructed
-/// into per-query [`QueryFlow`] timelines returned alongside the result.
-/// The capture path draws no randomness and schedules nothing, so reports
-/// and metrics are bitwise identical to an uncaptured run.
-pub fn run_campaign_captured<'a>(
-    fleet: &'a Fleet,
-    threads: usize,
-    registry: Option<&MetricsRegistry>,
-    telemetry: Option<&CampaignTelemetry>,
-) -> Vec<(ProbeResult<'a>, Vec<QueryFlow>)> {
-    let responding: Vec<&ProbeSpec> = fleet.responding().collect();
-    let template = WorldTemplate::shared();
-    let options = CampaignOptions::new(threads);
-    let results = run_collected(&responding, options, telemetry, |probe, arena| {
-        measure_probe_captured_with(fleet, probe, registry, &template, arena)
-    });
-    record_schedule(registry, results.len());
-    results
-}
-
-/// Folds the scheduler's (thread-count-invariant) totals into the metrics
-/// snapshot: every responding probe is claimed exactly once and completed
-/// exactly once, whatever the interleaving.
-fn record_schedule(registry: Option<&MetricsRegistry>, measured: usize) {
-    if let Some(registry) = registry {
-        registry.record_schedule(measured as u64, measured as u64);
-    }
-}
-
-/// The batched work-stealing scheduler, generic over what a worker does
-/// per probe (`measure`) and what it accumulates per worker (`init` /
-/// `fold`): workers claim the next `batch_size` unmeasured probes per
-/// `fetch_add` on a shared cursor, carry a warm [`WorkerArena`] from probe
-/// to probe, and fold each result into a private per-worker accumulator.
-/// Returns one accumulator per worker, in worker order.
-///
-/// The claim interleaving depends on timing, but which probes exist and
-/// what each one's measurement produces do not — every probe's world is
-/// independently seeded — so any fold whose merge is commutative (or any
-/// collect keyed by claim index, as in [`run_collected`]) yields output
-/// independent of thread count and batch size.
-pub(crate) fn run_work_stealing<'a, R, A, F, I, G>(
-    responding: &[&'a ProbeSpec],
-    options: CampaignOptions,
-    telemetry: Option<&CampaignTelemetry>,
-    measure: F,
-    init: I,
-    fold: G,
-) -> Vec<A>
-where
-    A: Send,
-    F: Fn(&'a ProbeSpec, &mut WorkerArena) -> R + Sync,
-    I: Fn() -> A + Sync,
-    G: Fn(&mut A, usize, R) + Sync,
-{
-    if responding.is_empty() {
-        return Vec::new();
-    }
-    if let Some(t) = telemetry {
-        t.set_total(responding.len() as u64);
-    }
-    let batch = options.batch_size.max(1);
-    let threads = options.threads.clamp(1, responding.len());
-    if threads == 1 {
-        // Inline fast path: no scope, no cursor, one warm arena. Claims
-        // are still batched so telemetry counts the same batch totals.
-        let mut arena = WorkerArena::new();
-        let mut acc = init();
-        let mut idx = 0;
-        for chunk in responding.chunks(batch) {
-            if let Some(t) = telemetry {
-                t.note_batch(0, chunk.len() as u64);
-            }
-            for probe in chunk {
-                let started = telemetry.map(|_| std::time::Instant::now());
-                let result = measure(probe, &mut arena);
-                if let (Some(t), Some(s)) = (telemetry, started) {
-                    t.note_probe_us(s.elapsed().as_micros() as u64);
-                }
-                fold(&mut acc, idx, result);
-                idx += 1;
-                if let Some(t) = telemetry {
-                    t.note_complete();
-                }
-            }
-        }
-        return vec![acc];
-    }
-
-    let cursor = AtomicUsize::new(0);
-    thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|worker| {
-                let cursor = &cursor;
-                let measure = &measure;
-                let init = &init;
-                let fold = &fold;
-                scope.spawn(move |_| {
-                    let mut arena = WorkerArena::new();
-                    let mut acc = init();
-                    loop {
-                        let start = cursor.fetch_add(batch, Ordering::Relaxed);
-                        if start >= responding.len() {
-                            break;
-                        }
-                        let end = (start + batch).min(responding.len());
-                        if let Some(t) = telemetry {
-                            t.note_batch(worker, (end - start) as u64);
-                        }
-                        for (idx, probe) in
-                            responding.iter().enumerate().take(end).skip(start)
-                        {
-                            let started = telemetry.map(|_| std::time::Instant::now());
-                            let result = measure(probe, &mut arena);
-                            if let (Some(t), Some(s)) = (telemetry, started) {
-                                t.note_probe_us(s.elapsed().as_micros() as u64);
-                            }
-                            fold(&mut acc, idx, result);
-                            if let Some(t) = telemetry {
-                                t.note_complete();
-                            }
-                        }
-                    }
-                    acc
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("campaign worker panicked"))
-            .collect()
-    })
-    .expect("campaign scope")
-}
-
-/// [`run_work_stealing`] specialized to collect every per-probe result:
-/// workers accumulate `(claim index, result)` pairs, and the per-worker
-/// batches are merged by claim index after the joins — `responding` is
-/// id-ordered, so the output is too.
-pub(crate) fn run_collected<'a, R, F>(
-    responding: &[&'a ProbeSpec],
-    options: CampaignOptions,
-    telemetry: Option<&CampaignTelemetry>,
-    measure: F,
-) -> Vec<R>
-where
-    R: Send,
-    F: Fn(&'a ProbeSpec, &mut WorkerArena) -> R + Sync,
-{
-    let batches = run_work_stealing(
-        responding,
-        options,
-        telemetry,
-        measure,
-        Vec::new,
-        |out: &mut Vec<(usize, R)>, idx, result| out.push((idx, result)),
-    );
-    let mut slots: Vec<Option<R>> = responding.iter().map(|_| None).collect();
-    for batch in batches {
-        for (idx, result) in batch {
-            slots[idx] = Some(result);
-        }
-    }
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("every claimed index yields a result"))
-        .collect()
-}
-
-/// The pre-work-stealing scheduler: splits the responding probes into one
-/// static chunk per thread. Kept for benchmarking scheduler imbalance on
-/// heavy-tail fleets (everything else — template, scratch reuse — is
-/// identical to [`run_campaign_metered`], isolating the scheduling
-/// effect); produces bitwise-identical results.
-pub fn run_campaign_chunked<'a>(
-    fleet: &'a Fleet,
-    threads: usize,
-    registry: Option<&MetricsRegistry>,
-) -> Vec<ProbeResult<'a>> {
-    let responding: Vec<&ProbeSpec> = fleet.responding().collect();
-    let threads = threads.max(1);
-    let chunk = responding.len().div_ceil(threads);
-    if chunk == 0 {
-        return Vec::new();
-    }
-    let template = WorldTemplate::shared();
-    let mut results: Vec<Option<ProbeResult<'a>>> = vec![None; responding.len()];
-    thread::scope(|scope| {
-        for (slot_chunk, probe_chunk) in
-            results.chunks_mut(chunk).zip(responding.chunks(chunk))
-        {
-            let template = &template;
-            scope.spawn(move |_| {
-                let mut arena = WorkerArena::new();
-                for (slot, probe) in slot_chunk.iter_mut().zip(probe_chunk) {
-                    *slot = Some(measure_probe_with(fleet, probe, registry, template, &mut arena));
-                }
-            });
-        }
-    })
-    .expect("campaign worker panicked");
-    let results: Vec<ProbeResult<'a>> = results.into_iter().flatten().collect();
-    record_schedule(registry, results.len());
-    results
-}
-
-pub(crate) fn probe_config(
-    fleet: &Fleet,
-    built: &interception::BuiltScenario,
-) -> locator::LocatorConfig {
-    let mut config = built.locator_config();
-    config.query_options.attempts = fleet.config.attempts;
-    config.query_options.retry_backoff_ms = fleet.config.retry_backoff_ms;
-    config
 }
 
 /// Measures a single probe.
 pub fn measure_probe<'a>(fleet: &Fleet, probe: &'a ProbeSpec) -> ProbeResult<'a> {
-    measure_probe_metered(fleet, probe, None)
+    measure(fleet, probe, &mut WorkerArena::new(), Observers::default(), false).0
 }
 
-/// Measures a single probe, folding its trace into `registry` when given.
-pub fn measure_probe_metered<'a>(
+/// Measures a single probe while archiving every query/response byte —
+/// the raw dataset a real measurement study publishes. The locator runs
+/// over a [`RecordingTransport`] wrapped around the campaign's per-probe
+/// path, so the report is the one [`measure_probe`] returns.
+pub fn measure_probe_archived<'a>(
     fleet: &Fleet,
     probe: &'a ProbeSpec,
-    registry: Option<&MetricsRegistry>,
-) -> ProbeResult<'a> {
-    let template = WorldTemplate::shared();
+) -> (ProbeResult<'a>, RawMeasurement) {
     let mut arena = WorkerArena::new();
-    measure_probe_with(fleet, probe, registry, &template, &mut arena)
+    let (transport, config) = arena.build(fleet, &scenario_for(fleet, probe), None);
+    let expected = transport.scenario.expected;
+    let mut recording = RecordingTransport::new(transport);
+    let report = run_locator(config, &mut recording, None, probe.org);
+    let (transport, measurement) = recording.into_parts();
+    let truth = arena.finish(transport, &report, None);
+    (ProbeResult { probe, report, truth, expected }, measurement)
 }
 
-/// The single measurement path every campaign entry point funnels
-/// through: build the probe's world from the shared template into the
-/// arena's recycled simulator containers, run the locator over a transport
-/// that reuses the arena's encode scratch, then hand both — the warm
-/// encoder and the world's containers — back for the worker's next probe.
-fn measure_probe_with<'a>(
+/// The per-probe path of every measurement campaign: build the probe's
+/// world on the worker's arena, run the locator (metered when `observers`
+/// carries metrics), hand the world back. With `capture` on, the flight
+/// recorder runs too and the probe's per-query hop timelines come back
+/// with the result; otherwise the flows are empty.
+fn measure<'a>(
     fleet: &Fleet,
     probe: &'a ProbeSpec,
-    registry: Option<&MetricsRegistry>,
-    template: &WorldTemplate,
     arena: &mut WorkerArena,
-) -> ProbeResult<'a> {
-    measure_probe_timed_with(fleet, probe, registry, template, arena, None)
-}
-
-/// [`measure_probe_with`] with optional latency observation: the whole
-/// probe and its world build run under wall-clock [`Span`]s, the transport
-/// carries the arena's recycled [`ProbeTimingLog`], and the filled log is
-/// folded into the shared registry before the arena takes it back for the
-/// worker's next probe. With `timing` absent every span is disabled and no
-/// log is attached, so the hot path stays exactly the untimed one.
-fn measure_probe_timed_with<'a>(
-    fleet: &Fleet,
-    probe: &'a ProbeSpec,
-    registry: Option<&MetricsRegistry>,
-    template: &WorldTemplate,
-    arena: &mut WorkerArena,
-    timing: Option<&TimingRegistry>,
-) -> ProbeResult<'a> {
-    let _probe_span = Span::maybe(timing.map(|t| t.wall().histogram(WALL_PROBE_TOTAL)));
-    let built = {
-        let _build_span = Span::maybe(timing.map(|t| t.wall().histogram(WALL_WORLD_BUILD)));
-        scenario_for(fleet, probe).build_with_scratch(template, std::mem::take(&mut arena.scratch))
-    };
-    let config = probe_config(fleet, &built);
-    let expected = built.expected;
-    let mut transport = SimTransport::with_encoder(built, std::mem::take(&mut arena.encoder));
-    if timing.is_some() {
-        let log = arena.timing_log.take().unwrap_or_else(|| Box::new(ProbeTimingLog::new()));
-        transport.attach_timing(log);
-    }
-    let report = run_locator(config, &mut transport, registry, probe.org);
-    arena.encoder = transport.take_encoder();
-    if let (Some(t), Some(mut log)) = (timing, transport.take_timing()) {
-        t.fold_probe(&report, &log);
-        log.clear();
-        arena.timing_log = Some(log);
-    }
-    // Ground truth moves out of the consumed scenario — nothing is cloned —
-    // and the spent simulator is torn back down into reusable capacity.
-    let truth = transport.scenario.truth;
-    arena.scratch = transport.scenario.sim.into_scratch();
-    ProbeResult { probe, report, truth, expected }
-}
-
-/// Measures a single probe with the flight recorder on, returning the
-/// reconstructed per-query hop timelines alongside the result.
-pub fn measure_probe_captured<'a>(
-    fleet: &Fleet,
-    probe: &'a ProbeSpec,
+    observers: Observers,
+    capture: bool,
 ) -> (ProbeResult<'a>, Vec<QueryFlow>) {
-    let template = WorldTemplate::shared();
-    let mut arena = WorkerArena::new();
-    measure_probe_captured_with(fleet, probe, None, &template, &mut arena)
-}
-
-/// [`measure_probe_with`] plus capture: identical build, config, and
-/// locator run, with the simulator's recorder switched on first. Capture
-/// draws no randomness and schedules no events, so the report matches the
-/// uncaptured path bit for bit.
-fn measure_probe_captured_with<'a>(
-    fleet: &Fleet,
-    probe: &'a ProbeSpec,
-    registry: Option<&MetricsRegistry>,
-    template: &WorldTemplate,
-    arena: &mut WorkerArena,
-) -> (ProbeResult<'a>, Vec<QueryFlow>) {
-    let built = scenario_for(fleet, probe)
-        .build_with_scratch(template, std::mem::take(&mut arena.scratch));
-    let config = probe_config(fleet, &built);
-    let expected = built.expected;
-    let mut transport = SimTransport::with_encoder(built, std::mem::take(&mut arena.encoder));
-    transport.enable_capture();
-    let report = run_locator(config, &mut transport, registry, probe.org);
-    let flows = transport.take_flows();
-    arena.encoder = transport.take_encoder();
-    let truth = transport.scenario.truth;
-    arena.scratch = transport.scenario.sim.into_scratch();
+    let (mut transport, config) = arena.build(fleet, &scenario_for(fleet, probe), observers.timing);
+    let expected = transport.scenario.expected;
+    if capture {
+        transport.enable_capture();
+    }
+    let report = run_locator(config, &mut transport, observers.metrics, probe.org);
+    let flows = if capture { transport.take_flows() } else { Vec::new() };
+    let truth = arena.finish(transport, &report, observers.timing);
     (ProbeResult { probe, report, truth, expected }, flows)
 }
 
@@ -558,7 +338,7 @@ fn measure_probe_captured_with<'a>(
 /// Shared by the live and archiving paths so both always measure — and
 /// meter — identically.
 fn run_locator<T: QueryTransport>(
-    config: locator::LocatorConfig,
+    config: LocatorConfig,
     transport: &mut T,
     registry: Option<&MetricsRegistry>,
     org: usize,
@@ -574,35 +354,133 @@ fn run_locator<T: QueryTransport>(
     }
 }
 
-/// Measures a single probe while archiving every query/response byte —
-/// the raw dataset a real measurement study publishes.
-pub fn measure_probe_archived<'a>(
-    fleet: &Fleet,
-    probe: &'a ProbeSpec,
-) -> (ProbeResult<'a>, crate::raw::RawMeasurement) {
-    measure_probe_archived_metered(fleet, probe, None)
+/// The batched work-stealing scheduler, generic over what a worker does
+/// per probe (`per_probe`) and what it accumulates (`init` / `fold`).
+/// Returns one accumulator per worker, in worker order.
+///
+/// There is one worker body: claim the next `batch_size` unmeasured
+/// probes per `fetch_add` on a shared cursor, measure each on a warm
+/// [`WorkerArena`], fold the result into a private accumulator, repeat.
+/// One thread runs it inline on the calling thread; more run it under a
+/// scope. Either way every probe's wall time is read once, when telemetry
+/// or timing wants it, and every batch is claimed exactly once, so
+/// telemetry counts `ceil(n / batch_size)` batches at any thread count.
+///
+/// The claim interleaving depends on timing, but which probes exist and
+/// what each one's measurement produces do not — every probe's world is
+/// independently seeded — so any fold whose merge is commutative (or any
+/// collect keyed by claim index, as in [`run_collected`]) yields output
+/// independent of thread count and batch size.
+pub(crate) fn run_work_stealing<'a, R, A, F, I, G>(
+    fleet: &'a Fleet,
+    options: CampaignOptions,
+    observers: Observers<'_>,
+    per_probe: F,
+    init: I,
+    fold: G,
+) -> Vec<A>
+where
+    A: Send,
+    F: Fn(&'a ProbeSpec, &mut WorkerArena) -> R + Sync,
+    I: Fn() -> A + Sync,
+    G: Fn(&mut A, usize, R) + Sync,
+{
+    let responding: Vec<&ProbeSpec> = fleet.responding().collect();
+    if responding.is_empty() {
+        return Vec::new();
+    }
+    let telemetry = observers.telemetry;
+    if let Some(t) = telemetry {
+        t.set_total(responding.len() as u64);
+    }
+    let batch = options.batch_size.max(1);
+    let threads = options.threads.clamp(1, responding.len());
+    let clocked = telemetry.is_some() || observers.timing.is_some();
+    let cursor = AtomicUsize::new(0);
+    let work = |worker: usize| {
+        let mut arena = WorkerArena::new();
+        let mut acc = init();
+        loop {
+            let start = cursor.fetch_add(batch, Ordering::Relaxed);
+            if start >= responding.len() {
+                return acc;
+            }
+            let end = (start + batch).min(responding.len());
+            if let Some(t) = telemetry {
+                t.note_batch(worker, (end - start) as u64);
+            }
+            for (idx, &probe) in (start..end).zip(&responding[start..end]) {
+                let started = clocked.then(Instant::now);
+                let result = per_probe(probe, &mut arena);
+                if let Some(started) = started {
+                    observers.note_probe_us(started.elapsed().as_micros() as u64);
+                }
+                fold(&mut acc, idx, result);
+                if let Some(t) = telemetry {
+                    t.note_complete();
+                }
+            }
+        }
+    };
+    let partials = if threads == 1 {
+        vec![work(0)]
+    } else {
+        thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads)
+                .map(|worker| {
+                    let work = &work;
+                    scope.spawn(move |_| work(worker))
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("campaign worker panicked"))
+                .collect()
+        })
+        .expect("campaign scope")
+    };
+    // Every responding probe is claimed exactly once and completed exactly
+    // once, whatever the interleaving: thread-count-invariant totals.
+    if let Some(metrics) = observers.metrics {
+        let n = responding.len() as u64;
+        metrics.record_schedule(n, n);
+    }
+    partials
 }
 
-/// [`measure_probe_archived`] with optional metrics aggregation: the same
-/// template-backed build and metered locator path as
-/// [`measure_probe_metered`], wrapped in a [`RecordingTransport`] — so
-/// archiving composes with metrics instead of duplicating the build.
-///
-/// [`RecordingTransport`]: crate::raw::RecordingTransport
-pub fn measure_probe_archived_metered<'a>(
-    fleet: &Fleet,
-    probe: &'a ProbeSpec,
-    registry: Option<&MetricsRegistry>,
-) -> (ProbeResult<'a>, crate::raw::RawMeasurement) {
-    let template = WorldTemplate::shared();
-    let built = scenario_for(fleet, probe).build_with(&template);
-    let config = probe_config(fleet, &built);
-    let expected = built.expected;
-    let mut recording = crate::raw::RecordingTransport::new(SimTransport::new(built));
-    let report = run_locator(config, &mut recording, registry, probe.org);
-    let (inner, measurement) = recording.into_parts();
-    let truth = inner.scenario.truth;
-    (ProbeResult { probe, report, truth, expected }, measurement)
+/// [`run_work_stealing`] collecting every per-probe result: workers keep
+/// `(claim index, result)` pairs, and the per-worker batches are merged by
+/// claim index after the joins — the responding probes are id-ordered, so
+/// the output is too.
+pub(crate) fn run_collected<'a, R, F>(
+    fleet: &'a Fleet,
+    options: CampaignOptions,
+    observers: Observers<'_>,
+    per_probe: F,
+) -> Vec<R>
+where
+    R: Send,
+    F: Fn(&'a ProbeSpec, &mut WorkerArena) -> R + Sync,
+{
+    let batches = run_work_stealing(
+        fleet,
+        options,
+        observers,
+        per_probe,
+        Vec::new,
+        |out: &mut Vec<(usize, R)>, idx, result| out.push((idx, result)),
+    );
+    let mut slots: Vec<Option<R>> =
+        batches.iter().flatten().map(|_| None).collect();
+    for batch in batches {
+        for (idx, result) in batch {
+            slots[idx] = Some(result);
+        }
+    }
+    slots
+        .into_iter()
+        .map(|slot| slot.expect("every claimed index yields a result"))
+        .collect()
 }
 
 #[cfg(test)]
@@ -617,13 +495,13 @@ mod tests {
     }
 
     fn tiny_campaign(threads: usize) -> Vec<ProbeResult<'static>> {
-        run_campaign(tiny_fleet(), threads)
+        run_campaign(tiny_fleet(), CampaignOptions::new(threads), None, None, None)
     }
 
     #[test]
     fn campaign_measures_every_responding_probe() {
         let fleet = generate(FleetConfig { size: 120, ..FleetConfig::default() });
-        let results = run_campaign(&fleet, 4);
+        let results = run_campaign(&fleet, CampaignOptions::new(4), None, None, None);
         assert_eq!(results.len(), fleet.responding().count());
         // Ordered by id.
         for pair in results.windows(2) {
@@ -646,7 +524,7 @@ mod tests {
     fn metered_campaign_changes_no_report_and_aggregates_every_probe() {
         let fleet = tiny_fleet();
         let registry = MetricsRegistry::new(fleet.config.orgs.len());
-        let metered = run_campaign_metered(fleet, 4, Some(&registry));
+        let metered = run_campaign(fleet, CampaignOptions::new(4), Some(&registry), None, None);
         let plain = tiny_campaign(4);
         assert_eq!(metered.len(), plain.len());
         for (a, b) in metered.iter().zip(&plain) {
@@ -671,7 +549,7 @@ mod tests {
         let fleet = tiny_fleet();
         let snapshot = |threads: usize| {
             let registry = MetricsRegistry::new(fleet.config.orgs.len());
-            run_campaign_metered(fleet, threads, Some(&registry));
+            run_campaign(fleet, CampaignOptions::new(threads), Some(&registry), None, None);
             registry.snapshot(&fleet.config.orgs)
         };
         assert_eq!(snapshot(1), snapshot(7));
@@ -681,7 +559,7 @@ mod tests {
     fn observed_campaign_counts_every_probe_and_changes_nothing() {
         let fleet = tiny_fleet();
         let telemetry = CampaignTelemetry::new(4);
-        let observed = run_campaign_observed(fleet, 4, None, Some(&telemetry));
+        let observed = run_campaign(fleet, CampaignOptions::new(4), None, Some(&telemetry), None);
         let plain = tiny_campaign(4);
         assert_eq!(observed.len(), plain.len());
         for (a, b) in observed.iter().zip(&plain) {
@@ -701,7 +579,7 @@ mod tests {
     fn single_thread_inline_path_still_feeds_telemetry() {
         let fleet = tiny_fleet();
         let telemetry = CampaignTelemetry::new(1);
-        let results = run_campaign_observed(fleet, 1, None, Some(&telemetry));
+        let results = run_campaign(fleet, CampaignOptions::new(1), None, Some(&telemetry), None);
         let ev = telemetry.snapshot(0, true);
         assert_eq!(ev.completed, results.len() as u64);
         assert_eq!(ev.per_worker_claims, vec![results.len() as u64]);
@@ -711,9 +589,10 @@ mod tests {
     fn captured_campaign_matches_uncaptured_reports_and_yields_flows() {
         let fleet = tiny_fleet();
         let registry = MetricsRegistry::new(fleet.config.orgs.len());
-        let captured = run_campaign_captured(fleet, 4, Some(&registry), None);
+        let options = CampaignOptions::new(4);
+        let captured = run_campaign_captured(fleet, options, Some(&registry), None, None);
         let plain_registry = MetricsRegistry::new(fleet.config.orgs.len());
-        let plain = run_campaign_metered(fleet, 4, Some(&plain_registry));
+        let plain = run_campaign(fleet, options, Some(&plain_registry), None, None);
         assert_eq!(captured.len(), plain.len());
         for ((a, flows), b) in captured.iter().zip(&plain) {
             assert_eq!(a.report, b.report, "capture must not change probe {}", a.probe.id);
@@ -738,8 +617,8 @@ mod tests {
     #[test]
     fn captured_flows_are_thread_count_invariant() {
         let fleet = tiny_fleet();
-        let one = run_campaign_captured(fleet, 1, None, None);
-        let many = run_campaign_captured(fleet, 7, None, None);
+        let one = run_campaign_captured(fleet, CampaignOptions::new(1), None, None, None);
+        let many = run_campaign_captured(fleet, CampaignOptions::new(7), None, None, None);
         assert_eq!(one.len(), many.len());
         for ((a, fa), (b, fb)) in one.iter().zip(&many) {
             assert_eq!(a.probe.id, b.probe.id);
@@ -752,60 +631,32 @@ mod tests {
     fn campaign_folds_scheduler_totals_into_metrics() {
         let fleet = tiny_fleet();
         let registry = MetricsRegistry::new(fleet.config.orgs.len());
-        let results = run_campaign_metered(fleet, 4, Some(&registry));
+        let results = run_campaign(fleet, CampaignOptions::new(4), Some(&registry), None, None);
         let snap = registry.snapshot(&fleet.config.orgs);
         assert_eq!(snap.probes_claimed, results.len() as u64);
         assert_eq!(snap.probes_completed, results.len() as u64);
-        // Single-probe paths leave the scheduler totals untouched.
+        // The per-probe path meters the probe but leaves the scheduler
+        // totals untouched.
         let solo = MetricsRegistry::new(fleet.config.orgs.len());
-        measure_probe_metered(fleet, fleet.responding().next().unwrap(), Some(&solo));
+        let observers = Observers { metrics: Some(&solo), ..Observers::default() };
+        let probe = fleet.responding().next().unwrap();
+        measure(fleet, probe, &mut WorkerArena::new(), observers, false);
         let snap = solo.snapshot(&fleet.config.orgs);
+        assert_eq!(snap.probes, 1);
         assert_eq!(snap.probes_claimed, 0);
         assert_eq!(snap.probes_completed, 0);
-    }
-
-    #[test]
-    fn chunked_scheduler_matches_work_stealing_bitwise() {
-        let fleet = tiny_fleet();
-        let stealing = run_campaign_metered(fleet, 5, None);
-        let chunked = run_campaign_chunked(fleet, 5, None);
-        assert_eq!(stealing.len(), chunked.len());
-        for (a, b) in stealing.iter().zip(&chunked) {
-            assert_eq!(a.probe.id, b.probe.id);
-            assert_eq!(a.report, b.report);
-            assert_eq!(a.truth, b.truth);
-        }
     }
 
     #[test]
     fn oversubscribed_thread_count_is_clamped_and_identical() {
         // More workers than probes must neither deadlock nor change output.
         let fleet = generate(FleetConfig { size: 24, ..FleetConfig::default() });
-        let few = run_campaign(&fleet, 1);
-        let many = run_campaign(&fleet, 64);
+        let few = run_campaign(&fleet, CampaignOptions::new(1), None, None, None);
+        let many = run_campaign(&fleet, CampaignOptions::new(64), None, None, None);
         assert_eq!(few.len(), many.len());
         for (a, b) in few.iter().zip(&many) {
             assert_eq!(a.report, b.report);
         }
-    }
-
-    #[test]
-    fn archived_metered_composes_with_metrics() {
-        // Archiving through the metered path feeds the registry exactly as
-        // the live metered path does, and the reports stay identical.
-        let fleet = generate(FleetConfig { size: 60, ..FleetConfig::default() });
-        let probe = fleet.responding().next().unwrap();
-        let live_registry = MetricsRegistry::new(fleet.config.orgs.len());
-        let live = measure_probe_metered(&fleet, probe, Some(&live_registry));
-        let archived_registry = MetricsRegistry::new(fleet.config.orgs.len());
-        let (archived, measurement) =
-            measure_probe_archived_metered(&fleet, probe, Some(&archived_registry));
-        assert_eq!(live.report, archived.report);
-        assert_eq!(measurement.records.len() as u32, live.report.wire_attempts);
-        assert_eq!(
-            live_registry.snapshot(&fleet.config.orgs),
-            archived_registry.snapshot(&fleet.config.orgs)
-        );
     }
 
     #[test]
@@ -827,8 +678,9 @@ mod tests {
         let base = FleetConfig { size: 300, flaky_rate: 0.25, ..FleetConfig::default() };
         let fleet_single = generate(base.clone());
         let fleet_retried = generate(FleetConfig { attempts: 3, ..base });
-        let single = run_campaign(&fleet_single, 4);
-        let retried = run_campaign(&fleet_retried, 4);
+        let options = CampaignOptions::new(4);
+        let single = run_campaign(&fleet_single, options, None, None, None);
+        let retried = run_campaign(&fleet_retried, options, None, None, None);
         let timeout_cells = |results: &[ProbeResult]| -> usize {
             results
                 .iter()
@@ -882,8 +734,9 @@ mod tests {
             retry_backoff_ms: 40,
             ..FleetConfig::default()
         });
-        let a = run_campaign(&fleet_default, 4);
-        let b = run_campaign(&fleet_explicit, 4);
+        let options = CampaignOptions::new(4);
+        let a = run_campaign(&fleet_default, options, None, None, None);
+        let b = run_campaign(&fleet_explicit, options, None, None, None);
         assert_eq!(a.len(), b.len());
         for (ra, rb) in a.iter().zip(&b) {
             assert_eq!(ra.report, rb.report);
@@ -896,7 +749,7 @@ mod tests {
         // detects (quota probes never time out), so truth and report agree
         // on the binary question.
         let fleet = generate(FleetConfig { size: 2_000, ..FleetConfig::default() });
-        let results = run_campaign(&fleet, 8);
+        let results = run_campaign(&fleet, CampaignOptions::new(8), None, None, None);
         for r in &results {
             if r.truth.intercepted() {
                 assert!(r.report.intercepted, "probe {} flavor {:?}", r.probe.id, r.probe.flavor);

@@ -135,7 +135,8 @@ mod tests {
             size: 0,
             ..crate::fleet::FleetConfig::default()
         });
-        let results = crate::campaign::run_campaign(&fleet, 4);
+        let options = crate::campaign::CampaignOptions::new(4);
+        let results = crate::campaign::run_campaign(&fleet, options, None, None, None);
         assert!(results.is_empty());
         let f3 = figure3_chart(&crate::aggregate::figure3(&fleet, &results, 15));
         assert_eq!(f3.lines().count(), 1, "no bars, only the legend: {f3:?}");

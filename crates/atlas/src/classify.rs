@@ -33,13 +33,12 @@
 //! capture never disagree on a healthy simulator — the cross-check is the
 //! ground-truthing harness the acceptance tests gate on.
 
-use crate::campaign::{probe_config, run_collected, run_work_stealing, CampaignOptions, WorkerArena};
+use crate::campaign::{run_collected, run_work_stealing, CampaignOptions, Observers, WorkerArena};
 use crate::fleet::{scenario_for, Fleet, ProbeSpec};
-use crate::timing::{TimingRegistry, WALL_PROBE_TOTAL, WALL_WORLD_BUILD};
+use crate::timing::TimingRegistry;
 use dns_wire::{debug_queries, Question, RData, RType};
 use interception::{
-    flow_rtt_us, FlowDirection, HomeScenario, OpenDnsClass, ProbeTimingLog, QueryFlow,
-    SimTransport, Vantage, WorldTemplate,
+    flow_rtt_us, FlowDirection, HomeScenario, OpenDnsClass, QueryFlow, SimTransport, Vantage,
 };
 use locator::{
     HijackLocator, InterceptorLocation, LocatorConfig, ProbeReport, QueryOptions, QueryOutcome,
@@ -48,7 +47,6 @@ use locator::{
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::net::{IpAddr, Ipv4Addr};
-use timing::Span;
 
 /// Transaction ID of the scanner's ordinary `A` probe. Far above the
 /// locator's sequence (0x1000–0x5fff) and the forwarder re-key pool
@@ -278,79 +276,53 @@ pub fn classify_scenario(scenario: HomeScenario) -> ClassifiedDevice {
     classify_with_transport(&mut transport, config)
 }
 
-fn classify_probe_with<'a>(
+/// Classifies one fleet device on a worker's arena: the campaign's
+/// per-probe path with [`classify_with_transport`] in between. With
+/// `timing` on, besides the per-phase folding the measurement path does,
+/// every completed flow in the device's capture contributes its
+/// flight-recorder RTT (first egress hop to the answer's return at the
+/// same node) to the histogram of the device's *classified* taxonomy
+/// class — the distribution that makes the paper's "local answers come
+/// back fast" signature visible: DNAT-intercepted devices answer from the
+/// CPE in microseconds of virtual time, clean paths pay the full upstream
+/// round trip.
+fn classify<'a>(
     fleet: &Fleet,
     probe: &'a ProbeSpec,
-    template: &WorldTemplate,
-    arena: &mut WorkerArena,
-) -> DeviceClassification<'a> {
-    classify_probe_timed_with(fleet, probe, template, arena, None)
-}
-
-/// [`classify_probe_with`] with the latency observer attached. Besides
-/// the per-phase folding the measurement path does, every completed flow
-/// in the device's capture contributes its flight-recorder RTT (first
-/// egress hop to the answer's return at the same node) to the histogram
-/// of the device's *classified* taxonomy class — the distribution that
-/// makes the paper's "local answers come back fast" signature visible:
-/// DNAT-intercepted devices answer from the CPE in microseconds of
-/// virtual time, clean paths pay the full upstream round trip.
-fn classify_probe_timed_with<'a>(
-    fleet: &Fleet,
-    probe: &'a ProbeSpec,
-    template: &WorldTemplate,
     arena: &mut WorkerArena,
     timing: Option<&TimingRegistry>,
 ) -> DeviceClassification<'a> {
-    let _probe_span = Span::maybe(timing.map(|t| t.wall().histogram(WALL_PROBE_TOTAL)));
     let scenario = scenario_for(fleet, probe);
-    let truth_class = scenario.open_dns_class();
-    let built = {
-        let _build_span = Span::maybe(timing.map(|t| t.wall().histogram(WALL_WORLD_BUILD)));
-        scenario.build_with_scratch(template, std::mem::take(&mut arena.scratch))
-    };
-    let config = probe_config(fleet, &built);
-    let mut transport = SimTransport::with_encoder(built, std::mem::take(&mut arena.encoder));
-    if timing.is_some() {
-        let log = arena.timing_log.take().unwrap_or_else(|| Box::new(ProbeTimingLog::new()));
-        transport.attach_timing(log);
-    }
+    let (mut transport, config) = arena.build(fleet, &scenario, timing);
     let device = classify_with_transport(&mut transport, config);
-    arena.encoder = transport.take_encoder();
-    if let (Some(t), Some(mut log)) = (timing, transport.take_timing()) {
-        t.fold_probe(&device.report, &log);
-        log.clear();
-        arena.timing_log = Some(log);
+    arena.finish(transport, &device.report, timing);
+    if let Some(t) = timing {
         for flow in &device.flows {
             if let Some(rtt) = flow_rtt_us(flow) {
                 t.record_class_rtt(device.class, rtt);
             }
         }
     }
-    arena.scratch = transport.scenario.sim.into_scratch();
-    DeviceClassification { probe, truth_class, device }
+    DeviceClassification { probe, truth_class: scenario.open_dns_class(), device }
 }
 
 /// Classifies a single fleet device.
 pub fn classify_probe<'a>(fleet: &Fleet, probe: &'a ProbeSpec) -> DeviceClassification<'a> {
-    let template = WorldTemplate::shared();
-    let mut arena = WorkerArena::new();
-    classify_probe_with(fleet, probe, &template, &mut arena)
+    classify(fleet, probe, &mut WorkerArena::new(), None)
 }
 
 /// Classifies every responding device in the fleet, collecting each
 /// per-device result. Output is ordered by probe id and bitwise identical
 /// across thread counts and batch sizes (the same claim-index merge the
-/// measurement campaign uses).
+/// measurement campaign uses). `timing`, when given, is fed exactly as in
+/// [`run_classification_timed`].
 pub fn run_classification<'a>(
     fleet: &'a Fleet,
     options: CampaignOptions,
+    timing: Option<&TimingRegistry>,
 ) -> Vec<DeviceClassification<'a>> {
-    let responding: Vec<&ProbeSpec> = fleet.responding().collect();
-    let template = WorldTemplate::shared();
-    run_collected(&responding, options, None, |probe, arena| {
-        classify_probe_with(fleet, probe, &template, arena)
-    })
+    let observers = Observers { timing, ..Observers::default() };
+    run_collected(fleet, options, observers, |probe, arena| classify(fleet, probe, arena, timing))
 }
 
 /// Classifies the fleet without holding more than one device's result per
@@ -360,28 +332,24 @@ pub fn run_classification<'a>(
 /// every counter is a commutative sum the merged summary is bitwise
 /// identical to folding the collected output of [`run_classification`] —
 /// at any thread count or batch size.
-pub fn run_classification_streaming(fleet: &Fleet, options: CampaignOptions) -> ClassifySummary {
-    run_classification_timed(fleet, options, None)
-}
-
-/// [`run_classification_streaming`] with the latency observer attached:
-/// per-phase and per-verdict RTTs fold in exactly as in the measurement
-/// campaign, and every captured flow's RTT lands in its device's taxonomy
-/// class histogram. The summary — and, because every histogram update is
-/// a commutative sum of per-flow samples, the timing snapshot too — is
-/// bitwise identical at every `(threads, batch_size)` pair.
+///
+/// With `timing` attached, per-phase and per-verdict RTTs fold in exactly
+/// as in the measurement campaign, and every captured flow's RTT lands in
+/// its device's taxonomy class histogram. Because every histogram update
+/// is a commutative sum of per-flow samples, the virtual-clock timing
+/// snapshot is bitwise identical at every `(threads, batch_size)` pair
+/// too.
 pub fn run_classification_timed(
     fleet: &Fleet,
     options: CampaignOptions,
     timing: Option<&TimingRegistry>,
 ) -> ClassifySummary {
-    let responding: Vec<&ProbeSpec> = fleet.responding().collect();
-    let template = WorldTemplate::shared();
+    let observers = Observers { timing, ..Observers::default() };
     let partials = run_work_stealing(
-        &responding,
+        fleet,
         options,
-        None,
-        |probe, arena| classify_probe_timed_with(fleet, probe, &template, arena, timing),
+        observers,
+        |probe, arena| classify(fleet, probe, arena, timing),
         ClassifySummary::default,
         |acc: &mut ClassifySummary, _idx, c| acc.fold(&c),
     );
@@ -488,7 +456,7 @@ mod tests {
     #[test]
     fn classification_fleet_devices_all_match_truth() {
         let fleet = classification_fleet(40, 7);
-        let results = run_classification(&fleet, CampaignOptions::new(4));
+        let results = run_classification(&fleet, CampaignOptions::new(4), None);
         assert_eq!(results.len(), 40);
         for r in &results {
             assert_eq!(
@@ -513,12 +481,12 @@ mod tests {
     #[test]
     fn streaming_summary_matches_collected_fold() {
         let fleet = classification_fleet(30, 3);
-        let collected = run_classification(&fleet, CampaignOptions::new(2));
+        let collected = run_classification(&fleet, CampaignOptions::new(2), None);
         let mut folded = ClassifySummary::default();
         for r in &collected {
             folded.fold(r);
         }
-        let streamed = run_classification_streaming(&fleet, CampaignOptions::new(5));
+        let streamed = run_classification_timed(&fleet, CampaignOptions::new(5), None);
         assert_eq!(folded, streamed);
         assert_eq!(streamed.probes, 30);
         let text = streamed.to_string();
@@ -528,7 +496,7 @@ mod tests {
     #[test]
     fn summary_serializes_round_trip() {
         let fleet = classification_fleet(10, 1);
-        let summary = run_classification_streaming(&fleet, CampaignOptions::new(2));
+        let summary = run_classification_timed(&fleet, CampaignOptions::new(2), None);
         let json = serde_json::to_string(&summary).unwrap();
         let back: ClassifySummary = serde_json::from_str(&json).unwrap();
         assert_eq!(back, summary);

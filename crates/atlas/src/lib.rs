@@ -29,17 +29,13 @@ pub use aggregate::{
     Table4, Table4Row, Table5,
 };
 pub use campaign::{
-    measure_probe, measure_probe_archived, measure_probe_archived_metered,
-    measure_probe_captured, measure_probe_metered, run_campaign, run_campaign_captured,
-    run_campaign_chunked, run_campaign_configured, run_campaign_configured_timed,
-    run_campaign_metered, run_campaign_observed, run_campaign_streaming, run_campaign_timed,
-    CampaignOptions, ProbeResult, WorkerArena,
+    measure_probe, measure_probe_archived, run_campaign, run_campaign_captured,
+    run_campaign_streaming, run_campaign_timed, CampaignOptions, ProbeResult,
 };
 pub use chart::{figure3_chart, figure4_chart};
 pub use classify::{
     capture_consistent, classify_probe, classify_scenario, classify_with_transport,
-    run_classification, run_classification_streaming, run_classification_timed, ClassCounts,
-    ClassifiedDevice,
+    run_classification, run_classification_timed, ClassCounts, ClassifiedDevice,
     ClassifySummary, DeviceClassification, SCAN_A_TXID, SCAN_QNAME, SCAN_WHOAMI_TXID,
 };
 pub use metrics::{AsVerdicts, CampaignMetrics, MetricsRegistry};

@@ -9,7 +9,7 @@
 //! part of its meaning.
 
 use atlas_sim::{
-    classification_fleet, run_classification, run_classification_streaming, CampaignOptions,
+    classification_fleet, run_classification, run_classification_timed, CampaignOptions,
     ClassifySummary,
 };
 use interception::{FlowDirection, OpenDnsClass};
@@ -32,6 +32,7 @@ proptest! {
         let baseline = run_classification(
             &fleet,
             CampaignOptions { threads: 1, batch_size: 1 },
+            None,
         );
         prop_assert_eq!(baseline.len(), size);
         let mut reference = ClassifySummary::default();
@@ -61,7 +62,7 @@ proptest! {
         for threads in [1usize, 4, 16] {
             for batch_size in [1usize, 7, 64] {
                 let options = CampaignOptions { threads, batch_size };
-                let results = run_classification(&fleet, options);
+                let results = run_classification(&fleet, options, None);
                 prop_assert_eq!(results.len(), baseline.len());
                 for (a, b) in results.iter().zip(&baseline) {
                     prop_assert_eq!(a.probe.id, b.probe.id);
@@ -75,7 +76,7 @@ proptest! {
                          batch={batch_size}", a.probe.id
                     );
                 }
-                let streamed = run_classification_streaming(&fleet, options);
+                let streamed = run_classification_timed(&fleet, options, None);
                 prop_assert_eq!(&streamed, &reference);
                 // The serialized form is what CI diffs — pin it too.
                 prop_assert_eq!(
@@ -97,7 +98,7 @@ proptest! {
         // scanner from a source tuple other than the queried server's.
         let fleet = classification_fleet(size, seed);
         let results =
-            run_classification(&fleet, CampaignOptions { threads: 4, batch_size: 8 });
+            run_classification(&fleet, CampaignOptions { threads: 4, batch_size: 8 }, None);
         let mut transparent = 0;
         for r in &results {
             if r.device.class != OpenDnsClass::TransparentForwarder {
@@ -135,9 +136,10 @@ proptest! {
 #[ignore = "acceptance-scale run; ~seconds, exercised by CI's full suite"]
 fn thousand_device_fleet_classifies_perfectly() {
     let fleet = classification_fleet(1000, 0x41544C53);
-    let single = run_classification_streaming(
+    let single = run_classification_timed(
         &fleet,
         CampaignOptions { threads: 1, batch_size: 1 },
+        None,
     );
     assert_eq!(single.probes, 1000);
     assert_eq!(single.truth_matches, 1000);
@@ -148,9 +150,10 @@ fn thousand_device_fleet_classifies_perfectly() {
         assert_eq!(single.truth.get(class), 200);
         assert_eq!(single.classified.get(class), 200);
     }
-    let wide = run_classification_streaming(
+    let wide = run_classification_timed(
         &fleet,
         CampaignOptions { threads: 16, batch_size: 64 },
+        None,
     );
     assert_eq!(wide, single);
 }

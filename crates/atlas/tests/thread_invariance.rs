@@ -1,19 +1,19 @@
 //! Property tests for the campaign's two observer contracts.
 //!
 //! Scheduling is an implementation detail: work stealing at any thread
-//! count — and the legacy static-chunk schedule — must produce results,
-//! ground truth, expectations, and metrics snapshots bitwise identical to
-//! a single-threaded run, on fleets with a heavy retry tail where the
-//! schedules themselves diverge the most.
+//! count and batch size must produce results, ground truth, expectations,
+//! metrics snapshots and virtual-clock timings bitwise identical to a
+//! single-threaded run, on fleets with a heavy retry tail where the
+//! interleavings diverge the most.
 //!
 //! Observation is a pure read: the packet-level flight recorder must not
-//! change a single report, metric, or — across thread counts — per-query
-//! hop timeline.
+//! change a single report, metric, virtual-clock timing or — across thread
+//! counts — per-query hop timeline, even with every other observer on.
 
 use atlas_sim::{
-    generate, run_campaign_captured, run_campaign_chunked, run_campaign_configured,
-    run_campaign_metered, run_campaign_streaming, AggregateReport, CampaignOptions,
-    CampaignTelemetry, FleetConfig, MetricsRegistry,
+    generate, run_campaign, run_campaign_captured, run_campaign_streaming, AggregateReport,
+    CampaignOptions, CampaignTelemetry, FleetConfig, MetricsRegistry, TimingRegistry,
+    WALL_PROBE_TOTAL,
 };
 use proptest::prelude::*;
 
@@ -35,14 +35,16 @@ proptest! {
         });
 
         let baseline_registry = MetricsRegistry::new(fleet.config.orgs.len());
-        let baseline = run_campaign_metered(&fleet, 1, Some(&baseline_registry));
+        let baseline =
+            run_campaign(&fleet, CampaignOptions::new(1), Some(&baseline_registry), None, None);
         let baseline_snap = baseline_registry.snapshot(&fleet.config.orgs);
         let baseline_json =
             serde_json::to_string(&baseline_snap).expect("snapshot serializes");
 
         for threads in [3usize, 7, 16] {
             let registry = MetricsRegistry::new(fleet.config.orgs.len());
-            let results = run_campaign_metered(&fleet, threads, Some(&registry));
+            let results =
+                run_campaign(&fleet, CampaignOptions::new(threads), Some(&registry), None, None);
             prop_assert_eq!(results.len(), baseline.len());
             for (a, b) in results.iter().zip(&baseline) {
                 prop_assert_eq!(a.probe.id, b.probe.id);
@@ -59,21 +61,6 @@ proptest! {
                 &baseline_json
             );
         }
-
-        // The static-chunk schedule visits probes in a different
-        // interleaving entirely; it must still be indistinguishable.
-        let chunked_registry = MetricsRegistry::new(fleet.config.orgs.len());
-        let chunked = run_campaign_chunked(&fleet, 5, Some(&chunked_registry));
-        prop_assert_eq!(chunked.len(), baseline.len());
-        for (a, b) in chunked.iter().zip(&baseline) {
-            prop_assert_eq!(a.probe.id, b.probe.id);
-            prop_assert_eq!(&a.report, &b.report);
-            prop_assert_eq!(&a.truth, &b.truth);
-        }
-        prop_assert_eq!(
-            chunked_registry.snapshot(&fleet.config.orgs),
-            baseline_snap
-        );
     }
 
     #[test]
@@ -91,10 +78,18 @@ proptest! {
         });
 
         let baseline_registry = MetricsRegistry::new(fleet.config.orgs.len());
-        let baseline = run_campaign_metered(&fleet, 1, Some(&baseline_registry));
+        let baseline_timing = TimingRegistry::new();
+        let baseline = run_campaign(
+            &fleet,
+            CampaignOptions::new(1),
+            Some(&baseline_registry),
+            None,
+            Some(&baseline_timing),
+        );
         let baseline_snap = baseline_registry.snapshot(&fleet.config.orgs);
         let baseline_json =
             serde_json::to_string(&baseline_snap).expect("snapshot serializes");
+        let baseline_virtual = baseline_timing.snapshot().virtual_clock;
         let n = baseline.len() as u64;
 
         // The streaming reference: folding the collected baseline must
@@ -109,11 +104,18 @@ proptest! {
             for threads in [1usize, 4, 16] {
                 let options = CampaignOptions { threads, batch_size };
 
-                // Collected results: bitwise identical to the baseline.
+                // Collected results, every observer on: bitwise identical
+                // to the baseline.
                 let registry = MetricsRegistry::new(fleet.config.orgs.len());
                 let telemetry = CampaignTelemetry::new(threads);
-                let results =
-                    run_campaign_configured(&fleet, options, Some(&registry), Some(&telemetry));
+                let timing = TimingRegistry::new();
+                let results = run_campaign(
+                    &fleet,
+                    options,
+                    Some(&registry),
+                    Some(&telemetry),
+                    Some(&timing),
+                );
                 prop_assert_eq!(results.len(), baseline.len());
                 for (a, b) in results.iter().zip(&baseline) {
                     prop_assert_eq!(a.probe.id, b.probe.id);
@@ -142,6 +144,17 @@ proptest! {
                     n.div_ceil(batch_size as u64)
                 );
 
+                // Timing: the same virtual-clock histograms, and one
+                // probe-total wall sample per probe from the clock read
+                // telemetry's probe latency shares.
+                let timings = timing.snapshot();
+                prop_assert_eq!(&timings.virtual_clock, &baseline_virtual);
+                prop_assert_eq!(
+                    timings.wall_clock.per_phase[WALL_PROBE_TOTAL].histogram.count,
+                    n
+                );
+                prop_assert!(ev.probe_wall_p50_us > 0);
+
                 // Streaming fold: same aggregate as folding the baseline.
                 let streaming = run_campaign_streaming(&fleet, options, None, None);
                 prop_assert_eq!(streaming.probes(), n);
@@ -164,15 +177,32 @@ proptest! {
             ..FleetConfig::default()
         });
 
-        // Capture off: the reference reports and metrics.
+        // Capture off: the reference reports, metrics and virtual-clock
+        // timings.
         let off_registry = MetricsRegistry::new(fleet.config.orgs.len());
-        let off = run_campaign_metered(&fleet, 1, Some(&off_registry));
+        let off_timing = TimingRegistry::new();
+        let off = run_campaign(
+            &fleet,
+            CampaignOptions::new(1),
+            Some(&off_registry),
+            None,
+            Some(&off_timing),
+        );
         let off_snap = off_registry.snapshot(&fleet.config.orgs);
+        let off_virtual = off_timing.snapshot().virtual_clock;
 
-        // Capture on, single-threaded: bitwise-identical reports and
-        // metrics, plus the reference hop timelines.
+        // Capture on, single-threaded, with telemetry and timing on too:
+        // bitwise-identical reports, metrics and timings, plus the
+        // reference hop timelines.
         let on_registry = MetricsRegistry::new(fleet.config.orgs.len());
-        let on = run_campaign_captured(&fleet, 1, Some(&on_registry), None);
+        let on_timing = TimingRegistry::new();
+        let on = run_campaign_captured(
+            &fleet,
+            CampaignOptions::new(1),
+            Some(&on_registry),
+            Some(&CampaignTelemetry::new(1)),
+            Some(&on_timing),
+        );
         prop_assert_eq!(on.len(), off.len());
         for ((a, flows), b) in on.iter().zip(&off) {
             prop_assert_eq!(a.probe.id, b.probe.id);
@@ -181,12 +211,21 @@ proptest! {
             prop_assert!(!flows.is_empty(), "probe {} captured nothing", a.probe.id);
         }
         prop_assert_eq!(&on_registry.snapshot(&fleet.config.orgs), &off_snap);
+        prop_assert_eq!(&on_timing.snapshot().virtual_clock, &off_virtual);
 
-        // Capture on at higher thread counts: verdicts, metrics, and the
-        // per-query hop timelines all match the single-threaded capture.
+        // Capture on at higher thread counts: verdicts, metrics, timings
+        // and the per-query hop timelines all match the single-threaded
+        // capture.
         for threads in [4usize, 8] {
             let registry = MetricsRegistry::new(fleet.config.orgs.len());
-            let captured = run_campaign_captured(&fleet, threads, Some(&registry), None);
+            let timing = TimingRegistry::new();
+            let captured = run_campaign_captured(
+                &fleet,
+                CampaignOptions::new(threads),
+                Some(&registry),
+                Some(&CampaignTelemetry::new(threads)),
+                Some(&timing),
+            );
             prop_assert_eq!(captured.len(), on.len());
             for ((a, fa), (b, fb)) in captured.iter().zip(&on) {
                 prop_assert_eq!(a.probe.id, b.probe.id);
@@ -194,6 +233,7 @@ proptest! {
                 prop_assert!(fa == fb, "probe {} timelines diverged", a.probe.id);
             }
             prop_assert_eq!(&registry.snapshot(&fleet.config.orgs), &off_snap);
+            prop_assert_eq!(&timing.snapshot().virtual_clock, &off_virtual);
         }
     }
 }

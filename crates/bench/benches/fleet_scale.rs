@@ -5,8 +5,7 @@
 //! up with fleet size (e.g. by re-cloning fleet-wide state per probe).
 
 use atlas_sim::{
-    generate, run_campaign, run_campaign_captured, run_campaign_chunked, scenario_for,
-    FleetConfig,
+    generate, run_campaign, run_campaign_captured, scenario_for, CampaignOptions, FleetConfig,
 };
 use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
 use interception::WorldTemplate;
@@ -44,7 +43,8 @@ fn bench_fleet_sizes(c: &mut Criterion) {
         group.throughput(Throughput::Elements(size as u64));
         group.bench_with_input(BenchmarkId::from_parameter(size), &size, |b, &size| {
             let fleet = generate(FleetConfig { size, ..FleetConfig::default() });
-            b.iter(|| run_campaign(&fleet, threads))
+            let options = CampaignOptions::new(threads);
+            b.iter(|| run_campaign(&fleet, options, None, None, None))
         });
     }
     group.finish();
@@ -56,10 +56,8 @@ fn bench_fleet_generation(c: &mut Criterion) {
     });
 }
 
-/// Scheduler comparison on the workload that separates them: a heavy-tail
+/// The scheduler on the workload that stresses it most: a heavy-tail
 /// fleet where a quarter of the probes burn three attempts with backoff.
-/// Both paths share the world template and encode scratch, so the delta
-/// is pure scheduling.
 fn bench_scheduler_heavy_tail(c: &mut Criterion) {
     let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
     let fleet = generate(FleetConfig {
@@ -72,9 +70,9 @@ fn bench_scheduler_heavy_tail(c: &mut Criterion) {
     let mut group = c.benchmark_group("fleet/heavy_tail_2000");
     group.sample_size(10);
     group.throughput(Throughput::Elements(fleet.responding().count() as u64));
-    group.bench_function("work_stealing", |b| b.iter(|| run_campaign(&fleet, threads)));
-    group.bench_function("static_chunks", |b| {
-        b.iter(|| run_campaign_chunked(&fleet, threads, None))
+    let options = CampaignOptions::new(threads);
+    group.bench_function("work_stealing", |b| {
+        b.iter(|| run_campaign(&fleet, options, None, None, None))
     });
     group.finish();
 }
@@ -118,7 +116,7 @@ fn allocations_per_probe(size: usize) -> (f64, f64) {
     let probes = fleet.responding().count() as f64;
     let (count0, bytes0) =
         (ALLOCATIONS.load(Ordering::Relaxed), ALLOCATED_BYTES.load(Ordering::Relaxed));
-    let results = run_campaign(&fleet, 1);
+    let results = run_campaign(&fleet, CampaignOptions::new(1), None, None, None);
     let (count1, bytes1) =
         (ALLOCATIONS.load(Ordering::Relaxed), ALLOCATED_BYTES.load(Ordering::Relaxed));
     drop(results);
@@ -177,20 +175,24 @@ fn assert_allocation_flatness() {
 /// extra allocations are the recorded events and reconstructed flows.
 fn assert_capture_zero_cost() {
     let fleet = generate(FleetConfig { size: 300, ..FleetConfig::default() });
+    let options = CampaignOptions::new(1);
     // Warm every lazy once-per-process structure (world template, query
     // cache) so the measured runs differ only by what they allocate.
-    let _ = run_campaign(&fleet, 1);
+    let _ = run_campaign(&fleet, options, None, None, None);
 
     let measure = |captured: bool| {
         let (count0, bytes0) =
             (ALLOCATIONS.load(Ordering::Relaxed), ALLOCATED_BYTES.load(Ordering::Relaxed));
         let reports: Vec<_> = if captured {
-            run_campaign_captured(&fleet, 1, None, None)
+            run_campaign_captured(&fleet, options, None, None, None)
                 .into_iter()
                 .map(|(r, _flows)| r.report)
                 .collect()
         } else {
-            run_campaign(&fleet, 1).into_iter().map(|r| r.report).collect()
+            run_campaign(&fleet, options, None, None, None)
+                .into_iter()
+                .map(|r| r.report)
+                .collect()
         };
         let (count1, bytes1) =
             (ALLOCATIONS.load(Ordering::Relaxed), ALLOCATED_BYTES.load(Ordering::Relaxed));

@@ -12,10 +12,9 @@
 
 use atlas_sim::{
     accuracy, classification_fleet, figure3, figure4, generate, prometheus_exposition,
-    retry_stats, run_campaign_chunked, run_campaign_configured, run_campaign_configured_timed,
-    run_campaign_streaming, run_classification_timed, scenario_for, table4, table5,
-    CampaignOptions, CampaignTelemetry, Fleet, FleetConfig, MetricsRegistry, ProbeResult,
-    ProgressEvent, TimingRegistry,
+    retry_stats, run_campaign, run_campaign_streaming, run_classification_timed, scenario_for,
+    table4, table5, CampaignOptions, CampaignTelemetry, Fleet, FleetConfig, MetricsRegistry,
+    ProbeResult, ProgressEvent, TimingRegistry,
 };
 use interception::{
     render_flows, CpeModelKind, HomeScenario, MiddleboxSpec, QueryFlow, SimTransport,
@@ -293,13 +292,7 @@ fn main() {
             )
         } else {
             (
-                run_campaign_configured_timed(
-                    fleet,
-                    options,
-                    registry.as_ref(),
-                    None,
-                    timing.as_ref(),
-                ),
+                run_campaign(fleet, options, registry.as_ref(), None, timing.as_ref()),
                 Vec::new(),
             )
         };
@@ -455,7 +448,6 @@ fn run_bench_json(args: &Args) {
     #[derive(serde::Serialize)]
     struct MeasuredSchedulers {
         single_thread: Timing,
-        static_chunks: Timing,
         work_stealing: Timing,
         results_identical: bool,
     }
@@ -555,7 +547,7 @@ fn run_bench_json(args: &Args) {
     let _ = WorldTemplate::shared();
     let warm_options = CampaignOptions { threads, batch_size: batch };
     let warm_timing = TimingRegistry::new();
-    let _ = run_campaign_configured_timed(&fleet, warm_options, None, None, Some(&warm_timing));
+    let _ = run_campaign(&fleet, warm_options, None, None, Some(&warm_timing));
     let timing_snapshot = warm_timing.snapshot();
     let phase_latency = |named: &[atlas_sim::NamedHistogram]| -> Vec<PhaseLatency> {
         named
@@ -573,7 +565,7 @@ fn run_bench_json(args: &Args) {
         wall_per_phase: phase_latency(&timing_snapshot.wall_clock.per_phase),
     };
 
-    // Measured scheduler shoot-out at the requested thread count.
+    // The measured scheduler: one thread, then the requested thread count.
     let timed = |results: &[ProbeResult], seconds: f64| Timing {
         seconds,
         probes_per_sec: if seconds > 0.0 { results.len() as f64 / seconds } else { 0.0 },
@@ -581,7 +573,7 @@ fn run_bench_json(args: &Args) {
     let run_stealing = |threads: usize| {
         let options = CampaignOptions { threads, batch_size: batch };
         let t = Instant::now();
-        let results = run_campaign_configured(&fleet, options, None, None);
+        let results = run_campaign(&fleet, options, None, None, None);
         let seconds = t.elapsed().as_secs_f64();
         (results, seconds)
     };
@@ -609,22 +601,14 @@ fn run_bench_json(args: &Args) {
         "bench: single-thread allocations — {:.0} allocs/probe ({:.0} B/probe)",
         per_probe_allocs.allocs_per_probe, per_probe_allocs.bytes_per_probe
     );
-    let t = Instant::now();
-    let chunked = run_campaign_chunked(&fleet, threads, None);
-    let chunked_s = t.elapsed().as_secs_f64();
     let (stealing, stealing_s) = run_stealing(threads);
     let results_identical = single.len() == stealing.len()
-        && chunked.len() == stealing.len()
-        && stealing
-            .iter()
-            .zip(&single)
-            .zip(&chunked)
-            .all(|((a, b), c)| a.report == b.report && a.report == c.report);
+        && stealing.iter().zip(&single).all(|(a, b)| a.report == b.report);
     let meets_floor = single_s >= 1.5;
     eprintln!(
-        "bench: single {single_s:.2}s (1.5s sweep floor met: {meets_floor}), static \
-         chunks {chunked_s:.2}s, work stealing {stealing_s:.2}s \
-         (identical results: {results_identical})"
+        "bench: single {single_s:.2}s (1.5s sweep floor met: {meets_floor}), work \
+         stealing at {threads} threads {stealing_s:.2}s (identical results: \
+         {results_identical})"
     );
     if !meets_floor {
         eprintln!(
@@ -726,7 +710,7 @@ fn run_bench_json(args: &Args) {
     let collect_point = |size: usize| {
         let fleet = bench_fleet(size);
         let rss_before_kb = rss_kb();
-        let results = run_campaign_configured(&fleet, options, None, None);
+        let results = run_campaign(&fleet, options, None, None, None);
         let rss_after_kb = rss_kb();
         let responding = results.len();
         drop(results);
@@ -778,7 +762,6 @@ fn run_bench_json(args: &Args) {
         per_probe_allocs,
         measured_schedulers: MeasuredSchedulers {
             single_thread: timed(&single, single_s),
-            static_chunks: timed(&chunked, chunked_s),
             work_stealing: timed(&stealing, stealing_s),
             results_identical,
         },
@@ -952,8 +935,7 @@ fn run_campaign_with_progress<'a>(
             events
         })
     };
-    let results =
-        run_campaign_configured_timed(fleet, options, registry, Some(&telemetry), timing);
+    let results = run_campaign(fleet, options, registry, Some(&telemetry), timing);
     stop.store(true, Ordering::Release);
     let events = monitor.join().expect("progress monitor panicked");
     (results, events)

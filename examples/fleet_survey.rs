@@ -7,7 +7,10 @@
 //! FLEET_SIZE=10000 cargo run --release --example fleet_survey
 //! ```
 
-use atlas_sim::{accuracy, figure3, figure4, generate, run_campaign, table4, table5, FleetConfig};
+use atlas_sim::{
+    accuracy, figure3, figure4, generate, run_campaign, table4, table5, CampaignOptions,
+    FleetConfig,
+};
 
 fn main() {
     let size = std::env::var("FLEET_SIZE").ok().and_then(|s| s.parse().ok()).unwrap_or(2_000);
@@ -24,7 +27,7 @@ fn main() {
     );
 
     let started = std::time::Instant::now();
-    let results = run_campaign(&fleet, threads);
+    let results = run_campaign(&fleet, CampaignOptions::new(threads), None, None, None);
     let queries: u32 = results.iter().map(|r| r.report.queries_sent).sum();
     println!(
         "campaign: {} probes measured, {} DNS queries issued, {:.2}s wall time\n",

@@ -2,7 +2,9 @@
 //! diffs on every push, and the full-size 10k-probe provenance sweep that
 //! runs under `--include-ignored`.
 
-use atlas_sim::{generate, run_campaign, run_campaign_metered, FleetConfig, MetricsRegistry};
+use atlas_sim::{
+    generate, run_campaign, run_campaign_captured, CampaignOptions, FleetConfig, MetricsRegistry,
+};
 use std::path::PathBuf;
 
 fn golden_metrics_path() -> PathBuf {
@@ -16,7 +18,7 @@ fn golden_metrics_path() -> PathBuf {
 fn metrics_for_a_200_probe_campaign_match_the_checked_in_expectation() {
     let fleet = generate(FleetConfig { size: 200, ..FleetConfig::default() });
     let registry = MetricsRegistry::new(fleet.config.orgs.len());
-    let results = run_campaign_metered(&fleet, 4, Some(&registry));
+    let results = run_campaign(&fleet, CampaignOptions::new(4), Some(&registry), None, None);
     assert_eq!(results.len(), 200);
 
     let snapshot = registry.snapshot(&fleet.config.orgs);
@@ -52,7 +54,7 @@ fn every_intercepted_probe_in_a_10k_campaign_has_provenance() {
     let fleet = generate(FleetConfig::default());
     assert_eq!(fleet.config.size, 10_000);
     let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
-    let results = run_campaign(&fleet, threads);
+    let results = run_campaign(&fleet, CampaignOptions::new(threads), None, None, None);
 
     let mut intercepted = 0usize;
     for r in &results {
@@ -94,11 +96,12 @@ fn every_intercepted_probe_in_a_10k_campaign_has_provenance() {
 fn capture_enabled_200_probe_campaign_is_bitwise_identical() {
     let fleet = generate(FleetConfig { size: 200, ..FleetConfig::default() });
 
+    let options = CampaignOptions::new(4);
     let plain_registry = MetricsRegistry::new(fleet.config.orgs.len());
-    let plain = run_campaign_metered(&fleet, 4, Some(&plain_registry));
+    let plain = run_campaign(&fleet, options, Some(&plain_registry), None, None);
 
     let captured_registry = MetricsRegistry::new(fleet.config.orgs.len());
-    let captured = atlas_sim::run_campaign_captured(&fleet, 4, Some(&captured_registry), None);
+    let captured = run_campaign_captured(&fleet, options, Some(&captured_registry), None, None);
 
     assert_eq!(captured.len(), plain.len());
     for ((a, flows), b) in captured.iter().zip(&plain) {

@@ -2,7 +2,8 @@
 //! the paper's qualitative findings, plus determinism guarantees.
 
 use atlas_sim::{
-    accuracy, figure3, figure4, generate, run_campaign, table4, table5, FleetConfig,
+    accuracy, figure3, figure4, generate, run_campaign, table4, table5, CampaignOptions,
+    FleetConfig,
 };
 
 /// One shared campaign for all shape assertions (2,500 probes keeps CI
@@ -11,7 +12,7 @@ fn pilot() -> (&'static atlas_sim::Fleet, Vec<atlas_sim::ProbeResult<'static>>) 
     static FLEET: std::sync::OnceLock<atlas_sim::Fleet> = std::sync::OnceLock::new();
     let fleet =
         FLEET.get_or_init(|| generate(FleetConfig { size: 2_500, ..FleetConfig::default() }));
-    let results = run_campaign(fleet, 4);
+    let results = run_campaign(fleet, CampaignOptions::new(4), None, None, None);
     (fleet, results)
 }
 
@@ -78,7 +79,7 @@ fn pilot_study_has_no_false_positives_and_matches_expectations() {
 fn campaigns_are_bit_for_bit_deterministic() {
     let run = || {
         let fleet = generate(FleetConfig { size: 600, ..FleetConfig::default() });
-        let results = run_campaign(&fleet, 3);
+        let results = run_campaign(&fleet, CampaignOptions::new(3), None, None, None);
         let t4 = table4(&results);
         let t5 = table5(&results);
         serde_json::to_string(&(t4, t5)).unwrap()
