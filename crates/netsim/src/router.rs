@@ -327,11 +327,15 @@ mod tests {
     #[test]
     fn ttl_expiry_drops_and_reports() {
         let (mut sim, a, _b, r) = two_sided();
+        sim.record_capture();
         let mut p = dns_pkt("10.0.0.2", "8.8.8.8");
         p.ttl = 1;
         sim.inject(a, IfaceId(0), p);
         sim.run_to_quiescence();
         assert_eq!(sim.device::<Router>(r).unwrap().ttl_drops, 1);
+        let drop =
+            sim.capture_events().iter().find(|e| matches!(e.kind, CaptureKind::RouteDrop { .. }));
+        assert_eq!(drop.expect("the router records its drop").kind.verb(), "drop(ttl-expired)");
         // The source got an ICMP time-exceeded.
         let back = &sim.device::<Sink>(a).unwrap().received;
         assert_eq!(back.len(), 1);
@@ -377,6 +381,7 @@ mod tests {
         router.emit_unreachable(true);
         let r = sim.add_device(Box::new(router));
         sim.connect((a, IfaceId(0)), (r, IfaceId(0)), SimDuration::from_millis(1));
+        sim.record_capture();
         sim.inject(a, IfaceId(0), dns_pkt("10.0.0.2", "99.99.99.99"));
         sim.run_to_quiescence();
         let back = &sim.device::<Sink>(a).unwrap().received;
@@ -385,6 +390,9 @@ mod tests {
             back[0].transport,
             Transport::Icmp(IcmpMessage::DestUnreachable { .. })
         ));
+        let drop =
+            sim.capture_events().iter().find(|e| matches!(e.kind, CaptureKind::RouteDrop { .. }));
+        assert_eq!(drop.expect("the router records its drop").kind.verb(), "drop(no-route)");
     }
 
     #[test]
