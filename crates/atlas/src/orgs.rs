@@ -63,8 +63,8 @@ impl OrgSpec {
         let infra_v6 = |host| Ipv6Addr::new(0x2600 + org_index as u16, 0x53, 0, 0, 0, 0, 0, host);
         IspProfile {
             asn: self.asn,
-            name: self.name.clone(),
-            country: self.country.clone(),
+            name: self.name.as_str().into(),
+            country: self.country.as_str().into(),
             v4_prefix,
             v4_prefix_len: 8,
             v6_prefix,
@@ -72,7 +72,7 @@ impl OrgSpec {
             resolver_v6: infra_v6(1),
             resolver_egress_v4: Ipv4Addr::new(octet, 75, 75, 10),
             resolver_egress_v6: infra_v6(0x10),
-            resolver_version: self.resolver_version.clone(),
+            resolver_version: self.resolver_version.as_str().into(),
             resolver_mode: interception::ResolverMode::Normal,
             resolver_in_as: true,
         }

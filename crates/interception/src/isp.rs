@@ -1,6 +1,7 @@
 //! ISP profiles and interception-policy specs used by the scenario builder.
 
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
+use std::sync::Arc;
 
 /// How an ISP's resolver treats the queries an interceptor hands it —
 /// this is what drives the paper's Figure-3 transparency categories.
@@ -15,14 +16,17 @@ pub enum ResolverMode {
 }
 
 /// Static description of one ISP (one AS).
+///
+/// The strings are shared, so cloning a profile into each home's scenario
+/// allocates nothing.
 #[derive(Debug, Clone)]
 pub struct IspProfile {
     /// Autonomous system number.
     pub asn: u32,
     /// Organization name ("Comcast", "Rostelecom", …).
-    pub name: String,
+    pub name: Arc<str>,
     /// ISO country code ("US", "DE", …).
-    pub country: String,
+    pub country: Arc<str>,
     /// The ISP's customer IPv4 prefix (home WAN addresses come from here).
     pub v4_prefix: Ipv4Addr,
     /// Prefix length of `v4_prefix`.
@@ -38,7 +42,7 @@ pub struct IspProfile {
     /// The ISP resolver's IPv6 egress.
     pub resolver_egress_v6: Ipv6Addr,
     /// `version.bind` string of the ISP resolver software.
-    pub resolver_version: String,
+    pub resolver_version: Arc<str>,
     /// Resolver behaviour toward intercepted queries.
     pub resolver_mode: ResolverMode,
     /// Whether the ISP's resolver actually lives inside the customer AS.
