@@ -106,13 +106,12 @@ proptest! {
             }
             transparent += 1;
             let queried = atlas_sim::scenario_for(&fleet, r.probe).build().addrs.cpe_public_v4;
-            let queried_prefix = format!("{queried}:");
             let foreign = r.device.flows.iter().any(|f| {
                 f.hops.iter().any(|h| {
-                    h.node == "scanner"
+                    &*h.node == "scanner"
                         && h.action == "ingress"
                         && h.direction == FlowDirection::Response
-                        && !h.src.starts_with(&queried_prefix)
+                        && h.tuple.src != std::net::IpAddr::V4(queried)
                 })
             });
             prop_assert!(

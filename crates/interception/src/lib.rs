@@ -25,7 +25,8 @@ mod timing;
 mod transport;
 
 pub use flow::{
-    flow_rtt_us, flows_to_json, reconstruct_flows, render_flows, FlowDirection, FlowHop, QueryFlow,
+    flow_rtt_us, flows_to_json, reconstruct_flows, render_flows, FlowDirection, FlowHop,
+    HopDetail, QueryFlow,
 };
 pub use timing::{phase_label, ProbeTimingLog, RttSample, PHASE_COUNT, SCAN_PHASE};
 pub use isp::{IspProfile, MiddleboxSpec, RedirectTarget, ResolverMode};

@@ -118,11 +118,14 @@ impl SimTransport {
         self.scenario.sim.record_capture();
     }
 
-    /// Drains the recorded capture and reconstructs per-query hop
-    /// timelines ([`crate::reconstruct_flows`]). Recording continues.
+    /// Reconstructs per-query hop timelines ([`crate::reconstruct_flows`])
+    /// from the events recorded since the last call, then clears them in
+    /// place, keeping the buffer's capacity. Recording continues.
     pub fn take_flows(&mut self) -> Vec<crate::QueryFlow> {
-        let events = self.scenario.sim.take_capture_events();
-        crate::flow::reconstruct_flows(&self.scenario.sim, &events)
+        let sim = &mut self.scenario.sim;
+        let flows = crate::flow::reconstruct_flows(sim, sim.capture_events());
+        sim.clear_capture_events();
+        flows
     }
 
     fn alloc_sport(&mut self) -> u16 {

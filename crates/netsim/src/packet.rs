@@ -57,7 +57,7 @@ pub enum IcmpMessage {
 }
 
 /// Addresses and ports of a packet that triggered an ICMP error.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FlowSummary {
     /// Original source address.
     pub src: IpAddr,

@@ -107,7 +107,7 @@ fn worked_example_timelines_tell_the_right_story() {
     assert!(!clean.flows.is_empty());
     assert!(clean.flows.iter().all(|f| f.hops.iter().all(|h| h.action != "mint")));
     assert!(
-        clean.flows.iter().any(|f| f.hops.iter().any(|h| h.node == "internet-core")),
+        clean.flows.iter().any(|f| f.hops.iter().any(|h| &*h.node == "internet-core")),
         "clean queries must actually cross the core"
     );
 
