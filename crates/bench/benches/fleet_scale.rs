@@ -167,12 +167,22 @@ fn assert_allocation_flatness() {
     );
 }
 
+/// Per-probe budgets for the capture-enabled campaign on the 300-probe
+/// fleet: the measured 329.8 allocations and 178,083 bytes per responding
+/// probe, plus 10%. The whole campaign counts, measurement included.
+/// Regressing past these means hops went back to per-hop strings, the
+/// capture buffer stopped being recycled through `SimScratch`, or flow
+/// reconstruction re-parsed messages into owned ones.
+const MAX_CAPTURE_ALLOCS_PER_PROBE: f64 = 363.0;
+const MAX_CAPTURE_BYTES_PER_PROBE: f64 = 195_900.0;
+
 /// The flight recorder's zero-cost contract, enforced at the allocator:
 /// with capture disabled (the default `NullCapture`), two identical
 /// campaign runs allocate the exact same number of allocations and bytes
 /// — the disabled path performs no hidden, data-dependent allocation.
 /// With capture enabled, reports stay bitwise identical while the only
-/// extra allocations are the recorded events and reconstructed flows.
+/// extra allocations are the recorded events and reconstructed flows,
+/// held to per-probe budgets.
 fn assert_capture_zero_cost() {
     let fleet = generate(FleetConfig { size: 300, ..FleetConfig::default() });
     let options = CampaignOptions::new(1);
@@ -213,10 +223,25 @@ fn assert_capture_zero_cost() {
     assert_eq!(reports_a, reports_b);
 
     let (count_c, bytes_c, reports_c) = measure(true);
-    eprintln!("capture-enabled: {count_c} allocs / {bytes_c} B (events + flows on top)");
+    let probes = reports_c.len() as f64;
+    let (count_per_probe, bytes_per_probe) = (count_c as f64 / probes, bytes_c as f64 / probes);
+    eprintln!(
+        "capture-enabled: {count_c} allocs / {bytes_c} B (events + flows on top), \
+         {count_per_probe:.1} allocs / {bytes_per_probe:.0} B per probe"
+    );
     assert_eq!(
         reports_a, reports_c,
         "enabling the flight recorder must not change any report"
+    );
+    assert!(
+        count_per_probe <= MAX_CAPTURE_ALLOCS_PER_PROBE,
+        "capture-enabled allocation count regressed past the budget: \
+         {count_per_probe:.1} > {MAX_CAPTURE_ALLOCS_PER_PROBE} per probe"
+    );
+    assert!(
+        bytes_per_probe <= MAX_CAPTURE_BYTES_PER_PROBE,
+        "capture-enabled allocated bytes regressed past the budget: \
+         {bytes_per_probe:.0} > {MAX_CAPTURE_BYTES_PER_PROBE} per probe"
     );
 }
 
