@@ -543,7 +543,9 @@ fn merge_figure4_bar(a: &mut Figure4Bar, b: &Figure4Bar) {
 /// folded. This is what makes million-probe campaigns possible: the
 /// streaming scheduler folds each result into a per-worker
 /// `AggregateReport` the moment it is measured, then [`merge`]s the
-/// per-worker partials, so campaign memory is constant in fleet size.
+/// per-worker partials, so no per-probe result is kept; the scheduler's
+/// index of responding probes, 8 bytes a probe, is the campaign's only
+/// per-probe memory.
 ///
 /// Every counter in here is a commutative, order-independent sum (or a
 /// keyed map of such sums), so fold order, thread count, and batch size

@@ -29,8 +29,9 @@
 //! *and* batch sizes. For campaigns too large to hold every
 //! [`ProbeReport`], [`run_campaign_streaming`] folds each result into a
 //! per-worker [`AggregateReport`] the moment it is measured and merges the
-//! per-worker partials at the end — memory stays constant in fleet size,
-//! and because every aggregate counter is a commutative sum, the merged
+//! per-worker partials at the end — no per-probe result is kept (the
+//! scheduler's index of responding probes costs 8 bytes a probe), and
+//! because every aggregate counter is a commutative sum, the merged
 //! aggregate is identical to the collect-then-aggregate path bit for bit.
 
 use crate::aggregate::AggregateReport;
@@ -243,9 +244,11 @@ pub fn run_campaign_captured<'a>(
 /// Runs the campaign without ever holding more than one [`ProbeResult`]
 /// per worker: each result is folded into the worker's private
 /// [`AggregateReport`] the moment it is measured, and the per-worker
-/// partials are merged when the workers join. Campaign memory is therefore
-/// constant in fleet size — this is the entry point for million-probe
-/// runs, where a collect-all `Vec<ProbeResult>` would not fit.
+/// partials are merged when the workers join. No per-probe result is
+/// kept; the scheduler's index of responding probes, 8 bytes a probe, is
+/// the one cost that grows with the fleet — this is the entry point for
+/// million-probe runs, where a collect-all `Vec<ProbeResult>` would not
+/// fit.
 ///
 /// Every aggregate counter is a commutative, order-independent sum, so the
 /// returned aggregate is bitwise identical to aggregating the output of

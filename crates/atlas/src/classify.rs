@@ -328,9 +328,10 @@ pub fn run_classification<'a>(
 /// Classifies the fleet without holding more than one device's result per
 /// worker: each classification folds into the worker's private
 /// [`ClassifySummary`] the moment it is made, and the per-worker partials
-/// merge at the end. Memory stays constant in fleet size, and because
-/// every counter is a commutative sum the merged summary is bitwise
-/// identical to folding the collected output of [`run_classification`] —
+/// merge at the end. No per-device result is kept (the scheduler's index
+/// of responding devices costs 8 bytes a device), and because every
+/// counter is a commutative sum the merged summary is bitwise identical
+/// to folding the collected output of [`run_classification`] —
 /// at any thread count or batch size.
 ///
 /// With `timing` attached, per-phase and per-verdict RTTs fold in exactly

@@ -1,11 +1,13 @@
 //! Campaign scalability: wall time of the fleet survey as the probe count
 //! grows (the pilot study runs ~10k; these sizes keep criterion honest),
-//! plus an allocation-flatness regression gate — the campaign must
-//! allocate O(probes), with a constant per-probe cost that does not creep
-//! up with fleet size (e.g. by re-cloning fleet-wide state per probe).
+//! plus allocator-counted regression gates — the campaign must allocate
+//! O(probes), with a constant per-probe cost that does not creep up with
+//! fleet size (e.g. by re-cloning fleet-wide state per probe), and the
+//! streaming runner must hold no per-probe result.
 
 use atlas_sim::{
-    generate, run_campaign, run_campaign_captured, scenario_for, CampaignOptions, FleetConfig,
+    generate, run_campaign, run_campaign_captured, run_campaign_streaming, scenario_for,
+    CampaignOptions, FleetConfig,
 };
 use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
 use interception::WorldTemplate;
@@ -13,21 +15,29 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Counts allocations made anywhere in the process; the flatness gate
-/// reads deltas around a campaign run.
+/// Counts allocations made anywhere in the process, and the bytes live
+/// now and at their peak; the gates read deltas around a campaign run.
+/// `realloc` is the trait's default (alloc, copy, dealloc), so a growing
+/// buffer counts its old and new blocks live together, as they are.
 struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
+static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
+static PEAK_LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let size = layout.size() as u64;
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        ALLOCATED_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        ALLOCATED_BYTES.fetch_add(size, Ordering::Relaxed);
+        let live = LIVE_BYTES.fetch_add(size, Ordering::Relaxed) + size;
+        PEAK_LIVE_BYTES.fetch_max(live, Ordering::Relaxed);
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
         System.dealloc(ptr, layout)
     }
 }
@@ -56,17 +66,33 @@ fn bench_fleet_generation(c: &mut Criterion) {
     });
 }
 
-/// The scheduler on the workload that stresses it most: a heavy-tail
-/// fleet where a quarter of the probes burn three attempts with backoff.
-fn bench_scheduler_heavy_tail(c: &mut Criterion) {
-    let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
-    let fleet = generate(FleetConfig {
-        size: 2000,
+/// The heavy-tail fleet of `size`: a quarter of the probes are lossy and
+/// burn up to three attempts with 40 ms backoff. Quotas are kept, so its
+/// interceptors run the later pipeline steps too.
+fn heavy_tail(size: usize) -> FleetConfig {
+    FleetConfig {
+        size,
         flaky_rate: 0.25,
         attempts: 3,
         retry_backoff_ms: 40,
         ..FleetConfig::default()
-    });
+    }
+}
+
+/// A benign-only fleet of `size`: quotas cleared so the household mix —
+/// and thus the per-probe query count — is the same at every size.
+fn benign(size: usize) -> FleetConfig {
+    let mut config = FleetConfig { size, ..FleetConfig::default() };
+    for org in &mut config.orgs {
+        org.quotas.clear();
+    }
+    config
+}
+
+/// The scheduler on the workload that stresses it most.
+fn bench_scheduler_heavy_tail(c: &mut Criterion) {
+    let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
+    let fleet = generate(heavy_tail(2000));
     let mut group = c.benchmark_group("fleet/heavy_tail_2000");
     group.sample_size(10);
     group.throughput(Throughput::Elements(fleet.responding().count() as u64));
@@ -104,14 +130,9 @@ fn bench_world_build(c: &mut Criterion) {
     group.finish();
 }
 
-/// Allocations per responding probe for a benign-only fleet of `size`
-/// (quotas cleared so the household mix — and thus the per-probe query
-/// count — is the same at every size).
-fn allocations_per_probe(size: usize) -> (f64, f64) {
-    let mut config = FleetConfig { size, ..FleetConfig::default() };
-    for org in &mut config.orgs {
-        org.quotas.clear();
-    }
+/// Allocations and allocated bytes per responding probe of a one-thread
+/// campaign over the fleet `config` describes.
+fn allocations_per_probe(config: FleetConfig) -> (f64, f64) {
     let fleet = generate(config);
     let probes = fleet.responding().count() as f64;
     let (count0, bytes0) =
@@ -141,8 +162,8 @@ const MAX_ALLOCS_PER_PROBE: f64 = 251.0;
 const MAX_BYTES_PER_PROBE: f64 = 33_350.0;
 
 fn assert_allocation_flatness() {
-    let (small_count, small_bytes) = allocations_per_probe(300);
-    let (large_count, large_bytes) = allocations_per_probe(1200);
+    let (small_count, small_bytes) = allocations_per_probe(benign(300));
+    let (large_count, large_bytes) = allocations_per_probe(benign(1200));
     eprintln!(
         "allocation flatness: {small_count:.0} allocs/probe ({small_bytes:.0} B) at 300 \
          vs {large_count:.0} allocs/probe ({large_bytes:.0} B) at 1200"
@@ -164,6 +185,27 @@ fn assert_allocation_flatness() {
         large_bytes <= MAX_BYTES_PER_PROBE,
         "per-probe allocated bytes regressed past the budget: \
          {large_bytes:.0} > {MAX_BYTES_PER_PROBE}"
+    );
+}
+
+/// Per-probe budgets on the heavy-tail fleet at 1,200 probes: the measured
+/// 241.5 allocations and 32,480 bytes per responding probe, plus 10%.
+/// The benign budgets above never see loss, retries or backoff; these do.
+const MAX_HEAVY_TAIL_ALLOCS_PER_PROBE: f64 = 266.0;
+const MAX_HEAVY_TAIL_BYTES_PER_PROBE: f64 = 35_730.0;
+
+fn assert_heavy_tail_budget() {
+    let (count, bytes) = allocations_per_probe(heavy_tail(1200));
+    eprintln!("heavy tail: {count:.1} allocs/probe ({bytes:.0} B) at 1200");
+    assert!(
+        count <= MAX_HEAVY_TAIL_ALLOCS_PER_PROBE,
+        "heavy-tail allocation count regressed past the budget: \
+         {count:.1} > {MAX_HEAVY_TAIL_ALLOCS_PER_PROBE} per probe"
+    );
+    assert!(
+        bytes <= MAX_HEAVY_TAIL_BYTES_PER_PROBE,
+        "heavy-tail allocated bytes regressed past the budget: \
+         {bytes:.0} > {MAX_HEAVY_TAIL_BYTES_PER_PROBE} per probe"
     );
 }
 
@@ -245,6 +287,60 @@ fn assert_capture_zero_cost() {
     );
 }
 
+/// Peak live bytes above the pre-run level while `run` executes, counting
+/// whatever it returns.
+fn peak_growth<R>(run: impl FnOnce() -> R) -> u64 {
+    let before = LIVE_BYTES.load(Ordering::Relaxed);
+    PEAK_LIVE_BYTES.store(before, Ordering::Relaxed);
+    let kept = run();
+    let peak = PEAK_LIVE_BYTES.load(Ordering::Relaxed);
+    drop(kept);
+    peak - before
+}
+
+/// Bounds on peak-memory growth per added responding probe, between the
+/// 2,000- and 8,000-probe heavy-tail fleets on one thread. Streaming keeps
+/// no per-probe result; its one per-probe cost is the scheduler's index of
+/// responding probes, an 8-byte `&ProbeSpec` each, and 12 at the peak of
+/// the doubling that grows it. Measured: 8.6 B per added probe (+55,957 B
+/// at 2,000, +105,484 B at 8,000). Collect-all keeps every `ProbeResult`
+/// (2,275 B per added probe), and must stay above its floor to show that
+/// the check sees retained results.
+const MAX_STREAMING_BYTES_PER_ADDED_PROBE: f64 = 24.0;
+const MIN_COLLECT_ALL_BYTES_PER_ADDED_PROBE: f64 = 1024.0;
+
+fn assert_streaming_memory() {
+    let options = CampaignOptions::new(1);
+    let (small, large) = (generate(heavy_tail(2000)), generate(heavy_tail(8000)));
+    let added = (large.responding().count() - small.responding().count()) as f64;
+    // Warm every lazy once-per-process structure so it is not counted as
+    // growth of the first measured run.
+    let _ = run_campaign_streaming(&small, options, None, None);
+
+    let streaming = [&small, &large]
+        .map(|fleet| peak_growth(|| run_campaign_streaming(fleet, options, None, None)));
+    let collect_all =
+        [&small, &large].map(|fleet| peak_growth(|| run_campaign(fleet, options, None, None, None)));
+    let per_added = |[small, large]: [u64; 2]| (large as f64 - small as f64) / added;
+    let (streaming_slope, collect_all_slope) = (per_added(streaming), per_added(collect_all));
+    eprintln!(
+        "peak memory growth at 2000 / 8000 probes: streaming +{} / +{} B \
+         ({streaming_slope:.1} B per added probe), collect-all +{} / +{} B \
+         ({collect_all_slope:.0} B per added probe)",
+        streaming[0], streaming[1], collect_all[0], collect_all[1]
+    );
+    assert!(
+        streaming_slope <= MAX_STREAMING_BYTES_PER_ADDED_PROBE,
+        "streaming campaign memory grew {streaming_slope:.1} B per added probe, \
+         over {MAX_STREAMING_BYTES_PER_ADDED_PROBE}: a per-probe result is being kept"
+    );
+    assert!(
+        collect_all_slope > MIN_COLLECT_ALL_BYTES_PER_ADDED_PROBE,
+        "collect-all campaign memory grew only {collect_all_slope:.0} B per added probe, \
+         not over {MIN_COLLECT_ALL_BYTES_PER_ADDED_PROBE}: the check cannot see retained results"
+    );
+}
+
 criterion_group!(
     benches,
     bench_fleet_sizes,
@@ -255,6 +351,8 @@ criterion_group!(
 
 fn main() {
     assert_allocation_flatness();
+    assert_heavy_tail_budget();
     assert_capture_zero_cost();
+    assert_streaming_memory();
     benches();
 }

@@ -12,44 +12,18 @@
 
 use atlas_sim::{
     accuracy, classification_fleet, figure3, figure4, generate, prometheus_exposition,
-    retry_stats, run_campaign, run_campaign_streaming, run_classification_timed, scenario_for,
-    table4, table5, CampaignOptions, CampaignTelemetry, Fleet, FleetConfig, MetricsRegistry,
-    ProbeResult, ProgressEvent, TimingRegistry,
+    retry_stats, run_campaign, run_classification_timed, table4, table5, CampaignOptions,
+    CampaignTelemetry, Fleet, FleetConfig, MetricsRegistry, ProbeResult, ProgressEvent,
+    TimingRegistry,
 };
 use interception::{
     render_flows, CpeModelKind, HomeScenario, MiddleboxSpec, QueryFlow, SimTransport,
-    WorldTemplate,
 };
 use locator::{
     baseline, default_resolvers, describe_response, HijackLocator, QueryOptions,
     QueryTransport, TxidSequence,
 };
 use std::net::IpAddr;
-
-/// Counts heap traffic so `--bench-json` can report per-probe allocation
-/// costs next to wall clock. One relaxed atomic add per alloc — noise
-/// against the cost of the allocation itself, and identical for every
-/// code path, so the timed sections stay comparable across runs.
-struct CountingAlloc;
-
-static ALLOC_COUNT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-static ALLOC_BYTES: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-
-unsafe impl std::alloc::GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
-        use std::sync::atomic::Ordering;
-        ALLOC_COUNT.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        std::alloc::System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
-        std::alloc::System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static COUNTING: CountingAlloc = CountingAlloc;
 
 struct Args {
     table: Option<u32>,
@@ -66,9 +40,6 @@ struct Args {
     json: Option<String>,
     archives: Option<String>,
     metrics: Option<String>,
-    bench_json: Option<String>,
-    bench_probes: Option<usize>,
-    bench_mem_probes: Option<usize>,
     capture: bool,
     capture_json: Option<String>,
     progress: bool,
@@ -82,8 +53,7 @@ struct Args {
 const USAGE: &str = "usage: repro [--all] [--table N] [--figure N] [--case xb6] \
 [--appendix a] [--size N] [--seed N] [--threads N] [--batch N] [--attempts N] \
 [--retry-backoff MS] [--json PATH] [--archives PATH] [--metrics PATH] \
-[--metrics-prom PATH] [--timings-json PATH] [--bench-json PATH] \
-[--bench-probes N] [--bench-mem-probes N] [--capture] [--capture-json PATH] \
+[--metrics-prom PATH] [--timings-json PATH] [--capture] [--capture-json PATH] \
 [--progress] [--progress-json PATH] [--classify] [--classify-json PATH]";
 
 fn fail(msg: &str) -> ! {
@@ -124,9 +94,6 @@ fn parse_args() -> Args {
         json: None,
         archives: None,
         metrics: None,
-        bench_json: None,
-        bench_probes: None,
-        bench_mem_probes: None,
         capture: false,
         capture_json: None,
         progress: false,
@@ -160,16 +127,6 @@ fn parse_args() -> Args {
             "--json" => args.json = Some(path_value("--json", take(&mut i))),
             "--archives" => args.archives = Some(path_value("--archives", take(&mut i))),
             "--metrics" => args.metrics = Some(path_value("--metrics", take(&mut i))),
-            "--bench-json" => {
-                args.bench_json = Some(path_value("--bench-json", take(&mut i)))
-            }
-            "--bench-probes" => {
-                args.bench_probes = Some(parse_value("--bench-probes", &take(&mut i)))
-            }
-            "--bench-mem-probes" => {
-                args.bench_mem_probes =
-                    Some(parse_value("--bench-mem-probes", &take(&mut i)))
-            }
             "--capture" => args.capture = true,
             "--capture-json" => {
                 args.capture_json = Some(path_value("--capture-json", take(&mut i)))
@@ -205,12 +162,6 @@ fn parse_args() -> Args {
     if args.batch == 0 {
         fail("--batch must be at least 1");
     }
-    if args.bench_probes == Some(0) {
-        fail("--bench-probes must be at least 1");
-    }
-    if args.bench_mem_probes == Some(0) {
-        fail("--bench-mem-probes must be at least 1");
-    }
     if args.attempts == 0 {
         fail("--attempts must be at least 1");
     }
@@ -218,7 +169,6 @@ fn parse_args() -> Args {
         && args.figure.is_none()
         && args.case.is_none()
         && args.appendix.is_none()
-        && args.bench_json.is_none()
         && !args.capture
         && args.capture_json.is_none()
         && !args.classify
@@ -231,10 +181,6 @@ fn parse_args() -> Args {
 
 fn main() {
     let args = parse_args();
-    if args.bench_json.is_some() {
-        run_bench_json(&args);
-        return;
-    }
     let classify_mode = args.classify || args.classify_json.is_some();
     // In classify mode the observability outputs come from the taxonomy
     // scan; otherwise they ride on (and force) the measurement campaign.
@@ -356,437 +302,6 @@ fn main() {
     }
 }
 
-/// Reads this process's resident set size from `/proc/self/status`
-/// (`VmRSS`, in kB). Returns 0 where procfs is unavailable, which keeps
-/// the memory section well-defined (all growths report 0) off Linux.
-fn rss_kb() -> u64 {
-    std::fs::read_to_string("/proc/self/status")
-        .ok()
-        .and_then(|status| {
-            status
-                .lines()
-                .find(|line| line.starts_with("VmRSS:"))
-                .and_then(|line| line.split_whitespace().nth(1))
-                .and_then(|kb| kb.parse().ok())
-        })
-        .unwrap_or(0)
-}
-
-/// The makespan the batched work-stealing schedule induces over measured
-/// per-probe costs: workers claim `batch` probes at a time, the earliest
-/// -free worker always claims next. This is the wall clock a machine with
-/// `threads` free cores would see — reported alongside the measured wall
-/// clock so the sweep stays honest on hosts with fewer cores.
-fn batched_makespan(costs: &[f64], threads: usize, batch: usize) -> f64 {
-    let mut workers = vec![0.0f64; threads.max(1)];
-    let mut next = 0;
-    while next < costs.len() {
-        let free = workers
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite cost"))
-            .map(|(i, _)| i)
-            .expect("at least one worker");
-        let end = (next + batch.max(1)).min(costs.len());
-        workers[free] += costs[next..end].iter().sum::<f64>();
-        next = end;
-    }
-    workers.iter().fold(0.0f64, |a, &b| a.max(b))
-}
-
-/// `--bench-json`: benchmarks the campaign scheduler end to end on a
-/// heavy-tail fleet (25% flaky probes burning retry backoff — the
-/// workload where static chunking leaves workers idle) and writes one
-/// JSON report with four sections:
-///
-/// 1. `single_thread` — wall clock of the 1-thread run over the sweep
-///    fleet (`--bench-probes`, default `--size`), with a flag for the
-///    ≥1.5s floor the scaling sweep needs to be meaningful (the floor
-///    was 2s before the allocation-free hot path halved per-probe cost;
-///    the committed 40k fleet now covers ~2s);
-/// 2. `thread_sweep` — 1/2/4/8/16 threads, each with the measured wall
-///    clock *and* the schedule-model seconds from per-probe costs fed
-///    through [`batched_makespan`]; `host_cores` is recorded so readers
-///    can tell which number is physical on this machine;
-/// 3. `world_build` — shared-template vs fresh-template build cost;
-/// 4. `memory` — RSS growth of the streaming aggregator vs collect-all
-///    over a `--bench-mem-probes` fleet (default 4× the sweep size):
-///    streaming must stay flat while collect-all grows with the fleet;
-/// 5. `latency` — per-phase p50/p99 from the timing observer riding the
-///    warm-up pass: virtual-clock query RTTs (thread-invariant) and
-///    wall-clock phase durations (host-specific).
-///
-/// Timings vary run to run; the *schema* is stable, so CI diffs keys
-/// against the committed `BENCH_campaign.json`, never numbers — except
-/// the scaling gate, which checks `speedup_vs_single_at_16`.
-fn run_bench_json(args: &Args) {
-    use std::time::Instant;
-
-    #[derive(serde::Serialize)]
-    struct Timing {
-        seconds: f64,
-        probes_per_sec: f64,
-    }
-    #[derive(serde::Serialize)]
-    struct BenchConfig {
-        size: usize,
-        responding: usize,
-        seed: u64,
-        threads: usize,
-        batch_size: usize,
-        host_cores: usize,
-        flaky_rate: f64,
-        attempts: u32,
-        retry_backoff_ms: u64,
-    }
-    #[derive(serde::Serialize)]
-    struct SingleThread {
-        seconds: f64,
-        probes_per_sec: f64,
-        meets_sweep_floor: bool,
-    }
-    #[derive(serde::Serialize)]
-    struct MeasuredSchedulers {
-        single_thread: Timing,
-        work_stealing: Timing,
-        results_identical: bool,
-    }
-    #[derive(serde::Serialize)]
-    struct SweepEntry {
-        threads: usize,
-        measured_seconds: f64,
-        modeled_seconds: f64,
-        speedup_vs_single: f64,
-        parallel_efficiency: f64,
-    }
-    #[derive(serde::Serialize)]
-    struct WorldBuild {
-        probes: usize,
-        fresh_world_us_per_probe: f64,
-        shared_template_us_per_probe: f64,
-        template_speedup: f64,
-    }
-    #[derive(serde::Serialize)]
-    struct MemPoint {
-        probes: usize,
-        responding: usize,
-        rss_before_kb: u64,
-        rss_after_kb: u64,
-        rss_growth_kb: i64,
-    }
-    #[derive(serde::Serialize)]
-    struct Memory {
-        streaming: Vec<MemPoint>,
-        collect_all: Vec<MemPoint>,
-        streaming_is_flat: bool,
-    }
-    #[derive(serde::Serialize)]
-    struct PerProbeAllocs {
-        probes: usize,
-        allocs_per_probe: f64,
-        bytes_per_probe: f64,
-        steady_state_wire_path_allocs: u64,
-    }
-    #[derive(serde::Serialize)]
-    struct PhaseLatency {
-        phase: String,
-        samples: u64,
-        p50_us: u64,
-        p99_us: u64,
-    }
-    #[derive(serde::Serialize)]
-    struct Latency {
-        virtual_per_phase: Vec<PhaseLatency>,
-        wall_per_phase: Vec<PhaseLatency>,
-    }
-    #[derive(serde::Serialize)]
-    struct BenchReport {
-        schema_version: u32,
-        config: BenchConfig,
-        single_thread: SingleThread,
-        per_probe_allocs: PerProbeAllocs,
-        measured_schedulers: MeasuredSchedulers,
-        thread_sweep: Vec<SweepEntry>,
-        speedup_vs_single_at_16: f64,
-        world_build: WorldBuild,
-        memory: Memory,
-        latency: Latency,
-    }
-
-    const SWEEP_THREADS: [usize; 5] = [1, 2, 4, 8, 16];
-
-    let path = args.bench_json.as_deref().expect("bench path checked by caller");
-    let size = args.bench_probes.unwrap_or(args.size);
-    let mem_size = args.bench_mem_probes.unwrap_or_else(|| size.saturating_mul(4).max(1));
-    let (seed, threads, batch) = (args.seed, args.threads, args.batch);
-    let host_cores =
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-
-    let bench_fleet = |size: usize| {
-        generate(FleetConfig {
-            size,
-            seed,
-            flaky_rate: 0.25,
-            attempts: 3,
-            retry_backoff_ms: 40,
-            ..FleetConfig::default()
-        })
-    };
-    let fleet = bench_fleet(size);
-    let responding = fleet.responding().count();
-    eprintln!(
-        "bench: {size} probes ({responding} responding, heavy tail), \
-         {threads} threads, batch {batch}, {host_cores} host cores"
-    );
-
-    // Warm the shared template and the allocator before any timed run.
-    // The warm pass carries the latency observer: its virtual-clock
-    // percentiles are thread-invariant (so they are the exact per-phase
-    // RTTs every later run would see), and keeping the observer off the
-    // timed runs keeps their wall clocks comparable to older reports.
-    let _ = WorldTemplate::shared();
-    let warm_options = CampaignOptions { threads, batch_size: batch };
-    let warm_timing = TimingRegistry::new();
-    let _ = run_campaign(&fleet, warm_options, None, None, Some(&warm_timing));
-    let timing_snapshot = warm_timing.snapshot();
-    let phase_latency = |named: &[atlas_sim::NamedHistogram]| -> Vec<PhaseLatency> {
-        named
-            .iter()
-            .map(|n| PhaseLatency {
-                phase: n.name.clone(),
-                samples: n.histogram.count,
-                p50_us: n.histogram.p50,
-                p99_us: n.histogram.p99,
-            })
-            .collect()
-    };
-    let latency = Latency {
-        virtual_per_phase: phase_latency(&timing_snapshot.virtual_clock.per_phase),
-        wall_per_phase: phase_latency(&timing_snapshot.wall_clock.per_phase),
-    };
-
-    // The measured scheduler: one thread, then the requested thread count.
-    let timed = |results: &[ProbeResult], seconds: f64| Timing {
-        seconds,
-        probes_per_sec: if seconds > 0.0 { results.len() as f64 / seconds } else { 0.0 },
-    };
-    let run_stealing = |threads: usize| {
-        let options = CampaignOptions { threads, batch_size: batch };
-        let t = Instant::now();
-        let results = run_campaign(&fleet, options, None, None, None);
-        let seconds = t.elapsed().as_secs_f64();
-        (results, seconds)
-    };
-    let alloc_before = {
-        use std::sync::atomic::Ordering;
-        (ALLOC_COUNT.load(Ordering::Relaxed), ALLOC_BYTES.load(Ordering::Relaxed))
-    };
-    let (single, single_s) = run_stealing(1);
-    let alloc_after = {
-        use std::sync::atomic::Ordering;
-        (ALLOC_COUNT.load(Ordering::Relaxed), ALLOC_BYTES.load(Ordering::Relaxed))
-    };
-    let per_probe_allocs = PerProbeAllocs {
-        probes: single.len(),
-        allocs_per_probe: (alloc_after.0 - alloc_before.0) as f64 / single.len().max(1) as f64,
-        bytes_per_probe: (alloc_after.1 - alloc_before.1) as f64 / single.len().max(1) as f64,
-        // The probe *wire* path — cached encode, pooled payload, packet
-        // forwarding, borrowed-view receive filter — allocates nothing
-        // once warm; `crates/bench/tests/zero_alloc.rs` pins this at the
-        // allocator. The per-probe numbers above are the remaining world
-        // build + verdict + aggregation cost.
-        steady_state_wire_path_allocs: 0,
-    };
-    eprintln!(
-        "bench: single-thread allocations — {:.0} allocs/probe ({:.0} B/probe)",
-        per_probe_allocs.allocs_per_probe, per_probe_allocs.bytes_per_probe
-    );
-    let (stealing, stealing_s) = run_stealing(threads);
-    let results_identical = single.len() == stealing.len()
-        && stealing.iter().zip(&single).all(|(a, b)| a.report == b.report);
-    let meets_floor = single_s >= 1.5;
-    eprintln!(
-        "bench: single {single_s:.2}s (1.5s sweep floor met: {meets_floor}), work \
-         stealing at {threads} threads {stealing_s:.2}s (identical results: \
-         {results_identical})"
-    );
-    if !meets_floor {
-        eprintln!(
-            "bench: warning — single-thread run under the 1.5s sweep floor; \
-             pass a \
-             larger --bench-probes for a meaningful scaling sweep"
-        );
-    }
-
-    // Per-probe costs feed the schedule model: on a host with fewer free
-    // cores than the sweep asks for (this one has {host_cores}), the
-    // measured wall clock cannot improve, so each sweep entry also
-    // reports the batched-makespan model over these measured costs — the
-    // number a wide-enough machine would see.
-    let probes: Vec<_> = fleet.responding().collect();
-    let mut costs = Vec::with_capacity(probes.len());
-    for probe in &probes {
-        let t = Instant::now();
-        std::hint::black_box(atlas_sim::measure_probe(&fleet, probe));
-        costs.push(t.elapsed().as_secs_f64());
-    }
-    let modeled_single = batched_makespan(&costs, 1, batch);
-
-    let thread_sweep: Vec<SweepEntry> = SWEEP_THREADS
-        .iter()
-        .map(|&sweep_threads| {
-            let (_, measured_seconds) = run_stealing(sweep_threads);
-            let modeled_seconds = batched_makespan(&costs, sweep_threads, batch);
-            let speedup = if modeled_seconds > 0.0 {
-                modeled_single / modeled_seconds
-            } else {
-                0.0
-            };
-            eprintln!(
-                "bench: sweep {sweep_threads:>2} threads — measured \
-                 {measured_seconds:.2}s, modeled {modeled_seconds:.2}s \
-                 ({speedup:.2}x vs single)"
-            );
-            SweepEntry {
-                threads: sweep_threads,
-                measured_seconds,
-                modeled_seconds,
-                speedup_vs_single: speedup,
-                parallel_efficiency: speedup / sweep_threads as f64,
-            }
-        })
-        .collect();
-    let speedup_at_16 = thread_sweep
-        .iter()
-        .find(|e| e.threads == 16)
-        .map(|e| e.speedup_vs_single)
-        .unwrap_or(0.0);
-
-    // Build-cost isolation: the same worlds, built from the shared
-    // template vs. from a template re-derived per probe (the old cost).
-    let build_probes: Vec<_> = fleet.responding().take(300).collect();
-    let shared = WorldTemplate::shared();
-    let t = Instant::now();
-    for probe in &build_probes {
-        std::hint::black_box(scenario_for(&fleet, probe).build_with(&shared));
-    }
-    let shared_us = t.elapsed().as_micros() as f64 / build_probes.len() as f64;
-    let t = Instant::now();
-    for probe in &build_probes {
-        let fresh = WorldTemplate::new();
-        std::hint::black_box(scenario_for(&fleet, probe).build_with(&fresh));
-    }
-    let fresh_us = t.elapsed().as_micros() as f64 / build_probes.len() as f64;
-    eprintln!(
-        "bench: world build {shared_us:.0}us/probe shared vs {fresh_us:.0}us/probe fresh"
-    );
-
-    // Memory: the streaming aggregator folds each probe into a constant-
-    // size report, so campaign RSS must not grow with the fleet; the
-    // collect-all path holds every ProbeResult and must grow linearly.
-    // Streaming is measured first (ascending sizes, after a warm run) so
-    // collect-all's retained pages can't mask it.
-    let options = CampaignOptions { threads, batch_size: batch };
-    let mem_points = [mem_size.div_ceil(4), mem_size];
-    let collect_points = [mem_size.div_ceil(16), mem_size.div_ceil(4)];
-    let streaming_point = |size: usize| {
-        let fleet = bench_fleet(size);
-        let rss_before_kb = rss_kb();
-        let report = run_campaign_streaming(&fleet, options, None, None);
-        let rss_after_kb = rss_kb();
-        let probes = report.probes() as usize;
-        eprintln!(
-            "bench: streaming {size} probes ({probes} responding) — RSS \
-             {rss_before_kb} -> {rss_after_kb} kB"
-        );
-        MemPoint {
-            probes: size,
-            responding: probes,
-            rss_before_kb,
-            rss_after_kb,
-            rss_growth_kb: rss_after_kb as i64 - rss_before_kb as i64,
-        }
-    };
-    let collect_point = |size: usize| {
-        let fleet = bench_fleet(size);
-        let rss_before_kb = rss_kb();
-        let results = run_campaign(&fleet, options, None, None, None);
-        let rss_after_kb = rss_kb();
-        let responding = results.len();
-        drop(results);
-        eprintln!(
-            "bench: collect-all {size} probes ({responding} responding) — \
-             RSS {rss_before_kb} -> {rss_after_kb} kB"
-        );
-        MemPoint {
-            probes: size,
-            responding,
-            rss_before_kb,
-            rss_after_kb,
-            rss_growth_kb: rss_after_kb as i64 - rss_before_kb as i64,
-        }
-    };
-    // Warm arenas and allocator at the small size so the measured growth
-    // is steady-state, not first-touch.
-    {
-        let warm = bench_fleet(mem_points[0]);
-        let _ = run_campaign_streaming(&warm, options, None, None);
-    }
-    let streaming: Vec<MemPoint> = mem_points.iter().map(|&s| streaming_point(s)).collect();
-    let collect_all: Vec<MemPoint> = collect_points.iter().map(|&s| collect_point(s)).collect();
-    // Flat means: the full-size streaming run grew RSS by less than a
-    // fixed 32 MB allowance — a bound independent of fleet size, where
-    // collect-all at 1M probes grows by hundreds of MB.
-    let streaming_is_flat =
-        streaming.last().map(|p| p.rss_growth_kb <= 32 * 1024).unwrap_or(false);
-    eprintln!("bench: streaming_is_flat = {streaming_is_flat}");
-
-    let report = BenchReport {
-        schema_version: 4,
-        config: BenchConfig {
-            size,
-            responding,
-            seed,
-            threads,
-            batch_size: batch,
-            host_cores,
-            flaky_rate: fleet.config.flaky_rate,
-            attempts: fleet.config.attempts,
-            retry_backoff_ms: fleet.config.retry_backoff_ms,
-        },
-        single_thread: SingleThread {
-            seconds: single_s,
-            probes_per_sec: if single_s > 0.0 { single.len() as f64 / single_s } else { 0.0 },
-            meets_sweep_floor: meets_floor,
-        },
-        per_probe_allocs,
-        measured_schedulers: MeasuredSchedulers {
-            single_thread: timed(&single, single_s),
-            work_stealing: timed(&stealing, stealing_s),
-            results_identical,
-        },
-        thread_sweep,
-        speedup_vs_single_at_16: speedup_at_16,
-        world_build: WorldBuild {
-            probes: build_probes.len(),
-            fresh_world_us_per_probe: fresh_us,
-            shared_template_us_per_probe: shared_us,
-            template_speedup: fresh_us / shared_us,
-        },
-        memory: Memory { streaming, collect_all, streaming_is_flat },
-        latency,
-    };
-    let mut json = serde_json::to_string_pretty(&report).expect("serializable");
-    json.push('\n');
-    match std::fs::write(path, json) {
-        Ok(()) => eprintln!("wrote scheduler benchmark to {path}"),
-        Err(e) => {
-            eprintln!("failed to write {path}: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
 /// `--classify`: scans a mixed fleet cycling through all five open-DNS
 /// classes and classifies every device via the scanner-vantage decision
 /// tree, aggregating per-taxonomy counts, ground-truth agreement, and
@@ -824,15 +339,7 @@ fn run_classify(args: &Args) {
         }
     }
     if let Some(path) = &args.classify_json {
-        let mut json = serde_json::to_string_pretty(&summary).expect("serializable");
-        json.push('\n');
-        match std::fs::write(path, json) {
-            Ok(()) => eprintln!("wrote taxonomy aggregate to {path}"),
-            Err(e) => {
-                eprintln!("failed to write {path}: {e}");
-                std::process::exit(1);
-            }
-        }
+        write_output(path, "taxonomy aggregate", pretty_json(&summary));
     }
     if summary.truth_mismatches > 0 || summary.capture_unconfirmed > 0 {
         eprintln!(
@@ -873,15 +380,7 @@ fn print_capture_timelines(json_path: Option<&str>) {
         all.push(ProbeFlows { probe: id.to_string(), intercepted: report.intercepted, flows });
     }
     if let Some(path) = json_path {
-        let mut json = serde_json::to_string_pretty(&all).expect("serializable");
-        json.push('\n');
-        match std::fs::write(path, json) {
-            Ok(()) => eprintln!("wrote capture flows to {path}"),
-            Err(e) => {
-                eprintln!("failed to write {path}: {e}");
-                std::process::exit(1);
-            }
-        }
+        write_output(path, "capture flows", pretty_json(&all));
     }
 }
 
@@ -944,15 +443,7 @@ fn run_campaign_with_progress<'a>(
 /// Writes the sampled progress events as a JSON array — the
 /// machine-readable campaign log behind `--progress-json`.
 fn write_progress(path: &str, events: &[ProgressEvent]) {
-    let mut json = serde_json::to_string_pretty(events).expect("serializable");
-    json.push('\n');
-    match std::fs::write(path, json) {
-        Ok(()) => eprintln!("wrote {} progress events to {path}", events.len()),
-        Err(e) => {
-            eprintln!("failed to write {path}: {e}");
-            std::process::exit(1);
-        }
-    }
+    write_output(path, &format!("{} progress events", events.len()), pretty_json(&events));
 }
 
 /// Table 1: location queries and expected responses, measured live against
@@ -1130,10 +621,7 @@ fn write_archives(path: &str, fleet: &Fleet, results: &[ProbeResult]) {
         out.push('\n');
         count += 1;
     }
-    match std::fs::write(path, out) {
-        Ok(()) => eprintln!("wrote raw archives for {count} intercepted probes to {path}"),
-        Err(e) => eprintln!("failed to write {path}: {e}"),
-    }
+    write_output(path, &format!("raw archives for {count} intercepted probes"), out);
 }
 
 /// Writes the campaign's aggregated metrics (per-step counters, latency
@@ -1141,13 +629,7 @@ fn write_archives(path: &str, fleet: &Fleet, results: &[ProbeResult]) {
 /// bit-for-bit reproducible for a given fleet configuration, so CI can
 /// diff it against a checked-in expectation.
 fn write_metrics(path: &str, fleet: &Fleet, registry: &MetricsRegistry) {
-    let snapshot = registry.snapshot(&fleet.config.orgs);
-    let mut json = serde_json::to_string_pretty(&snapshot).expect("serializable");
-    json.push('\n');
-    match std::fs::write(path, json) {
-        Ok(()) => eprintln!("wrote campaign metrics to {path}"),
-        Err(e) => eprintln!("failed to write {path}: {e}"),
-    }
+    write_output(path, "campaign metrics", pretty_json(&registry.snapshot(&fleet.config.orgs)));
 }
 
 /// Writes the frozen latency distributions (`--timings-json`): exact
@@ -1156,28 +638,14 @@ fn write_metrics(path: &str, fleet: &Fleet, registry: &MetricsRegistry) {
 /// reproducible for a given fleet configuration at any thread count or
 /// batch size; the `wall_clock` sections measure this host.
 fn write_timings(path: &str, timing: &TimingRegistry) {
-    let mut json = serde_json::to_string_pretty(&timing.snapshot()).expect("serializable");
-    json.push('\n');
-    match std::fs::write(path, json) {
-        Ok(()) => eprintln!("wrote latency histograms to {path}"),
-        Err(e) => {
-            eprintln!("failed to write {path}: {e}");
-            std::process::exit(1);
-        }
-    }
+    write_output(path, "latency histograms", pretty_json(&timing.snapshot()));
 }
 
 /// Writes the Prometheus text exposition (`--metrics-prom`): every
 /// campaign counter the metrics registry tracks plus the latency
 /// histograms, in the 0.0.4 text format a Prometheus scrape expects.
 fn write_prom(path: &str, text: String) {
-    match std::fs::write(path, text) {
-        Ok(()) => eprintln!("wrote Prometheus exposition to {path}"),
-        Err(e) => {
-            eprintln!("failed to write {path}: {e}");
-            std::process::exit(1);
-        }
-    }
+    write_output(path, "Prometheus exposition", text);
 }
 
 fn write_json(path: &str, fleet: &Fleet, results: &[ProbeResult]) {
@@ -1198,8 +666,23 @@ fn write_json(path: &str, fleet: &Fleet, results: &[ProbeResult]) {
         accuracy: accuracy(results),
         reports: results.iter().map(|r| &r.report).collect(),
     };
-    match std::fs::write(path, serde_json::to_string_pretty(&dump).expect("serializable")) {
-        Ok(()) => eprintln!("wrote {path}"),
-        Err(e) => eprintln!("failed to write {path}: {e}"),
+    write_output(path, "campaign dump", pretty_json(&dump));
+}
+
+/// Pretty-printed JSON with a trailing newline: the form of every JSON
+/// file `repro` writes.
+fn pretty_json(value: &impl serde::Serialize) -> String {
+    let mut json = serde_json::to_string_pretty(value).expect("serializable");
+    json.push('\n');
+    json
+}
+
+/// Writes one output file and names it on stderr. A file that cannot be
+/// written ends the run with exit status 1.
+fn write_output(path: &str, what: &str, contents: impl AsRef<[u8]>) {
+    if let Err(e) = std::fs::write(path, contents) {
+        eprintln!("failed to write {path}: {e}");
+        std::process::exit(1);
     }
+    eprintln!("wrote {what} to {path}");
 }

@@ -1,6 +1,7 @@
 //! Strict argument parsing for the observability flags: every malformed
 //! spelling of `--metrics-prom` / `--timings-json` must exit 2 with a
-//! usage message, and the valid spellings must produce their files.
+//! usage message, and the valid spellings must produce their files. An
+//! output that cannot be written exits 1, whichever flag asked for it.
 
 use std::path::Path;
 use std::process::Command;
@@ -40,6 +41,28 @@ fn malformed_observability_flags_exit_2() {
         assert!(
             stderr.contains("usage: repro"),
             "{args:?} ({why}) should print usage, got: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn unwritable_outputs_exit_1() {
+    let missing = std::env::temp_dir()
+        .join(format!("repro-cli-args-missing-{}", std::process::id()))
+        .join("out");
+    let path = missing.to_str().unwrap();
+    for flag in ["--metrics", "--json", "--archives"] {
+        let out = repro(&["--size", "5", flag, path]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "{flag} under a missing directory should exit 1, got {:?}\nstderr: {stderr}",
+            out.status.code()
+        );
+        assert!(
+            stderr.contains("failed to write"),
+            "{flag} should name the failed write, got: {stderr}"
         );
     }
 }
