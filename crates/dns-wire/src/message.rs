@@ -569,6 +569,24 @@ mod tests {
     }
 
     #[test]
+    fn names_with_repeated_labels_encode() {
+        // Encoding used to panic on these: compression compared a suffix
+        // against a label start of the name still being written.
+        for text in ["a.a", "www.www.example.com", "x.y.x.y.z"] {
+            let query = Message::query(4, q(text, RType::A));
+            let resp = Message::response_to(&query, Rcode::NoError).with_answer(Record::new(
+                text.parse().unwrap(),
+                60,
+                RData::A(Ipv4Addr::new(10, 0, 0, 4)),
+            ));
+            for msg in [&query, &resp] {
+                let bytes = msg.encode().unwrap();
+                assert_eq!(&Message::parse_strict(&bytes).unwrap(), msg, "{text}");
+            }
+        }
+    }
+
+    #[test]
     fn parse_tolerates_trailing_bytes_by_default() {
         let msg = Message::query(2, q("example.com", RType::A));
         let mut bytes = msg.encode().unwrap();

@@ -261,7 +261,10 @@ impl Name {
     }
 
     fn encode_compressed(&self, w: &mut Writer, comp: &mut NameCompressor) {
-        // Walk suffixes from the full name down to the root.
+        // Walk suffixes from the full name down to the root. Only names
+        // already complete are candidates: a label start recorded while
+        // writing this name leads into bytes not yet written.
+        let completed = comp.starts.len();
         let mut pos = 0usize;
         loop {
             let suffix = &self.wire[pos..];
@@ -269,7 +272,7 @@ impl Name {
                 w.write_u8(0);
                 return;
             }
-            if let Some(offset) = comp.find(w.as_slice(), suffix) {
+            if let Some(offset) = comp.find(w.as_slice(), suffix, completed) {
                 w.write_u16(0xC000 | offset);
                 return;
             }
@@ -313,11 +316,13 @@ impl NameCompressor {
 
     /// Finds a previously written name suffix equal (case-insensitively) to
     /// `suffix` (canonical wire form ending in the root octet), returning
-    /// its offset. Walks the written buffer label by label, following
-    /// pointers — every recorded offset resolves to a complete suffix chain
-    /// because we wrote it.
-    fn find(&self, buf: &[u8], suffix: &[u8]) -> Option<u16> {
-        'candidates: for &start in &self.starts {
+    /// its offset. Only the first `completed` recorded starts are
+    /// candidates: they belong to names written in full, so each resolves
+    /// to a complete suffix chain, which the walk follows label by label
+    /// through pointers. A start inside the name still being written could
+    /// only mismatch or run past the end of `buf`.
+    fn find(&self, buf: &[u8], suffix: &[u8], completed: usize) -> Option<u16> {
+        'candidates: for &start in &self.starts[..completed] {
             let mut off = start as usize;
             let mut spos = 0usize;
             loop {
@@ -709,6 +714,34 @@ mod tests {
         for expect in ["example.com", "www.example.com", "www.example.com"] {
             assert_eq!(Name::parse(&mut r).unwrap(), name(expect));
         }
+    }
+
+    #[test]
+    fn names_with_repeated_labels_encode_and_compress() {
+        // Each name's leading labels repeat, so a start recorded earlier in
+        // the same name matches a later suffix's first label; the walk must
+        // not follow it into bytes not yet written.
+        for text in ["a.a", "www.www.example.com", "x.y.x.y.z", "a.a.a.a"] {
+            let mut w = Writer::new();
+            let mut comp = NameCompressor::new();
+            name(text).encode(&mut w, Some(&mut comp));
+            let first = w.as_slice().to_vec();
+            assert_eq!(first, name(text).as_wire(), "{text}: written literally");
+            name(text).encode(&mut w, Some(&mut comp));
+            // The second copy is one pointer to the first.
+            assert_eq!(&w.as_slice()[first.len()..], &[0xC0, 0x00], "{text}");
+            let bytes = w.into_bytes();
+            let mut r = Reader::new(&bytes);
+            assert_eq!(Name::parse(&mut r).unwrap(), name(text));
+            assert_eq!(Name::parse(&mut r).unwrap(), name(text));
+        }
+        // A repeated-label name still compresses against an earlier one.
+        let mut w = Writer::new();
+        let mut comp = NameCompressor::new();
+        name("example.com").encode(&mut w, Some(&mut comp));
+        let before = w.len();
+        name("www.www.example.com").encode(&mut w, Some(&mut comp));
+        assert_eq!(&w.as_slice()[before..], b"\x03www\x03www\xC0\x00");
     }
 
     #[test]

@@ -5,8 +5,17 @@ use dns_wire::{Header, Message, Name, Opcode, Question, RClass, RData, RType, Rc
 use proptest::prelude::*;
 use std::net::{Ipv4Addr, Ipv6Addr};
 
+/// Labels drawn at random and from a small pool, so generated names repeat
+/// labels (`a.a`, `www.WWW.example`) and share suffixes with each other:
+/// the inputs name compression has to get right.
 fn arb_label() -> impl Strategy<Value = Vec<u8>> {
-    proptest::collection::vec(any::<u8>(), 1..=63)
+    prop_oneof![
+        proptest::collection::vec(any::<u8>(), 1..=63),
+        Just(b"a".to_vec()),
+        Just(b"www".to_vec()),
+        Just(b"WWW".to_vec()),
+        Just(b"example".to_vec()),
+    ]
 }
 
 fn arb_name() -> impl Strategy<Value = Name> {
