@@ -6,7 +6,7 @@
 //! without an answer must not allocate at all: cached encode, pooled
 //! payload, packet forwarding hop by hop, and the borrowed-view receive
 //! filter are all allocation-free. A warm *answered* round trip is pinned
-//! to its exact count: the owned DNS messages each side still builds. The
+//! to its exact count: the owned reply the stub hands the locator. The
 //! same counter also pins the component pieces individually, so a
 //! regression report names the layer that started allocating rather than
 //! just "the path".
@@ -75,16 +75,13 @@ fn steady_state_probe_path_allocates_nothing() {
 
     // --- End to end, answered: a warm probe-vantage CHAOS `id.server`
     // query to 1.1.1.1 across the clean home, answered by the Cloudflare
-    // site. Every hop, the CPE's masquerade, the site's reply encode
-    // (thread-shared scratch, pooled payload slab), the interned names on
-    // both parses and the in-place inbox drain are allocation-free; what
-    // remains is the owned `Message` on each side:
-    //   site:  query parse — the question Vec                        1
-    //          response_to — the copied question Vec                 1
-    //          answer Vec, and its TXT RData cloned from the site's
-    //          cached answer (outer Vec + one string)                3
-    //   stub:  the accepted reply's owned Message — question Vec,
-    //          answer Vec, TXT RData (outer Vec + one string)        4
+    // site. Every hop, the CPE's masquerade, the site's view parse and its
+    // reply written from that view around the borrowed cached answer
+    // (thread-shared scratch, pooled payload slab), the interned names and
+    // the in-place inbox drain are allocation-free; what remains is the
+    // owned `Message` the stub materializes from the accepted reply:
+    //   stub:  question Vec, answer Vec,
+    //          TXT RData (outer Vec + one string)                    4
     // The CPE's conntrack gains one entry per query (each query has a
     // fresh source port), and its table grows at the 4th, 8th, 15th, 29th
     // ... entry; the ninth query falls between two growths.
@@ -99,9 +96,9 @@ fn steady_state_probe_path_allocates_nothing() {
     let reply = out.response().expect("answered");
     assert_eq!(reply.answers[0].rdata.txt_string().as_deref(), Some("IAD"));
     assert_eq!(
-        allocs, 9,
+        allocs, 4,
         "warm answered id.server round trip allocated {allocs} times; \
-         9 are the owned messages listed above"
+         4 are the stub's owned reply listed above"
     );
 
     // --- Component: cached query encoding re-stamps the txid in place.

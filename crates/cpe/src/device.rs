@@ -9,11 +9,14 @@
 
 use crate::config::{CpeConfig, DnsMode, ForwarderSpec, InterceptSpec, WanMode};
 use bytes::Bytes;
-use dns_wire::{Message, RClass, Rcode};
+use dns_wire::{Header, Message, MessageView, RClass, Rcode};
 use netsim::{
     CaptureKind, Ctx, Device, DnatRule, IfaceId, IpPacket, NatEngine, NatVerdict, Proto,
 };
-use resolver_sim::{encode_payload, ForwarderCore, FwdAction, ResolveCtx, ZoneDb};
+use resolver_sim::{
+    encode_payload, handle_server_id, local_reply_payload, reply_payload, send_local_reply,
+    send_reply, ForwarderCore, FwdAction, LocalReply, ResolveCtx, ZoneDb,
+};
 use std::any::Any;
 use std::net::IpAddr;
 use std::sync::Arc;
@@ -145,20 +148,18 @@ impl CpeDevice {
 
     fn handle_forwarder_query(&mut self, ctx: &mut Ctx<'_>, request: IpPacket, path: ReplyPath) {
         let Some(udp) = request.udp_payload() else { return };
-        let Ok(query) = Message::parse(&udp.payload) else { return };
+        let Ok(query) = MessageView::parse(&udp.payload) else { return };
         let upstream_v6 = self.spec().and_then(|s| s.upstream_v6);
         let upstream_v4 = self.spec().map(|s| s.upstream_v4);
         // `ForwarderCore` keeps the path only for forwarded queries, so the
         // reply direction of a synchronous answer must be decided here.
         let wan_side = matches!(path, ReplyPath::WanDirect(_));
         let Some(fc) = &mut self.forwarder else { return };
-        match fc.handle_query(query, path) {
-            FwdAction::Respond(resp) => {
-                let Some(payload) = encode_payload(ctx, &resp) else { return };
+        match fc.handle_query(&query, path) {
+            FwdAction::Respond(reply) => {
+                let Some(payload) = local_reply_payload(ctx, &query, reply) else { return };
                 if wan_side {
-                    if let Some(reply) = resolver_sim::reply_packet(&request, payload) {
-                        ctx.send(WAN, reply);
-                    }
+                    send_reply(ctx, WAN, &request, payload);
                 } else {
                     self.send_reply_for(ctx, &request, payload);
                 }
@@ -258,31 +259,29 @@ impl CpeDevice {
     /// whoami probe reveals the CPE itself — the open-recursive signature.
     fn answer_recursively_wan(&mut self, ctx: &mut Ctx<'_>, packet: &IpPacket) {
         let Some(udp) = packet.udp_payload() else { return };
-        let Ok(query) = Message::parse(&udp.payload) else { return };
-        if query.header.qr {
+        let Ok(query) = MessageView::parse(&udp.payload) else { return };
+        if query.header().qr {
             return;
         }
         let Some(spec) = self.spec() else { return };
-        let resp = if let Some(maybe) = resolver_sim::handle_server_id(&query, &spec.profile) {
-            match maybe {
-                Some(resp) => resp,
-                None => return, // profile stays silent on identity queries
-            }
-        } else {
-            let Some(q) = query.question() else { return };
-            if q.qclass != RClass::In {
-                Message::response_to(&query, Rcode::NotImp)
-            } else {
-                let Some(db) = &self.zonedb else { return };
-                let result = db.resolve(q, &ResolveCtx::v4(self.config.wan_v4));
-                let mut resp = Message::response_to(&query, result.rcode);
-                resp.answers = result.answers.clone();
-                resp
-            }
-        };
-        let Some(payload) = encode_payload(ctx, &resp) else { return };
-        if let Some(reply) = resolver_sim::reply_packet(packet, payload) {
-            ctx.send(WAN, reply);
+        let Some(q) = query.question() else { return };
+        if let Some(reply) = handle_server_id(&q, &spec.profile) {
+            // A silent profile sends nothing on identity queries.
+            send_local_reply(ctx, WAN, packet, &query, reply);
+            return;
+        }
+        if q.qclass != RClass::In {
+            send_local_reply(ctx, WAN, packet, &query, Some(LocalReply::Status(Rcode::NotImp)));
+            return;
+        }
+        let Some(db) = &self.zonedb else { return };
+        let result = db.resolve(&q.to_question(), &ResolveCtx::v4(self.config.wan_v4));
+        let header = Header::response_to(query.header(), result.rcode);
+        let payload = reply_payload(ctx, &query, &header, |w| {
+            result.answers.iter().try_for_each(|r| w.answer(r))
+        });
+        if let Some(payload) = payload {
+            send_reply(ctx, WAN, packet, payload);
         }
     }
 
@@ -365,16 +364,10 @@ impl CpeDevice {
                         // outside clients, so they go unanswered.
                         let path = ReplyPath::Direct(packet.clone());
                         let Some(udp) = packet.udp_payload() else { return };
-                        let Ok(query) = Message::parse(&udp.payload) else { return };
+                        let Ok(query) = MessageView::parse(&udp.payload) else { return };
                         let Some(fc) = &mut self.forwarder else { return };
-                        if let FwdAction::Respond(resp) = fc.handle_query(query, path) {
-                            if let Some(payload) = encode_payload(ctx, &resp) {
-                                if let Some(reply) =
-                                    resolver_sim::reply_packet(&packet, payload)
-                                {
-                                    ctx.send(WAN, reply);
-                                }
-                            }
+                        if let FwdAction::Respond(reply) = fc.handle_query(&query, path) {
+                            send_local_reply(ctx, WAN, &packet, &query, Some(reply));
                         }
                     }
                     WanMode::OpenRelay => {

@@ -24,6 +24,7 @@
 use crate::message::{Message, Question};
 use crate::name::Name;
 use crate::types::{RClass, RType};
+use crate::view::QuestionView;
 use std::sync::OnceLock;
 
 /// The fixed debugging names, interned: parsed once per process, and every
@@ -59,28 +60,22 @@ fn interned() -> &'static Interned {
     })
 }
 
-impl Interned {
-    /// The CHAOS server-identification names BIND-like software accepts.
-    fn server_id(&self) -> [&Name; 5] {
-        [
-            &self.version_bind,
-            &self.id_server,
-            &self.hostname_bind,
-            &self.version_server,
-            &self.id_bind,
-        ]
-    }
-}
-
 /// The interned copy of the fixed debugging name whose canonical wire form
 /// is exactly `wire`, case included.
 pub(crate) fn interned_wire(wire: &[u8]) -> Option<&'static Name> {
     let names = interned();
-    names
-        .server_id()
-        .into_iter()
-        .chain([&names.google_myaddr, &names.opendns_debug, &names.whoami_akamai])
-        .find(|name| name.as_wire() == wire)
+    [
+        &names.version_bind,
+        &names.id_server,
+        &names.hostname_bind,
+        &names.version_server,
+        &names.id_bind,
+        &names.google_myaddr,
+        &names.opendns_debug,
+        &names.whoami_akamai,
+    ]
+    .into_iter()
+    .find(|name| name.as_wire() == wire)
 }
 
 /// Returns the `version.bind` name.
@@ -133,9 +128,7 @@ pub fn hostname_bind_query(id: u16) -> Message {
 /// (`version.bind`, `id.server`, `hostname.bind`, or their `.server`/`.bind`
 /// cross-spellings, all of which BIND-like software accepts).
 pub fn is_server_id_question(q: &Question) -> bool {
-    q.qclass == RClass::Chaos
-        && matches!(q.qtype, RType::Txt | RType::Any)
-        && interned().server_id().into_iter().any(|name| q.qname == *name)
+    server_id_kind(q).is_some()
 }
 
 /// Which server-identification question a CHAOS query is asking.
@@ -150,14 +143,31 @@ pub enum ServerIdKind {
 /// Classifies a CHAOS question into version vs identity, or `None` if it is
 /// not a server-identification question.
 pub fn server_id_kind(q: &Question) -> Option<ServerIdKind> {
-    if !is_server_id_question(q) {
-        return None;
-    }
+    asks_chaos_text(q.qclass, q.qtype).then(|| kind_of_name(q.qname.as_wire()))?
+}
+
+/// [`server_id_kind`] of a question still in its message's wire form, as
+/// a server sees it in a query's view. Allocation-free.
+pub fn server_id_kind_view(q: &QuestionView<'_>) -> Option<ServerIdKind> {
+    asks_chaos_text(q.qclass, q.qtype).then(|| q.qname.with_wire(kind_of_name))?
+}
+
+/// True for the class and types server identification is asked in.
+fn asks_chaos_text(qclass: RClass, qtype: RType) -> bool {
+    qclass == RClass::Chaos && matches!(qtype, RType::Txt | RType::Any)
+}
+
+/// The server-identification kind of the name with canonical wire form
+/// `wire`, compared case-insensitively.
+fn kind_of_name(wire: &[u8]) -> Option<ServerIdKind> {
     let names = interned();
-    if q.qname == names.version_bind || q.qname == names.version_server {
+    let is = |name: &Name| name.as_wire().eq_ignore_ascii_case(wire);
+    if is(&names.version_bind) || is(&names.version_server) {
         Some(ServerIdKind::Version)
-    } else {
+    } else if is(&names.id_server) || is(&names.hostname_bind) || is(&names.id_bind) {
         Some(ServerIdKind::Identity)
+    } else {
+        None
     }
 }
 
@@ -217,6 +227,24 @@ mod tests {
             let q = Question::chaos_txt(text.parse().unwrap());
             assert_eq!(server_id_kind(&q), kind, "{text}");
             assert_eq!(is_server_id_question(&q), kind.is_some(), "{text}");
+        }
+    }
+
+    #[test]
+    fn view_classification_agrees_with_owned() {
+        let questions = [
+            Question::chaos_txt("VERSION.bind".parse().unwrap()),
+            Question::chaos_txt("Id.Server".parse().unwrap()),
+            Question { qtype: RType::Any, ..Question::chaos_txt(hostname_bind()) },
+            Question { qname: version_bind(), qtype: RType::A, qclass: RClass::Chaos },
+            Question::new(id_server(), RType::Txt),
+            Question::chaos_txt("id.server.example".parse().unwrap()),
+            Question::chaos_txt(Name::root()),
+        ];
+        for q in questions {
+            let wire = Message::query(1, q.clone()).encode().unwrap();
+            let view = crate::MessageView::parse(&wire).unwrap();
+            assert_eq!(server_id_kind_view(&view.question().unwrap()), server_id_kind(&q), "{q}");
         }
     }
 

@@ -5,6 +5,7 @@ use crate::error::{BuildError, ParseError};
 use crate::name::{Name, NameCompressor};
 use crate::rdata::{encode_with_length, RData};
 use crate::types::{Opcode, RClass, RType, Rcode};
+use crate::view::MessageView;
 use crate::wire::{Reader, Writer};
 use core::fmt;
 
@@ -50,6 +51,24 @@ impl Header {
         }
     }
 
+    /// The header [`Message::response_to`] starts a response to a query
+    /// carrying `query` with: the ID, opcode, RD and CD copied; QR and RA
+    /// set; everything else clear.
+    pub fn response_to(query: &Header, rcode: Rcode) -> Header {
+        Header {
+            id: query.id,
+            qr: true,
+            opcode: query.opcode,
+            aa: false,
+            tc: false,
+            rd: query.rd,
+            ra: true,
+            ad: false,
+            cd: query.cd,
+            rcode,
+        }
+    }
+
     pub(crate) fn parse(r: &mut Reader<'_>) -> Result<(Header, [u16; 4]), ParseError> {
         if r.remaining() < 12 {
             return Err(ParseError::TruncatedHeader);
@@ -72,8 +91,7 @@ impl Header {
         Ok((header, counts))
     }
 
-    fn encode(&self, w: &mut Writer, counts: [u16; 4]) {
-        w.write_u16(self.id);
+    pub(crate) fn encode(&self, w: &mut Writer, counts: [u16; 4]) {
         let mut flags = 0u16;
         if self.qr {
             flags |= 0x8000;
@@ -98,10 +116,11 @@ impl Header {
             flags |= 0x0010;
         }
         flags |= self.rcode.to_u8() as u16;
-        w.write_u16(flags);
-        for c in counts {
-            w.write_u16(c);
+        let mut bytes = [0u8; 12];
+        for (i, field) in [self.id, flags].into_iter().chain(counts).enumerate() {
+            bytes[2 * i..2 * i + 2].copy_from_slice(&field.to_be_bytes());
         }
+        w.write_bytes(&bytes);
     }
 }
 
@@ -126,14 +145,6 @@ impl Question {
     /// CHAOS-class TXT question (e.g. `version.bind`, `id.server`).
     pub fn chaos_txt(qname: Name) -> Question {
         Question { qname, qtype: RType::Txt, qclass: RClass::Chaos }
-    }
-
-    fn parse(r: &mut Reader<'_>) -> Result<Question, ParseError> {
-        Ok(Question {
-            qname: Name::parse(r)?,
-            qtype: RType::from_u16(r.read_u16()?),
-            qclass: RClass::from_u16(r.read_u16()?),
-        })
     }
 
     fn encode(&self, w: &mut Writer, compress: &mut NameCompressor) {
@@ -174,17 +185,11 @@ impl Record {
         Record { name, class: RClass::Chaos, ttl: 0, rdata: RData::txt(text) }
     }
 
-    fn parse(r: &mut Reader<'_>) -> Result<Record, ParseError> {
-        let name = Name::parse(r)?;
-        let rtype = RType::from_u16(r.read_u16()?);
-        let class = RClass::from_u16(r.read_u16()?);
-        let ttl = r.read_u32()?;
-        let rdlength = r.read_u16()?;
-        let rdata = RData::parse(r, rtype, rdlength)?;
-        Ok(Record { name, class, ttl, rdata })
-    }
-
-    fn encode(&self, w: &mut Writer, compress: &mut NameCompressor) -> Result<(), BuildError> {
+    pub(crate) fn encode(
+        &self,
+        w: &mut Writer,
+        compress: &mut NameCompressor,
+    ) -> Result<(), BuildError> {
         self.name.encode(w, Some(compress));
         w.write_u16(self.rdata.rtype().to_u16());
         w.write_u16(self.class.to_u16());
@@ -238,18 +243,7 @@ impl Message {
     /// sets QR and RA. Answers are appended by the caller.
     pub fn response_to(query: &Message, rcode: Rcode) -> Message {
         Message {
-            header: Header {
-                id: query.header.id,
-                qr: true,
-                opcode: query.header.opcode,
-                aa: false,
-                tc: false,
-                rd: query.header.rd,
-                ra: true,
-                ad: false,
-                cd: query.header.cd,
-                rcode,
-            },
+            header: Header::response_to(&query.header, rcode),
             questions: query.questions.clone(),
             answers: Vec::new(),
             authority: Vec::new(),
@@ -268,41 +262,26 @@ impl Message {
         self.questions.first()
     }
 
-    /// Parses a message, tolerating trailing bytes (as real resolvers do).
+    /// Parses a message, tolerating trailing bytes (as real resolvers do):
+    /// a [`MessageView::parse`] materialized by [`MessageView::to_message`].
     pub fn parse(bytes: &[u8]) -> Result<Message, ParseError> {
-        Self::parse_inner(bytes, false)
+        Ok(MessageView::parse(bytes)?.to_message())
     }
 
     /// Parses a message, rejecting trailing bytes.
     pub fn parse_strict(bytes: &[u8]) -> Result<Message, ParseError> {
-        Self::parse_inner(bytes, true)
-    }
-
-    fn parse_inner(bytes: &[u8], strict: bool) -> Result<Message, ParseError> {
-        let mut r = Reader::new(bytes);
-        let (header, counts) = Header::parse(&mut r)?;
-        let mut questions = Vec::with_capacity(counts[0] as usize);
-        for _ in 0..counts[0] {
-            questions.push(Question::parse(&mut r)?);
+        let view = MessageView::parse(bytes)?;
+        match view.trailing_len() {
+            0 => Ok(view.to_message()),
+            remaining => Err(ParseError::TrailingBytes { remaining }),
         }
-        let mut sections: [Vec<Record>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-        for (i, count) in counts[1..].iter().enumerate() {
-            for _ in 0..*count {
-                sections[i].push(Record::parse(&mut r)?);
-            }
-        }
-        if strict && r.remaining() > 0 {
-            return Err(ParseError::TrailingBytes { remaining: r.remaining() });
-        }
-        let [answers, authority, additional] = sections;
-        Ok(Message { header, questions, answers, authority, additional })
     }
 
     /// Encodes the message with name compression.
     pub fn encode(&self) -> Result<Vec<u8>, BuildError> {
-        let mut scratch = EncodeScratch::new();
-        self.encode_into(&mut scratch)?;
-        Ok(std::mem::take(&mut scratch.buf))
+        let mut out = Vec::new();
+        self.encode_to(&mut out, &mut NameCompressor::new())?;
+        Ok(out)
     }
 
     /// Encodes into `scratch`, reusing its buffer and compression-state
@@ -311,39 +290,38 @@ impl Message {
     /// messages keep one scratch alive instead of allocating per message.
     pub fn encode_into<'s>(&self, scratch: &'s mut EncodeScratch) -> Result<&'s [u8], BuildError> {
         let EncodeScratch { buf, compress } = scratch;
-        self.encode_to(buf, compress)?;
-        Ok(buf)
+        buf.clear();
+        self.write(buf, compress)?;
+        Ok(buf.as_slice())
     }
 
     /// Encodes into the caller's buffer (cleared first), reusing `compress`
-    /// for name-compression state. This is the primitive behind both
-    /// [`Message::encode`] and [`Message::encode_into`]; callers that own
-    /// the destination buffer (like [`QueryEncoder`]'s cache slots) encode
-    /// straight into it with no intermediate copy.
+    /// for name-compression state. Callers that own the destination buffer
+    /// (like [`QueryEncoder`]'s cache slots) encode straight into it with
+    /// no intermediate copy.
     pub fn encode_to(&self, out: &mut Vec<u8>, compress: &mut NameCompressor) -> Result<(), BuildError> {
-        for section_len in [
+        let mut w = Writer::from_vec(std::mem::take(out));
+        let written = self.write(&mut w, compress);
+        *out = w.into_bytes();
+        written
+    }
+
+    /// Appends the message to the empty writer `w`.
+    fn write(&self, w: &mut Writer, compress: &mut NameCompressor) -> Result<(), BuildError> {
+        let sections = [
             self.questions.len(),
             self.answers.len(),
             self.authority.len(),
             self.additional.len(),
-        ] {
-            if section_len > u16::MAX as usize {
-                return Err(BuildError::TooManyRecords);
-            }
+        ];
+        let mut counts = [0u16; 4];
+        for (count, len) in counts.iter_mut().zip(sections) {
+            *count = u16::try_from(len).map_err(|_| BuildError::TooManyRecords)?;
         }
-        let mut w = Writer::from_vec(std::mem::take(out));
         compress.clear();
-        self.header.encode(
-            &mut w,
-            [
-                self.questions.len() as u16,
-                self.answers.len() as u16,
-                self.authority.len() as u16,
-                self.additional.len() as u16,
-            ],
-        );
+        self.header.encode(w, counts);
         for q in &self.questions {
-            q.encode(&mut w, compress);
+            q.encode(w, compress);
         }
         let records = self
             .answers
@@ -351,27 +329,23 @@ impl Message {
             .chain(self.authority.iter())
             .chain(self.additional.iter());
         for rec in records {
-            if let Err(e) = rec.encode(&mut w, compress) {
-                *out = w.into_bytes();
-                return Err(e);
-            }
+            rec.encode(w, compress)?;
         }
         if w.len() > u16::MAX as usize {
-            *out = w.into_bytes();
             return Err(BuildError::MessageTooLong);
         }
-        *out = w.into_bytes();
         Ok(())
     }
 }
 
 /// Reusable encode state: the output buffer and the name-compression state.
-/// [`Message::encode_into`] clears and refills both, so one warm scratch
-/// serves any number of encodes without fresh buffer allocations.
+/// [`Message::encode_into`] and [`EncodeScratch::response`] clear and
+/// refill both, so one warm scratch serves any number of encodes without
+/// fresh buffer allocations.
 #[derive(Debug, Default)]
 pub struct EncodeScratch {
-    buf: Vec<u8>,
-    compress: NameCompressor,
+    pub(crate) buf: Writer,
+    pub(crate) compress: NameCompressor,
 }
 
 impl EncodeScratch {

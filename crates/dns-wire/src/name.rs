@@ -35,7 +35,7 @@ const MAX_POINTER_CHASES: usize = 128;
 /// cursor's starting position*, i.e. after the pointer if compressed.
 pub(crate) fn walk_name<'a>(
     r: &mut Reader<'a>,
-    f: &mut dyn FnMut(&'a [u8]) -> bool,
+    mut f: impl FnMut(&'a [u8]) -> bool,
 ) -> Result<bool, ParseError> {
     // Cursor for chasing; once we follow the first pointer we stop
     // advancing the caller's reader.
@@ -97,6 +97,81 @@ pub(crate) fn walk_name<'a>(
             }
         }
     }
+}
+
+/// The canonical wire form and label count of the name at the cursor when
+/// it lies in the buffer in one piece: labels ending in the root octet,
+/// directly or behind one backward pointer. This is the shape of nearly
+/// every name on the wire (a question name, an answer owner pointing at
+/// it), and it needs no copy to read.
+///
+/// On success the cursor ends past the name as [`Name::parse`] leaves it.
+/// Any other shape, valid or not, gives `None` with the cursor untouched;
+/// [`decompress`] then applies the full rules.
+pub(crate) fn contiguous_wire<'a>(r: &mut Reader<'a>) -> Option<(&'a [u8], u8)> {
+    let buf = r.message();
+    let at = r.position();
+    let first = *buf.get(at)?;
+    let (from, after) = if first & 0xC0 == 0xC0 {
+        let target = ((first as usize & 0x3F) << 8) | *buf.get(at + 1)? as usize;
+        if target >= at {
+            return None;
+        }
+        (target, Some(at + 2))
+    } else {
+        (at, None)
+    };
+    let mut pos = from;
+    let mut labels = 0u8;
+    loop {
+        let len = *buf.get(pos)? as usize;
+        if len == 0 {
+            break;
+        }
+        if len > MAX_LABEL_LEN {
+            return None;
+        }
+        pos += 1 + len;
+        labels += 1;
+        if pos - from >= MAX_NAME_LEN {
+            return None;
+        }
+    }
+    let wire = &buf[from..=pos];
+    r.seek(after.unwrap_or(pos + 1)).ok()?;
+    Some((wire, labels))
+}
+
+/// Moves the cursor past the name at it, validating under [`walk_name`]'s
+/// rules: a name in one piece is checked by [`contiguous_wire`]'s light
+/// scan, any other by the full walk.
+pub(crate) fn skip_name(r: &mut Reader<'_>) -> Result<(), ParseError> {
+    if contiguous_wire(r).is_none() {
+        walk_name(r, |_| true)?;
+    }
+    Ok(())
+}
+
+/// Decompresses the name at the cursor into `out` under [`walk_name`]'s
+/// rules, returning the canonical wire length and the label count. The
+/// cursor ends past the name as [`Name::parse`] leaves it.
+pub(crate) fn decompress(
+    r: &mut Reader<'_>,
+    out: &mut [u8; MAX_NAME_LEN],
+) -> Result<(usize, u8), ParseError> {
+    let mut len = 0usize;
+    let mut labels = 0u8;
+    walk_name(r, |label| {
+        // walk_name has already checked the 255-octet bound, so these
+        // writes stay inside the buffer.
+        out[len] = label.len() as u8;
+        out[len + 1..len + 1 + label.len()].copy_from_slice(label);
+        len += 1 + label.len();
+        labels += 1;
+        true
+    })?;
+    out[len] = 0;
+    Ok((len + 1, labels))
 }
 
 /// An owned, validated domain name in wire form.
@@ -181,16 +256,7 @@ impl Name {
     /// compares the remaining suffix bytes directly — no per-call label
     /// collection.
     pub fn is_subdomain_of(&self, other: &Name) -> bool {
-        let mine = self.labels as usize;
-        let theirs = other.labels as usize;
-        if theirs > mine {
-            return false;
-        }
-        let mut pos = 0usize;
-        for _ in 0..mine - theirs {
-            pos += 1 + self.wire[pos] as usize;
-        }
-        self.wire[pos..].eq_ignore_ascii_case(&other.wire)
+        wire_is_subdomain_of(&self.wire, self.labels as usize, other)
     }
 
     /// Returns the parent name (one label stripped), or `None` at the root.
@@ -224,66 +290,84 @@ impl Name {
     /// starting position* (i.e. after the pointer, if the name was
     /// compressed), which is what message parsing needs.
     ///
-    /// Decompresses through a stack buffer (names are at most 255 octets),
-    /// so the only heap allocation is the final shared buffer. A name whose
-    /// wire form is exactly that of one of the fixed debugging-query names
-    /// (case included) shares the interned buffer instead, with no
-    /// allocation at all.
+    /// A name lying in the buffer in one piece (directly, or behind one
+    /// pointer) is read in place; any other is decompressed through a
+    /// stack buffer. Either way the only heap allocation is the final
+    /// shared buffer, and a name whose wire form is exactly that of one of
+    /// the fixed debugging-query names (case included) shares the interned
+    /// buffer instead, with no allocation at all.
     pub fn parse(r: &mut Reader<'_>) -> Result<Self, ParseError> {
-        let mut buf = [0u8; MAX_NAME_LEN];
-        let mut len = 0usize;
-        let mut labels = 0u8;
-        let complete = walk_name(r, &mut |label| {
-            // walk_name has already checked the 255-octet bound, so these
-            // writes stay inside the stack buffer.
-            buf[len] = label.len() as u8;
-            buf[len + 1..len + 1 + label.len()].copy_from_slice(label);
-            len += 1 + label.len();
-            labels += 1;
-            true
-        })?;
-        debug_assert!(complete, "walk_name never aborts with an always-true visitor");
-        buf[len] = 0;
-        len += 1;
-        let wire = &buf[..len];
-        if let Some(name) = crate::debug_queries::interned_wire(wire) {
-            return Ok(name.clone());
+        if let Some((wire, labels)) = contiguous_wire(r) {
+            return Ok(Name::from_wire(wire, labels));
         }
-        Ok(Name { wire: Arc::from(wire), labels })
+        let mut buf = [0u8; MAX_NAME_LEN];
+        let (len, labels) = decompress(r, &mut buf)?;
+        Ok(Name::from_wire(&buf[..len], labels))
+    }
+
+    /// A name over validated canonical wire bytes: the interned copy when
+    /// one matches byte for byte, otherwise a fresh shared buffer.
+    fn from_wire(wire: &[u8], labels: u8) -> Name {
+        match crate::debug_queries::interned_wire(wire) {
+            Some(name) => name.clone(),
+            None => Name { wire: Arc::from(wire), labels },
+        }
     }
 
     /// Encodes the name, compressing against previously written names.
     pub fn encode(&self, w: &mut Writer, compress: Option<&mut NameCompressor>) {
         match compress {
-            Some(comp) => self.encode_compressed(w, comp),
+            Some(comp) => write_compressed(w, comp, &self.wire),
             None => w.write_bytes(&self.wire),
         }
     }
+}
 
-    fn encode_compressed(&self, w: &mut Writer, comp: &mut NameCompressor) {
-        // Walk suffixes from the full name down to the root. Only names
-        // already complete are candidates: a label start recorded while
-        // writing this name leads into bytes not yet written.
-        let completed = comp.starts.len();
-        let mut pos = 0usize;
-        loop {
-            let suffix = &self.wire[pos..];
-            if suffix == [0] {
-                w.write_u8(0);
-                return;
-            }
-            if let Some(offset) = comp.find(w.as_slice(), suffix, completed) {
-                w.write_u16(0xC000 | offset);
-                return;
-            }
-            let here = w.len();
-            if here <= 0x3FFF {
-                comp.starts.push(here as u16);
-            }
-            let label_len = self.wire[pos] as usize;
-            w.write_bytes(&self.wire[pos..pos + 1 + label_len]);
-            pos += 1 + label_len;
+/// [`Name::is_subdomain_of`] for the name with canonical wire form `wire`
+/// and `labels` labels: skips the leading labels in place, then compares
+/// the remaining suffix bytes directly.
+pub(crate) fn wire_is_subdomain_of(wire: &[u8], labels: usize, other: &Name) -> bool {
+    let theirs = other.labels as usize;
+    if theirs > labels {
+        return false;
+    }
+    let mut pos = 0usize;
+    for _ in 0..labels - theirs {
+        pos += 1 + wire[pos] as usize;
+    }
+    wire[pos..].eq_ignore_ascii_case(&other.wire)
+}
+
+/// The number of labels in the canonical wire form `wire`.
+pub(crate) fn label_count(wire: &[u8]) -> usize {
+    LabelIter { wire, pos: 0 }.count()
+}
+
+/// Writes the name whose canonical wire form is `wire`, compressing
+/// against the names `comp` has seen written into `w`.
+pub(crate) fn write_compressed(w: &mut Writer, comp: &mut NameCompressor, wire: &[u8]) {
+    // Walk suffixes from the full name down to the root. Only names
+    // already complete are candidates: a label start recorded while
+    // writing this name leads into bytes not yet written.
+    let completed = comp.starts.len();
+    let mut pos = 0usize;
+    loop {
+        let suffix = &wire[pos..];
+        if suffix == [0] {
+            w.write_u8(0);
+            return;
         }
+        if let Some(offset) = comp.find(w.as_slice(), suffix, completed) {
+            w.write_u16(0xC000 | offset);
+            return;
+        }
+        let here = w.len();
+        if here <= 0x3FFF {
+            comp.starts.push(here as u16);
+        }
+        let label_len = wire[pos] as usize;
+        w.write_bytes(&wire[pos..pos + 1 + label_len]);
+        pos += 1 + label_len;
     }
 }
 

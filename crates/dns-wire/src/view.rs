@@ -1,30 +1,38 @@
-//! Zero-copy message views.
+//! Zero-copy message views, and the crate's one decoder.
 //!
-//! [`MessageView::parse`] validates a DNS message over the input slice —
-//! applying exactly the rules of [`Message::parse`] — without building
-//! owned questions, records, or names. Accessors hand out borrowed
-//! [`QuestionView`]/[`RecordView`] items whose names stay compressed in
-//! place ([`NameRef`]) until a caller actually needs an owned [`Name`].
+//! [`MessageView::parse`] validates a DNS message over the input slice
+//! without building owned questions, records, or names. Accessors hand out
+//! borrowed [`QuestionView`]/[`RecordView`] items whose names stay
+//! compressed in place ([`NameRef`]) until a caller actually needs an owned
+//! [`Name`].
 //!
-//! The steady-state verdict path uses this to answer "is this datagram the
-//! response I am waiting for?" (transaction ID, QR flag, question match)
-//! without a single heap allocation; only messages that survive that
-//! filter — the ones whose records are archived or folded into verdicts —
-//! are materialized via [`MessageView::to_message`].
+//! Receivers use this to decide whether a datagram is one they answer or
+//! accept (transaction ID, QR flag, question count) without a single heap
+//! allocation. Only what survives that filter is materialized:
+//! [`MessageView::to_message`] builds the owned [`Message`] from the
+//! offsets the parse validated, and [`Message::parse`] is exactly that view
+//! parse followed by the materialize, so there is one set of decoding
+//! rules.
 
 use crate::error::ParseError;
 use crate::message::{Header, Message, Question, Record};
-use crate::name::{walk_name, Name};
+use crate::name::{
+    contiguous_wire, decompress, label_count, skip_name, walk_name, wire_is_subdomain_of, Name,
+    MAX_NAME_LEN,
+};
 use crate::rdata::RData;
 use crate::types::{RClass, RType};
 use crate::wire::Reader;
 use core::fmt;
 
+/// What an accessor of a parsed view expects of the bytes it re-reads.
+const VALIDATED: &str = "validated at view parse";
+
 /// A borrowed, validated view of a DNS message.
 ///
 /// Construction walks the entire message (names, counts, RDATA bounds), so
 /// every accessor on a successfully parsed view is infallible:
-/// [`MessageView::parse`] succeeds exactly when [`Message::parse`] would.
+/// [`MessageView::parse`] succeeds exactly when [`Message::parse`] does.
 #[derive(Clone, Copy)]
 pub struct MessageView<'a> {
     buf: &'a [u8],
@@ -33,6 +41,8 @@ pub struct MessageView<'a> {
     /// Byte offsets where each section starts: questions, answers,
     /// authority, additional.
     section_off: [usize; 4],
+    /// Byte offset just past the last record.
+    end: usize,
 }
 
 impl<'a> MessageView<'a> {
@@ -46,7 +56,7 @@ impl<'a> MessageView<'a> {
         let mut section_off = [0usize; 4];
         section_off[0] = r.position();
         for _ in 0..counts[0] {
-            walk_name(&mut r, &mut |_| true)?;
+            skip_name(&mut r)?;
             r.read_u16()?; // qtype
             r.read_u16()?; // qclass
         }
@@ -56,7 +66,13 @@ impl<'a> MessageView<'a> {
                 skip_record(&mut r)?;
             }
         }
-        Ok(MessageView { buf, header, counts, section_off })
+        Ok(MessageView { buf, header, counts, section_off, end: r.position() })
+    }
+
+    /// Number of bytes after the last record, which [`MessageView::parse`]
+    /// tolerates and [`Message::parse_strict`] rejects.
+    pub(crate) fn trailing_len(&self) -> usize {
+        self.buf.len() - self.end
     }
 
     /// The raw message bytes this view borrows.
@@ -112,13 +128,37 @@ impl<'a> MessageView<'a> {
         RecordIter { r, remaining: self.counts[section] }
     }
 
-    /// Materializes the full owned [`Message`].
-    ///
-    /// The view's parse applied exactly the owned parser's rules, so this
-    /// cannot fail.
+    /// Materializes the full owned [`Message`]: one pass over the sections
+    /// from the offsets the parse validated, so it cannot fail. This is the
+    /// crate's only decoder; [`Message::parse`] calls it.
     pub fn to_message(&self) -> Message {
-        Message::parse(self.buf).expect("MessageView::parse validated this buffer")
+        let mut r = Reader::new(self.buf);
+        r.seek(self.section_off[0]).expect(VALIDATED);
+        let questions = (0..self.counts[0]).map(|_| read_question(&mut r)).collect();
+        let mut section = |count: u16| (0..count).map(|_| read_record(&mut r)).collect();
+        let answers = section(self.counts[1]);
+        let authority = section(self.counts[2]);
+        let additional = section(self.counts[3]);
+        Message { header: self.header, questions, answers, authority, additional }
     }
+}
+
+fn read_question(r: &mut Reader<'_>) -> Question {
+    Question {
+        qname: Name::parse(r).expect(VALIDATED),
+        qtype: RType::from_u16(r.read_u16().expect(VALIDATED)),
+        qclass: RClass::from_u16(r.read_u16().expect(VALIDATED)),
+    }
+}
+
+fn read_record(r: &mut Reader<'_>) -> Record {
+    let name = Name::parse(r).expect(VALIDATED);
+    let rtype = RType::from_u16(r.read_u16().expect(VALIDATED));
+    let class = RClass::from_u16(r.read_u16().expect(VALIDATED));
+    let ttl = r.read_u32().expect(VALIDATED);
+    let rdlength = r.read_u16().expect(VALIDATED);
+    let rdata = RData::parse(r, rtype, rdlength).expect(VALIDATED);
+    Record { name, class, ttl, rdata }
 }
 
 impl fmt::Debug for MessageView<'_> {
@@ -131,7 +171,7 @@ impl fmt::Debug for MessageView<'_> {
 }
 
 fn skip_record(r: &mut Reader<'_>) -> Result<(), ParseError> {
-    walk_name(r, &mut |_| true)?;
+    skip_name(r)?;
     let rtype = RType::from_u16(r.read_u16()?);
     let _class = r.read_u16()?;
     let _ttl = r.read_u32()?;
@@ -157,7 +197,7 @@ impl<'a> NameRef<'a> {
         let wire = name.as_wire();
         let mut pos = 0usize;
         let mut matched = true;
-        match walk_name(&mut r, &mut |label| {
+        match walk_name(&mut r, |label| {
             let want = wire[pos] as usize;
             if want == 0
                 || want != label.len()
@@ -174,12 +214,34 @@ impl<'a> NameRef<'a> {
         }
     }
 
-    /// Decompresses into an owned [`Name`]. One allocation (the shared
-    /// name buffer); only called once a message leaves the filter path.
+    /// [`Name::is_subdomain_of`] without materializing this name: true if
+    /// it equals `other` or lies under it, case-insensitively. No
+    /// allocation.
+    pub fn is_subdomain_of(&self, other: &Name) -> bool {
+        self.with_wire(|wire| wire_is_subdomain_of(wire, label_count(wire), other))
+    }
+
+    /// Decompresses into an owned [`Name`]. At most one allocation (the
+    /// shared name buffer, none for an interned debugging name); only
+    /// called once a message leaves the filter path.
     pub fn to_name(&self) -> Name {
         let mut r = Reader::new(self.buf);
         r.seek(self.off).expect("offset from a validated view");
-        Name::parse(&mut r).expect("name validated at view parse")
+        Name::parse(&mut r).expect(VALIDATED)
+    }
+
+    /// Calls `f` with the name's canonical (uncompressed) wire form: read
+    /// in place when the name lies in one piece, decompressed on the stack
+    /// otherwise. Never allocates.
+    pub(crate) fn with_wire<R>(&self, f: impl FnOnce(&[u8]) -> R) -> R {
+        let mut r = Reader::new(self.buf);
+        r.seek(self.off).expect("offset from a validated view");
+        if let Some((wire, _)) = contiguous_wire(&mut r) {
+            return f(wire);
+        }
+        let mut buf = [0u8; MAX_NAME_LEN];
+        let (len, _) = decompress(&mut r, &mut buf).expect(VALIDATED);
+        f(&buf[..len])
     }
 }
 
@@ -235,7 +297,7 @@ impl<'a> Iterator for QuestionIter<'a> {
         self.remaining -= 1;
         let buf = self.r.message();
         let off = self.r.position();
-        walk_name(&mut self.r, &mut |_| true).expect("validated at view parse");
+        skip_name(&mut self.r).expect(VALIDATED);
         let qtype = RType::from_u16(self.r.read_u16().expect("validated"));
         let qclass = RClass::from_u16(self.r.read_u16().expect("validated"));
         Some(QuestionView { qname: NameRef { buf, off }, qtype, qclass })
@@ -270,7 +332,7 @@ impl RecordView<'_> {
     pub fn rdata(&self) -> RData {
         let mut r = Reader::new(self.buf);
         r.seek(self.rdata_off).expect("offset from a validated view");
-        RData::parse(&mut r, self.rtype, self.rdlength).expect("rdata validated at view parse")
+        RData::parse(&mut r, self.rtype, self.rdlength).expect(VALIDATED)
     }
 
     /// The IPv4 address, when this is an A record. Allocation-free.
@@ -314,13 +376,13 @@ impl<'a> Iterator for RecordIter<'a> {
         self.remaining -= 1;
         let buf = self.r.message();
         let off = self.r.position();
-        walk_name(&mut self.r, &mut |_| true).expect("validated at view parse");
+        skip_name(&mut self.r).expect(VALIDATED);
         let rtype = RType::from_u16(self.r.read_u16().expect("validated"));
         let class = RClass::from_u16(self.r.read_u16().expect("validated"));
         let ttl = self.r.read_u32().expect("validated");
         let rdlength = self.r.read_u16().expect("validated");
         let rdata_off = self.r.position();
-        RData::skip(&mut self.r, rtype, rdlength).expect("validated at view parse");
+        RData::skip(&mut self.r, rtype, rdlength).expect(VALIDATED);
         Some(RecordView {
             name: NameRef { buf, off },
             rtype,
@@ -415,6 +477,29 @@ mod tests {
         let mut padded = bytes.clone();
         padded.extend_from_slice(b"junk");
         assert!(MessageView::parse(&padded).is_ok());
+    }
+
+    #[test]
+    fn name_refs_test_subdomains_like_names() {
+        let apexes: Vec<Name> = ["example.com", "EXAMPLE.com", "com", "b.example.com", "org", "."]
+            .iter()
+            .map(|s| s.parse().unwrap())
+            .collect();
+        let name: Name = "a.b.example.com".parse().unwrap();
+        let query = Message::query(3, Question::new("example.com".parse().unwrap(), RType::A));
+        let mut resp = Message::response_to(&query, Rcode::NoError);
+        // The answer's owner compresses against the question: a pointer
+        // after a label.
+        resp.answers.push(Record::new(name.clone(), 5, RData::A(Ipv4Addr::LOCALHOST)));
+        let bytes = resp.encode().unwrap();
+        let view = MessageView::parse(&bytes).unwrap();
+        let owner = view.answers().next().unwrap().name;
+        let qname = view.question().unwrap().qname;
+        for apex in &apexes {
+            assert_eq!(owner.is_subdomain_of(apex), name.is_subdomain_of(apex), "{apex}");
+            let q = qname.to_name();
+            assert_eq!(qname.is_subdomain_of(apex), q.is_subdomain_of(apex), "{apex}");
+        }
     }
 
     #[test]

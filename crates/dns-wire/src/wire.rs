@@ -104,6 +104,11 @@ impl Writer {
         Writer { buf }
     }
 
+    /// Forgets the bytes written so far, keeping the allocation.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+    }
+
     /// Bytes written so far.
     pub fn len(&self) -> usize {
         self.buf.len()

@@ -1,8 +1,10 @@
-//! Property-based parity between the zero-copy `MessageView` and the owned
-//! `Message::parse` path: on *any* input — well-formed, mutated, or raw
-//! garbage — both parsers must accept exactly the same byte strings, and on
-//! acceptance the view's accessors must agree field-for-field with the
-//! owned structures.
+//! Property-based checks of the one decoder: `Message::parse` is a
+//! `MessageView::parse` materialized by `MessageView::to_message`. On *any*
+//! input — well-formed, mutated, or raw garbage — the two entry points
+//! accept exactly the same byte strings; on acceptance the view's lazy
+//! accessors agree field-for-field with the materialized message, and that
+//! message re-encodes to bytes that decode back to it. A well-formed
+//! message round-trips through the view unchanged.
 
 use dns_wire::{
     Header, Message, MessageView, Name, Opcode, Question, RClass, RData, RType, Rcode, Record, Soa,
@@ -99,8 +101,9 @@ fn arb_message() -> impl Strategy<Value = Message> {
         })
 }
 
-/// Core parity assertion: both parsers accept or reject together, and on
-/// acceptance every field the view exposes equals the owned counterpart.
+/// Core parity assertion: both entry points accept or reject together, on
+/// acceptance every field the view exposes equals the owned counterpart,
+/// and the owned message survives a re-encode.
 fn assert_parity(bytes: &[u8]) -> Result<(), TestCaseError> {
     let owned = Message::parse(bytes);
     let view = MessageView::parse(bytes);
@@ -133,6 +136,8 @@ fn assert_parity(bytes: &[u8]) -> Result<(), TestCaseError> {
                 }
             }
             prop_assert_eq!(&v.to_message(), msg);
+            let reencoded = msg.encode().expect("a decoded message encodes");
+            prop_assert_eq!(&Message::parse_strict(&reencoded).expect("re-encoding decodes"), msg);
         }
         (Err(eo), Err(ev)) => {
             prop_assert_eq!(eo, ev);
@@ -158,6 +163,7 @@ proptest! {
     fn parity_on_wellformed_messages(msg in arb_message()) {
         let bytes = msg.encode().unwrap();
         assert_parity(&bytes)?;
+        prop_assert_eq!(MessageView::parse(&bytes).unwrap().to_message(), msg);
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //! in-packet iterative path reveals exactly the egress the querying
 //! recursor used.
 
-use crate::server::send_reply;
+use crate::server::{local_reply_payload, reply_payload, send_reply, LocalReply};
 use crate::zone::{ResolveCtx, Zone, ZoneAnswer};
-use dns_wire::{Message, Name, RData, Rcode, Record};
+use bytes::Bytes;
+use dns_wire::{Header, MessageView, Name, Question, RData, Rcode, Record};
 use netsim::{Ctx, Device, FxHashSet, IfaceId, IpPacket};
 use std::any::Any;
 use std::net::IpAddr;
@@ -78,55 +79,56 @@ impl AuthoritativeServer {
             .max_by_key(|z| z.apex.label_count())
     }
 
-    fn answer(&self, query: &Message, src: IpAddr) -> Message {
-        let Some(q) = query.question() else {
-            return Message::response_to(query, Rcode::FormErr);
-        };
+    fn answer(
+        &self,
+        ctx: &mut Ctx<'_>,
+        query: &MessageView<'_>,
+        q: &Question,
+        src: IpAddr,
+    ) -> Option<Bytes> {
         let Some(served) = self.best_zone(&q.qname) else {
             // Not our zone: real authoritatives REFUSE.
-            return Message::response_to(query, Rcode::Refused);
+            return local_reply_payload(ctx, query, LocalReply::Status(Rcode::Refused));
         };
-        // Delegated below us? Emit a referral.
+        // Delegated below us? Emit a referral: NS records for the child,
+        // then their glue.
         if let Some(delegation) = served
             .delegations
             .iter()
             .filter(|d| q.qname.is_subdomain_of(&d.child))
             .max_by_key(|d| d.child.label_count())
         {
-            let mut resp = Message::response_to(query, Rcode::NoError);
-            resp.header.aa = false;
-            for (ns, glue) in &delegation.nameservers {
-                resp.authority.push(Record::new(
-                    delegation.child.clone(),
-                    172800,
-                    RData::Ns(ns.clone()),
-                ));
-                let glue_rdata = match glue {
-                    IpAddr::V4(v4) => RData::A(*v4),
-                    IpAddr::V6(v6) => RData::Aaaa(*v6),
-                };
-                resp.additional.push(Record::new(ns.clone(), 172800, glue_rdata));
-            }
-            return resp;
+            let header = Header::response_to(query.header(), Rcode::NoError);
+            return reply_payload(ctx, query, &header, |w| {
+                for (ns, _) in &delegation.nameservers {
+                    let rdata = RData::Ns(ns.clone());
+                    w.authority(&Record::new(delegation.child.clone(), 172800, rdata))?;
+                }
+                for (ns, glue) in &delegation.nameservers {
+                    let glue_rdata = match glue {
+                        IpAddr::V4(v4) => RData::A(*v4),
+                        IpAddr::V6(v6) => RData::Aaaa(*v6),
+                    };
+                    w.additional(&Record::new(ns.clone(), 172800, glue_rdata))?;
+                }
+                Ok(())
+            });
         }
         // Authoritative data. The reflector context is the *packet source*:
         // whoever asks is whom reflector zones reveal.
-        let ctx = match src {
+        let asker = match src {
             IpAddr::V4(v4) => ResolveCtx { egress_v4: Some(v4), egress_v6: None },
             IpAddr::V6(v6) => ResolveCtx { egress_v4: None, egress_v6: Some(v6) },
         };
-        let mut resp = match served.zone.lookup(q, &ctx) {
-            ZoneAnswer::Records(records) => {
-                let mut r = Message::response_to(query, Rcode::NoError);
-                r.answers = records;
-                r
-            }
-            ZoneAnswer::NoData => Message::response_to(query, Rcode::NoError),
-            ZoneAnswer::NxDomain => Message::response_to(query, Rcode::NxDomain),
+        let (rcode, records) = match served.zone.lookup(q, &asker) {
+            ZoneAnswer::Records(records) => (Rcode::NoError, records),
+            ZoneAnswer::NoData => (Rcode::NoError, Vec::new()),
+            ZoneAnswer::NxDomain => (Rcode::NxDomain, Vec::new()),
         };
-        resp.header.aa = true;
-        resp.header.ra = false;
-        resp
+        let mut header = Header::response_to(query.header(), rcode);
+        header.aa = true;
+        header.ra = false;
+        reply_payload(ctx, query, &header, |w| records.iter().try_for_each(|r| w.answer(r)))
     }
 }
 
@@ -136,13 +138,19 @@ impl Device for AuthoritativeServer {
         if udp.dst_port != 53 || !self.service_addrs.contains(&packet.dst()) {
             return;
         }
-        let Ok(query) = Message::parse(&udp.payload) else { return };
-        if query.header.qr {
+        let Ok(query) = MessageView::parse(&udp.payload) else { return };
+        if query.header().qr {
             return;
         }
         self.queries_handled += 1;
-        let resp = self.answer(&query, packet.src());
-        send_reply(ctx, iface, &packet, &resp);
+        let payload = match query.question() {
+            Some(q) => self.answer(ctx, &query, &q.to_question(), packet.src()),
+            // Nothing to look up without a question.
+            None => local_reply_payload(ctx, &query, LocalReply::Status(Rcode::FormErr)),
+        };
+        if let Some(payload) = payload {
+            send_reply(ctx, iface, &packet, payload);
+        }
     }
 
     fn name(&self) -> &str {
@@ -161,9 +169,8 @@ impl Device for AuthoritativeServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
     use crate::zone::StaticZone;
-    use dns_wire::{Question, RType};
+    use dns_wire::{Message, RType};
     use netsim::{Host, SimDuration, Simulator};
 
     fn example_zone() -> Arc<dyn Zone> {
@@ -190,11 +197,14 @@ mod tests {
     }
 
     fn ask(question: Question, src: &str) -> Message {
+        ask_message(&Message::query(1, question), src)
+    }
+
+    fn ask_message(msg: &Message, src: &str) -> Message {
         let mut sim = Simulator::new(1);
         let client = sim.add_device(Host::boxed("c", [src.parse::<IpAddr>().unwrap()]));
         let s = sim.add_device(server().boxed());
         sim.connect((client, IfaceId(0)), (s, IfaceId(0)), SimDuration::from_millis(1));
-        let msg = Message::query(1, question);
         let pkt = IpPacket::udp(
             src.parse().unwrap(),
             "192.0.32.1".parse().unwrap(),
@@ -232,6 +242,14 @@ mod tests {
     fn out_of_bailiwick_is_refused() {
         let resp = ask(Question::new("example.org".parse().unwrap(), RType::A), "10.0.0.1");
         assert_eq!(resp.header.rcode, Rcode::Refused);
+    }
+
+    #[test]
+    fn query_without_a_question_gets_formerr() {
+        let mut query = Message::query(7, Question::new("www.example.com".parse().unwrap(), RType::A));
+        query.questions.clear();
+        let resp = ask_message(&query, "10.0.0.1");
+        assert_eq!(resp, Message::response_to(&query, Rcode::FormErr));
     }
 
     #[test]

@@ -31,12 +31,13 @@ impl DnsCache {
         (q.qname.clone(), q.qtype.to_u16(), q.qclass.to_u16())
     }
 
-    /// Looks up a fresh entry.
-    pub fn get(&mut self, q: &Question, now: SimTime) -> Option<ResolveResult> {
+    /// Looks up a fresh entry, borrowed: a server writes its records
+    /// straight into the reply.
+    pub fn get(&mut self, q: &Question, now: SimTime) -> Option<&ResolveResult> {
         match self.map.get(&Self::key(q)) {
             Some((expiry, result)) if *expiry > now => {
                 self.hits += 1;
-                Some(result.clone())
+                Some(result)
             }
             _ => {
                 self.misses += 1;

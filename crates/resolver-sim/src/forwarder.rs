@@ -4,20 +4,25 @@
 //! The forwarder answers CHAOS server-identification queries itself — the
 //! property the paper's step 2 exploits — and relays everything else to a
 //! configured upstream, remapping transaction IDs. It is transport-free:
-//! the CPE device feeds it parsed messages and ships the actions it returns.
+//! the CPE device feeds it the views of client queries and parsed upstream
+//! responses, and ships the actions it returns.
 
-use crate::server::handle_server_id;
+use crate::server::{apply_chaos_policy, LocalReply};
 use crate::software::SoftwareProfile;
-use dns_wire::{Message, Name, RClass, Rcode};
+use dns_wire::debug_queries;
+use dns_wire::{Message, MessageView, Name, RClass, Rcode};
 use netsim::FxHashMap;
 use std::net::IpAddr;
 
 /// What the forwarder wants done with a client query.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FwdAction {
-    /// Answer the client directly with this message.
-    Respond(Message),
-    /// Send this (ID-remapped) query to the upstream resolver.
+pub enum FwdAction<'p> {
+    /// Answer the client directly with this reply, written from the
+    /// query's view.
+    Respond(LocalReply<'p>),
+    /// Send this (ID-remapped) query to the upstream resolver. The only
+    /// case that materializes the query: it is held until the answer
+    /// comes back.
     Forward(Message),
     /// Say nothing.
     Drop,
@@ -71,34 +76,32 @@ impl<M> ForwarderCore<M> {
 
     /// Processes a client query; `meta` is returned when the upstream
     /// response arrives.
-    pub fn handle_query(&mut self, query: Message, meta: M) -> FwdAction {
-        if query.header.qr {
+    pub fn handle_query(&mut self, query: &MessageView<'_>, meta: M) -> FwdAction<'_> {
+        if query.header().qr {
             return FwdAction::Drop;
         }
         let Some(q) = query.question() else { return FwdAction::Drop };
 
         // CHAOS server-identification handled locally — the step-2 hook.
-        if let Some(maybe_resp) = handle_server_id(&query, &self.profile) {
+        if let Some(kind) = debug_queries::server_id_kind_view(&q) {
             self.answered_locally += 1;
-            return match maybe_resp {
-                Some(resp) => FwdAction::Respond(resp),
-                None => FwdAction::Drop,
-            };
+            let reply = apply_chaos_policy(self.profile.policy(kind));
+            return reply.map_or(FwdAction::Drop, FwdAction::Respond);
         }
         if q.qclass != RClass::In {
             self.answered_locally += 1;
-            return FwdAction::Respond(Message::response_to(&query, Rcode::NotImp));
+            return FwdAction::Respond(LocalReply::Status(Rcode::NotImp));
         }
         if self.blocklist.iter().any(|b| q.qname.is_subdomain_of(b)) {
             self.answered_locally += 1;
-            return FwdAction::Respond(Message::response_to(&query, Rcode::NxDomain));
+            return FwdAction::Respond(LocalReply::Status(Rcode::NxDomain));
         }
 
         // Relay with a fresh transaction ID.
-        let orig_txid = query.header.id;
+        let orig_txid = query.header().id;
         let txid = self.allocate_txid();
         self.pending.insert(txid, PendingQuery { orig_txid, meta });
-        let mut relayed = query;
+        let mut relayed = query.to_message();
         relayed.header.id = txid;
         self.forwarded += 1;
         FwdAction::Forward(relayed)
@@ -138,21 +141,24 @@ mod tests {
         ForwarderCore::new(SoftwareProfile::dnsmasq("2.85"), "75.75.75.75".parse().unwrap())
     }
 
-    fn a_query(id: u16, name: &str) -> Message {
-        Message::query(id, Question::new(name.parse().unwrap(), RType::A))
+    fn a_query(id: u16, name: &str) -> Vec<u8> {
+        Message::query(id, Question::new(name.parse().unwrap(), RType::A)).encode().unwrap()
+    }
+
+    fn wire(query: &Message) -> Vec<u8> {
+        query.encode().unwrap()
+    }
+
+    fn view(wire: &[u8]) -> MessageView<'_> {
+        MessageView::parse(wire).unwrap()
     }
 
     #[test]
     fn version_bind_answered_locally() {
         let mut f = fwd();
-        let action = f.handle_query(debug_queries::version_bind_query(42), 0);
-        match action {
-            FwdAction::Respond(resp) => {
-                assert_eq!(resp.header.id, 42);
-                assert_eq!(resp.answers[0].rdata.txt_string().unwrap(), "dnsmasq-2.85");
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        let query = wire(&debug_queries::version_bind_query(42));
+        let action = f.handle_query(&view(&query), 0);
+        assert_eq!(action, FwdAction::Respond(LocalReply::Text("dnsmasq-2.85")));
         assert_eq!(f.answered_locally, 1);
         assert_eq!(f.forwarded, 0);
     }
@@ -160,12 +166,13 @@ mod tests {
     #[test]
     fn in_queries_forwarded_with_remapped_txid() {
         let mut f = fwd();
-        let action = f.handle_query(a_query(7, "example.com"), 99);
-        let relayed = match action {
+        let query = a_query(7, "example.com");
+        let relayed = match f.handle_query(&view(&query), 99) {
             FwdAction::Forward(m) => m,
             other => panic!("unexpected {other:?}"),
         };
         assert_ne!(relayed.header.id, 7);
+        assert_eq!(relayed.questions, Message::parse(&query).unwrap().questions);
         assert_eq!(f.pending_len(), 1);
 
         // Upstream answers with the relayed ID; forwarder restores 7 and
@@ -184,11 +191,12 @@ mod tests {
     #[test]
     fn unexpected_upstream_response_rejected() {
         let mut f = fwd();
-        let fake = Message::response_to(&a_query(1, "example.com"), Rcode::NoError);
+        let query = Message::parse(&a_query(1, "example.com")).unwrap();
+        let fake = Message::response_to(&query, Rcode::NoError);
         assert!(f.handle_upstream_response(fake).is_none());
         // Non-response messages are also rejected.
-        let action = f.handle_query(a_query(2, "example.com"), 0);
-        let relayed = match action {
+        let query = a_query(2, "example.com");
+        let relayed = match f.handle_query(&view(&query), 0) {
             FwdAction::Forward(m) => m,
             other => panic!("unexpected {other:?}"),
         };
@@ -202,12 +210,14 @@ mod tests {
     fn blocklist_answers_nxdomain() {
         let mut f = fwd();
         f.blocklist.push("doubleclick.net".parse().unwrap());
-        match f.handle_query(a_query(3, "ads.doubleclick.net"), 0) {
-            FwdAction::Respond(resp) => assert_eq!(resp.header.rcode, Rcode::NxDomain),
-            other => panic!("unexpected {other:?}"),
-        }
+        let blocked = a_query(3, "ads.DoubleClick.net");
+        assert_eq!(
+            f.handle_query(&view(&blocked), 0),
+            FwdAction::Respond(LocalReply::Status(Rcode::NxDomain))
+        );
         // Non-blocked names still forward.
-        assert!(matches!(f.handle_query(a_query(4, "example.com"), 0), FwdAction::Forward(_)));
+        let query = a_query(4, "example.com");
+        assert!(matches!(f.handle_query(&view(&query), 0), FwdAction::Forward(_)));
     }
 
     #[test]
@@ -216,7 +226,8 @@ mod tests {
             SoftwareProfile::chaos_silent("mute"),
             "75.75.75.75".parse().unwrap(),
         );
-        assert_eq!(f.handle_query(debug_queries::version_bind_query(1), ()), FwdAction::Drop);
+        let query = wire(&debug_queries::version_bind_query(1));
+        assert_eq!(f.handle_query(&view(&query), ()), FwdAction::Drop);
     }
 
     #[test]
@@ -230,10 +241,11 @@ mod tests {
                 qclass: RClass::Hesiod,
             },
         );
-        match f.handle_query(q, 0) {
-            FwdAction::Respond(resp) => assert_eq!(resp.header.rcode, Rcode::NotImp),
-            other => panic!("unexpected {other:?}"),
-        }
+        let query = wire(&q);
+        assert_eq!(
+            f.handle_query(&view(&query), 0),
+            FwdAction::Respond(LocalReply::Status(Rcode::NotImp))
+        );
     }
 
     #[test]
@@ -241,7 +253,8 @@ mod tests {
         let mut f = fwd();
         let mut ids = std::collections::HashSet::new();
         for i in 0..100 {
-            match f.handle_query(a_query(i, "example.com"), 0) {
+            let query = a_query(i, "example.com");
+            match f.handle_query(&view(&query), 0) {
                 FwdAction::Forward(m) => assert!(ids.insert(m.header.id)),
                 other => panic!("unexpected {other:?}"),
             }

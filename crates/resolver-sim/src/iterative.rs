@@ -9,10 +9,10 @@
 //! hold on the true packet path).
 
 use crate::cache::DnsCache;
-use crate::server::{encode_payload, handle_server_id, send_reply};
+use crate::server::{encode_payload, handle_server_id, send_local_reply, LocalReply};
 use crate::software::SoftwareProfile;
 use crate::zone::ResolveResult;
-use dns_wire::{Message, Name, Question, RClass, RData, RType, Rcode, Record};
+use dns_wire::{Message, MessageView, Name, Question, RClass, RData, RType, Rcode, Record};
 use netsim::{Ctx, Device, FxHashMap, FxHashSet, IfaceId, IpPacket, SimDuration};
 use std::any::Any;
 use std::net::IpAddr;
@@ -132,7 +132,7 @@ impl IterativeResolver {
         self.next_txid
     }
 
-    fn respond_client(&mut self, ctx: &mut Ctx<'_>, client: &ClientInfo, mut resp: Message) {
+    fn respond_client(ctx: &mut Ctx<'_>, client: &ClientInfo, mut resp: Message) {
         resp.header.id = client.txid;
         resp.header.qr = true;
         resp.header.ra = true;
@@ -145,7 +145,6 @@ impl IterativeResolver {
     }
 
     fn respond_result(
-        &mut self,
         ctx: &mut Ctx<'_>,
         client: &ClientInfo,
         original: &Question,
@@ -154,7 +153,7 @@ impl IterativeResolver {
         let query = Message::query(client.txid, original.clone());
         let mut resp = Message::response_to(&query, result.rcode);
         resp.answers = result.answers.clone();
-        self.respond_client(ctx, client, resp);
+        Self::respond_client(ctx, client, resp);
     }
 
     fn send_upstream(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, txid: u16) {
@@ -182,43 +181,44 @@ impl IterativeResolver {
             self.servfails += u64::from(rcode == Rcode::ServFail);
             let query = Message::query(iter.client.txid, iter.original.clone());
             let resp = Message::response_to(&query, rcode);
-            self.respond_client(ctx, &iter.client, resp);
+            Self::respond_client(ctx, &iter.client, resp);
         }
     }
 
     fn handle_client_query(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, packet: &IpPacket) {
         let udp = packet.udp_payload().expect("caller checked");
-        let Ok(query) = Message::parse(&udp.payload) else { return };
-        if query.header.qr {
+        let Ok(query) = MessageView::parse(&udp.payload) else { return };
+        if query.header().qr {
             return;
         }
-        let Some(q) = query.question().cloned() else { return };
+        let Some(question) = query.question() else { return };
         self.queries_handled += 1;
 
-        // CHAOS identity queries are answered locally.
-        if let Some(maybe) = handle_server_id(&query, &self.profile) {
-            if let Some(resp) = maybe {
-                send_reply(ctx, iface, packet, &resp);
-            }
+        // CHAOS identity queries are answered locally, straight from the
+        // query's view.
+        if let Some(reply) = handle_server_id(&question, &self.profile) {
+            send_local_reply(ctx, iface, packet, &query, reply);
             return;
         }
-        if q.qclass != RClass::In {
-            let resp = Message::response_to(&query, Rcode::NotImp);
-            send_reply(ctx, iface, packet, &resp);
+        if question.qclass != RClass::In {
+            let reply = Some(LocalReply::Status(Rcode::NotImp));
+            send_local_reply(ctx, iface, packet, &query, reply);
             return;
         }
 
+        // A resolution is held across events, so it keeps its question.
+        let q = question.to_question();
         let client = ClientInfo {
             iface,
             src: packet.src(),
             sport: udp.src_port,
             queried: packet.dst(),
-            txid: query.header.id,
+            txid: query.header().id,
         };
 
         // Cache.
         if let Some(result) = self.cache.get(&q, ctx.now()) {
-            self.respond_result(ctx, &client, &q, &result);
+            Self::respond_result(ctx, &client, &q, result);
             return;
         }
 
@@ -264,7 +264,7 @@ impl IterativeResolver {
                 answers.extend(resp.answers);
                 let result = ResolveResult { rcode, answers, authenticated: false };
                 self.cache.put(&iter.original, result.clone(), ctx.now());
-                self.respond_result(ctx, &iter.client, &iter.original, &result);
+                Self::respond_result(ctx, &iter.client, &iter.original, &result);
                 return;
             }
             _ => {
@@ -309,7 +309,7 @@ impl IterativeResolver {
             let result =
                 ResolveResult { rcode: Rcode::NoError, answers, authenticated: false };
             self.cache.put(&iter.original, result.clone(), ctx.now());
-            self.respond_result(ctx, &iter.client, &iter.original, &result);
+            Self::respond_result(ctx, &iter.client, &iter.original, &result);
             return;
         }
 
@@ -350,7 +350,7 @@ impl IterativeResolver {
         answers.extend(resp.answers);
         let result = ResolveResult { rcode: Rcode::NoError, answers, authenticated: false };
         self.cache.put(&iter.original, result.clone(), ctx.now());
-        self.respond_result(ctx, &iter.client, &iter.original, &result);
+        Self::respond_result(ctx, &iter.client, &iter.original, &result);
     }
 }
 

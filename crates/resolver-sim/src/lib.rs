@@ -35,7 +35,10 @@ pub use iterative::IterativeResolver;
 pub use forwarder::{ForwarderCore, FwdAction, PendingQuery};
 pub use public_site::{PublicBrand, PublicResolverSite};
 pub use recursive::RecursiveResolver;
-pub use server::{apply_chaos_policy, encode_payload, handle_server_id, reply_packet};
+pub use server::{
+    apply_chaos_policy, encode_payload, handle_server_id, local_reply_payload, reply_packet,
+    reply_payload, send_local_reply, send_reply, LocalReply,
+};
 pub use software::{ChaosPolicy, SoftwareProfile};
 pub use zone::{
     ReflectKind, ReflectorZone, ResolveCtx, ResolveResult, StaticZone, Zone, ZoneAnswer, ZoneDb,

@@ -1,10 +1,11 @@
 //! Anycast sites of the four public resolvers, with the location-query
 //! semantics of paper Table 1.
 
-use crate::server::send_reply;
+use crate::server::{local_reply_payload, reply_payload, send_reply, LocalReply};
 use crate::zone::{ResolveCtx, ZoneDb};
+use bytes::Bytes;
 use dns_wire::debug_queries::{self, ServerIdKind};
-use dns_wire::{Message, Name, RClass, RData, RType, Rcode, Record};
+use dns_wire::{Header, MessageView, Name, Question, RClass, RData, RType, Rcode};
 use netsim::{Ctx, Device, FxHashSet, IfaceId, IpPacket};
 use std::any::Any;
 use std::net::IpAddr;
@@ -49,10 +50,11 @@ pub struct PublicResolverSite {
     /// Total queries handled.
     pub queries_handled: u64,
     /// The TXT answers the site serves, each built the first time it is
-    /// asked for: the identity, the version, and the OpenDNS debug string.
+    /// asked for and written borrowed into every reply: the identity, the
+    /// version, and the OpenDNS debug strings (server, then flags).
     identity_txt: Option<RData>,
     version_txt: Option<RData>,
-    debug_txt: Option<RData>,
+    debug_txt: Option<[RData; 2]>,
 }
 
 impl PublicResolverSite {
@@ -114,8 +116,12 @@ impl PublicResolverSite {
         }
     }
 
-    fn answer_chaos(&mut self, query: &Message, kind: ServerIdKind) -> Message {
-        let q = query.question().expect("caller checked");
+    fn answer_chaos(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        query: &MessageView<'_>,
+        kind: ServerIdKind,
+    ) -> Option<Bytes> {
         let text = match kind {
             // Only Quad9 answers version.bind (§3.2).
             ServerIdKind::Version if self.brand == PublicBrand::Quad9 => {
@@ -133,37 +139,40 @@ impl PublicResolverSite {
             }
         };
         match text {
-            Some(rdata) => Message::response_to(query, Rcode::NoError).with_answer(Record {
-                class: RClass::Chaos,
-                ..Record::new(q.qname.clone(), 0, rdata.clone())
-            }),
-            None => Message::response_to(query, Rcode::NotImp),
+            Some(rdata) => {
+                let header = Header::response_to(query.header(), Rcode::NoError);
+                reply_payload(ctx, query, &header, |w| w.answer_question(RClass::Chaos, 0, rdata))
+            }
+            None => local_reply_payload(ctx, query, LocalReply::Status(Rcode::NotImp)),
         }
     }
 
-    fn answer_in(&mut self, query: &Message) -> Message {
-        let q = query.question().expect("caller checked");
+    fn answer_in(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        query: &MessageView<'_>,
+        q: &Question,
+    ) -> Option<Bytes> {
         // OpenDNS synthesizes debug.opendns.com at the resolver itself.
         if self.brand == PublicBrand::OpenDns && is_opendns_debug(&q.qname) && q.qtype == RType::Txt
         {
             let (node_index, iata) = (self.node_index, &self.iata);
-            let server = self.debug_txt.get_or_insert_with(|| {
-                RData::txt(format!("server m{node_index}.{}", iata.to_ascii_lowercase()))
+            let [server, flags] = self.debug_txt.get_or_insert_with(|| {
+                [
+                    RData::txt(format!("server m{node_index}.{}", iata.to_ascii_lowercase())),
+                    RData::txt("flags: 20 0 2F8 0"),
+                ]
             });
-            let mut resp = Message::response_to(query, Rcode::NoError);
-            resp.answers.push(Record::new(q.qname.clone(), 0, server.clone()));
-            resp.answers.push(Record::new(
-                q.qname.clone(),
-                0,
-                RData::txt("flags: 20 0 2F8 0"),
-            ));
-            return resp;
+            let header = Header::response_to(query.header(), Rcode::NoError);
+            return reply_payload(ctx, query, &header, |w| {
+                w.answer_question(RClass::In, 0, server)?;
+                w.answer_question(RClass::In, 0, flags)
+            });
         }
         let result = self.zonedb.resolve(q, &self.egress);
-        let mut resp = Message::response_to(query, result.rcode);
-        resp.header.ad = self.dnssec_validating && result.authenticated;
-        resp.answers = result.answers;
-        resp
+        let mut header = Header::response_to(query.header(), result.rcode);
+        header.ad = self.dnssec_validating && result.authenticated;
+        reply_payload(ctx, query, &header, |w| result.answers.iter().try_for_each(|r| w.answer(r)))
     }
 }
 
@@ -177,21 +186,23 @@ impl Device for PublicResolverSite {
         if udp.dst_port != 53 || !self.service_addrs.contains(&packet.dst()) {
             return;
         }
-        let Ok(query) = Message::parse(&udp.payload) else { return };
-        if query.header.qr {
+        let Ok(query) = MessageView::parse(&udp.payload) else { return };
+        if query.header().qr {
             return;
         }
         let Some(q) = query.question() else { return };
         self.queries_handled += 1;
 
-        let resp = if let Some(kind) = debug_queries::server_id_kind(q) {
-            self.answer_chaos(&query, kind)
+        let payload = if let Some(kind) = debug_queries::server_id_kind_view(&q) {
+            self.answer_chaos(ctx, &query, kind)
         } else if q.qclass == RClass::In {
-            self.answer_in(&query)
+            self.answer_in(ctx, &query, &q.to_question())
         } else {
-            Message::response_to(&query, Rcode::NotImp)
+            local_reply_payload(ctx, &query, LocalReply::Status(Rcode::NotImp))
         };
-        send_reply(ctx, iface, &packet, &resp);
+        if let Some(payload) = payload {
+            send_reply(ctx, iface, &packet, payload);
+        }
     }
 
     fn name(&self) -> &str {
@@ -210,8 +221,7 @@ impl Device for PublicResolverSite {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
-    use dns_wire::Question;
+    use dns_wire::Message;
     use netsim::{Host, SimDuration, Simulator};
 
     fn site(brand: PublicBrand, addr: &str, egress: &str) -> Box<PublicResolverSite> {

@@ -9,10 +9,14 @@
 //! blanket refusal (the "Status Modified" interceptors of Figure 3).
 
 use crate::cache::DnsCache;
-use crate::server::{encode_reply, handle_server_id, send_reply};
+use crate::server::{
+    handle_server_id, local_reply_payload, reply_packet, reply_payload, send_local_reply,
+    LocalReply,
+};
 use crate::software::SoftwareProfile;
 use crate::zone::{ResolveCtx, ResolveResult, ZoneDb};
-use dns_wire::{Message, RClass, RData, RType, Rcode, Record};
+use bytes::Bytes;
+use dns_wire::{Header, MessageView, Question, RClass, RData, RType, Rcode};
 use netsim::{Ctx, Device, FxHashMap, FxHashSet, IfaceId, IpPacket, SimDuration};
 use std::any::Any;
 use std::net::{IpAddr, Ipv4Addr};
@@ -96,43 +100,54 @@ impl RecursiveResolver {
         self.egress
     }
 
-    fn answer_in_query(&mut self, query: &Message, now: netsim::SimTime) -> (Message, bool) {
-        let q = query.question().expect("caller checked");
+    /// Answers an IN query: the reply payload, and whether it was a cache
+    /// miss (which pays the recursion latency).
+    fn answer_in_query(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        query: &MessageView<'_>,
+        q: &Question,
+    ) -> (Option<Bytes>, bool) {
         if self.refuse_all {
-            return (Message::response_to(query, Rcode::Refused), false);
+            return (local_reply_payload(ctx, query, LocalReply::Status(Rcode::Refused)), false);
         }
+        let now = ctx.now();
+        let (wildcard, validating) = (self.nxdomain_wildcard, self.dnssec_validating);
         if let Some(cached) = self.cache.get(q, now) {
-            let mut resp = build_response(query, &cached, self.nxdomain_wildcard);
-            resp.header.ad = self.dnssec_validating && cached.authenticated;
-            return (resp, false);
+            return (write_result(ctx, query, cached, wildcard, validating), false);
         }
         let result = self.zonedb.resolve(q, &self.egress);
-        self.cache.put(q, result.clone(), now);
-        let mut resp = build_response(query, &result, self.nxdomain_wildcard);
-        resp.header.ad = self.dnssec_validating && result.authenticated;
-        (resp, true)
+        let payload = write_result(ctx, query, &result, wildcard, validating);
+        self.cache.put(q, result, now);
+        (payload, true)
     }
 }
 
-fn build_response(
-    query: &Message,
+/// Writes the reply carrying `result`, with the AD bit when a validating
+/// resolver got a signed answer; with `wildcard` set, an NXDOMAIN for an A
+/// question becomes an A record pointing there.
+fn write_result(
+    ctx: &mut Ctx<'_>,
+    query: &MessageView<'_>,
     result: &ResolveResult,
     wildcard: Option<Ipv4Addr>,
-) -> Message {
+    validating: bool,
+) -> Option<Bytes> {
+    let ad = validating && result.authenticated;
     if result.rcode == Rcode::NxDomain {
         if let (Some(ad_ip), Some(q)) = (wildcard, query.question()) {
             if q.qtype == RType::A {
-                return Message::response_to(query, Rcode::NoError).with_answer(Record::new(
-                    q.qname.clone(),
-                    60,
-                    RData::A(ad_ip),
-                ));
+                let mut header = Header::response_to(query.header(), Rcode::NoError);
+                header.ad = ad;
+                return reply_payload(ctx, query, &header, |w| {
+                    w.answer_question(RClass::In, 60, &RData::A(ad_ip))
+                });
             }
         }
     }
-    let mut resp = Message::response_to(query, result.rcode);
-    resp.answers = result.answers.clone();
-    resp
+    let mut header = Header::response_to(query.header(), result.rcode);
+    header.ad = ad;
+    reply_payload(ctx, query, &header, |w| result.answers.iter().try_for_each(|r| w.answer(r)))
 }
 
 impl Device for RecursiveResolver {
@@ -141,29 +156,29 @@ impl Device for RecursiveResolver {
         if udp.dst_port != 53 || !self.service_addrs.contains(&packet.dst()) {
             return;
         }
-        let Ok(query) = Message::parse(&udp.payload) else { return };
-        if query.header.qr || query.question().is_none() {
+        let Ok(query) = MessageView::parse(&udp.payload) else { return };
+        if query.header().qr {
             return;
         }
+        let Some(q) = query.question() else { return };
         self.queries_handled += 1;
 
         // CHAOS server-identification queries answer per software profile.
-        if let Some(maybe_resp) = handle_server_id(&query, &self.profile) {
-            if let Some(resp) = maybe_resp {
-                send_reply(ctx, iface, &packet, &resp);
-            }
+        if let Some(reply) = handle_server_id(&q, &self.profile) {
+            send_local_reply(ctx, iface, &packet, &query, reply);
             return;
         }
 
-        let q = query.question().expect("checked above");
         if q.qclass != RClass::In {
-            let resp = Message::response_to(&query, Rcode::NotImp);
-            send_reply(ctx, iface, &packet, &resp);
+            let reply = Some(LocalReply::Status(Rcode::NotImp));
+            send_local_reply(ctx, iface, &packet, &query, reply);
             return;
         }
 
-        let (resp, was_miss) = self.answer_in_query(&query, ctx.now());
-        let Some(reply) = encode_reply(ctx, &packet, &resp) else { return };
+        let (payload, was_miss) = self.answer_in_query(ctx, &query, &q.to_question());
+        let Some(reply) = payload.and_then(|payload| reply_packet(&packet, payload)) else {
+            return;
+        };
         if was_miss && self.resolve_latency > SimDuration::ZERO {
             // Cache miss: delay the reply by the recursion latency.
             let token = self.next_token;
@@ -197,9 +212,8 @@ impl Device for RecursiveResolver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
     use dns_wire::debug_queries;
-    use dns_wire::Question;
+    use dns_wire::Message;
     use netsim::{Host, Simulator};
 
     fn world() -> Arc<ZoneDb> {

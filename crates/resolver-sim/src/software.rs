@@ -7,6 +7,7 @@
 //! (`new`, `unknown`, `none`, `huuh?`). These constructors reproduce those
 //! string shapes.
 
+use dns_wire::debug_queries::ServerIdKind;
 use dns_wire::Rcode;
 
 /// How a server answers one CHAOS identification query.
@@ -129,6 +130,15 @@ impl SoftwareProfile {
             name: name.into(),
             version_bind: ChaosPolicy::Silent,
             id_server: ChaosPolicy::Silent,
+        }
+    }
+
+    /// How this software answers a server-identification question of
+    /// `kind`.
+    pub fn policy(&self, kind: ServerIdKind) -> &ChaosPolicy {
+        match kind {
+            ServerIdKind::Version => &self.version_bind,
+            ServerIdKind::Identity => &self.id_server,
         }
     }
 

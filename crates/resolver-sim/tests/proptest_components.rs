@@ -1,6 +1,6 @@
 //! Property-based tests for the resolver components.
 
-use dns_wire::{Message, Question, RData, RType, Rcode, Record};
+use dns_wire::{Message, MessageView, Question, RData, RType, Rcode, Record};
 use netsim::{SimDuration, SimTime};
 use proptest::prelude::*;
 use resolver_sim::{DnsCache, ForwarderCore, FwdAction, ResolveResult, SoftwareProfile};
@@ -66,8 +66,8 @@ proptest! {
         let name: dns_wire::Name = format!("{}.example.com", names.join(".")).parse().unwrap();
         let mut relayed = Vec::new();
         for (i, id) in ids.iter().enumerate() {
-            let q = Message::query(*id, Question::new(name.clone(), RType::A));
-            match fwd.handle_query(q, i) {
+            let q = Message::query(*id, Question::new(name.clone(), RType::A)).encode().unwrap();
+            match fwd.handle_query(&MessageView::parse(&q).unwrap(), i) {
                 FwdAction::Forward(m) => relayed.push((i, *id, m)),
                 other => prop_assert!(false, "unexpected action {other:?}"),
             }
