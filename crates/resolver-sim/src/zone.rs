@@ -14,6 +14,7 @@
 //!   resolver produces a foreign one (Table 2).
 
 use dns_wire::{Name, Question, RData, RType, Rcode, Record};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::net::{Ipv4Addr, Ipv6Addr};
 use std::sync::Arc;
@@ -212,7 +213,8 @@ impl Zone for ReflectorZone {
                         (None, Some(ip)) => ip.to_string(),
                         (None, None) => return ZoneAnswer::NoData,
                     };
-                    ZoneAnswer::Records(vec![Record::new(q.qname.clone(), 30, RData::txt(text))])
+                    let rdata = RData::Txt(vec![text.into_bytes()]);
+                    ZoneAnswer::Records(vec![Record::new(q.qname.clone(), 30, rdata)])
                 }
                 _ => ZoneAnswer::NoData,
             },
@@ -330,7 +332,7 @@ impl ZoneDb {
     /// Recursively resolves `q`, chasing up to four CNAME links.
     pub fn resolve(&self, q: &Question, ctx: &ResolveCtx) -> ResolveResult {
         let mut answers: Vec<Record> = Vec::new();
-        let mut current = q.clone();
+        let mut current = Cow::Borrowed(q);
         let mut authenticated = self.is_signed(&q.qname);
         for _ in 0..4 {
             authenticated = authenticated && self.is_signed(&current.qname);
@@ -343,10 +345,15 @@ impl ZoneDb {
                         RData::Cname(t) if current.qtype != RType::Cname => Some(t.clone()),
                         _ => None,
                     });
-                    answers.append(&mut records);
+                    if answers.is_empty() {
+                        answers = records;
+                    } else {
+                        answers.append(&mut records);
+                    }
                     match cname_target {
                         Some(target) => {
-                            current = Question { qname: target, ..current.clone() };
+                            let (qtype, qclass) = (current.qtype, current.qclass);
+                            current = Cow::Owned(Question { qname: target, qtype, qclass });
                         }
                         None => {
                             return ResolveResult { rcode: Rcode::NoError, answers, authenticated }
