@@ -162,7 +162,7 @@ pub struct Attachment {
 /// Wi-Fi deep fade, which uniform loss cannot reproduce.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BurstLoss {
-    /// Probability in [0,1] that a traversal *starts* a burst.
+    /// Probability in `[0, 1]` that a traversal *starts* a burst.
     pub start: f64,
     /// Traversals dropped per burst (including the triggering one).
     pub length: u32,
@@ -173,7 +173,7 @@ pub struct BurstLoss {
 /// *subsequent* query's receive window carrying a stale transaction ID.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LateDelivery {
-    /// Probability in [0,1] that a traversal is delivered late.
+    /// Probability in `[0, 1]` that a traversal is delivered late.
     pub probability: f64,
     /// Extra delay added on top of latency and jitter.
     pub delay: SimDuration,
@@ -185,11 +185,11 @@ pub struct LateDelivery {
 /// reproducible.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FaultProfile {
-    /// Probability in [0,1] that a traversal is dropped (uniform).
+    /// Probability in `[0, 1]` that a traversal is dropped (uniform).
     pub loss: f64,
     /// Seeded burst loss, if any.
     pub burst: Option<BurstLoss>,
-    /// Probability in [0,1] that a traversal is delivered twice (the
+    /// Probability in `[0, 1]` that a traversal is delivered twice (the
     /// second copy arrives one jitter-free latency later).
     pub duplicate: f64,
     /// Late delivery, if any.
