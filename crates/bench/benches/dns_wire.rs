@@ -2,10 +2,7 @@
 //! the technique sends and receives.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
-use dns_wire::{
-    debug_queries, EncodeScratch, Header, Message, MessageView, Question, RClass, RData, RType,
-    Rcode, Record,
-};
+use dns_wire::{debug_queries, Message, Question, RData, RType, Rcode, Record};
 use std::net::Ipv4Addr;
 
 fn query_bytes() -> Vec<u8> {
@@ -73,51 +70,5 @@ fn bench_roundtrip(c: &mut Criterion) {
     });
 }
 
-/// A public-resolver site answering `id.server`, and the stub accepting
-/// the answer: the owned path (parse, `response_to`, cloned answer,
-/// encode) against the reply writer over the query's view, with the same
-/// bytes out, and the stub's one decode.
-fn bench_reply(c: &mut Criterion) {
-    let query = debug_queries::id_server_query(0x2b1d).encode().unwrap();
-    let answer = RData::txt("IAD");
-    let mut scratch = EncodeScratch::new();
-    let mut group = c.benchmark_group("dns_wire/reply");
-    group.bench_function("id_server_owned", |b| {
-        b.iter(|| {
-            let parsed = Message::parse(std::hint::black_box(&query)).unwrap();
-            let q = parsed.question().unwrap();
-            let resp = Message::response_to(&parsed, Rcode::NoError).with_answer(Record {
-                class: RClass::Chaos,
-                ..Record::new(q.qname.clone(), 0, answer.clone())
-            });
-            resp.encode_into(&mut scratch).unwrap().len()
-        })
-    });
-    group.bench_function("id_server_view", |b| {
-        b.iter(|| {
-            let view = MessageView::parse(std::hint::black_box(&query)).unwrap();
-            let header = Header::response_to(view.header(), Rcode::NoError);
-            let mut w = scratch.response(&view, &header);
-            w.answer_question(RClass::Chaos, 0, &answer).unwrap();
-            w.finish().unwrap().len()
-        })
-    });
-    let reply = {
-        let view = MessageView::parse(&query).unwrap();
-        let header = Header::response_to(view.header(), Rcode::NoError);
-        let mut w = scratch.response(&view, &header);
-        w.answer_question(RClass::Chaos, 0, &answer).unwrap();
-        w.finish().unwrap().to_vec()
-    };
-    group.bench_function("stub_accept", |b| {
-        b.iter(|| {
-            let view = MessageView::parse(std::hint::black_box(&reply)).unwrap();
-            assert!(view.header().qr);
-            view.to_message()
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_parse, bench_build, bench_roundtrip, bench_reply);
+criterion_group!(benches, bench_parse, bench_build, bench_roundtrip);
 criterion_main!(benches);

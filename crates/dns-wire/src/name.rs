@@ -408,6 +408,11 @@ impl NameCompressor {
     fn find(&self, buf: &[u8], suffix: &[u8], completed: usize) -> Option<u16> {
         'candidates: for &start in &self.starts[..completed] {
             let mut off = start as usize;
+            // A suffix written out literally, the usual case for a name
+            // repeating the question, compares in one pass.
+            if buf.get(off..off + suffix.len()).is_some_and(|b| b.eq_ignore_ascii_case(suffix)) {
+                return Some(start);
+            }
             let mut spos = 0usize;
             loop {
                 let len = buf[off] as usize;
@@ -661,6 +666,47 @@ mod tests {
         assert_eq!(n, name("www.example.com"));
         // Cursor lands after the two pointer bytes.
         assert_eq!(r.position(), bytes.len());
+    }
+
+    #[test]
+    fn names_in_one_piece_read_like_the_full_walk() {
+        // Labels of 63, 63, 63 and `last` octets: 255 octets on the wire
+        // with a 61-octet last label, one too many with 62.
+        let long = |last: usize| {
+            let mut wire = Vec::new();
+            for len in [63, 63, 63, last] {
+                wire.push(len as u8);
+                wire.extend(std::iter::repeat_n(b'a', len));
+            }
+            wire.push(0);
+            wire
+        };
+        let mut pointed = b"\x07example\x03com\x00".to_vec();
+        pointed.extend_from_slice(b"\xC0\x00");
+        let cases: [(Vec<u8>, usize); 4] = [
+            (b"\x02id\x06server\x00".to_vec(), 0),
+            (pointed, 13),
+            (long(61), 0),
+            (long(62), 0),
+        ];
+        for (bytes, at) in cases {
+            let mut fast = Reader::new(&bytes);
+            fast.seek(at).unwrap();
+            let mut full = fast;
+            let mut buf = [0u8; MAX_NAME_LEN];
+            let walked = decompress(&mut full, &mut buf).map(|(len, _)| buf[..len].to_vec());
+            match (Name::parse(&mut fast), walked) {
+                (Ok(name), Ok(wire)) => {
+                    assert_eq!(name.as_wire(), wire.as_slice());
+                    assert_eq!(name.label_count(), name.labels().count());
+                    assert_eq!(fast.position(), full.position());
+                }
+                (parsed, walked) => {
+                    assert_eq!(parsed.unwrap_err(), ParseError::NameTooLong);
+                    assert_eq!(walked.unwrap_err(), ParseError::NameTooLong);
+                }
+            }
+        }
     }
 
     #[test]

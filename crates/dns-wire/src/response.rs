@@ -16,7 +16,7 @@ use crate::message::{EncodeScratch, Header, Record};
 use crate::name::{write_compressed, NameCompressor};
 use crate::rdata::{encode_with_length, RData};
 use crate::types::{RClass, RType};
-use crate::view::{MessageView, NameRef};
+use crate::view::MessageView;
 use crate::wire::Writer;
 
 /// Section indices into a header's four counts.
@@ -31,28 +31,25 @@ impl EncodeScratch {
     /// `Message::response_to` copies. [`Header::response_to`] gives the
     /// header `Message::response_to` would; callers adjust flags from
     /// there.
-    pub fn response<'s, 'q>(
-        &'s mut self,
-        query: &MessageView<'q>,
-        header: &Header,
-    ) -> ResponseWriter<'s, 'q> {
+    pub fn response<'s>(&'s mut self, query: &MessageView<'_>, header: &Header) -> ResponseWriter<'s> {
         let EncodeScratch { buf: w, compress } = self;
         w.clear();
         compress.clear();
         let questions = query.question_count() as u16;
         header.encode(w, [questions, 0, 0, 0]);
-        for q in query.questions() {
-            q.qname.with_wire(|wire| write_compressed(w, compress, wire));
+        let mut question_at = None;
+        for (i, q) in query.questions().enumerate() {
+            let at = w.len() as u16;
+            q.qname.with_wire(|wire| {
+                if i == 0 && wire != [0] {
+                    question_at = Some(at);
+                }
+                write_compressed(w, compress, wire)
+            });
             w.write_u16(q.qtype.to_u16());
             w.write_u16(q.qclass.to_u16());
         }
-        ResponseWriter {
-            w,
-            compress,
-            question: query.question().map(|q| q.qname),
-            counts: [questions, 0, 0, 0],
-            section: ANSWER,
-        }
+        ResponseWriter { w, compress, question_at, counts: [questions, 0, 0, 0], section: ANSWER }
     }
 }
 
@@ -62,18 +59,19 @@ impl EncodeScratch {
 /// then every additional record. Each returns the error
 /// [`Message::encode`](crate::Message::encode) would give for it, after
 /// which the response is abandoned.
-pub struct ResponseWriter<'s, 'q> {
+pub struct ResponseWriter<'s> {
     w: &'s mut Writer,
     compress: &'s mut NameCompressor,
-    /// The first question's name, owner of the records
-    /// [`ResponseWriter::answer_question`] writes.
-    question: Option<NameRef<'q>>,
+    /// Where the first question's name starts, unless it is the root. It
+    /// is the first name written, in full, so compression points every
+    /// record it owns ([`ResponseWriter::answer_question`]) back there.
+    question_at: Option<u16>,
     counts: [u16; 4],
     /// The section records are being added to.
     section: usize,
 }
 
-impl<'s> ResponseWriter<'s, '_> {
+impl<'s> ResponseWriter<'s> {
     /// Adds an answer record.
     pub fn answer(&mut self, record: &Record) -> Result<(), BuildError> {
         self.enter(ANSWER)?;
@@ -148,14 +146,13 @@ impl<'s> ResponseWriter<'s, '_> {
     /// to the RDATA length.
     fn question_owner(&mut self, rtype: RType, class: RClass, ttl: u32) -> Result<(), BuildError> {
         self.enter(ANSWER)?;
-        let (w, compress) = (&mut *self.w, &mut *self.compress);
-        match self.question {
-            Some(qname) => qname.with_wire(|wire| write_compressed(w, compress, wire)),
-            None => w.write_u8(0),
+        match self.question_at {
+            Some(at) => self.w.write_u16(0xC000 | at),
+            None => self.w.write_u8(0),
         }
-        w.write_u16(rtype.to_u16());
-        w.write_u16(class.to_u16());
-        w.write_u32(ttl);
+        self.w.write_u16(rtype.to_u16());
+        self.w.write_u16(class.to_u16());
+        self.w.write_u32(ttl);
         Ok(())
     }
 }

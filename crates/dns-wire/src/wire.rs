@@ -105,7 +105,7 @@ impl Writer {
     }
 
     /// Forgets the bytes written so far, keeping the allocation.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.buf.clear();
     }
 

@@ -50,7 +50,7 @@ pub fn reply_payload(
     ctx: &mut Ctx<'_>,
     query: &MessageView<'_>,
     header: &Header,
-    records: impl FnOnce(&mut ResponseWriter<'_, '_>) -> Result<(), BuildError>,
+    records: impl FnOnce(&mut ResponseWriter<'_>) -> Result<(), BuildError>,
 ) -> Option<Bytes> {
     SCRATCH.with(|scratch| {
         let mut scratch = scratch.borrow_mut();

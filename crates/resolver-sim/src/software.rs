@@ -135,7 +135,7 @@ impl SoftwareProfile {
 
     /// How this software answers a server-identification question of
     /// `kind`.
-    pub fn policy(&self, kind: ServerIdKind) -> &ChaosPolicy {
+    pub(crate) fn policy(&self, kind: ServerIdKind) -> &ChaosPolicy {
         match kind {
             ServerIdKind::Version => &self.version_bind,
             ServerIdKind::Identity => &self.id_server,

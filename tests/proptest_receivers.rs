@@ -243,7 +243,7 @@ fn arb_query() -> impl Strategy<Value = Message> {
             let question = Question { qname, qtype, qclass };
             let mut query = Message::query(id, question.clone());
             // Extra questions reuse the name, so they compress to pointers.
-            query.questions.extend(std::iter::repeat(question).take(extra));
+            query.questions.extend(std::iter::repeat_n(question, extra));
             query
         })
 }
