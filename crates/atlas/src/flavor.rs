@@ -1,7 +1,7 @@
 //! Probe flavors: what kind of household a probe sits in.
 
 use interception::{CpeModelKind, HomeScenario, MiddleboxSpec, Region};
-use locator::{default_resolvers, ResolverKey};
+use locator::{shared_default_resolvers, ResolverKey};
 use serde::{Deserialize, Serialize};
 use std::net::IpAddr;
 
@@ -102,13 +102,14 @@ impl Flavor {
 
     /// Instantiates the flavor into a scenario skeleton (ISP/region/etc.
     /// filled in by the caller).
+    ///
+    /// Model versions fixed by the flavor are literals, so this allocates
+    /// nothing except the address lists of the flavors that name resolvers
+    /// and the version text [`Flavor::CpeDnsmasq`] and [`Flavor::CpeCustom`]
+    /// carry.
     pub fn apply(&self, scenario: &mut HomeScenario) {
-        let v4_of = |key: ResolverKey| -> Vec<IpAddr> {
-            default_resolvers().iter().find(|r| r.key == key).map(|r| r.v4.to_vec()).unwrap_or_default()
-        };
-        let v6_of = |key: ResolverKey| -> Vec<IpAddr> {
-            default_resolvers().iter().find(|r| r.key == key).map(|r| r.v6.to_vec()).unwrap_or_default()
-        };
+        let v4_of = |keys: &[ResolverKey]| service_addrs(keys, |r| &r.v4);
+        let v6_of = |keys: &[ResolverKey]| service_addrs(keys, |r| &r.v6);
         match self {
             Flavor::BenignPlain => scenario.cpe_model = CpeModelKind::Plain,
             Flavor::BenignDnsmasqLan => {
@@ -132,8 +133,10 @@ impl Flavor {
                 // A fully intercepting Dnsmasq box is the targeted model
                 // with an empty target list meaning "all": use Selective
                 // with no exemptions instead.
-                scenario.cpe_model =
-                    CpeModelKind::SelectiveAllowed { allowed: vec![], version: version.clone() };
+                scenario.cpe_model = CpeModelKind::SelectiveAllowed {
+                    allowed: vec![],
+                    version: version.clone().into(),
+                };
             }
             Flavor::CpeUnbound => {
                 scenario.cpe_model = CpeModelKind::UnboundInterceptor { version: "1.9.0".into() }
@@ -144,12 +147,12 @@ impl Flavor {
             }
             Flavor::CpeCustom { version_string } => {
                 scenario.cpe_model =
-                    CpeModelKind::CustomInterceptor { version_string: version_string.clone() }
+                    CpeModelKind::CustomInterceptor { version_string: version_string.clone().into() }
             }
             Flavor::CpeStealth => scenario.cpe_model = CpeModelKind::StealthInterceptor,
             Flavor::CpeTargetedOne { target } => {
                 scenario.cpe_model = CpeModelKind::SelectiveTargeted {
-                    targets: v4_of(*target),
+                    targets: v4_of(&[*target]),
                     version: "2.85".into(),
                 };
             }
@@ -162,29 +165,29 @@ impl Flavor {
             }
             Flavor::MiddleboxOneAllowed { allowed } => {
                 let mut spec = MiddleboxSpec::redirect_all_to_isp();
-                spec.exempt_dsts = v4_of(*allowed);
+                spec.exempt_dsts = v4_of(&[*allowed]);
                 scenario.middlebox = Some(spec);
             }
             Flavor::MiddleboxTargetedOne { target } => {
                 let mut spec = MiddleboxSpec::redirect_all_to_isp();
-                spec.match_dsts = v4_of(*target);
+                spec.match_dsts = v4_of(&[*target]);
                 scenario.middlebox = Some(spec);
             }
             Flavor::MiddleboxMixed { refused } => {
                 let mut spec = MiddleboxSpec::redirect_all_to_isp();
-                spec.refused_dsts = refused.iter().flat_map(|k| v4_of(*k)).collect();
+                spec.refused_dsts = v4_of(refused);
                 scenario.middlebox = Some(spec);
             }
             Flavor::MiddleboxBothFamilies { v6_targets } => {
                 let mut spec = MiddleboxSpec::redirect_all_to_isp().with_v6();
-                spec.match_dsts = v6_targets.iter().flat_map(|k| v6_of(*k)).collect();
+                spec.match_dsts = v6_of(v6_targets);
                 // An empty v4 match list means "all v4"; the v6 rule's
                 // match list is family-filtered inside the scenario builder,
                 // so v4 capture stays complete.
                 scenario.middlebox = Some(spec);
             }
             Flavor::MiddleboxV6Only { v6_targets } => {
-                let targets = v6_targets.iter().flat_map(|k| v6_of(*k)).collect();
+                let targets = v6_of(v6_targets);
                 scenario.middlebox = Some(MiddleboxSpec::v6_only(targets));
             }
             Flavor::Beyond => {
@@ -229,6 +232,22 @@ impl Flavor {
             _ => None,
         }
     }
+}
+
+/// One family's service addresses of some of the paper's resolvers, in
+/// `keys` order, read from the shared resolver table into one list.
+fn service_addrs(
+    keys: &[ResolverKey],
+    family: impl Fn(&locator::PublicResolver) -> &[IpAddr; 2],
+) -> Vec<IpAddr> {
+    let resolvers = shared_default_resolvers();
+    let mut addrs = Vec::with_capacity(2 * keys.len());
+    for key in keys {
+        if let Some(resolver) = resolvers.iter().find(|r| r.key == *key) {
+            addrs.extend_from_slice(family(resolver));
+        }
+    }
+    addrs
 }
 
 /// Maps a country code to the region used for anycast site selection.

@@ -1,7 +1,7 @@
 //! CPE configuration types: addressing and DNS-stack modes.
 
 use dns_wire::Name;
-use netsim::Cidr;
+use netsim::{Cidr, SharedStr};
 use resolver_sim::SoftwareProfile;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
@@ -104,7 +104,7 @@ impl DnsMode {
 #[derive(Debug, Clone)]
 pub struct CpeConfig {
     /// Device name for traces ("XB6", "generic-dnsmasq", …).
-    pub name: String,
+    pub name: SharedStr,
     /// LAN-side IPv4 address (the home gateway, e.g. 192.168.1.1).
     pub lan_v4: Ipv4Addr,
     /// WAN-side public IPv4 address.
@@ -121,7 +121,7 @@ pub struct CpeConfig {
 
 impl CpeConfig {
     /// A v4-only CPE with the standard home addressing.
-    pub fn v4_only(name: impl Into<String>, wan_v4: Ipv4Addr, dns: DnsMode) -> CpeConfig {
+    pub fn v4_only(name: impl Into<SharedStr>, wan_v4: Ipv4Addr, dns: DnsMode) -> CpeConfig {
         CpeConfig {
             name: name.into(),
             lan_v4: Ipv4Addr::new(192, 168, 1, 1),

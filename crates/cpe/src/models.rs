@@ -2,6 +2,7 @@
 //! populations the paper observed.
 
 use crate::config::{CpeConfig, DnsMode, ForwarderSpec, InterceptSpec, WanMode};
+use netsim::SharedStr;
 use resolver_sim::SoftwareProfile;
 use std::net::{IpAddr, Ipv4Addr};
 
@@ -108,7 +109,11 @@ pub fn unbound_interceptor(wan_v4: Ipv4Addr, upstream: IpAddr, version: &str) ->
 
 /// A CPE interceptor with an arbitrary Table-5 long-tail identity
 /// (`Windows NS`, `huuh?`, …).
-pub fn custom_interceptor(wan_v4: Ipv4Addr, upstream: IpAddr, version_string: &str) -> CpeConfig {
+pub fn custom_interceptor(
+    wan_v4: Ipv4Addr,
+    upstream: IpAddr,
+    version_string: impl Into<SharedStr>,
+) -> CpeConfig {
     let spec = ForwarderSpec::new(SoftwareProfile::custom(version_string), upstream);
     CpeConfig::v4_only(
         "custom-interceptor",

@@ -4,13 +4,13 @@
 //! CPE's conntrack keeps flows separated under load.
 
 use dns_wire::{QueryEncoder, Question, RType};
-use netsim::{Ctx, Device, IfaceId, IpPacket, SimDuration};
+use netsim::{Ctx, Device, IfaceId, IpPacket, SharedStr, SimDuration};
 use std::any::Any;
 use std::net::IpAddr;
 
 /// A LAN device that issues periodic DNS queries.
 pub struct BackgroundClient {
-    name: String,
+    name: SharedStr,
     addr: IpAddr,
     resolver: IpAddr,
     names: Vec<dns_wire::Name>,
@@ -30,7 +30,7 @@ impl BackgroundClient {
     /// Creates a client that queries `names` round-robin against
     /// `resolver` every `interval`.
     pub fn new(
-        name: impl Into<String>,
+        name: impl Into<SharedStr>,
         addr: IpAddr,
         resolver: IpAddr,
         names: Vec<dns_wire::Name>,
@@ -54,7 +54,7 @@ impl BackgroundClient {
 
     /// Boxed convenience constructor.
     pub fn boxed(
-        name: impl Into<String>,
+        name: impl Into<SharedStr>,
         addr: IpAddr,
         resolver: IpAddr,
         names: Vec<dns_wire::Name>,

@@ -6,7 +6,7 @@
 //! technique's purposes — which this device lets tests demonstrate.
 
 use netsim::{
-    Cidr, Ctx, Device, DnatRule, IpPacket, NatEngine, NatVerdict, RouteTable,
+    Cidr, Ctx, Device, DnatRule, IpPacket, NatEngine, NatVerdict, RouteTable, SharedStr,
 };
 use std::any::Any;
 use std::net::IpAddr;
@@ -14,7 +14,7 @@ use std::net::IpAddr;
 /// A replicating in-path interceptor with two interfaces: 0 toward the
 /// client side, 1 toward the network side.
 pub struct ReplicatingInterceptor {
-    name: String,
+    name: SharedStr,
     /// Forwarding table (client prefixes → iface 0, default → iface 1).
     pub routes: RouteTable,
     nat: NatEngine,
@@ -24,7 +24,7 @@ pub struct ReplicatingInterceptor {
 
 impl ReplicatingInterceptor {
     /// Creates the device; `redirect_to` is where the copies go.
-    pub fn new(name: impl Into<String>, redirect_to: IpAddr) -> ReplicatingInterceptor {
+    pub fn new(name: impl Into<SharedStr>, redirect_to: IpAddr) -> ReplicatingInterceptor {
         let mut nat = NatEngine::new();
         nat.add_dnat(DnatRule::redirect_dns(redirect_to));
         ReplicatingInterceptor {
@@ -36,7 +36,7 @@ impl ReplicatingInterceptor {
     }
 
     /// Boxed convenience constructor.
-    pub fn boxed(name: impl Into<String>, redirect_to: IpAddr) -> Box<ReplicatingInterceptor> {
+    pub fn boxed(name: impl Into<SharedStr>, redirect_to: IpAddr) -> Box<ReplicatingInterceptor> {
         Box::new(Self::new(name, redirect_to))
     }
 

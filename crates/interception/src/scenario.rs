@@ -12,10 +12,11 @@ use cpe::{models, CpeConfig, CpeDevice, DnsMode};
 use locator::{InterceptorLocation, LocatorConfig, ResolverKey};
 use netsim::{
     BurstLoss, Cidr, DnatRule, FaultProfile, Host, IfaceId, LateDelivery, NatEngine, NodeId,
-    Proto, Router, SimDuration, SimScratch, Simulator,
+    Proto, Router, SharedStr, SimDuration, SimScratch, Simulator,
 };
 use resolver_sim::{
-    PublicBrand, PublicResolverSite, RecursiveResolver, ResolveCtx, SoftwareProfile, ZoneDb,
+    ChaosPolicy, PublicBrand, PublicResolverSite, RecursiveResolver, ResolveCtx, SiteProfile,
+    SoftwareProfile, ZoneDb,
 };
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 use std::sync::{Arc, OnceLock};
@@ -40,6 +41,17 @@ pub enum Region {
 }
 
 impl Region {
+    /// Every region, in declaration order.
+    pub const ALL: [Region; 7] = [
+        Region::NaEast,
+        Region::NaWest,
+        Region::Europe,
+        Region::Asia,
+        Region::SouthAmerica,
+        Region::Africa,
+        Region::Oceania,
+    ];
+
     /// IATA code of the region's anycast site.
     pub fn iata(self) -> &'static str {
         match self {
@@ -54,7 +66,9 @@ impl Region {
     }
 }
 
-/// Which CPE model the household runs.
+/// Which CPE model the household runs. Version strings are
+/// [`SharedStr`]s, so a model made from a literal or from shared text, and
+/// every clone of one, allocates nothing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CpeModelKind {
     /// NAT-only router, port 53 closed.
@@ -62,12 +76,12 @@ pub enum CpeModelKind {
     /// LAN-only Dnsmasq forwarder, no interception.
     DnsmasqLan {
         /// Dnsmasq version.
-        version: String,
+        version: SharedStr,
     },
     /// Non-intercepting forwarder with port 53 open on the WAN (App. A).
     OpenWanForwarder {
         /// Dnsmasq version.
-        version: String,
+        version: SharedStr,
     },
     /// Open-port-53 forwarder that answers version.bind NXDOMAIN
     /// (Table 3's probe 11992).
@@ -79,17 +93,17 @@ pub enum CpeModelKind {
     /// Pi-hole: deliberate interception with ad blocking.
     PiHole {
         /// Pi-hole Dnsmasq version.
-        version: String,
+        version: SharedStr,
     },
     /// Interceptor running Unbound.
     UnboundInterceptor {
         /// Unbound version.
-        version: String,
+        version: SharedStr,
     },
     /// Interceptor with an arbitrary version.bind string (Table 5 tail).
     CustomInterceptor {
         /// The exact string returned.
-        version_string: String,
+        version_string: SharedStr,
     },
     /// Interceptor whose forwarder refuses version.bind (§6 limitation).
     StealthInterceptor,
@@ -98,26 +112,26 @@ pub enum CpeModelKind {
         /// Exempted destinations.
         allowed: Vec<IpAddr>,
         /// Dnsmasq version.
-        version: String,
+        version: SharedStr,
     },
     /// Interceptor that captures only specific resolver addresses.
     SelectiveTargeted {
         /// Captured destinations.
         targets: Vec<IpAddr>,
         /// Dnsmasq version.
-        version: String,
+        version: SharedStr,
     },
     /// Transparent forwarder: relays WAN queries upstream with the
     /// scanner's source preserved, so the upstream answers the scanner
     /// directly (the open-DNS taxonomy's key population).
     TransparentForwarder {
         /// Dnsmasq version.
-        version: String,
+        version: SharedStr,
     },
     /// Open recursive resolver on the CPE: resolves WAN queries itself.
     OpenRecursive {
         /// Dnsmasq version.
-        version: String,
+        version: SharedStr,
     },
 }
 
@@ -394,7 +408,12 @@ impl HomeScenario {
     /// including its documented limitations (stealth CPE → within-ISP,
     /// resolver-outside-AS → beyond/unknown).
     pub fn expected_location(&self) -> Option<InterceptorLocation> {
-        match self.truth() {
+        self.expected_location_for(&self.truth())
+    }
+
+    /// [`HomeScenario::expected_location`] given this scenario's truth.
+    fn expected_location_for(&self, truth: &GroundTruth) -> Option<InterceptorLocation> {
+        match truth {
             GroundTruth::NotIntercepted => None,
             GroundTruth::Cpe { version: Some(_) } => Some(InterceptorLocation::Cpe),
             // A version-hiding CPE interceptor still answers bogon queries
@@ -431,7 +450,7 @@ fn cpe_version_of(model: &CpeModelKind) -> Option<String> {
         CpeModelKind::Xb6Buggy => Some("dnsmasq-2.78-xfin".into()),
         CpeModelKind::PiHole { version } => Some(format!("dnsmasq-pi-hole-{version}")),
         CpeModelKind::UnboundInterceptor { version } => Some(format!("unbound {version}")),
-        CpeModelKind::CustomInterceptor { version_string } => Some(version_string.clone()),
+        CpeModelKind::CustomInterceptor { version_string } => Some(version_string.to_string()),
         CpeModelKind::SelectiveAllowed { version, .. }
         | CpeModelKind::SelectiveTargeted { version, .. } => Some(format!("dnsmasq-{version}")),
         CpeModelKind::StealthInterceptor => None,
@@ -490,7 +509,8 @@ impl BuiltScenario {
 }
 
 /// The immutable world every scenario shares: the standard zone database,
-/// the public-resolver table, and the root-server address list.
+/// the public-resolver table, the root-server address list, and what each
+/// region's worlds share.
 ///
 /// Building one household used to reconstruct all of this from scratch —
 /// O(fleet × world) redundant work on a survey's hottest path. A campaign
@@ -509,6 +529,49 @@ pub struct WorldTemplate {
     /// reflector names are parsed once here and refcount-cloned into each
     /// probe's authoritative servers.
     pub auth_tree: Arc<AuthTree>,
+    /// What each region's worlds share, indexed by [`Region::ALL`] order
+    /// and filled the first time a world in the region is built, so
+    /// building the template does no more work than before.
+    regions: [OnceLock<RegionParts>; Region::ALL.len()],
+}
+
+/// What every world in one region shares: the public-resolver sites its
+/// probes reach, and its root server's identity and addresses. Each
+/// probe's site and root server then allocate only their box.
+struct RegionParts {
+    /// One site per template resolver, in the template's order.
+    sites: Vec<Arc<SiteProfile>>,
+    /// The root server's software: a `hostname.bind` answer naming the
+    /// region's root instance.
+    root_profile: SoftwareProfile,
+    /// The template's root-server addresses, shared.
+    root_addrs: Arc<[IpAddr]>,
+}
+
+impl RegionParts {
+    fn new(template: &WorldTemplate, region: Region) -> RegionParts {
+        let sites = template
+            .resolvers
+            .iter()
+            .map(|public| {
+                let brand = brand_of(public.key);
+                let (eg4, eg6) = brand_egress(brand);
+                Arc::new(SiteProfile::new(
+                    brand,
+                    public.v4.iter().chain(public.v6.iter()).copied(),
+                    region.iata(),
+                    84,
+                    ResolveCtx { egress_v4: Some(eg4), egress_v6: Some(eg6) },
+                ))
+            })
+            .collect();
+        let mut root_profile = SoftwareProfile::custom("9.16.15");
+        root_profile.id_server = ChaosPolicy::Text(SharedStr::shared(format!(
+            "a1.{}.root-servers.org",
+            region.iata().to_ascii_lowercase()
+        )));
+        RegionParts { sites, root_profile, root_addrs: template.root_addrs.as_slice().into() }
+    }
 }
 
 /// The pre-built authoritative tree of the standard world.
@@ -605,6 +668,7 @@ impl WorldTemplate {
             resolvers: locator::default_resolvers().into(),
             root_addrs: locator::baseline::default_root_addrs(),
             auth_tree: Arc::new(AuthTree::standard()),
+            regions: Default::default(),
         }
     }
 
@@ -618,8 +682,15 @@ impl WorldTemplate {
                 resolvers: locator::shared_default_resolvers(),
                 root_addrs: locator::baseline::default_root_addrs(),
                 auth_tree: Arc::new(AuthTree::standard()),
+                regions: Default::default(),
             })
         }))
+    }
+
+    /// What the worlds of `region` share, built on first use.
+    fn region(&self, region: Region) -> &RegionParts {
+        // `Region::ALL` lists the regions in declaration order.
+        self.regions[region as usize].get_or_init(|| RegionParts::new(self, region))
     }
 }
 
@@ -724,7 +795,7 @@ impl HomeScenario {
             // the scenario reuses the probe's usual outer-LAN address for it.
             let mut inner_config = self.cpe_config_for(model, probe_v4);
             inner_config.lan_v4 = Ipv4Addr::new(192, 168, 2, 1);
-            inner_config.name = format!("inner-{}", inner_config.name);
+            inner_config.name = format!("inner-{}", inner_config.name).into();
             if home_v6 {
                 // IPv6 is routed, not NATed: the inner router simply
                 // forwards the delegated /64 onward.
@@ -804,7 +875,10 @@ impl HomeScenario {
         //   core:   0 = outside/border side, 1..=4 = sites, 5 = alt resolver
         let home_v4_host = Cidr::host(IpAddr::V4(wan_v4));
 
+        // Each router's table is sized up front for the routes added below.
+        let (v6_routes, resolver_routes) = (2 * usize::from(home_v6), 3 * usize::from(isp.resolver_in_as));
         let mut edge = Router::new(format!("{}-edge", isp.name));
+        edge.routes.reserve(4 + v6_routes + resolver_routes);
         edge.add_addr(IpAddr::V4(Ipv4Addr::from(u32::from(isp.v4_prefix) + 1)));
         edge.routes.add(home_v4_host, IfaceId(0));
         if home_v6 {
@@ -822,6 +896,7 @@ impl HomeScenario {
         let edge = sim.add_device(Box::new(edge));
 
         let mut border = Router::new(format!("{}-border", isp.name));
+        border.routes.reserve(4 + resolver_routes);
         border.add_addr(IpAddr::V4(Ipv4Addr::from(u32::from(isp.v4_prefix) + 2)));
         border.drop_bogon_destinations(true);
         border.routes.add(isp.v4_cidr(), IfaceId(0));
@@ -835,7 +910,21 @@ impl HomeScenario {
         border.routes.add_default_v6(IfaceId(1));
         let border = sim.add_device(Box::new(border));
 
+        let region = template.region(self.region);
+        let public_addrs: usize = template.resolvers.iter().map(|r| r.v4.len() + r.v6.len()).sum();
         let mut core = Router::new("internet-core");
+        // The ISP's three, its resolver's two when outside the AS, one per
+        // public-resolver and root address, the authoritative tree's two,
+        // the alternate resolver's one and the scanner's one: about two
+        // dozen, allocated once.
+        core.routes.reserve(
+            3 + 2 * usize::from(!isp.resolver_in_as)
+                + public_addrs
+                + template.root_addrs.len()
+                + 2 * usize::from(use_iterative)
+                + usize::from(self.beyond.is_some())
+                + 1,
+        );
         core.add_addr(IpAddr::V4(Ipv4Addr::new(62, 115, 0, 1)));
         core.routes.add(isp.v4_cidr(), IfaceId(0));
         core.routes.add(isp.v6_cidr(), IfaceId(0));
@@ -849,21 +938,15 @@ impl HomeScenario {
         let core = sim.add_device(Box::new(core));
 
         // --- Public resolver sites ------------------------------------------
-        let resolvers = &template.resolvers;
-        let mut site_nodes = Vec::new();
-        for (i, public) in resolvers.iter().enumerate() {
-            let brand = brand_of(public.key);
-            let (eg4, eg6) = brand_egress(brand);
-            let site = PublicResolverSite::boxed(
-                brand,
-                public.v4.iter().chain(public.v6.iter()).copied(),
-                self.region.iata(),
-                84,
-                ResolveCtx { egress_v4: Some(eg4), egress_v6: Some(eg6) },
-                Arc::clone(&zonedb),
-            );
-            let node = sim.add_device(site);
-            site_nodes.push(node);
+        // Each site's profile comes shared from the template's region
+        // entry. The sites take consecutive node ids from the first.
+        let mut first_site = NodeId(0);
+        for (i, (public, profile)) in template.resolvers.iter().zip(&region.sites).enumerate() {
+            let site = PublicResolverSite::with_profile(Arc::clone(profile), Arc::clone(&zonedb));
+            let node = sim.add_device(Box::new(site));
+            if i == 0 {
+                first_site = node;
+            }
             let core_router = sim.device_mut::<Router>(core).expect("core is a router");
             for addr in public.v4.iter().chain(public.v6.iter()) {
                 core_router.routes.add(Cidr::host(*addr), IfaceId(1 + i));
@@ -873,24 +956,18 @@ impl HomeScenario {
         // --- Root servers (for the hostname.bind baseline) -------------------
         // One anycast root node answering CHAOS hostname.bind with a
         // root-style identity and refusing recursion, as real roots do.
-        let root_addrs = &template.root_addrs;
         let root_node = {
-            let mut profile = SoftwareProfile::custom("9.16.15");
-            profile.id_server = resolver_sim::ChaosPolicy::Text(format!(
-                "a1.{}.root-servers.org",
-                self.region.iata().to_ascii_lowercase()
-            ));
             let mut root = RecursiveResolver::new(
                 "root-server",
-                root_addrs.clone(),
+                Arc::clone(&region.root_addrs),
                 ResolveCtx::v4(Ipv4Addr::new(198, 41, 0, 10)),
                 Arc::clone(&zonedb),
-                profile,
+                region.root_profile.clone(),
             );
             root.refuse_all = true;
             let node = sim.add_device(Box::new(root));
             let core_router = sim.device_mut::<Router>(core).expect("core is a router");
-            for addr in root_addrs {
+            for addr in template.root_addrs.iter() {
                 core_router.routes.add(Cidr::host(*addr), IfaceId(7));
             }
             node
@@ -1091,8 +1168,8 @@ impl HomeScenario {
             }
         };
         sim.connect(border_outside, (core, IfaceId(0)), ms(10));
-        for (i, site) in site_nodes.iter().enumerate() {
-            sim.connect((core, IfaceId(1 + i)), (*site, IfaceId(0)), ms(5));
+        for i in 0..region.sites.len() {
+            sim.connect((core, IfaceId(1 + i)), (NodeId(first_site.0 + i), IfaceId(0)), ms(5));
         }
         if let Some(alt) = alt_resolver_node {
             sim.connect((core, IfaceId(5)), (alt, IfaceId(0)), ms(4));
@@ -1121,6 +1198,7 @@ impl HomeScenario {
             .add(Cidr::host(IpAddr::V4(scanner_v4)), IfaceId(10));
         sim.connect((core, IfaceId(10)), (scanner, IfaceId(0)), ms(8));
 
+        let truth = self.truth();
         let addrs = ScenarioAddrs {
             probe_v4: effective_probe_v4,
             probe_v6: home_v6.then_some(probe_v6),
@@ -1134,14 +1212,14 @@ impl HomeScenario {
             cpe,
             scanner,
             addrs,
-            truth: self.truth(),
-            expected: self.expected_location(),
+            expected: self.expected_location_for(&truth),
+            truth,
             background,
         }
     }
 
     fn cpe_config(&self, wan_v4: Ipv4Addr) -> CpeConfig {
-        self.cpe_config_for(&self.cpe_model.clone(), wan_v4)
+        self.cpe_config_for(&self.cpe_model, wan_v4)
     }
 
     fn cpe_config_for(&self, model: &CpeModelKind, wan_v4: Ipv4Addr) -> CpeConfig {
@@ -1162,7 +1240,7 @@ impl HomeScenario {
                 models::unbound_interceptor(wan_v4, up, version)
             }
             CpeModelKind::CustomInterceptor { version_string } => {
-                models::custom_interceptor(wan_v4, up, version_string)
+                models::custom_interceptor(wan_v4, up, version_string.clone())
             }
             CpeModelKind::StealthInterceptor => models::stealth_interceptor(wan_v4, up),
             CpeModelKind::SelectiveAllowed { allowed, version } => {
@@ -1247,6 +1325,14 @@ mod tests {
             ..HomeScenario::clean()
         };
         assert_eq!(outside.expected_location(), Some(InterceptorLocation::BeyondOrUnknown));
+    }
+
+    #[test]
+    fn regions_are_listed_in_declaration_order() {
+        // The template indexes its per-region entries by `region as usize`.
+        for (i, region) in Region::ALL.into_iter().enumerate() {
+            assert_eq!(region as usize, i);
+        }
     }
 
     #[test]

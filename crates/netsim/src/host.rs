@@ -6,6 +6,7 @@
 //! of its inbox.
 
 use crate::packet::{IcmpMessage, IpPacket, Transport};
+use crate::shared::SharedStr;
 use crate::sim::{Ctx, Device, IfaceId};
 use crate::time::SimTime;
 use std::any::Any;
@@ -22,7 +23,7 @@ pub struct Delivery {
 
 /// A simple end host.
 pub struct Host {
-    name: String,
+    name: SharedStr,
     /// A host owns one or two addresses, so a scan beats hashing.
     addrs: Vec<IpAddr>,
     inbox: Vec<Delivery>,
@@ -33,7 +34,7 @@ pub struct Host {
 
 impl Host {
     /// Creates a host owning the given addresses.
-    pub fn new(name: impl Into<String>, addrs: impl IntoIterator<Item = IpAddr>) -> Host {
+    pub fn new(name: impl Into<SharedStr>, addrs: impl IntoIterator<Item = IpAddr>) -> Host {
         let mut host =
             Host { name: name.into(), addrs: Vec::new(), inbox: Vec::new(), misdeliveries: 0 };
         for addr in addrs {
@@ -43,7 +44,7 @@ impl Host {
     }
 
     /// Boxed convenience constructor.
-    pub fn boxed(name: impl Into<String>, addrs: impl IntoIterator<Item = IpAddr>) -> Box<Host> {
+    pub fn boxed(name: impl Into<SharedStr>, addrs: impl IntoIterator<Item = IpAddr>) -> Box<Host> {
         Box::new(Host::new(name, addrs))
     }
 

@@ -30,6 +30,7 @@ mod packet;
 mod pool;
 mod route;
 mod router;
+mod shared;
 mod sim;
 mod switch;
 mod time;
@@ -47,6 +48,7 @@ pub use packet::{
 pub use pool::PayloadPool;
 pub use route::{Cidr, CidrParseError, RouteTable};
 pub use router::{LocalPolicy, Router};
+pub use shared::SharedStr;
 pub use sim::{
     Attachment, BurstLoss, Ctx, Device, FaultProfile, IfaceId, LateDelivery, LinkId, LinkStats,
     NodeId, SimScratch, SimStats, Simulator, TraceEntry,

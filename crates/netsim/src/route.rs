@@ -124,6 +124,13 @@ impl RouteTable {
         RouteTable::default()
     }
 
+    /// Makes room for `additional` more routes, so that a table built to
+    /// a known size allocates once.
+    pub fn reserve(&mut self, additional: usize) -> &mut Self {
+        self.routes.reserve_exact(additional);
+        self
+    }
+
     /// Adds a route. Later additions win ties on prefix length.
     pub fn add(&mut self, prefix: Cidr, iface: IfaceId) -> &mut Self {
         // Ahead of every route of equal or shorter prefix, behind every

@@ -11,6 +11,7 @@ use crate::capture::{CaptureKind, DropReason};
 use crate::nat::{NatEngine, NatVerdict};
 use crate::packet::{IcmpMessage, IpPacket, Transport};
 use crate::route::RouteTable;
+use crate::shared::SharedStr;
 use crate::sim::{Ctx, Device, IfaceId};
 use std::any::Any;
 use std::net::IpAddr;
@@ -30,7 +31,7 @@ pub enum LocalPolicy {
 
 /// Router configuration and state.
 pub struct Router {
-    name: String,
+    name: SharedStr,
     /// Addresses owned by this router (local delivery), in the order they
     /// were added; the first one sources the router's ICMP errors. A
     /// router owns one or two addresses, so a scan beats hashing.
@@ -54,7 +55,7 @@ pub struct Router {
 
 impl Router {
     /// Creates a router with no routes and no NAT.
-    pub fn new(name: impl Into<String>) -> Router {
+    pub fn new(name: impl Into<SharedStr>) -> Router {
         Router {
             name: name.into(),
             addrs: Vec::new(),

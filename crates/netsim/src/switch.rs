@@ -8,12 +8,13 @@
 
 use crate::capture::CaptureKind;
 use crate::packet::IpPacket;
+use crate::shared::SharedStr;
 use crate::sim::{Ctx, Device, IfaceId};
 use std::any::Any;
 
 /// A flooding switch with a fixed number of ports.
 pub struct Switch {
-    name: String,
+    name: SharedStr,
     ports: usize,
     /// Packets forwarded (copies counted individually).
     pub forwarded: u64,
@@ -21,12 +22,12 @@ pub struct Switch {
 
 impl Switch {
     /// Creates a switch with `ports` interfaces (0..ports).
-    pub fn new(name: impl Into<String>, ports: usize) -> Switch {
+    pub fn new(name: impl Into<SharedStr>, ports: usize) -> Switch {
         Switch { name: name.into(), ports, forwarded: 0 }
     }
 
     /// Boxed convenience constructor.
-    pub fn boxed(name: impl Into<String>, ports: usize) -> Box<Switch> {
+    pub fn boxed(name: impl Into<SharedStr>, ports: usize) -> Box<Switch> {
         Box::new(Switch::new(name, ports))
     }
 }

@@ -9,7 +9,7 @@ use crate::server::{local_reply_payload, reply_payload, send_reply, LocalReply};
 use crate::zone::{ResolveCtx, Zone, ZoneAnswer};
 use bytes::Bytes;
 use dns_wire::{Header, MessageView, Name, Question, RData, Rcode, Record};
-use netsim::{Ctx, Device, FxHashSet, IfaceId, IpPacket};
+use netsim::{Ctx, Device, FxHashSet, IfaceId, IpPacket, SharedStr};
 use std::any::Any;
 use std::net::IpAddr;
 use std::sync::Arc;
@@ -40,7 +40,7 @@ pub struct ServedZone {
 
 /// The authoritative server device.
 pub struct AuthoritativeServer {
-    name: String,
+    name: SharedStr,
     service_addrs: FxHashSet<IpAddr>,
     zones: Vec<ServedZone>,
     /// Queries handled.
@@ -50,7 +50,7 @@ pub struct AuthoritativeServer {
 impl AuthoritativeServer {
     /// Creates a server with no zones.
     pub fn new(
-        name: impl Into<String>,
+        name: impl Into<SharedStr>,
         service_addrs: impl IntoIterator<Item = IpAddr>,
     ) -> AuthoritativeServer {
         AuthoritativeServer {

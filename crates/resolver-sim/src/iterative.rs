@@ -13,7 +13,7 @@ use crate::server::{encode_payload, handle_server_id, send_local_reply, LocalRep
 use crate::software::SoftwareProfile;
 use crate::zone::ResolveResult;
 use dns_wire::{Message, MessageView, Name, Question, RClass, RData, RType, Rcode, Record};
-use netsim::{Ctx, Device, FxHashMap, FxHashSet, IfaceId, IpPacket, SimDuration};
+use netsim::{Ctx, Device, FxHashMap, FxHashSet, IfaceId, IpPacket, SharedStr, SimDuration};
 use std::any::Any;
 use std::net::IpAddr;
 
@@ -63,7 +63,7 @@ struct Iteration {
 
 /// The iterative resolver device.
 pub struct IterativeResolver {
-    name: String,
+    name: SharedStr,
     service_addrs: FxHashSet<IpAddr>,
     /// Source address for upstream queries (must route back to us).
     egress: IpAddr,
@@ -84,7 +84,7 @@ pub struct IterativeResolver {
 impl IterativeResolver {
     /// Creates the resolver.
     pub fn new(
-        name: impl Into<String>,
+        name: impl Into<SharedStr>,
         service_addrs: impl IntoIterator<Item = IpAddr>,
         egress: IpAddr,
         root_hints: Vec<IpAddr>,
@@ -107,7 +107,7 @@ impl IterativeResolver {
 
     /// Boxed convenience constructor.
     pub fn boxed(
-        name: impl Into<String>,
+        name: impl Into<SharedStr>,
         service_addrs: impl IntoIterator<Item = IpAddr>,
         egress: IpAddr,
         root_hints: Vec<IpAddr>,

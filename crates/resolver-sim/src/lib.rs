@@ -33,7 +33,7 @@ pub use authoritative::{AuthoritativeServer, Delegation, ServedZone};
 pub use cache::DnsCache;
 pub use iterative::IterativeResolver;
 pub use forwarder::{ForwarderCore, FwdAction, PendingQuery};
-pub use public_site::{PublicBrand, PublicResolverSite};
+pub use public_site::{PublicBrand, PublicResolverSite, SiteProfile};
 pub use recursive::RecursiveResolver;
 pub use server::{
     apply_chaos_policy, encode_payload, handle_server_id, local_reply_payload, reply_packet,

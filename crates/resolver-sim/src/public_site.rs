@@ -6,7 +6,7 @@ use crate::zone::{ResolveCtx, ZoneDb};
 use bytes::Bytes;
 use dns_wire::debug_queries::{self, ServerIdKind};
 use dns_wire::{Header, MessageView, Name, Question, RClass, RData, RType, Rcode};
-use netsim::{Ctx, Device, FxHashSet, IfaceId, IpPacket};
+use netsim::{Ctx, Device, IfaceId, IpPacket, SharedStr};
 use std::any::Any;
 use std::net::IpAddr;
 use std::sync::Arc;
@@ -30,35 +30,76 @@ impl PublicBrand {
         [PublicBrand::Cloudflare, PublicBrand::Google, PublicBrand::Quad9, PublicBrand::OpenDns];
 }
 
+/// What one anycast site of one public resolver is, apart from the world
+/// it answers in: its name, service addresses, site code, egress, and the
+/// TXT answers it serves (the identity, Quad9's version, and the OpenDNS
+/// debug strings, server then flags).
+///
+/// Built once, a profile is shared by every world with a site there, so a
+/// site device costs a world build only its box.
+#[derive(Debug)]
+pub struct SiteProfile {
+    name: SharedStr,
+    brand: PublicBrand,
+    service_addrs: Arc<[IpAddr]>,
+    egress: ResolveCtx,
+    identity_txt: Option<RData>,
+    version_txt: Option<RData>,
+    debug_txt: Option<[RData; 2]>,
+}
+
+impl SiteProfile {
+    /// The profile of `brand`'s site at `iata` (an IATA code such as
+    /// "IAD"), answering on `service_addrs` and querying authoritative
+    /// servers from `egress`. `node_index` numbers the answering node in
+    /// Quad9's and OpenDNS's identity strings.
+    pub fn new(
+        brand: PublicBrand,
+        service_addrs: impl IntoIterator<Item = IpAddr>,
+        iata: &str,
+        node_index: u32,
+        egress: ResolveCtx,
+    ) -> SiteProfile {
+        let site = iata.to_ascii_lowercase();
+        let identity = match brand {
+            PublicBrand::Cloudflare => Some(iata.to_ascii_uppercase()),
+            PublicBrand::Quad9 => Some(format!("res{node_index}.{site}.rrdns.pch.net")),
+            // Google and OpenDNS do not implement id.server.
+            PublicBrand::Google | PublicBrand::OpenDns => None,
+        };
+        SiteProfile {
+            name: format!("{brand:?}-{iata}").into(),
+            brand,
+            service_addrs: service_addrs.into_iter().collect(),
+            egress,
+            identity_txt: identity.map(RData::txt),
+            // Only Quad9 answers version.bind (§3.2).
+            version_txt: (brand == PublicBrand::Quad9)
+                .then(|| RData::txt(format!("Q9-P-6.1-{site}"))),
+            // OpenDNS synthesizes debug.opendns.com at the resolver itself.
+            debug_txt: (brand == PublicBrand::OpenDns).then(|| {
+                [RData::txt(format!("server m{node_index}.{site}")), RData::txt("flags: 20 0 2F8 0")]
+            }),
+        }
+    }
+}
+
 /// One anycast site (point of presence) of one public resolver.
 ///
 /// Which site a client reaches is decided by the scenario's routing — in
 /// the real world by BGP anycast, here by which site device the topology
 /// wires toward the client's region.
 pub struct PublicResolverSite {
-    name: String,
-    brand: PublicBrand,
-    service_addrs: FxHashSet<IpAddr>,
-    /// IATA code of the site ("IAD", "SFO", "AMS", …).
-    iata: String,
-    /// Node number within the site, for Quad9/OpenDNS identity strings.
-    node_index: u32,
-    egress: ResolveCtx,
+    profile: Arc<SiteProfile>,
     zonedb: Arc<ZoneDb>,
     /// Whether this resolver validates DNSSEC (AD bit on signed answers).
     pub dnssec_validating: bool,
     /// Total queries handled.
     pub queries_handled: u64,
-    /// The TXT answers the site serves, each built the first time it is
-    /// asked for and written borrowed into every reply: the identity, the
-    /// version, and the OpenDNS debug strings (server, then flags).
-    identity_txt: Option<RData>,
-    version_txt: Option<RData>,
-    debug_txt: Option<[RData; 2]>,
 }
 
 impl PublicResolverSite {
-    /// Creates a site.
+    /// Creates a site with a profile of its own (see [`SiteProfile::new`]).
     pub fn new(
         brand: PublicBrand,
         service_addrs: impl IntoIterator<Item = IpAddr>,
@@ -67,22 +108,8 @@ impl PublicResolverSite {
         egress: ResolveCtx,
         zonedb: Arc<ZoneDb>,
     ) -> PublicResolverSite {
-        PublicResolverSite {
-            name: format!("{brand:?}-{iata}"),
-            brand,
-            service_addrs: service_addrs.into_iter().collect(),
-            iata: iata.to_ascii_uppercase(),
-            node_index,
-            egress,
-            zonedb,
-            // Cloudflare, Google, and Quad9 validate; classic OpenDNS does
-            // not.
-            dnssec_validating: brand != PublicBrand::OpenDns,
-            queries_handled: 0,
-            identity_txt: None,
-            version_txt: None,
-            debug_txt: None,
-        }
+        let profile = SiteProfile::new(brand, service_addrs, iata, node_index, egress);
+        PublicResolverSite::with_profile(Arc::new(profile), zonedb)
     }
 
     /// Boxed convenience constructor.
@@ -97,46 +124,32 @@ impl PublicResolverSite {
         Box::new(Self::new(brand, service_addrs, iata, node_index, egress, zonedb))
     }
 
-    /// The brand of this site.
-    pub fn brand(&self) -> PublicBrand {
-        self.brand
-    }
-
-    /// Identity string for CHAOS `id.server` / `hostname.bind`.
-    fn identity_string(&self) -> Option<String> {
-        match self.brand {
-            PublicBrand::Cloudflare => Some(self.iata.clone()),
-            PublicBrand::Quad9 => Some(format!(
-                "res{}.{}.rrdns.pch.net",
-                self.node_index,
-                self.iata.to_ascii_lowercase()
-            )),
-            // Google and OpenDNS do not implement id.server.
-            PublicBrand::Google | PublicBrand::OpenDns => None,
+    /// Creates a site from a shared profile; it allocates nothing.
+    pub fn with_profile(profile: Arc<SiteProfile>, zonedb: Arc<ZoneDb>) -> PublicResolverSite {
+        PublicResolverSite {
+            // Cloudflare, Google, and Quad9 validate; classic OpenDNS does
+            // not.
+            dnssec_validating: profile.brand != PublicBrand::OpenDns,
+            profile,
+            zonedb,
+            queries_handled: 0,
         }
     }
 
+    /// The brand of this site.
+    pub fn brand(&self) -> PublicBrand {
+        self.profile.brand
+    }
+
     fn answer_chaos(
-        &mut self,
+        &self,
         ctx: &mut Ctx<'_>,
         query: &MessageView<'_>,
         kind: ServerIdKind,
     ) -> Option<Bytes> {
         let text = match kind {
-            // Only Quad9 answers version.bind (§3.2).
-            ServerIdKind::Version if self.brand == PublicBrand::Quad9 => {
-                let iata = &self.iata;
-                Some(&*self.version_txt.get_or_insert_with(|| {
-                    RData::txt(format!("Q9-P-6.1-{}", iata.to_ascii_lowercase()))
-                }))
-            }
-            ServerIdKind::Version => None,
-            ServerIdKind::Identity => {
-                if self.identity_txt.is_none() {
-                    self.identity_txt = self.identity_string().map(RData::txt);
-                }
-                self.identity_txt.as_ref()
-            }
+            ServerIdKind::Version => self.profile.version_txt.as_ref(),
+            ServerIdKind::Identity => self.profile.identity_txt.as_ref(),
         };
         match text {
             Some(rdata) => {
@@ -147,29 +160,17 @@ impl PublicResolverSite {
         }
     }
 
-    fn answer_in(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        query: &MessageView<'_>,
-        q: &Question,
-    ) -> Option<Bytes> {
-        // OpenDNS synthesizes debug.opendns.com at the resolver itself.
-        if self.brand == PublicBrand::OpenDns && is_opendns_debug(&q.qname) && q.qtype == RType::Txt
-        {
-            let (node_index, iata) = (self.node_index, &self.iata);
-            let [server, flags] = self.debug_txt.get_or_insert_with(|| {
-                [
-                    RData::txt(format!("server m{node_index}.{}", iata.to_ascii_lowercase())),
-                    RData::txt("flags: 20 0 2F8 0"),
-                ]
-            });
-            let header = Header::response_to(query.header(), Rcode::NoError);
-            return reply_payload(ctx, query, &header, |w| {
-                w.answer_question(RClass::In, 0, server)?;
-                w.answer_question(RClass::In, 0, flags)
-            });
+    fn answer_in(&self, ctx: &mut Ctx<'_>, query: &MessageView<'_>, q: &Question) -> Option<Bytes> {
+        if let Some([server, flags]) = &self.profile.debug_txt {
+            if q.qtype == RType::Txt && is_opendns_debug(&q.qname) {
+                let header = Header::response_to(query.header(), Rcode::NoError);
+                return reply_payload(ctx, query, &header, |w| {
+                    w.answer_question(RClass::In, 0, server)?;
+                    w.answer_question(RClass::In, 0, flags)
+                });
+            }
         }
-        let result = self.zonedb.resolve(q, &self.egress);
+        let result = self.zonedb.resolve(q, &self.profile.egress);
         let mut header = Header::response_to(query.header(), result.rcode);
         header.ad = self.dnssec_validating && result.authenticated;
         reply_payload(ctx, query, &header, |w| result.answers.iter().try_for_each(|r| w.answer(r)))
@@ -183,7 +184,7 @@ fn is_opendns_debug(name: &Name) -> bool {
 impl Device for PublicResolverSite {
     fn receive(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, packet: IpPacket) {
         let Some(udp) = packet.udp_payload() else { return };
-        if udp.dst_port != 53 || !self.service_addrs.contains(&packet.dst()) {
+        if udp.dst_port != 53 || !self.profile.service_addrs.contains(&packet.dst()) {
             return;
         }
         let Ok(query) = MessageView::parse(&udp.payload) else { return };
@@ -206,7 +207,7 @@ impl Device for PublicResolverSite {
     }
 
     fn name(&self) -> &str {
-        &self.name
+        &self.profile.name
     }
 
     fn as_any(&self) -> &dyn Any {

@@ -17,15 +17,18 @@ use crate::software::SoftwareProfile;
 use crate::zone::{ResolveCtx, ResolveResult, ZoneDb};
 use bytes::Bytes;
 use dns_wire::{Header, MessageView, Question, RClass, RData, RType, Rcode};
-use netsim::{Ctx, Device, FxHashMap, FxHashSet, IfaceId, IpPacket, SimDuration};
+use netsim::{Ctx, Device, FxHashMap, IfaceId, IpPacket, SharedStr, SimDuration};
 use std::any::Any;
 use std::net::{IpAddr, Ipv4Addr};
 use std::sync::Arc;
 
 /// A recursive resolver bound to a set of service addresses.
 pub struct RecursiveResolver {
-    name: String,
-    service_addrs: FxHashSet<IpAddr>,
+    name: SharedStr,
+    /// A resolver answers on a handful of addresses, so a scan beats
+    /// hashing; shared, so a set fixed for a whole campaign (the root
+    /// servers') costs a world build nothing.
+    service_addrs: Arc<[IpAddr]>,
     egress: ResolveCtx,
     zonedb: Arc<ZoneDb>,
     /// Software identity for CHAOS queries.
@@ -50,15 +53,15 @@ pub struct RecursiveResolver {
 impl RecursiveResolver {
     /// Creates a resolver.
     pub fn new(
-        name: impl Into<String>,
-        service_addrs: impl IntoIterator<Item = IpAddr>,
+        name: impl Into<SharedStr>,
+        service_addrs: impl Into<Arc<[IpAddr]>>,
         egress: ResolveCtx,
         zonedb: Arc<ZoneDb>,
         profile: SoftwareProfile,
     ) -> RecursiveResolver {
         RecursiveResolver {
             name: name.into(),
-            service_addrs: service_addrs.into_iter().collect(),
+            service_addrs: service_addrs.into(),
             egress,
             zonedb,
             profile,
@@ -75,8 +78,8 @@ impl RecursiveResolver {
 
     /// Boxed convenience constructor.
     pub fn boxed(
-        name: impl Into<String>,
-        service_addrs: impl IntoIterator<Item = IpAddr>,
+        name: impl Into<SharedStr>,
+        service_addrs: impl Into<Arc<[IpAddr]>>,
         egress: ResolveCtx,
         zonedb: Arc<ZoneDb>,
         profile: SoftwareProfile,

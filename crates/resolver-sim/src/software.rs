@@ -6,15 +6,19 @@
 //! RedHat BIND builds, PowerDNS, Windows, and a long tail of one-offs
 //! (`new`, `unknown`, `none`, `huuh?`). These constructors reproduce those
 //! string shapes.
+//!
+//! The strings are [`SharedStr`]s: a profile made from literals or from
+//! shared text, and every clone of one, allocates nothing.
 
 use dns_wire::debug_queries::ServerIdKind;
 use dns_wire::Rcode;
+use netsim::SharedStr;
 
 /// How a server answers one CHAOS identification query.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ChaosPolicy {
     /// NOERROR with the given TXT string.
-    Text(String),
+    Text(SharedStr),
     /// A bare status code (NOTIMP, REFUSED, NXDOMAIN…).
     Status(Rcode),
     /// No response at all.
@@ -25,7 +29,7 @@ pub enum ChaosPolicy {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SoftwareProfile {
     /// Marketing name, for traces.
-    pub name: String,
+    pub name: SharedStr,
     /// Answer to `version.bind` / `version.server`.
     pub version_bind: ChaosPolicy,
     /// Answer to `id.server` / `hostname.bind`.
@@ -35,7 +39,7 @@ pub struct SoftwareProfile {
 impl SoftwareProfile {
     /// Dnsmasq, the dominant CPE forwarder (Table 5: 23 probes).
     pub fn dnsmasq(version: &str) -> SoftwareProfile {
-        let s = format!("dnsmasq-{version}");
+        let s = SharedStr::shared(format!("dnsmasq-{version}"));
         SoftwareProfile {
             name: "Dnsmasq".into(),
             version_bind: ChaosPolicy::Text(s.clone()),
@@ -45,7 +49,7 @@ impl SoftwareProfile {
 
     /// Pi-hole's Dnsmasq fork (Table 5: 8 probes).
     pub fn pi_hole(version: &str) -> SoftwareProfile {
-        let s = format!("dnsmasq-pi-hole-{version}");
+        let s = SharedStr::shared(format!("dnsmasq-pi-hole-{version}"));
         SoftwareProfile {
             name: "Pi-hole".into(),
             version_bind: ChaosPolicy::Text(s.clone()),
@@ -55,7 +59,7 @@ impl SoftwareProfile {
 
     /// NLnet Labs Unbound (Table 5: 6 probes).
     pub fn unbound(version: &str) -> SoftwareProfile {
-        let s = format!("unbound {version}");
+        let s = SharedStr::from(format!("unbound {version}"));
         SoftwareProfile {
             name: "Unbound".into(),
             version_bind: ChaosPolicy::Text(s),
@@ -65,7 +69,7 @@ impl SoftwareProfile {
 
     /// A RedHat-packaged BIND (Table 5: `*-RedHat`, 2 probes).
     pub fn bind_redhat(version: &str) -> SoftwareProfile {
-        let s = format!("{version}-RedHat");
+        let s = SharedStr::from(format!("{version}-RedHat"));
         SoftwareProfile {
             name: "BIND (RedHat)".into(),
             version_bind: ChaosPolicy::Text(s),
@@ -75,7 +79,7 @@ impl SoftwareProfile {
 
     /// PowerDNS Recursor (Table 5: 1 probe).
     pub fn powerdns(version: &str) -> SoftwareProfile {
-        let s = format!("PowerDNS Recursor {version}");
+        let s = SharedStr::from(format!("PowerDNS Recursor {version}"));
         SoftwareProfile {
             name: "PowerDNS".into(),
             version_bind: ChaosPolicy::Text(s),
@@ -86,7 +90,7 @@ impl SoftwareProfile {
     /// Comcast's XDNS component of RDK-B (§5): "implements a response to
     /// version.bind".
     pub fn xdns(version: &str) -> SoftwareProfile {
-        let s = format!("dnsmasq-{version}");
+        let s = SharedStr::shared(format!("dnsmasq-{version}"));
         SoftwareProfile {
             name: "XDNS (RDK-B)".into(),
             version_bind: ChaosPolicy::Text(s.clone()),
@@ -95,18 +99,20 @@ impl SoftwareProfile {
     }
 
     /// An arbitrary version string (Table 5's long tail: `Windows NS`,
-    /// `Microsoft`, `new`, `unknown`, `none`, `huuh?`, …).
-    pub fn custom(version_string: &str) -> SoftwareProfile {
+    /// `Microsoft`, `new`, `unknown`, `none`, `huuh?`, …). A literal or
+    /// shared text is used in place for both the name and the answer.
+    pub fn custom(version_string: impl Into<SharedStr>) -> SoftwareProfile {
+        let version_string = version_string.into();
         SoftwareProfile {
-            name: version_string.into(),
-            version_bind: ChaosPolicy::Text(version_string.into()),
+            name: version_string.clone(),
+            version_bind: ChaosPolicy::Text(version_string),
             id_server: ChaosPolicy::Status(Rcode::NotImp),
         }
     }
 
     /// Software that forwards everything but answers `version.bind` with a
     /// given status code (Table 3's probe 11992 pattern: NXDOMAIN).
-    pub fn version_bind_status(name: &str, rcode: Rcode) -> SoftwareProfile {
+    pub fn version_bind_status(name: impl Into<SharedStr>, rcode: Rcode) -> SoftwareProfile {
         SoftwareProfile {
             name: name.into(),
             version_bind: ChaosPolicy::Status(rcode),
@@ -116,7 +122,7 @@ impl SoftwareProfile {
 
     /// Software with `version.bind` disabled — the paper's §6 limitation:
     /// such a CPE interceptor cannot be identified by step 2.
-    pub fn version_hidden(name: &str) -> SoftwareProfile {
+    pub fn version_hidden(name: impl Into<SharedStr>) -> SoftwareProfile {
         SoftwareProfile {
             name: name.into(),
             version_bind: ChaosPolicy::Status(Rcode::Refused),
@@ -125,7 +131,7 @@ impl SoftwareProfile {
     }
 
     /// Software that answers neither query (drops CHAOS entirely).
-    pub fn chaos_silent(name: &str) -> SoftwareProfile {
+    pub fn chaos_silent(name: impl Into<SharedStr>) -> SoftwareProfile {
         SoftwareProfile {
             name: name.into(),
             version_bind: ChaosPolicy::Silent,
