@@ -238,24 +238,21 @@ impl HijackLocator {
         sink: &mut S,
     ) -> (InterceptionMatrix, StepProvenance) {
         let mut matrix = InterceptionMatrix::default();
-        // Every query's evidence, in issue order; `deciding` keeps only the
-        // non-standard responses that flipped cells to intercepted.
-        let mut all_refs = Vec::new();
-        let mut deciding = Vec::new();
+        let families = if self.config.test_ipv6 { 2 } else { 1 };
+        // Every query's evidence, in issue order: at most two queries per
+        // resolver and family. `deciding` keeps only the non-standard
+        // responses that flipped cells to intercepted.
         let resolvers = self.config.resolvers.clone();
+        let mut all_refs = Vec::with_capacity(resolvers.len() * families * 2);
+        let mut deciding = Vec::new();
         for resolver in resolvers.iter() {
-            let mut families: Vec<&[IpAddr; 2]> = vec![&resolver.v4];
-            if self.config.test_ipv6 {
-                families.push(&resolver.v6);
-            }
-            for (fi, addrs) in families.into_iter().enumerate() {
-                let (result, refs) = self.location_test(transport, sink, resolver, addrs);
+            for (fi, addrs) in [&resolver.v4, &resolver.v6].into_iter().take(families).enumerate() {
+                let result = self.location_test(transport, sink, resolver, addrs, &mut all_refs);
                 if result.is_intercepted() {
                     // The early-return rule makes the last query the
                     // non-standard one.
-                    deciding.extend(refs.last().cloned());
+                    deciding.extend(all_refs.last().cloned());
                 }
-                all_refs.extend(refs);
                 let side = if fi == 0 { &mut matrix.v4 } else { &mut matrix.v6 };
                 *side.get_mut(resolver.key) = result;
             }
@@ -268,15 +265,17 @@ impl HijackLocator {
         (matrix, provenance)
     }
 
+    /// Queries `addrs` in turn, appending each query's evidence to `refs`,
+    /// and stops at the first non-standard answer.
     fn location_test<T: QueryTransport, S: TraceSink>(
         &mut self,
         transport: &mut T,
         sink: &mut S,
         resolver: &PublicResolver,
         addrs: &[IpAddr; 2],
-    ) -> (LocationTestResult, Vec<EvidenceRef>) {
+        refs: &mut Vec<EvidenceRef>,
+    ) -> LocationTestResult {
         let mut saw_response = false;
-        let mut refs = Vec::new();
         for &addr in addrs {
             let question = resolver.location_query();
             let sent = self.send(transport, sink, Step::Location, addr, question);
@@ -286,10 +285,9 @@ impl HijackLocator {
                 QueryOutcome::Response(msg) => {
                     saw_response = true;
                     if !resolver.is_standard_location_response(&msg) {
-                        return (
-                            LocationTestResult::NonStandard { observed: describe_response(&msg) },
-                            refs,
-                        );
+                        return LocationTestResult::NonStandard {
+                            observed: describe_response(&msg),
+                        };
                     }
                 }
                 // Wrong-source replies are never accepted as answers; like
@@ -297,9 +295,11 @@ impl HijackLocator {
                 QueryOutcome::Timeout | QueryOutcome::WrongSource { .. } => {}
             }
         }
-        let result =
-            if saw_response { LocationTestResult::Standard } else { LocationTestResult::Timeout };
-        (result, refs)
+        if saw_response {
+            LocationTestResult::Standard
+        } else {
+            LocationTestResult::Timeout
+        }
     }
 
     /// Step 2 (§3.2): `version.bind` to the CPE's public IP and to each
@@ -371,9 +371,10 @@ impl HijackLocator {
 
         // Cite the CPE's own answer plus the answers attributed to the
         // *intercepted* resolvers — exactly the strings the verdict compared.
-        let mut cited = vec![cpe_ref];
+        let mut cited = Vec::with_capacity(1 + intercepted.len());
+        cited.push(cpe_ref);
         for &key in &intercepted {
-            cited.extend(resolver_refs.get(key).clone());
+            cited.extend(resolver_refs.get_mut(key).take());
         }
         let provenance = StepProvenance {
             verdict: if cpe_is_interceptor { "CPE is the interceptor" } else { "CPE ruled out" }
@@ -396,34 +397,31 @@ impl HijackLocator {
         transport: &mut T,
         sink: &mut S,
     ) -> (BogonEvidence, StepProvenance) {
-        let mut refs = Vec::new();
-        let mut answered_refs = Vec::new();
+        // Every bogon query's evidence, in issue order, with whether it
+        // was answered.
+        let mut refs = Vec::with_capacity(2);
+        let mut answered_mask = [false; 2];
         let q4 = Question::new(self.config.probe_domain.clone(), RType::A);
         let sent = self.send(transport, sink, Step::Bogon, self.config.bogon_v4, q4);
-        let v4 = match sent.outcome {
-            QueryOutcome::Response(msg) => {
-                answered_refs.push(sent.evidence.clone());
-                BogonOutcome::Answered { observed: describe_response(&msg) }
-            }
-            QueryOutcome::Timeout | QueryOutcome::WrongSource { .. } => BogonOutcome::Silent,
-        };
+        let v4 = bogon_outcome(sent.outcome);
+        answered_mask[0] = matches!(v4, BogonOutcome::Answered { .. });
         refs.push(sent.evidence);
         let v6 = if self.config.test_ipv6 {
             let q6 = Question::new(self.config.probe_domain.clone(), RType::Aaaa);
             let sent = self.send(transport, sink, Step::Bogon, self.config.bogon_v6, q6);
-            let outcome = match sent.outcome {
-                QueryOutcome::Response(msg) => {
-                    answered_refs.push(sent.evidence.clone());
-                    BogonOutcome::Answered { observed: describe_response(&msg) }
-                }
-                QueryOutcome::Timeout | QueryOutcome::WrongSource { .. } => BogonOutcome::Silent,
-            };
+            let outcome = bogon_outcome(sent.outcome);
+            answered_mask[1] = matches!(outcome, BogonOutcome::Answered { .. });
             refs.push(sent.evidence);
             outcome
         } else {
             BogonOutcome::NotTested
         };
-        let answered = !answered_refs.is_empty();
+        let answered = answered_mask.contains(&true);
+        if answered {
+            // An answer is positive proof — cite it alone.
+            let mut answered = answered_mask.into_iter();
+            refs.retain(|_| answered.next().unwrap_or(false));
+        }
         let provenance = StepProvenance {
             verdict: if answered {
                 "answered: interceptor within ISP"
@@ -431,10 +429,9 @@ impl HijackLocator {
                 "silent: beyond or unknown"
             }
             .into(),
-            // An answer is positive proof — cite it alone. Silence cites
-            // every (unanswered) bogon query: the verdict rests on all of
-            // them staying quiet.
-            cited: if answered { answered_refs } else { refs },
+            // Silence cites every (unanswered) bogon query: the verdict
+            // rests on all of them staying quiet.
+            cited: refs,
         };
         (BogonEvidence { v4, v6 }, provenance)
     }
@@ -589,6 +586,14 @@ impl HijackLocator {
 struct Sent {
     outcome: QueryOutcome,
     evidence: EvidenceRef,
+}
+
+/// What one bogon query's outcome shows: an answer, or silence.
+fn bogon_outcome(outcome: QueryOutcome) -> BogonOutcome {
+    match outcome {
+        QueryOutcome::Response(msg) => BogonOutcome::Answered { observed: describe_response(&msg) },
+        QueryOutcome::Timeout | QueryOutcome::WrongSource { .. } => BogonOutcome::Silent,
+    }
 }
 
 /// Emits a `StepVerdict` event mirroring `provenance` when `sink` is live.
