@@ -149,7 +149,7 @@ fn allocations_per_probe(config: FleetConfig) -> (f64, f64) {
 /// truth (instead of cloning both) keeps this flat; an accidental
 /// per-probe clone of anything fleet-sized would fail the ratio check.
 /// Absolute per-probe allocation budgets at the 1200-probe point: the
-/// measured 228 allocations and 30,302 bytes per probe, plus 10%.
+/// measured 103.9 allocations and 14,712 bytes per probe, plus 10%.
 /// Regressing past these means a per-query or per-build allocation came
 /// back (e.g. re-encoding location queries, rebuilding the resolver table,
 /// per-packet payload Vecs, per-query name strings or a device encode
@@ -158,15 +158,15 @@ fn allocations_per_probe(config: FleetConfig) -> (f64, f64) {
 /// The steady-state *wire* path itself is pinned to exactly zero by
 /// `tests/zero_alloc.rs`; this budget covers the whole probe — world
 /// build, verdicts, aggregation — where some setup allocation is real.
-const MAX_ALLOCS_PER_PROBE: f64 = 251.0;
-const MAX_BYTES_PER_PROBE: f64 = 33_350.0;
+const MAX_ALLOCS_PER_PROBE: f64 = 115.0;
+const MAX_BYTES_PER_PROBE: f64 = 16_190.0;
 
 fn assert_allocation_flatness() {
     let (small_count, small_bytes) = allocations_per_probe(benign(300));
     let (large_count, large_bytes) = allocations_per_probe(benign(1200));
     eprintln!(
-        "allocation flatness: {small_count:.0} allocs/probe ({small_bytes:.0} B) at 300 \
-         vs {large_count:.0} allocs/probe ({large_bytes:.0} B) at 1200"
+        "allocation flatness: {small_count:.1} allocs/probe ({small_bytes:.0} B) at 300 \
+         vs {large_count:.1} allocs/probe ({large_bytes:.0} B) at 1200"
     );
     assert!(
         large_count <= small_count * 1.10,
@@ -189,10 +189,10 @@ fn assert_allocation_flatness() {
 }
 
 /// Per-probe budgets on the heavy-tail fleet at 1,200 probes: the measured
-/// 241.5 allocations and 32,480 bytes per responding probe, plus 10%.
+/// 111.9 allocations and 15,943 bytes per responding probe, plus 10%.
 /// The benign budgets above never see loss, retries or backoff; these do.
-const MAX_HEAVY_TAIL_ALLOCS_PER_PROBE: f64 = 266.0;
-const MAX_HEAVY_TAIL_BYTES_PER_PROBE: f64 = 35_730.0;
+const MAX_HEAVY_TAIL_ALLOCS_PER_PROBE: f64 = 124.0;
+const MAX_HEAVY_TAIL_BYTES_PER_PROBE: f64 = 17_540.0;
 
 fn assert_heavy_tail_budget() {
     let (count, bytes) = allocations_per_probe(heavy_tail(1200));
@@ -210,13 +210,13 @@ fn assert_heavy_tail_budget() {
 }
 
 /// Per-probe budgets for the capture-enabled campaign on the 300-probe
-/// fleet: the measured 329.8 allocations and 178,083 bytes per responding
+/// fleet: the measured 199.5 allocations and 160,944 bytes per responding
 /// probe, plus 10%. The whole campaign counts, measurement included.
 /// Regressing past these means hops went back to per-hop strings, the
 /// capture buffer stopped being recycled through `SimScratch`, or flow
 /// reconstruction re-parsed messages into owned ones.
-const MAX_CAPTURE_ALLOCS_PER_PROBE: f64 = 363.0;
-const MAX_CAPTURE_BYTES_PER_PROBE: f64 = 195_900.0;
+const MAX_CAPTURE_ALLOCS_PER_PROBE: f64 = 220.0;
+const MAX_CAPTURE_BYTES_PER_PROBE: f64 = 177_040.0;
 
 /// The flight recorder's zero-cost contract, enforced at the allocator:
 /// with capture disabled (the default `NullCapture`), two identical
@@ -302,8 +302,8 @@ fn peak_growth<R>(run: impl FnOnce() -> R) -> u64 {
 /// 2,000- and 8,000-probe heavy-tail fleets on one thread. Streaming keeps
 /// no per-probe result; its one per-probe cost is the scheduler's index of
 /// responding probes, an 8-byte `&ProbeSpec` each, and 12 at the peak of
-/// the doubling that grows it. Measured: 8.6 B per added probe (+55,957 B
-/// at 2,000, +105,484 B at 8,000). Collect-all keeps every `ProbeResult`
+/// the doubling that grows it. Measured: 8.5 B per added probe (+52,734 B
+/// at 2,000, +101,957 B at 8,000). Collect-all keeps every `ProbeResult`
 /// (2,275 B per added probe), and must stay above its floor to show that
 /// the check sees retained results.
 const MAX_STREAMING_BYTES_PER_ADDED_PROBE: f64 = 24.0;

@@ -6,18 +6,19 @@
 //! without an answer must not allocate at all: cached encode, pooled
 //! payload, packet forwarding hop by hop, and the borrowed-view receive
 //! filter are all allocation-free. A warm *answered* round trip is pinned
-//! to its exact count: the owned reply the stub hands the locator. The
-//! same counter also pins the component pieces individually, so a
-//! regression report names the layer that started allocating rather than
-//! just "the path".
+//! to its exact count: the owned reply the stub hands the locator. So is a
+//! warm world build: one box and a few containers per device. The same
+//! counter also pins the component pieces individually, so a regression
+//! report names the layer that started allocating rather than just "the
+//! path".
 //!
 //! Everything runs inside one `#[test]` because the counter is a process
 //! global; parallel test threads would bleed into each other's deltas.
 
 use dns_wire::{Message, MessageView, Name, QueryEncoder, Question, RType};
-use interception::{HomeScenario, ProbeTimingLog, SimTransport, Vantage};
+use interception::{HomeScenario, ProbeTimingLog, SimTransport, Vantage, WorldTemplate};
 use locator::{QueryOptions, QueryTransport};
-use netsim::PayloadPool;
+use netsim::{PayloadPool, SimScratch};
 use timing::{AtomicHistogram, Span};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::net::IpAddr;
@@ -76,10 +77,11 @@ fn steady_state_probe_path_allocates_nothing() {
     // --- End to end, answered: a warm probe-vantage CHAOS `id.server`
     // query to 1.1.1.1 across the clean home, answered by the Cloudflare
     // site. Every hop, the CPE's masquerade, the site's view parse and its
-    // reply written from that view around the borrowed cached answer
-    // (thread-shared scratch, pooled payload slab), the interned names and
-    // the in-place inbox drain are allocation-free; what remains is the
-    // owned `Message` the stub materializes from the accepted reply:
+    // reply written from that view around the TXT answer its shared
+    // profile holds (thread-shared scratch, pooled payload slab), the
+    // interned names and the in-place inbox drain are allocation-free;
+    // what remains is the owned `Message` the stub materializes from the
+    // accepted reply:
     //   stub:  question Vec, answer Vec,
     //          TXT RData (outer Vec + one string)                    4
     // The CPE's conntrack gains one entry per query (each query has a
@@ -99,6 +101,36 @@ fn steady_state_probe_path_allocates_nothing() {
         allocs, 4,
         "warm answered id.server round trip allocated {allocs} times; \
          4 are the stub's owned reply listed above"
+    );
+
+    // --- World build: a warm clean household (dual-stack, plain CPE, a
+    // Comcast-like ISP, region NaEast) built into the containers of the
+    // previous world against the shared template. What is fixed or shared
+    // costs nothing: device names such as "probe" and "internet-core", the
+    // four public sites' profiles, the root server's identity and
+    // addresses, the zone database. Each device allocates what is its own:
+    //   probe host:      box, address list                             2
+    //   CPE:             box, NAT's own-address list                   2
+    //   ISP resolver:    box, name, service addresses                  3
+    //   edge router:     box, name, address list, route table          4
+    //   border router:   box, name, address list, route table          4
+    //   core router:     box, address list, route table                3
+    //   4 public sites:  one box each                                  4
+    //   root server:     box                                           1
+    //   scanner host:    box, address list                             2
+    //                                                                 25
+    let template = WorldTemplate::shared();
+    let clean = HomeScenario::clean();
+    let mut scratch = SimScratch::default();
+    for _ in 0..3 {
+        scratch = clean.build_with_scratch(&template, scratch).sim.into_scratch();
+    }
+    let (allocs, built) = allocations_in(|| clean.build_with_scratch(&template, scratch));
+    assert_eq!(built.sim.node_name(built.scanner), Some("scanner"));
+    assert_eq!(
+        allocs, 25,
+        "warm clean world build allocated {allocs} times; the 25 listed above are each \
+         device's own"
     );
 
     // --- Component: cached query encoding re-stamps the txid in place.

@@ -752,6 +752,9 @@ impl HomeScenario {
     /// growing a fresh one from zero.
     pub fn build_with_scratch(&self, template: &WorldTemplate, scratch: SimScratch) -> BuiltScenario {
         let isp = &self.isp;
+        // "<ISP>-edge" and the like, in one allocation each (`format!`
+        // would grow the string twice).
+        let isp_device = |role: &str| [&*isp.name, role].concat();
         let mut sim = Simulator::with_scratch(self.seed, scratch);
         let zonedb = Arc::clone(&template.zonedb);
 
@@ -821,7 +824,7 @@ impl HomeScenario {
         let root_auth_v4: Ipv4Addr = Ipv4Addr::new(198, 41, 0, 8);
         let isp_resolver = if use_iterative {
             sim.add_device(resolver_sim::IterativeResolver::boxed(
-                format!("{}-resolver", isp.name),
+                isp_device("-resolver"),
                 [IpAddr::V4(isp.resolver_v4), IpAddr::V6(isp.resolver_v6)],
                 IpAddr::V4(isp.resolver_egress_v4),
                 vec![IpAddr::V4(root_auth_v4)],
@@ -833,7 +836,7 @@ impl HomeScenario {
                 egress_v6: Some(isp.resolver_egress_v6),
             };
             let mut resolver = RecursiveResolver::new(
-                format!("{}-resolver", isp.name),
+                isp_device("-resolver"),
                 [IpAddr::V4(isp.resolver_v4), IpAddr::V6(isp.resolver_v6)],
                 egress,
                 Arc::clone(&zonedb),
@@ -858,7 +861,7 @@ impl HomeScenario {
             .unwrap_or(false);
         let filter_resolver_node = needs_filter_resolver.then(|| {
             let mut filter = RecursiveResolver::new(
-                format!("{}-filter-resolver", isp.name),
+                isp_device("-filter-resolver"),
                 [IpAddr::V4(filter_resolver_v4)],
                 ResolveCtx::v4(Ipv4Addr::from(u32::from(isp.v4_prefix) + (76 << 16) + (76 << 8) + 77)),
                 Arc::clone(&zonedb),
@@ -877,7 +880,7 @@ impl HomeScenario {
 
         // Each router's table is sized up front for the routes added below.
         let (v6_routes, resolver_routes) = (2 * usize::from(home_v6), 3 * usize::from(isp.resolver_in_as));
-        let mut edge = Router::new(format!("{}-edge", isp.name));
+        let mut edge = Router::new(isp_device("-edge"));
         edge.routes.reserve(4 + v6_routes + resolver_routes);
         edge.add_addr(IpAddr::V4(Ipv4Addr::from(u32::from(isp.v4_prefix) + 1)));
         edge.routes.add(home_v4_host, IfaceId(0));
@@ -895,7 +898,7 @@ impl HomeScenario {
         edge.routes.add_default_v6(IfaceId(2));
         let edge = sim.add_device(Box::new(edge));
 
-        let mut border = Router::new(format!("{}-border", isp.name));
+        let mut border = Router::new(isp_device("-border"));
         border.routes.reserve(4 + resolver_routes);
         border.add_addr(IpAddr::V4(Ipv4Addr::from(u32::from(isp.v4_prefix) + 2)));
         border.drop_bogon_destinations(true);
@@ -1000,7 +1003,7 @@ impl HomeScenario {
         let middlebox_node = self.middlebox.as_ref().map(|spec| {
             let redirect_v4 = spec.redirect_v4.as_ref().map(|t| self.redirect_addr(t));
             let redirect_v6 = spec.redirect_v6.as_ref().map(|t| self.redirect_addr_v6(t));
-            let mut mb = Router::new(format!("{}-middlebox", isp.name));
+            let mut mb = Router::new(isp_device("-middlebox"));
             mb.add_addr(IpAddr::V4(Ipv4Addr::from(u32::from(isp.v4_prefix) + 3)));
             mb.routes.add(home_v4_host, IfaceId(0));
             if home_v6 {
