@@ -92,6 +92,7 @@ impl Header {
     }
 
     pub(crate) fn encode(&self, w: &mut Writer, counts: [u16; 4]) {
+        w.write_u16(self.id);
         let mut flags = 0u16;
         if self.qr {
             flags |= 0x8000;
@@ -116,11 +117,10 @@ impl Header {
             flags |= 0x0010;
         }
         flags |= self.rcode.to_u8() as u16;
-        let mut bytes = [0u8; 12];
-        for (i, field) in [self.id, flags].into_iter().chain(counts).enumerate() {
-            bytes[2 * i..2 * i + 2].copy_from_slice(&field.to_be_bytes());
+        w.write_u16(flags);
+        for c in counts {
+            w.write_u16(c);
         }
-        w.write_bytes(&bytes);
     }
 }
 

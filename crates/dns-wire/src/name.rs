@@ -99,56 +99,10 @@ pub(crate) fn walk_name<'a>(
     }
 }
 
-/// The canonical wire form and label count of the name at the cursor when
-/// it lies in the buffer in one piece: labels ending in the root octet,
-/// directly or behind one backward pointer. This is the shape of nearly
-/// every name on the wire (a question name, an answer owner pointing at
-/// it), and it needs no copy to read.
-///
-/// On success the cursor ends past the name as [`Name::parse`] leaves it.
-/// Any other shape, valid or not, gives `None` with the cursor untouched;
-/// [`decompress`] then applies the full rules.
-pub(crate) fn contiguous_wire<'a>(r: &mut Reader<'a>) -> Option<(&'a [u8], u8)> {
-    let buf = r.message();
-    let at = r.position();
-    let first = *buf.get(at)?;
-    let (from, after) = if first & 0xC0 == 0xC0 {
-        let target = ((first as usize & 0x3F) << 8) | *buf.get(at + 1)? as usize;
-        if target >= at {
-            return None;
-        }
-        (target, Some(at + 2))
-    } else {
-        (at, None)
-    };
-    let mut pos = from;
-    let mut labels = 0u8;
-    loop {
-        let len = *buf.get(pos)? as usize;
-        if len == 0 {
-            break;
-        }
-        if len > MAX_LABEL_LEN {
-            return None;
-        }
-        pos += 1 + len;
-        labels += 1;
-        if pos - from >= MAX_NAME_LEN {
-            return None;
-        }
-    }
-    let wire = &buf[from..=pos];
-    r.seek(after.unwrap_or(pos + 1)).ok()?;
-    Some((wire, labels))
-}
-
 /// Moves the cursor past the name at it, validating under [`walk_name`]'s
-/// rules: a name in one piece is checked by [`contiguous_wire`]'s light
-/// scan, any other by the full walk.
+/// rules.
 pub(crate) fn skip_name(r: &mut Reader<'_>) -> Result<(), ParseError> {
-    if contiguous_wire(r).is_none() {
-        walk_name(r, |_| true)?;
-    }
+    walk_name(r, |_| true)?;
     Ok(())
 }
 
@@ -290,28 +244,19 @@ impl Name {
     /// starting position* (i.e. after the pointer, if the name was
     /// compressed), which is what message parsing needs.
     ///
-    /// A name lying in the buffer in one piece (directly, or behind one
-    /// pointer) is read in place; any other is decompressed through a
-    /// stack buffer. Either way the only heap allocation is the final
-    /// shared buffer, and a name whose wire form is exactly that of one of
-    /// the fixed debugging-query names (case included) shares the interned
-    /// buffer instead, with no allocation at all.
+    /// Decompresses through a stack buffer (names are at most 255 octets),
+    /// so the only heap allocation is the final shared buffer. A name whose
+    /// wire form is exactly that of one of the fixed debugging-query names
+    /// (case included) shares the interned buffer instead, with no
+    /// allocation at all.
     pub fn parse(r: &mut Reader<'_>) -> Result<Self, ParseError> {
-        if let Some((wire, labels)) = contiguous_wire(r) {
-            return Ok(Name::from_wire(wire, labels));
-        }
         let mut buf = [0u8; MAX_NAME_LEN];
         let (len, labels) = decompress(r, &mut buf)?;
-        Ok(Name::from_wire(&buf[..len], labels))
-    }
-
-    /// A name over validated canonical wire bytes: the interned copy when
-    /// one matches byte for byte, otherwise a fresh shared buffer.
-    fn from_wire(wire: &[u8], labels: u8) -> Name {
-        match crate::debug_queries::interned_wire(wire) {
-            Some(name) => name.clone(),
-            None => Name { wire: Arc::from(wire), labels },
+        let wire = &buf[..len];
+        if let Some(name) = crate::debug_queries::interned_wire(wire) {
+            return Ok(name.clone());
         }
+        Ok(Name { wire: Arc::from(wire), labels })
     }
 
     /// Encodes the name, compressing against previously written names.
@@ -408,11 +353,6 @@ impl NameCompressor {
     fn find(&self, buf: &[u8], suffix: &[u8], completed: usize) -> Option<u16> {
         'candidates: for &start in &self.starts[..completed] {
             let mut off = start as usize;
-            // A suffix written out literally, the usual case for a name
-            // repeating the question, compares in one pass.
-            if buf.get(off..off + suffix.len()).is_some_and(|b| b.eq_ignore_ascii_case(suffix)) {
-                return Some(start);
-            }
             let mut spos = 0usize;
             loop {
                 let len = buf[off] as usize;
@@ -666,47 +606,6 @@ mod tests {
         assert_eq!(n, name("www.example.com"));
         // Cursor lands after the two pointer bytes.
         assert_eq!(r.position(), bytes.len());
-    }
-
-    #[test]
-    fn names_in_one_piece_read_like_the_full_walk() {
-        // Labels of 63, 63, 63 and `last` octets: 255 octets on the wire
-        // with a 61-octet last label, one too many with 62.
-        let long = |last: usize| {
-            let mut wire = Vec::new();
-            for len in [63, 63, 63, last] {
-                wire.push(len as u8);
-                wire.extend(std::iter::repeat_n(b'a', len));
-            }
-            wire.push(0);
-            wire
-        };
-        let mut pointed = b"\x07example\x03com\x00".to_vec();
-        pointed.extend_from_slice(b"\xC0\x00");
-        let cases: [(Vec<u8>, usize); 4] = [
-            (b"\x02id\x06server\x00".to_vec(), 0),
-            (pointed, 13),
-            (long(61), 0),
-            (long(62), 0),
-        ];
-        for (bytes, at) in cases {
-            let mut fast = Reader::new(&bytes);
-            fast.seek(at).unwrap();
-            let mut full = fast;
-            let mut buf = [0u8; MAX_NAME_LEN];
-            let walked = decompress(&mut full, &mut buf).map(|(len, _)| buf[..len].to_vec());
-            match (Name::parse(&mut fast), walked) {
-                (Ok(name), Ok(wire)) => {
-                    assert_eq!(name.as_wire(), wire.as_slice());
-                    assert_eq!(name.label_count(), name.labels().count());
-                    assert_eq!(fast.position(), full.position());
-                }
-                (parsed, walked) => {
-                    assert_eq!(parsed.unwrap_err(), ParseError::NameTooLong);
-                    assert_eq!(walked.unwrap_err(), ParseError::NameTooLong);
-                }
-            }
-        }
     }
 
     #[test]

@@ -17,8 +17,7 @@
 use crate::error::ParseError;
 use crate::message::{Header, Message, Question, Record};
 use crate::name::{
-    contiguous_wire, decompress, label_count, skip_name, walk_name, wire_is_subdomain_of, Name,
-    MAX_NAME_LEN,
+    decompress, label_count, skip_name, walk_name, wire_is_subdomain_of, Name, MAX_NAME_LEN,
 };
 use crate::rdata::RData;
 use crate::types::{RClass, RType};
@@ -230,15 +229,11 @@ impl<'a> NameRef<'a> {
         Name::parse(&mut r).expect(VALIDATED)
     }
 
-    /// Calls `f` with the name's canonical (uncompressed) wire form: read
-    /// in place when the name lies in one piece, decompressed on the stack
-    /// otherwise. Never allocates.
+    /// Calls `f` with the name's canonical (uncompressed) wire form,
+    /// decompressed on the stack. Never allocates.
     pub(crate) fn with_wire<R>(&self, f: impl FnOnce(&[u8]) -> R) -> R {
         let mut r = Reader::new(self.buf);
         r.seek(self.off).expect("offset from a validated view");
-        if let Some((wire, _)) = contiguous_wire(&mut r) {
-            return f(wire);
-        }
         let mut buf = [0u8; MAX_NAME_LEN];
         let (len, _) = decompress(&mut r, &mut buf).expect(VALIDATED);
         f(&buf[..len])
