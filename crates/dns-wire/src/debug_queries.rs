@@ -124,13 +124,6 @@ pub fn hostname_bind_query(id: u16) -> Message {
     Message::query(id, Question::chaos_txt(hostname_bind()))
 }
 
-/// True if `q` is one of the CHAOS-class server-identification questions
-/// (`version.bind`, `id.server`, `hostname.bind`, or their `.server`/`.bind`
-/// cross-spellings, all of which BIND-like software accepts).
-pub fn is_server_id_question(q: &Question) -> bool {
-    server_id_kind(q).is_some()
-}
-
 /// Which server-identification question a CHAOS query is asking.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServerIdKind {
@@ -140,40 +133,43 @@ pub enum ServerIdKind {
     Identity,
 }
 
-/// Classifies a CHAOS question into version vs identity, or `None` if it is
-/// not a server-identification question.
-pub fn server_id_kind(q: &Question) -> Option<ServerIdKind> {
-    asks_chaos_text(q.qclass, q.qtype).then(|| kind_of_name(q.qname.as_wire()))?
-}
-
-/// [`server_id_kind`] of a question still in its message's wire form, as
-/// a server sees it in a query's view. Allocation-free.
+/// Classifies a CHAOS question, read from a query's view, into version vs
+/// identity, or `None` if it is not one of the server-identification
+/// questions (`version.bind`, `id.server`, `hostname.bind`, or their
+/// `.server`/`.bind` cross-spellings, all of which BIND-like software
+/// accepts; names compare case-insensitively). Allocation-free.
 pub fn server_id_kind_view(q: &QuestionView<'_>) -> Option<ServerIdKind> {
-    asks_chaos_text(q.qclass, q.qtype).then(|| q.qname.with_wire(kind_of_name))?
-}
-
-/// True for the class and types server identification is asked in.
-fn asks_chaos_text(qclass: RClass, qtype: RType) -> bool {
-    qclass == RClass::Chaos && matches!(qtype, RType::Txt | RType::Any)
-}
-
-/// The server-identification kind of the name with canonical wire form
-/// `wire`, compared case-insensitively.
-fn kind_of_name(wire: &[u8]) -> Option<ServerIdKind> {
-    let names = interned();
-    let is = |name: &Name| name.as_wire().eq_ignore_ascii_case(wire);
-    if is(&names.version_bind) || is(&names.version_server) {
-        Some(ServerIdKind::Version)
-    } else if is(&names.id_server) || is(&names.hostname_bind) || is(&names.id_bind) {
-        Some(ServerIdKind::Identity)
-    } else {
-        None
+    if q.qclass != RClass::Chaos || !matches!(q.qtype, RType::Txt | RType::Any) {
+        return None;
     }
+    q.qname.with_wire(|wire| {
+        let names = interned();
+        let is = |name: &Name| name.as_wire().eq_ignore_ascii_case(wire);
+        if is(&names.version_bind) || is(&names.version_server) {
+            Some(ServerIdKind::Version)
+        } else if is(&names.id_server) || is(&names.hostname_bind) || is(&names.id_bind) {
+            Some(ServerIdKind::Identity)
+        } else {
+            None
+        }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// [`server_id_kind_view`] of `msg`'s first question, read as a server
+    /// reads it: from a view of the encoded query.
+    fn kind_in(msg: &Message) -> Option<ServerIdKind> {
+        let wire = msg.encode().unwrap();
+        let view = crate::MessageView::parse(&wire).unwrap();
+        server_id_kind_view(&view.question().unwrap())
+    }
+
+    fn kind(q: Question) -> Option<ServerIdKind> {
+        kind_in(&Message::query(1, q))
+    }
 
     #[test]
     fn builders_produce_chaos_txt() {
@@ -181,70 +177,53 @@ mod tests {
             let q = msg.question().unwrap();
             assert_eq!(q.qclass, RClass::Chaos);
             assert_eq!(q.qtype, RType::Txt);
-            assert!(is_server_id_question(q));
+            assert!(kind_in(&msg).is_some());
         }
     }
 
     #[test]
     fn classification() {
-        let v = version_bind_query(1);
-        assert_eq!(server_id_kind(v.question().unwrap()), Some(ServerIdKind::Version));
-        let i = id_server_query(1);
-        assert_eq!(server_id_kind(i.question().unwrap()), Some(ServerIdKind::Identity));
-        let h = hostname_bind_query(1);
-        assert_eq!(server_id_kind(h.question().unwrap()), Some(ServerIdKind::Identity));
+        assert_eq!(kind_in(&version_bind_query(1)), Some(ServerIdKind::Version));
+        assert_eq!(kind_in(&id_server_query(1)), Some(ServerIdKind::Identity));
+        assert_eq!(kind_in(&hostname_bind_query(1)), Some(ServerIdKind::Identity));
     }
 
     #[test]
     fn in_class_is_not_server_id() {
-        let q = Question::new(version_bind(), RType::Txt);
-        assert!(!is_server_id_question(&q));
-        assert_eq!(server_id_kind(&q), None);
+        assert_eq!(kind(Question::new(version_bind(), RType::Txt)), None);
     }
 
     #[test]
     fn chaos_a_is_not_server_id() {
         let q = Question { qname: version_bind(), qtype: RType::A, qclass: RClass::Chaos };
-        assert!(!is_server_id_question(&q));
+        assert_eq!(kind(q), None);
+    }
+
+    #[test]
+    fn chaos_any_is_server_id() {
+        let q = Question { qtype: RType::Any, ..Question::chaos_txt(hostname_bind()) };
+        assert_eq!(kind(q), Some(ServerIdKind::Identity));
     }
 
     #[test]
     fn case_insensitive_names() {
         let q = Question::chaos_txt("VERSION.BIND".parse().unwrap());
-        assert_eq!(server_id_kind(&q), Some(ServerIdKind::Version));
+        assert_eq!(kind(q), Some(ServerIdKind::Version));
     }
 
     #[test]
     fn cross_spellings_classify_like_bind() {
-        for (text, kind) in [
+        for (text, want) in [
             ("version.server", Some(ServerIdKind::Version)),
             ("ID.Bind", Some(ServerIdKind::Identity)),
+            ("Id.Server", Some(ServerIdKind::Identity)),
             ("hostname.bind.", Some(ServerIdKind::Identity)),
             ("id.server.example", None),
             ("version", None),
             ("bind", None),
+            (".", None),
         ] {
-            let q = Question::chaos_txt(text.parse().unwrap());
-            assert_eq!(server_id_kind(&q), kind, "{text}");
-            assert_eq!(is_server_id_question(&q), kind.is_some(), "{text}");
-        }
-    }
-
-    #[test]
-    fn view_classification_agrees_with_owned() {
-        let questions = [
-            Question::chaos_txt("VERSION.bind".parse().unwrap()),
-            Question::chaos_txt("Id.Server".parse().unwrap()),
-            Question { qtype: RType::Any, ..Question::chaos_txt(hostname_bind()) },
-            Question { qname: version_bind(), qtype: RType::A, qclass: RClass::Chaos },
-            Question::new(id_server(), RType::Txt),
-            Question::chaos_txt("id.server.example".parse().unwrap()),
-            Question::chaos_txt(Name::root()),
-        ];
-        for q in questions {
-            let wire = Message::query(1, q.clone()).encode().unwrap();
-            let view = crate::MessageView::parse(&wire).unwrap();
-            assert_eq!(server_id_kind_view(&view.question().unwrap()), server_id_kind(&q), "{q}");
+            assert_eq!(kind(Question::chaos_txt(text.parse().unwrap())), want, "{text}");
         }
     }
 
