@@ -22,6 +22,7 @@ use dns_wire::debug_queries;
 use dns_wire::{Name, Question, RData, RType};
 use serde::{Deserialize, Serialize};
 use std::net::IpAddr;
+use std::sync::Arc;
 
 /// Verdict of the naive A-record CPE detector.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -115,8 +116,9 @@ pub fn hostname_bind_root_check<T: QueryTransport>(
     }
 }
 
-/// The classic root-server addresses (a subset suffices for the check).
-pub fn default_root_addrs() -> Vec<IpAddr> {
+/// The classic root-server addresses (a subset suffices for the check),
+/// in one shared list.
+pub fn default_root_addrs() -> Arc<[IpAddr]> {
     ["198.41.0.4", "199.9.14.201", "192.33.4.12", "199.7.91.13"]
         .iter()
         .map(|s| s.parse().expect("static address"))
@@ -228,14 +230,14 @@ mod tests {
         let looks_like_root = |s: &str| s.contains("root");
         // Clean: roots answer with plausible node names.
         let mut t = MockTransport::new();
-        t.push_rule(Some(roots.clone()), None, Some(RClass::Chaos), Respond::Txt("a1.us-mia.root".into()));
+        t.push_rule(Some(roots.to_vec()), None, Some(RClass::Chaos), Respond::Txt("a1.us-mia.root".into()));
         assert_eq!(
             hostname_bind_root_check(&mut t, &roots, looks_like_root, &mut txids(), opts()),
             RootCheckVerdict::Clean
         );
         // Manipulated: a forwarder's version string comes back instead.
         let mut t = MockTransport::new();
-        t.push_rule(Some(roots.clone()), None, Some(RClass::Chaos), Respond::Txt("dnsmasq-2.85".into()));
+        t.push_rule(Some(roots.to_vec()), None, Some(RClass::Chaos), Respond::Txt("dnsmasq-2.85".into()));
         assert!(matches!(
             hostname_bind_root_check(&mut t, &roots, looks_like_root, &mut txids(), opts()),
             RootCheckVerdict::Manipulated { .. }

@@ -522,8 +522,9 @@ pub struct WorldTemplate {
     pub zonedb: Arc<ZoneDb>,
     /// The paper's four public resolvers (service addresses + egress).
     pub resolvers: Arc<[locator::PublicResolver]>,
-    /// Root-server addresses for the hostname.bind baseline.
-    pub root_addrs: Vec<IpAddr>,
+    /// Root-server addresses for the hostname.bind baseline, shared with
+    /// every world's root server.
+    pub root_addrs: Arc<[IpAddr]>,
     /// The standard-world authoritative tree (iterative-resolver fidelity
     /// mode), with every qname interned: apexes, delegation targets, and
     /// reflector names are parsed once here and refcount-cloned into each
@@ -536,16 +537,14 @@ pub struct WorldTemplate {
 }
 
 /// What every world in one region shares: the public-resolver sites its
-/// probes reach, and its root server's identity and addresses. Each
-/// probe's site and root server then allocate only their box.
+/// probes reach, and its root server's identity. Each probe's site and
+/// root server then allocate only their box.
 struct RegionParts {
     /// One site per template resolver, in the template's order.
     sites: Vec<Arc<SiteProfile>>,
     /// The root server's software: a `hostname.bind` answer naming the
     /// region's root instance.
     root_profile: SoftwareProfile,
-    /// The template's root-server addresses, shared.
-    root_addrs: Arc<[IpAddr]>,
 }
 
 impl RegionParts {
@@ -570,7 +569,7 @@ impl RegionParts {
             "a1.{}.root-servers.org",
             region.iata().to_ascii_lowercase()
         )));
-        RegionParts { sites, root_profile, root_addrs: template.root_addrs.as_slice().into() }
+        RegionParts { sites, root_profile }
     }
 }
 
@@ -962,7 +961,7 @@ impl HomeScenario {
         let root_node = {
             let mut root = RecursiveResolver::new(
                 "root-server",
-                Arc::clone(&region.root_addrs),
+                Arc::clone(&template.root_addrs),
                 ResolveCtx::v4(Ipv4Addr::new(198, 41, 0, 10)),
                 Arc::clone(&zonedb),
                 region.root_profile.clone(),
