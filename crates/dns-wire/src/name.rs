@@ -35,7 +35,7 @@ const MAX_POINTER_CHASES: usize = 128;
 /// cursor's starting position*, i.e. after the pointer if compressed.
 pub(crate) fn walk_name<'a>(
     r: &mut Reader<'a>,
-    mut f: impl FnMut(&'a [u8]) -> bool,
+    f: &mut dyn FnMut(&'a [u8]) -> bool,
 ) -> Result<bool, ParseError> {
     // Cursor for chasing; once we follow the first pointer we stop
     // advancing the caller's reader.
@@ -99,13 +99,6 @@ pub(crate) fn walk_name<'a>(
     }
 }
 
-/// Moves the cursor past the name at it, validating under [`walk_name`]'s
-/// rules.
-pub(crate) fn skip_name(r: &mut Reader<'_>) -> Result<(), ParseError> {
-    walk_name(r, |_| true)?;
-    Ok(())
-}
-
 /// Decompresses the name at the cursor into `out` under [`walk_name`]'s
 /// rules, returning the canonical wire length and the label count. The
 /// cursor ends past the name as [`Name::parse`] leaves it.
@@ -115,7 +108,7 @@ pub(crate) fn decompress(
 ) -> Result<(usize, u8), ParseError> {
     let mut len = 0usize;
     let mut labels = 0u8;
-    walk_name(r, |label| {
+    walk_name(r, &mut |label| {
         // walk_name has already checked the 255-octet bound, so these
         // writes stay inside the buffer.
         out[len] = label.len() as u8;

@@ -1,7 +1,7 @@
 //! Typed RDATA representations.
 
 use crate::error::{BuildError, ParseError};
-use crate::name::{skip_name, Name, NameCompressor};
+use crate::name::{walk_name, Name, NameCompressor};
 use crate::types::RType;
 use crate::wire::{Reader, Writer};
 use bytes::Bytes;
@@ -206,15 +206,15 @@ impl RData {
                 }
             }
             RType::Cname | RType::Ns | RType::Ptr => {
-                skip_name(r)?;
+                walk_name(r, &mut |_| true)?;
             }
             RType::Mx => {
                 r.read_u16()?;
-                skip_name(r)?;
+                walk_name(r, &mut |_| true)?;
             }
             RType::Soa => {
-                skip_name(r)?;
-                skip_name(r)?;
+                walk_name(r, &mut |_| true)?;
+                walk_name(r, &mut |_| true)?;
                 for _ in 0..5 {
                     r.read_u32()?;
                 }

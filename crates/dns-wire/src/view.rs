@@ -17,7 +17,7 @@
 use crate::error::ParseError;
 use crate::message::{Header, Message, Question, Record};
 use crate::name::{
-    decompress, label_count, skip_name, walk_name, wire_is_subdomain_of, Name, MAX_NAME_LEN,
+    decompress, label_count, walk_name, wire_is_subdomain_of, Name, MAX_NAME_LEN,
 };
 use crate::rdata::RData;
 use crate::types::{RClass, RType};
@@ -55,7 +55,7 @@ impl<'a> MessageView<'a> {
         let mut section_off = [0usize; 4];
         section_off[0] = r.position();
         for _ in 0..counts[0] {
-            skip_name(&mut r)?;
+            walk_name(&mut r, &mut |_| true)?;
             r.read_u16()?; // qtype
             r.read_u16()?; // qclass
         }
@@ -170,7 +170,7 @@ impl fmt::Debug for MessageView<'_> {
 }
 
 fn skip_record(r: &mut Reader<'_>) -> Result<(), ParseError> {
-    skip_name(r)?;
+    walk_name(r, &mut |_| true)?;
     let rtype = RType::from_u16(r.read_u16()?);
     let _class = r.read_u16()?;
     let _ttl = r.read_u32()?;
@@ -196,7 +196,7 @@ impl<'a> NameRef<'a> {
         let wire = name.as_wire();
         let mut pos = 0usize;
         let mut matched = true;
-        match walk_name(&mut r, |label| {
+        match walk_name(&mut r, &mut |label| {
             let want = wire[pos] as usize;
             if want == 0
                 || want != label.len()
@@ -292,7 +292,7 @@ impl<'a> Iterator for QuestionIter<'a> {
         self.remaining -= 1;
         let buf = self.r.message();
         let off = self.r.position();
-        skip_name(&mut self.r).expect(VALIDATED);
+        walk_name(&mut self.r, &mut |_| true).expect(VALIDATED);
         let qtype = RType::from_u16(self.r.read_u16().expect("validated"));
         let qclass = RClass::from_u16(self.r.read_u16().expect("validated"));
         Some(QuestionView { qname: NameRef { buf, off }, qtype, qclass })
@@ -371,7 +371,7 @@ impl<'a> Iterator for RecordIter<'a> {
         self.remaining -= 1;
         let buf = self.r.message();
         let off = self.r.position();
-        skip_name(&mut self.r).expect(VALIDATED);
+        walk_name(&mut self.r, &mut |_| true).expect(VALIDATED);
         let rtype = RType::from_u16(self.r.read_u16().expect("validated"));
         let class = RClass::from_u16(self.r.read_u16().expect("validated"));
         let ttl = self.r.read_u32().expect("validated");
