@@ -284,7 +284,10 @@ pub fn run_campaign_timed(
         AggregateReport::new,
         |acc, _idx, result| acc.fold(fleet, &result),
     );
-    let mut merged = AggregateReport::new();
+    // The first worker's partial is the starting point: merging it into
+    // an empty aggregate would only copy its tables.
+    let mut partials = partials.into_iter();
+    let mut merged = partials.next().unwrap_or_else(AggregateReport::new);
     for partial in partials {
         merged.merge(partial);
     }

@@ -36,7 +36,7 @@
 use crate::campaign::{run_collected, run_work_stealing, CampaignOptions, Observers, WorkerArena};
 use crate::fleet::{scenario_for, Fleet, ProbeSpec};
 use crate::timing::TimingRegistry;
-use dns_wire::{debug_queries, Name, Question, RData, RType};
+use dns_wire::{debug_queries, Name, Question, RType};
 use interception::{
     flow_rtt_us, FlowDirection, HomeScenario, OpenDnsClass, QueryFlow, SimTransport, Vantage,
 };
@@ -251,8 +251,8 @@ pub fn classify_with_transport(
                 QueryOutcome::WrongSource { from, .. } => {
                     (OpenDnsClass::TransparentForwarder, Some(from))
                 }
-                QueryOutcome::Response(m)
-                    if m.answers.iter().any(|r| r.rdata == RData::A(cpe_v4)) =>
+                QueryOutcome::Response(reply)
+                    if reply.view().answers().any(|r| r.a_addr() == Some(cpe_v4)) =>
                 {
                     (OpenDnsClass::OpenRecursive, None)
                 }

@@ -132,7 +132,7 @@ impl MetricsRegistry {
                 responses: cell.responses.load(Ordering::Relaxed),
                 timeouts: cell.timeouts.load(Ordering::Relaxed),
                 latency: LatencyHistogram {
-                    buckets: cell.latency.iter().map(|b| b.load(Ordering::Relaxed)).collect(),
+                    buckets: std::array::from_fn(|i| cell.latency[i].load(Ordering::Relaxed)),
                 },
             })
             .collect();

@@ -9,7 +9,7 @@
 //! archives can be re-analyzed with *improved* analysis code later, the
 //! workflow the paper's artifact evaluation would want.
 
-use dns_wire::{Message, Question};
+use dns_wire::{MessageView, Question};
 use locator::{QueryOptions, QueryOutcome, QueryTransport};
 use serde::{Deserialize, Serialize};
 use std::net::IpAddr;
@@ -87,10 +87,15 @@ impl<T: QueryTransport> QueryTransport for RecordingTransport<T> {
         opts: QueryOptions,
     ) -> QueryOutcome {
         let outcome = self.inner.query(server, question, txid, opts);
+        // The reply's bytes as received: no re-encode, so compression,
+        // trailing bytes and any reply the encoder could not rebuild are
+        // archived exactly as they arrived.
         let (response, wrong_source) = match &outcome {
-            QueryOutcome::Response(m) => (m.encode().ok(), None),
+            QueryOutcome::Response(reply) => (Some(reply.as_bytes().to_vec()), None),
             QueryOutcome::Timeout => (None, None),
-            QueryOutcome::WrongSource { message, from } => (message.encode().ok(), Some(*from)),
+            QueryOutcome::WrongSource { message, from } => {
+                (Some(message.as_bytes().to_vec()), Some(*from))
+            }
         };
         self.measurement.records.push(RawQueryRecord {
             server,
@@ -155,10 +160,10 @@ impl QueryTransport for ReplayTransport {
         }
         self.cursor += 1;
         match &record.response {
-            Some(bytes) => match Message::parse(bytes) {
-                Ok(m) => match record.wrong_source {
-                    Some(from) => QueryOutcome::WrongSource { message: m, from },
-                    None => QueryOutcome::Response(m),
+            Some(bytes) => match MessageView::parse(bytes) {
+                Ok(view) => match record.wrong_source {
+                    Some(from) => QueryOutcome::WrongSource { message: view.to_reply(), from },
+                    None => QueryOutcome::Response(view.to_reply()),
                 },
                 Err(_) => QueryOutcome::Timeout,
             },
@@ -236,6 +241,39 @@ mod tests {
         assert_eq!(replayed, live);
         assert_eq!(replay.mismatches, 0);
         assert!(replay.exhausted());
+    }
+
+    #[test]
+    fn replies_are_archived_as_received_not_re_encoded() {
+        // An `id.server` answer whose owner name is spelled out in full
+        // rather than pointing back at the question, followed by two
+        // padding bytes: a re-encode would compress the name and drop
+        // the padding.
+        let mut wire = vec![0x10, 0x00, 0x81, 0x80, 0, 1, 0, 1, 0, 0, 0, 0];
+        let id_server = b"\x02id\x06server\x00";
+        wire.extend_from_slice(id_server);
+        wire.extend_from_slice(&[0, 16, 0, 3]);
+        wire.extend_from_slice(id_server);
+        wire.extend_from_slice(&[0, 16, 0, 3, 0, 0, 0, 0, 0, 4, 3, b'I', b'A', b'D']);
+        wire.extend_from_slice(&[0, 0]);
+        let reencoded = dns_wire::Message::parse(&wire).unwrap().encode().unwrap();
+        assert_ne!(reencoded, wire, "the canned reply is not in canonical form");
+
+        struct Canned(Vec<u8>);
+        impl QueryTransport for Canned {
+            fn query(&mut self, _: IpAddr, _: &Question, _: u16, _: QueryOptions) -> QueryOutcome {
+                QueryOutcome::Response(MessageView::parse(&self.0).unwrap().to_reply())
+            }
+        }
+        let server: IpAddr = "1.1.1.1".parse().unwrap();
+        let question = Question::chaos_txt("id.server".parse().unwrap());
+        let opts = QueryOptions::default();
+        let mut recording = RecordingTransport::new(Canned(wire.clone()));
+        let live = recording.query(server, &question, 0x1000, opts);
+        let archive = recording.into_measurement();
+        assert_eq!(archive.records[0].response.as_deref(), Some(&wire[..]));
+        let replayed = ReplayTransport::new(archive).query(server, &question, 0x1000, opts);
+        assert_eq!(replayed, live, "the replay hands back the very bytes received");
     }
 
     #[test]

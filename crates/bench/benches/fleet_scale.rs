@@ -149,17 +149,17 @@ fn allocations_per_probe(config: FleetConfig) -> (f64, f64) {
 /// truth (instead of cloning both) keeps this flat; an accidental
 /// per-probe clone of anything fleet-sized would fail the ratio check.
 /// Absolute per-probe allocation budgets at the 1200-probe point: the
-/// measured 103.9 allocations and 14,712 bytes per probe, plus 10%.
+/// measured 55.1 allocations and 11,354 bytes per probe, plus 10%.
 /// Regressing past these means a per-query or per-build allocation came
 /// back (e.g. re-encoding location queries, rebuilding the resolver table,
-/// per-packet payload Vecs, per-query name strings or a device encode
-/// scratch regrown per probe); the flatness *ratio* alone would not catch
-/// a uniform creep.
+/// per-packet payload Vecs, per-query name strings, a device encode
+/// scratch regrown per probe or accepted replies decoded into owned
+/// messages); the flatness *ratio* alone would not catch a uniform creep.
 /// The steady-state *wire* path itself is pinned to exactly zero by
 /// `tests/zero_alloc.rs`; this budget covers the whole probe — world
 /// build, verdicts, aggregation — where some setup allocation is real.
-const MAX_ALLOCS_PER_PROBE: f64 = 115.0;
-const MAX_BYTES_PER_PROBE: f64 = 16_190.0;
+const MAX_ALLOCS_PER_PROBE: f64 = 61.0;
+const MAX_BYTES_PER_PROBE: f64 = 12_490.0;
 
 fn assert_allocation_flatness() {
     let (small_count, small_bytes) = allocations_per_probe(benign(300));
@@ -189,10 +189,10 @@ fn assert_allocation_flatness() {
 }
 
 /// Per-probe budgets on the heavy-tail fleet at 1,200 probes: the measured
-/// 111.9 allocations and 15,943 bytes per responding probe, plus 10%.
+/// 63.4 allocations and 12,635 bytes per responding probe, plus 10%.
 /// The benign budgets above never see loss, retries or backoff; these do.
-const MAX_HEAVY_TAIL_ALLOCS_PER_PROBE: f64 = 124.0;
-const MAX_HEAVY_TAIL_BYTES_PER_PROBE: f64 = 17_540.0;
+const MAX_HEAVY_TAIL_ALLOCS_PER_PROBE: f64 = 70.0;
+const MAX_HEAVY_TAIL_BYTES_PER_PROBE: f64 = 13_900.0;
 
 fn assert_heavy_tail_budget() {
     let (count, bytes) = allocations_per_probe(heavy_tail(1200));
@@ -210,13 +210,13 @@ fn assert_heavy_tail_budget() {
 }
 
 /// Per-probe budgets for the capture-enabled campaign on the 300-probe
-/// fleet: the measured 199.5 allocations and 160,944 bytes per responding
+/// fleet: the measured 149.2 allocations and 157,556 bytes per responding
 /// probe, plus 10%. The whole campaign counts, measurement included.
 /// Regressing past these means hops went back to per-hop strings, the
 /// capture buffer stopped being recycled through `SimScratch`, or flow
 /// reconstruction re-parsed messages into owned ones.
-const MAX_CAPTURE_ALLOCS_PER_PROBE: f64 = 220.0;
-const MAX_CAPTURE_BYTES_PER_PROBE: f64 = 177_040.0;
+const MAX_CAPTURE_ALLOCS_PER_PROBE: f64 = 165.0;
+const MAX_CAPTURE_BYTES_PER_PROBE: f64 = 173_320.0;
 
 /// The flight recorder's zero-cost contract, enforced at the allocator:
 /// with capture disabled (the default `NullCapture`), two identical

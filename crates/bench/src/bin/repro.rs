@@ -460,7 +460,7 @@ fn print_table1() {
             _ => "TXT",
         };
         let out = transport.query(resolver.v4[0], &q, txids.next(), QueryOptions::default());
-        let response = out.response().map(describe_response).unwrap_or_else(|| "-".into());
+        let response = out.response().map(|reply| describe_response(&reply.view())).unwrap_or_else(|| "-".into());
         println!(
             "{:<16} {:<10} {:<26} {}",
             resolver.key.display_name(),
@@ -500,12 +500,12 @@ fn print_tables_2_and_3() {
         let cf = transport
             .query(cloudflare.v4[0], &cloudflare.location_query(), txids.next(), QueryOptions::default())
             .response()
-            .map(describe_response)
+            .map(|reply| describe_response(&reply.view()))
             .unwrap_or_else(|| "-".into());
         let gg = transport
             .query(google.v4[0], &google.location_query(), txids.next(), QueryOptions::default())
             .response()
-            .map(describe_response)
+            .map(|reply| describe_response(&reply.view()))
             .unwrap_or_else(|| "-".into());
         println!("{:<10} {:<20} {:<20}", id, cf, gg);
     }
@@ -524,7 +524,7 @@ fn print_tables_2_and_3() {
             transport
                 .query(server, &vb, txids.next(), QueryOptions::default())
                 .response()
-                .map(describe_response)
+                .map(|reply| describe_response(&reply.view()))
                 .unwrap_or_else(|| "-".into())
         };
         let cf = ask(cloudflare.v4[0]);
@@ -556,7 +556,7 @@ fn print_xb6_case_study() {
     match out.response() {
         Some(resp) => println!(
             "probe {probe_v4} received {} — source spoofed as 8.8.8.8, answered by the ISP resolver",
-            describe_response(resp)
+            describe_response(&resp.view())
         ),
         None => println!("probe {probe_v4} received no answer"),
     }

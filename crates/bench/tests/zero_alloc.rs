@@ -5,19 +5,20 @@
 //! capacity — a probe query that crosses the simulated home and dies
 //! without an answer must not allocate at all: cached encode, pooled
 //! payload, packet forwarding hop by hop, and the borrowed-view receive
-//! filter are all allocation-free. A warm *answered* round trip is pinned
-//! to its exact count: the owned reply the stub hands the locator. So is a
-//! warm world build: one box and a few containers per device. The same
-//! counter also pins the component pieces individually, so a regression
-//! report names the layer that started allocating rather than just "the
-//! path".
+//! filter are all allocation-free. So is a warm *answered* round trip: the
+//! stub hands the locator the delivered payload itself. A warm world build
+//! is pinned to its exact count: one box and a few containers per device.
+//! A locator run folded into metrics must allocate exactly what the
+//! untraced run does. The same counter also pins the component pieces
+//! individually, so a regression report names the layer that started
+//! allocating rather than just "the path".
 //!
 //! Everything runs inside one `#[test]` because the counter is a process
 //! global; parallel test threads would bleed into each other's deltas.
 
 use dns_wire::{Message, MessageView, Name, QueryEncoder, Question, RType};
 use interception::{HomeScenario, ProbeTimingLog, SimTransport, Vantage, WorldTemplate};
-use locator::{QueryOptions, QueryTransport};
+use locator::{HijackLocator, MetricsFolder, QueryOptions, QueryTransport};
 use netsim::{PayloadPool, SimScratch};
 use timing::{AtomicHistogram, Span};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -79,14 +80,12 @@ fn steady_state_probe_path_allocates_nothing() {
     // site. Every hop, the CPE's masquerade, the site's view parse and its
     // reply written from that view around the TXT answer its shared
     // profile holds (thread-shared scratch, pooled payload slab), the
-    // interned names and the in-place inbox drain are allocation-free;
-    // what remains is the owned `Message` the stub materializes from the
-    // accepted reply:
-    //   stub:  question Vec, answer Vec,
-    //          TXT RData (outer Vec + one string)                    4
-    // The CPE's conntrack gains one entry per query (each query has a
-    // fresh source port), and its table grows at the 4th, 8th, 15th, 29th
-    // ... entry; the ninth query falls between two growths.
+    // interned names and the in-place inbox drain are allocation-free, and
+    // the stub hands the locator the delivered payload slab itself as a
+    // `Reply`, validated once and never decoded into owned records. The
+    // CPE's conntrack gains one entry per query (each query has a fresh
+    // source port), and its table grows at the 4th, 8th, 15th, 29th ...
+    // entry; the ninth query falls between two growths.
     let mut probe = SimTransport::new(HomeScenario::clean().build());
     let cloudflare = IpAddr::V4("1.1.1.1".parse().unwrap());
     let id_server = Question::chaos_txt(dns_wire::debug_queries::id_server());
@@ -96,11 +95,43 @@ fn steady_state_probe_path_allocates_nothing() {
     }
     let (allocs, out) = allocations_in(|| probe.query(cloudflare, &id_server, 0x7100, opts));
     let reply = out.response().expect("answered");
-    assert_eq!(reply.answers[0].rdata.txt_string().as_deref(), Some("IAD"));
+    let answer = reply.view().answers().next().expect("one answer");
+    assert_eq!(answer.txt_str().as_deref(), Some("IAD"));
     assert_eq!(
-        allocs, 4,
+        allocs, 0,
         "warm answered id.server round trip allocated {allocs} times; \
-         4 are the stub's owned reply listed above"
+         the accepted reply is the delivered payload and must cost nothing"
+    );
+
+    // --- Metrics fold: the locator over a warm clean dual-stack home,
+    // folded into a `MetricsFolder`, allocates exactly what the same run
+    // untraced does. Trace events borrow the query's name, the reply's
+    // one description and the verdict's citations, and the folder is
+    // fixed-size counters, so metering a probe costs no allocation. Two
+    // identical homes, each warmed by one run, keep the worlds' own
+    // allocations (conntrack growth, pool slabs) equal on both sides.
+    let clean = HomeScenario::clean();
+    let warm_home = || {
+        let built = clean.build();
+        let config = built.locator_config();
+        let mut transport = SimTransport::new(built);
+        HijackLocator::new(config.clone()).run(&mut transport);
+        (transport, HijackLocator::new(config))
+    };
+    let (mut plain_home, mut plain_locator) = warm_home();
+    let (mut folded_home, mut folded_locator) = warm_home();
+    let (plain_allocs, plain) = allocations_in(|| plain_locator.run(&mut plain_home));
+    let (folded_allocs, (folded, metrics)) = allocations_in(|| {
+        let mut folder = MetricsFolder::default();
+        let report = folded_locator.run_traced(&mut folded_home, &mut folder);
+        (report, folder.finish())
+    });
+    assert_eq!(folded, plain, "metering changes no report field");
+    assert_eq!(metrics.total_queries(), u64::from(plain.queries_sent));
+    assert_eq!(
+        folded_allocs, plain_allocs,
+        "a locator run folded into metrics allocated {folded_allocs} times against \
+         {plain_allocs} untraced; the fold must add nothing"
     );
 
     // --- World build: a warm clean household (dual-stack, plain CPE, a

@@ -338,7 +338,7 @@ fn run_scenario(opts: &Options, name: &str) -> ExitCode {
 }
 
 /// Renders the recorded trace and/or folded metrics, per the flags.
-fn print_observability(opts: &Options, events: &[locator::TraceEvent]) {
+fn print_observability(opts: &Options, events: &[locator::TraceEvent<'_>]) {
     if opts.trace {
         for event in events {
             println!("{event}");

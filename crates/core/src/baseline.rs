@@ -19,7 +19,7 @@ use crate::transport::{
     query_with_retry, QueryOptions, QueryOutcome, QueryTransport, TxidSequence,
 };
 use dns_wire::debug_queries;
-use dns_wire::{Name, Question, RData, RType};
+use dns_wire::{Name, Question, RType, Reply};
 use serde::{Deserialize, Serialize};
 use std::net::IpAddr;
 use std::sync::Arc;
@@ -54,7 +54,7 @@ pub fn a_record_cpe_check<T: QueryTransport>(
     let via_cpe = query_with_retry(transport, cpe_public, &q, txids, opts).outcome;
     let via_resolver = query_with_retry(transport, resolver_addr, &q, txids, opts).outcome;
     let cpe_answer = match &via_cpe {
-        QueryOutcome::Response(m) => first_a(m),
+        QueryOutcome::Response(reply) => first_a(reply),
         QueryOutcome::Timeout | QueryOutcome::WrongSource { .. } => {
             return ARecordVerdict::NoCpeAnswer
         }
@@ -67,11 +67,8 @@ pub fn a_record_cpe_check<T: QueryTransport>(
     }
 }
 
-fn first_a(m: &dns_wire::Message) -> Option<std::net::Ipv4Addr> {
-    m.answers.iter().find_map(|r| match r.rdata {
-        RData::A(ip) => Some(ip),
-        _ => None,
-    })
+fn first_a(reply: &Reply) -> Option<std::net::Ipv4Addr> {
+    reply.view().answers().find_map(|r| r.a_addr())
 }
 
 /// Verdict of the hostname.bind root-manipulation check.
@@ -101,10 +98,11 @@ pub fn hostname_bind_root_check<T: QueryTransport>(
     let mut answered = false;
     for &root in root_addrs {
         let q = Question::chaos_txt(debug_queries::hostname_bind());
-        if let QueryOutcome::Response(m) = query_with_retry(transport, root, &q, txids, opts).outcome {
+        let outcome = query_with_retry(transport, root, &q, txids, opts).outcome;
+        if let QueryOutcome::Response(reply) = outcome {
             answered = true;
-            let observed = describe_response(&m);
-            if m.header.rcode.is_error() || !is_expected(&observed) {
+            let observed = describe_response(&reply.view());
+            if reply.header().rcode.is_error() || !is_expected(&observed) {
                 return RootCheckVerdict::Manipulated { observed };
             }
         }
@@ -156,8 +154,8 @@ pub fn own_authoritative_check<T: QueryTransport>(
 ) -> PrevalenceVerdict {
     let q = Question::new(reflector_name.clone(), RType::Txt);
     match query_with_retry(transport, resolver.v4[0], &q, txids, opts).outcome {
-        QueryOutcome::Response(m) => {
-            let Some(text) = m.answers.iter().find_map(|r| r.rdata.txt_string()) else {
+        QueryOutcome::Response(reply) => {
+            let Some(text) = reply.view().answers().find_map(|r| r.txt_str()) else {
                 return PrevalenceVerdict::Inconclusive;
             };
             let Ok(egress) = text.parse::<IpAddr>() else {

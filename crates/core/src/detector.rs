@@ -25,7 +25,8 @@ use crate::transport::{
     query_with_retry_traced, QueryCtx, QueryOptions, QueryOutcome, QueryTransport, TxidSequence,
 };
 use dns_wire::debug_queries;
-use dns_wire::{Message, Name, Question, RData, RType, Rcode};
+use dns_wire::{MessageView, Name, Question, RType, Rcode};
+use std::borrow::Cow;
 use std::net::IpAddr;
 use std::sync::Arc;
 
@@ -202,7 +203,7 @@ impl HijackLocator {
         if sink.enabled() {
             sink.record(TraceEvent::RunFinished {
                 intercepted,
-                location: location.map(|l| l.to_string()),
+                location,
                 queries_sent: self.queries_sent,
                 wire_attempts: self.wire_attempts,
                 at_us: transport.now_us(),
@@ -282,11 +283,12 @@ impl HijackLocator {
             let outcome = sent.outcome;
             refs.push(sent.evidence);
             match outcome {
-                QueryOutcome::Response(msg) => {
+                QueryOutcome::Response(reply) => {
                     saw_response = true;
-                    if !resolver.is_standard_location_response(&msg) {
+                    let view = reply.view();
+                    if !resolver.is_standard_location_response(&view) {
                         return LocationTestResult::NonStandard {
-                            observed: describe_response(&msg),
+                            observed: describe_response(&view),
                         };
                     }
                 }
@@ -467,14 +469,14 @@ impl HijackLocator {
             let q = Question::new(self.config.whoami_domain.clone(), qtype);
             let sent = self.send(transport, sink, Step::Transparency, addr, q);
             match sent.outcome {
-                QueryOutcome::Response(msg) => {
+                QueryOutcome::Response(reply) => {
                     cited.push(sent.evidence);
-                    if msg.header.rcode.is_error() {
+                    if reply.header().rcode.is_error() {
                         modified += 1;
-                    } else if msg
-                        .answers
-                        .iter()
-                        .any(|r| matches!(r.rdata, RData::A(_) | RData::Aaaa(_)))
+                    } else if reply
+                        .view()
+                        .answers()
+                        .any(|r| matches!(r.rtype, RType::A | RType::Aaaa))
                     {
                         transparent += 1;
                     } else {
@@ -502,12 +504,13 @@ impl HijackLocator {
         let q = Question::chaos_txt(debug_queries::version_bind());
         let sent = self.send(transport, sink, Step::CpeCheck, addr, q);
         let answer = match sent.outcome {
-            QueryOutcome::Response(msg) => {
-                if msg.header.rcode != Rcode::NoError {
-                    VersionBindAnswer::Error(msg.header.rcode.to_string())
+            QueryOutcome::Response(reply) => {
+                let rcode = reply.header().rcode;
+                if rcode != Rcode::NoError {
+                    VersionBindAnswer::Error(rcode.to_string())
                 } else {
-                    match msg.answers.iter().find_map(|r| r.rdata.txt_string()) {
-                        Some(text) => VersionBindAnswer::Text(text),
+                    match reply.view().answers().find_map(|r| r.txt_str()) {
+                        Some(text) => VersionBindAnswer::Text(text.into_owned()),
                         None => VersionBindAnswer::Error("EMPTY".into()),
                     }
                 }
@@ -533,7 +536,7 @@ impl HijackLocator {
                 seq,
                 step,
                 server,
-                qname: question.qname.to_string(),
+                qname: Cow::Borrowed(&question.qname),
                 qtype: question.qtype.to_u16(),
                 qclass: question.qclass.to_u16(),
                 at_us: transport.now_us(),
@@ -552,10 +555,11 @@ impl HijackLocator {
         if retried.attempts_used > 1 {
             self.retried_queries += 1;
         }
-        let observed = match &retried.outcome {
-            QueryOutcome::Response(msg) => describe_response(msg),
-            QueryOutcome::Timeout => "TIMEOUT".into(),
-            QueryOutcome::WrongSource { from, .. } => format!("wrong-source({from})"),
+        let observed = match (&retried.outcome, retried.observed) {
+            (_, Some(observed)) => observed,
+            (QueryOutcome::Response(reply), None) => describe_response(&reply.view()),
+            (QueryOutcome::Timeout, None) => "TIMEOUT".into(),
+            (QueryOutcome::WrongSource { from, .. }, None) => format!("wrong-source({from})"),
         };
         // Feed the source-consistency audit: any attempt of this query that
         // drew a right-txid reply from the wrong address is evidence, even
@@ -591,7 +595,9 @@ struct Sent {
 /// What one bogon query's outcome shows: an answer, or silence.
 fn bogon_outcome(outcome: QueryOutcome) -> BogonOutcome {
     match outcome {
-        QueryOutcome::Response(msg) => BogonOutcome::Answered { observed: describe_response(&msg) },
+        QueryOutcome::Response(reply) => {
+            BogonOutcome::Answered { observed: describe_response(&reply.view()) }
+        }
         QueryOutcome::Timeout | QueryOutcome::WrongSource { .. } => BogonOutcome::Silent,
     }
 }
@@ -606,27 +612,29 @@ fn emit_verdict<T: QueryTransport, S: TraceSink>(
     if sink.enabled() {
         sink.record(TraceEvent::StepVerdict {
             step,
-            verdict: provenance.verdict.clone(),
-            cited: provenance.cited.clone(),
+            verdict: Cow::Borrowed(&provenance.verdict),
+            cited: Cow::Borrowed(&provenance.cited),
             at_us: transport.now_us(),
         });
     }
 }
 
 /// Summarizes a response the way the paper's tables do: the TXT/A payload
-/// when present, otherwise the rcode.
-pub fn describe_response(msg: &Message) -> String {
-    if msg.header.rcode != Rcode::NoError {
-        return msg.header.rcode.to_string();
+/// when present, otherwise the rcode. Reads the message in place; the
+/// returned string is the one allocation.
+pub fn describe_response(view: &MessageView<'_>) -> String {
+    let rcode = view.header().rcode;
+    if rcode != Rcode::NoError {
+        return rcode.to_string();
     }
-    for r in &msg.answers {
-        if let Some(t) = r.rdata.txt_string() {
-            return t;
+    for r in view.answers() {
+        if let Some(t) = r.txt_str() {
+            return t.into_owned();
         }
-        if let RData::A(ip) = r.rdata {
+        if let Some(ip) = r.a_addr() {
             return ip.to_string();
         }
-        if let RData::Aaaa(ip) = r.rdata {
+        if let Some(ip) = r.aaaa_addr() {
             return ip.to_string();
         }
     }
@@ -1015,13 +1023,18 @@ mod tests {
 
     #[test]
     fn describe_response_prefers_payload() {
+        use dns_wire::{Message, RData, Record, Reply};
+        let describe = |m: Message| describe_response(&Reply::encode(&m).unwrap().view());
         let q = Message::query(1, Question::chaos_txt("id.server".parse().unwrap()));
         let resp = Message::response_to(&q, Rcode::NoError)
-            .with_answer(dns_wire::Record::chaos_txt("id.server".parse().unwrap(), "SFO"));
-        assert_eq!(describe_response(&resp), "SFO");
-        let err = Message::response_to(&q, Rcode::NotImp);
-        assert_eq!(describe_response(&err), "NOTIMP");
-        let empty = Message::response_to(&q, Rcode::NoError);
-        assert_eq!(describe_response(&empty), "NOERROR(empty)");
+            .with_answer(Record::chaos_txt("id.server".parse().unwrap(), "SFO"));
+        assert_eq!(describe(resp), "SFO");
+        assert_eq!(describe(Message::response_to(&q, Rcode::NotImp)), "NOTIMP");
+        assert_eq!(describe(Message::response_to(&q, Rcode::NoError)), "NOERROR(empty)");
+        let name: Name = "example.com".parse().unwrap();
+        let a = Message::response_to(&q, Rcode::NoError)
+            .with_answer(Record::new(name.clone(), 5, RData::Aaaa("2001:db8::1".parse().unwrap())))
+            .with_answer(Record::new(name, 5, RData::A("192.0.2.7".parse().unwrap())));
+        assert_eq!(describe(a), "2001:db8::1", "the first address answer wins");
     }
 }

@@ -10,6 +10,10 @@
 //! Latencies are measured on the transport's own clock — virtual time for
 //! simulated transports — so histograms are deterministic and identical
 //! across thread counts.
+//!
+//! The fold allocates nothing: the events it reads borrow from the
+//! locator, and [`ProbeMetrics`] is fixed-size arrays of counters, so a
+//! campaign that meters every probe pays no heap cost for it.
 
 use crate::trace::{Step, TraceEvent, TraceSink};
 use serde::{Deserialize, Serialize};
@@ -20,16 +24,10 @@ use serde::{Deserialize, Serialize};
 pub const LATENCY_BUCKETS: usize = 32;
 
 /// A log2-scaled latency histogram over microseconds.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LatencyHistogram {
-    /// Bucket counts; always [`LATENCY_BUCKETS`] long.
-    pub buckets: Vec<u64>,
-}
-
-impl Default for LatencyHistogram {
-    fn default() -> Self {
-        LatencyHistogram { buckets: vec![0; LATENCY_BUCKETS] }
-    }
+    /// Bucket counts.
+    pub buckets: [u64; LATENCY_BUCKETS],
 }
 
 impl LatencyHistogram {
@@ -70,11 +68,10 @@ pub struct StepMetrics {
 }
 
 /// Per-probe metrics: what one traced measurement cost and how it behaved.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ProbeMetrics {
-    /// One [`StepMetrics`] per [`Step`], indexed by [`Step::index`];
-    /// always `Step::ALL.len()` long.
-    pub steps: Vec<StepMetrics>,
+    /// One [`StepMetrics`] per [`Step`], indexed by [`Step::index`].
+    pub steps: [StepMetrics; Step::ALL.len()],
     /// Extra wire attempts beyond each query's first.
     pub retries: u64,
     /// Individual attempts that expired (a 3-attempt query that finally
@@ -88,21 +85,9 @@ pub struct ProbeMetrics {
     pub wrong_source_responses: u64,
 }
 
-impl Default for ProbeMetrics {
-    fn default() -> Self {
-        ProbeMetrics {
-            steps: vec![StepMetrics::default(); Step::ALL.len()],
-            retries: 0,
-            attempt_timeouts: 0,
-            dropped_wrong_txid: 0,
-            wrong_source_responses: 0,
-        }
-    }
-}
-
 impl ProbeMetrics {
     /// Folds a recorded event stream into metrics.
-    pub fn from_events(events: &[TraceEvent]) -> ProbeMetrics {
+    pub fn from_events(events: &[TraceEvent<'_>]) -> ProbeMetrics {
         let mut folder = MetricsFolder::default();
         for event in events {
             folder.record(event.clone());
@@ -163,7 +148,7 @@ impl MetricsFolder {
 }
 
 impl TraceSink for MetricsFolder {
-    fn record(&mut self, event: TraceEvent) {
+    fn record(&mut self, event: TraceEvent<'_>) {
         match event {
             TraceEvent::QueryIssued { step, at_us, .. } => {
                 self.finalize_pending();
@@ -206,12 +191,12 @@ impl TraceSink for MetricsFolder {
 mod tests {
     use super::*;
 
-    fn issued(seq: u32, step: Step, at: u64) -> TraceEvent {
+    fn issued(seq: u32, step: Step, at: u64) -> TraceEvent<'static> {
         TraceEvent::QueryIssued {
             seq,
             step,
             server: "192.0.2.1".parse().unwrap(),
-            qname: "example.com".into(),
+            qname: std::borrow::Cow::Owned("example.com".parse().unwrap()),
             qtype: 1,
             qclass: 1,
             at_us: Some(at),

@@ -14,7 +14,7 @@
 use crate::resolvers::default_resolvers;
 use crate::transport::{QueryOptions, QueryOutcome, QueryTransport};
 use dns_wire::debug_queries;
-use dns_wire::{Message, Name, Question, RClass, RData, Rcode, Record};
+use dns_wire::{Message, Name, Question, RClass, RData, Rcode, Record, Reply};
 use std::net::{IpAddr, Ipv4Addr};
 
 /// How a matched rule responds.
@@ -325,16 +325,18 @@ impl QueryTransport for MockTransport {
                     rule.remaining_failures -= 1;
                     return QueryOutcome::Timeout;
                 }
-                if let Respond::WrongSource(from, _) = &rule.respond {
-                    let from = *from;
-                    return match Self::build_response(question, txid, &rule.respond) {
-                        Some(message) => QueryOutcome::WrongSource { message, from },
-                        None => QueryOutcome::Timeout,
-                    };
-                }
-                return match Self::build_response(question, txid, &rule.respond) {
-                    Some(msg) => QueryOutcome::Response(msg),
-                    None => QueryOutcome::Timeout,
+                // Handed out as encoded bytes, as a real transport receives
+                // them.
+                let Some(reply) = Self::build_response(question, txid, &rule.respond)
+                    .map(|m| Reply::encode(&m).expect("scripted replies encode"))
+                else {
+                    return QueryOutcome::Timeout;
+                };
+                return match &rule.respond {
+                    Respond::WrongSource(from, _) => {
+                        QueryOutcome::WrongSource { message: reply, from: *from }
+                    }
+                    _ => QueryOutcome::Response(reply),
                 };
             }
         }
@@ -370,9 +372,9 @@ mod tests {
         t.standard_public_resolvers();
         for r in default_resolvers() {
             let out = q(&mut t, r.v4[0], r.location_query());
-            let msg = out.response().expect("response expected");
-            assert!(r.is_standard_location_response(msg), "{:?}", r.key);
-            assert_eq!(msg.header.id, 0x1234, "response echoes the query txid");
+            let reply = out.response().expect("response expected");
+            assert!(r.is_standard_location_response(&reply.view()), "{:?}", r.key);
+            assert_eq!(reply.header().id, 0x1234, "response echoes the query txid");
         }
     }
 
@@ -383,7 +385,7 @@ mod tests {
         let vb = Question::chaos_txt("version.bind".parse().unwrap());
         for r in default_resolvers() {
             let out = q(&mut t, r.v4[0], vb.clone());
-            let msg = out.response().unwrap();
+            let msg = out.response().unwrap().to_message();
             if r.key == ResolverKey::Quad9 {
                 assert_eq!(msg.answers[0].rdata.txt_string().unwrap(), "Q9-P-6.1");
             } else {
@@ -400,10 +402,10 @@ mod tests {
         // v4 is shadowed…
         let r = &default_resolvers()[0];
         let out = q(&mut t, r.v4[0], r.location_query());
-        assert!(!r.is_standard_location_response(out.response().unwrap()));
+        assert!(!r.is_standard_location_response(&out.response().unwrap().view()));
         // …but v6 still answers standard.
         let out = q(&mut t, r.v6[0], r.location_query());
-        assert!(r.is_standard_location_response(out.response().unwrap()));
+        assert!(r.is_standard_location_response(&out.response().unwrap().view()));
     }
 
     #[test]
@@ -415,7 +417,8 @@ mod tests {
         assert!(q(&mut t, server, question.clone()).is_timeout());
         assert!(q(&mut t, server, question.clone()).is_timeout());
         let out = q(&mut t, server, question);
-        assert_eq!(out.response().unwrap().answers[0].rdata.txt_string().as_deref(), Some("IAD"));
+        let answer = out.response().unwrap().to_message().answers[0].rdata.txt_string();
+        assert_eq!(answer.as_deref(), Some("IAD"));
     }
 
     #[test]
@@ -435,7 +438,7 @@ mod tests {
         match out {
             QueryOutcome::WrongSource { message, from } => {
                 assert_eq!(from, upstream);
-                assert_eq!(message.header.id, 0x1234, "the txid itself is right");
+                assert_eq!(message.header().id, 0x1234, "the txid itself is right");
             }
             other => panic!("expected WrongSource, got {other:?}"),
         }
@@ -447,8 +450,8 @@ mod tests {
         let server: IpAddr = "1.1.1.1".parse().unwrap();
         t.push_rule(None, None, None, Respond::WrongTxid(Box::new(Respond::Txt("IAD".into()))));
         let out = q(&mut t, server, Question::chaos_txt("id.server".parse().unwrap()));
-        let msg = out.response().unwrap();
-        assert_ne!(msg.header.id, 0x1234);
-        assert_eq!(msg.header.id, 0x1234 ^ 0x5A5A);
+        let reply = out.response().unwrap();
+        assert_ne!(reply.header().id, 0x1234);
+        assert_eq!(reply.header().id, 0x1234 ^ 0x5A5A);
     }
 }

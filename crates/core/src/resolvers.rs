@@ -11,7 +11,7 @@
 
 use crate::prefix::IpPrefix;
 use dns_wire::debug_queries;
-use dns_wire::{Message, Question, Rcode};
+use dns_wire::{MessageView, Question, Rcode};
 use serde::{Deserialize, Serialize};
 use std::net::IpAddr;
 use std::sync::{Arc, OnceLock};
@@ -97,11 +97,11 @@ impl PublicResolver {
     /// query to this resolver produces (§3.1). A non-standard response —
     /// wrong format, error status, empty answer — is evidence of
     /// interception. The caller handles timeouts separately.
-    pub fn is_standard_location_response(&self, response: &Message) -> bool {
-        if response.header.rcode != Rcode::NoError {
+    pub fn is_standard_location_response(&self, response: &MessageView<'_>) -> bool {
+        if response.header().rcode != Rcode::NoError {
             return false;
         }
-        let Some(text) = response.answers.iter().find_map(|r| r.rdata.txt_str()) else {
+        let Some(text) = response.answers().find_map(|r| r.txt_str()) else {
             return false;
         };
         match self.key {
@@ -187,10 +187,14 @@ pub fn shared_default_resolvers() -> Arc<[PublicResolver]> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dns_wire::{Name, Record};
+    use dns_wire::{Message, Name, Record, Reply};
 
     fn resolver(key: ResolverKey) -> PublicResolver {
         default_resolvers().into_iter().find(|r| r.key == key).unwrap()
+    }
+
+    fn standard(r: &PublicResolver, response: Message) -> bool {
+        r.is_standard_location_response(&Reply::encode(&response).unwrap().view())
     }
 
     fn txt_response(q: &Question, text: &str) -> Message {
@@ -204,37 +208,37 @@ mod tests {
     fn cloudflare_accepts_iata_rejects_other() {
         let r = resolver(ResolverKey::Cloudflare);
         let q = r.location_query();
-        assert!(r.is_standard_location_response(&txt_response(&q, "IAD")));
-        assert!(r.is_standard_location_response(&txt_response(&q, "SFO")));
-        assert!(!r.is_standard_location_response(&txt_response(&q, "routing.v2.pw")));
-        assert!(!r.is_standard_location_response(&txt_response(&q, "iad")));
-        assert!(!r.is_standard_location_response(&txt_response(&q, "IADX")));
+        assert!(standard(&r, txt_response(&q, "IAD")));
+        assert!(standard(&r, txt_response(&q, "SFO")));
+        assert!(!standard(&r, txt_response(&q, "routing.v2.pw")));
+        assert!(!standard(&r, txt_response(&q, "iad")));
+        assert!(!standard(&r, txt_response(&q, "IADX")));
     }
 
     #[test]
     fn google_accepts_own_egress_rejects_foreign_ip() {
         let r = resolver(ResolverKey::Google);
         let q = r.location_query();
-        assert!(r.is_standard_location_response(&txt_response(&q, "172.253.211.15")));
-        assert!(!r.is_standard_location_response(&txt_response(&q, "62.183.62.69")));
-        assert!(!r.is_standard_location_response(&txt_response(&q, "185.194.112.32")));
-        assert!(!r.is_standard_location_response(&txt_response(&q, "not-an-ip")));
+        assert!(standard(&r, txt_response(&q, "172.253.211.15")));
+        assert!(!standard(&r, txt_response(&q, "62.183.62.69")));
+        assert!(!standard(&r, txt_response(&q, "185.194.112.32")));
+        assert!(!standard(&r, txt_response(&q, "not-an-ip")));
     }
 
     #[test]
     fn quad9_accepts_pch_node_names() {
         let r = resolver(ResolverKey::Quad9);
         let q = r.location_query();
-        assert!(r.is_standard_location_response(&txt_response(&q, "res100.iad.rrdns.pch.net")));
-        assert!(!r.is_standard_location_response(&txt_response(&q, "unbound 1.9.0")));
+        assert!(standard(&r, txt_response(&q, "res100.iad.rrdns.pch.net")));
+        assert!(!standard(&r, txt_response(&q, "unbound 1.9.0")));
     }
 
     #[test]
     fn opendns_accepts_server_m_strings() {
         let r = resolver(ResolverKey::OpenDns);
         let q = r.location_query();
-        assert!(r.is_standard_location_response(&txt_response(&q, "server m84.iad")));
-        assert!(!r.is_standard_location_response(&txt_response(&q, "dnsmasq-2.85")));
+        assert!(standard(&r, txt_response(&q, "server m84.iad")));
+        assert!(!standard(&r, txt_response(&q, "dnsmasq-2.85")));
     }
 
     #[test]
@@ -244,7 +248,7 @@ mod tests {
             let q = r.location_query();
             let query = Message::query(1, q);
             let resp = Message::response_to(&query, Rcode::NotImp);
-            assert!(!r.is_standard_location_response(&resp), "{key:?}");
+            assert!(!standard(&r, resp), "{key:?}");
         }
     }
 
@@ -254,7 +258,7 @@ mod tests {
             let r = resolver(key);
             let query = Message::query(1, r.location_query());
             let resp = Message::response_to(&query, Rcode::NoError);
-            assert!(!r.is_standard_location_response(&resp), "{key:?}");
+            assert!(!standard(&r, resp), "{key:?}");
         }
     }
 

@@ -19,8 +19,9 @@ use crate::trace::{NullSink, Step, TraceEvent, TraceSink};
 use crate::transport::{
     query_with_retry_traced, QueryCtx, QueryOptions, QueryOutcome, QueryTransport, TxidSequence,
 };
-use dns_wire::{Name, Question, RData, RType, Rcode};
+use dns_wire::{Name, Question, RType, Rcode};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::net::IpAddr;
 
 /// Issues one side-check query, emitting `QueryIssued` (and the per-attempt
@@ -42,7 +43,7 @@ fn send_check<T: QueryTransport, S: TraceSink>(
             seq: this_seq,
             step: Step::SideCheck,
             server,
-            qname: question.qname.to_string(),
+            qname: Cow::Borrowed(&question.qname),
             qtype: question.qtype.to_u16(),
             qclass: question.qclass.to_u16(),
             at_us: transport.now_us(),
@@ -97,8 +98,8 @@ pub fn ad_downgrade_check_traced<T: QueryTransport, S: TraceSink>(
 ) -> AdVerdict {
     let q = Question::new(signed_name.clone(), RType::A);
     match send_check(transport, sink, server, &q, txids, opts, seq) {
-        QueryOutcome::Response(m) if m.header.rcode == Rcode::NoError => {
-            if m.header.ad {
+        QueryOutcome::Response(reply) if reply.header().rcode == Rcode::NoError => {
+            if reply.header().ad {
                 AdVerdict::Authenticated
             } else {
                 AdVerdict::Downgraded
@@ -155,13 +156,11 @@ pub fn nxdomain_wildcard_check_traced<T: QueryTransport, S: TraceSink>(
 ) -> WildcardVerdict {
     let q = Question::new(nonexistent_name.clone(), RType::A);
     match send_check(transport, sink, server, &q, txids, opts, seq) {
-        QueryOutcome::Response(m) => match m.header.rcode {
+        QueryOutcome::Response(reply) => match reply.header().rcode {
             Rcode::NxDomain => WildcardVerdict::Honest,
             Rcode::NoError => {
-                let substituted = m.answers.iter().find_map(|r| match r.rdata {
-                    RData::A(ip) => Some(IpAddr::V4(ip)),
-                    RData::Aaaa(ip) => Some(IpAddr::V6(ip)),
-                    _ => None,
+                let substituted = reply.view().answers().find_map(|r| {
+                    r.a_addr().map(IpAddr::V4).or_else(|| r.aaaa_addr().map(IpAddr::V6))
                 });
                 match substituted {
                     Some(substituted) => WildcardVerdict::Wildcarded { substituted },

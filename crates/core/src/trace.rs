@@ -11,7 +11,13 @@
 //! Tracing is **zero-cost when disabled**: every emission site is guarded
 //! by [`TraceSink::enabled`], and the default sink, [`NullSink`], returns a
 //! constant `false` — after monomorphization the event construction
-//! (including its string formatting) compiles away entirely.
+//! compiles away entirely.
+//!
+//! Events **borrow** what the emitter already holds: the question's name,
+//! the accepted reply's description, a verdict and the evidence it cites.
+//! A sink that folds events, like [`MetricsFolder`](crate::MetricsFolder),
+//! therefore allocates nothing per event; only [`TraceRecorder`], which
+//! keeps them, makes owned copies ([`TraceEvent::into_owned`]).
 //!
 //! Timestamps come from the transport's own deterministic clock
 //! ([`QueryTransport::now_us`](crate::QueryTransport::now_us)): simulated
@@ -19,8 +25,10 @@
 //! reproducible across runs and thread counts; real-network transports
 //! leave timestamps empty rather than leak a wall clock into the record.
 
-use crate::report::EvidenceRef;
-use serde::{Deserialize, Serialize};
+use crate::report::{EvidenceRef, InterceptorLocation};
+use dns_wire::Name;
+use serde::{Deserialize, Serialize, Value};
+use std::borrow::Cow;
 use std::fmt;
 use std::net::IpAddr;
 
@@ -95,9 +103,10 @@ impl fmt::Display for Step {
 /// [`EvidenceRef::seq`] in report provenance); `attempt` numbers wire
 /// attempts within one query, starting at 1. `at_us` is the transport's
 /// virtual clock in microseconds, or `None` when the transport has no
-/// deterministic clock.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub enum TraceEvent {
+/// deterministic clock. `'a` is the lifetime of what a live event borrows;
+/// a recorded one is `TraceEvent<'static>`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum TraceEvent<'a> {
     /// A logical query entered the pipeline.
     QueryIssued {
         /// Query sequence number (issue order).
@@ -106,8 +115,8 @@ pub enum TraceEvent {
         step: Step,
         /// Server the query targets.
         server: IpAddr,
-        /// QNAME in presentation form.
-        qname: String,
+        /// QNAME; rendered in presentation form.
+        qname: Cow<'a, Name>,
         /// QTYPE wire value.
         qtype: u16,
         /// QCLASS wire value.
@@ -135,7 +144,7 @@ pub enum TraceEvent {
         /// Transaction ID the response carried (== the attempt's).
         txid: u16,
         /// Summarized payload (TXT/A answer or rcode).
-        observed: String,
+        observed: Cow<'a, str>,
         /// Transport clock, microseconds.
         at_us: Option<u64>,
     },
@@ -185,9 +194,9 @@ pub enum TraceEvent {
         /// The step that concluded.
         step: Step,
         /// Human-stable verdict string.
-        verdict: String,
+        verdict: Cow<'a, str>,
         /// The responses that justified the verdict.
-        cited: Vec<EvidenceRef>,
+        cited: Cow<'a, [EvidenceRef]>,
         /// Transport clock, microseconds.
         at_us: Option<u64>,
     },
@@ -195,8 +204,8 @@ pub enum TraceEvent {
     RunFinished {
         /// Whether any interception was detected.
         intercepted: bool,
-        /// Final localization, if any.
-        location: Option<String>,
+        /// Final localization, if any; rendered as its display text.
+        location: Option<InterceptorLocation>,
         /// Logical queries issued.
         queries_sent: u32,
         /// Wire attempts made.
@@ -206,7 +215,7 @@ pub enum TraceEvent {
     },
 }
 
-impl TraceEvent {
+impl TraceEvent<'_> {
     /// The logical-query sequence number this event belongs to, if any.
     pub fn seq(&self) -> Option<u32> {
         match self {
@@ -233,6 +242,114 @@ impl TraceEvent {
             | TraceEvent::RunFinished { at_us, .. } => *at_us,
         }
     }
+
+    /// Copies whatever the event borrows, so it can outlive the emitter.
+    pub fn into_owned(self) -> TraceEvent<'static> {
+        match self {
+            TraceEvent::QueryIssued { seq, step, server, qname, qtype, qclass, at_us } => {
+                let qname = Cow::Owned(qname.into_owned());
+                TraceEvent::QueryIssued { seq, step, server, qname, qtype, qclass, at_us }
+            }
+            TraceEvent::AttemptSent { seq, attempt, txid, at_us } => {
+                TraceEvent::AttemptSent { seq, attempt, txid, at_us }
+            }
+            TraceEvent::ResponseAccepted { seq, attempt, txid, observed, at_us } => {
+                let observed = Cow::Owned(observed.into_owned());
+                TraceEvent::ResponseAccepted { seq, attempt, txid, observed, at_us }
+            }
+            TraceEvent::ResponseDropped { seq, attempt, expected_txid, got_txid, at_us } => {
+                TraceEvent::ResponseDropped { seq, attempt, expected_txid, got_txid, at_us }
+            }
+            TraceEvent::ResponseWrongSource { seq, attempt, txid, from, at_us } => {
+                TraceEvent::ResponseWrongSource { seq, attempt, txid, from, at_us }
+            }
+            TraceEvent::AttemptTimedOut { seq, attempt, txid, at_us } => {
+                TraceEvent::AttemptTimedOut { seq, attempt, txid, at_us }
+            }
+            TraceEvent::StepVerdict { step, verdict, cited, at_us } => TraceEvent::StepVerdict {
+                step,
+                verdict: Cow::Owned(verdict.into_owned()),
+                cited: Cow::Owned(cited.into_owned()),
+                at_us,
+            },
+            TraceEvent::RunFinished { intercepted, location, queries_sent, wire_attempts, at_us } => {
+                TraceEvent::RunFinished { intercepted, location, queries_sent, wire_attempts, at_us }
+            }
+        }
+    }
+}
+
+/// Externally tagged by variant name, fields in declaration order: the
+/// shape `#[derive(Serialize)]` gives, with the name and the location in
+/// their display text.
+impl Serialize for TraceEvent<'_> {
+    fn to_value(&self) -> Value {
+        let (variant, mut fields): (&str, Vec<(&str, Value)>) = match self {
+            TraceEvent::QueryIssued { seq, step, server, qname, qtype, qclass, .. } => (
+                "QueryIssued",
+                vec![
+                    ("seq", seq.to_value()),
+                    ("step", step.to_value()),
+                    ("server", server.to_value()),
+                    ("qname", Value::String(qname.to_string())),
+                    ("qtype", qtype.to_value()),
+                    ("qclass", qclass.to_value()),
+                ],
+            ),
+            TraceEvent::AttemptSent { seq, attempt, txid, .. } => (
+                "AttemptSent",
+                vec![("seq", seq.to_value()), ("attempt", attempt.to_value()), ("txid", txid.to_value())],
+            ),
+            TraceEvent::ResponseAccepted { seq, attempt, txid, observed, .. } => (
+                "ResponseAccepted",
+                vec![
+                    ("seq", seq.to_value()),
+                    ("attempt", attempt.to_value()),
+                    ("txid", txid.to_value()),
+                    ("observed", observed.to_value()),
+                ],
+            ),
+            TraceEvent::ResponseDropped { seq, attempt, expected_txid, got_txid, .. } => (
+                "ResponseDropped",
+                vec![
+                    ("seq", seq.to_value()),
+                    ("attempt", attempt.to_value()),
+                    ("expected_txid", expected_txid.to_value()),
+                    ("got_txid", got_txid.to_value()),
+                ],
+            ),
+            TraceEvent::ResponseWrongSource { seq, attempt, txid, from, .. } => (
+                "ResponseWrongSource",
+                vec![
+                    ("seq", seq.to_value()),
+                    ("attempt", attempt.to_value()),
+                    ("txid", txid.to_value()),
+                    ("from", from.to_value()),
+                ],
+            ),
+            TraceEvent::AttemptTimedOut { seq, attempt, txid, .. } => (
+                "AttemptTimedOut",
+                vec![("seq", seq.to_value()), ("attempt", attempt.to_value()), ("txid", txid.to_value())],
+            ),
+            TraceEvent::StepVerdict { step, verdict, cited, .. } => (
+                "StepVerdict",
+                vec![("step", step.to_value()), ("verdict", verdict.to_value()), ("cited", cited.to_value())],
+            ),
+            TraceEvent::RunFinished { intercepted, location, queries_sent, wire_attempts, .. } => (
+                "RunFinished",
+                vec![
+                    ("intercepted", intercepted.to_value()),
+                    ("location", location.map(|l| l.to_string()).to_value()),
+                    ("queries_sent", queries_sent.to_value()),
+                    ("wire_attempts", wire_attempts.to_value()),
+                ],
+            ),
+        };
+        // Every variant ends with its timestamp.
+        fields.push(("at_us", self.at_us().to_value()));
+        let fields = fields.into_iter().map(|(name, value)| (name.to_string(), value)).collect();
+        Value::Object(vec![(variant.to_string(), Value::Object(fields))])
+    }
 }
 
 fn fmt_clock(at_us: &Option<u64>) -> String {
@@ -242,7 +359,7 @@ fn fmt_clock(at_us: &Option<u64>) -> String {
     }
 }
 
-impl fmt::Display for TraceEvent {
+impl fmt::Display for TraceEvent<'_> {
     /// One line per event, the `hijack-scan --trace` rendering.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -305,11 +422,14 @@ impl fmt::Display for TraceEvent {
                 )
             }
             TraceEvent::RunFinished { intercepted, location, queries_sent, wire_attempts, at_us } => {
+                let location: &dyn fmt::Display = match location {
+                    Some(location) => location,
+                    None => &"-",
+                };
                 write!(
                     f,
-                    "[{:>10}] === run finished: intercepted={intercepted} location={} ({queries_sent} queries, {wire_attempts} attempts)",
+                    "[{:>10}] === run finished: intercepted={intercepted} location={location} ({queries_sent} queries, {wire_attempts} attempts)",
                     fmt_clock(at_us),
-                    location.as_deref().unwrap_or("-")
                 )
             }
         }
@@ -328,9 +448,10 @@ pub trait TraceSink {
         true
     }
 
-    /// Delivers one event. Never called when [`enabled`](TraceSink::enabled)
-    /// is `false`.
-    fn record(&mut self, event: TraceEvent);
+    /// Delivers one event, which borrows from the emitter: a sink that
+    /// keeps it calls [`TraceEvent::into_owned`]. Never called when
+    /// [`enabled`](TraceSink::enabled) is `false`.
+    fn record(&mut self, event: TraceEvent<'_>);
 }
 
 /// The disabled sink: `enabled()` is a constant `false` and `record` is a
@@ -343,20 +464,21 @@ impl TraceSink for NullSink {
         false
     }
 
-    fn record(&mut self, _event: TraceEvent) {}
+    fn record(&mut self, _event: TraceEvent<'_>) {}
 }
 
 /// Records every event into a vector, for golden traces, `--trace`
-/// rendering, and offline metrics folding.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// rendering, and offline metrics folding. The one sink that copies what
+/// events borrow.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct TraceRecorder {
     /// Events in emission order.
-    pub events: Vec<TraceEvent>,
+    pub events: Vec<TraceEvent<'static>>,
 }
 
 impl TraceSink for TraceRecorder {
-    fn record(&mut self, event: TraceEvent) {
-        self.events.push(event);
+    fn record(&mut self, event: TraceEvent<'_>) {
+        self.events.push(event.into_owned());
     }
 }
 
@@ -365,7 +487,7 @@ impl<S: TraceSink + ?Sized> TraceSink for &mut S {
         (**self).enabled()
     }
 
-    fn record(&mut self, event: TraceEvent) {
+    fn record(&mut self, event: TraceEvent<'_>) {
         (**self).record(event)
     }
 }
@@ -398,7 +520,7 @@ mod tests {
     }
 
     #[test]
-    fn events_round_trip_through_json() {
+    fn events_render_as_json_externally_tagged_in_field_order() {
         let ev = TraceEvent::ResponseDropped {
             seq: 7,
             attempt: 2,
@@ -406,10 +528,62 @@ mod tests {
             got_txid: 0x1006,
             at_us: Some(12_345),
         };
-        let json = serde_json::to_string(&ev).unwrap();
-        assert!(json.contains("ResponseDropped"), "externally tagged by variant name");
-        let back: TraceEvent = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, ev);
+        assert_eq!(
+            serde_json::to_string(&ev).unwrap(),
+            r#"{"ResponseDropped":{"seq":7,"attempt":2,"expected_txid":4103,"got_txid":4102,"at_us":12345}}"#
+        );
+        let name: Name = "id.server".parse().unwrap();
+        let issued = TraceEvent::QueryIssued {
+            seq: 0,
+            step: Step::Location,
+            server: "1.1.1.1".parse().unwrap(),
+            qname: Cow::Borrowed(&name),
+            qtype: 16,
+            qclass: 3,
+            at_us: None,
+        };
+        assert_eq!(
+            serde_json::to_string(&issued).unwrap(),
+            r#"{"QueryIssued":{"seq":0,"step":"Location","server":"1.1.1.1","qname":"id.server.","qtype":16,"qclass":3,"at_us":null}}"#
+        );
+        let finished = TraceEvent::RunFinished {
+            intercepted: true,
+            location: Some(InterceptorLocation::WithinIsp),
+            queries_sent: 21,
+            wire_attempts: 22,
+            at_us: Some(1),
+        };
+        assert_eq!(
+            serde_json::to_string(&finished).unwrap(),
+            r#"{"RunFinished":{"intercepted":true,"location":"within ISP","queries_sent":21,"wire_attempts":22,"at_us":1}}"#
+        );
+    }
+
+    #[test]
+    fn the_recorder_owns_what_live_events_borrowed() {
+        let cited = vec![EvidenceRef {
+            seq: 4,
+            server: "8.8.8.8".parse().unwrap(),
+            txid: 0x1004,
+            attempts: 1,
+            observed: "172.253.226.35".into(),
+        }];
+        let verdict = String::from("not intercepted");
+        let live = TraceEvent::StepVerdict {
+            step: Step::Location,
+            verdict: Cow::Borrowed(&verdict),
+            cited: Cow::Borrowed(&cited),
+            at_us: Some(80_000_000),
+        };
+        let mut recorder = TraceRecorder::default();
+        recorder.record(live.clone());
+        drop((verdict, cited));
+        let kept = &recorder.events[0];
+        assert!(matches!(kept, TraceEvent::StepVerdict { cited: Cow::Owned(c), .. } if c.len() == 1));
+        assert_eq!(
+            kept.to_string(),
+            "[80000.000ms] === location: not intercepted (evidence: q4=172.253.226.35)"
+        );
     }
 
     #[test]

@@ -14,9 +14,14 @@
 //! [`query_with_retry`]: each attempt re-sends with a fresh ID so a late
 //! response to a previous attempt can never be mistaken for the current
 //! one.
+//!
+//! A transport hands back each reply as received ([`Reply`]): the bytes,
+//! validated once by its receive filter. The locator reads the few fields
+//! it needs through the reply's view and never decodes owned records.
 
 use crate::trace::{Step, TraceEvent, TraceSink};
-use dns_wire::{Message, Question};
+use dns_wire::{Question, Reply};
+use std::borrow::Cow;
 use std::net::IpAddr;
 
 /// Wait budget and packet parameters for a single query.
@@ -53,7 +58,7 @@ pub enum QueryOutcome {
     /// A response arrived whose source address matched the queried server
     /// (the OS-level connected-UDP check every stub resolver performs —
     /// which is why interceptors must spoof, §2).
-    Response(Message),
+    Response(Reply),
     /// No matching response within the timeout. The paper conservatively
     /// treats timeouts as *not* interception (§3.1).
     Timeout,
@@ -64,8 +69,8 @@ pub enum QueryOutcome {
     /// upstream while preserving the client's source address makes the
     /// *upstream* resolver answer the client directly.
     WrongSource {
-        /// The response message (txid and QR already verified).
-        message: Message,
+        /// The response (txid and QR already verified).
+        message: Reply,
         /// The address the reply actually came from.
         from: IpAddr,
     },
@@ -75,7 +80,7 @@ impl QueryOutcome {
     /// The response, if one arrived *from the queried server*. A
     /// wrong-source reply is never an answer: the pipeline treats it like
     /// a timeout for verdict purposes and flags it separately.
-    pub fn response(&self) -> Option<&Message> {
+    pub fn response(&self) -> Option<&Reply> {
         match self {
             QueryOutcome::Response(m) => Some(m),
             QueryOutcome::Timeout | QueryOutcome::WrongSource { .. } => None,
@@ -196,6 +201,11 @@ pub struct RetriedQuery {
     /// transaction ID but came from the wrong address, if any attempt saw
     /// one — recorded even when a later attempt was properly answered.
     pub wrong_source: Option<IpAddr>,
+    /// [`describe_response`](crate::describe_response) of the accepted
+    /// reply, when a live sink already needed it for `ResponseAccepted`.
+    /// A caller that reports the description takes it from here rather
+    /// than describing the reply a second time.
+    pub observed: Option<String>,
 }
 
 /// Trace context for one logical query: its sequence number and the
@@ -240,9 +250,11 @@ pub fn query_with_retry<T: QueryTransport>(
 /// Emits `AttemptSent` for every wire attempt, then exactly one of
 /// `ResponseAccepted`, `ResponseDropped` (wrong transaction ID), or
 /// `AttemptTimedOut` for it — all stamped with the transport's clock and
-/// tagged with `ctx`. When `sink.enabled()` is false (the [`NullSink`]
-/// path) no event is ever constructed and this is exactly
-/// [`query_with_retry`].
+/// tagged with `ctx`. The accepted reply is described once, for
+/// `ResponseAccepted`, and the text comes back in
+/// [`RetriedQuery::observed`]. When `sink.enabled()` is false (the
+/// [`NullSink`] path) no event is ever constructed, nothing is described,
+/// and this is exactly [`query_with_retry`].
 ///
 /// [`NullSink`]: crate::trace::NullSink
 pub fn query_with_retry_traced<T: QueryTransport, S: TraceSink>(
@@ -260,7 +272,7 @@ pub fn query_with_retry_traced<T: QueryTransport, S: TraceSink>(
     // properly answered it becomes the final outcome (it is stronger
     // evidence than a bare timeout), and if one is, it is still reported
     // through [`RetriedQuery::wrong_source`].
-    let mut mismatch: Option<(Message, IpAddr)> = None;
+    let mut mismatch: Option<(Reply, IpAddr)> = None;
     for attempt in 0..attempts {
         if attempt > 0 && opts.retry_backoff_ms > 0 {
             transport.backoff(opts.retry_backoff_ms);
@@ -276,31 +288,34 @@ pub fn query_with_retry_traced<T: QueryTransport, S: TraceSink>(
             });
         }
         match transport.query(server, question, txid, opts) {
-            QueryOutcome::Response(msg) if msg.header.id == txid => {
-                if sink.enabled() {
+            QueryOutcome::Response(reply) if reply.header().id == txid => {
+                let observed = sink.enabled().then(|| {
+                    let observed = crate::detector::describe_response(&reply.view());
                     sink.record(TraceEvent::ResponseAccepted {
                         seq: ctx.seq,
                         attempt: attempt + 1,
                         txid,
-                        observed: crate::detector::describe_response(&msg),
+                        observed: Cow::Borrowed(&observed),
                         at_us: transport.now_us(),
                     });
-                }
+                    observed
+                });
                 return RetriedQuery {
-                    outcome: QueryOutcome::Response(msg),
+                    outcome: QueryOutcome::Response(reply),
                     attempts_used: attempt + 1,
                     txid,
                     wrong_source: mismatch.map(|(_, from)| from),
+                    observed,
                 };
             }
             // Wrong-ID responses and timeouts both burn the attempt.
-            QueryOutcome::Response(msg) => {
+            QueryOutcome::Response(reply) => {
                 if sink.enabled() {
                     sink.record(TraceEvent::ResponseDropped {
                         seq: ctx.seq,
                         attempt: attempt + 1,
                         expected_txid: txid,
-                        got_txid: msg.header.id,
+                        got_txid: reply.header().id,
                         at_us: transport.now_us(),
                     });
                 }
@@ -339,12 +354,14 @@ pub fn query_with_retry_traced<T: QueryTransport, S: TraceSink>(
             attempts_used: attempts,
             txid: last_txid,
             wrong_source: Some(from),
+            observed: None,
         },
         None => RetriedQuery {
             outcome: QueryOutcome::Timeout,
             attempts_used: attempts,
             txid: last_txid,
             wrong_source: None,
+            observed: None,
         },
     }
 }
@@ -352,7 +369,7 @@ pub fn query_with_retry_traced<T: QueryTransport, S: TraceSink>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dns_wire::Rcode;
+    use dns_wire::{Message, Rcode};
 
     /// Scripted transport: pops one canned reaction per query call.
     struct Script {
@@ -386,23 +403,18 @@ mod tests {
             let idx = self.calls as usize;
             self.calls += 1;
             self.txids_seen.push(txid);
+            let reply = |id: u16| {
+                let q = Message::query(id, question.clone());
+                Reply::encode(&Message::response_to(&q, Rcode::NoError)).unwrap()
+            };
             match self.reactions.get(idx).unwrap_or(&Reaction::Timeout) {
                 Reaction::Timeout => QueryOutcome::Timeout,
-                Reaction::Answer => {
-                    let q = Message::query(txid, question.clone());
-                    QueryOutcome::Response(Message::response_to(&q, Rcode::NoError))
-                }
-                Reaction::WrongTxid => {
-                    let q = Message::query(txid.wrapping_add(1), question.clone());
-                    QueryOutcome::Response(Message::response_to(&q, Rcode::NoError))
-                }
-                Reaction::WrongSource => {
-                    let q = Message::query(txid, question.clone());
-                    QueryOutcome::WrongSource {
-                        message: Message::response_to(&q, Rcode::NoError),
-                        from: "198.51.100.99".parse().unwrap(),
-                    }
-                }
+                Reaction::Answer => QueryOutcome::Response(reply(txid)),
+                Reaction::WrongTxid => QueryOutcome::Response(reply(txid.wrapping_add(1))),
+                Reaction::WrongSource => QueryOutcome::WrongSource {
+                    message: reply(txid),
+                    from: "198.51.100.99".parse().unwrap(),
+                },
             }
         }
 
@@ -458,8 +470,8 @@ mod tests {
         let mut t = Script::new(vec![Reaction::WrongTxid, Reaction::Answer]);
         let r = ask(&mut t, opts(2, 0));
         assert_eq!(r.attempts_used, 2);
-        let msg = r.outcome.response().expect("second attempt answered");
-        assert_eq!(msg.header.id, 0x4001);
+        let reply = r.outcome.response().expect("second attempt answered");
+        assert_eq!(reply.header().id, 0x4001);
     }
 
     #[test]
@@ -544,8 +556,8 @@ mod tests {
         let mut t = Script::new(vec![Reaction::WrongSource, Reaction::Answer]);
         let r = ask(&mut t, opts(2, 0));
         assert_eq!(r.attempts_used, 2);
-        let msg = r.outcome.response().expect("second attempt answered");
-        assert_eq!(msg.header.id, 0x4001);
+        let reply = r.outcome.response().expect("second attempt answered");
+        assert_eq!(reply.header().id, 0x4001);
         // The mismatch evidence survives alongside the accepted answer.
         assert_eq!(r.wrong_source, Some("198.51.100.99".parse().unwrap()));
     }

@@ -28,6 +28,7 @@ use crate::transport::{
     query_with_retry_traced, QueryCtx, QueryOptions, QueryOutcome, QueryTransport, TxidSequence,
 };
 use dns_wire::Question;
+use std::borrow::Cow;
 use serde::{Deserialize, Serialize};
 use std::net::IpAddr;
 
@@ -91,7 +92,7 @@ pub fn ttl_scan_traced<T: QueryTransport, S: TraceSink>(
                 seq: this_seq,
                 step: Step::TtlScan,
                 server,
-                qname: question.qname.to_string(),
+                qname: Cow::Borrowed(&question.qname),
                 qtype: question.qtype.to_u16(),
                 qclass: question.qclass.to_u16(),
                 at_us: transport.now_us(),

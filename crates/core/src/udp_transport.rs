@@ -20,7 +20,7 @@
 //! rejects responses carrying any other ID.
 
 use crate::transport::{QueryOptions, QueryOutcome, QueryTransport};
-use dns_wire::{Message, MessageView, QueryEncoder, Question};
+use dns_wire::{MessageView, QueryEncoder, Question, Reply};
 use std::net::{IpAddr, SocketAddr, UdpSocket};
 use std::time::{Duration, Instant};
 
@@ -90,7 +90,7 @@ impl QueryTransport for UdpTransport {
         // First right-txid reply that came from somewhere other than the
         // queried server. Kept (not returned immediately) so a properly
         // sourced answer arriving later still wins.
-        let mut mismatch: Option<(Message, IpAddr)> = None;
+        let mut mismatch: Option<(Reply, IpAddr)> = None;
         loop {
             let remaining = deadline.saturating_duration_since(Instant::now());
             if remaining.is_zero() {
@@ -104,16 +104,17 @@ impl QueryTransport for UdpTransport {
                     // Check transaction id and QR first (stale-txid defense),
                     // then the source address; keep listening until the
                     // deadline either way. The borrowed view keeps rejected
-                    // datagrams allocation-free; only an accepted (or
-                    // mismatch-kept) reply is decoded into an owned Message.
+                    // datagrams allocation-free; an accepted (or
+                    // mismatch-kept) reply is copied out of the receive
+                    // buffer once, with the offsets this parse validated.
                     if let Ok(view) = MessageView::parse(&buf[..n]) {
                         if view.header().id == txid && view.header().qr {
                             if peer == target {
                                 self.received += 1;
-                                return QueryOutcome::Response(view.to_message());
+                                return QueryOutcome::Response(view.to_reply());
                             }
                             if mismatch.is_none() {
-                                mismatch = Some((view.to_message(), peer.ip()));
+                                mismatch = Some((view.to_reply(), peer.ip()));
                             }
                         }
                     }
@@ -136,7 +137,7 @@ impl QueryTransport for UdpTransport {
 mod tests {
     use super::*;
     use crate::transport::{query_with_retry, TxidSequence};
-    use dns_wire::{RData, RType, Rcode, Record};
+    use dns_wire::{Message, RData, RType, Rcode, Record};
     use std::net::Ipv4Addr;
     use std::sync::mpsc;
 
@@ -183,7 +184,7 @@ mod tests {
         let port = spawn_loopback_server(1, false);
         let mut t = UdpTransport { port, ..UdpTransport::default() };
         let out = t.query("127.0.0.1".parse().unwrap(), &a_question(), 0x5244, opts(2_000));
-        let resp = out.response().expect("loopback answer");
+        let resp = out.response().expect("loopback answer").to_message();
         assert_eq!(resp.answers[0].rdata, RData::A("93.184.216.34".parse().unwrap()));
         assert_eq!(resp.header.id, 0x5244);
         assert_eq!(t.sent, 1);
@@ -239,7 +240,7 @@ mod tests {
         match out {
             QueryOutcome::WrongSource { message, from } => {
                 assert_eq!(from, "127.0.0.2".parse::<IpAddr>().unwrap());
-                assert_eq!(message.header.id, 0x5244, "the reply's txid was right");
+                assert_eq!(message.header().id, 0x5244, "the reply's txid was right");
             }
             other => panic!("expected WrongSource, got {other:?}"),
         }

@@ -1,7 +1,7 @@
 //! Property-based tests for the locator: validators never panic on
 //! arbitrary response content, and classification invariants hold.
 
-use dns_wire::{Message, RData, Rcode, Record};
+use dns_wire::{Message, RData, Rcode, Record, Reply};
 use locator::{
     default_resolvers, HijackLocator, InterceptorLocation, LocatorConfig, MockTransport,
     Respond,
@@ -23,7 +23,7 @@ proptest! {
             let mut rec = Record::new(q.qname.clone(), 0, RData::txt(text.as_bytes()));
             rec.class = q.qclass;
             let resp = Message::response_to(&query, Rcode::NoError).with_answer(rec);
-            let _ = resolver.is_standard_location_response(&resp);
+            let _ = resolver.is_standard_location_response(&Reply::encode(&resp).unwrap().view());
         }
     }
 
@@ -43,7 +43,7 @@ proptest! {
             let mut rec = Record::new(q.qname.clone(), 0, RData::txt(text.as_bytes()));
             rec.class = q.qclass;
             let resp = Message::response_to(&query, Rcode::NoError).with_answer(rec);
-            prop_assert!(!resolver.is_standard_location_response(&resp), "{:?} accepted {text:?}", resolver.key);
+            prop_assert!(!resolver.is_standard_location_response(&Reply::encode(&resp).unwrap().view()), "{:?} accepted {text:?}", resolver.key);
         }
     }
 
@@ -55,7 +55,7 @@ proptest! {
         let query = Message::query(1, q.clone());
         let resp = Message::response_to(&query, Rcode::NoError)
             .with_answer(Record::new(q.qname.clone(), 0, RData::txt(ip.to_string())));
-        let accepted = google.is_standard_location_response(&resp);
+        let accepted = google.is_standard_location_response(&Reply::encode(&resp).unwrap().view());
         prop_assert_eq!(accepted, google.egress_contains(std::net::IpAddr::V4(ip)));
     }
 

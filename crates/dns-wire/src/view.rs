@@ -8,11 +8,14 @@
 //!
 //! Receivers use this to decide whether a datagram is one they answer or
 //! accept (transaction ID, QR flag, question count) without a single heap
-//! allocation. Only what survives that filter is materialized:
-//! [`MessageView::to_message`] builds the owned [`Message`] from the
-//! offsets the parse validated, and [`Message::parse`] is exactly that view
-//! parse followed by the materialize, so there is one set of decoding
-//! rules.
+//! allocation. A stub keeps what survives that filter as a
+//! [`Reply`](crate::Reply): the bytes as received plus the offsets this
+//! parse validated, read later through [`Reply::view`](crate::Reply::view)
+//! without a second walk. Nothing on that path builds owned records.
+//! [`MessageView::to_message`] materializes the owned [`Message`] from the
+//! validated offsets for tests and tools, and [`Message::parse`] is exactly
+//! that view parse followed by the materialize, so there is one set of
+//! decoding rules.
 
 use crate::error::ParseError;
 use crate::message::{Header, Message, Question, Record};
@@ -20,9 +23,12 @@ use crate::name::{
     decompress, label_count, walk_name, wire_is_subdomain_of, Name, MAX_NAME_LEN,
 };
 use crate::rdata::RData;
+use crate::reply::Reply;
 use crate::types::{RClass, RType};
 use crate::wire::Reader;
+use bytes::Bytes;
 use core::fmt;
+use std::borrow::Cow;
 
 /// What an accessor of a parsed view expects of the bytes it re-reads.
 const VALIDATED: &str = "validated at view parse";
@@ -34,8 +40,15 @@ const VALIDATED: &str = "validated at view parse";
 /// [`MessageView::parse`] succeeds exactly when [`Message::parse`] does.
 #[derive(Clone, Copy)]
 pub struct MessageView<'a> {
-    buf: &'a [u8],
-    header: Header,
+    pub(crate) buf: &'a [u8],
+    pub(crate) layout: Layout,
+}
+
+/// What [`MessageView::parse`] learned about a message's bytes; a
+/// [`Reply`](crate::Reply) keeps it so that its view needs no second walk.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Layout {
+    pub(crate) header: Header,
     counts: [u16; 4],
     /// Byte offsets where each section starts: questions, answers,
     /// authority, additional.
@@ -65,13 +78,13 @@ impl<'a> MessageView<'a> {
                 skip_record(&mut r)?;
             }
         }
-        Ok(MessageView { buf, header, counts, section_off, end: r.position() })
+        Ok(MessageView { buf, layout: Layout { header, counts, section_off, end: r.position() } })
     }
 
     /// Number of bytes after the last record, which [`MessageView::parse`]
     /// tolerates and [`Message::parse_strict`] rejects.
     pub(crate) fn trailing_len(&self) -> usize {
-        self.buf.len() - self.end
+        self.buf.len() - self.layout.end
     }
 
     /// The raw message bytes this view borrows.
@@ -81,17 +94,17 @@ impl<'a> MessageView<'a> {
 
     /// Decoded header.
     pub fn header(&self) -> &Header {
-        &self.header
+        &self.layout.header
     }
 
     /// Number of question-section entries.
     pub fn question_count(&self) -> usize {
-        self.counts[0] as usize
+        self.layout.counts[0] as usize
     }
 
     /// Number of answer records.
     pub fn answer_count(&self) -> usize {
-        self.counts[1] as usize
+        self.layout.counts[1] as usize
     }
 
     /// First question, if any. Almost all real traffic has exactly one.
@@ -102,8 +115,8 @@ impl<'a> MessageView<'a> {
     /// Iterates the question section.
     pub fn questions(&self) -> QuestionIter<'a> {
         let mut r = Reader::new(self.buf);
-        r.seek(self.section_off[0]).expect("validated at parse");
-        QuestionIter { r, remaining: self.counts[0] }
+        r.seek(self.layout.section_off[0]).expect("validated at parse");
+        QuestionIter { r, remaining: self.layout.counts[0] }
     }
 
     /// Iterates the answer section.
@@ -123,8 +136,8 @@ impl<'a> MessageView<'a> {
 
     fn records(&self, section: usize) -> RecordIter<'a> {
         let mut r = Reader::new(self.buf);
-        r.seek(self.section_off[section]).expect("validated at parse");
-        RecordIter { r, remaining: self.counts[section] }
+        r.seek(self.layout.section_off[section]).expect("validated at parse");
+        RecordIter { r, remaining: self.layout.counts[section] }
     }
 
     /// Materializes the full owned [`Message`]: one pass over the sections
@@ -132,13 +145,21 @@ impl<'a> MessageView<'a> {
     /// crate's only decoder; [`Message::parse`] calls it.
     pub fn to_message(&self) -> Message {
         let mut r = Reader::new(self.buf);
-        r.seek(self.section_off[0]).expect(VALIDATED);
-        let questions = (0..self.counts[0]).map(|_| read_question(&mut r)).collect();
+        r.seek(self.layout.section_off[0]).expect(VALIDATED);
+        let questions = (0..self.layout.counts[0]).map(|_| read_question(&mut r)).collect();
         let mut section = |count: u16| (0..count).map(|_| read_record(&mut r)).collect();
-        let answers = section(self.counts[1]);
-        let authority = section(self.counts[2]);
-        let additional = section(self.counts[3]);
-        Message { header: self.header, questions, answers, authority, additional }
+        let answers = section(self.layout.counts[1]);
+        let authority = section(self.layout.counts[2]);
+        let additional = section(self.layout.counts[3]);
+        Message { header: self.layout.header, questions, answers, authority, additional }
+    }
+
+    /// Copies the viewed bytes into a [`Reply`] that keeps this parse's
+    /// offsets: one allocation, and no second walk. For receivers that
+    /// read into a reused buffer; one that already owns the datagram as
+    /// [`Bytes`] hands it to [`Reply::parse`] instead.
+    pub fn to_reply(&self) -> Reply {
+        Reply::from_parts(Bytes::copy_from_slice(self.buf), self.layout)
     }
 }
 
@@ -163,8 +184,8 @@ fn read_record(r: &mut Reader<'_>) -> Record {
 impl fmt::Debug for MessageView<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("MessageView")
-            .field("header", &self.header)
-            .field("counts", &self.counts)
+            .field("header", &self.layout.header)
+            .field("counts", &self.layout.counts)
             .finish()
     }
 }
@@ -315,7 +336,7 @@ pub struct RecordView<'a> {
     rdlength: u16,
 }
 
-impl RecordView<'_> {
+impl<'a> RecordView<'a> {
     /// Raw RDATA bytes as they appear on the wire. Note that RDATA of
     /// name-bearing types may contain compression pointers into the rest
     /// of the message; use [`RecordView::rdata`] for decoded data.
@@ -347,6 +368,31 @@ impl RecordView<'_> {
         let mut oct = [0u8; 16];
         oct.copy_from_slice(self.rdata_bytes());
         Some(std::net::Ipv6Addr::from(oct))
+    }
+
+    /// [`RData::txt_str`] read in place: `None` unless this is a TXT
+    /// record; a single character-string is borrowed from the message when
+    /// it is valid UTF-8, and several are joined into one owned string.
+    pub fn txt_str(&self) -> Option<Cow<'a, str>> {
+        if self.rtype != RType::Txt {
+            return None;
+        }
+        let rdata = &self.buf[self.rdata_off..self.rdata_off + self.rdlength as usize];
+        match rdata.split_first() {
+            // No string at all reads as one empty string, as in RData.
+            None => Some(Cow::Borrowed("")),
+            Some((&len, one)) if one.len() == len as usize => Some(String::from_utf8_lossy(one)),
+            Some(_) => {
+                let mut joined = Vec::with_capacity(rdata.len());
+                let mut rest = rdata;
+                while let Some((&len, tail)) = rest.split_first() {
+                    let (part, tail) = tail.split_at(len as usize);
+                    joined.extend_from_slice(part);
+                    rest = tail;
+                }
+                Some(Cow::Owned(String::from_utf8_lossy(&joined).into_owned()))
+            }
+        }
     }
 
     /// Materializes an owned [`Record`].

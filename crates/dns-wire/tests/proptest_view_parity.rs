@@ -4,12 +4,17 @@
 //! accept exactly the same byte strings; on acceptance the view's lazy
 //! accessors agree field-for-field with the materialized message, and that
 //! message re-encodes to bytes that decode back to it. A well-formed
-//! message round-trips through the view unchanged.
+//! message round-trips through the view unchanged. A `Reply` built from
+//! the same bytes parses exactly when the view does, and its stored view
+//! reads the same header, counts and sections as a fresh one.
 
+use bytes::Bytes;
 use dns_wire::{
-    Header, Message, MessageView, Name, Opcode, Question, RClass, RData, RType, Rcode, Record, Soa,
+    Header, Message, MessageView, Name, Opcode, Question, RClass, RData, RType, Rcode, Record,
+    Reply, Soa,
 };
 use proptest::prelude::*;
+use std::borrow::Cow;
 use std::net::{Ipv4Addr, Ipv6Addr};
 
 fn arb_label() -> impl Strategy<Value = Vec<u8>> {
@@ -107,6 +112,7 @@ fn arb_message() -> impl Strategy<Value = Message> {
 fn assert_parity(bytes: &[u8]) -> Result<(), TestCaseError> {
     let owned = Message::parse(bytes);
     let view = MessageView::parse(bytes);
+    assert_reply_parity(bytes, &view, &owned)?;
     match (&owned, &view) {
         (Ok(msg), Ok(v)) => {
             prop_assert_eq!(*v.header(), msg.header);
@@ -124,9 +130,11 @@ fn assert_parity(bytes: &[u8]) -> Result<(), TestCaseError> {
             prop_assert_eq!(&authority, &msg.authority);
             let additional: Vec<Record> = v.additional().map(|r| r.to_record()).collect();
             prop_assert_eq!(&additional, &msg.additional);
-            // Address fast paths agree with decoded RDATA.
-            for rec in v.answers() {
-                match rec.rdata() {
+            // Address and TXT fast paths agree with decoded RDATA, down to
+            // whether the text could be borrowed.
+            for rec in v.answers().chain(v.authority()).chain(v.additional()) {
+                let rdata = rec.rdata();
+                match rdata {
                     RData::A(ip) => prop_assert_eq!(rec.a_addr(), Some(ip)),
                     RData::Aaaa(ip) => prop_assert_eq!(rec.aaaa_addr(), Some(ip)),
                     _ => {
@@ -134,6 +142,12 @@ fn assert_parity(bytes: &[u8]) -> Result<(), TestCaseError> {
                         prop_assert_eq!(rec.aaaa_addr(), None);
                     }
                 }
+                let (in_place, decoded) = (rec.txt_str(), rdata.txt_str());
+                prop_assert_eq!(&in_place, &decoded);
+                prop_assert_eq!(
+                    matches!(in_place, Some(Cow::Borrowed(_))),
+                    matches!(decoded, Some(Cow::Borrowed(_)))
+                );
             }
             prop_assert_eq!(&v.to_message(), msg);
             let reencoded = msg.encode().expect("a decoded message encodes");
@@ -153,6 +167,47 @@ fn assert_parity(bytes: &[u8]) -> Result<(), TestCaseError> {
             )));
         }
     }
+    Ok(())
+}
+
+/// A `Reply` over `bytes` parses exactly when a fresh view does; its
+/// stored view reads the same header, counts and section contents without
+/// walking again; and it materializes to what `Message::parse` decodes.
+fn assert_reply_parity(
+    bytes: &[u8],
+    view: &Result<MessageView<'_>, dns_wire::ParseError>,
+    owned: &Result<Message, dns_wire::ParseError>,
+) -> Result<(), TestCaseError> {
+    let reply = Reply::parse(Bytes::copy_from_slice(bytes));
+    let (reply, fresh, msg) = match (reply, view, owned) {
+        (Ok(reply), Ok(fresh), Ok(msg)) => (reply, fresh, msg),
+        (Err(er), Err(ev), _) => {
+            prop_assert_eq!(&er, ev);
+            return Ok(());
+        }
+        (reply, view, _) => {
+            return Err(TestCaseError::fail(format!(
+                "reply and view disagree: {:?} vs {:?}",
+                reply.err(),
+                view.as_ref().err()
+            )));
+        }
+    };
+    prop_assert_eq!(reply.as_bytes(), bytes);
+    prop_assert_eq!(&fresh.to_reply(), &reply);
+    let stored = reply.view();
+    prop_assert_eq!(reply.header(), fresh.header());
+    prop_assert_eq!(stored.header(), fresh.header());
+    prop_assert_eq!(stored.question_count(), fresh.question_count());
+    prop_assert_eq!(stored.answer_count(), fresh.answer_count());
+    let questions = |v: &MessageView<'_>| v.questions().map(|q| q.to_question()).collect::<Vec<_>>();
+    prop_assert_eq!(questions(&stored), questions(fresh));
+    let sections = |v: &MessageView<'_>| {
+        [v.answers(), v.authority(), v.additional()]
+            .map(|section| section.map(|r| r.to_record()).collect::<Vec<_>>())
+    };
+    prop_assert_eq!(sections(&stored), sections(fresh));
+    prop_assert_eq!(&reply.to_message(), msg);
     Ok(())
 }
 

@@ -14,10 +14,14 @@
 //! [`corrupt_response_txid_xor`](SimTransport::corrupt_response_txid_xor)
 //! knob models a middlebox that rewrites IDs in flight, which must read as a
 //! timeout — never as an accepted answer.
+//!
+//! An accepted reply is handed to the locator as received: the delivered
+//! payload moves into a [`Reply`] with no copy, validated once by the
+//! receive filter.
 
 use crate::scenario::BuiltScenario;
 use crate::timing::{ProbeTimingLog, SCAN_PHASE};
-use dns_wire::{Message, MessageView, QueryEncoder, Question};
+use dns_wire::{QueryEncoder, Question, Reply};
 use locator::{QueryOptions, QueryOutcome, QueryTransport, Step};
 use netsim::{Host, IfaceId, IpPacket, SimDuration, SimTime};
 use std::net::IpAddr;
@@ -186,37 +190,37 @@ impl SimTransport {
         // First right-txid reply from an address other than the queried
         // server; kept so a properly sourced answer later in the inbox
         // still wins, as it would on a real unconnected socket.
-        let mut mismatch: Option<(Message, IpAddr, SimTime)> = None;
-        let mut accepted: Option<(Message, SimTime)> = None;
+        let mut mismatch: Option<(Reply, IpAddr, SimTime)> = None;
+        let mut accepted: Option<(Reply, SimTime)> = None;
         // Drained in place, so the inbox keeps its capacity for the next
         // query; whatever the loop leaves is dropped with the iterator.
-        for d in host.drain_deliveries() {
-            let Some(udp) = d.packet.udp_payload() else { continue };
+        for mut d in host.drain_deliveries() {
+            let from = d.packet.src();
+            let Some(udp) = d.packet.udp_payload_mut() else { continue };
             if udp.dst_port != sport || udp.src_port != 53 {
                 continue;
             }
-            // Zero-copy filter: validate the wire and check id/qr on the
-            // borrowed view; only a reply that passes is materialized into
-            // an owned Message.
-            let Ok(view) = MessageView::parse(&udp.payload) else { continue };
-            let id = view.header().id ^ self.corrupt_response_txid_xor;
-            if id != txid || !view.header().qr {
+            // Validate the wire once and check id/qr. The pooled payload
+            // moves into the reply without a copy; a datagram the filter
+            // rejects is dropped with it.
+            let Ok(mut reply) = Reply::parse(std::mem::take(&mut udp.payload)) else {
+                continue;
+            };
+            let id = reply.header().id ^ self.corrupt_response_txid_xor;
+            if id != txid || !reply.header().qr {
                 continue;
             }
+            reply.set_id(id);
             // Source-address match: the stub only accepts replies that claim
             // to come from the server it queried. A right-txid reply from
             // anywhere else is the transparent-forwarder signature and is
             // surfaced, not silently dropped.
-            if d.packet.src() == server {
-                let mut resp = view.to_message();
-                resp.header.id = id;
-                accepted = Some((resp, d.at));
+            if from == server {
+                accepted = Some((reply, d.at));
                 break;
             }
             if mismatch.is_none() {
-                let mut resp = view.to_message();
-                resp.header.id = id;
-                mismatch = Some((resp, d.packet.src(), d.at));
+                mismatch = Some((reply, from, d.at));
             }
         }
         if let Some((resp, at)) = accepted {
@@ -295,12 +299,12 @@ mod tests {
         let mut t = SimTransport::new(HomeScenario::clean().build());
         for (i, resolver) in default_resolvers().into_iter().enumerate() {
             let out = t.query(resolver.v4[0], &resolver.location_query(), 0x2000 + i as u16, opts());
-            let msg = out.response().unwrap_or_else(|| panic!("timeout for {:?}", resolver.key));
+            let reply = out.response().unwrap_or_else(|| panic!("timeout for {:?}", resolver.key));
             assert!(
-                resolver.is_standard_location_response(msg),
+                resolver.is_standard_location_response(&reply.view()),
                 "{:?} gave {}",
                 resolver.key,
-                locator::describe_response(msg)
+                locator::describe_response(&reply.view())
             );
         }
     }
@@ -310,8 +314,8 @@ mod tests {
         let mut t = SimTransport::new(HomeScenario::clean().build());
         for (i, resolver) in default_resolvers().into_iter().enumerate() {
             let out = t.query(resolver.v6[0], &resolver.location_query(), 0x2100 + i as u16, opts());
-            let msg = out.response().expect("v6 response");
-            assert!(resolver.is_standard_location_response(msg), "{:?}", resolver.key);
+            let reply = out.response().expect("v6 response");
+            assert!(resolver.is_standard_location_response(&reply.view()), "{:?}", resolver.key);
         }
     }
 
@@ -320,7 +324,7 @@ mod tests {
         let mut t = SimTransport::new(HomeScenario::clean().build());
         let q = Question::new("example.com".parse().unwrap(), RType::A);
         let out = t.query("8.8.8.8".parse().unwrap(), &q, 0x2000, opts());
-        let msg = out.response().expect("response");
+        let msg = out.response().expect("response").to_message();
         assert_eq!(msg.answers[0].rdata, RData::A("93.184.216.34".parse().unwrap()));
         assert_eq!(msg.header.id, 0x2000);
     }

@@ -27,7 +27,7 @@ fn main() {
              but the trace shows Google never saw the query: the XB6's DNAT\n\
              rule rewrote it toward the ISP resolver and conntrack spoofed\n\
              the reply's source.\n",
-            describe_response(resp)
+            describe_response(&resp.view())
         ),
         None => println!("\nunexpected: no answer\n"),
     }
@@ -38,7 +38,7 @@ fn main() {
         transport.query(cpe_public.into(), &vb, 0x2001, QueryOptions::default());
     print_trace(&mut transport);
     if let Some(resp) = outcome.response() {
-        println!("\nCPE answers: {}\n", describe_response(resp));
+        println!("\nCPE answers: {}\n", describe_response(&resp.view()));
     }
 
     println!("## 3. version.bind \"to\" Google DNS\n");
@@ -48,7 +48,7 @@ fn main() {
         println!(
             "\n\"Google\" answers: {} — identical to the CPE's own string.\n\
              Same forwarder answered both: the CPE is the interceptor (§3.2).\n",
-            describe_response(resp)
+            describe_response(&resp.view())
         );
     }
 

@@ -78,7 +78,7 @@ fn replication_is_detected_as_interception() {
     // interception is indistinguishable (§3.1) — and the technique treats
     // it identically.
     use bytes::Bytes;
-    use dns_wire::Message;
+    use dns_wire::{Message, MessageView};
     use interception::ReplicatingInterceptor;
     use netsim::{Cidr, Host, IfaceId, IpPacket, Router, SimDuration, Simulator};
     use resolver_sim::{PublicBrand, PublicResolverSite, RecursiveResolver, ResolveCtx,
@@ -135,12 +135,12 @@ fn replication_is_detected_as_interception() {
     sim.run_to_quiescence();
     let inbox = sim.device_mut::<Host>(client).unwrap().drain_inbox();
     assert_eq!(inbox.len(), 2, "original + replica both answered");
-    let first = Message::parse(&inbox[0].packet.udp_payload().unwrap().payload).unwrap();
+    let first = MessageView::parse(&inbox[0].packet.udp_payload().unwrap().payload).unwrap();
     // The first-arriving answer is the interceptor's — non-standard.
     let cloudflare = &default_resolvers()[0];
     assert!(!cloudflare.is_standard_location_response(&first));
     // The late genuine answer would have been standard.
-    let second = Message::parse(&inbox[1].packet.udp_payload().unwrap().payload).unwrap();
+    let second = MessageView::parse(&inbox[1].packet.udp_payload().unwrap().payload).unwrap();
     assert!(cloudflare.is_standard_location_response(&second));
 }
 
@@ -233,7 +233,7 @@ fn iterative_mode_whoami_reflects_isp_egress_under_interception() {
     // whose real egress address the akamai authoritative reflects.
     let q = Question::new("whoami.akamai.com".parse().unwrap(), RType::A);
     let out = transport.query("8.8.8.8".parse().unwrap(), &q, 0x2000, QueryOptions::default());
-    let resp = out.response().expect("answered by the interceptor");
+    let resp = out.response().expect("answered by the interceptor").to_message();
     assert_eq!(
         resp.answers[0].rdata,
         RData::A("75.75.75.10".parse().unwrap()),

@@ -25,7 +25,7 @@ struct GoldenTrace {
     intercepted: bool,
     location: Option<String>,
     provenance: Provenance,
-    events: Vec<TraceEvent>,
+    events: Vec<TraceEvent<'static>>,
 }
 
 fn capture(id: &str, scenario: HomeScenario) -> GoldenTrace {

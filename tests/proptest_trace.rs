@@ -2,10 +2,14 @@
 //! loss rates, and retry budgets, a recorded trace is internally
 //! consistent (accepted responses answer issued queries under the same
 //! transaction ID), provenance only ever cites queries that really ran,
-//! and tracing itself never changes a verdict.
+//! and tracing itself never changes a verdict. A metamorphic property
+//! shifts the first transaction ID: a verdict must not depend on it.
 
 use interception::{CpeModelKind, HomeScenario, MiddleboxSpec, SimTransport};
-use locator::{HijackLocator, MetricsFolder, ProbeMetrics, TraceEvent, TraceRecorder};
+use locator::{
+    HijackLocator, MetricsFolder, ProbeMetrics, ProbeReport, Provenance, TraceEvent,
+    TraceRecorder,
+};
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
 
@@ -155,4 +159,72 @@ proptest! {
         prop_assert_eq!(&refolded, &traced);
         prop_assert_eq!(&folder.finish(), &metrics);
     }
+
+    #[test]
+    fn shifting_the_first_txid_shifts_every_txid_and_changes_nothing_else(
+        scenario in arb_scenario(),
+        seed in 0u64..500,
+        loss_step in 0usize..3,
+        attempts in 1u32..4,
+        shift in any::<u16>(),
+    ) {
+        let mut scenario = scenario;
+        scenario.seed = seed;
+        scenario.upstream_loss = [0.0, 0.15, 0.35][loss_step];
+        let run = |shift: u16| {
+            let built = scenario.clone().build();
+            let mut config = built.locator_config();
+            config.query_options.attempts = attempts;
+            config.initial_txid = config.initial_txid.wrapping_add(shift);
+            let mut recorder = TraceRecorder::default();
+            let report =
+                HijackLocator::new(config).run_traced(&mut SimTransport::new(built), &mut recorder);
+            (report, recorder.events)
+        };
+        let (base, base_events) = run(0);
+        let (shifted, shifted_events) = run(shift);
+
+        // Same verdicts and report fields; only the cited txids moved,
+        // each by exactly `shift`, mod 2^16.
+        prop_assert_eq!(&shifted, &with_cited_txids_shifted(&base, shift));
+        // The same trace, event for event, with every txid shifted alike.
+        prop_assert_eq!(shifted_events.len(), base_events.len());
+        for (moved, original) in shifted_events.iter().zip(&base_events) {
+            prop_assert_eq!(moved, &event_with_txids_shifted(original, shift));
+        }
+    }
+}
+
+/// `report` with the txid of every cited response moved by `shift`.
+fn with_cited_txids_shifted(report: &ProbeReport, shift: u16) -> ProbeReport {
+    let mut report = report.clone();
+    let Provenance { step1, step2, step3, transparency, source_check } = &mut report.provenance;
+    for step in [step1, step2, step3, transparency, source_check].into_iter().flatten() {
+        for cited in &mut step.cited {
+            cited.txid = cited.txid.wrapping_add(shift);
+        }
+    }
+    report
+}
+
+/// `event` with each transaction ID it carries or cites moved by `shift`.
+fn event_with_txids_shifted(event: &TraceEvent<'static>, shift: u16) -> TraceEvent<'static> {
+    let mut event = event.clone();
+    match &mut event {
+        TraceEvent::AttemptSent { txid, .. }
+        | TraceEvent::ResponseAccepted { txid, .. }
+        | TraceEvent::ResponseWrongSource { txid, .. }
+        | TraceEvent::AttemptTimedOut { txid, .. } => *txid = txid.wrapping_add(shift),
+        TraceEvent::ResponseDropped { expected_txid, got_txid, .. } => {
+            *expected_txid = expected_txid.wrapping_add(shift);
+            *got_txid = got_txid.wrapping_add(shift);
+        }
+        TraceEvent::StepVerdict { cited, .. } => {
+            for cited in cited.to_mut() {
+                cited.txid = cited.txid.wrapping_add(shift);
+            }
+        }
+        TraceEvent::QueryIssued { .. } | TraceEvent::RunFinished { .. } => {}
+    }
+    event
 }
