@@ -138,7 +138,7 @@ pub struct Table5 {
 }
 
 /// Normalizes a version string to the paper's wildcard pattern.
-pub fn table5_pattern(s: &str) -> String {
+pub(crate) fn table5_pattern(s: &str) -> String {
     if s.starts_with("dnsmasq-pi-hole") {
         "dnsmasq-pi-hole-*".into()
     } else if s.starts_with("dnsmasq") {
@@ -674,21 +674,7 @@ impl AggregateReport {
             ),
             accuracy: self.accuracy,
             retry: self.retry,
-            timings: None,
         }
-    }
-
-    /// [`finish`](AggregateReport::finish) with a frozen timing snapshot
-    /// attached. Campaigns that ran without the latency observer keep
-    /// using `finish` and serialize `timings` as `null`.
-    pub fn finish_with_timings(
-        self,
-        top_n: usize,
-        timings: crate::timing::CampaignTimings,
-    ) -> CampaignSummary {
-        let mut summary = self.finish(top_n);
-        summary.timings = Some(timings);
-        summary
     }
 }
 
@@ -710,9 +696,6 @@ pub struct CampaignSummary {
     pub accuracy: AccuracyStats,
     /// Fleet-wide retry economics.
     pub retry: RetryStats,
-    /// Latency distributions, present when the campaign ran with the
-    /// timing observer attached; `null` for untimed campaigns.
-    pub timings: Option<crate::timing::CampaignTimings>,
 }
 
 impl fmt::Display for CampaignSummary {

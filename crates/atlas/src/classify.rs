@@ -58,7 +58,7 @@ pub const SCAN_WHOAMI_TXID: u16 = 0xC1A1;
 
 /// The name the scanner's ordinary probe asks for (resolvable in the
 /// simulated world's standard zones).
-pub const SCAN_QNAME: &str = "example.com";
+pub(crate) const SCAN_QNAME: &str = "example.com";
 
 /// What one classification run of a single device yields.
 #[derive(Debug, Clone)]
@@ -70,8 +70,7 @@ pub struct ClassifiedDevice {
     /// Source address the scanner's answer actually came from when it was
     /// not the queried device — the transparent-forwarder signature.
     pub wrong_source: Option<IpAddr>,
-    /// Whether the packet capture corroborates the verdict
-    /// ([`capture_consistent`]).
+    /// Whether the packet capture corroborates the verdict.
     pub capture_ok: bool,
     /// Per-query hop timelines of the whole run (probe vantage and
     /// scanner vantage), from the flight recorder.
@@ -399,7 +398,7 @@ fn relayed_beyond_home(flows: &[QueryFlow], qname: &Name, skip: &[u16]) -> bool 
 /// * **DNAT interceptor** — the in-home capture must show the DNAT
 ///   rewrite and a locally minted answer.
 /// * **Clean** — the scanner must never have received a DNS response.
-pub fn capture_consistent(class: OpenDnsClass, flows: &[QueryFlow], cpe_v4: Ipv4Addr) -> bool {
+pub(crate) fn capture_consistent(class: OpenDnsClass, flows: &[QueryFlow], cpe_v4: Ipv4Addr) -> bool {
     let cpe = IpAddr::V4(cpe_v4);
     let scan_txids = [SCAN_A_TXID, SCAN_WHOAMI_TXID];
     match class {

@@ -107,7 +107,7 @@ impl Flavor {
     /// nothing except the address lists of the flavors that name resolvers
     /// and the version text [`Flavor::CpeDnsmasq`] and [`Flavor::CpeCustom`]
     /// carry.
-    pub fn apply(&self, scenario: &mut HomeScenario) {
+    pub(crate) fn apply(&self, scenario: &mut HomeScenario) {
         let v4_of = |keys: &[ResolverKey]| service_addrs(keys, |r| &r.v4);
         let v6_of = |keys: &[ResolverKey]| service_addrs(keys, |r| &r.v6);
         match self {
@@ -220,7 +220,8 @@ impl Flavor {
 
     /// The version.bind string Table 5 would record for this flavor's CPE
     /// interceptor, if any.
-    pub fn table5_string(&self) -> Option<String> {
+    #[cfg(test)]
+    pub(crate) fn table5_string(&self) -> Option<String> {
         match self {
             Flavor::Xb6Buggy => Some("dnsmasq-2.78-xfin".into()),
             Flavor::PiHole => Some("dnsmasq-pi-hole-2.87".into()),
@@ -251,7 +252,7 @@ fn service_addrs(
 }
 
 /// Maps a country code to the region used for anycast site selection.
-pub fn region_of_country(country: &str) -> Region {
+pub(crate) fn region_of_country(country: &str) -> Region {
     match country {
         "US" | "CA" => Region::NaEast,
         "MX" => Region::NaWest,

@@ -24,9 +24,9 @@ mod telemetry;
 mod timing;
 
 pub use aggregate::{
-    accuracy, figure3, figure4, retry_stats, table4, table5, table5_pattern, AccuracyStats,
-    AggregateReport, CampaignSummary, Figure3, Figure3Bar, Figure4, Figure4Bar, RetryStats,
-    Table4, Table4Row, Table5,
+    accuracy, figure3, figure4, retry_stats, table4, table5, AccuracyStats, AggregateReport,
+    CampaignSummary, Figure3, Figure3Bar, Figure4, Figure4Bar, RetryStats, Table4, Table4Row,
+    Table5,
 };
 pub use campaign::{
     measure_probe, measure_probe_archived, run_campaign, run_campaign_captured,
@@ -34,19 +34,17 @@ pub use campaign::{
 };
 pub use chart::{figure3_chart, figure4_chart};
 pub use classify::{
-    capture_consistent, classify_probe, classify_scenario, classify_with_transport,
-    run_classification, run_classification_timed, ClassCounts, ClassifiedDevice,
-    ClassifySummary, DeviceClassification, SCAN_A_TXID, SCAN_QNAME, SCAN_WHOAMI_TXID,
+    classify_probe, classify_scenario, classify_with_transport, run_classification,
+    run_classification_timed, ClassCounts, ClassifiedDevice, ClassifySummary, DeviceClassification,
+    SCAN_A_TXID, SCAN_WHOAMI_TXID,
 };
 pub use metrics::{AsVerdicts, CampaignMetrics, MetricsRegistry};
-pub use flavor::{region_of_country, Flavor};
-pub use fleet::{
-    classification_fleet, generate, scenario_for, Fleet, FleetConfig, ProbeSpec,
-};
-pub use orgs::{default_catalog, OrgSpec};
+pub use flavor::Flavor;
+pub use fleet::{classification_fleet, generate, scenario_for, Fleet, FleetConfig, ProbeSpec};
+pub use orgs::OrgSpec;
 pub use raw::{RawMeasurement, RawQueryRecord, RecordingTransport, ReplayTransport};
 pub use telemetry::{CampaignTelemetry, ProgressEvent};
 pub use timing::{
     prometheus_exposition, CampaignTimings, NamedHistogram, TimingRegistry, VirtualTimings,
-    WallTimings, VERDICT_LABELS, WALL_ATTEMPT, WALL_ENCODE, WALL_PROBE_TOTAL, WALL_WORLD_BUILD,
+    WallTimings, WALL_PROBE_TOTAL, WALL_WORLD_BUILD,
 };

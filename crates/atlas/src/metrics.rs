@@ -85,7 +85,7 @@ impl MetricsRegistry {
     /// whatever the thread count, so snapshots stay thread-invariant.
     /// (Single-probe measurement paths never call this; their snapshots
     /// report zero scheduled probes.)
-    pub fn record_schedule(&self, claimed: u64, completed: u64) {
+    pub(crate) fn record_schedule(&self, claimed: u64, completed: u64) {
         self.sched_claimed.fetch_add(claimed, Ordering::Relaxed);
         self.sched_completed.fetch_add(completed, Ordering::Relaxed);
     }

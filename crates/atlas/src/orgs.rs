@@ -53,7 +53,7 @@ impl OrgSpec {
 
     /// Builds this org's [`IspProfile`]. The org index keeps address space
     /// disjoint across the catalog.
-    pub fn isp_profile(&self, org_index: usize) -> IspProfile {
+    pub(crate) fn isp_profile(&self, org_index: usize) -> IspProfile {
         let octet = 24 + (org_index as u8 % 70);
         let v4_prefix = Ipv4Addr::new(octet, 0, 0, 0);
         let v6_prefix = Ipv6Addr::new(0x2600 + org_index as u16, 0, 0, 0, 0, 0, 0, 0);
@@ -80,7 +80,7 @@ impl OrgSpec {
 }
 
 /// The default catalog.
-pub fn default_catalog() -> Vec<OrgSpec> {
+pub(crate) fn default_catalog() -> Vec<OrgSpec> {
     use Flavor::*;
     use ResolverKey::*;
     let custom = |s: &str| CpeCustom { version_string: s.into() };

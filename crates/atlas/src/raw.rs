@@ -73,7 +73,7 @@ impl<T> RecordingTransport<T> {
     }
 
     /// Finishes, returning the wrapped transport alongside the archive.
-    pub fn into_parts(self) -> (T, RawMeasurement) {
+    pub(crate) fn into_parts(self) -> (T, RawMeasurement) {
         (self.inner, self.measurement)
     }
 }

@@ -55,7 +55,7 @@ impl CampaignTelemetry {
     /// Announces how many probes the campaign will measure. Called by the
     /// scheduler before the first claim, so a monitor that samples early
     /// renders `0/total`, not `0/0`.
-    pub fn set_total(&self, probes: u64) {
+    pub(crate) fn set_total(&self, probes: u64) {
         self.total.store(probes, Ordering::Relaxed);
     }
 

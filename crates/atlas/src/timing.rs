@@ -27,9 +27,9 @@ use timing::{AtomicHistogram, HistogramSnapshot, PhaseTimer, PromWriter};
 /// Wall-phase slot: building the scenario world for a probe.
 pub const WALL_WORLD_BUILD: usize = 0;
 /// Wall-phase slot: encoding one query onto the wire.
-pub const WALL_ENCODE: usize = 1;
+pub(crate) const WALL_ENCODE: usize = 1;
 /// Wall-phase slot: one transport attempt, inject to outcome.
-pub const WALL_ATTEMPT: usize = 2;
+pub(crate) const WALL_ATTEMPT: usize = 2;
 /// Wall-phase slot: one whole probe, world build to verdict.
 pub const WALL_PROBE_TOTAL: usize = 3;
 
@@ -37,7 +37,7 @@ const WALL_LABELS: [&str; 4] = ["world-build", "encode", "attempt", "probe-total
 
 /// Location-verdict slots for [`TimingRegistry::fold_probe`], in
 /// exposition order: not intercepted, then [`InterceptorLocation`] order.
-pub const VERDICT_LABELS: [&str; 4] = ["clean", "cpe", "within-isp", "beyond-or-unknown"];
+pub(crate) const VERDICT_LABELS: [&str; 4] = ["clean", "cpe", "within-isp", "beyond-or-unknown"];
 
 fn verdict_slot(report: &ProbeReport) -> usize {
     if !report.intercepted {
@@ -188,7 +188,8 @@ pub struct VirtualTimings {
     pub unit: String,
     /// Query RTTs per pipeline phase ([`Step::ALL`] order, then `scan`).
     pub per_phase: Vec<NamedHistogram>,
-    /// Query RTTs per location verdict ([`VERDICT_LABELS`] order).
+    /// Query RTTs per location verdict: clean, cpe, within-isp,
+    /// beyond-or-unknown.
     pub per_verdict: Vec<NamedHistogram>,
     /// Flow-derived RTTs per open-DNS taxonomy class
     /// ([`OpenDnsClass::ALL`] order).

@@ -128,11 +128,10 @@ proptest! {
     }
 }
 
-/// The acceptance gate from the issue, runnable on demand: a mixed
-/// 1000-device fleet classifies with 100% ground-truth agreement and
-/// 100% flight-recorder corroboration, identically at 1 and 16 threads.
+/// The classification acceptance gate: a mixed 1000-device fleet
+/// classifies with 100% ground-truth agreement and 100% flight-recorder
+/// corroboration, identically at 1 and 16 threads.
 #[test]
-#[ignore = "acceptance-scale run; ~seconds, exercised by CI's full suite"]
 fn thousand_device_fleet_classifies_perfectly() {
     let fleet = classification_fleet(1000, 0x41544C53);
     let single = run_classification_timed(

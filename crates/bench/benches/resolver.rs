@@ -1,10 +1,10 @@
-//! Resolver substrate throughput: zone resolution, cache behaviour,
-//! forwarder relay, and the zone-file parser.
+//! Resolver substrate throughput: zone resolution, cache behaviour and
+//! forwarder relay.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use dns_wire::{Message, MessageView, Question, RType};
 use netsim::SimTime;
-use resolver_sim::{parse_zone, DnsCache, ForwarderCore, FwdAction, ResolveCtx, SoftwareProfile, ZoneDb};
+use resolver_sim::{DnsCache, ForwarderCore, FwdAction, ResolveCtx, SoftwareProfile, ZoneDb};
 
 fn bench_zonedb(c: &mut Criterion) {
     let db = ZoneDb::standard_world();
@@ -64,17 +64,5 @@ fn bench_forwarder(c: &mut Criterion) {
     });
 }
 
-fn bench_zonefile(c: &mut Criterion) {
-    let text: String = (0..200)
-        .map(|i| format!("host{i} 300 IN A 10.0.{}.{}\n", i / 256, i % 256))
-        .collect();
-    let mut group = c.benchmark_group("resolver/zonefile");
-    group.throughput(Throughput::Bytes(text.len() as u64));
-    group.bench_function("parse_200_records", |b| {
-        b.iter(|| parse_zone(std::hint::black_box(&text), "bench.example").unwrap())
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_zonedb, bench_cache, bench_forwarder, bench_zonefile);
+criterion_group!(benches, bench_zonedb, bench_cache, bench_forwarder);
 criterion_main!(benches);

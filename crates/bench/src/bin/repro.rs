@@ -535,22 +535,29 @@ fn print_tables_2_and_3() {
     println!();
 }
 
-/// §5 case study: a packet-level trace of the XB6's DNAT interception.
+/// §5 case study: the XB6's DNAT interception, one line per packet
+/// delivery the flight recorder saw.
 fn print_xb6_case_study() {
     println!("Case study (§5): XB6 DNAT interception, packet by packet");
     let mut built = HomeScenario::xb6_case_study().build();
-    built.sim.enable_trace();
+    built.sim.record_capture();
     let probe_v4 = built.addrs.probe_v4;
     let mut transport = SimTransport::new(built);
     let q = dns_wire::Question::new("example.com".parse().unwrap(), dns_wire::RType::A);
     let out = transport.query("8.8.8.8".parse().unwrap(), &q, 0x1000, QueryOptions::default());
-    for entry in transport.scenario.sim.trace() {
+    let sim = &transport.scenario.sim;
+    for event in sim.capture_events() {
+        let (netsim::CaptureKind::Ingress { packet }, Some(iface)) = (&event.kind, event.iface)
+        else {
+            continue;
+        };
+        let from = sim.peer(event.node, iface).and_then(|n| sim.node_name(n));
         println!(
             "  {:>10}  {:<14} -> {:<14} {}",
-            entry.at.to_string(),
-            entry.from_node_name,
-            entry.node_name,
-            entry.packet
+            event.at.to_string(),
+            from.unwrap_or_default(),
+            sim.node_name(event.node).unwrap_or_default(),
+            packet
         );
     }
     match out.response() {

@@ -226,13 +226,6 @@ impl HijackLocator {
 
     /// Step 1 (§3.1): location queries to every resolver, both service
     /// addresses, both families.
-    pub fn step1_location_queries<T: QueryTransport>(
-        &mut self,
-        transport: &mut T,
-    ) -> InterceptionMatrix {
-        self.step1_traced(transport, &mut NullSink).0
-    }
-
     fn step1_traced<T: QueryTransport, S: TraceSink>(
         &mut self,
         transport: &mut T,
@@ -309,14 +302,6 @@ impl HijackLocator {
     ///
     /// Returns `None` when the CPE's public address is unknown or the
     /// interception was seen on a family for which no CPE address exists.
-    pub fn step2_cpe_check<T: QueryTransport>(
-        &mut self,
-        transport: &mut T,
-        matrix: &InterceptionMatrix,
-    ) -> Option<CpeEvidence> {
-        self.step2_traced(transport, &mut NullSink, matrix).0
-    }
-
     fn step2_traced<T: QueryTransport, S: TraceSink>(
         &mut self,
         transport: &mut T,
@@ -390,10 +375,6 @@ impl HijackLocator {
     }
 
     /// Step 3 (§3.3): bogon queries in both families.
-    pub fn step3_bogon_check<T: QueryTransport>(&mut self, transport: &mut T) -> BogonEvidence {
-        self.step3_traced(transport, &mut NullSink).0
-    }
-
     fn step3_traced<T: QueryTransport, S: TraceSink>(
         &mut self,
         transport: &mut T,
@@ -440,14 +421,6 @@ impl HijackLocator {
 
     /// Transparency test (§4.1.2): `A` query for the whoami name to every
     /// intercepted resolver.
-    pub fn transparency_check<T: QueryTransport>(
-        &mut self,
-        transport: &mut T,
-        matrix: &InterceptionMatrix,
-    ) -> Option<Transparency> {
-        self.transparency_traced(transport, &mut NullSink, matrix).0
-    }
-
     fn transparency_traced<T: QueryTransport, S: TraceSink>(
         &mut self,
         transport: &mut T,

@@ -56,9 +56,8 @@ pub use report::{
     StepProvenance, Transparency, VersionBindAnswer,
 };
 pub use resolvers::{default_resolvers, shared_default_resolvers, PublicResolver, ResolverKey};
-pub use trace::{NullSink, Step, TraceEvent, TraceRecorder, TraceSink};
+pub use trace::{Step, TraceEvent, TraceRecorder, TraceSink};
 pub use transport::{
-    query_with_retry, query_with_retry_traced, QueryCtx, QueryOptions, QueryOutcome,
-    QueryTransport, RetriedQuery, TxidSequence,
+    query_with_retry, QueryOptions, QueryOutcome, QueryTransport, RetriedQuery, TxidSequence,
 };
 pub use udp_transport::UdpTransport;

@@ -32,7 +32,7 @@ pub struct LatencyHistogram {
 
 impl LatencyHistogram {
     /// The bucket index a microsecond sample falls into.
-    pub fn bucket_for(us: u64) -> usize {
+    pub(crate) fn bucket_for(us: u64) -> usize {
         ((64 - us.leading_zeros()) as usize).min(LATENCY_BUCKETS - 1)
     }
 
@@ -103,11 +103,6 @@ impl ProbeMetrics {
     /// Total logical queries across all steps.
     pub fn total_queries(&self) -> u64 {
         self.steps.iter().map(|s| s.queries).sum()
-    }
-
-    /// Total query-level timeouts across all steps.
-    pub fn total_timeouts(&self) -> u64 {
-        self.steps.iter().map(|s| s.timeouts).sum()
     }
 }
 
@@ -262,7 +257,7 @@ mod tests {
         assert_eq!(m.attempt_timeouts, 1);
         assert_eq!(m.dropped_wrong_txid, 1);
         assert_eq!(m.total_queries(), 3);
-        assert_eq!(m.total_timeouts(), 2);
+        assert_eq!(m.steps.iter().map(|s| s.timeouts).sum::<u64>(), 2);
     }
 
     #[test]

@@ -103,7 +103,7 @@ impl MockTransport {
     }
 
     /// Prepends a high-priority rule (interceptor layering).
-    pub fn push_front_rule(
+    pub(crate) fn push_front_rule(
         &mut self,
         servers: Option<Vec<IpAddr>>,
         qname: Option<Name>,
@@ -116,7 +116,8 @@ impl MockTransport {
     /// Prepends a rule that times out for its first `failures` matches and
     /// answers normally afterwards — a server behind a lossy link that a
     /// retrying pipeline can still reach.
-    pub fn push_flaky_rule(
+    #[cfg(test)]
+    pub(crate) fn push_flaky_rule(
         &mut self,
         servers: Option<Vec<IpAddr>>,
         qname: Option<Name>,
@@ -181,6 +182,7 @@ impl MockTransport {
         default_resolvers().iter().flat_map(|r| r.v4.iter().copied()).collect()
     }
 
+    #[cfg(test)]
     fn all_resolver_v6() -> Vec<IpAddr> {
         default_resolvers().iter().flat_map(|r| r.v6.iter().copied()).collect()
     }
@@ -194,7 +196,8 @@ impl MockTransport {
 
     /// Same interceptor, over every IPv6 resolver address — for probes whose
     /// CPE also grabs v6 DNS.
-    pub fn intercept_all_v6_with_forwarder(&mut self, version: &str) {
+    #[cfg(test)]
+    pub(crate) fn intercept_all_v6_with_forwarder(&mut self, version: &str) {
         Self::intercept_with_forwarder(self, Self::all_resolver_v6(), version);
     }
 
@@ -221,7 +224,8 @@ impl MockTransport {
 
     /// Layers an interceptor that answers every query to v4 resolver
     /// addresses with a DNS error status.
-    pub fn intercept_all_v4_with_errors(&mut self, rcode: &str) {
+    #[cfg(test)]
+    pub(crate) fn intercept_all_v4_with_errors(&mut self, rcode: &str) {
         let rc = parse_rcode(rcode);
         self.push_front_rule(Some(Self::all_resolver_v4()), None, None, Respond::Rcode(rc));
     }
@@ -237,7 +241,8 @@ impl MockTransport {
     }
 
     /// The CPE's public IP answers `version.bind` with an error status.
-    pub fn cpe_version_bind_error(&mut self, cpe: IpAddr, rcode: &str) {
+    #[cfg(test)]
+    pub(crate) fn cpe_version_bind_error(&mut self, cpe: IpAddr, rcode: &str) {
         self.push_front_rule(
             Some(vec![cpe]),
             Some(debug_queries::version_bind()),
@@ -260,7 +265,8 @@ impl MockTransport {
 
     /// Any whoami query anywhere resolves to `ip` (the alternate resolver's
     /// egress) — the transparent-interception shape.
-    pub fn answer_whoami_with(&mut self, ip: &str) {
+    #[cfg(test)]
+    pub(crate) fn answer_whoami_with(&mut self, ip: &str) {
         self.push_front_rule(
             None,
             Some(debug_queries::whoami_akamai()),

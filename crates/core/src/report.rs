@@ -252,13 +252,6 @@ pub struct StepProvenance {
     pub cited: Vec<EvidenceRef>,
 }
 
-impl StepProvenance {
-    /// True when the step recorded a verdict.
-    pub fn is_decided(&self) -> bool {
-        !self.verdict.is_empty()
-    }
-}
-
 /// The full evidence chain behind a [`ProbeReport`]: which responses
 /// flipped which decision, for each step that ran.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
@@ -502,8 +495,6 @@ mod tests {
         });
         let labels: Vec<_> = p.decided_steps().iter().map(|(l, _)| *l).collect();
         assert_eq!(labels, vec!["step1", "step3"]);
-        assert!(p.step3.as_ref().unwrap().is_decided());
-        assert!(!StepProvenance::default().is_decided());
     }
 
     #[test]

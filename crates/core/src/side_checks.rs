@@ -87,7 +87,7 @@ pub fn ad_downgrade_check<T: QueryTransport>(
 
 /// [`ad_downgrade_check`] with trace events delivered to `sink`; `seq`
 /// continues the caller's query numbering.
-pub fn ad_downgrade_check_traced<T: QueryTransport, S: TraceSink>(
+pub(crate) fn ad_downgrade_check_traced<T: QueryTransport, S: TraceSink>(
     transport: &mut T,
     server: IpAddr,
     signed_name: &Name,
@@ -145,7 +145,7 @@ pub fn nxdomain_wildcard_check<T: QueryTransport>(
 
 /// [`nxdomain_wildcard_check`] with trace events delivered to `sink`;
 /// `seq` continues the caller's query numbering.
-pub fn nxdomain_wildcard_check_traced<T: QueryTransport, S: TraceSink>(
+pub(crate) fn nxdomain_wildcard_check_traced<T: QueryTransport, S: TraceSink>(
     transport: &mut T,
     server: IpAddr,
     nonexistent_name: &Name,

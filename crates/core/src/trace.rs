@@ -9,7 +9,7 @@
 //! evidence that decided it.
 //!
 //! Tracing is **zero-cost when disabled**: every emission site is guarded
-//! by [`TraceSink::enabled`], and the default sink, [`NullSink`], returns a
+//! by [`TraceSink::enabled`], and the default sink, `NullSink`, returns a
 //! constant `false` — after monomorphization the event construction
 //! compiles away entirely.
 //!
@@ -457,7 +457,7 @@ pub trait TraceSink {
 /// The disabled sink: `enabled()` is a constant `false` and `record` is a
 /// no-op, so traced code paths monomorphize down to the untraced ones.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NullSink;
+pub(crate) struct NullSink;
 
 impl TraceSink for NullSink {
     fn enabled(&self) -> bool {

@@ -212,7 +212,7 @@ pub struct RetriedQuery {
 /// pipeline step it belongs to. Attached to every event
 /// [`query_with_retry_traced`] emits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QueryCtx {
+pub(crate) struct QueryCtx {
     /// Logical-query sequence number (issue order, 0-based).
     pub seq: u32,
     /// The pipeline stage issuing the query.
@@ -257,7 +257,7 @@ pub fn query_with_retry<T: QueryTransport>(
 /// and this is exactly [`query_with_retry`].
 ///
 /// [`NullSink`]: crate::trace::NullSink
-pub fn query_with_retry_traced<T: QueryTransport, S: TraceSink>(
+pub(crate) fn query_with_retry_traced<T: QueryTransport, S: TraceSink>(
     transport: &mut T,
     server: IpAddr,
     question: &Question,

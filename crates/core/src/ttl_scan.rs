@@ -71,7 +71,7 @@ pub fn ttl_scan<T: QueryTransport>(
 /// [`ttl_scan`] with trace events delivered to `sink`; `seq` continues the
 /// caller's query numbering, one logical query per TTL probed.
 #[allow(clippy::too_many_arguments)]
-pub fn ttl_scan_traced<T: QueryTransport, S: TraceSink>(
+pub(crate) fn ttl_scan_traced<T: QueryTransport, S: TraceSink>(
     transport: &mut T,
     server: IpAddr,
     question: &Question,

@@ -143,25 +143,12 @@ impl CpeConfig {
     }
 
     /// True if `addr` is one of the CPE's own addresses. Checked for every
-    /// packet the device receives, so it compares in place instead of going
-    /// through the `self_addrs` Vec.
-    pub fn owns_addr(&self, addr: IpAddr) -> bool {
+    /// packet the device receives, so it compares in place.
+    pub(crate) fn owns_addr(&self, addr: IpAddr) -> bool {
         match addr {
             IpAddr::V4(v4) => v4 == self.lan_v4 || v4 == self.wan_v4,
             IpAddr::V6(v6) => self.lan_v6 == Some(v6) || self.wan_v6 == Some(v6),
         }
-    }
-
-    /// All addresses owned by the CPE itself.
-    pub fn self_addrs(&self) -> Vec<IpAddr> {
-        let mut out = vec![IpAddr::V4(self.lan_v4), IpAddr::V4(self.wan_v4)];
-        if let Some(a) = self.lan_v6 {
-            out.push(IpAddr::V6(a));
-        }
-        if let Some(a) = self.wan_v6 {
-            out.push(IpAddr::V6(a));
-        }
-        out
     }
 }
 
@@ -173,7 +160,9 @@ mod tests {
     fn v4_only_defaults() {
         let c = CpeConfig::v4_only("test", "73.22.1.5".parse().unwrap(), DnsMode::None);
         assert_eq!(c.lan_v4, Ipv4Addr::new(192, 168, 1, 1));
-        assert_eq!(c.self_addrs().len(), 2);
+        assert!(c.owns_addr(IpAddr::V4(c.lan_v4)));
+        assert!(c.owns_addr("73.22.1.5".parse().unwrap()));
+        assert!(!c.owns_addr("2601:100:1::1".parse().unwrap()));
         assert!(!c.dns.intercepts());
         assert!(c.dns.forwarder().is_none());
     }
@@ -185,7 +174,10 @@ mod tests {
             "2601:100:1::1".parse().unwrap(),
             "2601:100:1::/64".parse().unwrap(),
         );
-        assert_eq!(c.self_addrs().len(), 4);
+        for own in ["192.168.1.1", "73.22.1.5", "2001:558:100::5", "2601:100:1::1"] {
+            assert!(c.owns_addr(own.parse().unwrap()), "{own}");
+        }
+        assert!(!c.owns_addr("2601:100:1::2".parse().unwrap()));
     }
 
     #[test]

@@ -120,11 +120,6 @@ impl CpeDevice {
         &self.config
     }
 
-    /// The forwarder's ground-truth version string, if it reveals one.
-    pub fn forwarder_version(&self) -> Option<&str> {
-        self.config.dns.forwarder().and_then(|f| f.profile.version_string())
-    }
-
     fn spec(&self) -> Option<&ForwarderSpec> {
         self.config.dns.forwarder()
     }

@@ -119,11 +119,6 @@ pub fn id_server_query(id: u16) -> Message {
     Message::query(id, Question::chaos_txt(id_server()))
 }
 
-/// Builds a CHAOS TXT `hostname.bind` query message.
-pub fn hostname_bind_query(id: u16) -> Message {
-    Message::query(id, Question::chaos_txt(hostname_bind()))
-}
-
 /// Which server-identification question a CHAOS query is asking.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServerIdKind {
@@ -173,7 +168,8 @@ mod tests {
 
     #[test]
     fn builders_produce_chaos_txt() {
-        for msg in [version_bind_query(1), id_server_query(2), hostname_bind_query(3)] {
+        let hostname_bind_query = Message::query(3, Question::chaos_txt(hostname_bind()));
+        for msg in [version_bind_query(1), id_server_query(2), hostname_bind_query] {
             let q = msg.question().unwrap();
             assert_eq!(q.qclass, RClass::Chaos);
             assert_eq!(q.qtype, RType::Txt);
@@ -185,7 +181,7 @@ mod tests {
     fn classification() {
         assert_eq!(kind_in(&version_bind_query(1)), Some(ServerIdKind::Version));
         assert_eq!(kind_in(&id_server_query(1)), Some(ServerIdKind::Identity));
-        assert_eq!(kind_in(&hostname_bind_query(1)), Some(ServerIdKind::Identity));
+        assert_eq!(kind(Question::chaos_txt(hostname_bind())), Some(ServerIdKind::Identity));
     }
 
     #[test]

@@ -30,21 +30,19 @@
 #![warn(missing_docs)]
 
 pub mod debug_queries;
-pub mod edns;
 mod error;
 mod message;
 mod name;
 mod rdata;
 mod reply;
 mod response;
-pub mod tcp;
 mod types;
 mod view;
 mod wire;
 
 pub use error::{BuildError, ParseError};
 pub use message::{EncodeScratch, Header, Message, QueryEncoder, Question, Record};
-pub use name::{LabelIter, Name, NameCompressor, MAX_LABEL_LEN, MAX_NAME_LEN};
+pub use name::{LabelIter, Name, NameCompressor};
 pub use rdata::{RData, Soa};
 pub use reply::Reply;
 pub use response::ResponseWriter;

@@ -299,7 +299,7 @@ impl Message {
     /// for name-compression state. Callers that own the destination buffer
     /// (like [`QueryEncoder`]'s cache slots) encode straight into it with
     /// no intermediate copy.
-    pub fn encode_to(&self, out: &mut Vec<u8>, compress: &mut NameCompressor) -> Result<(), BuildError> {
+    pub(crate) fn encode_to(&self, out: &mut Vec<u8>, compress: &mut NameCompressor) -> Result<(), BuildError> {
         let mut w = Writer::from_vec(std::mem::take(out));
         let written = self.write(&mut w, compress);
         *out = w.into_bytes();

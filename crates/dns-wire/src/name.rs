@@ -15,9 +15,9 @@ use std::str::FromStr;
 use std::sync::Arc;
 
 /// Maximum total length of a name on the wire (RFC 1035 §2.3.4).
-pub const MAX_NAME_LEN: usize = 255;
+pub(crate) const MAX_NAME_LEN: usize = 255;
 /// Maximum length of a single label.
-pub const MAX_LABEL_LEN: usize = 63;
+pub(crate) const MAX_LABEL_LEN: usize = 63;
 /// Maximum number of compression pointers we will chase before declaring a
 /// loop. A message of 64 KiB can hold fewer than 16K pointers in a legal
 /// chain because each pointer must point strictly backwards; 128 is already
@@ -171,7 +171,7 @@ impl Name {
     }
 
     /// True for the root name.
-    pub fn is_root(&self) -> bool {
+    pub(crate) fn is_root(&self) -> bool {
         self.wire.as_ref() == [0]
     }
 
@@ -184,11 +184,6 @@ impl Name {
     /// Iterates over the labels as byte slices, left to right.
     pub fn labels(&self) -> LabelIter<'_> {
         LabelIter { wire: &self.wire, pos: 0 }
-    }
-
-    /// Total length of the wire representation (including the root octet).
-    pub fn wire_len(&self) -> usize {
-        self.wire.len()
     }
 
     /// The canonical (uncompressed) wire bytes.

@@ -159,7 +159,7 @@ pub enum Opcode {
 
 impl Opcode {
     /// 4-bit wire value.
-    pub fn to_u8(self) -> u8 {
+    pub(crate) fn to_u8(self) -> u8 {
         match self {
             Opcode::Query => 0,
             Opcode::IQuery => 1,
@@ -209,7 +209,7 @@ pub enum Rcode {
 
 impl Rcode {
     /// 4-bit wire value.
-    pub fn to_u8(self) -> u8 {
+    pub(crate) fn to_u8(self) -> u8 {
         match self {
             Rcode::NoError => 0,
             Rcode::FormErr => 1,

@@ -244,7 +244,7 @@ impl<'a> NameRef<'a> {
     /// Decompresses into an owned [`Name`]. At most one allocation (the
     /// shared name buffer, none for an interned debugging name); only
     /// called once a message leaves the filter path.
-    pub fn to_name(&self) -> Name {
+    pub(crate) fn to_name(self) -> Name {
         let mut r = Reader::new(self.buf);
         r.seek(self.off).expect("offset from a validated view");
         Name::parse(&mut r).expect(VALIDATED)
@@ -340,7 +340,7 @@ impl<'a> RecordView<'a> {
     /// Raw RDATA bytes as they appear on the wire. Note that RDATA of
     /// name-bearing types may contain compression pointers into the rest
     /// of the message; use [`RecordView::rdata`] for decoded data.
-    pub fn rdata_bytes(&self) -> &[u8] {
+    pub(crate) fn rdata_bytes(&self) -> &[u8] {
         &self.buf[self.rdata_off..self.rdata_off + self.rdlength as usize]
     }
 

@@ -29,7 +29,7 @@ impl<'a> Reader<'a> {
 
     /// Moves the cursor to an absolute offset. Offsets past the end are
     /// rejected so later reads fail with a precise error.
-    pub fn seek(&mut self, pos: usize) -> Result<(), ParseError> {
+    pub(crate) fn seek(&mut self, pos: usize) -> Result<(), ParseError> {
         if pos > self.buf.len() {
             return Err(ParseError::UnexpectedEnd { offset: pos });
         }
@@ -48,7 +48,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads one octet.
-    pub fn read_u8(&mut self) -> Result<u8, ParseError> {
+    pub(crate) fn read_u8(&mut self) -> Result<u8, ParseError> {
         let b = *self
             .buf
             .get(self.pos)
@@ -58,19 +58,19 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads a big-endian u16.
-    pub fn read_u16(&mut self) -> Result<u16, ParseError> {
+    pub(crate) fn read_u16(&mut self) -> Result<u16, ParseError> {
         let bytes = self.read_bytes(2)?;
         Ok(u16::from_be_bytes([bytes[0], bytes[1]]))
     }
 
     /// Reads a big-endian u32.
-    pub fn read_u32(&mut self) -> Result<u32, ParseError> {
+    pub(crate) fn read_u32(&mut self) -> Result<u32, ParseError> {
         let bytes = self.read_bytes(4)?;
         Ok(u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]))
     }
 
     /// Reads exactly `n` bytes, advancing the cursor.
-    pub fn read_bytes(&mut self, n: usize) -> Result<&'a [u8], ParseError> {
+    pub(crate) fn read_bytes(&mut self, n: usize) -> Result<&'a [u8], ParseError> {
         let end = self
             .pos
             .checked_add(n)
@@ -99,7 +99,7 @@ impl Writer {
     /// Creates a writer that reuses `buf`'s allocation, clearing its
     /// contents first. Pairing this with [`Writer::into_bytes`] lets a hot
     /// encode loop recycle one buffer instead of allocating per message.
-    pub fn from_vec(mut buf: Vec<u8>) -> Self {
+    pub(crate) fn from_vec(mut buf: Vec<u8>) -> Self {
         buf.clear();
         Writer { buf }
     }
@@ -135,7 +135,7 @@ impl Writer {
     }
 
     /// Appends raw bytes.
-    pub fn write_bytes(&mut self, bytes: &[u8]) {
+    pub(crate) fn write_bytes(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
     }
 
@@ -144,7 +144,7 @@ impl Writer {
     /// Used to back-patch RDLENGTH and section counts. The caller guarantees
     /// `offset + 2 <= len()`; violating that is a programming error in this
     /// crate, so it is checked with a debug assertion rather than a result.
-    pub fn patch_u16(&mut self, offset: usize, v: u16) {
+    pub(crate) fn patch_u16(&mut self, offset: usize, v: u16) {
         debug_assert!(offset + 2 <= self.buf.len());
         if offset + 2 <= self.buf.len() {
             self.buf[offset..offset + 2].copy_from_slice(&v.to_be_bytes());

@@ -192,7 +192,7 @@ fn hop_detail(kind: &CaptureKind) -> Option<HopDetail> {
 /// Events must come from `sim`'s own recorder (names are resolved against
 /// it) and be in emission order, which the simulator guarantees is
 /// chronological. Flows appear in order of their first observed hop.
-pub fn reconstruct_flows(sim: &Simulator, events: &[CaptureEvent]) -> Vec<QueryFlow> {
+pub(crate) fn reconstruct_flows(sim: &Simulator, events: &[CaptureEvent]) -> Vec<QueryFlow> {
     let mut flows: Vec<QueryFlow> = Vec::new();
     let mut by_txid: FxHashMap<u16, usize> = FxHashMap::default();
     // Every tuple a query was seen under — pre- and post-NAT — so ICMP

@@ -71,25 +71,6 @@ impl IspProfile {
         }
     }
 
-    /// A generic European DSL ISP.
-    pub fn european_dsl() -> IspProfile {
-        IspProfile {
-            asn: 3320,
-            name: "DTAG".into(),
-            country: "DE".into(),
-            v4_prefix: Ipv4Addr::new(91, 0, 0, 0),
-            v4_prefix_len: 10,
-            v6_prefix: "2003::".parse().expect("static address"),
-            resolver_v4: Ipv4Addr::new(217, 237, 148, 22),
-            resolver_v6: "2003:180:2::1".parse().expect("static address"),
-            resolver_egress_v4: Ipv4Addr::new(217, 237, 148, 102),
-            resolver_egress_v6: "2003:180:2::102".parse().expect("static address"),
-            resolver_version: "9.11.4-RedHat".into(),
-            resolver_mode: ResolverMode::Normal,
-            resolver_in_as: true,
-        }
-    }
-
     /// The customer prefix as a `netsim` CIDR.
     pub fn v4_cidr(&self) -> netsim::Cidr {
         netsim::Cidr::v4(self.v4_prefix, self.v4_prefix_len)
@@ -101,7 +82,7 @@ impl IspProfile {
     }
 
     /// Allocates the `n`-th customer WAN IPv4 address.
-    pub fn customer_v4(&self, n: u32) -> Ipv4Addr {
+    pub(crate) fn customer_v4(&self, n: u32) -> Ipv4Addr {
         let base = u32::from(self.v4_prefix);
         // Leave .0/.1 of the prefix for infrastructure.
         Ipv4Addr::from(base + 256 + n)

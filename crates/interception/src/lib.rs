@@ -25,15 +25,14 @@ mod timing;
 mod transport;
 
 pub use flow::{
-    flow_rtt_us, flows_to_json, reconstruct_flows, render_flows, FlowDirection, FlowHop,
-    HopDetail, QueryFlow,
+    flow_rtt_us, flows_to_json, render_flows, FlowDirection, FlowHop, HopDetail, QueryFlow,
 };
-pub use timing::{phase_label, ProbeTimingLog, RttSample, PHASE_COUNT, SCAN_PHASE};
+pub use timing::{phase_label, ProbeTimingLog, RttSample, PHASE_COUNT};
 pub use isp::{IspProfile, MiddleboxSpec, RedirectTarget, ResolverMode};
 pub use scenario::{
     BuiltScenario, CpeModelKind, GroundTruth, HomeScenario, OpenDnsClass, Region, ScenarioAddrs,
     WorldTemplate,
 };
-pub use background::{start_background, BackgroundClient};
+pub use background::BackgroundClient;
 pub use replicate::ReplicatingInterceptor;
 pub use transport::{SimTransport, Vantage};

@@ -17,7 +17,7 @@ use locator::Step;
 /// Phase slots `0..7` are [`Step::ALL`] in pipeline order; slot 7 is the
 /// scanner-vantage taxonomy scan, which runs outside the locator and has
 /// no `Step`.
-pub const SCAN_PHASE: u8 = Step::ALL.len() as u8;
+pub(crate) const SCAN_PHASE: u8 = Step::ALL.len() as u8;
 
 /// Total phase slots (`Step::ALL` plus the taxonomy scan).
 pub const PHASE_COUNT: usize = Step::ALL.len() + 1;

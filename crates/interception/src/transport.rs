@@ -122,9 +122,9 @@ impl SimTransport {
         self.scenario.sim.record_capture();
     }
 
-    /// Reconstructs per-query hop timelines ([`crate::reconstruct_flows`])
-    /// from the events recorded since the last call, then clears them in
-    /// place, keeping the buffer's capacity. Recording continues.
+    /// Reconstructs per-query hop timelines from the events recorded since
+    /// the last call, then clears them in place, keeping the buffer's
+    /// capacity. Recording continues.
     pub fn take_flows(&mut self) -> Vec<crate::QueryFlow> {
         let sim = &mut self.scenario.sim;
         let flows = crate::flow::reconstruct_flows(sim, sim.capture_events());

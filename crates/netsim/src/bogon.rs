@@ -4,11 +4,10 @@
 //! The paper's step 3 rests on bogons: a DNS query addressed to a bogon IP
 //! cannot leave the AS it originates in, so a response proves an in-AS
 //! interceptor. This module supplies the standard v4/v6 bogon lists (the
-//! IANA special-purpose registries) and the two canonical probe addresses
-//! the reproduction uses.
+//! IANA special-purpose registries) behind [`is_bogon`].
 
 use crate::route::Cidr;
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
+use std::net::IpAddr;
 use std::sync::OnceLock;
 
 // The parsed lists live in process-wide statics: `is_bogon` sits on the
@@ -57,30 +56,13 @@ fn bogons_v6_table() -> &'static [Cidr] {
     })
 }
 
-/// IPv4 bogon prefixes (RFC 6890 and friends).
-pub fn bogons_v4() -> Vec<Cidr> {
-    bogons_v4_table().to_vec()
-}
-
-/// IPv6 bogon prefixes.
-pub fn bogons_v6() -> Vec<Cidr> {
-    bogons_v6_table().to_vec()
-}
-
-/// True if `ip` falls in bogon space.
+/// True if `ip` falls in bogon space (RFC 6890 and friends).
 pub fn is_bogon(ip: IpAddr) -> bool {
     match ip {
         IpAddr::V4(_) => bogons_v4_table().iter().any(|c| c.contains(ip)),
         IpAddr::V6(_) => bogons_v6_table().iter().any(|c| c.contains(ip)),
     }
 }
-
-/// The IPv4 bogon address the reproduction directs step-3 queries to
-/// (TEST-NET-2; confirmed unroutable by construction in the simulator).
-pub const PROBE_BOGON_V4: Ipv4Addr = Ipv4Addr::new(198, 51, 100, 53);
-
-/// The IPv6 bogon probe address (discard-only prefix, RFC 6666).
-pub const PROBE_BOGON_V6: Ipv6Addr = Ipv6Addr::new(0x100, 0, 0, 0, 0, 0, 0, 0x53);
 
 #[cfg(test)]
 mod tests {
@@ -121,12 +103,6 @@ mod tests {
         assert!(is_bogon(ip("fd00::1")));
         assert!(is_bogon(ip("2001:db8::1")));
         assert!(is_bogon(ip("100::53")));
-    }
-
-    #[test]
-    fn probe_addresses_are_bogons() {
-        assert!(is_bogon(IpAddr::V4(PROBE_BOGON_V4)));
-        assert!(is_bogon(IpAddr::V6(PROBE_BOGON_V6)));
     }
 
     #[test]

@@ -2,13 +2,14 @@
 //!
 //! The paper's localization argument is a *path* argument: a bogon query
 //! that comes back answered proves an interceptor sits between the client
-//! and the AS edge. [`crate::TraceEntry`] only records final deliveries,
-//! which cannot show *where* on the path a packet was diverted, dropped,
-//! or rewritten. The capture layer fixes that: every forwarding element
-//! emits one structured [`CaptureEvent`] per packet hop — link egress and
-//! ingress, NAT/DNAT rewrites with before/after tuples, fault-injection
-//! verdicts with their cause, and route decisions — each stamped with the
-//! simulated time, node, and interface.
+//! and the AS edge. Final deliveries alone cannot show *where* on the
+//! path a packet was diverted, dropped, or rewritten. The capture layer
+//! shows it: every forwarding element emits one structured
+//! [`CaptureEvent`] per packet hop — link egress and ingress, NAT/DNAT
+//! rewrites with before/after tuples, fault-injection verdicts with their
+//! cause, and route decisions — each stamped with the simulated time,
+//! node, and interface. An ingress event's sender is the receiving
+//! interface's [`crate::Simulator::peer`].
 //!
 //! Recording goes through the [`CaptureSink`] trait with a [`NullCapture`]
 //! default, mirroring the `enabled()` pattern of `core::trace::TraceSink`:
@@ -226,7 +227,7 @@ pub struct CaptureEvent {
 /// [`enabled`](CaptureSink::enabled) are never handed an event: the
 /// simulator caches the flag and emission sites check a plain bool, so a
 /// disabled sink keeps the hot path free of clones and allocations.
-pub trait CaptureSink: Any {
+pub(crate) trait CaptureSink: Any {
     /// Whether this sink wants events. Checked once at installation.
     fn enabled(&self) -> bool {
         true
@@ -235,7 +236,8 @@ pub trait CaptureSink: Any {
     /// Records one hop.
     fn record(&mut self, event: CaptureEvent);
 
-    /// Downcast support (e.g. to recover a [`CaptureBuffer`]).
+    /// Downcast support (the simulator recovers its in-memory buffer
+    /// through it).
     fn as_any(&self) -> &dyn Any;
 
     /// Mutable downcast support.
@@ -244,7 +246,7 @@ pub trait CaptureSink: Any {
 
 /// The default sink: discards everything and reports itself disabled.
 #[derive(Debug, Default, Clone, Copy)]
-pub struct NullCapture;
+pub(crate) struct NullCapture;
 
 impl CaptureSink for NullCapture {
     fn enabled(&self) -> bool {
@@ -265,7 +267,7 @@ impl CaptureSink for NullCapture {
 /// An in-memory sink that appends every event to a vector, in emission
 /// order (which is chronological — the event loop is time-ordered).
 #[derive(Debug, Default)]
-pub struct CaptureBuffer {
+pub(crate) struct CaptureBuffer {
     /// The recorded hops.
     pub events: Vec<CaptureEvent>,
 }

@@ -55,11 +55,6 @@ impl Host {
         }
     }
 
-    /// True if the host owns `addr`.
-    pub fn owns(&self, addr: IpAddr) -> bool {
-        self.addrs.contains(&addr)
-    }
-
     /// All packets delivered so far.
     pub fn inbox(&self) -> &[Delivery] {
         &self.inbox
@@ -201,9 +196,9 @@ mod tests {
     #[test]
     fn dual_stack_host() {
         let mut host = Host::new("h", [addr("10.0.0.1"), addr("2001:559::1")]);
-        assert!(host.owns(addr("10.0.0.1")));
-        assert!(host.owns(addr("2001:559::1")));
+        assert_eq!(host.addrs, [addr("10.0.0.1"), addr("2001:559::1")]);
         host.add_addr(addr("192.168.1.100"));
-        assert!(host.owns(addr("192.168.1.100")));
+        host.add_addr(addr("10.0.0.1"));
+        assert_eq!(host.addrs, [addr("10.0.0.1"), addr("2001:559::1"), addr("192.168.1.100")]);
     }
 }

@@ -35,23 +35,18 @@ mod sim;
 mod switch;
 mod time;
 
-pub use capture::{
-    CaptureBuffer, CaptureEvent, CaptureKind, CaptureSink, DropReason, FaultCause, NatPhase,
-    NullCapture,
-};
+pub use capture::{CaptureEvent, CaptureKind, DropReason, FaultCause, NatPhase};
 pub use fxhash::{FxHashMap, FxHashSet, FxHasher};
 pub use host::{Delivery, Host};
-pub use nat::{DnatRule, FlowTuple, Masquerade, NatEngine, NatVerdict, Proto};
-pub use packet::{
-    FlowSummary, IcmpMessage, IpPacket, Transport, UdpDatagram, DEFAULT_TTL,
-};
+pub use nat::{DnatRule, NatEngine, NatVerdict, Proto};
+pub use packet::{FlowSummary, IcmpMessage, IpPacket, Transport, UdpDatagram};
 pub use pool::PayloadPool;
 pub use route::{Cidr, CidrParseError, RouteTable};
-pub use router::{LocalPolicy, Router};
+pub use router::Router;
 pub use shared::SharedStr;
 pub use sim::{
-    Attachment, BurstLoss, Ctx, Device, FaultProfile, IfaceId, LateDelivery, LinkId, LinkStats,
-    NodeId, SimScratch, SimStats, Simulator, TraceEntry,
+    BurstLoss, Ctx, Device, FaultProfile, IfaceId, LateDelivery, LinkId, LinkStats, NodeId,
+    SimScratch, SimStats, Simulator,
 };
 pub use switch::Switch;
 pub use time::{SimDuration, SimTime};

@@ -32,7 +32,7 @@ fn proto_of(pkt: &IpPacket) -> Proto {
 
 /// The 5-tuple used as a conntrack key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct FlowTuple {
+pub(crate) struct FlowTuple {
     /// Protocol.
     pub proto: Proto,
     /// Source address.
@@ -137,7 +137,7 @@ impl DnatRule {
 
 /// Source-NAT (masquerade) configuration for one address family.
 #[derive(Debug, Clone, Copy)]
-pub struct Masquerade {
+pub(crate) struct Masquerade {
     /// The public address outbound sources are rewritten to.
     pub public_addr: IpAddr,
 }
@@ -165,8 +165,9 @@ pub enum NatVerdict {
 #[derive(Debug)]
 pub struct NatEngine {
     dnat_rules: Vec<DnatRule>,
+    /// IPv4 only: a v6 home's hosts hold global addresses, so nothing
+    /// masquerades v6.
     masquerade_v4: Option<Masquerade>,
-    masquerade_v6: Option<Masquerade>,
     /// Addresses considered local to the NAT device (DNAT to these delivers
     /// locally instead of forwarding).
     local_addrs: Vec<IpAddr>,
@@ -183,7 +184,6 @@ impl NatEngine {
         NatEngine {
             dnat_rules: Vec::new(),
             masquerade_v4: None,
-            masquerade_v6: None,
             local_addrs: Vec::new(),
             conntrack: FxHashMap::default(),
             timeout: SimDuration::from_secs(30),
@@ -205,13 +205,6 @@ impl NatEngine {
         self
     }
 
-    /// Enables IPv6 masquerade (rare in practice; present for completeness).
-    pub fn masquerade_v6(&mut self, public_addr: IpAddr) -> &mut Self {
-        debug_assert!(!public_addr.is_ipv4());
-        self.masquerade_v6 = Some(Masquerade { public_addr });
-        self
-    }
-
     /// Declares an address local to the NAT device itself.
     pub fn add_local_addr(&mut self, addr: IpAddr) -> &mut Self {
         self.local_addrs.push(addr);
@@ -219,7 +212,8 @@ impl NatEngine {
     }
 
     /// Number of live conntrack entries.
-    pub fn conntrack_len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn conntrack_len(&self) -> usize {
         self.conntrack.len()
     }
 
@@ -251,7 +245,7 @@ impl NatEngine {
         }
 
         // Masquerade phase (only meaningful when the packet leaves us).
-        let masq = if pkt.is_v4() { self.masquerade_v4 } else { self.masquerade_v6 };
+        let masq = self.masquerade_v4.filter(|_| pkt.is_v4());
         let deliver_local = self.local_addrs.contains(&pkt.dst());
         let mut snat_applied = false;
         if let (Some(m), false) = (masq, deliver_local) {
@@ -536,13 +530,14 @@ mod tests {
     fn v4_rule_skips_v6_packets() {
         let mut nat = NatEngine::new();
         nat.add_dnat(DnatRule::redirect_dns("75.75.75.75".parse().unwrap()));
-        let pkt = IpPacket::udp_v6(
+        let pkt = IpPacket::udp(
             "2001:559::100".parse().unwrap(),
             "2001:4860:4860::8888".parse().unwrap(),
             4000,
             53,
             Bytes::new(),
-        );
+        )
+        .unwrap();
         match nat.outbound(pkt.clone(), SimTime::ZERO) {
             NatVerdict::Forward(out) => assert_eq!(out.dst(), pkt.dst()),
             other => panic!("unexpected {other:?}"),

@@ -9,10 +9,10 @@
 
 use bytes::Bytes;
 use core::fmt;
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
+use std::net::{IpAddr, Ipv4Addr};
 
 /// Default initial TTL / hop limit for packets originated by hosts.
-pub const DEFAULT_TTL: u8 = 64;
+pub(crate) const DEFAULT_TTL: u8 = 64;
 
 /// A UDP datagram (ports + opaque payload).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -131,22 +131,6 @@ impl IpPacket {
         }
     }
 
-    /// Builds a v6 UDP packet from concrete v6 addresses (infallible).
-    pub fn udp_v6(
-        src: Ipv6Addr,
-        dst: Ipv6Addr,
-        src_port: u16,
-        dst_port: u16,
-        payload: Bytes,
-    ) -> IpPacket {
-        IpPacket {
-            src: IpAddr::V6(src),
-            dst: IpAddr::V6(dst),
-            ttl: DEFAULT_TTL,
-            transport: Transport::Udp(UdpDatagram { src_port, dst_port, payload }),
-        }
-    }
-
     /// Builds an ICMP packet.
     pub fn icmp(src: IpAddr, dst: IpAddr, msg: IcmpMessage) -> Option<IpPacket> {
         if src.is_ipv4() != dst.is_ipv4() {
@@ -172,7 +156,7 @@ impl IpPacket {
 
     /// Rewrites the source address; the new address must be the same family.
     /// Returns false (and leaves the packet unchanged) on family mismatch.
-    pub fn set_src(&mut self, src: IpAddr) -> bool {
+    pub(crate) fn set_src(&mut self, src: IpAddr) -> bool {
         if src.is_ipv4() != self.src.is_ipv4() {
             return false;
         }
@@ -180,9 +164,9 @@ impl IpPacket {
         true
     }
 
-    /// Rewrites the destination address; same-family rule as [`set_src`].
-    ///
-    /// [`set_src`]: IpPacket::set_src
+    /// Rewrites the destination address; the new address must be the same
+    /// family. Returns false (and leaves the packet unchanged) on family
+    /// mismatch.
     pub fn set_dst(&mut self, dst: IpAddr) -> bool {
         if dst.is_ipv4() != self.dst.is_ipv4() {
             return false;

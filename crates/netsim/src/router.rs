@@ -1,6 +1,6 @@
 //! A general-purpose IP router device: longest-prefix forwarding, TTL
-//! handling, optional NAT (DNAT/masquerade), optional bogon filtering, and
-//! optional ICMP error generation.
+//! handling with ICMP time-exceeded, optional NAT (DNAT/masquerade), and
+//! optional bogon filtering. A packet with no route is dropped silently.
 //!
 //! Every forwarding element in the reproduction's topologies — the CPE's
 //! routing core, ISP edge and border routers, middleboxes, and the internet
@@ -16,20 +16,12 @@ use crate::sim::{Ctx, Device, IfaceId};
 use std::any::Any;
 use std::net::IpAddr;
 
-/// What a router does with a packet addressed to one of its own addresses.
+/// Router configuration and state.
 ///
-/// The base router only answers ICMP echo; anything else is dropped. Devices
+/// A packet addressed to one of the router's own addresses gets an answer
+/// only if it is an ICMP echo request; anything else is dropped. Devices
 /// with richer local stacks (DNS forwarders in CPE, resolvers) embed the
 /// router's building blocks instead of subclassing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LocalPolicy {
-    /// Answer ICMP echo, drop everything else silently.
-    EchoOnly,
-    /// Drop everything silently.
-    DropAll,
-}
-
-/// Router configuration and state.
 pub struct Router {
     name: SharedStr,
     /// Addresses owned by this router (local delivery), in the order they
@@ -42,9 +34,6 @@ pub struct Router {
     nat: Option<(NatEngine, Vec<IfaceId>)>,
     /// Drop packets whose destination is bogon space (AS border behaviour).
     drop_bogon_dst: bool,
-    /// Emit ICMP destination-unreachable when no route exists.
-    emit_unreachable: bool,
-    local_policy: LocalPolicy,
     /// Packets dropped for having a bogon destination.
     pub bogon_drops: u64,
     /// Packets dropped for lack of a route.
@@ -62,8 +51,6 @@ impl Router {
             routes: RouteTable::new(),
             nat: None,
             drop_bogon_dst: false,
-            emit_unreachable: false,
-            local_policy: LocalPolicy::EchoOnly,
             bogon_drops: 0,
             no_route_drops: 0,
             ttl_drops: 0,
@@ -85,11 +72,6 @@ impl Router {
         self
     }
 
-    /// Mutable access to the NAT engine, if any.
-    pub fn nat_mut(&mut self) -> Option<&mut NatEngine> {
-        self.nat.as_mut().map(|(e, _)| e)
-    }
-
     /// Enables bogon-destination filtering (AS border router behaviour);
     /// this is what makes the paper's step-3 bogon queries meaningful.
     pub fn drop_bogon_destinations(&mut self, enable: bool) -> &mut Self {
@@ -97,25 +79,8 @@ impl Router {
         self
     }
 
-    /// Enables ICMP destination-unreachable generation on routing failure.
-    pub fn emit_unreachable(&mut self, enable: bool) -> &mut Self {
-        self.emit_unreachable = enable;
-        self
-    }
-
-    /// Sets the local-delivery policy.
-    pub fn set_local_policy(&mut self, policy: LocalPolicy) -> &mut Self {
-        self.local_policy = policy;
-        self
-    }
-
-    /// True if `addr` is one of the router's own addresses.
-    pub fn owns(&self, addr: IpAddr) -> bool {
-        self.addrs.contains(&addr)
-    }
-
     fn deliver_local(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, packet: IpPacket) {
-        if let (LocalPolicy::EchoOnly, Transport::Icmp(IcmpMessage::EchoRequest { id, seq })) = (&self.local_policy, &packet.transport) {
+        if let Transport::Icmp(IcmpMessage::EchoRequest { id, seq }) = &packet.transport {
             if let Some(reply) =
                 IpPacket::icmp(packet.dst(), packet.src(), IcmpMessage::EchoReply { id: *id, seq: *seq })
             {
@@ -166,20 +131,6 @@ impl Router {
             }
             None => {
                 self.no_route_drops += 1;
-                if self.emit_unreachable {
-                    if let Some(&source) = self.addrs.first() {
-                        if let Some(unreach) = IpPacket::icmp(
-                            source,
-                            packet.src(),
-                            IcmpMessage::DestUnreachable {
-                                code: 0,
-                                original: packet.flow_summary(),
-                            },
-                        ) {
-                            ctx.send(in_iface, unreach);
-                        }
-                    }
-                }
                 if ctx.capture_enabled() {
                     ctx.capture(
                         Some(in_iface),
@@ -260,7 +211,7 @@ mod tests {
     use std::net::Ipv4Addr;
 
     /// Sink device that records everything it receives.
-    pub struct Sink {
+    pub(crate) struct Sink {
         name: String,
         pub received: Vec<IpPacket>,
     }
@@ -373,24 +324,20 @@ mod tests {
     }
 
     #[test]
-    fn no_route_emits_unreachable_when_enabled() {
+    fn no_route_drop_is_counted_and_recorded() {
         let mut sim = Simulator::new(1);
         let a = sim.add_device(Sink::boxed("a"));
         let mut router = Router::new("r");
         router.add_addr("10.0.0.1".parse().unwrap());
         router.routes.add("10.0.0.0/8".parse().unwrap(), IfaceId(0));
-        router.emit_unreachable(true);
         let r = sim.add_device(Box::new(router));
         sim.connect((a, IfaceId(0)), (r, IfaceId(0)), SimDuration::from_millis(1));
         sim.record_capture();
         sim.inject(a, IfaceId(0), dns_pkt("10.0.0.2", "99.99.99.99"));
         sim.run_to_quiescence();
-        let back = &sim.device::<Sink>(a).unwrap().received;
-        assert_eq!(back.len(), 1);
-        assert!(matches!(
-            back[0].transport,
-            Transport::Icmp(IcmpMessage::DestUnreachable { .. })
-        ));
+        // The router drops silently: nothing comes back to the sender.
+        assert!(sim.device::<Sink>(a).unwrap().received.is_empty());
+        assert_eq!(sim.device::<Router>(r).unwrap().no_route_drops, 1);
         let drop =
             sim.capture_events().iter().find(|e| matches!(e.kind, CaptureKind::RouteDrop { .. }));
         assert_eq!(drop.expect("the router records its drop").kind.verb(), "drop(no-route)");

@@ -150,7 +150,7 @@ pub trait Device: Any {
 
 /// One endpoint of a link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Attachment {
+pub(crate) struct Attachment {
     /// Device.
     pub node: NodeId,
     /// Interface on that device.
@@ -197,7 +197,7 @@ pub struct FaultProfile {
 }
 
 impl FaultProfile {
-    /// Uniform loss only — what [`Simulator::connect_lossy`] configures.
+    /// Uniform loss only: a lossy link with no other fault.
     pub fn lossy(loss: f64) -> FaultProfile {
         FaultProfile { loss: loss.clamp(0.0, 1.0), ..FaultProfile::default() }
     }
@@ -205,7 +205,7 @@ impl FaultProfile {
 
 /// A bidirectional point-to-point link.
 #[derive(Debug, Clone)]
-pub struct Link {
+pub(crate) struct Link {
     a: Attachment,
     b: Attachment,
     latency: SimDuration,
@@ -252,7 +252,7 @@ pub struct SimStats {
 
 #[derive(Debug, PartialEq, Eq)]
 enum EventKind {
-    Arrival { node: NodeId, iface: IfaceId, packet: IpPacket, from: Attachment },
+    Arrival { node: NodeId, iface: IfaceId, packet: IpPacket },
     Timer { node: NodeId, token: u64 },
 }
 
@@ -280,33 +280,12 @@ impl Ord for Event {
     }
 }
 
-/// One captured trace entry (packet delivery to a device).
-#[derive(Debug, Clone)]
-pub struct TraceEntry {
-    /// Delivery time.
-    pub at: SimTime,
-    /// Receiving device.
-    pub node: NodeId,
-    /// Name of the receiving device at capture time.
-    pub node_name: String,
-    /// Interface the packet arrived on.
-    pub iface: IfaceId,
-    /// Sending device — disambiguates hop ordering on multi-hop paths.
-    pub from_node: NodeId,
-    /// Name of the sending device at capture time.
-    pub from_node_name: String,
-    /// Interface the packet left the sender on.
-    pub from_iface: IfaceId,
-    /// The packet as delivered.
-    pub packet: IpPacket,
-}
-
 /// Recyclable container capacity for a [`Simulator`].
 ///
 /// A fleet campaign builds one short-lived simulator per probe; the
 /// containers behind it (device table, link table, attachment map, event
-/// queue, trace buffer, action scratch) would otherwise be allocated and
-/// grown from zero every time. A worker keeps one `SimScratch`, passes it
+/// queue, action scratch) would otherwise be allocated and grown from zero
+/// every time. A worker keeps one `SimScratch`, passes it
 /// to [`Simulator::with_scratch`], and recovers it with
 /// [`Simulator::into_scratch`] when the measurement is done — the contents
 /// are always cleared, only the capacity survives, so a recycled simulator
@@ -319,7 +298,6 @@ pub struct SimScratch {
     links: Vec<Link>,
     attachments: FxHashMap<Attachment, LinkId>,
     queue: Vec<Reverse<Event>>,
-    trace: Vec<TraceEntry>,
     actions: Vec<Action>,
     payloads: PayloadPool,
     capture: Vec<CaptureEvent>,
@@ -335,8 +313,6 @@ pub struct Simulator {
     now: SimTime,
     seq: u64,
     rng: StdRng,
-    trace_enabled: bool,
-    trace: Vec<TraceEntry>,
     capture_on: bool,
     capture: Box<dyn CaptureSink>,
     /// Recycled event capacity for the next [`Simulator::record_capture`].
@@ -367,7 +343,6 @@ impl Simulator {
             mut links,
             mut attachments,
             mut queue,
-            mut trace,
             mut actions,
             payloads,
             capture: mut spare_capture,
@@ -376,7 +351,6 @@ impl Simulator {
         links.clear();
         attachments.clear();
         queue.clear();
-        trace.clear();
         actions.clear();
         spare_capture.clear();
         Simulator {
@@ -388,8 +362,6 @@ impl Simulator {
             now: SimTime::ZERO,
             seq: 0,
             rng: StdRng::seed_from_u64(seed),
-            trace_enabled: false,
-            trace,
             capture_on: false,
             // Box<NullCapture> is a zero-sized allocation-free box, so the
             // default recorder costs nothing even at construction.
@@ -416,7 +388,6 @@ impl Simulator {
             mut links,
             mut attachments,
             queue,
-            mut trace,
             action_scratch: mut actions,
             payloads,
             mut capture,
@@ -426,7 +397,6 @@ impl Simulator {
         devices.clear();
         links.clear();
         attachments.clear();
-        trace.clear();
         actions.clear();
         let mut queue = queue.into_vec();
         queue.clear();
@@ -436,7 +406,7 @@ impl Simulator {
             .map(|b| std::mem::take(&mut b.events))
             .unwrap_or(spare_capture);
         capture.clear();
-        SimScratch { devices, links, attachments, queue, trace, actions, payloads, capture }
+        SimScratch { devices, links, attachments, queue, actions, payloads, capture }
     }
 
     /// Adds a device, returning its id.
@@ -457,7 +427,7 @@ impl Simulator {
     }
 
     /// Connects two interfaces with latency and a loss probability.
-    pub fn connect_lossy(
+    pub(crate) fn connect_lossy(
         &mut self,
         a: (NodeId, IfaceId),
         b: (NodeId, IfaceId),
@@ -516,21 +486,6 @@ impl Simulator {
         }
     }
 
-    /// Enables packet-delivery tracing (used by the XB6 case study).
-    pub fn enable_trace(&mut self) {
-        self.trace_enabled = true;
-    }
-
-    /// Captured trace entries.
-    pub fn trace(&self) -> &[TraceEntry] {
-        &self.trace
-    }
-
-    /// Clears the captured trace.
-    pub fn clear_trace(&mut self) {
-        self.trace.clear();
-    }
-
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
         self.now
@@ -551,13 +506,13 @@ impl Simulator {
     /// [`enabled`](CaptureSink::enabled) flag is cached here: a disabled
     /// sink (the default [`NullCapture`]) reduces every emission site to
     /// one branch with no clone and no allocation.
-    pub fn set_capture(&mut self, sink: Box<dyn CaptureSink>) {
+    pub(crate) fn set_capture(&mut self, sink: Box<dyn CaptureSink>) {
         self.capture_on = sink.enabled();
         self.capture = sink;
     }
 
-    /// Convenience: installs an in-memory [`CaptureBuffer`] recorder,
-    /// recording into the event capacity recycled through [`SimScratch`].
+    /// Installs the in-memory flight recorder, recording into the event
+    /// capacity recycled through [`SimScratch`].
     pub fn record_capture(&mut self) {
         let events = std::mem::take(&mut self.spare_capture);
         self.set_capture(Box::new(CaptureBuffer { events }));
@@ -568,8 +523,9 @@ impl Simulator {
         self.capture_on
     }
 
-    /// The events recorded so far, when the installed sink is a
-    /// [`CaptureBuffer`] (empty slice otherwise).
+    /// The events recorded so far, when the installed sink is the
+    /// in-memory recorder of [`Simulator::record_capture`] (empty slice
+    /// otherwise).
     pub fn capture_events(&self) -> &[CaptureEvent] {
         self.capture
             .as_any()
@@ -579,7 +535,7 @@ impl Simulator {
     }
 
     /// Empties the recorded events in place, keeping their capacity, when
-    /// the installed sink is a [`CaptureBuffer`]. Recording continues.
+    /// the installed sink is the in-memory recorder. Recording continues.
     pub fn clear_capture_events(&mut self) {
         if let Some(b) = self.capture.as_any_mut().downcast_mut::<CaptureBuffer>() {
             b.events.clear();
@@ -589,6 +545,15 @@ impl Simulator {
     /// Human-readable name of a device, if the node exists.
     pub fn node_name(&self, node: NodeId) -> Option<&str> {
         self.devices.get(node.0).map(|d| d.name())
+    }
+
+    /// The device at the far end of the link attached to `(node, iface)`,
+    /// if one is attached. Links are point-to-point, so this is the sender
+    /// of every packet that arrives on that interface.
+    pub fn peer(&self, node: NodeId, iface: IfaceId) -> Option<NodeId> {
+        let here = Attachment { node, iface };
+        let link = &self.links[self.attachments.get(&here)?.0];
+        Some(if link.a == here { link.b.node } else { link.a.node })
     }
 
     /// Injects a packet as if `node` transmitted it out of `iface` at the
@@ -654,39 +619,12 @@ impl Simulator {
         n
     }
 
-    /// True when no events are pending.
-    pub fn is_quiescent(&self) -> bool {
-        self.queue.is_empty()
-    }
-
     fn dispatch(&mut self, ev: Event) {
         // The action buffer is recycled across every dispatch: taken here,
         // drained below, and put back before any return path.
         let mut actions = std::mem::take(&mut self.action_scratch);
         let node = match ev.kind {
-            EventKind::Arrival { node, iface, packet, from } => {
-                if self.trace_enabled {
-                    let name = self
-                        .devices
-                        .get(node.0)
-                        .map(|d| d.name().to_owned())
-                        .unwrap_or_default();
-                    let from_name = self
-                        .devices
-                        .get(from.node.0)
-                        .map(|d| d.name().to_owned())
-                        .unwrap_or_default();
-                    self.trace.push(TraceEntry {
-                        at: ev.at,
-                        node,
-                        node_name: name,
-                        iface,
-                        from_node: from.node,
-                        from_node_name: from_name,
-                        from_iface: from.iface,
-                        packet: packet.clone(),
-                    });
-                }
+            EventKind::Arrival { node, iface, packet } => {
                 if self.capture_on {
                     self.capture.record(CaptureEvent {
                         at: ev.at,
@@ -883,18 +821,13 @@ impl Simulator {
             }
             self.push_event(
                 at + latency,
-                EventKind::Arrival {
-                    node: dest.node,
-                    iface: dest.iface,
-                    packet: packet.clone(),
-                    from,
-                },
+                EventKind::Arrival { node: dest.node, iface: dest.iface, packet: packet.clone() },
             );
         }
         self.links[idx].stats.delivered += 1;
         self.push_event(
             at,
-            EventKind::Arrival { node: dest.node, iface: dest.iface, packet, from },
+            EventKind::Arrival { node: dest.node, iface: dest.iface, packet },
         );
     }
 
@@ -999,11 +932,11 @@ mod tests {
         sim.inject(a, IfaceId(0), pkt());
         let n = sim.run_until(SimTime::from_nanos(5_000_000));
         assert_eq!(n, 0);
-        assert!(!sim.is_quiescent());
         assert_eq!(sim.now(), SimTime::from_nanos(5_000_000));
         let n = sim.run_until(SimTime::from_nanos(20_000_000));
         assert_eq!(n, 1);
-        assert!(sim.is_quiescent());
+        // Nothing is left behind the deadline.
+        assert_eq!(sim.run_to_quiescence(), 0);
     }
 
     #[test]
@@ -1193,20 +1126,28 @@ mod tests {
     #[test]
     fn trace_captures_deliveries() {
         let mut sim = Simulator::new(1);
-        sim.enable_trace();
+        sim.record_capture();
         let a = sim.add_device(Probe::new("alpha", false));
         let b = sim.add_device(Probe::new("beta", false));
         sim.connect((a, IfaceId(0)), (b, IfaceId(0)), SimDuration::from_millis(2));
         sim.inject(a, IfaceId(0), pkt());
         sim.run_to_quiescence();
-        let trace = sim.trace();
-        assert_eq!(trace.len(), 1);
-        assert_eq!(trace[0].node_name, "beta");
-        // The sending side is recorded too, so hop order on multi-hop
-        // paths is unambiguous.
-        assert_eq!(trace[0].from_node, a);
-        assert_eq!(trace[0].from_node_name, "alpha");
-        assert_eq!(trace[0].from_iface, IfaceId(0));
+        let deliveries: Vec<_> = sim
+            .capture_events()
+            .iter()
+            .filter(|e| matches!(e.kind, CaptureKind::Ingress { .. }))
+            .collect();
+        assert_eq!(deliveries.len(), 1);
+        assert_eq!(deliveries[0].at, SimTime::from_nanos(2_000_000));
+        assert_eq!(deliveries[0].node, b);
+        assert_eq!(sim.node_name(deliveries[0].node), Some("beta"));
+        assert_eq!(deliveries[0].iface, Some(IfaceId(0)));
+        // The sending side follows from the link, so hop order on
+        // multi-hop paths is unambiguous.
+        assert_eq!(sim.peer(b, IfaceId(0)), Some(a));
+        assert_eq!(sim.node_name(a), Some("alpha"));
+        assert_eq!(sim.peer(a, IfaceId(0)), Some(b));
+        assert_eq!(sim.peer(b, IfaceId(1)), None);
     }
 
     #[test]

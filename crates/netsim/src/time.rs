@@ -105,11 +105,6 @@ impl SimDuration {
     pub const fn as_millis(self) -> u64 {
         self.0 / 1_000_000
     }
-
-    /// Multiplies the duration by an integer factor.
-    pub const fn mul(self, k: u64) -> SimDuration {
-        SimDuration(self.0 * k)
-    }
 }
 
 impl Add for SimDuration {
@@ -152,7 +147,6 @@ mod tests {
         assert_eq!(SimTime::from_nanos(2_500_999).as_micros(), 2_500);
         assert_eq!(SimDuration::from_millis(3).as_nanos(), 3_000_000);
         assert_eq!(SimDuration::from_nanos(2_500_999).as_micros(), 2_500);
-        assert_eq!(SimDuration::from_millis(7).mul(3).as_millis(), 21);
     }
 
     #[test]

@@ -31,7 +31,7 @@ pub enum FwdAction<'p> {
 /// A pending forwarded query, carrying caller-defined metadata `M` (the CPE
 /// device stores the NAT-translated request packet there).
 #[derive(Debug, Clone)]
-pub struct PendingQuery<M> {
+pub(crate) struct PendingQuery<M> {
     /// The client's original transaction ID, restored on the way back.
     pub orig_txid: u16,
     /// Caller metadata.

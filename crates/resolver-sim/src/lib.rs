@@ -27,20 +27,18 @@ mod recursive;
 mod server;
 mod software;
 mod zone;
-mod zonefile;
 
 pub use authoritative::{AuthoritativeServer, Delegation, ServedZone};
 pub use cache::DnsCache;
 pub use iterative::IterativeResolver;
-pub use forwarder::{ForwarderCore, FwdAction, PendingQuery};
+pub use forwarder::{ForwarderCore, FwdAction};
 pub use public_site::{PublicBrand, PublicResolverSite, SiteProfile};
 pub use recursive::RecursiveResolver;
 pub use server::{
-    apply_chaos_policy, encode_payload, handle_server_id, local_reply_payload, reply_packet,
-    reply_payload, send_local_reply, send_reply, LocalReply,
+    encode_payload, handle_server_id, local_reply_payload, reply_packet, reply_payload,
+    send_local_reply, send_reply, LocalReply,
 };
 pub use software::{ChaosPolicy, SoftwareProfile};
 pub use zone::{
     ReflectKind, ReflectorZone, ResolveCtx, ResolveResult, StaticZone, Zone, ZoneAnswer, ZoneDb,
 };
-pub use zonefile::{parse_zone, ZoneParseError};

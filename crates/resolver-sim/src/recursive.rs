@@ -2,7 +2,7 @@
 //! forward to (typically the ISP's resolver).
 //!
 //! Recursion is modelled as a [`ZoneDb`] lookup stamped with the resolver's
-//! egress address, after a configurable resolution latency on cache misses.
+//! egress address, after a fixed 12 ms resolution latency on cache misses.
 //! Behaviour knobs cover the shapes the paper observed from alternate
 //! resolvers: software identity for CHAOS queries, optional NXDOMAIN
 //! wildcarding (the Kreibich et al. ad-redirection practice), and optional
@@ -22,6 +22,9 @@ use std::any::Any;
 use std::net::{IpAddr, Ipv4Addr};
 use std::sync::Arc;
 
+/// How long a cache miss takes to resolve before the reply leaves.
+const RESOLVE_LATENCY: SimDuration = SimDuration::from_millis(12);
+
 /// A recursive resolver bound to a set of service addresses.
 pub struct RecursiveResolver {
     name: SharedStr,
@@ -34,7 +37,6 @@ pub struct RecursiveResolver {
     /// Software identity for CHAOS queries.
     pub profile: SoftwareProfile,
     cache: DnsCache,
-    resolve_latency: SimDuration,
     /// Replace NXDOMAIN with an A record pointing here (ad wildcarding).
     pub nxdomain_wildcard: Option<Ipv4Addr>,
     /// Refuse every IN query (models resolvers that block foreign clients,
@@ -66,7 +68,6 @@ impl RecursiveResolver {
             zonedb,
             profile,
             cache: DnsCache::new(4096),
-            resolve_latency: SimDuration::from_millis(12),
             nxdomain_wildcard: None,
             refuse_all: false,
             dnssec_validating: false,
@@ -85,12 +86,6 @@ impl RecursiveResolver {
         profile: SoftwareProfile,
     ) -> Box<RecursiveResolver> {
         Box::new(Self::new(name, service_addrs, egress, zonedb, profile))
-    }
-
-    /// Sets the cache-miss resolution latency.
-    pub fn set_resolve_latency(&mut self, latency: SimDuration) -> &mut Self {
-        self.resolve_latency = latency;
-        self
     }
 
     /// Cache statistics: (hits, misses).
@@ -182,12 +177,12 @@ impl Device for RecursiveResolver {
         let Some(reply) = payload.and_then(|payload| reply_packet(&packet, payload)) else {
             return;
         };
-        if was_miss && self.resolve_latency > SimDuration::ZERO {
+        if was_miss {
             // Cache miss: delay the reply by the recursion latency.
             let token = self.next_token;
             self.next_token += 1;
             self.pending.insert(token, (iface, reply));
-            ctx.set_timer(self.resolve_latency, token);
+            ctx.set_timer(RESOLVE_LATENCY, token);
         } else {
             ctx.send(iface, reply);
         }

@@ -111,7 +111,7 @@ pub fn send_local_reply(
 }
 
 /// The reply one CHAOS policy gives (`None` = stay silent).
-pub fn apply_chaos_policy(policy: &ChaosPolicy) -> Option<LocalReply<'_>> {
+pub(crate) fn apply_chaos_policy(policy: &ChaosPolicy) -> Option<LocalReply<'_>> {
     match policy {
         ChaosPolicy::Text(text) => Some(LocalReply::Text(text)),
         ChaosPolicy::Status(rcode) => Some(LocalReply::Status(*rcode)),

@@ -67,26 +67,6 @@ impl SoftwareProfile {
         }
     }
 
-    /// A RedHat-packaged BIND (Table 5: `*-RedHat`, 2 probes).
-    pub fn bind_redhat(version: &str) -> SoftwareProfile {
-        let s = SharedStr::from(format!("{version}-RedHat"));
-        SoftwareProfile {
-            name: "BIND (RedHat)".into(),
-            version_bind: ChaosPolicy::Text(s),
-            id_server: ChaosPolicy::Status(Rcode::Refused),
-        }
-    }
-
-    /// PowerDNS Recursor (Table 5: 1 probe).
-    pub fn powerdns(version: &str) -> SoftwareProfile {
-        let s = SharedStr::from(format!("PowerDNS Recursor {version}"));
-        SoftwareProfile {
-            name: "PowerDNS".into(),
-            version_bind: ChaosPolicy::Text(s),
-            id_server: ChaosPolicy::Status(Rcode::ServFail),
-        }
-    }
-
     /// Comcast's XDNS component of RDK-B (§5): "implements a response to
     /// version.bind".
     pub fn xdns(version: &str) -> SoftwareProfile {
@@ -169,14 +149,6 @@ mod tests {
             Some("dnsmasq-pi-hole-2.87")
         );
         assert_eq!(SoftwareProfile::unbound("1.9.0").version_string(), Some("unbound 1.9.0"));
-        assert_eq!(
-            SoftwareProfile::bind_redhat("9.11.4").version_string(),
-            Some("9.11.4-RedHat")
-        );
-        assert_eq!(
-            SoftwareProfile::powerdns("4.1.11").version_string(),
-            Some("PowerDNS Recursor 4.1.11")
-        );
         assert_eq!(SoftwareProfile::custom("huuh?").version_string(), Some("huuh?"));
     }
 

@@ -120,13 +120,8 @@ impl StaticZone {
     }
 
     /// Convenience: adds an AAAA record.
-    pub fn add_aaaa(&mut self, name: &str, ttl: u32, ip: Ipv6Addr) -> &mut Self {
+    pub(crate) fn add_aaaa(&mut self, name: &str, ttl: u32, ip: Ipv6Addr) -> &mut Self {
         self.add(Record::new(name.parse().expect("valid name"), ttl, RData::Aaaa(ip)))
-    }
-
-    /// Convenience: adds a TXT record.
-    pub fn add_txt(&mut self, name: &str, ttl: u32, text: &str) -> &mut Self {
-        self.add(Record::new(name.parse().expect("valid name"), ttl, RData::txt(text)))
     }
 
     /// Convenience: adds a CNAME record.
@@ -250,19 +245,19 @@ impl ZoneDb {
     }
 
     /// Mounts a zone at `apex`.
-    pub fn mount(&mut self, apex: Name, zone: Arc<dyn Zone>) -> &mut Self {
+    pub(crate) fn mount(&mut self, apex: Name, zone: Arc<dyn Zone>) -> &mut Self {
         self.zones.push((apex, zone));
         self
     }
 
     /// Marks an apex as DNSSEC-signed.
-    pub fn sign(&mut self, apex: Name) -> &mut Self {
+    pub(crate) fn sign(&mut self, apex: Name) -> &mut Self {
         self.signed.insert(apex);
         self
     }
 
     /// True when `qname` falls under a signed apex.
-    pub fn is_signed(&self, qname: &Name) -> bool {
+    pub(crate) fn is_signed(&self, qname: &Name) -> bool {
         self.signed.iter().any(|apex| qname.is_subdomain_of(apex))
     }
 

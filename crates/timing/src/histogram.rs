@@ -25,18 +25,18 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Sub-bucket resolution: each octave is split into `2^GROUP_BITS`
 /// linear buckets, bounding relative error by `2^-GROUP_BITS`.
-pub const GROUP_BITS: u32 = 4;
+pub(crate) const GROUP_BITS: u32 = 4;
 
 /// Linear sub-buckets per octave (`2^GROUP_BITS`).
-pub const SUB_BUCKETS: usize = 1 << GROUP_BITS;
+pub(crate) const SUB_BUCKETS: usize = 1 << GROUP_BITS;
 
 /// Total bucket count: one exact bucket per value below [`SUB_BUCKETS`],
 /// plus [`SUB_BUCKETS`] linear sub-buckets for each of the `64 -
 /// GROUP_BITS` octaves above.
-pub const BUCKET_COUNT: usize = SUB_BUCKETS + (64 - GROUP_BITS as usize) * SUB_BUCKETS;
+pub(crate) const BUCKET_COUNT: usize = SUB_BUCKETS + (64 - GROUP_BITS as usize) * SUB_BUCKETS;
 
 /// The bucket index a value lands in.
-pub fn bucket_index(value: u64) -> usize {
+pub(crate) fn bucket_index(value: u64) -> usize {
     if value < SUB_BUCKETS as u64 {
         value as usize
     } else {
@@ -50,7 +50,7 @@ pub fn bucket_index(value: u64) -> usize {
 
 /// The inclusive `[lower, upper]` value range of a bucket. Buckets below
 /// [`SUB_BUCKETS`] are exact (`lower == upper`).
-pub fn bucket_bounds(index: usize) -> (u64, u64) {
+pub(crate) fn bucket_bounds(index: usize) -> (u64, u64) {
     assert!(index < BUCKET_COUNT, "bucket index {index} out of range");
     if index < SUB_BUCKETS {
         (index as u64, index as u64)
@@ -67,7 +67,7 @@ pub fn bucket_bounds(index: usize) -> (u64, u64) {
 /// range, and how many samples it holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BucketCount {
-    /// Bucket index in the fixed layout (see [`bucket_bounds`]).
+    /// Bucket index in the fixed layout.
     pub index: u32,
     /// Smallest value the bucket covers.
     pub lower: u64,
@@ -156,7 +156,7 @@ impl Histogram {
     }
 
     /// Raw bucket counts, one per layout slot.
-    pub fn bucket_counts(&self) -> &[u64] {
+    pub(crate) fn bucket_counts(&self) -> &[u64] {
         &self.counts
     }
 

@@ -17,7 +17,7 @@
 //!    histogram is attached — safe to leave in dns-wire-adjacent hot
 //!    paths.
 //! 3. **Stable exposition.** Bucket boundaries are fixed by
-//!    construction ([`BUCKET_COUNT`] log-linear buckets, 6.25% worst-case
+//!    construction (976 log-linear buckets, 6.25% worst-case
 //!    relative error) and pinned by tests, so JSON dumps and Prometheus
 //!    series never silently reshape.
 
@@ -28,9 +28,6 @@ mod histogram;
 mod prom;
 mod span;
 
-pub use histogram::{
-    bucket_bounds, bucket_index, AtomicHistogram, BucketCount, Histogram, HistogramSnapshot,
-    BUCKET_COUNT, GROUP_BITS, SUB_BUCKETS,
-};
+pub use histogram::{AtomicHistogram, BucketCount, Histogram, HistogramSnapshot};
 pub use prom::PromWriter;
 pub use span::{PhaseTimer, Span};

@@ -42,15 +42,6 @@ impl PromWriter {
 
     /// Emits one counter sample.
     pub fn counter(&mut self, name: &str, labels: &[(&str, &str)], value: u64) {
-        self.sample(name, labels, value);
-    }
-
-    /// Emits one gauge sample.
-    pub fn gauge(&mut self, name: &str, labels: &[(&str, &str)], value: u64) {
-        self.sample(name, labels, value);
-    }
-
-    fn sample(&mut self, name: &str, labels: &[(&str, &str)], value: u64) {
         self.out.push_str(name);
         write_labels(&mut self.out, labels);
         let _ = writeln!(self.out, " {value}");
@@ -110,11 +101,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_and_gauges_render_with_labels() {
+    fn counters_render_with_labels() {
         let mut w = PromWriter::new();
         w.header("probes_total", "counter", "Probes run.");
         w.counter("probes_total", &[], 42);
-        w.gauge("fleet_size", &[("class", "clean")], 7);
+        w.counter("fleet_size", &[("class", "clean")], 7);
         let text = w.finish();
         assert!(text.contains("# HELP probes_total Probes run.\n"));
         assert!(text.contains("# TYPE probes_total counter\n"));

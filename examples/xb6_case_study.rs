@@ -9,10 +9,11 @@
 use dns_wire::{debug_queries, Question, RType};
 use interception::{HomeScenario, SimTransport};
 use locator::{describe_response, HijackLocator, QueryOptions, QueryTransport};
+use netsim::CaptureKind;
 
 fn main() {
     let mut built = HomeScenario::xb6_case_study().build();
-    built.sim.enable_trace();
+    built.sim.record_capture();
     let cpe_public = built.addrs.cpe_public_v4;
     let config = built.locator_config();
     let mut transport = SimTransport::new(built);
@@ -68,9 +69,15 @@ fn main() {
     );
 }
 
+/// Prints every packet delivery the flight recorder saw since the last
+/// call, then clears the recorded events.
 fn print_trace(transport: &mut SimTransport) {
-    for entry in transport.scenario.sim.trace() {
-        println!("  {:>10}  {:<18} {}", entry.at.to_string(), entry.node_name, entry.packet);
+    let sim = &mut transport.scenario.sim;
+    for event in sim.capture_events() {
+        if let CaptureKind::Ingress { packet } = &event.kind {
+            let node = sim.node_name(event.node).unwrap_or_default();
+            println!("  {:>10}  {:<18} {}", event.at.to_string(), node, packet);
+        }
     }
-    transport.scenario.sim.clear_trace();
+    sim.clear_capture_events();
 }

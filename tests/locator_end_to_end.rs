@@ -282,3 +282,12 @@ fn double_nat_inner_pi_hole_detected_as_cpe() {
     assert_eq!(report.location, Some(InterceptorLocation::Cpe));
     assert_eq!(report.cpe.unwrap().cpe_response.text(), Some("dnsmasq-pi-hole-2.87"));
 }
+
+#[test]
+fn probe_addresses_are_bogons() {
+    // The addresses step 3 actually queries must sit in bogon space, or a
+    // border router would route them and the step would prove nothing.
+    let config = locator::LocatorConfig::default();
+    assert!(netsim::bogon::is_bogon(config.bogon_v4));
+    assert!(netsim::bogon::is_bogon(config.bogon_v6));
+}

@@ -4,11 +4,14 @@
 //! transaction ID), provenance only ever cites queries that really ran,
 //! and tracing itself never changes a verdict. A metamorphic property
 //! shifts the first transaction ID: a verdict must not depend on it.
+//! Another raises upstream loss: loss only removes evidence, so it never
+//! invents an interception nor sharpens a location (§3.1's conservative
+//! rule).
 
-use interception::{CpeModelKind, HomeScenario, MiddleboxSpec, SimTransport};
+use interception::{CpeModelKind, GroundTruth, HomeScenario, MiddleboxSpec, SimTransport};
 use locator::{
-    HijackLocator, MetricsFolder, ProbeMetrics, ProbeReport, Provenance, TraceEvent,
-    TraceRecorder,
+    HijackLocator, InterceptorLocation, MetricsFolder, ProbeMetrics, ProbeReport, Provenance,
+    TraceEvent, TraceRecorder,
 };
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
@@ -192,6 +195,48 @@ proptest! {
         for (moved, original) in shifted_events.iter().zip(&base_events) {
             prop_assert_eq!(moved, &event_with_txids_shifted(original, shift));
         }
+    }
+
+    #[test]
+    fn loss_never_invents_an_interception_or_sharpens_a_location(
+        scenario in arb_scenario(),
+        seed in 0u64..500,
+        loss_step in 0usize..4,
+        attempts in 1u32..4,
+    ) {
+        let run = |loss: f64| {
+            let mut scenario = scenario.clone();
+            scenario.seed = seed;
+            scenario.upstream_loss = loss;
+            let built = scenario.build();
+            let mut config = built.locator_config();
+            config.query_options.attempts = attempts;
+            HijackLocator::new(config).run(&mut SimTransport::new(built))
+        };
+        let loss = [0.2, 0.4, 0.6, 0.8][loss_step];
+        let lossy = run(loss);
+        let clean = run(0.0);
+
+        if scenario.truth() == GroundTruth::NotIntercepted {
+            prop_assert!(!lossy.intercepted, "loss {loss} invented an interception: {lossy:?}");
+        }
+        prop_assert!(
+            imprecision(&lossy) >= imprecision(&clean),
+            "loss {loss} sharpened the location: {:?} without loss, {:?} with it",
+            clean.location,
+            lossy.location
+        );
+    }
+}
+
+/// How imprecise a report's location is, from the CPE (0) through within
+/// ISP and beyond/unknown to not intercepted at all (3).
+fn imprecision(report: &ProbeReport) -> u8 {
+    match (report.intercepted, report.location) {
+        (true, Some(InterceptorLocation::Cpe)) => 0,
+        (true, Some(InterceptorLocation::WithinIsp)) => 1,
+        (true, Some(InterceptorLocation::BeyondOrUnknown)) => 2,
+        (false, _) | (true, None) => 3,
     }
 }
 
