@@ -89,15 +89,6 @@ fn fold_table4(t: &mut Table4, r: &ProbeResult) {
     }
 }
 
-/// Builds Table 4 from campaign results.
-pub fn table4(results: &[ProbeResult]) -> Table4 {
-    let mut t = Table4::default();
-    for r in results {
-        fold_table4(&mut t, r);
-    }
-    t
-}
-
 impl fmt::Display for Table4 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "Table 4: Number of intercepted probes per public resolver")?;
@@ -177,16 +168,6 @@ fn finish_table5(counts: BTreeMap<String, u32>, total_cpe: u32) -> Table5 {
     Table5 { groups, total_cpe }
 }
 
-/// Builds Table 5 from campaign results.
-pub fn table5(results: &[ProbeResult]) -> Table5 {
-    let mut counts: BTreeMap<String, u32> = BTreeMap::new();
-    let mut total = 0;
-    for r in results {
-        fold_table5(&mut counts, &mut total, r);
-    }
-    finish_table5(counts, total)
-}
-
 impl fmt::Display for Table5 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "Table 5: Strings sent in response to version.bind (CPE interceptors)")?;
@@ -252,15 +233,6 @@ fn finish_figure3(by_org: BTreeMap<usize, Figure3Bar>, n: usize) -> Figure3 {
     bars.sort_by(|a, b| b.total().cmp(&a.total()).then(a.org.cmp(&b.org)));
     bars.truncate(n);
     Figure3 { bars }
-}
-
-/// Builds Figure 3 (top `n` organizations).
-pub fn figure3(fleet: &Fleet, results: &[ProbeResult], n: usize) -> Figure3 {
-    let mut by_org: BTreeMap<usize, Figure3Bar> = BTreeMap::new();
-    for r in results {
-        fold_figure3(&mut by_org, fleet, r);
-    }
-    finish_figure3(by_org, n)
 }
 
 impl fmt::Display for Figure3 {
@@ -364,17 +336,6 @@ fn finish_figure4(
     Figure4 { countries: sort(countries), orgs: sort(orgs), total }
 }
 
-/// Builds Figure 4 (top `n` in each panel).
-pub fn figure4(fleet: &Fleet, results: &[ProbeResult], n: usize) -> Figure4 {
-    let mut countries: BTreeMap<String, Figure4Bar> = BTreeMap::new();
-    let mut orgs: BTreeMap<String, Figure4Bar> = BTreeMap::new();
-    let mut total = Figure4Bar { label: "all".into(), ..Figure4Bar::default() };
-    for r in results {
-        fold_figure4(&mut countries, &mut orgs, &mut total, fleet, r);
-    }
-    finish_figure4(countries, orgs, total, n)
-}
-
 impl fmt::Display for Figure4 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "Figure 4: Interception location (CPE / within ISP / beyond-unknown)")?;
@@ -443,15 +404,6 @@ fn fold_accuracy(stats: &mut AccuracyStats, r: &ProbeResult) {
     }
 }
 
-/// Computes accuracy from campaign results.
-pub fn accuracy(results: &[ProbeResult]) -> AccuracyStats {
-    let mut stats = AccuracyStats::default();
-    for r in results {
-        fold_accuracy(&mut stats, r);
-    }
-    stats
-}
-
 impl fmt::Display for AccuracyStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "Detector accuracy vs simulator ground truth")?;
@@ -505,15 +457,6 @@ fn fold_retry(stats: &mut RetryStats, r: &ProbeResult) {
         .count() as u32;
 }
 
-/// Computes retry statistics from campaign results.
-pub fn retry_stats(results: &[ProbeResult]) -> RetryStats {
-    let mut stats = RetryStats::default();
-    for r in results {
-        fold_retry(&mut stats, r);
-    }
-    stats
-}
-
 impl fmt::Display for RetryStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "Retry economics")?;
@@ -549,9 +492,9 @@ fn merge_figure4_bar(a: &mut Figure4Bar, b: &Figure4Bar) {
 ///
 /// Every counter in here is a commutative, order-independent sum (or a
 /// keyed map of such sums), so fold order, thread count, and batch size
-/// never change the aggregate — it is bitwise identical to running the
-/// batch helpers ([`table4`], [`table5`], …) over a collected result
-/// vector.
+/// never change the aggregate: folding a collected result vector in one
+/// `AggregateReport` gives, bit for bit, what the streaming scheduler
+/// merges from its workers.
 ///
 /// [`merge`]: AggregateReport::merge
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -657,9 +600,7 @@ impl AggregateReport {
     }
 
     /// Finishes the aggregate into the paper's tables and figures, keeping
-    /// the top `top_n` bars in each ranked panel. Identical to running
-    /// [`table4`], [`table5`], [`figure3`], [`figure4`], [`accuracy`], and
-    /// [`retry_stats`] over the collected result vector.
+    /// the top `top_n` bars in each ranked panel.
     pub fn finish(self, top_n: usize) -> CampaignSummary {
         CampaignSummary {
             probes: self.probes,
@@ -712,16 +653,18 @@ impl fmt::Display for CampaignSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::{run_campaign, CampaignOptions};
+    use crate::campaign::{run_campaign, run_campaign_streaming, CampaignOptions};
     use crate::fleet::{generate, FleetConfig};
     use std::sync::OnceLock;
 
-    fn campaign() -> (&'static Fleet, Vec<ProbeResult<'static>>) {
+    fn fleet() -> &'static Fleet {
         static FLEET: OnceLock<Fleet> = OnceLock::new();
-        let fleet =
-            FLEET.get_or_init(|| generate(FleetConfig { size: 800, ..FleetConfig::default() }));
-        let results = run_campaign(fleet, CampaignOptions::new(8), None, None, None);
-        (fleet, results)
+        FLEET.get_or_init(|| generate(FleetConfig { size: 800, ..FleetConfig::default() }))
+    }
+
+    /// The fleet's campaign, streamed and finished.
+    fn summary() -> CampaignSummary {
+        run_campaign_streaming(fleet(), CampaignOptions::new(8), None, None).finish(15)
     }
 
     #[test]
@@ -739,31 +682,28 @@ mod tests {
 
     #[test]
     fn small_campaign_aggregates_consistently() {
-        let (fleet, results) = campaign();
-        let t4 = table4(&results);
-        assert_eq!(t4.responding as usize, results.len());
+        let summary = summary();
+        let t4 = &summary.table4;
+        assert_eq!(t4.responding as u64, summary.probes);
         // Any-intercepted never exceeds per-resolver sums.
         let max_per_resolver =
             t4.rows.iter().map(|(_, r)| r.intercepted_v4).max().unwrap_or(0);
         assert!(t4.any_intercepted >= max_per_resolver);
         assert!(t4.all_intercepted.intercepted_v4 <= max_per_resolver);
 
-        let t5 = table5(&results);
+        let t5 = &summary.table5;
         let sum: u32 = t5.groups.iter().map(|(_, n)| n).sum();
         assert!(sum <= t5.total_cpe + 1);
 
-        let f3 = figure3(fleet, &results, 15);
+        let f3 = &summary.figure3;
         let f3_total: u32 = f3.bars.iter().map(|b| b.total()).sum();
         assert!(f3_total <= t4.any_intercepted);
 
-        let f4 = figure4(fleet, &results, 15);
+        let f4 = &summary.figure4;
         assert_eq!(f4.total.total(), t4.any_intercepted);
 
-        let acc = accuracy(&results);
-        assert_eq!(
-            acc.matches_expected + acc.mismatches,
-            results.len() as u32
-        );
+        let acc = &summary.accuracy;
+        assert_eq!(acc.matches_expected + acc.mismatches, summary.probes as u32);
         // No false positives: clean paths never look intercepted.
         assert_eq!(acc.false_positives, 0);
     }
@@ -772,7 +712,7 @@ mod tests {
     fn retry_stats_track_the_budget() {
         let base = FleetConfig { size: 250, flaky_rate: 0.3, ..FleetConfig::default() };
         let campaign = |fleet: &Fleet| {
-            retry_stats(&run_campaign(fleet, CampaignOptions::new(4), None, None, None))
+            run_campaign_streaming(fleet, CampaignOptions::new(4), None, None).finish(15).retry
         };
         let single = campaign(&generate(base.clone()));
         assert_eq!(single.wire_attempts, single.queries_sent);
@@ -790,8 +730,9 @@ mod tests {
     }
 
     #[test]
-    fn streaming_fold_and_merge_match_batch_aggregation() {
-        let (fleet, results) = campaign();
+    fn fold_and_merge_agree_over_any_partition() {
+        let fleet = fleet();
+        let results = run_campaign(fleet, CampaignOptions::new(8), None, None, None);
         // One aggregate folded over everything, in order.
         let mut whole = AggregateReport::new();
         for r in &results {
@@ -809,15 +750,8 @@ mod tests {
         }
         assert_eq!(whole, merged);
 
-        // Finishing matches every batch helper bit for bit.
         let summary = whole.finish(15);
         assert_eq!(summary.probes as usize, results.len());
-        assert_eq!(summary.table4, table4(&results));
-        assert_eq!(summary.table5, table5(&results));
-        assert_eq!(summary.figure3, figure3(fleet, &results, 15));
-        assert_eq!(summary.figure4, figure4(fleet, &results, 15));
-        assert_eq!(summary.accuracy, accuracy(&results));
-        assert_eq!(summary.retry, retry_stats(&results));
 
         let json = serde_json::to_string(&summary).unwrap();
         let back: CampaignSummary = serde_json::from_str(&json).unwrap();
@@ -839,14 +773,10 @@ mod tests {
 
     #[test]
     fn displays_render() {
-        let (fleet, results) = campaign();
-        let t4 = format!("{}", table4(&results));
-        assert!(t4.contains("Cloudflare DNS"));
-        let t5 = format!("{}", table5(&results));
-        assert!(t5.contains("version.bind"));
-        let f3 = format!("{}", figure3(fleet, &results, 15));
-        assert!(f3.contains("Transparent"));
-        let f4 = format!("{}", figure4(fleet, &results, 15));
-        assert!(f4.contains("Within ISP"));
+        let summary = summary();
+        assert!(summary.table4.to_string().contains("Cloudflare DNS"));
+        assert!(summary.table5.to_string().contains("version.bind"));
+        assert!(summary.figure3.to_string().contains("Transparent"));
+        assert!(summary.figure4.to_string().contains("Within ISP"));
     }
 }

@@ -136,11 +136,12 @@ mod tests {
             ..crate::fleet::FleetConfig::default()
         });
         let options = crate::campaign::CampaignOptions::new(4);
-        let results = crate::campaign::run_campaign(&fleet, options, None, None, None);
-        assert!(results.is_empty());
-        let f3 = figure3_chart(&crate::aggregate::figure3(&fleet, &results, 15));
+        let summary =
+            crate::campaign::run_campaign_streaming(&fleet, options, None, None).finish(15);
+        assert_eq!(summary.probes, 0);
+        let f3 = figure3_chart(&summary.figure3);
         assert_eq!(f3.lines().count(), 1, "no bars, only the legend: {f3:?}");
-        let f4 = figure4_chart(&crate::aggregate::figure4(&fleet, &results, 15));
+        let f4 = figure4_chart(&summary.figure4);
         assert_eq!(f4.lines().count(), 3, "legend plus two empty panel headers: {f4:?}");
     }
 

@@ -24,9 +24,8 @@ mod telemetry;
 mod timing;
 
 pub use aggregate::{
-    accuracy, figure3, figure4, retry_stats, table4, table5, AccuracyStats, AggregateReport,
-    CampaignSummary, Figure3, Figure3Bar, Figure4, Figure4Bar, RetryStats, Table4, Table4Row,
-    Table5,
+    AccuracyStats, AggregateReport, CampaignSummary, Figure3, Figure3Bar, Figure4, Figure4Bar,
+    RetryStats, Table4, Table4Row, Table5,
 };
 pub use campaign::{
     measure_probe, measure_probe_archived, run_campaign, run_campaign_captured,

@@ -11,10 +11,9 @@
 //! ```
 
 use atlas_sim::{
-    accuracy, classification_fleet, figure3, figure4, generate, prometheus_exposition,
-    retry_stats, run_campaign, run_classification_timed, table4, table5, CampaignOptions,
-    CampaignTelemetry, Fleet, FleetConfig, MetricsRegistry, ProbeResult, ProgressEvent,
-    TimingRegistry,
+    classification_fleet, generate, prometheus_exposition, run_campaign, run_classification_timed,
+    AggregateReport, CampaignOptions, CampaignSummary, CampaignTelemetry, Fleet, FleetConfig,
+    MetricsRegistry, ProbeResult, ProgressEvent, TimingRegistry,
 };
 use interception::{
     render_flows, CpeModelKind, HomeScenario, MiddleboxSpec, QueryFlow, SimTransport,
@@ -254,30 +253,33 @@ fn main() {
     });
 
     if let Some((fleet, results, registry, timing)) = &campaign {
+        let mut aggregate = AggregateReport::new();
+        for r in results {
+            aggregate.fold(fleet, r);
+        }
+        let summary = aggregate.finish(15);
         if args.all || args.table == Some(4) {
-            println!("{}", table4(results));
+            println!("{}", summary.table4);
         }
         if args.all || args.table == Some(5) {
-            println!("{}", table5(results));
+            println!("{}", summary.table5);
         }
         if args.all || args.figure == Some(3) {
-            let fig = figure3(fleet, results, 15);
-            println!("{fig}");
-            println!("{}", atlas_sim::figure3_chart(&fig));
+            println!("{}", summary.figure3);
+            println!("{}", atlas_sim::figure3_chart(&summary.figure3));
         }
         if args.all || args.figure == Some(4) {
-            let fig = figure4(fleet, results, 15);
-            println!("{fig}");
-            println!("{}", atlas_sim::figure4_chart(&fig));
+            println!("{}", summary.figure4);
+            println!("{}", atlas_sim::figure4_chart(&summary.figure4));
         }
         if args.all {
-            println!("{}", accuracy(results));
+            println!("{}", summary.accuracy);
         }
         if args.all || args.attempts > 1 {
-            println!("{}", retry_stats(results));
+            println!("{}", summary.retry);
         }
         if let Some(path) = &args.json {
-            write_json(path, fleet, results);
+            write_json(path, &summary, results);
         }
         if let Some(path) = &args.archives {
             write_archives(path, fleet, results);
@@ -655,22 +657,22 @@ fn write_prom(path: &str, text: String) {
     write_output(path, "Prometheus exposition", text);
 }
 
-fn write_json(path: &str, fleet: &Fleet, results: &[ProbeResult]) {
+fn write_json(path: &str, summary: &CampaignSummary, results: &[ProbeResult]) {
     #[derive(serde::Serialize)]
     struct Dump<'a> {
-        table4: atlas_sim::Table4,
-        table5: atlas_sim::Table5,
-        figure3: atlas_sim::Figure3,
-        figure4: atlas_sim::Figure4,
-        accuracy: atlas_sim::AccuracyStats,
+        table4: &'a atlas_sim::Table4,
+        table5: &'a atlas_sim::Table5,
+        figure3: &'a atlas_sim::Figure3,
+        figure4: &'a atlas_sim::Figure4,
+        accuracy: &'a atlas_sim::AccuracyStats,
         reports: Vec<&'a locator::ProbeReport>,
     }
     let dump = Dump {
-        table4: table4(results),
-        table5: table5(results),
-        figure3: figure3(fleet, results, 15),
-        figure4: figure4(fleet, results, 15),
-        accuracy: accuracy(results),
+        table4: &summary.table4,
+        table5: &summary.table5,
+        figure3: &summary.figure3,
+        figure4: &summary.figure4,
+        accuracy: &summary.accuracy,
         reports: results.iter().map(|r| &r.report).collect(),
     };
     write_output(path, "campaign dump", pretty_json(&dump));

@@ -74,8 +74,6 @@ pub enum HopDetail {
     OutIface(usize),
     /// The hop carried an ICMP time-exceeded error.
     IcmpTimeExceeded,
-    /// The hop carried an ICMP destination-unreachable error with this code.
-    IcmpUnreachable(u8),
 }
 
 impl fmt::Display for HopDetail {
@@ -96,7 +94,6 @@ impl fmt::Display for HopDetail {
             HopDetail::Delayed(extra) => write!(f, "+{extra}"),
             HopDetail::OutIface(iface) => write!(f, "out iface {iface}"),
             HopDetail::IcmpTimeExceeded => f.write_str("icmp time-exceeded"),
-            HopDetail::IcmpUnreachable(code) => write!(f, "icmp unreachable(code {code})"),
         }
     }
 }
@@ -228,10 +225,6 @@ pub(crate) fn reconstruct_flows(sim: &Simulator, events: &[CaptureEvent]) -> Vec
             Transport::Icmp(IcmpMessage::TimeExceeded { original }) => {
                 let Some(&idx) = by_tuple.get(original) else { continue };
                 (idx, FlowDirection::Icmp, Some(HopDetail::IcmpTimeExceeded))
-            }
-            Transport::Icmp(IcmpMessage::DestUnreachable { code, original }) => {
-                let Some(&idx) = by_tuple.get(original) else { continue };
-                (idx, FlowDirection::Icmp, Some(HopDetail::IcmpUnreachable(*code)))
             }
             _ => continue,
         };
@@ -511,14 +504,6 @@ mod tests {
                     packet: icmp(IcmpMessage::TimeExceeded { original: outside }),
                 },
             ),
-            hop(
-                3_500,
-                nat,
-                Some(1),
-                CaptureKind::Ingress {
-                    packet: icmp(IcmpMessage::DestUnreachable { code: 3, original: outside }),
-                },
-            ),
             // A reverse translation that found nothing to change.
             hop(
                 4_000,
@@ -537,7 +522,7 @@ mod tests {
 
         let flows = reconstruct_flows(&sim, &events);
         let expected = "\
-txid 0x1234  example.com. A  (13 hops)
+txid 0x1234  example.com. A  (12 hops)
         0.000ms  client         egress                 if0  10.0.0.2:5353 -> 8.8.8.8:53
         1.000ms  nat            nat(dnat+snat)         if0  73.22.1.5:40001 -> 10.9.9.9:53  [src 10.0.0.2:5353 -> 73.22.1.5:40001, dst 8.8.8.8:53 -> 10.9.9.9:53]
         1.000ms  nat            delayed                if1  73.22.1.5:40001 -> 10.9.9.9:53  [+2.500ms]
@@ -549,7 +534,6 @@ txid 0x1234  example.com. A  (13 hops)
         2.000ms  nat            drop(ttl-expired)      if1  73.22.1.5:40001 -> 10.9.9.9:53
         2.000ms  nat            drop(no-route)         if1  73.22.1.5:40001 -> 10.9.9.9:53
         3.000ms  nat            ingress                if1  10.0.0.1:0 -> 73.22.1.5:0  [icmp time-exceeded]
-        3.500ms  nat            ingress                if1  10.0.0.1:0 -> 73.22.1.5:0  [icmp unreachable(code 3)]
         4.000ms  nat            nat(reverse)           if1  10.9.9.9:53 -> 73.22.1.5:40001  []
 
 txid 0x5678  id.server. Txt  (2 hops)
@@ -566,7 +550,6 @@ txid 0x5678  id.server. Txt  (2 hops)
             r#""detail": "+2.500ms""#,
             r#""direction": "Icmp""#,
             r#""detail": "icmp time-exceeded""#,
-            r#""detail": "icmp unreachable(code 3)""#,
             r#""detail": """#,
             r#""src": "2601:0:0:1::100:40002""#,
             r#""dst": "2001:4860:4860::8888:53""#,

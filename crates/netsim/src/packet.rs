@@ -28,13 +28,6 @@ pub struct UdpDatagram {
 /// ICMP / ICMPv6 messages the simulator models.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum IcmpMessage {
-    /// Destination unreachable; `code` distinguishes net/host/port.
-    DestUnreachable {
-        /// Unreachable code (0 net, 1 host, 3 port — v4 numbering used for both stacks).
-        code: u8,
-        /// The flow the original packet belonged to, for error matching.
-        original: FlowSummary,
-    },
     /// TTL / hop limit exceeded in transit.
     TimeExceeded {
         /// The flow the original packet belonged to.
@@ -227,13 +220,6 @@ impl fmt::Display for IpPacket {
             ),
             Transport::Icmp(m) => {
                 let kind = match m {
-                    IcmpMessage::DestUnreachable { code, .. } => {
-                        return write!(
-                            f,
-                            "ICMP unreachable(code {code}) {} -> {}",
-                            self.src, self.dst
-                        )
-                    }
                     IcmpMessage::TimeExceeded { .. } => "time-exceeded",
                     IcmpMessage::EchoRequest { .. } => "echo-request",
                     IcmpMessage::EchoReply { .. } => "echo-reply",

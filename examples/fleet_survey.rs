@@ -7,10 +7,7 @@
 //! FLEET_SIZE=10000 cargo run --release --example fleet_survey
 //! ```
 
-use atlas_sim::{
-    accuracy, figure3, figure4, generate, run_campaign, table4, table5, CampaignOptions,
-    FleetConfig,
-};
+use atlas_sim::{generate, run_campaign_streaming, CampaignOptions, FleetConfig};
 
 fn main() {
     let size = std::env::var("FLEET_SIZE").ok().and_then(|s| s.parse().ok()).unwrap_or(2_000);
@@ -27,18 +24,18 @@ fn main() {
     );
 
     let started = std::time::Instant::now();
-    let results = run_campaign(&fleet, CampaignOptions::new(threads), None, None, None);
-    let queries: u32 = results.iter().map(|r| r.report.queries_sent).sum();
+    let summary =
+        run_campaign_streaming(&fleet, CampaignOptions::new(threads), None, None).finish(15);
     println!(
         "campaign: {} probes measured, {} DNS queries issued, {:.2}s wall time\n",
-        results.len(),
-        queries,
+        summary.probes,
+        summary.retry.queries_sent,
         started.elapsed().as_secs_f64()
     );
 
-    println!("{}", table4(&results));
-    println!("{}", table5(&results));
-    println!("{}", figure3(&fleet, &results, 15));
-    println!("{}", figure4(&fleet, &results, 15));
-    println!("{}", accuracy(&results));
+    println!("{}", summary.table4);
+    println!("{}", summary.table5);
+    println!("{}", summary.figure3);
+    println!("{}", summary.figure4);
+    println!("{}", summary.accuracy);
 }

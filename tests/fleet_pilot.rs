@@ -1,25 +1,22 @@
 //! Integration: a reduced pilot study whose aggregate shapes must match
 //! the paper's qualitative findings, plus determinism guarantees.
 
-use atlas_sim::{
-    accuracy, figure3, figure4, generate, run_campaign, table4, table5, CampaignOptions,
-    FleetConfig,
-};
+use atlas_sim::{generate, run_campaign_streaming, CampaignOptions, CampaignSummary, FleetConfig};
 
 /// One shared campaign for all shape assertions (2,500 probes keeps CI
 /// fast while preserving the quota structure of the larger orgs).
-fn pilot() -> (&'static atlas_sim::Fleet, Vec<atlas_sim::ProbeResult<'static>>) {
+fn pilot() -> (&'static atlas_sim::Fleet, CampaignSummary) {
     static FLEET: std::sync::OnceLock<atlas_sim::Fleet> = std::sync::OnceLock::new();
     let fleet =
         FLEET.get_or_init(|| generate(FleetConfig { size: 2_500, ..FleetConfig::default() }));
-    let results = run_campaign(fleet, CampaignOptions::new(4), None, None, None);
-    (fleet, results)
+    let summary = run_campaign_streaming(fleet, CampaignOptions::new(4), None, None).finish(15);
+    (fleet, summary)
 }
 
 #[test]
 fn pilot_study_reproduces_paper_shapes() {
-    let (fleet, results) = pilot();
-    let t4 = table4(&results);
+    let (fleet, summary) = pilot();
+    let t4 = &summary.table4;
 
     // Interceptor quotas are absolute counts, so the *rate* scales
     // inversely with fleet size: ~2% at the paper's 10k, ~9% at this
@@ -46,13 +43,13 @@ fn pilot_study_reproduces_paper_shapes() {
     assert!(t4.all_intercepted.intercepted_v4 < t4.any_intercepted);
 
     // Table 5: dnsmasq strings dominate the CPE population.
-    let t5 = table5(&results);
+    let t5 = &summary.table5;
     if let Some((top_pattern, _)) = t5.groups.first() {
         assert_eq!(top_pattern, "dnsmasq-*");
     }
 
     // Figure 3: Comcast is the top organization.
-    let f3 = figure3(fleet, &results, 15);
+    let f3 = &summary.figure3;
     assert_eq!(f3.bars.first().map(|b| b.org.as_str()), Some("Comcast"));
     // Transparent interception dominates overall.
     let transparent: u32 = f3.bars.iter().map(|b| b.transparent).sum();
@@ -60,7 +57,7 @@ fn pilot_study_reproduces_paper_shapes() {
     assert!(transparent > modified);
 
     // Figure 4: a majority of interception is at CPE-or-ISP.
-    let f4 = figure4(fleet, &results, 15);
+    let f4 = &summary.figure4;
     let close = f4.total.cpe + f4.total.within_isp;
     assert!(close * 2 > f4.total.total(), "close {close} of {}", f4.total.total());
     assert!(f4.total.cpe > 0);
@@ -68,8 +65,8 @@ fn pilot_study_reproduces_paper_shapes() {
 
 #[test]
 fn pilot_study_has_no_false_positives_and_matches_expectations() {
-    let (_, results) = pilot();
-    let acc = accuracy(&results);
+    let (_, summary) = pilot();
+    let acc = &summary.accuracy;
     assert_eq!(acc.false_positives, 0);
     assert_eq!(acc.false_negatives, 0);
     assert_eq!(acc.mismatches, 0, "every verdict matches the expected one");
@@ -79,10 +76,9 @@ fn pilot_study_has_no_false_positives_and_matches_expectations() {
 fn campaigns_are_bit_for_bit_deterministic() {
     let run = || {
         let fleet = generate(FleetConfig { size: 600, ..FleetConfig::default() });
-        let results = run_campaign(&fleet, CampaignOptions::new(3), None, None, None);
-        let t4 = table4(&results);
-        let t5 = table5(&results);
-        serde_json::to_string(&(t4, t5)).unwrap()
+        let summary =
+            run_campaign_streaming(&fleet, CampaignOptions::new(3), None, None).finish(15);
+        serde_json::to_string(&(summary.table4, summary.table5)).unwrap()
     };
     assert_eq!(run(), run());
 }
