@@ -128,25 +128,39 @@ pub struct Table5 {
     pub total_cpe: u32,
 }
 
-/// Normalizes a version string to the paper's wildcard pattern.
-pub(crate) fn table5_pattern(s: &str) -> String {
+/// Normalizes a version string to the paper's wildcard pattern: a fixed
+/// pattern, or the string itself when none applies.
+pub(crate) fn table5_pattern(s: &str) -> &str {
     if s.starts_with("dnsmasq-pi-hole") {
-        "dnsmasq-pi-hole-*".into()
+        "dnsmasq-pi-hole-*"
     } else if s.starts_with("dnsmasq") {
-        "dnsmasq-*".into()
+        "dnsmasq-*"
     } else if s.starts_with("unbound") {
-        "unbound*".into()
+        "unbound*"
     } else if s.ends_with("-RedHat") {
-        "*-RedHat".into()
+        "*-RedHat"
     } else if s.ends_with("-Debian") {
-        "*-Debian".into()
+        "*-Debian"
     } else if s.starts_with("PowerDNS Recursor") {
-        "PowerDNS Recursor*".into()
+        "PowerDNS Recursor*"
     } else if s.starts_with("Q9-") {
-        "Q9-*".into()
+        "Q9-*"
     } else {
-        s.into()
+        s
     }
+}
+
+/// The entry for `key`, found without allocating; only a key not seen yet
+/// is copied into the map.
+fn entry_for<'m, V>(
+    map: &'m mut BTreeMap<String, V>,
+    key: &str,
+    new: impl FnOnce() -> V,
+) -> &'m mut V {
+    if !map.contains_key(key) {
+        map.insert(key.to_owned(), new());
+    }
+    map.get_mut(key).expect("inserted above")
 }
 
 /// Folds one probe into Table 5's working state (pattern counts plus the
@@ -158,7 +172,7 @@ fn fold_table5(counts: &mut BTreeMap<String, u32>, total_cpe: &mut u32, r: &Prob
     *total_cpe += 1;
     let Some(cpe) = &r.report.cpe else { return };
     let Some(text) = cpe.cpe_response.text() else { return };
-    *counts.entry(table5_pattern(text)).or_insert(0) += 1;
+    *entry_for(counts, table5_pattern(text), || 0) += 1;
 }
 
 /// Finishes Table 5: orders the pattern groups descending by count.
@@ -300,15 +314,10 @@ fn fold_figure4(
 ) {
     let Some(location) = r.report.location else { return };
     let org = &fleet.config.orgs[r.probe.org];
+    let bar = |label: &str| Figure4Bar { label: label.to_owned(), ..Figure4Bar::default() };
     for bar in [
-        countries.entry(org.country.clone()).or_insert_with(|| Figure4Bar {
-            label: org.country.clone(),
-            ..Figure4Bar::default()
-        }),
-        orgs.entry(org.name.clone()).or_insert_with(|| Figure4Bar {
-            label: org.name.clone(),
-            ..Figure4Bar::default()
-        }),
+        entry_for(countries, &org.country, || bar(&org.country)),
+        entry_for(orgs, &org.name, || bar(&org.name)),
         total,
     ] {
         match location {

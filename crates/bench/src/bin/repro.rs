@@ -522,7 +522,7 @@ fn print_tables_2_and_3() {
             continue;
         }
         let vb = dns_wire::Question::chaos_txt(dns_wire::debug_queries::version_bind());
-        let mut ask = |server: IpAddr| -> String {
+        let mut ask = |server: IpAddr| -> locator::Observation {
             transport
                 .query(server, &vb, txids.next(), QueryOptions::default())
                 .response()

@@ -8,7 +8,8 @@
 //! filter are all allocation-free. So is a warm *answered* round trip: the
 //! stub hands the locator the delivered payload itself. A warm world build
 //! is pinned to its exact count: one box and a few containers per device.
-//! A locator run folded into metrics must allocate exactly what the
+//! So is a warm locator run: its one evidence list, plus what the world
+//! makes. A locator run folded into metrics must allocate exactly what the
 //! untraced run does. The same counter also pins the component pieces
 //! individually, so a regression report names the layer that started
 //! allocating rather than just "the path".
@@ -103,13 +104,15 @@ fn steady_state_probe_path_allocates_nothing() {
          the accepted reply is the delivered payload and must cost nothing"
     );
 
-    // --- Metrics fold: the locator over a warm clean dual-stack home,
-    // folded into a `MetricsFolder`, allocates exactly what the same run
-    // untraced does. Trace events borrow the query's name, the reply's
-    // one description and the verdict's citations, and the folder is
-    // fixed-size counters, so metering a probe costs no allocation. Two
-    // identical homes, each warmed by one run, keep the worlds' own
-    // allocations (conntrack growth, pool slabs) equal on both sides.
+    // --- Locator run and metrics fold: the locator over a warm clean
+    // dual-stack home (16 location queries) allocates its one evidence
+    // list; every observation in it, and every verdict, is a value.
+    // Folded into a `MetricsFolder`, it allocates exactly what the same
+    // run untraced does: trace events borrow the query's name, the reply's
+    // one description and the evidence list the verdicts cite into, and
+    // the folder is fixed-size counters. Two identical homes, each warmed
+    // by one run, keep the worlds' own allocations (conntrack growth, pool
+    // slabs) equal on both sides.
     let clean = HomeScenario::clean();
     let warm_home = || {
         let built = clean.build();
@@ -128,6 +131,19 @@ fn steady_state_probe_path_allocates_nothing() {
     });
     assert_eq!(folded, plain, "metering changes no report field");
     assert_eq!(metrics.total_queries(), u64::from(plain.queries_sent));
+    // What the warm run allocates, item by item:
+    //   locator:       the run's evidence list                            1
+    //   Google site:   each o-o.myaddr TXT answer it builds (address
+    //                  text and its growth, string list, record list),
+    //                  4 for each of the 4 Google location queries       16
+    //   CPE:           conntrack table growth at its 29th entry            1
+    //                                                                    18
+    assert_eq!(plain.queries_sent, 16);
+    assert_eq!(
+        plain_allocs, 18,
+        "a warm clean locator run allocated {plain_allocs} times; the 18 listed above are \
+         the evidence list and the world's own"
+    );
     assert_eq!(
         folded_allocs, plain_allocs,
         "a locator run folded into metrics allocated {folded_allocs} times against \

@@ -103,7 +103,7 @@ pub fn hostname_bind_root_check<T: QueryTransport>(
             answered = true;
             let observed = describe_response(&reply.view());
             if reply.header().rcode.is_error() || !is_expected(&observed) {
-                return RootCheckVerdict::Manipulated { observed };
+                return RootCheckVerdict::Manipulated { observed: observed.to_string() };
             }
         }
     }

@@ -15,9 +15,9 @@
 //! reveals whether intercepted queries still resolve correctly.
 
 use crate::report::{
-    BogonEvidence, BogonOutcome, CpeEvidence, EvidenceRef, InterceptionMatrix,
-    InterceptorLocation, LocationTestResult, PerResolver, ProbeReport, Provenance,
-    StepProvenance, Transparency, VersionBindAnswer,
+    wrong_source_observation, BogonEvidence, BogonOutcome, CpeEvidence, EvidenceRef,
+    InterceptionMatrix, InterceptorLocation, LocationTestResult, Observation, PerResolver,
+    ProbeReport, Provenance, SeqSet, StepProvenance, Transparency, Verdict, VersionBindAnswer,
 };
 use crate::resolvers::{shared_default_resolvers, PublicResolver};
 use crate::trace::{NullSink, Step, TraceEvent, TraceSink};
@@ -89,8 +89,9 @@ fn default_probe_domain() -> Name {
     NAME.get_or_init(|| "probe.dns-hijack-study.example".parse().expect("static name")).clone()
 }
 
-/// The paper's locator. Owns nothing but configuration and a transaction-ID
-/// sequence; all I/O goes through the [`QueryTransport`] passed to each call.
+/// The paper's locator. Owns nothing but configuration, a transaction-ID
+/// sequence and the provenance of the run in progress; all I/O goes through
+/// the [`QueryTransport`] passed to each call.
 #[derive(Debug, Clone)]
 pub struct HijackLocator {
     config: LocatorConfig,
@@ -98,12 +99,32 @@ pub struct HijackLocator {
     queries_sent: u32,
     wire_attempts: u32,
     retried_queries: u32,
-    source_mismatch_refs: Vec<EvidenceRef>,
+    /// Every query's evidence and each verdict so far; moved into the
+    /// report when the run ends.
+    provenance: Provenance,
 }
 
 impl HijackLocator {
+    /// The most resolvers one locator studies. A run asks at most six
+    /// queries per resolver plus three: step 1 two addresses in each
+    /// family, step 2 one each plus the CPE, the transparency test one
+    /// each, step 3 two bogons. So ten resolvers keep every seq a verdict
+    /// cites inside a [`SeqSet`](crate::SeqSet): 6 × 10 + 3 = 63 queries.
+    /// The paper's four ask at most 27.
+    pub const MAX_RESOLVERS: usize = 10;
+
     /// Creates a locator from configuration.
+    ///
+    /// # Panics
+    /// If `config` lists more than [`MAX_RESOLVERS`](Self::MAX_RESOLVERS)
+    /// resolvers.
     pub fn new(config: LocatorConfig) -> HijackLocator {
+        assert!(
+            config.resolvers.len() <= Self::MAX_RESOLVERS,
+            "a locator studies at most {} resolvers, not {}",
+            Self::MAX_RESOLVERS,
+            config.resolvers.len()
+        );
         let txids = TxidSequence::new(config.initial_txid);
         HijackLocator {
             config,
@@ -111,7 +132,7 @@ impl HijackLocator {
             queries_sent: 0,
             wire_attempts: 0,
             retried_queries: 0,
-            source_mismatch_refs: Vec::new(),
+            provenance: Provenance::default(),
         }
     }
 
@@ -141,11 +162,16 @@ impl HijackLocator {
         self.queries_sent = 0;
         self.wire_attempts = 0;
         self.retried_queries = 0;
-        self.source_mismatch_refs.clear();
-        let (matrix, p1) = self.step1_traced(transport, sink);
-        emit_verdict(transport, sink, Step::Location, &p1);
+        let resolvers = self.config.resolvers.len();
+        let families = if self.config.test_ipv6 { 2 } else { 1 };
+        // The run's one evidence list, sized for step 1's location
+        // queries: two addresses per resolver and family.
+        self.provenance = Provenance {
+            evidence: Vec::with_capacity(resolvers * families * 2),
+            ..Provenance::default()
+        };
+        let matrix = self.step1_traced(transport, sink);
         let intercepted = matrix.any_intercepted();
-        let mut provenance = Provenance { step1: Some(p1), ..Provenance::default() };
 
         let mut cpe = None;
         let mut bogon = None;
@@ -153,52 +179,39 @@ impl HijackLocator {
         let mut transparency = None;
 
         if intercepted {
-            let (evidence, p2) = self.step2_traced(transport, sink, &matrix);
-            let cpe_is_interceptor =
-                evidence.as_ref().map(|e| e.cpe_is_interceptor).unwrap_or(false);
-            cpe = evidence;
-            if let Some(p2) = p2 {
-                emit_verdict(transport, sink, Step::CpeCheck, &p2);
-                provenance.step2 = Some(p2);
-            }
-            if cpe_is_interceptor {
+            // Grown once, for all the later steps may ask: step 2 one
+            // query per resolver plus the CPE, step 3 two bogons, the
+            // transparency test one per resolver.
+            self.provenance.evidence.reserve_exact(2 * resolvers + 3);
+            cpe = self.step2_traced(transport, sink, &matrix);
+            if cpe.as_ref().is_some_and(|e| e.cpe_is_interceptor) {
                 location = Some(InterceptorLocation::Cpe);
             } else {
-                let (ev, p3) = self.step3_traced(transport, sink);
+                let ev = self.step3_traced(transport, sink);
                 let answered = matches!(ev.v4, BogonOutcome::Answered { .. })
                     || matches!(ev.v6, BogonOutcome::Answered { .. });
                 bogon = Some(ev);
-                emit_verdict(transport, sink, Step::Bogon, &p3);
-                provenance.step3 = Some(p3);
                 location = Some(if answered {
                     InterceptorLocation::WithinIsp
                 } else {
                     InterceptorLocation::BeyondOrUnknown
                 });
             }
-            let (t, pt) = self.transparency_traced(transport, sink, &matrix);
-            transparency = t;
-            if let Some(pt) = pt {
-                emit_verdict(transport, sink, Step::Transparency, &pt);
-                provenance.transparency = Some(pt);
-            }
+            transparency = self.transparency_traced(transport, sink, &matrix);
         }
 
         // The source-consistency audit always decides: it sums what every
         // step already observed (no extra queries), and "consistent" is as
         // much a verdict as "mismatched" — the transparent-forwarder
         // taxonomy needs the negative result too.
-        let mismatches = std::mem::take(&mut self.source_mismatch_refs);
-        let p_src = StepProvenance {
-            verdict: if mismatches.is_empty() {
-                "all responses source-consistent".into()
-            } else {
-                format!("{} response(s) from unexpected source", mismatches.len())
-            },
-            cited: mismatches,
+        let mismatched: SeqSet = self.provenance.wrong_source.iter().map(|&(seq, _)| seq).collect();
+        let decided = if mismatched.is_empty() {
+            StepProvenance { verdict: Verdict::SourceConsistent, cited: SeqSet::default() }
+        } else {
+            let count = mismatched.len() as u32;
+            StepProvenance { verdict: Verdict::SourceMismatch { count }, cited: mismatched }
         };
-        emit_verdict(transport, sink, Step::SourceCheck, &p_src);
-        provenance.source_check = Some(p_src);
+        self.decide(transport, sink, decided);
 
         if sink.enabled() {
             sink.record(TraceEvent::RunFinished {
@@ -220,7 +233,7 @@ impl HijackLocator {
             queries_sent: self.queries_sent,
             wire_attempts: self.wire_attempts,
             retried_queries: self.retried_queries,
-            provenance,
+            provenance: std::mem::take(&mut self.provenance),
         }
     }
 
@@ -230,59 +243,55 @@ impl HijackLocator {
         &mut self,
         transport: &mut T,
         sink: &mut S,
-    ) -> (InterceptionMatrix, StepProvenance) {
+    ) -> InterceptionMatrix {
         let mut matrix = InterceptionMatrix::default();
         let families = if self.config.test_ipv6 { 2 } else { 1 };
-        // Every query's evidence, in issue order: at most two queries per
-        // resolver and family. `deciding` keeps only the non-standard
-        // responses that flipped cells to intercepted.
+        // Every location query, and the non-standard answers that flipped
+        // cells to intercepted.
+        let mut asked = SeqSet::default();
+        let mut deciding = SeqSet::default();
         let resolvers = self.config.resolvers.clone();
-        let mut all_refs = Vec::with_capacity(resolvers.len() * families * 2);
-        let mut deciding = Vec::new();
         for resolver in resolvers.iter() {
             for (fi, addrs) in [&resolver.v4, &resolver.v6].into_iter().take(families).enumerate() {
-                let result = self.location_test(transport, sink, resolver, addrs, &mut all_refs);
+                let result = self.location_test(transport, sink, resolver, addrs, &mut asked);
                 if result.is_intercepted() {
                     // The early-return rule makes the last query the
                     // non-standard one.
-                    deciding.extend(all_refs.last().cloned());
+                    deciding.insert(self.queries_sent - 1);
                 }
                 let side = if fi == 0 { &mut matrix.v4 } else { &mut matrix.v6 };
                 *side.get_mut(resolver.key) = result;
             }
         }
-        let intercepted = matrix.any_intercepted();
-        let provenance = StepProvenance {
-            verdict: if intercepted { "intercepted" } else { "not intercepted" }.into(),
-            cited: if intercepted { deciding } else { all_refs },
+        let decided = if matrix.any_intercepted() {
+            StepProvenance { verdict: Verdict::Intercepted, cited: deciding }
+        } else {
+            StepProvenance { verdict: Verdict::NotIntercepted, cited: asked }
         };
-        (matrix, provenance)
+        self.decide(transport, sink, decided);
+        matrix
     }
 
-    /// Queries `addrs` in turn, appending each query's evidence to `refs`,
-    /// and stops at the first non-standard answer.
+    /// Queries `addrs` in turn, adding each query to `asked`, and stops at
+    /// the first non-standard answer.
     fn location_test<T: QueryTransport, S: TraceSink>(
         &mut self,
         transport: &mut T,
         sink: &mut S,
         resolver: &PublicResolver,
         addrs: &[IpAddr; 2],
-        refs: &mut Vec<EvidenceRef>,
+        asked: &mut SeqSet,
     ) -> LocationTestResult {
         let mut saw_response = false;
         for &addr in addrs {
             let question = resolver.location_query();
-            let sent = self.send(transport, sink, Step::Location, addr, question);
-            let outcome = sent.outcome;
-            refs.push(sent.evidence);
+            let (seq, outcome) = self.send(transport, sink, Step::Location, addr, question);
+            asked.insert(seq);
             match outcome {
                 QueryOutcome::Response(reply) => {
                     saw_response = true;
-                    let view = reply.view();
-                    if !resolver.is_standard_location_response(&view) {
-                        return LocationTestResult::NonStandard {
-                            observed: describe_response(&view),
-                        };
+                    if !resolver.is_standard_location_response(&reply.view()) {
+                        return LocationTestResult::NonStandard { observed: self.observed(seq) };
                     }
                 }
                 // Wrong-source replies are never accepted as answers; like
@@ -307,7 +316,7 @@ impl HijackLocator {
         transport: &mut T,
         sink: &mut S,
         matrix: &InterceptionMatrix,
-    ) -> (Option<CpeEvidence>, Option<StepProvenance>) {
+    ) -> Option<CpeEvidence> {
         // Follow the paper: v4 is the primary lens. Fall back to the v6
         // lens when v4 cannot be used — either interception was exclusively
         // observed on v6, or the probe never learned its public v4 address
@@ -315,63 +324,45 @@ impl HijackLocator {
         let intercepted_v4 = matrix.intercepted_v4();
         let intercepted_v6 = matrix.intercepted_v6();
         let (cpe_addr, intercepted, use_v4) =
-            if !intercepted_v4.is_empty() && self.config.cpe_public_v4.is_some() {
-                match self.config.cpe_public_v4 {
-                    Some(addr) => (addr, intercepted_v4, true),
-                    None => return (None, None),
-                }
-            } else if !intercepted_v6.is_empty() && self.config.cpe_public_v6.is_some() {
-                match self.config.cpe_public_v6 {
-                    Some(addr) => (addr, intercepted_v6, false),
-                    None => return (None, None),
-                }
-            } else {
-                return (None, None);
+            match (self.config.cpe_public_v4, self.config.cpe_public_v6) {
+                (Some(addr), _) if !intercepted_v4.is_empty() => (addr, intercepted_v4, true),
+                (_, Some(addr)) if !intercepted_v6.is_empty() => (addr, intercepted_v6, false),
+                _ => return None,
             };
 
-        let (cpe_response, cpe_ref) = self.version_bind_to(transport, sink, cpe_addr);
+        let (cpe_response, cpe_seq) = self.version_bind_to(transport, sink, cpe_addr);
 
         let mut resolver_responses: PerResolver<Option<VersionBindAnswer>> =
             PerResolver::default();
-        let mut resolver_refs: PerResolver<Option<EvidenceRef>> = PerResolver::default();
+        let mut resolver_seqs: PerResolver<Option<u32>> = PerResolver::default();
         let resolvers = self.config.resolvers.clone();
         for resolver in resolvers.iter() {
             let addr = if use_v4 { resolver.v4[0] } else { resolver.v6[0] };
-            let (answer, evidence) = self.version_bind_to(transport, sink, addr);
+            let (answer, seq) = self.version_bind_to(transport, sink, addr);
             *resolver_responses.get_mut(resolver.key) = Some(answer);
-            *resolver_refs.get_mut(resolver.key) = Some(evidence);
+            *resolver_seqs.get_mut(resolver.key) = Some(seq);
         }
 
         // Verdict: the CPE answered with a string, and every *intercepted*
         // resolver produced the identical string.
         let cpe_is_interceptor = match cpe_response.text() {
-            Some(cpe_text) => intercepted.iter().all(|&key| {
-                resolver_responses
-                    .get(key)
-                    .as_ref()
-                    .and_then(|a| a.text())
-                    .map(|t| t == cpe_text)
-                    .unwrap_or(false)
+            Some(cpe_text) => intercepted.iter().all(|key| {
+                resolver_responses.get(key).as_ref().and_then(|a| a.text()) == Some(cpe_text)
             }),
             None => false,
         };
 
         // Cite the CPE's own answer plus the answers attributed to the
         // *intercepted* resolvers — exactly the strings the verdict compared.
-        let mut cited = Vec::with_capacity(1 + intercepted.len());
-        cited.push(cpe_ref);
-        for &key in &intercepted {
-            cited.extend(resolver_refs.get_mut(key).take());
+        let mut cited = SeqSet::default();
+        cited.insert(cpe_seq);
+        for key in intercepted.iter() {
+            cited.extend(*resolver_seqs.get(key));
         }
-        let provenance = StepProvenance {
-            verdict: if cpe_is_interceptor { "CPE is the interceptor" } else { "CPE ruled out" }
-                .into(),
-            cited,
-        };
-        (
-            Some(CpeEvidence { cpe_response, resolver_responses, cpe_is_interceptor }),
-            Some(provenance),
-        )
+        let verdict =
+            if cpe_is_interceptor { Verdict::CpeIsInterceptor } else { Verdict::CpeRuledOut };
+        self.decide(transport, sink, StepProvenance { verdict, cited });
+        Some(CpeEvidence { cpe_response, resolver_responses, cpe_is_interceptor })
     }
 
     /// Step 3 (§3.3): bogon queries in both families.
@@ -379,44 +370,36 @@ impl HijackLocator {
         &mut self,
         transport: &mut T,
         sink: &mut S,
-    ) -> (BogonEvidence, StepProvenance) {
-        // Every bogon query's evidence, in issue order, with whether it
-        // was answered.
-        let mut refs = Vec::with_capacity(2);
-        let mut answered_mask = [false; 2];
-        let q4 = Question::new(self.config.probe_domain.clone(), RType::A);
-        let sent = self.send(transport, sink, Step::Bogon, self.config.bogon_v4, q4);
-        let v4 = bogon_outcome(sent.outcome);
-        answered_mask[0] = matches!(v4, BogonOutcome::Answered { .. });
-        refs.push(sent.evidence);
-        let v6 = if self.config.test_ipv6 {
-            let q6 = Question::new(self.config.probe_domain.clone(), RType::Aaaa);
-            let sent = self.send(transport, sink, Step::Bogon, self.config.bogon_v6, q6);
-            let outcome = bogon_outcome(sent.outcome);
-            answered_mask[1] = matches!(outcome, BogonOutcome::Answered { .. });
-            refs.push(sent.evidence);
-            outcome
-        } else {
-            BogonOutcome::NotTested
-        };
-        let answered = answered_mask.contains(&true);
-        if answered {
-            // An answer is positive proof — cite it alone.
-            let mut answered = answered_mask.into_iter();
-            refs.retain(|_| answered.next().unwrap_or(false));
+    ) -> BogonEvidence {
+        // Every bogon query, and the answered ones.
+        let mut asked = SeqSet::default();
+        let mut answered = SeqSet::default();
+        let mut outcomes = [BogonOutcome::NotTested, BogonOutcome::NotTested];
+        let families = if self.config.test_ipv6 { 2 } else { 1 };
+        let bogons = [(self.config.bogon_v4, RType::A), (self.config.bogon_v6, RType::Aaaa)];
+        for (outcome, (server, qtype)) in outcomes.iter_mut().zip(bogons).take(families) {
+            let question = Question::new(self.config.probe_domain.clone(), qtype);
+            let (seq, reply) = self.send(transport, sink, Step::Bogon, server, question);
+            asked.insert(seq);
+            *outcome = match reply {
+                QueryOutcome::Response(_) => {
+                    answered.insert(seq);
+                    BogonOutcome::Answered { observed: self.observed(seq) }
+                }
+                QueryOutcome::Timeout | QueryOutcome::WrongSource { .. } => BogonOutcome::Silent,
+            };
         }
-        let provenance = StepProvenance {
-            verdict: if answered {
-                "answered: interceptor within ISP"
-            } else {
-                "silent: beyond or unknown"
-            }
-            .into(),
+        let decided = if answered.is_empty() {
             // Silence cites every (unanswered) bogon query: the verdict
             // rests on all of them staying quiet.
-            cited: refs,
+            StepProvenance { verdict: Verdict::BogonSilent, cited: asked }
+        } else {
+            // An answer is positive proof — cite it alone.
+            StepProvenance { verdict: Verdict::BogonAnswered, cited: answered }
         };
-        (BogonEvidence { v4, v6 }, provenance)
+        self.decide(transport, sink, decided);
+        let [v4, v6] = outcomes;
+        BogonEvidence { v4, v6 }
     }
 
     /// Transparency test (§4.1.2): `A` query for the whoami name to every
@@ -426,10 +409,10 @@ impl HijackLocator {
         transport: &mut T,
         sink: &mut S,
         matrix: &InterceptionMatrix,
-    ) -> (Option<Transparency>, Option<StepProvenance>) {
+    ) -> Option<Transparency> {
         let mut transparent = 0u32;
         let mut modified = 0u32;
-        let mut cited = Vec::new();
+        let mut cited = SeqSet::default();
         let resolvers = self.config.resolvers.clone();
         for resolver in resolvers.iter() {
             let intercepted_v4 = matrix.v4.get(resolver.key).is_intercepted();
@@ -440,10 +423,10 @@ impl HijackLocator {
             let addr = if intercepted_v4 { resolver.v4[0] } else { resolver.v6[0] };
             let qtype = if intercepted_v4 { RType::A } else { RType::Aaaa };
             let q = Question::new(self.config.whoami_domain.clone(), qtype);
-            let sent = self.send(transport, sink, Step::Transparency, addr, q);
-            match sent.outcome {
+            let (seq, outcome) = self.send(transport, sink, Step::Transparency, addr, q);
+            match outcome {
                 QueryOutcome::Response(reply) => {
-                    cited.push(sent.evidence);
+                    cited.insert(seq);
                     if reply.header().rcode.is_error() {
                         modified += 1;
                     } else if reply
@@ -460,39 +443,49 @@ impl HijackLocator {
             }
         }
         let verdict = match (transparent, modified) {
-            (0, 0) => return (None, None),
+            (0, 0) => return None,
             (_, 0) => Transparency::Transparent,
             (0, _) => Transparency::StatusModified,
             _ => Transparency::Both,
         };
-        (Some(verdict), Some(StepProvenance { verdict: verdict.to_string(), cited }))
+        self.decide(transport, sink, StepProvenance { verdict: Verdict::Transparency(verdict), cited });
+        Some(verdict)
     }
 
+    /// Asks `addr` for `version.bind`; returns the answer and the query's
+    /// seq.
     fn version_bind_to<T: QueryTransport, S: TraceSink>(
         &mut self,
         transport: &mut T,
         sink: &mut S,
         addr: IpAddr,
-    ) -> (VersionBindAnswer, EvidenceRef) {
+    ) -> (VersionBindAnswer, u32) {
         let q = Question::chaos_txt(debug_queries::version_bind());
-        let sent = self.send(transport, sink, Step::CpeCheck, addr, q);
-        let answer = match sent.outcome {
+        let (seq, outcome) = self.send(transport, sink, Step::CpeCheck, addr, q);
+        let answer = match outcome {
+            // An error status is what the evidence already reads: the
+            // description prefers the rcode too.
+            QueryOutcome::Response(reply) if reply.header().rcode != Rcode::NoError => {
+                VersionBindAnswer::Error(self.observed(seq))
+            }
             QueryOutcome::Response(reply) => {
-                let rcode = reply.header().rcode;
-                if rcode != Rcode::NoError {
-                    VersionBindAnswer::Error(rcode.to_string())
-                } else {
-                    match reply.view().answers().find_map(|r| r.txt_str()) {
-                        Some(text) => VersionBindAnswer::Text(text.into_owned()),
-                        None => VersionBindAnswer::Error("EMPTY".into()),
-                    }
+                match reply.view().answers().find_map(|r| r.txt_str()) {
+                    Some(text) => VersionBindAnswer::Text(Observation::from(&*text)),
+                    None => VersionBindAnswer::Error("EMPTY".into()),
                 }
             }
             QueryOutcome::Timeout | QueryOutcome::WrongSource { .. } => VersionBindAnswer::Timeout,
         };
-        (answer, sent.evidence)
+        (answer, seq)
     }
 
+    /// What query `seq` of this run observed, from its evidence.
+    fn observed(&self, seq: u32) -> Observation {
+        self.provenance.evidence[seq as usize].observed.clone()
+    }
+
+    /// Issues one logical query, records its evidence, and returns its seq
+    /// with the outcome.
     fn send<T: QueryTransport, S: TraceSink>(
         &mut self,
         transport: &mut T,
@@ -500,7 +493,7 @@ impl HijackLocator {
         step: Step,
         server: IpAddr,
         question: Question,
-    ) -> Sent {
+    ) -> (u32, QueryOutcome) {
         let seq = self.queries_sent;
         self.queries_sent += 1;
         transport.note_step(step);
@@ -531,93 +524,82 @@ impl HijackLocator {
         let observed = match (&retried.outcome, retried.observed) {
             (_, Some(observed)) => observed,
             (QueryOutcome::Response(reply), None) => describe_response(&reply.view()),
-            (QueryOutcome::Timeout, None) => "TIMEOUT".into(),
-            (QueryOutcome::WrongSource { from, .. }, None) => format!("wrong-source({from})"),
+            (QueryOutcome::Timeout, None) => Observation::from("TIMEOUT"),
+            (QueryOutcome::WrongSource { from, .. }, None) => wrong_source_observation(*from),
         };
         // Feed the source-consistency audit: any attempt of this query that
         // drew a right-txid reply from the wrong address is evidence, even
         // when a later attempt was properly answered.
         if let Some(from) = retried.wrong_source {
-            self.source_mismatch_refs.push(EvidenceRef {
-                seq,
-                server,
-                txid: retried.txid,
-                attempts: retried.attempts_used,
-                observed: format!("wrong-source({from})"),
+            self.provenance.wrong_source.push((seq, from));
+        }
+        self.provenance.evidence.push(EvidenceRef {
+            seq,
+            server,
+            txid: retried.txid,
+            attempts: retried.attempts_used,
+            observed,
+        });
+        (seq, retried.outcome)
+    }
+
+    /// Records `decided` as its step's provenance and, when `sink` is live,
+    /// emits the `StepVerdict` event, which borrows the evidence it cites.
+    fn decide<T: QueryTransport, S: TraceSink>(
+        &mut self,
+        transport: &T,
+        sink: &mut S,
+        decided: StepProvenance,
+    ) {
+        let step = decided.verdict.step();
+        if sink.enabled() {
+            sink.record(TraceEvent::StepVerdict {
+                step,
+                verdict: decided.verdict,
+                cited: self.provenance.cited(&decided),
+                at_us: transport.now_us(),
             });
         }
-        Sent {
-            outcome: retried.outcome,
-            evidence: EvidenceRef {
-                seq,
-                server,
-                txid: retried.txid,
-                attempts: retried.attempts_used,
-                observed,
-            },
-        }
-    }
-}
-
-/// Outcome of one locator query plus the evidence reference describing it.
-struct Sent {
-    outcome: QueryOutcome,
-    evidence: EvidenceRef,
-}
-
-/// What one bogon query's outcome shows: an answer, or silence.
-fn bogon_outcome(outcome: QueryOutcome) -> BogonOutcome {
-    match outcome {
-        QueryOutcome::Response(reply) => {
-            BogonOutcome::Answered { observed: describe_response(&reply.view()) }
-        }
-        QueryOutcome::Timeout | QueryOutcome::WrongSource { .. } => BogonOutcome::Silent,
-    }
-}
-
-/// Emits a `StepVerdict` event mirroring `provenance` when `sink` is live.
-fn emit_verdict<T: QueryTransport, S: TraceSink>(
-    transport: &T,
-    sink: &mut S,
-    step: Step,
-    provenance: &StepProvenance,
-) {
-    if sink.enabled() {
-        sink.record(TraceEvent::StepVerdict {
-            step,
-            verdict: Cow::Borrowed(&provenance.verdict),
-            cited: Cow::Borrowed(&provenance.cited),
-            at_us: transport.now_us(),
-        });
+        let p = &mut self.provenance;
+        let slot = match step {
+            Step::Location => &mut p.step1,
+            Step::CpeCheck => &mut p.step2,
+            Step::Bogon => &mut p.step3,
+            Step::Transparency => &mut p.transparency,
+            Step::SourceCheck => &mut p.source_check,
+            Step::SideCheck | Step::TtlScan => unreachable!("no locator verdict belongs to {step}"),
+        };
+        *slot = Some(decided);
     }
 }
 
 /// Summarizes a response the way the paper's tables do: the TXT/A payload
-/// when present, otherwise the rcode. Reads the message in place; the
-/// returned string is the one allocation.
-pub fn describe_response(view: &MessageView<'_>) -> String {
+/// when present, otherwise the rcode. Reads the message in place and
+/// writes the text into an [`Observation`], which keeps anything a
+/// simulated home returns inline.
+pub fn describe_response(view: &MessageView<'_>) -> Observation {
     let rcode = view.header().rcode;
     if rcode != Rcode::NoError {
-        return rcode.to_string();
+        return Observation::from_display(rcode);
     }
     for r in view.answers() {
         if let Some(t) = r.txt_str() {
-            return t.into_owned();
+            return Observation::from(&*t);
         }
         if let Some(ip) = r.a_addr() {
-            return ip.to_string();
+            return Observation::from_display(ip);
         }
         if let Some(ip) = r.aaaa_addr() {
-            return ip.to_string();
+            return Observation::from_display(ip);
         }
     }
-    "NOERROR(empty)".into()
+    Observation::from("NOERROR(empty)")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mock::MockTransport;
+    use crate::mock::{MockTransport, Respond};
     use crate::resolvers::ResolverKey;
 
     fn config_with_cpe() -> LocatorConfig {
@@ -848,17 +830,19 @@ mod tests {
     fn clean_run_cites_all_sixteen_location_answers() {
         let mut locator = HijackLocator::new(config_with_cpe());
         let report = locator.run(&mut clean_transport());
-        let p1 = report.provenance.step1.expect("step 1 always decides");
-        assert_eq!(p1.verdict, "not intercepted");
-        assert_eq!(p1.cited.len(), 16, "a clean verdict rests on every answer");
-        assert!(report.provenance.step2.is_none());
-        assert!(report.provenance.step3.is_none());
-        assert!(report.provenance.transparency.is_none());
-        let src = report.provenance.source_check.expect("source check always decides");
-        assert_eq!(src.verdict, "all responses source-consistent");
-        assert!(src.cited.is_empty());
+        let p = &report.provenance;
+        let p1 = p.step1.expect("step 1 always decides");
+        assert_eq!(p1.verdict, Verdict::NotIntercepted);
+        let cited = p.cited(&p1);
+        assert_eq!(cited.len(), 16, "a clean verdict rests on every answer");
+        assert!(p.step2.is_none());
+        assert!(p.step3.is_none());
+        assert!(p.transparency.is_none());
+        let src = p.source_check.expect("source check always decides");
+        assert_eq!(src.verdict, Verdict::SourceConsistent);
+        assert!(p.cited(&src).is_empty());
         // Citations are in issue order and match the txid sequence.
-        for (i, e) in p1.cited.iter().enumerate() {
+        for (i, e) in cited.iter().enumerate() {
             assert_eq!(e.seq, i as u32);
             assert_eq!(e.txid, 0x1000 + i as u16);
             assert_eq!(e.attempts, 1);
@@ -873,11 +857,13 @@ mod tests {
         t.cpe_version_bind("73.22.1.5".parse().unwrap(), "dnsmasq-2.85");
         let mut locator = HijackLocator::new(config_with_cpe());
         let report = locator.run(&mut t);
-        let p1 = report.provenance.step1.unwrap();
-        assert_eq!(p1.verdict, "intercepted");
-        assert_eq!(p1.cited.len(), 4, "one deciding non-standard answer per v4 resolver");
+        let p = &report.provenance;
+        let p1 = p.step1.unwrap();
+        assert_eq!(p1.verdict, Verdict::Intercepted);
+        let cited1: Vec<EvidenceRef> = p.cited(&p1).iter().collect();
+        assert_eq!(cited1.len(), 4, "one deciding non-standard answer per v4 resolver");
         // Each citation carries exactly the observation the matrix recorded.
-        let observed: Vec<&str> = p1.cited.iter().map(|e| e.observed.as_str()).collect();
+        let observed: Vec<&str> = cited1.iter().map(|e| e.observed.as_str()).collect();
         for (_, cell) in report.matrix.v4.iter() {
             match cell {
                 LocationTestResult::NonStandard { observed: o } => {
@@ -886,13 +872,14 @@ mod tests {
                 other => panic!("every v4 cell is intercepted, got {other:?}"),
             }
         }
-        let p2 = report.provenance.step2.unwrap();
-        assert_eq!(p2.verdict, "CPE is the interceptor");
+        let p2 = p.step2.unwrap();
+        assert_eq!(p2.verdict, Verdict::CpeIsInterceptor);
         // CPE's own answer first, then the four intercepted resolvers'.
-        assert_eq!(p2.cited.len(), 5);
-        assert_eq!(p2.cited[0].server, "73.22.1.5".parse::<IpAddr>().unwrap());
-        assert!(p2.cited.iter().all(|e| e.observed == "dnsmasq-2.85"));
-        assert!(report.provenance.step3.is_none(), "step 3 is skipped when the CPE is blamed");
+        let cited2: Vec<EvidenceRef> = p.cited(&p2).iter().collect();
+        assert_eq!(cited2.len(), 5);
+        assert_eq!(cited2[0].server, "73.22.1.5".parse::<IpAddr>().unwrap());
+        assert!(cited2.iter().all(|e| e.observed == "dnsmasq-2.85"));
+        assert!(p.step3.is_none(), "step 3 is skipped when the CPE is blamed");
     }
 
     #[test]
@@ -905,9 +892,10 @@ mod tests {
         let mut locator = HijackLocator::new(config_with_cpe());
         let report = locator.run(&mut t);
         let p3 = report.provenance.step3.unwrap();
-        assert_eq!(p3.verdict, "answered: interceptor within ISP");
-        assert_eq!(p3.cited.len(), 1, "the answer alone proves the verdict");
-        assert_eq!(p3.cited[0].observed, "NOTIMP");
+        assert_eq!(p3.verdict, Verdict::BogonAnswered);
+        let cited: Vec<EvidenceRef> = report.provenance.cited(&p3).iter().collect();
+        assert_eq!(cited.len(), 1, "the answer alone proves the verdict");
+        assert_eq!(cited[0].observed, "NOTIMP");
 
         // Silence instead: every unanswered bogon query is cited.
         let mut t = MockTransport::new();
@@ -916,9 +904,10 @@ mod tests {
         let mut locator = HijackLocator::new(config_with_cpe());
         let report = locator.run(&mut t);
         let p3 = report.provenance.step3.unwrap();
-        assert_eq!(p3.verdict, "silent: beyond or unknown");
-        assert_eq!(p3.cited.len(), 2);
-        assert!(p3.cited.iter().all(|e| e.observed == "TIMEOUT"));
+        assert_eq!(p3.verdict, Verdict::BogonSilent);
+        let cited = report.provenance.cited(&p3);
+        assert_eq!(cited.len(), 2);
+        assert!(cited.iter().all(|e| e.observed == "TIMEOUT"));
     }
 
     #[test]
@@ -943,9 +932,118 @@ mod tests {
         assert!(!report.intercepted, "wrong-source replies are never accepted answers");
         assert_eq!(*report.matrix.v4.get(ResolverKey::Google), LocationTestResult::Timeout);
         let src = report.provenance.source_check.expect("source check always decides");
-        assert_eq!(src.verdict, "16 response(s) from unexpected source");
-        assert_eq!(src.cited.len(), 16, "one citation per location query");
-        assert!(src.cited.iter().all(|e| e.observed == "wrong-source(9.9.9.9)"));
+        assert_eq!(src.verdict, Verdict::SourceMismatch { count: 16 });
+        assert_eq!(src.verdict.to_string(), "16 response(s) from unexpected source");
+        let cited = report.provenance.cited(&src);
+        assert_eq!(cited.len(), 16, "one citation per location query");
+        assert!(cited.iter().all(|e| e.observed == "wrong-source(9.9.9.9)"));
+    }
+
+    #[test]
+    fn a_retry_answered_after_a_wrong_source_reply_is_cited_by_both_checks() {
+        // Cloudflare's first address has its first attempt relayed
+        // upstream, whose reply comes from 9.9.9.9; the retry is answered
+        // properly. Step 1 cites the accepted answer, the source check the
+        // wrong-source reply.
+        let cloudflare_v4 = crate::resolvers::default_resolvers()[0].v4[0];
+        let upstream: IpAddr = "9.9.9.9".parse().unwrap();
+        let mut t = clean_transport();
+        t.push_wrong_source_first(
+            Some(vec![cloudflare_v4]),
+            1,
+            upstream,
+            crate::mock::Respond::Txt("IAD".into()),
+        );
+        let mut config = config_with_cpe();
+        config.query_options.attempts = 2;
+        let report = HijackLocator::new(config).run(&mut t);
+        assert!(!report.intercepted);
+        assert_eq!(*report.matrix.v4.get(ResolverKey::Cloudflare), LocationTestResult::Standard);
+        assert_eq!((report.queries_sent, report.wire_attempts), (16, 17));
+
+        let p = &report.provenance;
+        let step1: Vec<EvidenceRef> = p.cited(&p.step1.unwrap()).iter().collect();
+        assert_eq!(step1.len(), 16);
+        let answered = EvidenceRef {
+            seq: 0,
+            server: cloudflare_v4,
+            txid: 0x1001,
+            attempts: 2,
+            observed: "IAD".into(),
+        };
+        assert_eq!(step1[0], answered, "step 1 cites the accepted answer");
+        let src = p.source_check.expect("source check always decides");
+        assert_eq!(src.verdict, Verdict::SourceMismatch { count: 1 });
+        let mismatch = EvidenceRef { observed: "wrong-source(9.9.9.9)".into(), ..answered };
+        assert_eq!(p.cited(&src).iter().collect::<Vec<_>>(), vec![mismatch]);
+
+        // Serialized, read back and serialized again, byte for byte.
+        let json = serde_json::to_string(&report).unwrap();
+        let back: ProbeReport = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, report);
+        assert_eq!(serde_json::to_string(&back).unwrap(), json);
+    }
+
+    /// `n` resolvers keyed as Cloudflare, each answering its first address
+    /// in a family with a standard location answer and its second with a
+    /// non-standard one, so a run asks every query the bound counts.
+    fn widest_panel(n: u8) -> (LocatorConfig, MockTransport) {
+        let resolvers: Vec<PublicResolver> = (0..n)
+            .map(|i| PublicResolver {
+                key: ResolverKey::Cloudflare,
+                v4: [IpAddr::from([10, 0, i, 1]), IpAddr::from([10, 0, i, 2])],
+                v6: [
+                    IpAddr::from([0xfd00, 0, 0, 0, 0, 0, u16::from(i), 1]),
+                    IpAddr::from([0xfd00, 0, 0, 0, 0, 0, u16::from(i), 2]),
+                ],
+                egress: Vec::new(),
+            })
+            .collect();
+        let (first, second): (Vec<IpAddr>, Vec<IpAddr>) =
+            resolvers.iter().flat_map(|r| [(r.v4[0], r.v4[1]), (r.v6[0], r.v6[1])]).unzip();
+        let id_server = debug_queries::id_server();
+        let chaos = Some(dns_wire::RClass::Chaos);
+        let cpe: IpAddr = "73.22.1.5".parse().unwrap();
+        let mut t = MockTransport::new();
+        t.push_rule(Some(first), Some(id_server.clone()), chaos, Respond::Txt("IAD".into()));
+        t.push_rule(Some(second), Some(id_server), chaos, Respond::Txt("not-a-site".into()));
+        let version_bind = Some(debug_queries::version_bind());
+        t.push_rule(Some(vec![cpe]), version_bind.clone(), chaos, Respond::Txt("dnsmasq-2.80".into()));
+        t.push_rule(None, version_bind, chaos, Respond::Txt("unbound 1.9.0".into()));
+        t.push_rule(
+            None,
+            Some(debug_queries::whoami_akamai()),
+            None,
+            Respond::A("10.100.0.53".parse().unwrap()),
+        );
+        let config = LocatorConfig { resolvers: resolvers.into(), ..config_with_cpe() };
+        (config, t)
+    }
+
+    #[test]
+    fn the_widest_panel_fills_the_seq_set_to_its_bound() {
+        // Ten resolvers: 40 location queries, the CPE and ten version.bind
+        // queries, two bogons (unanswered) and ten whoami queries.
+        let (config, mut t) = widest_panel(HijackLocator::MAX_RESOLVERS as u8);
+        let report = HijackLocator::new(config).run(&mut t);
+        assert_eq!(report.queries_sent as usize, 6 * HijackLocator::MAX_RESOLVERS + 3);
+        assert!(report.queries_sent <= SeqSet::CAPACITY);
+        assert_eq!(report.location, Some(InterceptorLocation::BeyondOrUnknown));
+        let p = &report.provenance;
+        assert_eq!(p.evidence.len(), report.queries_sent as usize);
+        let transparency = p.transparency.expect("the whoami queries were answered");
+        let cited: Vec<u32> = p.cited(&transparency).iter().map(|e| e.seq).collect();
+        assert_eq!(cited, (53..63).collect::<Vec<_>>(), "the last query, seq 62, is cited");
+        let json = serde_json::to_string(&report).unwrap();
+        let back: ProbeReport = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, report);
+    }
+
+    #[test]
+    #[should_panic(expected = "a locator studies at most 10 resolvers, not 11")]
+    fn a_panel_past_the_bound_is_refused() {
+        let (config, _) = widest_panel(HijackLocator::MAX_RESOLVERS as u8 + 1);
+        HijackLocator::new(config);
     }
 
     #[test]
@@ -976,7 +1074,7 @@ mod tests {
             .iter()
             .filter_map(|e| match e {
                 TraceEvent::StepVerdict { step, verdict, cited, .. } => {
-                    Some((*step, verdict.clone(), cited.clone()))
+                    Some((*step, *verdict, cited.clone()))
                 }
                 _ => None,
             })
@@ -984,13 +1082,13 @@ mod tests {
         let p = &traced.provenance;
         assert_eq!(verdicts.len(), 4, "location, cpe-check, transparency, source-check");
         assert_eq!(verdicts[0].0, Step::Location);
-        assert_eq!(verdicts[0].2, p.step1.as_ref().unwrap().cited);
+        assert_eq!(verdicts[0].2, p.cited(p.step1.as_ref().unwrap()));
         assert_eq!(verdicts[1].0, Step::CpeCheck);
         assert_eq!(verdicts[1].1, p.step2.as_ref().unwrap().verdict);
         assert_eq!(verdicts[2].0, Step::Transparency);
         assert_eq!(verdicts[3].0, Step::SourceCheck);
         assert_eq!(verdicts[3].1, p.source_check.as_ref().unwrap().verdict);
-        assert_eq!(verdicts[3].1, "all responses source-consistent");
+        assert_eq!(verdicts[3].1, Verdict::SourceConsistent);
         assert!(matches!(rec.events.last(), Some(TraceEvent::RunFinished { .. })));
     }
 

@@ -51,9 +51,9 @@ pub use metrics::{LatencyHistogram, MetricsFolder, ProbeMetrics, StepMetrics, LA
 pub use mock::{MockTransport, Respond};
 pub use prefix::{IpPrefix, PrefixParseError};
 pub use report::{
-    BogonEvidence, BogonOutcome, CpeEvidence, EvidenceRef, InterceptionMatrix,
-    InterceptorLocation, LocationTestResult, PerResolver, ProbeReport, Provenance,
-    StepProvenance, Transparency, VersionBindAnswer,
+    BogonEvidence, BogonOutcome, Citations, CpeEvidence, EvidenceRef, InterceptionMatrix,
+    InterceptorLocation, LocationTestResult, Observation, PerResolver, ProbeReport, Provenance,
+    ResolverSet, SeqSet, StepProvenance, Transparency, Verdict, VersionBindAnswer,
 };
 pub use resolvers::{default_resolvers, shared_default_resolvers, PublicResolver, ResolverKey};
 pub use trace::{Step, TraceEvent, TraceRecorder, TraceSink};

@@ -48,9 +48,11 @@ struct Rule {
     qname: Option<Name>,
     /// `None` matches any class.
     qclass: Option<RClass>,
-    /// The rule times out (without consuming `respond`) for this many
-    /// matches before answering normally — a deterministic flaky server.
+    /// The rule answers with `failure` (a timeout, unless set otherwise)
+    /// for this many matches before answering normally — a deterministic
+    /// flaky server.
     remaining_failures: u32,
+    failure: Respond,
     respond: Respond,
 }
 
@@ -99,7 +101,14 @@ impl MockTransport {
         qclass: Option<RClass>,
         respond: Respond,
     ) {
-        self.rules.push(Rule { servers, qname, qclass, remaining_failures: 0, respond });
+        self.rules.push(Rule {
+            servers,
+            qname,
+            qclass,
+            remaining_failures: 0,
+            failure: Respond::Timeout,
+            respond,
+        });
     }
 
     /// Prepends a high-priority rule (interceptor layering).
@@ -110,7 +119,10 @@ impl MockTransport {
         qclass: Option<RClass>,
         respond: Respond,
     ) {
-        self.rules.insert(0, Rule { servers, qname, qclass, remaining_failures: 0, respond });
+        self.rules.insert(
+            0,
+            Rule { servers, qname, qclass, remaining_failures: 0, failure: Respond::Timeout, respond },
+        );
     }
 
     /// Prepends a rule that times out for its first `failures` matches and
@@ -127,7 +139,32 @@ impl MockTransport {
     ) {
         self.rules.insert(
             0,
-            Rule { servers, qname, qclass, remaining_failures: failures, respond },
+            Rule {
+                servers,
+                qname,
+                qclass,
+                remaining_failures: failures,
+                failure: Respond::Timeout,
+                respond,
+            },
+        );
+    }
+
+    /// Prepends a rule for `servers` whose first `times` matches draw
+    /// `respond` from `from` instead of the queried server — a relayed
+    /// query answered by the upstream — and which answers properly after.
+    #[cfg(test)]
+    pub(crate) fn push_wrong_source_first(
+        &mut self,
+        servers: Option<Vec<IpAddr>>,
+        times: u32,
+        from: IpAddr,
+        respond: Respond,
+    ) {
+        let failure = Respond::WrongSource(from, Box::new(respond.clone()));
+        self.rules.insert(
+            0,
+            Rule { servers, qname: None, qclass: None, remaining_failures: times, failure, respond },
         );
     }
 
@@ -327,18 +364,20 @@ impl QueryTransport for MockTransport {
         self.txid_log.push(txid);
         for rule in &mut self.rules {
             if rule.matches(server, question) {
-                if rule.remaining_failures > 0 {
+                let respond = if rule.remaining_failures > 0 {
                     rule.remaining_failures -= 1;
-                    return QueryOutcome::Timeout;
-                }
+                    &rule.failure
+                } else {
+                    &rule.respond
+                };
                 // Handed out as encoded bytes, as a real transport receives
                 // them.
-                let Some(reply) = Self::build_response(question, txid, &rule.respond)
+                let Some(reply) = Self::build_response(question, txid, respond)
                     .map(|m| Reply::encode(&m).expect("scripted replies encode"))
                 else {
                     return QueryOutcome::Timeout;
                 };
-                return match &rule.respond {
+                return match respond {
                     Respond::WrongSource(from, _) => {
                         QueryOutcome::WrongSource { message: reply, from: *from }
                     }

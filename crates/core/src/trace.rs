@@ -14,7 +14,8 @@
 //! compiles away entirely.
 //!
 //! Events **borrow** what the emitter already holds: the question's name,
-//! the accepted reply's description, a verdict and the evidence it cites.
+//! the accepted reply's description, and the probe's evidence list that a
+//! verdict cites into.
 //! A sink that folds events, like [`MetricsFolder`](crate::MetricsFolder),
 //! therefore allocates nothing per event; only [`TraceRecorder`], which
 //! keeps them, makes owned copies ([`TraceEvent::into_owned`]).
@@ -25,7 +26,7 @@
 //! reproducible across runs and thread counts; real-network transports
 //! leave timestamps empty rather than leak a wall clock into the record.
 
-use crate::report::{EvidenceRef, InterceptorLocation};
+use crate::report::{Citations, InterceptorLocation, Verdict};
 use dns_wire::Name;
 use serde::{Deserialize, Serialize, Value};
 use std::borrow::Cow;
@@ -100,11 +101,11 @@ impl fmt::Display for Step {
 /// One structured trace event.
 ///
 /// `seq` numbers logical queries in issue order (it matches
-/// [`EvidenceRef::seq`] in report provenance); `attempt` numbers wire
-/// attempts within one query, starting at 1. `at_us` is the transport's
-/// virtual clock in microseconds, or `None` when the transport has no
-/// deterministic clock. `'a` is the lifetime of what a live event borrows;
-/// a recorded one is `TraceEvent<'static>`.
+/// [`EvidenceRef::seq`](crate::EvidenceRef::seq) in report provenance);
+/// `attempt` numbers wire attempts within one query, starting at 1.
+/// `at_us` is the transport's virtual clock in microseconds, or `None`
+/// when the transport has no deterministic clock. `'a` is the lifetime of
+/// what a live event borrows; a recorded one is `TraceEvent<'static>`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceEvent<'a> {
     /// A logical query entered the pipeline.
@@ -189,14 +190,14 @@ pub enum TraceEvent<'a> {
         at_us: Option<u64>,
     },
     /// A pipeline step reached its verdict; `cited` is the exact evidence
-    /// that decided it (the same references the report's provenance keeps).
+    /// that decided it (the same citations the report's provenance keeps).
     StepVerdict {
         /// The step that concluded.
         step: Step,
-        /// Human-stable verdict string.
-        verdict: Cow<'a, str>,
+        /// The verdict; rendered as its human-stable text.
+        verdict: Verdict,
         /// The responses that justified the verdict.
-        cited: Cow<'a, [EvidenceRef]>,
+        cited: Citations<'a>,
         /// Transport clock, microseconds.
         at_us: Option<u64>,
     },
@@ -266,12 +267,9 @@ impl TraceEvent<'_> {
             TraceEvent::AttemptTimedOut { seq, attempt, txid, at_us } => {
                 TraceEvent::AttemptTimedOut { seq, attempt, txid, at_us }
             }
-            TraceEvent::StepVerdict { step, verdict, cited, at_us } => TraceEvent::StepVerdict {
-                step,
-                verdict: Cow::Owned(verdict.into_owned()),
-                cited: Cow::Owned(cited.into_owned()),
-                at_us,
-            },
+            TraceEvent::StepVerdict { step, verdict, cited, at_us } => {
+                TraceEvent::StepVerdict { step, verdict, cited: cited.into_owned(), at_us }
+            }
             TraceEvent::RunFinished { intercepted, location, queries_sent, wire_attempts, at_us } => {
                 TraceEvent::RunFinished { intercepted, location, queries_sent, wire_attempts, at_us }
             }
@@ -406,20 +404,15 @@ impl fmt::Display for TraceEvent<'_> {
                 )
             }
             TraceEvent::StepVerdict { step, verdict, cited, at_us } => {
-                write!(
-                    f,
-                    "[{:>10}] === {step}: {verdict} (evidence: {})",
-                    fmt_clock(at_us),
-                    if cited.is_empty() {
-                        "none".to_string()
-                    } else {
-                        cited
-                            .iter()
-                            .map(|e| format!("q{}={}", e.seq, e.observed))
-                            .collect::<Vec<_>>()
-                            .join(", ")
-                    }
-                )
+                write!(f, "[{:>10}] === {step}: {verdict} (evidence: ", fmt_clock(at_us))?;
+                if cited.is_empty() {
+                    f.write_str("none")?;
+                }
+                for (i, e) in cited.iter().enumerate() {
+                    let sep = if i == 0 { "" } else { ", " };
+                    write!(f, "{sep}q{}={}", e.seq, e.observed)?;
+                }
+                f.write_str(")")
             }
             TraceEvent::RunFinished { intercepted, location, queries_sent, wire_attempts, at_us } => {
                 let location: &dyn fmt::Display = match location {
@@ -561,25 +554,30 @@ mod tests {
 
     #[test]
     fn the_recorder_owns_what_live_events_borrowed() {
-        let cited = vec![EvidenceRef {
-            seq: 4,
+        use crate::report::{EvidenceRef, Provenance, SeqSet, StepProvenance};
+        let evidence = |seq: u32| EvidenceRef {
+            seq,
             server: "8.8.8.8".parse().unwrap(),
-            txid: 0x1004,
+            txid: 0x1000 + seq as u16,
             attempts: 1,
             observed: "172.253.226.35".into(),
-        }];
-        let verdict = String::from("not intercepted");
+        };
+        let provenance = Provenance { evidence: (0..8).map(evidence).collect(), ..Provenance::default() };
+        let decided =
+            StepProvenance { verdict: Verdict::NotIntercepted, cited: SeqSet::from_iter([4]) };
         let live = TraceEvent::StepVerdict {
             step: Step::Location,
-            verdict: Cow::Borrowed(&verdict),
-            cited: Cow::Borrowed(&cited),
+            verdict: decided.verdict,
+            cited: provenance.cited(&decided),
             at_us: Some(80_000_000),
         };
         let mut recorder = TraceRecorder::default();
         recorder.record(live.clone());
-        drop((verdict, cited));
+        drop(live);
+        drop(provenance);
         let kept = &recorder.events[0];
-        assert!(matches!(kept, TraceEvent::StepVerdict { cited: Cow::Owned(c), .. } if c.len() == 1));
+        assert!(matches!(kept, TraceEvent::StepVerdict { cited, .. }
+            if cited.iter().collect::<Vec<_>>() == vec![evidence(4)]));
         assert_eq!(
             kept.to_string(),
             "[80000.000ms] === location: not intercepted (evidence: q4=172.253.226.35)"

@@ -19,6 +19,7 @@
 //! validated once by its receive filter. The locator reads the few fields
 //! it needs through the reply's view and never decodes owned records.
 
+use crate::report::Observation;
 use crate::trace::{Step, TraceEvent, TraceSink};
 use dns_wire::{Question, Reply};
 use std::borrow::Cow;
@@ -205,7 +206,7 @@ pub struct RetriedQuery {
     /// reply, when a live sink already needed it for `ResponseAccepted`.
     /// A caller that reports the description takes it from here rather
     /// than describing the reply a second time.
-    pub observed: Option<String>,
+    pub observed: Option<Observation>,
 }
 
 /// Trace context for one logical query: its sequence number and the
@@ -295,7 +296,7 @@ pub(crate) fn query_with_retry_traced<T: QueryTransport, S: TraceSink>(
                         seq: ctx.seq,
                         attempt: attempt + 1,
                         txid,
-                        observed: Cow::Borrowed(&observed),
+                        observed: Cow::Borrowed(observed.as_str()),
                         at_us: transport.now_us(),
                     });
                     observed

@@ -62,7 +62,8 @@ fn every_intercepted_probe_in_a_10k_campaign_has_provenance() {
             continue;
         }
         intercepted += 1;
-        let steps = r.report.provenance.decided_steps();
+        let provenance = &r.report.provenance;
+        let steps = provenance.decided_steps();
         assert!(
             steps.iter().any(|(label, _)| *label == "step1"),
             "probe {}: intercepted without a step-1 verdict",
@@ -70,13 +71,13 @@ fn every_intercepted_probe_in_a_10k_campaign_has_provenance() {
         );
         for (label, p) in steps {
             assert!(
-                !p.verdict.is_empty(),
+                !p.verdict.to_string().is_empty(),
                 "probe {}: {label} decided with an empty verdict",
                 r.probe.id
             );
             assert!(
-                !p.cited.is_empty(),
-                "probe {}: {label} verdict {:?} cites no evidence",
+                !provenance.cited(p).is_empty(),
+                "probe {}: {label} verdict \"{}\" cites no evidence",
                 r.probe.id,
                 p.verdict
             );

@@ -111,16 +111,16 @@ fn worked_examples_reach_the_expected_verdicts() {
     assert!(t11992.intercepted);
     assert_eq!(t11992.location.as_deref(), Some("within ISP"));
     let step3 = t11992.provenance.step3.as_ref().expect("step 3 ran");
-    assert!(!step3.cited.is_empty(), "bogon verdict cites evidence");
+    assert!(!t11992.provenance.cited(step3).is_empty(), "bogon verdict cites evidence");
 
     let t21823 = capture("21823", worked_example("21823"));
     assert!(t21823.intercepted);
     assert_eq!(t21823.location.as_deref(), Some("CPE"));
     let step2 = t21823.provenance.step2.as_ref().expect("step 2 ran");
+    let cited = t21823.provenance.cited(step2);
     assert!(
-        step2.cited.iter().all(|e| e.observed.contains("unbound 1.9.0")),
-        "CPE verdict rests on matching unbound version strings: {:?}",
-        step2.cited
+        cited.iter().all(|e| e.observed.contains("unbound 1.9.0")),
+        "CPE verdict rests on matching unbound version strings: {cited:?}"
     );
 }
 
@@ -156,7 +156,7 @@ fn every_provenance_citation_resolves_to_a_traced_event() {
             })
             .collect();
         for (step, p) in trace.provenance.decided_steps() {
-            for cited in &p.cited {
+            for cited in trace.provenance.cited(p).iter() {
                 assert!(
                     issued.contains(&(cited.seq, cited.server.to_string())),
                     "probe {id} {step}: citation {cited:?} matches no issued query"

@@ -10,7 +10,7 @@
 
 use interception::{CpeModelKind, GroundTruth, HomeScenario, MiddleboxSpec, SimTransport};
 use locator::{
-    HijackLocator, InterceptorLocation, MetricsFolder, ProbeMetrics, ProbeReport, Provenance,
+    EvidenceRef, HijackLocator, InterceptorLocation, MetricsFolder, ProbeMetrics, ProbeReport,
     TraceEvent, TraceRecorder,
 };
 use proptest::prelude::*;
@@ -131,7 +131,7 @@ proptest! {
         // query, and its txid is the accepted response's (answered) or the
         // final attempt's (timeout).
         for (step, p) in traced.provenance.decided_steps() {
-            for cited in &p.cited {
+            for cited in traced.provenance.cited(p).iter() {
                 prop_assert!(
                     issued.contains(&cited.seq),
                     "{step} cites seq {} which never ran", cited.seq
@@ -243,11 +243,10 @@ fn imprecision(report: &ProbeReport) -> u8 {
 /// `report` with the txid of every cited response moved by `shift`.
 fn with_cited_txids_shifted(report: &ProbeReport, shift: u16) -> ProbeReport {
     let mut report = report.clone();
-    let Provenance { step1, step2, step3, transparency, source_check } = &mut report.provenance;
-    for step in [step1, step2, step3, transparency, source_check].into_iter().flatten() {
-        for cited in &mut step.cited {
-            cited.txid = cited.txid.wrapping_add(shift);
-        }
+    // Citations resolve against the evidence list, so moving every entry
+    // moves every citation.
+    for evidence in &mut report.provenance.evidence {
+        evidence.txid = evidence.txid.wrapping_add(shift);
     }
     report
 }
@@ -265,9 +264,14 @@ fn event_with_txids_shifted(event: &TraceEvent<'static>, shift: u16) -> TraceEve
             *got_txid = got_txid.wrapping_add(shift);
         }
         TraceEvent::StepVerdict { cited, .. } => {
-            for cited in cited.to_mut() {
-                cited.txid = cited.txid.wrapping_add(shift);
-            }
+            let shifted: Vec<EvidenceRef> = cited
+                .iter()
+                .map(|mut e| {
+                    e.txid = e.txid.wrapping_add(shift);
+                    e
+                })
+                .collect();
+            *cited = shifted.into();
         }
         TraceEvent::QueryIssued { .. } | TraceEvent::RunFinished { .. } => {}
     }
