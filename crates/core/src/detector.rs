@@ -102,6 +102,8 @@ pub struct HijackLocator {
     /// Every query's evidence and each verdict so far; moved into the
     /// report when the run ends.
     provenance: Provenance,
+    /// The queries answered so far: the replies the source check audits.
+    answered: SeqSet,
 }
 
 impl HijackLocator {
@@ -133,6 +135,7 @@ impl HijackLocator {
             wire_attempts: 0,
             retried_queries: 0,
             provenance: Provenance::default(),
+            answered: SeqSet::default(),
         }
     }
 
@@ -162,6 +165,7 @@ impl HijackLocator {
         self.queries_sent = 0;
         self.wire_attempts = 0;
         self.retried_queries = 0;
+        self.answered = SeqSet::default();
         let resolvers = self.config.resolvers.len();
         let families = if self.config.test_ipv6 { 2 } else { 1 };
         // The run's one evidence list, sized for step 1's location
@@ -203,10 +207,11 @@ impl HijackLocator {
         // The source-consistency audit always decides: it sums what every
         // step already observed (no extra queries), and "consistent" is as
         // much a verdict as "mismatched" — the transparent-forwarder
-        // taxonomy needs the negative result too.
+        // taxonomy needs the negative result too. A consistent verdict
+        // cites every reply it audited: each answered query.
         let mismatched: SeqSet = self.provenance.wrong_source.iter().map(|&(seq, _)| seq).collect();
         let decided = if mismatched.is_empty() {
-            StepProvenance { verdict: Verdict::SourceConsistent, cited: SeqSet::default() }
+            StepProvenance { verdict: Verdict::SourceConsistent, cited: self.answered }
         } else {
             let count = mismatched.len() as u32;
             StepProvenance { verdict: Verdict::SourceMismatch { count }, cited: mismatched }
@@ -533,6 +538,9 @@ impl HijackLocator {
         if let Some(from) = retried.wrong_source {
             self.provenance.wrong_source.push((seq, from));
         }
+        if let QueryOutcome::Response(_) = retried.outcome {
+            self.answered.insert(seq);
+        }
         self.provenance.evidence.push(EvidenceRef {
             seq,
             server,
@@ -840,7 +848,7 @@ mod tests {
         assert!(p.transparency.is_none());
         let src = p.source_check.expect("source check always decides");
         assert_eq!(src.verdict, Verdict::SourceConsistent);
-        assert!(p.cited(&src).is_empty());
+        assert_eq!(p.cited(&src), cited, "the audit cites the sixteen answers it checked");
         // Citations are in issue order and match the txid sequence.
         for (i, e) in cited.iter().enumerate() {
             assert_eq!(e.seq, i as u32);
@@ -1089,6 +1097,9 @@ mod tests {
         assert_eq!(verdicts[3].0, Step::SourceCheck);
         assert_eq!(verdicts[3].1, p.source_check.as_ref().unwrap().verdict);
         assert_eq!(verdicts[3].1, Verdict::SourceConsistent);
+        assert_eq!(verdicts[3].2, p.cited(p.source_check.as_ref().unwrap()));
+        // Every query here is answered, and the audit cites each answer.
+        assert_eq!(verdicts[3].2.len() as u32, traced.queries_sent);
         assert!(matches!(rec.events.last(), Some(TraceEvent::RunFinished { .. })));
     }
 

@@ -49,7 +49,6 @@ fn metrics_for_a_200_probe_campaign_match_the_checked_in_expectation() {
 /// every probe flagged as intercepted explains itself — each decided step
 /// carries a verdict string and at least one cited response.
 #[test]
-#[ignore = "full 10k-probe campaign; run with --include-ignored"]
 fn every_intercepted_probe_in_a_10k_campaign_has_provenance() {
     let fleet = generate(FleetConfig::default());
     assert_eq!(fleet.config.size, 10_000);

@@ -14,7 +14,7 @@
 //! and review the diff like any other source change.
 
 use interception::{HomeScenario, SimTransport};
-use locator::{HijackLocator, Provenance, TraceEvent, TraceRecorder};
+use locator::{HijackLocator, Provenance, TraceEvent, TraceRecorder, Verdict};
 use serde::Serialize;
 use std::path::PathBuf;
 
@@ -137,6 +137,29 @@ fn golden_traces_are_bit_identical_across_runs_and_threads() {
         .join()
         .expect("capture thread");
         assert_eq!(here, elsewhere, "probe {id} diverged on another thread");
+    }
+}
+
+#[test]
+fn the_source_check_cites_every_accepted_response() {
+    // None of the worked examples draws a wrong-source reply, so each
+    // source check is consistent and cites exactly the replies it
+    // audited: one per ResponseAccepted event, in seq order.
+    for (id, scenario) in HomeScenario::worked_examples() {
+        let trace = capture(id, scenario);
+        let accepted: Vec<u32> = trace
+            .events
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::ResponseAccepted { seq, .. } => Some(*seq),
+                _ => None,
+            })
+            .collect();
+        let check = trace.provenance.source_check.as_ref().expect("the source check decides");
+        assert_eq!(check.verdict, Verdict::SourceConsistent, "probe {id}");
+        let cited: Vec<u32> = trace.provenance.cited(check).iter().map(|e| e.seq).collect();
+        assert!(!cited.is_empty(), "probe {id}: the audit checked no reply");
+        assert_eq!(cited, accepted, "probe {id}: the audit cites what it checked");
     }
 }
 
