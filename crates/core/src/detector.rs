@@ -453,7 +453,8 @@ impl HijackLocator {
             (0, _) => Transparency::StatusModified,
             _ => Transparency::Both,
         };
-        self.decide(transport, sink, StepProvenance { verdict: Verdict::Transparency(verdict), cited });
+        let decided = StepProvenance { verdict: Verdict::Transparency(verdict), cited };
+        self.decide(transport, sink, decided);
         Some(verdict)
     }
 
@@ -1016,7 +1017,8 @@ mod tests {
         t.push_rule(Some(first), Some(id_server.clone()), chaos, Respond::Txt("IAD".into()));
         t.push_rule(Some(second), Some(id_server), chaos, Respond::Txt("not-a-site".into()));
         let version_bind = Some(debug_queries::version_bind());
-        t.push_rule(Some(vec![cpe]), version_bind.clone(), chaos, Respond::Txt("dnsmasq-2.80".into()));
+        let cpe_answer = Respond::Txt("dnsmasq-2.80".into());
+        t.push_rule(Some(vec![cpe]), version_bind.clone(), chaos, cpe_answer);
         t.push_rule(None, version_bind, chaos, Respond::Txt("unbound 1.9.0".into()));
         t.push_rule(
             None,

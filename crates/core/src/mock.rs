@@ -57,6 +57,16 @@ struct Rule {
 }
 
 impl Rule {
+    /// A rule that always answers with `respond`.
+    fn new(
+        servers: Option<Vec<IpAddr>>,
+        qname: Option<Name>,
+        qclass: Option<RClass>,
+        respond: Respond,
+    ) -> Rule {
+        Rule { servers, qname, qclass, remaining_failures: 0, failure: Respond::Timeout, respond }
+    }
+
     fn matches(&self, server: IpAddr, q: &Question) -> bool {
         if let Some(servers) = &self.servers {
             if !servers.contains(&server) {
@@ -101,14 +111,7 @@ impl MockTransport {
         qclass: Option<RClass>,
         respond: Respond,
     ) {
-        self.rules.push(Rule {
-            servers,
-            qname,
-            qclass,
-            remaining_failures: 0,
-            failure: Respond::Timeout,
-            respond,
-        });
+        self.rules.push(Rule::new(servers, qname, qclass, respond));
     }
 
     /// Prepends a high-priority rule (interceptor layering).
@@ -119,10 +122,7 @@ impl MockTransport {
         qclass: Option<RClass>,
         respond: Respond,
     ) {
-        self.rules.insert(
-            0,
-            Rule { servers, qname, qclass, remaining_failures: 0, failure: Respond::Timeout, respond },
-        );
+        self.rules.insert(0, Rule::new(servers, qname, qclass, respond));
     }
 
     /// Prepends a rule that times out for its first `failures` matches and
@@ -137,17 +137,8 @@ impl MockTransport {
         failures: u32,
         respond: Respond,
     ) {
-        self.rules.insert(
-            0,
-            Rule {
-                servers,
-                qname,
-                qclass,
-                remaining_failures: failures,
-                failure: Respond::Timeout,
-                respond,
-            },
-        );
+        let rule = Rule::new(servers, qname, qclass, respond);
+        self.rules.insert(0, Rule { remaining_failures: failures, ..rule });
     }
 
     /// Prepends a rule for `servers` whose first `times` matches draw
@@ -162,10 +153,8 @@ impl MockTransport {
         respond: Respond,
     ) {
         let failure = Respond::WrongSource(from, Box::new(respond.clone()));
-        self.rules.insert(
-            0,
-            Rule { servers, qname: None, qclass: None, remaining_failures: times, failure, respond },
-        );
+        let rule = Rule::new(servers, None, None, respond);
+        self.rules.insert(0, Rule { remaining_failures: times, failure, ..rule });
     }
 
     /// Programs the standard (uninterfered) behaviour of all four public

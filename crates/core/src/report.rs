@@ -61,8 +61,7 @@ impl ResolverSet {
         1 << key as u8
     }
 
-    /// Adds `key`.
-    pub fn insert(&mut self, key: ResolverKey) {
+    fn insert(&mut self, key: ResolverKey) {
         self.0 |= Self::bit(key);
     }
 
@@ -151,7 +150,7 @@ impl Inline {
 
 impl Observation {
     /// Renders `value` into an observation, inline when it fits.
-    pub fn from_display(value: impl fmt::Display) -> Observation {
+    pub(crate) fn from_display(value: impl fmt::Display) -> Observation {
         let mut observed = Observation::default();
         write!(observed, "{value}").expect("writing into an observation cannot fail");
         observed
@@ -223,12 +222,6 @@ impl PartialEq for Observation {
 }
 
 impl Eq for Observation {}
-
-impl PartialEq<str> for Observation {
-    fn eq(&self, other: &str) -> bool {
-        self.as_str() == other
-    }
-}
 
 impl PartialEq<&str> for Observation {
     fn eq(&self, other: &&str) -> bool {
@@ -419,19 +412,13 @@ pub enum Transparency {
     Both,
 }
 
-impl Transparency {
-    fn label(self) -> &'static str {
-        match self {
-            Transparency::Transparent => "Transparent",
-            Transparency::StatusModified => "Status Modified",
-            Transparency::Both => "Both",
-        }
-    }
-}
-
 impl std::fmt::Display for Transparency {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
+        match self {
+            Transparency::Transparent => write!(f, "Transparent"),
+            Transparency::StatusModified => write!(f, "Status Modified"),
+            Transparency::Both => write!(f, "Both"),
+        }
     }
 }
 
@@ -501,7 +488,7 @@ pub enum Verdict {
 
 impl Verdict {
     /// The step that reaches this verdict.
-    pub fn step(self) -> Step {
+    pub(crate) fn step(self) -> Step {
         match self {
             Verdict::Intercepted | Verdict::NotIntercepted => Step::Location,
             Verdict::CpeIsInterceptor | Verdict::CpeRuledOut => Step::CpeCheck,
@@ -512,7 +499,7 @@ impl Verdict {
     }
 
     /// Every verdict whose text is fixed, for reading text back.
-    const FIXED: [Verdict; 9] = [
+    const FIXED: [Verdict; 10] = [
         Verdict::Intercepted,
         Verdict::NotIntercepted,
         Verdict::CpeIsInterceptor,
@@ -522,42 +509,32 @@ impl Verdict {
         Verdict::Transparency(Transparency::Transparent),
         Verdict::Transparency(Transparency::StatusModified),
         Verdict::Transparency(Transparency::Both),
+        Verdict::SourceConsistent,
     ];
-
-    fn fixed_text(self) -> Option<&'static str> {
-        Some(match self {
-            Verdict::Intercepted => "intercepted",
-            Verdict::NotIntercepted => "not intercepted",
-            Verdict::CpeIsInterceptor => "CPE is the interceptor",
-            Verdict::CpeRuledOut => "CPE ruled out",
-            Verdict::BogonAnswered => "answered: interceptor within ISP",
-            Verdict::BogonSilent => "silent: beyond or unknown",
-            Verdict::Transparency(t) => t.label(),
-            Verdict::SourceConsistent => "all responses source-consistent",
-            Verdict::SourceMismatch { .. } => return None,
-        })
-    }
 
     /// Reads a verdict back from its display text.
     fn parse(text: &str) -> Option<Verdict> {
-        if text == "all responses source-consistent" {
-            return Some(Verdict::SourceConsistent);
-        }
         if let Some(count) = text.strip_suffix(" response(s) from unexpected source") {
             return count.parse().ok().map(|count| Verdict::SourceMismatch { count });
         }
-        Verdict::FIXED.into_iter().find(|v| v.fixed_text() == Some(text))
+        Verdict::FIXED.into_iter().find(|v| v.to_string() == text)
     }
 }
 
 impl fmt::Display for Verdict {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match (self, self.fixed_text()) {
-            (_, Some(text)) => f.write_str(text),
-            (Verdict::SourceMismatch { count }, None) => {
+        match self {
+            Verdict::Intercepted => f.write_str("intercepted"),
+            Verdict::NotIntercepted => f.write_str("not intercepted"),
+            Verdict::CpeIsInterceptor => f.write_str("CPE is the interceptor"),
+            Verdict::CpeRuledOut => f.write_str("CPE ruled out"),
+            Verdict::BogonAnswered => f.write_str("answered: interceptor within ISP"),
+            Verdict::BogonSilent => f.write_str("silent: beyond or unknown"),
+            Verdict::Transparency(t) => fmt::Display::fmt(t, f),
+            Verdict::SourceConsistent => f.write_str("all responses source-consistent"),
+            Verdict::SourceMismatch { count } => {
                 write!(f, "{count} response(s) from unexpected source")
             }
-            (_, None) => unreachable!("only the mismatch count has no fixed text"),
         }
     }
 }
@@ -595,14 +572,9 @@ impl SeqSet {
     ///
     /// # Panics
     /// If `seq` is not below [`SeqSet::CAPACITY`].
-    pub fn insert(&mut self, seq: u32) {
+    pub(crate) fn insert(&mut self, seq: u32) {
         assert!(seq < Self::CAPACITY, "seq {seq} does not fit a SeqSet");
         self.0 |= 1 << seq;
-    }
-
-    /// True if `seq` is in the set.
-    pub fn contains(self, seq: u32) -> bool {
-        seq < Self::CAPACITY && self.0 & (1 << seq) != 0
     }
 
     /// Number of seqs in the set.
@@ -693,19 +665,11 @@ impl<'a> Citations<'a> {
     /// Copies the cited entries, so the citations outlive the list they
     /// were resolved against.
     pub fn into_owned(self) -> Citations<'static> {
-        Citations { evidence: Cow::Owned(self.iter().collect()), seqs: self.seqs, wrong_source: &[] }
-    }
-}
-
-/// Citations of exactly the given entries.
-///
-/// # Panics
-/// If an entry's seq is not below [`SeqSet::CAPACITY`].
-impl From<Vec<EvidenceRef>> for Citations<'static> {
-    fn from(mut cited: Vec<EvidenceRef>) -> Citations<'static> {
-        cited.sort_by_key(|e| e.seq);
-        let seqs = cited.iter().map(|e| e.seq).collect();
-        Citations { evidence: Cow::Owned(cited), seqs, wrong_source: &[] }
+        Citations {
+            evidence: Cow::Owned(self.iter().collect()),
+            seqs: self.seqs,
+            wrong_source: &[],
+        }
     }
 }
 
@@ -746,8 +710,9 @@ pub struct StepProvenance {
 /// and the evidence they cite.
 #[derive(Debug, Clone, Default)]
 pub struct Provenance {
-    /// One entry per logical query, in seq order. A provenance read back
-    /// from JSON holds only the cited entries.
+    /// One entry per logical query, in seq order, holding every seq the
+    /// steps cite: resolving a citation without one panics. A provenance
+    /// read back from JSON holds only the cited entries.
     pub evidence: Vec<EvidenceRef>,
     /// `(seq, from)` for each query that drew a right-txid reply from an
     /// address other than the server it asked, even when a later attempt
@@ -804,7 +769,9 @@ impl Provenance {
         let step = match serde::__get_field(obj, label) {
             Value::Null => return Ok(None),
             Value::Object(step) => step,
-            other => return Err(DeError::custom(format!("{label}: expected object, found {other:?}"))),
+            other => {
+                return Err(DeError::custom(format!("{label}: expected object, found {other:?}")))
+            }
         };
         let verdict = Verdict::from_value(serde::__get_field(step, "verdict"))?;
         let mut cited = SeqSet::default();
@@ -858,7 +825,9 @@ impl Serialize for Provenance {
                 ("cited".to_string(), self.cited(p).to_value()),
             ]),
         };
-        Value::Object(self.steps().into_iter().map(|(label, p)| (label.to_string(), step(p))).collect())
+        Value::Object(
+            self.steps().into_iter().map(|(label, p)| (label.to_string(), step(p))).collect(),
+        )
     }
 }
 
@@ -1003,8 +972,9 @@ mod tests {
         assert!(!LocationTestResult::Timeout.is_intercepted());
         assert!(!LocationTestResult::Standard.is_intercepted());
         assert!(!LocationTestResult::NotTested.is_intercepted());
-        assert!(LocationTestResult::NonStandard { observed: Observation::default() }
-            .is_intercepted());
+        assert!(
+            LocationTestResult::NonStandard { observed: Observation::default() }.is_intercepted()
+        );
     }
 
     #[test]
@@ -1140,10 +1110,7 @@ mod tests {
 
     #[test]
     fn verdicts_print_their_frozen_text_and_read_it_back() {
-        let all = Verdict::FIXED
-            .into_iter()
-            .chain([Verdict::SourceConsistent, Verdict::SourceMismatch { count: 16 }]);
-        for verdict in all {
+        for verdict in Verdict::FIXED.into_iter().chain([Verdict::SourceMismatch { count: 16 }]) {
             let text = verdict.to_string();
             assert_eq!(Verdict::parse(&text), Some(verdict), "{text}");
         }
@@ -1164,7 +1131,6 @@ mod tests {
         let set: SeqSet = [63, 0, 17, 5].into_iter().collect();
         assert_eq!(set.iter().collect::<Vec<_>>(), vec![0, 5, 17, 63]);
         assert_eq!(set.len(), 4);
-        assert!(set.contains(63) && !set.contains(64) && !set.contains(1));
         assert!(std::panic::catch_unwind(|| SeqSet::default().insert(SeqSet::CAPACITY)).is_err());
     }
 

@@ -562,7 +562,8 @@ mod tests {
             attempts: 1,
             observed: "172.253.226.35".into(),
         };
-        let provenance = Provenance { evidence: (0..8).map(evidence).collect(), ..Provenance::default() };
+        let provenance =
+            Provenance { evidence: (0..8).map(evidence).collect(), ..Provenance::default() };
         let decided =
             StepProvenance { verdict: Verdict::NotIntercepted, cited: SeqSet::from_iter([4]) };
         let live = TraceEvent::StepVerdict {

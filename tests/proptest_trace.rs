@@ -10,8 +10,8 @@
 
 use interception::{CpeModelKind, GroundTruth, HomeScenario, MiddleboxSpec, SimTransport};
 use locator::{
-    EvidenceRef, HijackLocator, InterceptorLocation, MetricsFolder, ProbeMetrics, ProbeReport,
-    TraceEvent, TraceRecorder,
+    HijackLocator, InterceptorLocation, MetricsFolder, ProbeMetrics, ProbeReport, Provenance,
+    StepProvenance, TraceEvent, TraceRecorder,
 };
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
@@ -263,15 +263,17 @@ fn event_with_txids_shifted(event: &TraceEvent<'static>, shift: u16) -> TraceEve
             *expected_txid = expected_txid.wrapping_add(shift);
             *got_txid = got_txid.wrapping_add(shift);
         }
-        TraceEvent::StepVerdict { cited, .. } => {
-            let shifted: Vec<EvidenceRef> = cited
+        TraceEvent::StepVerdict { verdict, cited, .. } => {
+            let evidence = cited
                 .iter()
                 .map(|mut e| {
                     e.txid = e.txid.wrapping_add(shift);
                     e
                 })
                 .collect();
-            *cited = shifted.into();
+            let shifted = Provenance { evidence, ..Provenance::default() };
+            let step = StepProvenance { verdict: *verdict, cited: cited.seqs() };
+            *cited = shifted.cited(&step).into_owned();
         }
         TraceEvent::QueryIssued { .. } | TraceEvent::RunFinished { .. } => {}
     }
