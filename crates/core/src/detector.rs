@@ -469,15 +469,21 @@ impl HijackLocator {
         let q = Question::chaos_txt(debug_queries::version_bind());
         let (seq, outcome) = self.send(transport, sink, Step::CpeCheck, addr, q);
         let answer = match outcome {
-            // An error status is what the evidence already reads: the
-            // description prefers the rcode too.
-            QueryOutcome::Response(reply) if reply.header().rcode != Rcode::NoError => {
-                VersionBindAnswer::Error(self.observed(seq))
-            }
             QueryOutcome::Response(reply) => {
-                match reply.view().answers().find_map(|r| r.txt_str()) {
-                    Some(text) => VersionBindAnswer::Text(Observation::from(&*text)),
-                    None => VersionBindAnswer::Error("EMPTY".into()),
+                // The evidence reads the rcode, or else the first TXT
+                // string unless an address answer precedes it: share that
+                // text rather than copy it.
+                let observed = self.observed(seq);
+                if reply.header().rcode != Rcode::NoError {
+                    VersionBindAnswer::Error(observed)
+                } else {
+                    match reply.view().answers().find_map(|r| r.txt_str()) {
+                        Some(text) if observed.as_str() == text => {
+                            VersionBindAnswer::Text(observed)
+                        }
+                        Some(text) => VersionBindAnswer::Text(Observation::from(&*text)),
+                        None => VersionBindAnswer::Error("EMPTY".into()),
+                    }
                 }
             }
             QueryOutcome::Timeout | QueryOutcome::WrongSource { .. } => VersionBindAnswer::Timeout,

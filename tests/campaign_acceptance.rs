@@ -1,6 +1,5 @@
 //! Campaign-level acceptance checks: the 200-probe metrics expectation CI
-//! diffs on every push, and the full-size 10k-probe provenance sweep that
-//! runs under `--include-ignored`.
+//! diffs on every push, and the full-size 10k-probe provenance sweep.
 
 use atlas_sim::{
     generate, run_campaign, run_campaign_captured, CampaignOptions, FleetConfig, MetricsRegistry,
