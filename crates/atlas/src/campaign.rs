@@ -89,7 +89,7 @@ impl Default for CampaignOptions {
 /// one costs nothing: no clock read, no log, no atomic update.
 #[derive(Clone, Copy, Default)]
 pub(crate) struct Observers<'o> {
-    /// Per-probe metrics and the scheduler totals.
+    /// Per-probe metrics.
     pub(crate) metrics: Option<&'o MetricsRegistry>,
     /// Live claim and completion counters, and per-probe wall time.
     pub(crate) telemetry: Option<&'o CampaignTelemetry>,
@@ -205,8 +205,8 @@ pub struct ProbeResult<'a> {
 /// every `(threads, batch_size)` pair.
 ///
 /// Each observer is optional and none changes a result: `metrics`
-/// aggregates per-probe metrics and the scheduler totals (commutative
-/// counters, so thread-count invariant too), `telemetry` counts claims and
+/// aggregates per-probe metrics (commutative counters, so thread-count
+/// invariant too), `telemetry` counts claims and
 /// completions live for a progress monitor, and `timing` folds each
 /// probe's RTT and wall-clock phase samples.
 pub fn run_campaign<'a>(
@@ -428,7 +428,7 @@ where
             }
         }
     };
-    let partials = if threads == 1 {
+    if threads == 1 {
         vec![work(0)]
     } else {
         thread::scope(|scope| {
@@ -444,14 +444,7 @@ where
                 .collect()
         })
         .expect("campaign scope")
-    };
-    // Every responding probe is claimed exactly once and completed exactly
-    // once, whatever the interleaving: thread-count-invariant totals.
-    if let Some(metrics) = observers.metrics {
-        let n = responding.len() as u64;
-        metrics.record_schedule(n, n);
     }
-    partials
 }
 
 /// [`run_work_stealing`] collecting every per-probe result: workers keep
@@ -546,8 +539,6 @@ mod tests {
             metered.iter().map(|r| r.report.queries_sent as u64).sum();
         let counted: u64 = snap.steps.iter().map(|s| s.queries).sum();
         assert_eq!(counted, total_queries);
-        // Location-step latency histograms fill in (sim clocks run).
-        assert!(snap.steps[locator::Step::Location.index()].latency.count() > 0);
     }
 
     #[test]
@@ -613,7 +604,7 @@ mod tests {
                 a.probe.id
             );
         }
-        // Metrics — scheduler totals included — are identical too.
+        // Metrics are identical too.
         assert_eq!(
             registry.snapshot(&fleet.config.orgs),
             plain_registry.snapshot(&fleet.config.orgs)
@@ -631,26 +622,6 @@ mod tests {
             assert_eq!(a.report, b.report);
             assert_eq!(fa, fb, "probe {} hop timelines diverged", a.probe.id);
         }
-    }
-
-    #[test]
-    fn campaign_folds_scheduler_totals_into_metrics() {
-        let fleet = tiny_fleet();
-        let registry = MetricsRegistry::new(fleet.config.orgs.len());
-        let results = run_campaign(fleet, CampaignOptions::new(4), Some(&registry), None, None);
-        let snap = registry.snapshot(&fleet.config.orgs);
-        assert_eq!(snap.probes_claimed, results.len() as u64);
-        assert_eq!(snap.probes_completed, results.len() as u64);
-        // The per-probe path meters the probe but leaves the scheduler
-        // totals untouched.
-        let solo = MetricsRegistry::new(fleet.config.orgs.len());
-        let observers = Observers { metrics: Some(&solo), ..Observers::default() };
-        let probe = fleet.responding().next().unwrap();
-        measure(fleet, probe, &mut WorkerArena::new(), observers, false);
-        let snap = solo.snapshot(&fleet.config.orgs);
-        assert_eq!(snap.probes, 1);
-        assert_eq!(snap.probes_claimed, 0);
-        assert_eq!(snap.probes_completed, 0);
     }
 
     #[test]

@@ -9,35 +9,22 @@
 //! headline guarantee: metrics, like reports, are bit-for-bit reproducible.
 //!
 //! [`snapshot`](MetricsRegistry::snapshot) freezes the registry into a
-//! plain-data [`CampaignMetrics`] for JSON output (`repro --metrics`).
+//! plain-data [`CampaignMetrics`] for JSON output (`repro --metrics`) and
+//! the Prometheus exposition (`repro --metrics-prom`). It holds counts
+//! only: the campaign's round-trip times are the per-phase histograms of
+//! [`TimingRegistry`](crate::TimingRegistry), read at delivery.
 
 use crate::orgs::OrgSpec;
-use locator::{
-    InterceptorLocation, LatencyHistogram, ProbeMetrics, ProbeReport, Step, StepMetrics,
-    LATENCY_BUCKETS,
-};
+use locator::{InterceptorLocation, ProbeMetrics, ProbeReport, Step, StepMetrics};
 use serde::{Deserialize, Serialize};
-use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Shared counters for one pipeline step.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct StepCell {
     queries: AtomicU64,
     responses: AtomicU64,
     timeouts: AtomicU64,
-    latency: Vec<AtomicU64>,
-}
-
-impl Default for StepCell {
-    fn default() -> Self {
-        StepCell {
-            queries: AtomicU64::new(0),
-            responses: AtomicU64::new(0),
-            timeouts: AtomicU64::new(0),
-            latency: (0..LATENCY_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-        }
-    }
 }
 
 /// Shared verdict tallies for one organization (one AS).
@@ -58,8 +45,6 @@ pub struct MetricsRegistry {
     dropped_wrong_txid: AtomicU64,
     probes: AtomicU64,
     intercepted: AtomicU64,
-    sched_claimed: AtomicU64,
-    sched_completed: AtomicU64,
     orgs: Vec<OrgCell>,
 }
 
@@ -73,21 +58,8 @@ impl MetricsRegistry {
             dropped_wrong_txid: AtomicU64::new(0),
             probes: AtomicU64::new(0),
             intercepted: AtomicU64::new(0),
-            sched_claimed: AtomicU64::new(0),
-            sched_completed: AtomicU64::new(0),
             orgs: (0..org_count).map(|_| OrgCell::default()).collect(),
         }
-    }
-
-    /// Folds a campaign scheduler's totals — probes claimed off the
-    /// work-stealing cursor and probes completed — into the registry.
-    /// Both equal the responding-probe count for every finished campaign,
-    /// whatever the thread count, so snapshots stay thread-invariant.
-    /// (Single-probe measurement paths never call this; their snapshots
-    /// report zero scheduled probes.)
-    pub(crate) fn record_schedule(&self, claimed: u64, completed: u64) {
-        self.sched_claimed.fetch_add(claimed, Ordering::Relaxed);
-        self.sched_completed.fetch_add(completed, Ordering::Relaxed);
     }
 
     /// Merges one probe's folded metrics and verdict. Safe to call from
@@ -98,9 +70,6 @@ impl MetricsRegistry {
             cell.queries.fetch_add(m.queries, Ordering::Relaxed);
             cell.responses.fetch_add(m.responses, Ordering::Relaxed);
             cell.timeouts.fetch_add(m.timeouts, Ordering::Relaxed);
-            for (bucket, n) in cell.latency.iter().zip(&m.latency.buckets) {
-                bucket.fetch_add(*n, Ordering::Relaxed);
-            }
         }
         self.retries.fetch_add(metrics.retries, Ordering::Relaxed);
         self.attempt_timeouts.fetch_add(metrics.attempt_timeouts, Ordering::Relaxed);
@@ -131,9 +100,6 @@ impl MetricsRegistry {
                 queries: cell.queries.load(Ordering::Relaxed),
                 responses: cell.responses.load(Ordering::Relaxed),
                 timeouts: cell.timeouts.load(Ordering::Relaxed),
-                latency: LatencyHistogram {
-                    buckets: std::array::from_fn(|i| cell.latency[i].load(Ordering::Relaxed)),
-                },
             })
             .collect();
         let per_as = self
@@ -159,8 +125,6 @@ impl MetricsRegistry {
             retries: self.retries.load(Ordering::Relaxed),
             attempt_timeouts: self.attempt_timeouts.load(Ordering::Relaxed),
             dropped_wrong_txid: self.dropped_wrong_txid.load(Ordering::Relaxed),
-            probes_claimed: self.sched_claimed.load(Ordering::Relaxed),
-            probes_completed: self.sched_completed.load(Ordering::Relaxed),
             per_as,
         }
     }
@@ -197,8 +161,7 @@ pub struct CampaignMetrics {
     pub probes: u64,
     /// Probes found intercepted.
     pub intercepted: u64,
-    /// Per-step counters and latency histograms, indexed by
-    /// [`Step::index`].
+    /// Per-step counters, indexed by [`Step::index`].
     pub steps: Vec<StepMetrics>,
     /// Wire attempts beyond each query's first.
     pub retries: u64,
@@ -206,82 +169,9 @@ pub struct CampaignMetrics {
     pub attempt_timeouts: u64,
     /// Responses discarded for a wrong transaction ID.
     pub dropped_wrong_txid: u64,
-    /// Probes claimed off the campaign scheduler's work-stealing cursor
-    /// (zero for single-probe measurement paths).
-    pub probes_claimed: u64,
-    /// Probes the campaign scheduler saw through to completion.
-    pub probes_completed: u64,
     /// Verdict tallies per AS (organizations with no measured probes are
     /// omitted), in catalog order.
     pub per_as: Vec<AsVerdicts>,
-}
-
-impl fmt::Display for CampaignMetrics {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "Campaign metrics: {} probes, {} intercepted", self.probes, self.intercepted)?;
-        writeln!(
-            f,
-            "{:<14} {:>9} {:>9} {:>9} {:>12}",
-            "step", "queries", "answers", "timeouts", "med latency"
-        )?;
-        for (step, m) in Step::ALL.iter().zip(&self.steps) {
-            if m.queries == 0 {
-                continue;
-            }
-            let median = median_latency_us(&m.latency)
-                .map(|us| format!("~{us}µs"))
-                .unwrap_or_else(|| "-".into());
-            writeln!(
-                f,
-                "{:<14} {:>9} {:>9} {:>9} {:>12}",
-                step.label(),
-                m.queries,
-                m.responses,
-                m.timeouts,
-                median
-            )?;
-        }
-        writeln!(
-            f,
-            "retries {}, attempt timeouts {}, wrong-txid drops {}",
-            self.retries, self.attempt_timeouts, self.dropped_wrong_txid
-        )?;
-        if self.probes_claimed > 0 {
-            writeln!(
-                f,
-                "scheduler: {} probes claimed, {} completed",
-                self.probes_claimed, self.probes_completed
-            )?;
-        }
-        for v in &self.per_as {
-            if v.cpe + v.within_isp + v.beyond_unknown == 0 {
-                continue;
-            }
-            writeln!(
-                f,
-                "  AS{:<6} {:<16} CPE {:>4}  within-ISP {:>4}  beyond {:>4}  clean {:>5}",
-                v.asn, v.org, v.cpe, v.within_isp, v.beyond_unknown, v.clean
-            )?;
-        }
-        Ok(())
-    }
-}
-
-/// The upper bound of the bucket holding the median sample (log2 buckets,
-/// so this is a power of two), or `None` with no samples.
-fn median_latency_us(hist: &LatencyHistogram) -> Option<u64> {
-    let total = hist.count();
-    if total == 0 {
-        return None;
-    }
-    let mut seen = 0;
-    for (i, n) in hist.buckets.iter().enumerate() {
-        seen += n;
-        if seen * 2 >= total {
-            return Some(if i == 0 { 1 } else { 1u64 << i });
-        }
-    }
-    None
 }
 
 #[cfg(test)]
@@ -312,10 +202,6 @@ mod tests {
         assert_eq!(
             snap.steps[Step::Location.index()].queries,
             2 * metrics.step(Step::Location).queries
-        );
-        assert_eq!(
-            snap.steps[Step::Location.index()].latency.count(),
-            2 * metrics.step(Step::Location).latency.count()
         );
         assert_eq!(snap.per_as.len(), 1, "only the measured org appears");
         assert_eq!(snap.per_as[0].org, orgs[0].name);
@@ -356,18 +242,7 @@ mod tests {
         let json = serde_json::to_string_pretty(&snap).unwrap();
         let back: CampaignMetrics = serde_json::from_str(&json).unwrap();
         assert_eq!(back, snap);
-        let text = snap.to_string();
-        assert!(text.contains("1 intercepted"));
-        assert!(text.contains(&orgs[2].name));
-    }
-
-    #[test]
-    fn median_latency_picks_the_majority_bucket() {
-        let mut h = LatencyHistogram::default();
-        assert_eq!(median_latency_us(&h), None);
-        h.record(3);
-        h.record(1_000);
-        h.record(1_001);
-        assert_eq!(median_latency_us(&h), Some(1 << 10));
+        assert_eq!(back.intercepted, 1);
+        assert_eq!(back.per_as[0].org, orgs[2].name);
     }
 }

@@ -272,13 +272,6 @@ pub fn prometheus_exposition(
             "Responses discarded for a wrong transaction ID.",
         );
         w.counter("repro_dropped_wrong_txid_total", &[], m.dropped_wrong_txid);
-        w.header(
-            "repro_scheduler_probes_total",
-            "counter",
-            "Probes claimed off and completed through the work-stealing scheduler.",
-        );
-        w.counter("repro_scheduler_probes_total", &[("event", "claimed")], m.probes_claimed);
-        w.counter("repro_scheduler_probes_total", &[("event", "completed")], m.probes_completed);
         w.header("repro_as_verdicts_total", "counter", "Location verdicts per AS.");
         for v in &m.per_as {
             let asn = v.asn.to_string();

@@ -633,8 +633,8 @@ fn write_archives(path: &str, fleet: &Fleet, results: &[ProbeResult]) {
     write_output(path, &format!("raw archives for {count} intercepted probes"), out);
 }
 
-/// Writes the campaign's aggregated metrics (per-step counters, latency
-/// histograms in sim-time, per-AS verdict tallies) as JSON. The output is
+/// Writes the campaign's aggregated metrics (per-step counters, retry and
+/// drop tallies, per-AS verdict tallies) as JSON. The output is
 /// bit-for-bit reproducible for a given fleet configuration, so CI can
 /// diff it against a checked-in expectation.
 fn write_metrics(path: &str, fleet: &Fleet, registry: &MetricsRegistry) {

@@ -158,7 +158,7 @@ options:
   --json            print the full report as JSON
   --trace           print one line per trace event (queries, wire
                     attempts, accepted/dropped responses, verdicts)
-  --metrics json    print per-step query/latency metrics as JSON
+  --metrics json    print per-step query/answer/timeout counters as JSON
   --ttl-scan        additionally run the TTL-scan hop localization (§6)
   --investigate     run the full battery (three-step + DNSSEC-AD +
                     NXDOMAIN-wildcard corroboration) and print a summary

@@ -47,7 +47,7 @@ mod udp_transport;
 
 pub use detector::{describe_response, HijackLocator, LocatorConfig};
 pub use investigator::{Investigation, InvestigationConfig, Investigator};
-pub use metrics::{LatencyHistogram, MetricsFolder, ProbeMetrics, StepMetrics, LATENCY_BUCKETS};
+pub use metrics::{MetricsFolder, ProbeMetrics, StepMetrics};
 pub use mock::{MockTransport, Respond};
 pub use prefix::{IpPrefix, PrefixParseError};
 pub use report::{

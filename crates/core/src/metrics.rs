@@ -1,15 +1,16 @@
 //! Per-probe measurement metrics, folded from trace events.
 //!
 //! [`MetricsFolder`] is a [`TraceSink`]: point the locator's traced run at
-//! one and it accumulates per-step query/response/timeout counters and
-//! latency histograms without retaining the events themselves, yielding a
-//! plain-data [`ProbeMetrics`]. The campaign-wide aggregation (the
-//! lock-free registry in the `atlas-sim` crate) folds these per-probe
+//! one and it accumulates per-step query/response/timeout counters and the
+//! probe's retry and drop tallies without retaining the events themselves,
+//! yielding a plain-data [`ProbeMetrics`]. The campaign-wide aggregation
+//! (the lock-free registry in the `atlas-sim` crate) folds these per-probe
 //! values into shared atomics.
 //!
-//! Latencies are measured on the transport's own clock — virtual time for
-//! simulated transports — so histograms are deterministic and identical
-//! across thread counts.
+//! Latency is not folded here: a simulated transport hands each answer
+//! back at the end of its receive window, so trace stamps are not arrival
+//! times. Round-trip times, read at delivery, are the simulated
+//! transport's timing log, which `atlas-sim`'s timing registry folds.
 //!
 //! The fold allocates nothing: the events it reads borrow from the
 //! locator, and [`ProbeMetrics`] is fixed-size arrays of counters, so a
@@ -17,42 +18,6 @@
 
 use crate::trace::{Step, TraceEvent, TraceSink};
 use serde::{Deserialize, Serialize};
-
-/// Number of log2 latency buckets (bucket *i ≥ 1* covers `[2^(i-1), 2^i)`
-/// µs, bucket 0 holds sub-microsecond samples; the last bucket absorbs
-/// everything larger).
-pub const LATENCY_BUCKETS: usize = 32;
-
-/// A log2-scaled latency histogram over microseconds.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct LatencyHistogram {
-    /// Bucket counts.
-    pub buckets: [u64; LATENCY_BUCKETS],
-}
-
-impl LatencyHistogram {
-    /// The bucket index a microsecond sample falls into.
-    pub(crate) fn bucket_for(us: u64) -> usize {
-        ((64 - us.leading_zeros()) as usize).min(LATENCY_BUCKETS - 1)
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, us: u64) {
-        self.buckets[Self::bucket_for(us)] += 1;
-    }
-
-    /// Total samples recorded.
-    pub fn count(&self) -> u64 {
-        self.buckets.iter().sum()
-    }
-
-    /// Adds every bucket of `other` into `self`.
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
-    }
-}
 
 /// Counters for one pipeline step.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -63,8 +28,6 @@ pub struct StepMetrics {
     pub responses: u64,
     /// Queries whose every attempt went unanswered.
     pub timeouts: u64,
-    /// Issue-to-acceptance latency histogram (transport clock, µs).
-    pub latency: LatencyHistogram,
 }
 
 /// Per-probe metrics: what one traced measurement cost and how it behaved.
@@ -111,7 +74,6 @@ impl ProbeMetrics {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Pending {
     step: usize,
-    issued_at: Option<u64>,
     answered: bool,
 }
 
@@ -145,24 +107,21 @@ impl MetricsFolder {
 impl TraceSink for MetricsFolder {
     fn record(&mut self, event: TraceEvent<'_>) {
         match event {
-            TraceEvent::QueryIssued { step, at_us, .. } => {
+            TraceEvent::QueryIssued { step, .. } => {
                 self.finalize_pending();
                 let idx = step.index();
                 self.metrics.steps[idx].queries += 1;
-                self.current = Some(Pending { step: idx, issued_at: at_us, answered: false });
+                self.current = Some(Pending { step: idx, answered: false });
             }
             TraceEvent::AttemptSent { attempt, .. } => {
                 if attempt > 1 {
                     self.metrics.retries += 1;
                 }
             }
-            TraceEvent::ResponseAccepted { at_us, .. } => {
+            TraceEvent::ResponseAccepted { .. } => {
                 if let Some(p) = self.current.as_mut() {
                     p.answered = true;
                     self.metrics.steps[p.step].responses += 1;
-                    if let (Some(t0), Some(t1)) = (p.issued_at, at_us) {
-                        self.metrics.steps[p.step].latency.record(t1.saturating_sub(t0));
-                    }
                 }
             }
             TraceEvent::ResponseDropped { .. } => {
@@ -196,17 +155,6 @@ mod tests {
             qclass: 1,
             at_us: Some(at),
         }
-    }
-
-    #[test]
-    fn bucket_boundaries_are_log2() {
-        assert_eq!(LatencyHistogram::bucket_for(0), 0);
-        assert_eq!(LatencyHistogram::bucket_for(1), 1);
-        assert_eq!(LatencyHistogram::bucket_for(2), 2);
-        assert_eq!(LatencyHistogram::bucket_for(3), 2);
-        assert_eq!(LatencyHistogram::bucket_for(4), 3);
-        assert_eq!(LatencyHistogram::bucket_for(1 << 20), 21);
-        assert_eq!(LatencyHistogram::bucket_for(u64::MAX), LATENCY_BUCKETS - 1);
     }
 
     #[test]
@@ -247,9 +195,6 @@ mod tests {
         assert_eq!(loc.queries, 2);
         assert_eq!(loc.responses, 1);
         assert_eq!(loc.timeouts, 1, "query 1 never got an accepted answer");
-        // 3000 µs lands in its log2 bucket exactly once.
-        assert_eq!(loc.latency.buckets[LatencyHistogram::bucket_for(3_000)], 1);
-        assert_eq!(loc.latency.count(), 1);
         let bogon = m.step(Step::Bogon);
         assert_eq!(bogon.queries, 1);
         assert_eq!(bogon.timeouts, 1, "trailing unanswered query closes at RunFinished");
@@ -258,18 +203,6 @@ mod tests {
         assert_eq!(m.dropped_wrong_txid, 1);
         assert_eq!(m.total_queries(), 3);
         assert_eq!(m.steps.iter().map(|s| s.timeouts).sum::<u64>(), 2);
-    }
-
-    #[test]
-    fn histogram_merge_adds_bucketwise() {
-        let mut a = LatencyHistogram::default();
-        a.record(3);
-        let mut b = LatencyHistogram::default();
-        b.record(3);
-        b.record(1 << 10);
-        a.merge(&b);
-        assert_eq!(a.buckets[2], 2);
-        assert_eq!(a.count(), 3);
     }
 
     #[test]
