@@ -10,7 +10,7 @@
 //! workflow the paper's artifact evaluation would want.
 
 use dns_wire::{MessageView, Question};
-use locator::{QueryOptions, QueryOutcome, QueryTransport};
+use locator::{QueryOptions, QueryOutcome, QueryTransport, Step};
 use serde::{Deserialize, Serialize};
 use std::net::IpAddr;
 
@@ -118,6 +118,12 @@ impl<T: QueryTransport> QueryTransport for RecordingTransport<T> {
         // wrapped transport's clock.
         self.inner.now_us()
     }
+
+    fn note_step(&mut self, step: Step) {
+        // ...and to timing: the wrapped transport files its round-trip
+        // times under the step the locator is in.
+        self.inner.note_step(step);
+    }
 }
 
 /// Replays an archive. Queries must arrive in the archived order with the
@@ -175,7 +181,7 @@ impl QueryTransport for ReplayTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use interception::{HomeScenario, SimTransport};
+    use interception::{HomeScenario, ProbeTimingLog, SimTransport};
     use locator::HijackLocator;
 
     fn record_probe(scenario: HomeScenario) -> (locator::ProbeReport, RawMeasurement) {
@@ -197,6 +203,31 @@ mod tests {
             assert_eq!(replay.mismatches, 0);
             assert!(replay.exhausted());
         }
+    }
+
+    #[test]
+    fn recording_keeps_the_wrapped_transport_phase_attribution() {
+        // The phase slot of every round trip the timing log holds, with
+        // and without a recorder around the transport.
+        let phases = |record: bool| {
+            let built = HomeScenario::xb6_case_study().build();
+            let mut locator = HijackLocator::new(built.locator_config());
+            let mut transport = SimTransport::new(built);
+            transport.attach_timing(Box::new(ProbeTimingLog::new()));
+            if record {
+                locator.run(&mut RecordingTransport::new(&mut transport));
+            } else {
+                locator.run(&mut transport);
+            }
+            let log = transport.take_timing().expect("timing was attached");
+            log.rtt.iter().map(|sample| sample.phase).collect::<Vec<_>>()
+        };
+        let direct = phases(false);
+        assert!(
+            direct.iter().any(|&phase| phase != 0),
+            "the case study times steps after location: {direct:?}"
+        );
+        assert_eq!(phases(true), direct);
     }
 
     #[test]

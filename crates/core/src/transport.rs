@@ -130,8 +130,9 @@ pub trait QueryTransport {
     }
 
     /// Tells the transport which pipeline step the next queries belong
-    /// to, so per-step latency histograms can attribute them. The default
-    /// is a no-op: transports that don't collect timing ignore it.
+    /// to, so a transport that records round-trip times can file them by
+    /// step. The default is a no-op: transports that don't collect timing
+    /// ignore it, and wrappers forward it.
     fn note_step(&mut self, _step: Step) {}
 }
 
