@@ -1,12 +1,16 @@
 //! Acceptance checks for the latency-observability layer: the paper's
 //! "local answers come back fast" signature on a seeded mixed fleet, the
-//! thread/batch invariance of every virtual-clock histogram, and the
-//! checked-in 200-probe timing expectation CI diffs on every push.
+//! thread/batch invariance of every virtual-clock histogram, the
+//! agreement of each probe's RTT log with the flight recorder and the
+//! metered response counts, and the checked-in 200-probe timing
+//! expectation CI diffs on every push.
 
 use atlas_sim::{
     classification_fleet, generate, run_campaign_timed, run_classification_timed,
     CampaignOptions, CampaignTimings, FleetConfig, TimingRegistry,
 };
+use interception::{flow_rtt_us, HomeScenario, ProbeTimingLog, SimTransport};
+use locator::{HijackLocator, MetricsFolder, Step};
 use std::path::PathBuf;
 use timing::HistogramSnapshot;
 
@@ -74,6 +78,56 @@ fn virtual_clock_histograms_are_thread_and_batch_invariant() {
                     "classification timing diverged at threads={threads} batch={batch_size}"
                 ),
             }
+        }
+    }
+}
+
+/// The transport's RTT log is the one record of how long each answer
+/// took, so it must agree with the two other layers that see the same
+/// queries. Its samples equal, in order, the round trips the flight
+/// recorder reconstructs for the probe's own flows; and each phase holds
+/// one sample per response the metrics fold counts for that step.
+#[test]
+fn rtt_log_matches_the_flight_recorder_and_the_metered_responses() {
+    let mut scenarios = HomeScenario::worked_examples();
+    scenarios.extend([
+        ("xb6", HomeScenario::xb6_case_study()),
+        ("clean", HomeScenario::clean()),
+        ("isp-middlebox", HomeScenario::isp_middlebox()),
+    ]);
+    for (name, scenario) in scenarios {
+        let built = scenario.build();
+        let mut locator = HijackLocator::new(built.locator_config());
+        let mut transport = SimTransport::new(built);
+        transport.attach_timing(Box::new(ProbeTimingLog::new()));
+        transport.enable_capture();
+        let mut folder = MetricsFolder::default();
+        locator.run_traced(&mut transport, &mut folder);
+        let metrics = folder.finish();
+        let log = transport.take_timing().expect("timing was attached");
+        let flows = transport.take_flows();
+
+        // The log also times wrong-source answers, which the fold does
+        // not count as responses.
+        assert_eq!(metrics.wrong_source_responses, 0, "{name}");
+        assert_eq!(log.rtt_dropped, 0, "{name}");
+        let logged: Vec<u64> = log.rtt.iter().map(|sample| sample.rtt_us).collect();
+        let recorded: Vec<u64> = flows
+            .iter()
+            .filter(|flow| flow.hops.first().is_some_and(|hop| &*hop.node == "probe"))
+            .filter_map(flow_rtt_us)
+            .collect();
+        assert!(!logged.is_empty(), "{name}: no answered query was timed");
+        assert_eq!(logged, recorded, "{name}: RTT log vs flight recorder");
+        for step in Step::ALL {
+            let samples =
+                log.rtt.iter().filter(|sample| usize::from(sample.phase) == step.index()).count();
+            assert_eq!(
+                samples as u64,
+                metrics.step(step).responses,
+                "{name}: {} samples vs responses",
+                step.label()
+            );
         }
     }
 }
