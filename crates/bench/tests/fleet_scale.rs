@@ -90,7 +90,8 @@ fn allocations_per_probe(config: FleetConfig) -> (f64, f64) {
 /// truth (instead of cloning both) keeps this flat; an accidental
 /// per-probe clone of anything fleet-sized would fail the ratio check.
 /// Absolute per-probe allocation budgets at the 1200-probe point: the
-/// measured 55.1 allocations and 11,354 bytes per probe, plus 10%.
+/// measured 42.04 allocations and 10,941 bytes per probe (debug; release
+/// reads 42.04 and 10,937), plus 10%.
 /// Regressing past these means a per-query or per-build allocation came
 /// back (e.g. re-encoding location queries, rebuilding the resolver table,
 /// per-packet payload Vecs, per-query name strings, a device encode
@@ -99,8 +100,8 @@ fn allocations_per_probe(config: FleetConfig) -> (f64, f64) {
 /// The steady-state *wire* path itself is pinned to exactly zero by
 /// `tests/zero_alloc.rs`; this budget covers the whole probe — world
 /// build, verdicts, aggregation — where some setup allocation is real.
-const MAX_ALLOCS_PER_PROBE: f64 = 61.0;
-const MAX_BYTES_PER_PROBE: f64 = 12_490.0;
+const MAX_ALLOCS_PER_PROBE: f64 = 46.3;
+const MAX_BYTES_PER_PROBE: f64 = 12_035.0;
 
 fn assert_allocation_flatness() {
     let (small_count, small_bytes) = allocations_per_probe(benign(300));
@@ -130,10 +131,11 @@ fn assert_allocation_flatness() {
 }
 
 /// Per-probe budgets on the heavy-tail fleet at 1,200 probes: the measured
-/// 63.4 allocations and 12,635 bytes per responding probe, plus 10%.
+/// 45.41 allocations and 12,221 bytes per responding probe (debug; release
+/// reads 45.41 and 12,216), plus 10%.
 /// The benign budgets above never see loss, retries or backoff; these do.
-const MAX_HEAVY_TAIL_ALLOCS_PER_PROBE: f64 = 70.0;
-const MAX_HEAVY_TAIL_BYTES_PER_PROBE: f64 = 13_900.0;
+const MAX_HEAVY_TAIL_ALLOCS_PER_PROBE: f64 = 50.0;
+const MAX_HEAVY_TAIL_BYTES_PER_PROBE: f64 = 13_444.0;
 
 fn assert_heavy_tail_budget() {
     let (count, bytes) = allocations_per_probe(heavy_tail(1200));
@@ -151,13 +153,14 @@ fn assert_heavy_tail_budget() {
 }
 
 /// Per-probe budgets for the capture-enabled campaign on the 300-probe
-/// fleet: the measured 149.2 allocations and 157,556 bytes per responding
-/// probe, plus 10%. The whole campaign counts, measurement included.
+/// fleet: the measured 124.6 allocations and 157,471 bytes per responding
+/// probe (debug; release reads 124.4 and 157,084), plus 10%. The whole
+/// campaign counts, measurement included.
 /// Regressing past these means hops went back to per-hop strings, the
 /// capture buffer stopped being recycled through `SimScratch`, or flow
 /// reconstruction re-parsed messages into owned ones.
-const MAX_CAPTURE_ALLOCS_PER_PROBE: f64 = 165.0;
-const MAX_CAPTURE_BYTES_PER_PROBE: f64 = 173_320.0;
+const MAX_CAPTURE_ALLOCS_PER_PROBE: f64 = 137.1;
+const MAX_CAPTURE_BYTES_PER_PROBE: f64 = 173_219.0;
 
 /// The flight recorder's zero-cost contract, enforced at the allocator:
 /// with capture disabled (the default `NullCapture`), two identical
@@ -243,9 +246,9 @@ fn peak_growth<R>(run: impl FnOnce() -> R) -> u64 {
 /// 2,000- and 8,000-probe heavy-tail fleets on one thread. Streaming keeps
 /// no per-probe result; its one per-probe cost is the scheduler's index of
 /// responding probes, an 8-byte `&ProbeSpec` each, and 12 at the peak of
-/// the doubling that grows it. Measured: 8.5 B per added probe (+52,734 B
-/// at 2,000, +101,957 B at 8,000). Collect-all keeps every `ProbeResult`
-/// (2,275 B per added probe), and must stay above its floor to show that
+/// the doubling that grows it. Measured: 8.6 B per added probe (+52,341 B
+/// at 2,000, +102,005 B at 8,000). Collect-all keeps every `ProbeResult`
+/// (2,017 B per added probe), and must stay above its floor to show that
 /// the check sees retained results.
 const MAX_STREAMING_BYTES_PER_ADDED_PROBE: f64 = 24.0;
 const MIN_COLLECT_ALL_BYTES_PER_ADDED_PROBE: f64 = 1024.0;
