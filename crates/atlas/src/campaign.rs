@@ -206,9 +206,9 @@ pub struct ProbeResult<'a> {
 ///
 /// Each observer is optional and none changes a result: `metrics`
 /// aggregates per-probe metrics (commutative counters, so thread-count
-/// invariant too), `telemetry` counts claims and
-/// completions live for a progress monitor, and `timing` folds each
-/// probe's RTT and wall-clock phase samples.
+/// invariant too), `telemetry` counts claims and completions live for a
+/// progress monitor, and `timing` folds each probe's RTT and wall-clock
+/// phase samples.
 pub fn run_campaign<'a>(
     fleet: &'a Fleet,
     options: CampaignOptions,
