@@ -42,7 +42,6 @@ pub struct MetricsRegistry {
     steps: Vec<StepCell>,
     retries: AtomicU64,
     attempt_timeouts: AtomicU64,
-    dropped_wrong_txid: AtomicU64,
     probes: AtomicU64,
     intercepted: AtomicU64,
     orgs: Vec<OrgCell>,
@@ -55,7 +54,6 @@ impl MetricsRegistry {
             steps: (0..Step::ALL.len()).map(|_| StepCell::default()).collect(),
             retries: AtomicU64::new(0),
             attempt_timeouts: AtomicU64::new(0),
-            dropped_wrong_txid: AtomicU64::new(0),
             probes: AtomicU64::new(0),
             intercepted: AtomicU64::new(0),
             orgs: (0..org_count).map(|_| OrgCell::default()).collect(),
@@ -73,7 +71,6 @@ impl MetricsRegistry {
         }
         self.retries.fetch_add(metrics.retries, Ordering::Relaxed);
         self.attempt_timeouts.fetch_add(metrics.attempt_timeouts, Ordering::Relaxed);
-        self.dropped_wrong_txid.fetch_add(metrics.dropped_wrong_txid, Ordering::Relaxed);
         self.probes.fetch_add(1, Ordering::Relaxed);
         if report.intercepted {
             self.intercepted.fetch_add(1, Ordering::Relaxed);
@@ -124,7 +121,6 @@ impl MetricsRegistry {
             steps,
             retries: self.retries.load(Ordering::Relaxed),
             attempt_timeouts: self.attempt_timeouts.load(Ordering::Relaxed),
-            dropped_wrong_txid: self.dropped_wrong_txid.load(Ordering::Relaxed),
             per_as,
         }
     }
@@ -167,8 +163,6 @@ pub struct CampaignMetrics {
     pub retries: u64,
     /// Individual attempts that expired.
     pub attempt_timeouts: u64,
-    /// Responses discarded for a wrong transaction ID.
-    pub dropped_wrong_txid: u64,
     /// Verdict tallies per AS (organizations with no measured probes are
     /// omitted), in catalog order.
     pub per_as: Vec<AsVerdicts>,

@@ -10,9 +10,9 @@
 //! workflow the paper's artifact evaluation would want.
 
 use dns_wire::{MessageView, Question};
-use locator::{QueryOptions, QueryOutcome, QueryTransport, Step};
+use locator::{QueryOptions, QueryOutcome, QueryTransport, ReplyFilter, Step};
 use serde::{Deserialize, Serialize};
-use std::net::IpAddr;
+use std::net::{IpAddr, SocketAddr};
 
 /// One archived query/response pair.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -128,7 +128,10 @@ impl<T: QueryTransport> QueryTransport for RecordingTransport<T> {
 
 /// Replays an archive. Queries must arrive in the archived order with the
 /// archived parameters (the locator is deterministic, so they do); any
-/// divergence yields a timeout and is counted in `mismatches`.
+/// divergence yields a timeout and is counted in `mismatches`. An archived
+/// response is offered to the attempt's [`ReplyFilter`] as if it had just
+/// arrived, so a replay judges bytes from outside the program by the same
+/// rule as a live run.
 pub struct ReplayTransport {
     records: Vec<RawQueryRecord>,
     cursor: usize,
@@ -165,16 +168,13 @@ impl QueryTransport for ReplayTransport {
             return QueryOutcome::Timeout;
         }
         self.cursor += 1;
-        match &record.response {
-            Some(bytes) => match MessageView::parse(bytes) {
-                Ok(view) => match record.wrong_source {
-                    Some(from) => QueryOutcome::WrongSource { message: view.to_reply(), from },
-                    None => QueryOutcome::Response(view.to_reply()),
-                },
-                Err(_) => QueryOutcome::Timeout,
-            },
-            None => QueryOutcome::Timeout,
-        }
+        let Some(Ok(view)) = record.response.as_deref().map(MessageView::parse) else {
+            return QueryOutcome::Timeout;
+        };
+        let from = record.wrong_source.unwrap_or(server);
+        let mut filter = ReplyFilter::new(SocketAddr::new(server, 53), txid);
+        filter.offer(SocketAddr::new(from, 53), *view.header(), || view.to_reply());
+        filter.finish()
     }
 }
 

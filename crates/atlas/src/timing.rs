@@ -266,12 +266,6 @@ pub fn prometheus_exposition(
         w.counter("repro_retries_total", &[], m.retries);
         w.header("repro_attempt_timeouts_total", "counter", "Individual attempts that expired.");
         w.counter("repro_attempt_timeouts_total", &[], m.attempt_timeouts);
-        w.header(
-            "repro_dropped_wrong_txid_total",
-            "counter",
-            "Responses discarded for a wrong transaction ID.",
-        );
-        w.counter("repro_dropped_wrong_txid_total", &[], m.dropped_wrong_txid);
         w.header("repro_as_verdicts_total", "counter", "Location verdicts per AS.");
         for v in &m.per_as {
             let asn = v.asn.to_string();

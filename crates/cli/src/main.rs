@@ -157,7 +157,8 @@ options:
   --no-v6           skip IPv6 location queries
   --json            print the full report as JSON
   --trace           print one line per trace event (queries, wire
-                    attempts, accepted/dropped responses, verdicts)
+                    attempts, accepted and wrong-source responses,
+                    timeouts, verdicts)
   --metrics json    print per-step query/answer/timeout counters as JSON
   --ttl-scan        additionally run the TTL-scan hop localization (§6)
   --investigate     run the full battery (three-step + DNSSEC-AD +

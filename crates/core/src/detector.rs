@@ -930,9 +930,11 @@ mod tests {
         // A transparent forwarder relays every query upstream, and the
         // upstream answers the probe directly: right txid, wrong source
         // address. None of those replies may be accepted as answers, and
-        // the source check must cite every one of them.
+        // the source check must cite every one of them. The upstream is an
+        // address the panel never queries: a reply from the queried
+        // server itself would be its answer.
         let mut t = MockTransport::new();
-        let upstream: IpAddr = "9.9.9.9".parse().unwrap();
+        let upstream: IpAddr = "198.51.100.99".parse().unwrap();
         t.push_rule(
             None,
             None,
@@ -951,7 +953,7 @@ mod tests {
         assert_eq!(src.verdict.to_string(), "16 response(s) from unexpected source");
         let cited = report.provenance.cited(&src);
         assert_eq!(cited.len(), 16, "one citation per location query");
-        assert!(cited.iter().all(|e| e.observed == "wrong-source(9.9.9.9)"));
+        assert!(cited.iter().all(|e| e.observed == "wrong-source(198.51.100.99)"));
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //!
 //! The crate is transport-agnostic: [`HijackLocator`] drives any
 //! [`QueryTransport`]. The companion crates provide a packet-level simulated
-//! transport; a `UdpSocket` transport would work identically on a real
-//! network.
+//! transport, and [`UdpTransport`] runs the same technique over a real
+//! `UdpSocket`; both judge replies through one [`ReplyFilter`], and a
+//! loopback bridge test runs the UDP transport against simulated homes.
 //!
 //! ```
 //! use locator::{HijackLocator, LocatorConfig, MockTransport};
@@ -58,6 +59,7 @@ pub use report::{
 pub use resolvers::{default_resolvers, shared_default_resolvers, PublicResolver, ResolverKey};
 pub use trace::{Step, TraceEvent, TraceRecorder, TraceSink};
 pub use transport::{
-    query_with_retry, QueryOptions, QueryOutcome, QueryTransport, RetriedQuery, TxidSequence,
+    query_with_retry, Filtered, QueryOptions, QueryOutcome, QueryTransport, ReplyFilter,
+    RetriedQuery, TxidSequence,
 };
 pub use udp_transport::UdpTransport;

@@ -2,10 +2,10 @@
 //!
 //! [`MetricsFolder`] is a [`TraceSink`]: point the locator's traced run at
 //! one and it accumulates per-step query/response/timeout counters and the
-//! probe's retry and drop tallies without retaining the events themselves,
-//! yielding a plain-data [`ProbeMetrics`]. The campaign-wide aggregation
-//! (the lock-free registry in the `atlas-sim` crate) folds these per-probe
-//! values into shared atomics.
+//! probe's retry and wrong-source tallies without retaining the events
+//! themselves, yielding a plain-data [`ProbeMetrics`]. The campaign-wide
+//! aggregation (the lock-free registry in the `atlas-sim` crate) folds
+//! these per-probe values into shared atomics.
 //!
 //! Latency is not folded here: a simulated transport hands each answer
 //! back at the end of its receive window, so trace stamps are not arrival
@@ -40,8 +40,6 @@ pub struct ProbeMetrics {
     /// Individual attempts that expired (a 3-attempt query that finally
     /// answers contributes 2 here and nothing to step timeouts).
     pub attempt_timeouts: u64,
-    /// Responses discarded for carrying the wrong transaction ID.
-    pub dropped_wrong_txid: u64,
     /// Responses with the right transaction ID that arrived from an
     /// address other than the queried server (transparent-forwarder
     /// signature); never accepted as answers.
@@ -124,9 +122,6 @@ impl TraceSink for MetricsFolder {
                     self.metrics.steps[p.step].responses += 1;
                 }
             }
-            TraceEvent::ResponseDropped { .. } => {
-                self.metrics.dropped_wrong_txid += 1;
-            }
             TraceEvent::ResponseWrongSource { .. } => {
                 self.metrics.wrong_source_responses += 1;
             }
@@ -173,13 +168,7 @@ mod tests {
             TraceEvent::AttemptSent { seq: 1, attempt: 1, txid: 2, at_us: Some(10_000) },
             TraceEvent::AttemptTimedOut { seq: 1, attempt: 1, txid: 2, at_us: Some(15_000) },
             TraceEvent::AttemptSent { seq: 1, attempt: 2, txid: 3, at_us: Some(15_000) },
-            TraceEvent::ResponseDropped {
-                seq: 1,
-                attempt: 2,
-                expected_txid: 3,
-                got_txid: 9,
-                at_us: Some(16_000),
-            },
+            TraceEvent::AttemptTimedOut { seq: 1, attempt: 2, txid: 3, at_us: Some(20_000) },
             issued(2, Step::Bogon, 20_000),
             TraceEvent::AttemptSent { seq: 2, attempt: 1, txid: 4, at_us: Some(20_000) },
             TraceEvent::RunFinished {
@@ -199,8 +188,7 @@ mod tests {
         assert_eq!(bogon.queries, 1);
         assert_eq!(bogon.timeouts, 1, "trailing unanswered query closes at RunFinished");
         assert_eq!(m.retries, 1);
-        assert_eq!(m.attempt_timeouts, 1);
-        assert_eq!(m.dropped_wrong_txid, 1);
+        assert_eq!(m.attempt_timeouts, 2);
         assert_eq!(m.total_queries(), 3);
         assert_eq!(m.steps.iter().map(|s| s.timeouts).sum::<u64>(), 2);
     }

@@ -6,16 +6,20 @@
 //! interceptor on top — mirroring how a real interceptor shadows the real
 //! resolvers.
 //!
-//! Responses echo the caller's transaction ID, as a real server would.
-//! Two fault knobs exercise the retry pipeline: a rule can time out for
-//! its first `n` matches ([`MockTransport::push_flaky_rule`]) and a rule
-//! can answer with a corrupted transaction ID ([`Respond::WrongTxid`]).
+//! Responses echo the caller's transaction ID, as a real server would,
+//! and each scripted reply is offered to the attempt's [`ReplyFilter`]
+//! like a received datagram, so the mock judges replies by the same rule
+//! as the real transports. Two fault knobs exercise the retry pipeline: a
+//! rule can time out for its first `n` matches
+//! ([`MockTransport::push_flaky_rule`]) and a rule can answer with a
+//! corrupted transaction ID ([`Respond::WrongTxid`]), which the filter
+//! drops, so the attempt reads as a timeout.
 
 use crate::resolvers::default_resolvers;
-use crate::transport::{QueryOptions, QueryOutcome, QueryTransport};
+use crate::transport::{QueryOptions, QueryOutcome, QueryTransport, ReplyFilter};
 use dns_wire::debug_queries;
 use dns_wire::{Message, Name, Question, RClass, RData, Rcode, Record, Reply};
-use std::net::{IpAddr, Ipv4Addr};
+use std::net::{IpAddr, Ipv4Addr, SocketAddr};
 
 /// How a matched rule responds.
 #[derive(Debug, Clone)]
@@ -31,8 +35,8 @@ pub enum Respond {
     /// No response at all.
     Timeout,
     /// Answers like the inner `Respond`, but with the response's
-    /// transaction ID corrupted — a late or blindly spoofed reply that a
-    /// correct transport must drop.
+    /// transaction ID corrupted — a late or blindly spoofed reply that the
+    /// receive filter drops.
     WrongTxid(Box<Respond>),
     /// Answers like the inner `Respond` (right transaction ID), but the
     /// reply arrives from `IpAddr` instead of the queried server — the
@@ -360,18 +364,19 @@ impl QueryTransport for MockTransport {
                     &rule.respond
                 };
                 // Handed out as encoded bytes, as a real transport receives
-                // them.
+                // them, and judged by the same filter.
                 let Some(reply) = Self::build_response(question, txid, respond)
                     .map(|m| Reply::encode(&m).expect("scripted replies encode"))
                 else {
                     return QueryOutcome::Timeout;
                 };
-                return match respond {
-                    Respond::WrongSource(from, _) => {
-                        QueryOutcome::WrongSource { message: reply, from: *from }
-                    }
-                    _ => QueryOutcome::Response(reply),
+                let from = match respond {
+                    Respond::WrongSource(from, _) => *from,
+                    _ => server,
                 };
+                let mut filter = ReplyFilter::new(SocketAddr::new(server, 53), txid);
+                filter.offer(SocketAddr::new(from, 53), *reply.header(), || reply);
+                return filter.finish();
             }
         }
         QueryOutcome::Timeout
@@ -480,12 +485,13 @@ mod tests {
 
     #[test]
     fn wrong_txid_responses_carry_a_corrupted_id() {
+        let question = Question::chaos_txt("id.server".parse().unwrap());
+        let respond = Respond::WrongTxid(Box::new(Respond::Txt("IAD".into())));
+        let scripted = MockTransport::build_response(&question, 0x1234, &respond).unwrap();
+        assert_eq!(scripted.header.id, 0x1234 ^ 0x5A5A);
+        // The filter drops it, so the attempt reads as a timeout.
         let mut t = MockTransport::new();
-        let server: IpAddr = "1.1.1.1".parse().unwrap();
-        t.push_rule(None, None, None, Respond::WrongTxid(Box::new(Respond::Txt("IAD".into()))));
-        let out = q(&mut t, server, Question::chaos_txt("id.server".parse().unwrap()));
-        let reply = out.response().unwrap();
-        assert_ne!(reply.header().id, 0x1234);
-        assert_eq!(reply.header().id, 0x1234 ^ 0x5A5A);
+        t.push_rule(None, None, None, respond);
+        assert!(q(&mut t, "1.1.1.1".parse().unwrap(), question).is_timeout());
     }
 }

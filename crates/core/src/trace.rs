@@ -5,8 +5,8 @@
 //! within-ISP. This module makes every link of that chain visible: a
 //! [`TraceSink`] receives one [`TraceEvent`] for each query issued, each
 //! wire attempt (with its transaction ID), each response accepted or
-//! dropped for a wrong ID, and each step verdict together with the exact
-//! evidence that decided it.
+//! flagged for its wrong source, each attempt that timed out, and each
+//! step verdict together with the exact evidence that decided it.
 //!
 //! Tracing is **zero-cost when disabled**: every emission site is guarded
 //! by [`TraceSink::enabled`], and the default sink, `NullSink`, returns a
@@ -149,20 +149,6 @@ pub enum TraceEvent<'a> {
         /// Transport clock, microseconds.
         at_us: Option<u64>,
     },
-    /// A response arrived but carried the wrong transaction ID — the
-    /// stale-txid defense dropped it.
-    ResponseDropped {
-        /// Owning query.
-        seq: u32,
-        /// Attempt the response would have satisfied.
-        attempt: u32,
-        /// The ID the attempt used.
-        expected_txid: u16,
-        /// The ID the response actually carried.
-        got_txid: u16,
-        /// Transport clock, microseconds.
-        at_us: Option<u64>,
-    },
     /// A response carried the right transaction ID but arrived from an
     /// address other than the queried server — the transparent-forwarder
     /// signature. It is never accepted as the answer.
@@ -223,7 +209,6 @@ impl TraceEvent<'_> {
             TraceEvent::QueryIssued { seq, .. }
             | TraceEvent::AttemptSent { seq, .. }
             | TraceEvent::ResponseAccepted { seq, .. }
-            | TraceEvent::ResponseDropped { seq, .. }
             | TraceEvent::ResponseWrongSource { seq, .. }
             | TraceEvent::AttemptTimedOut { seq, .. } => Some(*seq),
             TraceEvent::StepVerdict { .. } | TraceEvent::RunFinished { .. } => None,
@@ -236,7 +221,6 @@ impl TraceEvent<'_> {
             TraceEvent::QueryIssued { at_us, .. }
             | TraceEvent::AttemptSent { at_us, .. }
             | TraceEvent::ResponseAccepted { at_us, .. }
-            | TraceEvent::ResponseDropped { at_us, .. }
             | TraceEvent::ResponseWrongSource { at_us, .. }
             | TraceEvent::AttemptTimedOut { at_us, .. }
             | TraceEvent::StepVerdict { at_us, .. }
@@ -257,9 +241,6 @@ impl TraceEvent<'_> {
             TraceEvent::ResponseAccepted { seq, attempt, txid, observed, at_us } => {
                 let observed = Cow::Owned(observed.into_owned());
                 TraceEvent::ResponseAccepted { seq, attempt, txid, observed, at_us }
-            }
-            TraceEvent::ResponseDropped { seq, attempt, expected_txid, got_txid, at_us } => {
-                TraceEvent::ResponseDropped { seq, attempt, expected_txid, got_txid, at_us }
             }
             TraceEvent::ResponseWrongSource { seq, attempt, txid, from, at_us } => {
                 TraceEvent::ResponseWrongSource { seq, attempt, txid, from, at_us }
@@ -305,15 +286,6 @@ impl Serialize for TraceEvent<'_> {
                     ("attempt", attempt.to_value()),
                     ("txid", txid.to_value()),
                     ("observed", observed.to_value()),
-                ],
-            ),
-            TraceEvent::ResponseDropped { seq, attempt, expected_txid, got_txid, .. } => (
-                "ResponseDropped",
-                vec![
-                    ("seq", seq.to_value()),
-                    ("attempt", attempt.to_value()),
-                    ("expected_txid", expected_txid.to_value()),
-                    ("got_txid", got_txid.to_value()),
                 ],
             ),
             TraceEvent::ResponseWrongSource { seq, attempt, txid, from, .. } => (
@@ -379,13 +351,6 @@ impl fmt::Display for TraceEvent<'_> {
                 write!(
                     f,
                     "[{:>10}] q{seq:<3} attempt {attempt} accepted txid={txid:#06x}: {observed}",
-                    fmt_clock(at_us)
-                )
-            }
-            TraceEvent::ResponseDropped { seq, attempt, expected_txid, got_txid, at_us } => {
-                write!(
-                    f,
-                    "[{:>10}] q{seq:<3} attempt {attempt} DROPPED wrong txid: expected {expected_txid:#06x}, got {got_txid:#06x}",
                     fmt_clock(at_us)
                 )
             }
@@ -514,16 +479,16 @@ mod tests {
 
     #[test]
     fn events_render_as_json_externally_tagged_in_field_order() {
-        let ev = TraceEvent::ResponseDropped {
+        let ev = TraceEvent::ResponseWrongSource {
             seq: 7,
             attempt: 2,
-            expected_txid: 0x1007,
-            got_txid: 0x1006,
+            txid: 0x1007,
+            from: "9.9.9.9".parse().unwrap(),
             at_us: Some(12_345),
         };
         assert_eq!(
             serde_json::to_string(&ev).unwrap(),
-            r#"{"ResponseDropped":{"seq":7,"attempt":2,"expected_txid":4103,"got_txid":4102,"at_us":12345}}"#
+            r#"{"ResponseWrongSource":{"seq":7,"attempt":2,"txid":4103,"from":"9.9.9.9","at_us":12345}}"#
         );
         let name: Name = "id.server".parse().unwrap();
         let issued = TraceEvent::QueryIssued {

@@ -4,26 +4,29 @@
 //! that can make DNS queries, without requiring root access or external
 //! measurement tools" (§1). [`QueryTransport`] captures exactly that
 //! capability: send one DNS question to one server address, get back either
-//! a response or a timeout. The simulator provides one implementation; a
-//! real `UdpSocket`-backed one could be added without touching the
-//! algorithm.
+//! a response or a timeout. The simulator and a real `UdpSocket`
+//! ([`UdpTransport`](crate::UdpTransport)) both implement it, and the
+//! algorithm cannot tell them apart.
 //!
 //! Transaction IDs are allocated by the *caller* and passed down to the
-//! transport, which must both stamp them on the wire and reject responses
-//! carrying a different ID. Retries live above the transport in
-//! [`query_with_retry`]: each attempt re-sends with a fresh ID so a late
-//! response to a previous attempt can never be mistaken for the current
-//! one.
+//! transport, which stamps them on the wire. What counts as the answer is
+//! decided in one place, [`ReplyFilter`]: every transport offers it each
+//! datagram it receives, and it keeps only the query's transaction ID from
+//! the queried server (or, as evidence, from anywhere else). Retries live
+//! above the transport in [`query_with_retry`]: each attempt re-sends with
+//! a fresh ID from a fresh source port, so a late response to a previous
+//! attempt can never be mistaken for the current one.
 //!
 //! A transport hands back each reply as received ([`Reply`]): the bytes,
-//! validated once by its receive filter. The locator reads the few fields
-//! it needs through the reply's view and never decodes owned records.
+//! validated once before the filter saw them. The locator reads the few
+//! fields it needs through the reply's view and never decodes owned
+//! records.
 
 use crate::report::Observation;
 use crate::trace::{Step, TraceEvent, TraceSink};
-use dns_wire::{Question, Reply};
+use dns_wire::{Header, Question, Reply};
 use std::borrow::Cow;
-use std::net::IpAddr;
+use std::net::{IpAddr, SocketAddr};
 
 /// Wait budget and packet parameters for a single query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,7 +110,8 @@ impl QueryOutcome {
 pub trait QueryTransport {
     /// Sends `question` to `server` with transaction ID `txid` and waits
     /// for a source-matching reply. Implementations must stamp `txid` on
-    /// the outgoing message and drop replies whose header ID differs.
+    /// the outgoing message and offer every datagram they receive to a
+    /// [`ReplyFilter`] built for this attempt, whose outcome they return.
     fn query(
         &mut self,
         server: IpAddr,
@@ -158,6 +162,83 @@ impl<T: QueryTransport + ?Sized> QueryTransport for &mut T {
 
     fn note_step(&mut self, step: Step) {
         (**self).note_step(step)
+    }
+}
+
+/// The stub's receive rule for one attempt: which datagram, if any, is the
+/// answer.
+///
+/// An answer counts only if it carries the query's transaction ID and comes
+/// from the queried server, which is why interceptors must spoof (§2); a
+/// right-ID reply from any other address is the transparent-forwarder
+/// signal (Nawrocki et al.). Built from the server's socket address and the
+/// attempt's ID, the filter is offered each datagram in arrival order:
+///
+/// - a datagram with QR clear or another ID is dropped;
+/// - the first datagram from the server's exact address and port is the
+///   answer, and it closes the window (later offers are dropped);
+/// - the first right-ID datagram from any other address is kept as
+///   wrong-source evidence, but a later answer still wins.
+///
+/// [`finish`](ReplyFilter::finish) gives the outcome. The filter builds a
+/// [`Reply`] only when it keeps the datagram, so a dropped one costs no
+/// allocation.
+#[derive(Debug)]
+pub struct ReplyFilter {
+    server: SocketAddr,
+    txid: u16,
+    answer: Option<Reply>,
+    wrong_source: Option<(Reply, IpAddr)>,
+}
+
+/// What [`ReplyFilter::offer`] did with one datagram.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Filtered {
+    /// Not kept: another ID, QR clear, a wrong-source reply after the
+    /// first, or anything after the answer.
+    Dropped,
+    /// Kept as the attempt's wrong-source evidence.
+    WrongSource,
+    /// Kept as the answer; the window is closed.
+    Answer,
+}
+
+impl ReplyFilter {
+    /// A filter for the attempt sent to `server` with transaction ID `txid`.
+    pub fn new(server: SocketAddr, txid: u16) -> ReplyFilter {
+        ReplyFilter { server, txid, answer: None, wrong_source: None }
+    }
+
+    /// Offers one datagram that arrived from `from` with header `header`.
+    /// `reply` is called only if the filter keeps the datagram.
+    pub fn offer(
+        &mut self,
+        from: SocketAddr,
+        header: Header,
+        reply: impl FnOnce() -> Reply,
+    ) -> Filtered {
+        if self.answer.is_some() || header.id != self.txid || !header.qr {
+            return Filtered::Dropped;
+        }
+        if from == self.server {
+            self.answer = Some(reply());
+            return Filtered::Answer;
+        }
+        if self.wrong_source.is_some() {
+            return Filtered::Dropped;
+        }
+        self.wrong_source = Some((reply(), from.ip()));
+        Filtered::WrongSource
+    }
+
+    /// The attempt's outcome: the answer if one arrived, else the
+    /// wrong-source evidence, else a timeout.
+    pub fn finish(self) -> QueryOutcome {
+        match (self.answer, self.wrong_source) {
+            (Some(reply), _) => QueryOutcome::Response(reply),
+            (None, Some((message, from))) => QueryOutcome::WrongSource { message, from },
+            (None, None) => QueryOutcome::Timeout,
+        }
     }
 }
 
@@ -224,11 +305,11 @@ pub(crate) struct QueryCtx {
 /// Sends `question` up to `opts.attempts` times, with a fresh transaction
 /// ID per attempt and `opts.retry_backoff_ms` between attempts.
 ///
-/// A response whose header ID does not match the attempt's ID is treated
-/// as if no response arrived — the stale-txid defense — so a late answer
-/// to an earlier attempt (or a blindly spoofed one) cannot satisfy the
-/// query. With `attempts == 1` this is exactly one transport call:
-/// single-shot pipelines are reproduced bit-for-bit.
+/// The transport's [`ReplyFilter`] has already judged each attempt, so a
+/// late answer to an earlier attempt (or a blindly spoofed one) reaches
+/// this loop as a timeout and cannot satisfy the query. With
+/// `attempts == 1` this is exactly one transport call: single-shot
+/// pipelines are reproduced bit-for-bit.
 pub fn query_with_retry<T: QueryTransport>(
     transport: &mut T,
     server: IpAddr,
@@ -250,13 +331,12 @@ pub fn query_with_retry<T: QueryTransport>(
 /// [`query_with_retry`] with per-attempt trace events.
 ///
 /// Emits `AttemptSent` for every wire attempt, then exactly one of
-/// `ResponseAccepted`, `ResponseDropped` (wrong transaction ID), or
-/// `AttemptTimedOut` for it — all stamped with the transport's clock and
-/// tagged with `ctx`. The accepted reply is described once, for
-/// `ResponseAccepted`, and the text comes back in
-/// [`RetriedQuery::observed`]. When `sink.enabled()` is false (the
-/// [`NullSink`] path) no event is ever constructed, nothing is described,
-/// and this is exactly [`query_with_retry`].
+/// `ResponseAccepted`, `ResponseWrongSource`, or `AttemptTimedOut` for
+/// it — all stamped with the transport's clock and tagged with `ctx`.
+/// The accepted reply is described once, for `ResponseAccepted`, and the
+/// text comes back in [`RetriedQuery::observed`]. When `sink.enabled()`
+/// is false (the [`NullSink`] path) no event is ever constructed, nothing
+/// is described, and this is exactly [`query_with_retry`].
 ///
 /// [`NullSink`]: crate::trace::NullSink
 pub(crate) fn query_with_retry_traced<T: QueryTransport, S: TraceSink>(
@@ -290,7 +370,7 @@ pub(crate) fn query_with_retry_traced<T: QueryTransport, S: TraceSink>(
             });
         }
         match transport.query(server, question, txid, opts) {
-            QueryOutcome::Response(reply) if reply.header().id == txid => {
+            QueryOutcome::Response(reply) => {
                 let observed = sink.enabled().then(|| {
                     let observed = crate::detector::describe_response(&reply.view());
                     sink.record(TraceEvent::ResponseAccepted {
@@ -310,20 +390,8 @@ pub(crate) fn query_with_retry_traced<T: QueryTransport, S: TraceSink>(
                     observed,
                 };
             }
-            // Wrong-ID responses and timeouts both burn the attempt.
-            QueryOutcome::Response(reply) => {
-                if sink.enabled() {
-                    sink.record(TraceEvent::ResponseDropped {
-                        seq: ctx.seq,
-                        attempt: attempt + 1,
-                        expected_txid: txid,
-                        got_txid: reply.header().id,
-                        at_us: transport.now_us(),
-                    });
-                }
-            }
-            // A right-ID reply from the wrong address burns the attempt
-            // too — it is not an answer — but is remembered as evidence.
+            // A right-ID reply from the wrong address burns the attempt —
+            // it is not an answer — but is remembered as evidence.
             QueryOutcome::WrongSource { message, from } => {
                 if sink.enabled() {
                     sink.record(TraceEvent::ResponseWrongSource {
@@ -371,7 +439,86 @@ pub(crate) fn query_with_retry_traced<T: QueryTransport, S: TraceSink>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dns_wire::{Message, Rcode};
+    use dns_wire::{Message, RData, RType, Rcode, Record};
+    use std::cell::Cell;
+    use std::net::Ipv4Addr;
+
+    /// A reply to an `example.com A` query: transaction ID `id`, QR bit
+    /// `qr`, and one A record `10.0.0.tag` that tells replies apart.
+    fn datagram(id: u16, qr: bool, tag: u8) -> Reply {
+        let query = Message::query(id, Question::new("example.com".parse().unwrap(), RType::A));
+        let address = RData::A(Ipv4Addr::new(10, 0, 0, tag));
+        let answer = Record::new(query.questions[0].qname.clone(), 30, address);
+        let mut message = Message::response_to(&query, Rcode::NoError).with_answer(answer);
+        message.header.qr = qr;
+        Reply::encode(&message).unwrap()
+    }
+
+    #[test]
+    fn the_receive_rule_judges_each_datagram_in_arrival_order() {
+        use Filtered::{Answer, Dropped, WrongSource};
+        const TXID: u16 = 0x4000;
+        let server: SocketAddr = "192.0.2.1:53".parse().unwrap();
+        let other: SocketAddr = "198.51.100.99:53".parse().unwrap();
+        let third: SocketAddr = "203.0.113.7:53".parse().unwrap();
+        let other_port: SocketAddr = "192.0.2.1:5353".parse().unwrap();
+        let wrong = |tag: u8, from: SocketAddr| QueryOutcome::WrongSource {
+            message: datagram(TXID, true, tag),
+            from: from.ip(),
+        };
+        // (case, datagrams in arrival order as (source, id, qr), what the
+        // filter does with each, the outcome).
+        type Row = (&'static str, Vec<(SocketAddr, u16, bool)>, Vec<Filtered>, QueryOutcome);
+        let table: Vec<Row> = vec![
+            ("wrong id", vec![(server, TXID ^ 1, true)], vec![Dropped], QueryOutcome::Timeout),
+            ("QR clear", vec![(server, TXID, false)], vec![Dropped], QueryOutcome::Timeout),
+            (
+                "answer, which closes the window",
+                vec![(server, TXID, true), (server, TXID, true)],
+                vec![Answer, Dropped],
+                QueryOutcome::Response(datagram(TXID, true, 0)),
+            ),
+            (
+                "wrong source then answer",
+                vec![(other, TXID, true), (server, TXID, true)],
+                vec![WrongSource, Answer],
+                QueryOutcome::Response(datagram(TXID, true, 1)),
+            ),
+            (
+                "two wrong sources",
+                vec![(other, TXID, true), (third, TXID, true)],
+                vec![WrongSource, Dropped],
+                wrong(0, other),
+            ),
+            ("wrong source alone", vec![(other, TXID, true)], vec![WrongSource], wrong(0, other)),
+            (
+                "the server's address from another port",
+                vec![(other_port, TXID, true)],
+                vec![WrongSource],
+                wrong(0, other_port),
+            ),
+            ("no datagram", vec![], vec![], QueryOutcome::Timeout),
+        ];
+        for (case, datagrams, verdicts, outcome) in table {
+            let mut filter = ReplyFilter::new(server, TXID);
+            let built = Cell::new(0);
+            let seen: Vec<Filtered> = datagrams
+                .iter()
+                .enumerate()
+                .map(|(tag, &(from, id, qr))| {
+                    let reply = datagram(id, qr, tag as u8);
+                    filter.offer(from, *reply.header(), || {
+                        built.set(built.get() + 1);
+                        reply
+                    })
+                })
+                .collect();
+            assert_eq!(seen, verdicts, "{case}");
+            let kept = verdicts.iter().filter(|v| **v != Dropped).count();
+            assert_eq!(built.get(), kept, "{case}: a reply is built only for a kept datagram");
+            assert_eq!(filter.finish(), outcome, "{case}");
+        }
+    }
 
     /// Scripted transport: pops one canned reaction per query call.
     struct Script {
@@ -397,27 +544,24 @@ mod tests {
     impl QueryTransport for Script {
         fn query(
             &mut self,
-            _server: IpAddr,
-            question: &Question,
+            server: IpAddr,
+            _question: &Question,
             txid: u16,
             _opts: QueryOptions,
         ) -> QueryOutcome {
             let idx = self.calls as usize;
             self.calls += 1;
             self.txids_seen.push(txid);
-            let reply = |id: u16| {
-                let q = Message::query(id, question.clone());
-                Reply::encode(&Message::response_to(&q, Rcode::NoError)).unwrap()
+            let (id, from) = match self.reactions.get(idx).unwrap_or(&Reaction::Timeout) {
+                Reaction::Timeout => return QueryOutcome::Timeout,
+                Reaction::Answer => (txid, server),
+                Reaction::WrongTxid => (txid.wrapping_add(1), server),
+                Reaction::WrongSource => (txid, "198.51.100.99".parse().unwrap()),
             };
-            match self.reactions.get(idx).unwrap_or(&Reaction::Timeout) {
-                Reaction::Timeout => QueryOutcome::Timeout,
-                Reaction::Answer => QueryOutcome::Response(reply(txid)),
-                Reaction::WrongTxid => QueryOutcome::Response(reply(txid.wrapping_add(1))),
-                Reaction::WrongSource => QueryOutcome::WrongSource {
-                    message: reply(txid),
-                    from: "198.51.100.99".parse().unwrap(),
-                },
-            }
+            let reply = datagram(id, true, 0);
+            let mut filter = ReplyFilter::new(SocketAddr::new(server, 53), txid);
+            filter.offer(SocketAddr::new(from, 53), *reply.header(), || reply);
+            filter.finish()
         }
 
         fn backoff(&mut self, ms: u64) {
@@ -517,19 +661,17 @@ mod tests {
             .map(|e| match e {
                 TraceEvent::AttemptSent { .. } => "sent",
                 TraceEvent::AttemptTimedOut { .. } => "timeout",
-                TraceEvent::ResponseDropped { .. } => "dropped",
                 TraceEvent::ResponseAccepted { .. } => "accepted",
                 _ => "other",
             })
             .collect();
-        assert_eq!(kinds, vec!["sent", "timeout", "sent", "dropped", "sent", "accepted"]);
+        // The wrong-id reply never left the transport's filter: its attempt
+        // timed out.
+        assert_eq!(kinds, vec!["sent", "timeout", "sent", "timeout", "sent", "accepted"]);
         assert!(rec.events.iter().all(|e| e.seq() == Some(9)));
         match &rec.events[3] {
-            TraceEvent::ResponseDropped { expected_txid, got_txid, .. } => {
-                assert_eq!(*expected_txid, 0x4001);
-                assert_eq!(*got_txid, 0x4002, "wrong-id response carried txid+1");
-            }
-            other => panic!("expected drop event, got {other:?}"),
+            TraceEvent::AttemptTimedOut { txid, .. } => assert_eq!(*txid, 0x4001),
+            other => panic!("expected a timeout, got {other:?}"),
         }
     }
 

@@ -6,8 +6,8 @@
 //! socket is deliberately *not* `connect()`ed: a connected socket would
 //! make the kernel silently discard replies from any other address, and
 //! a reply from the wrong address is exactly the transparent-forwarder
-//! signal the source check needs to see. The transport performs the
-//! source comparison itself and surfaces mismatches as
+//! signal the source check needs to see. Each datagram goes to the
+//! attempt's [`ReplyFilter`], which surfaces mismatches as
 //! [`QueryOutcome::WrongSource`] instead of dropping them on the floor.
 //!
 //! The TTL option of [`QueryOptions`] is honored via `IP_TTL` where the
@@ -16,11 +16,11 @@
 //! more privilege than DNS itself).
 //!
 //! Transaction IDs are supplied by the caller (see
-//! [`crate::TxidSequence`]); the transport stamps them on the wire and
-//! rejects responses carrying any other ID.
+//! [`crate::TxidSequence`]); the transport stamps them on the wire and its
+//! filter drops responses carrying any other ID.
 
-use crate::transport::{QueryOptions, QueryOutcome, QueryTransport};
-use dns_wire::{MessageView, QueryEncoder, Question, Reply};
+use crate::transport::{Filtered, QueryOptions, QueryOutcome, QueryTransport, ReplyFilter};
+use dns_wire::{MessageView, QueryEncoder, Question};
 use std::net::{IpAddr, SocketAddr, UdpSocket};
 use std::time::{Duration, Instant};
 
@@ -87,45 +87,23 @@ impl QueryTransport for UdpTransport {
 
         let deadline = Instant::now() + Duration::from_millis(opts.timeout_ms);
         let mut buf = [0u8; 4096];
-        // First right-txid reply that came from somewhere other than the
-        // queried server. Kept (not returned immediately) so a properly
-        // sourced answer arriving later still wins.
-        let mut mismatch: Option<(Reply, IpAddr)> = None;
+        let mut filter = ReplyFilter::new(target, txid);
+        // Listen until the answer or the deadline. The borrowed view keeps
+        // dropped datagrams allocation-free; a kept reply is copied out of
+        // the receive buffer once, with the offsets this parse validated.
         loop {
             let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
+            if remaining.is_zero() || socket.set_read_timeout(Some(remaining)).is_err() {
                 break;
             }
-            if socket.set_read_timeout(Some(remaining)).is_err() {
+            let Ok((n, peer)) = socket.recv_from(&mut buf) else { break };
+            let Ok(view) = MessageView::parse(&buf[..n]) else { continue };
+            if filter.offer(peer, *view.header(), || view.to_reply()) == Filtered::Answer {
+                self.received += 1;
                 break;
             }
-            match socket.recv_from(&mut buf) {
-                Ok((n, peer)) => {
-                    // Check transaction id and QR first (stale-txid defense),
-                    // then the source address; keep listening until the
-                    // deadline either way. The borrowed view keeps rejected
-                    // datagrams allocation-free; an accepted (or
-                    // mismatch-kept) reply is copied out of the receive
-                    // buffer once, with the offsets this parse validated.
-                    if let Ok(view) = MessageView::parse(&buf[..n]) {
-                        if view.header().id == txid && view.header().qr {
-                            if peer == target {
-                                self.received += 1;
-                                return QueryOutcome::Response(view.to_reply());
-                            }
-                            if mismatch.is_none() {
-                                mismatch = Some((view.to_reply(), peer.ip()));
-                            }
-                        }
-                    }
-                }
-                Err(_) => break,
-            }
         }
-        match mismatch {
-            Some((message, from)) => QueryOutcome::WrongSource { message, from },
-            None => QueryOutcome::Timeout,
-        }
+        filter.finish()
     }
 
     fn backoff(&mut self, ms: u64) {

@@ -64,19 +64,6 @@ impl Reply {
     pub fn to_message(&self) -> Message {
         self.view().to_message()
     }
-
-    /// Rewrites the transaction ID, in the header and in the bytes alike,
-    /// so the two never disagree. The bytes are copied only when `id`
-    /// differs from the one they carry.
-    pub fn set_id(&mut self, id: u16) {
-        if self.layout.header.id == id {
-            return;
-        }
-        let mut bytes = self.bytes.to_vec();
-        bytes[..2].copy_from_slice(&id.to_be_bytes());
-        self.bytes = Bytes::from(bytes);
-        self.layout.header.id = id;
-    }
 }
 
 impl fmt::Debug for Reply {
@@ -92,8 +79,7 @@ impl fmt::Debug for Reply {
 mod tests {
     use super::*;
     use crate::message::{Question, Record};
-    use crate::rdata::RData;
-    use crate::types::{RType, Rcode};
+    use crate::types::Rcode;
 
     fn answer() -> Message {
         let query = Message::query(0x4242, Question::chaos_txt("id.server".parse().unwrap()));
@@ -120,22 +106,5 @@ mod tests {
         let copied = MessageView::parse(&wire).unwrap().to_reply();
         assert_eq!(copied, Reply::parse(Bytes::from(wire)).unwrap());
         assert_eq!(Reply::encode(&answer()).unwrap(), copied);
-    }
-
-    #[test]
-    fn set_id_rewrites_header_and_bytes_together() {
-        let mut reply = Reply::encode(&answer()).unwrap();
-        let same = reply.as_bytes().as_ptr();
-        reply.set_id(0x4242);
-        assert_eq!(reply.as_bytes().as_ptr(), same, "an unchanged id copies nothing");
-        reply.set_id(0x1234);
-        assert_eq!(reply.header().id, 0x1234);
-        assert_eq!(reply.view().header().id, 0x1234);
-        assert_eq!(Reply::parse(Bytes::copy_from_slice(reply.as_bytes())).unwrap(), reply);
-        let mut expected = answer();
-        expected.header.id = 0x1234;
-        assert_eq!(reply.to_message(), expected);
-        assert_eq!(reply.view().answers().next().unwrap().rtype, RType::Txt);
-        assert!(matches!(reply.to_message().answers[0].rdata, RData::Txt(_)));
     }
 }

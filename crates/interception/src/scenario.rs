@@ -257,8 +257,9 @@ pub struct HomeScenario {
     /// responses must not double-count or confuse the locator).
     pub upstream_duplicate: f64,
     /// Late delivery on the upstream link: responses that arrive after the
-    /// stub's timeout, draining into a later attempt's receive window with
-    /// a stale transaction ID.
+    /// stub's timeout. Each attempt asks from a fresh source port, so a
+    /// later window's port check discards a late response before any
+    /// receive filter sees it.
     pub upstream_late: Option<LateDelivery>,
     /// Run the ISP resolver as a *real iterative resolver* that walks
     /// packet-level authoritative servers (root → authoritative) instead

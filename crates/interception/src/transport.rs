@@ -3,28 +3,26 @@
 //!
 //! This is the glue that lets the *pure* locator algorithm run against the
 //! packet-level world: each `query` call injects a real UDP packet from the
-//! probe host, advances virtual time until the timeout, and accepts only a
-//! response whose source address matches the queried server — the same
-//! connected-UDP-socket check a real stub resolver performs, and the reason
-//! interceptors must spoof (§2).
+//! probe host from a fresh source port, advances virtual time until the
+//! timeout, and offers every datagram delivered to that port, in arrival
+//! order, to the locator's [`ReplyFilter`] — the same rule
+//! [`locator::UdpTransport`] applies to a real socket. A straggler
+//! answering an earlier attempt was addressed to that attempt's port and
+//! never reaches the filter.
 //!
 //! Transaction IDs are supplied by the caller (the locator's
-//! [`locator::TxidSequence`]); the transport stamps them on the wire and the
-//! receive loop rejects any response carrying a different ID. The
-//! [`corrupt_response_txid_xor`](SimTransport::corrupt_response_txid_xor)
-//! knob models a middlebox that rewrites IDs in flight, which must read as a
-//! timeout — never as an accepted answer.
+//! [`locator::TxidSequence`]); the transport stamps them on the wire.
 //!
-//! An accepted reply is handed to the locator as received: the delivered
-//! payload moves into a [`Reply`] with no copy, validated once by the
-//! receive filter.
+//! A kept reply is handed to the locator as received: the delivered
+//! payload moves into a [`Reply`] with no copy, validated once before the
+//! filter saw it.
 
 use crate::scenario::BuiltScenario;
 use crate::timing::{ProbeTimingLog, SCAN_PHASE};
 use dns_wire::{QueryEncoder, Question, Reply};
-use locator::{QueryOptions, QueryOutcome, QueryTransport, Step};
+use locator::{Filtered, QueryOptions, QueryOutcome, QueryTransport, ReplyFilter, Step};
 use netsim::{Host, IfaceId, IpPacket, SimDuration, SimTime};
-use std::net::IpAddr;
+use std::net::{IpAddr, SocketAddr};
 use std::time::Instant;
 
 /// Which host in the scenario issues the queries.
@@ -51,12 +49,6 @@ pub struct SimTransport {
     /// Where queries originate; see [`Vantage`].
     pub vantage: Vantage,
     next_sport: u16,
-    /// Queries injected so far.
-    pub queries_injected: u64,
-    /// XOR mask applied to the transaction ID of every response as it comes
-    /// off the wire — 0 leaves responses untouched. Models an interceptor
-    /// that answers with a stale or rewritten ID.
-    pub corrupt_response_txid_xor: u16,
     /// Reusable encode scratch. The locator asks the same handful of
     /// questions thousands of times per campaign; the encoder caches their
     /// wire bytes and re-stamps only the transaction ID.
@@ -84,8 +76,6 @@ impl SimTransport {
             scenario,
             vantage: Vantage::Probe,
             next_sport: 40000,
-            queries_injected: 0,
-            corrupt_response_txid_xor: 0,
             encoder,
             timing: None,
             timed_phase: 0,
@@ -179,7 +169,6 @@ impl SimTransport {
             pkt.ttl = ttl;
         }
 
-        self.queries_injected += 1;
         let sim = &mut self.scenario.sim;
         let inject_at = sim.now();
         sim.inject(node, IfaceId(0), pkt);
@@ -187,53 +176,36 @@ impl SimTransport {
         sim.run_until(deadline);
 
         let host = sim.device_mut::<Host>(node).expect("vantage is a Host");
-        // First right-txid reply from an address other than the queried
-        // server; kept so a properly sourced answer later in the inbox
-        // still wins, as it would on a real unconnected socket.
-        let mut mismatch: Option<(Reply, IpAddr, SimTime)> = None;
-        let mut accepted: Option<(Reply, SimTime)> = None;
+        let mut filter = ReplyFilter::new(SocketAddr::new(server, 53), txid);
+        // Arrival of the answer or, failing one, of the wrong-source reply.
+        let mut kept_at: Option<SimTime> = None;
         // Drained in place, so the inbox keeps its capacity for the next
         // query; whatever the loop leaves is dropped with the iterator.
         for mut d in host.drain_deliveries() {
             let from = d.packet.src();
             let Some(udp) = d.packet.udp_payload_mut() else { continue };
-            if udp.dst_port != sport || udp.src_port != 53 {
+            if udp.dst_port != sport {
                 continue;
             }
-            // Validate the wire once and check id/qr. The pooled payload
-            // moves into the reply without a copy; a datagram the filter
-            // rejects is dropped with it.
-            let Ok(mut reply) = Reply::parse(std::mem::take(&mut udp.payload)) else {
+            // Validate the wire once. The pooled payload moves into the
+            // reply without a copy; a datagram the filter drops is dropped
+            // with it.
+            let Ok(reply) = Reply::parse(std::mem::take(&mut udp.payload)) else {
                 continue;
             };
-            let id = reply.header().id ^ self.corrupt_response_txid_xor;
-            if id != txid || !reply.header().qr {
-                continue;
-            }
-            reply.set_id(id);
-            // Source-address match: the stub only accepts replies that claim
-            // to come from the server it queried. A right-txid reply from
-            // anywhere else is the transparent-forwarder signature and is
-            // surfaced, not silently dropped.
-            if from == server {
-                accepted = Some((reply, d.at));
-                break;
-            }
-            if mismatch.is_none() {
-                mismatch = Some((reply, from, d.at));
+            match filter.offer(SocketAddr::new(from, udp.src_port), *reply.header(), || reply) {
+                Filtered::Answer => {
+                    kept_at = Some(d.at);
+                    break;
+                }
+                Filtered::WrongSource => kept_at = Some(d.at),
+                Filtered::Dropped => {}
             }
         }
-        if let Some((resp, at)) = accepted {
+        if let Some(at) = kept_at {
             self.record_rtt(inject_at, at);
-            return QueryOutcome::Response(resp);
         }
-        match mismatch {
-            Some((message, from, at)) => {
-                self.record_rtt(inject_at, at);
-                QueryOutcome::WrongSource { message, from }
-            }
-            None => QueryOutcome::Timeout,
-        }
+        filter.finish()
     }
 
     /// Records one answered query's virtual-clock round trip: simulated
@@ -268,9 +240,9 @@ impl QueryTransport for SimTransport {
     }
 
     fn backoff(&mut self, ms: u64) {
-        // No wall-clock sleep in simulation: advance virtual time instead,
-        // which also lets late responses from the previous attempt drain
-        // into (and be rejected by) a later receive window.
+        // No wall-clock sleep in simulation: advance virtual time instead.
+        // Late responses to the previous attempt land in the inbox
+        // meanwhile, and the next window's port check discards them.
         let sim = &mut self.scenario.sim;
         let deadline = sim.now() + SimDuration::from_millis(ms);
         sim.run_until(deadline);
@@ -288,7 +260,7 @@ mod tests {
     use super::*;
     use crate::scenario::HomeScenario;
     use dns_wire::{RData, RType};
-    use locator::{default_resolvers, query_with_retry, TxidSequence};
+    use locator::default_resolvers;
 
     fn opts() -> QueryOptions {
         QueryOptions::default()
@@ -364,33 +336,6 @@ mod tests {
         t.query("1.1.1.1".parse().unwrap(), &q, 0x2000, opts());
         let after = t.scenario.sim.now();
         assert_eq!(after.duration_since(before), SimDuration::from_millis(5_000));
-    }
-
-    #[test]
-    fn corrupted_txid_responses_are_dropped() {
-        // A middlebox that rewrites transaction IDs: every reply comes back
-        // with the wrong ID and the stub must treat the query as lost.
-        let mut t = SimTransport::new(HomeScenario::clean().build());
-        t.corrupt_response_txid_xor = 0x00FF;
-        let q = Question::new("example.com".parse().unwrap(), RType::A);
-        let out = t.query("8.8.8.8".parse().unwrap(), &q, 0x2000, opts());
-        assert!(out.is_timeout());
-        // And retries don't help while the corruption persists — each fresh
-        // txid is rewritten too.
-        let mut txids = TxidSequence::new(0x2100);
-        let r = query_with_retry(
-            &mut t,
-            "8.8.8.8".parse().unwrap(),
-            &q,
-            &mut txids,
-            QueryOptions { attempts: 3, ..QueryOptions::default() },
-        );
-        assert!(r.outcome.is_timeout());
-        assert_eq!(r.attempts_used, 3);
-        // Clearing the knob restores normal resolution.
-        t.corrupt_response_txid_xor = 0;
-        let out = t.query("8.8.8.8".parse().unwrap(), &q, 0x2200, opts());
-        assert!(out.response().is_some());
     }
 
     #[test]

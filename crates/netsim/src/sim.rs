@@ -169,8 +169,9 @@ pub struct BurstLoss {
 }
 
 /// Late delivery: the packet still arrives, but this much later — long
-/// after any reasonable DNS timeout, so the response drains into a
-/// *subsequent* query's receive window carrying a stale transaction ID.
+/// after any reasonable DNS timeout. A late response reaches its host
+/// during some later query's window, still addressed to the port of the
+/// query that asked.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LateDelivery {
     /// Probability in `[0, 1]` that a traversal is delivered late.

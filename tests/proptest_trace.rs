@@ -6,13 +6,17 @@
 //! shifts the first transaction ID: a verdict must not depend on it.
 //! Another raises upstream loss: loss only removes evidence, so it never
 //! invents an interception nor sharpens a location (§3.1's conservative
-//! rule).
+//! rule). The same holds for late delivery and burst loss: a late reply
+//! is addressed to an earlier attempt's source port, and the window it
+//! lands in discards it. A duplicated reply changes nothing at all, since
+//! each attempt's receive filter keeps the first copy.
 
 use interception::{CpeModelKind, GroundTruth, HomeScenario, MiddleboxSpec, SimTransport};
 use locator::{
     HijackLocator, InterceptorLocation, MetricsFolder, ProbeMetrics, ProbeReport, Provenance,
     StepProvenance, TraceEvent, TraceRecorder,
 };
+use netsim::{BurstLoss, LateDelivery, SimDuration};
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
 
@@ -48,10 +52,14 @@ proptest! {
         seed in 0u64..500,
         loss_step in 0usize..3,
         attempts in 1u32..4,
+        duplicate_step in 0usize..2,
+        late_step in 0usize..2,
     ) {
         let mut scenario = scenario;
         scenario.seed = seed;
         scenario.upstream_loss = [0.0, 0.15, 0.35][loss_step];
+        scenario.upstream_duplicate = [0.0, 0.5][duplicate_step];
+        scenario.upstream_late = [None, Some(late(0.3, 6))][late_step];
 
         let built = scenario.clone().build();
         let mut config = built.locator_config();
@@ -97,10 +105,6 @@ proptest! {
                         accepted_txid.insert(*seq, *txid).is_none(),
                         "seq {seq} accepted twice"
                     );
-                }
-                TraceEvent::ResponseDropped { seq, attempt, expected_txid, got_txid, .. } => {
-                    prop_assert_eq!(attempts_seen.get(&(*seq, *attempt)), Some(expected_txid));
-                    prop_assert_ne!(expected_txid, got_txid);
                 }
                 TraceEvent::AttemptTimedOut { seq, attempt, txid, .. } => {
                     prop_assert_eq!(attempts_seen.get(&(*seq, *attempt)), Some(txid));
@@ -227,6 +231,75 @@ proptest! {
             lossy.location
         );
     }
+
+    #[test]
+    fn duplicated_replies_change_no_field_of_the_report(
+        scenario in arb_scenario(),
+        seed in 0u64..500,
+        duplicate_step in 0usize..2,
+        attempts in 1u32..4,
+    ) {
+        let duplicate = [0.3, 1.0][duplicate_step];
+        let run = |duplicate: f64| {
+            let scenario = HomeScenario { seed, upstream_duplicate: duplicate, ..scenario.clone() };
+            run_with(scenario, attempts)
+        };
+        let (duplicated, clean) = (run(duplicate), run(0.0));
+        prop_assert!(
+            duplicated == clean,
+            "duplication {duplicate} changed the report: {clean:?} became {duplicated:?}"
+        );
+    }
+
+    #[test]
+    fn late_delivery_and_burst_loss_never_invent_an_interception_or_sharpen_a_location(
+        scenario in arb_scenario(),
+        seed in 0u64..500,
+        (late, burst) in arb_late_or_burst(),
+        attempts in 1u32..4,
+    ) {
+        let clean = run_with(HomeScenario { seed, ..scenario.clone() }, attempts);
+        let faulty = run_with(
+            HomeScenario { seed, upstream_late: late, upstream_burst: burst, ..scenario.clone() },
+            attempts,
+        );
+        if scenario.truth() == GroundTruth::NotIntercepted {
+            prop_assert!(
+                !faulty.intercepted,
+                "{late:?} / {burst:?} invented an interception: {faulty:?}"
+            );
+        }
+        prop_assert!(
+            imprecision(&faulty) >= imprecision(&clean),
+            "{late:?} / {burst:?} sharpened the location: {:?} without it, {:?} with it",
+            clean.location,
+            faulty.location
+        );
+    }
+}
+
+/// Late delivery with `probability`, `delay_s` seconds past the latency.
+fn late(probability: f64, delay_s: u64) -> LateDelivery {
+    LateDelivery { probability, delay: SimDuration::from_secs(delay_s) }
+}
+
+/// Exactly one of late delivery (probability 0.2, 0.5 or 0.9; 1, 6 or
+/// 12 s late: inside, just past and two windows past the 5 s timeout)
+/// and burst loss (start 0.05 or 0.2; bursts of 2 or 5).
+fn arb_late_or_burst() -> impl Strategy<Value = (Option<LateDelivery>, Option<BurstLoss>)> {
+    let late = (0usize..3, 0usize..3)
+        .prop_map(|(p, d)| (Some(late([0.2, 0.5, 0.9][p], [1, 6, 12][d])), None));
+    let burst = (0usize..2, 0usize..2)
+        .prop_map(|(s, l)| (None, Some(BurstLoss { start: [0.05, 0.2][s], length: [2, 5][l] })));
+    prop_oneof![late, burst]
+}
+
+/// The locator's report on `scenario`, with `attempts` per query.
+fn run_with(scenario: HomeScenario, attempts: u32) -> ProbeReport {
+    let built = scenario.build();
+    let mut config = built.locator_config();
+    config.query_options.attempts = attempts;
+    HijackLocator::new(config).run(&mut SimTransport::new(built))
 }
 
 /// How imprecise a report's location is, from the CPE (0) through within
@@ -259,10 +332,6 @@ fn event_with_txids_shifted(event: &TraceEvent<'static>, shift: u16) -> TraceEve
         | TraceEvent::ResponseAccepted { txid, .. }
         | TraceEvent::ResponseWrongSource { txid, .. }
         | TraceEvent::AttemptTimedOut { txid, .. } => *txid = txid.wrapping_add(shift),
-        TraceEvent::ResponseDropped { expected_txid, got_txid, .. } => {
-            *expected_txid = expected_txid.wrapping_add(shift);
-            *got_txid = got_txid.wrapping_add(shift);
-        }
         TraceEvent::StepVerdict { verdict, cited, .. } => {
             let evidence = cited
                 .iter()
