@@ -209,13 +209,7 @@ proptest! {
         attempts in 1u32..4,
     ) {
         let run = |loss: f64| {
-            let mut scenario = scenario.clone();
-            scenario.seed = seed;
-            scenario.upstream_loss = loss;
-            let built = scenario.build();
-            let mut config = built.locator_config();
-            config.query_options.attempts = attempts;
-            HijackLocator::new(config).run(&mut SimTransport::new(built))
+            run_with(HomeScenario { seed, upstream_loss: loss, ..scenario.clone() }, attempts)
         };
         let loss = [0.2, 0.4, 0.6, 0.8][loss_step];
         let lossy = run(loss);
@@ -241,8 +235,7 @@ proptest! {
     ) {
         let duplicate = [0.3, 1.0][duplicate_step];
         let run = |duplicate: f64| {
-            let scenario = HomeScenario { seed, upstream_duplicate: duplicate, ..scenario.clone() };
-            run_with(scenario, attempts)
+            run_with(HomeScenario { seed, upstream_duplicate: duplicate, ..scenario.clone() }, attempts)
         };
         let (duplicated, clean) = (run(duplicate), run(0.0));
         prop_assert!(
