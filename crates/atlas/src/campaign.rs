@@ -19,10 +19,10 @@
 //! staying fine-grained enough to keep the tail balanced.
 //!
 //! Each worker carries a [`WorkerArena`] from probe to probe: the warm
-//! [`QueryEncoder`] scratch plus the recycled simulator containers
-//! ([`netsim::SimScratch`]), so a million-probe campaign builds a million
-//! worlds into a handful of steady-state allocations per worker instead of
-//! growing each world from zero.
+//! [`QueryEncoder`] scratch plus the recycled simulator containers and
+//! device boxes ([`netsim::SimScratch`]), so a million-probe campaign
+//! builds a million worlds into a handful of steady-state allocations per
+//! worker instead of growing each world from zero.
 //!
 //! Results are keyed by claim index and merged after the joins, so output
 //! stays ordered by probe id and bitwise identical across thread counts

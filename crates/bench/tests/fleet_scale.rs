@@ -90,18 +90,19 @@ fn allocations_per_probe(config: FleetConfig) -> (f64, f64) {
 /// truth (instead of cloning both) keeps this flat; an accidental
 /// per-probe clone of anything fleet-sized would fail the ratio check.
 /// Absolute per-probe allocation budgets at the 1200-probe point: the
-/// measured 42.04 allocations and 10,941 bytes per probe (debug; release
-/// reads 42.04 and 10,937), plus 10%.
+/// measured 17.11 allocations and 7,165 bytes per probe (debug; release
+/// reads 17.11 and 7,162), plus 10%.
 /// Regressing past these means a per-query or per-build allocation came
 /// back (e.g. re-encoding location queries, rebuilding the resolver table,
 /// per-packet payload Vecs, per-query name strings, a device encode
-/// scratch regrown per probe or accepted replies decoded into owned
-/// messages); the flatness *ratio* alone would not catch a uniform creep.
+/// scratch regrown per probe, accepted replies decoded into owned
+/// messages, a device box per world or a location answer rebuilt per
+/// query); the flatness *ratio* alone would not catch a uniform creep.
 /// The steady-state *wire* path itself is pinned to exactly zero by
 /// `tests/zero_alloc.rs`; this budget covers the whole probe — world
 /// build, verdicts, aggregation — where some setup allocation is real.
-const MAX_ALLOCS_PER_PROBE: f64 = 46.3;
-const MAX_BYTES_PER_PROBE: f64 = 12_035.0;
+const MAX_ALLOCS_PER_PROBE: f64 = 18.9;
+const MAX_BYTES_PER_PROBE: f64 = 7_882.0;
 
 fn assert_allocation_flatness() {
     let (small_count, small_bytes) = allocations_per_probe(benign(300));
@@ -131,11 +132,11 @@ fn assert_allocation_flatness() {
 }
 
 /// Per-probe budgets on the heavy-tail fleet at 1,200 probes: the measured
-/// 45.41 allocations and 12,221 bytes per responding probe (debug; release
-/// reads 45.41 and 12,216), plus 10%.
+/// 20.78 allocations and 8,351 bytes per responding probe (debug; release
+/// reads 20.77 and 8,345), plus 10%.
 /// The benign budgets above never see loss, retries or backoff; these do.
-const MAX_HEAVY_TAIL_ALLOCS_PER_PROBE: f64 = 50.0;
-const MAX_HEAVY_TAIL_BYTES_PER_PROBE: f64 = 13_444.0;
+const MAX_HEAVY_TAIL_ALLOCS_PER_PROBE: f64 = 22.9;
+const MAX_HEAVY_TAIL_BYTES_PER_PROBE: f64 = 9_187.0;
 
 fn assert_heavy_tail_budget() {
     let (count, bytes) = allocations_per_probe(heavy_tail(1200));
@@ -153,14 +154,14 @@ fn assert_heavy_tail_budget() {
 }
 
 /// Per-probe budgets for the capture-enabled campaign on the 300-probe
-/// fleet: the measured 124.6 allocations and 157,471 bytes per responding
-/// probe (debug; release reads 124.4 and 157,084), plus 10%. The whole
+/// fleet: the measured 102.2 allocations and 153,662 bytes per responding
+/// probe (debug; release reads 102.0 and 153,275), plus 10%. The whole
 /// campaign counts, measurement included.
 /// Regressing past these means hops went back to per-hop strings, the
 /// capture buffer stopped being recycled through `SimScratch`, or flow
 /// reconstruction re-parsed messages into owned ones.
-const MAX_CAPTURE_ALLOCS_PER_PROBE: f64 = 137.1;
-const MAX_CAPTURE_BYTES_PER_PROBE: f64 = 173_219.0;
+const MAX_CAPTURE_ALLOCS_PER_PROBE: f64 = 112.4;
+const MAX_CAPTURE_BYTES_PER_PROBE: f64 = 169_029.0;
 
 /// The flight recorder's zero-cost contract, enforced at the allocator:
 /// with capture disabled (the default `NullCapture`), two identical

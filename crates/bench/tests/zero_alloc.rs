@@ -7,9 +7,9 @@
 //! payload, packet forwarding hop by hop, and the borrowed-view receive
 //! filter are all allocation-free. So is a warm *answered* round trip: the
 //! stub hands the locator the delivered payload itself. A warm world build
-//! is pinned to its exact count: one box and a few containers per device.
-//! So is a warm locator run: its one evidence list, plus what the world
-//! makes. A locator run folded into metrics must allocate exactly what the
+//! is pinned to its exact count: a few containers per device, each device
+//! moved into the box the previous world left. So is a warm locator run:
+//! its one evidence list, plus what the world makes. A locator run folded into metrics must allocate exactly what the
 //! untraced run does. The same counter also pins the component pieces
 //! individually, so a regression report names the layer that started
 //! allocating rather than just "the path".
@@ -85,8 +85,8 @@ fn steady_state_probe_path_allocates_nothing() {
     // the stub hands the locator the delivered payload slab itself as a
     // `Reply`, validated once and never decoded into owned records. The
     // CPE's conntrack gains one entry per query (each query has a fresh
-    // source port), and its table grows at the 4th, 8th, 15th, 29th ...
-    // entry; the ninth query falls between two growths.
+    // source port), and its table, sized for 14 flows, grows at the 15th,
+    // 29th ... entry; the ninth query falls short of the first growth.
     let mut probe = SimTransport::new(HomeScenario::clean().build());
     let cloudflare = IpAddr::V4("1.1.1.1".parse().unwrap());
     let id_server = Question::chaos_txt(dns_wire::debug_queries::id_server());
@@ -131,17 +131,15 @@ fn steady_state_probe_path_allocates_nothing() {
     });
     assert_eq!(folded, plain, "metering changes no report field");
     assert_eq!(metrics.total_queries(), u64::from(plain.queries_sent));
-    // What the warm run allocates, item by item:
+    // What the warm run allocates, item by item (the Google site writes
+    // its o-o.myaddr answer from the one its shared profile holds):
     //   locator:       the run's evidence list                            1
-    //   Google site:   each o-o.myaddr TXT answer it builds (address
-    //                  text and its growth, string list, record list),
-    //                  4 for each of the 4 Google location queries       16
     //   CPE:           conntrack table growth at its 29th entry            1
-    //                                                                    18
+    //                                                                     2
     assert_eq!(plain.queries_sent, 16);
     assert_eq!(
-        plain_allocs, 18,
-        "a warm clean locator run allocated {plain_allocs} times; the 18 listed above are \
+        plain_allocs, 2,
+        "a warm clean locator run allocated {plain_allocs} times; the 2 listed above are \
          the evidence list and the world's own"
     );
     assert_eq!(
@@ -155,17 +153,16 @@ fn steady_state_probe_path_allocates_nothing() {
     // previous world against the shared template. What is fixed or shared
     // costs nothing: device names such as "probe" and "internet-core", the
     // four public sites' profiles, the root server's identity and
-    // addresses, the zone database. Each device allocates what is its own:
-    //   probe host:      box, address list                             2
-    //   CPE:             box, NAT's own-address list                   2
-    //   ISP resolver:    box, name, service addresses                  3
-    //   edge router:     box, name, address list, route table          4
-    //   border router:   box, name, address list, route table          4
-    //   core router:     box, address list, route table                3
-    //   4 public sites:  one box each                                  4
-    //   root server:     box                                           1
-    //   scanner host:    box, address list                             2
-    //                                                                 25
+    // addresses, the zone database. Every device moves into the box the
+    // previous world had at its node id. Each allocates what is its own:
+    //   probe host:      address list                                  1
+    //   CPE:             NAT's own-address list, conntrack table        2
+    //   ISP resolver:    name, service addresses                       2
+    //   edge router:     name, address list, route table               3
+    //   border router:   name, address list, route table               3
+    //   core router:     address list, route table                     2
+    //   scanner host:    address list                                  1
+    //                                                                 14
     let template = WorldTemplate::shared();
     let clean = HomeScenario::clean();
     let mut scratch = SimScratch::default();
@@ -175,8 +172,8 @@ fn steady_state_probe_path_allocates_nothing() {
     let (allocs, built) = allocations_in(|| clean.build_with_scratch(&template, scratch));
     assert_eq!(built.sim.node_name(built.scanner), Some("scanner"));
     assert_eq!(
-        allocs, 25,
-        "warm clean world build allocated {allocs} times; the 25 listed above are each \
+        allocs, 14,
+        "warm clean world build allocated {allocs} times; the 14 listed above are each \
          device's own"
     );
 

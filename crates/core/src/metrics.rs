@@ -40,10 +40,6 @@ pub struct ProbeMetrics {
     /// Individual attempts that expired (a 3-attempt query that finally
     /// answers contributes 2 here and nothing to step timeouts).
     pub attempt_timeouts: u64,
-    /// Responses with the right transaction ID that arrived from an
-    /// address other than the queried server (transparent-forwarder
-    /// signature); never accepted as answers.
-    pub wrong_source_responses: u64,
 }
 
 impl ProbeMetrics {
@@ -122,13 +118,10 @@ impl TraceSink for MetricsFolder {
                     self.metrics.steps[p.step].responses += 1;
                 }
             }
-            TraceEvent::ResponseWrongSource { .. } => {
-                self.metrics.wrong_source_responses += 1;
-            }
             TraceEvent::AttemptTimedOut { .. } => {
                 self.metrics.attempt_timeouts += 1;
             }
-            TraceEvent::StepVerdict { .. } => {}
+            TraceEvent::ResponseWrongSource { .. } | TraceEvent::StepVerdict { .. } => {}
             TraceEvent::RunFinished { .. } => {
                 self.finalize_pending();
             }

@@ -99,11 +99,6 @@ impl CpeDevice {
         }
     }
 
-    /// Boxed convenience constructor.
-    pub fn boxed(config: CpeConfig) -> Box<CpeDevice> {
-        Box::new(CpeDevice::new(config))
-    }
-
     /// Attaches the authoritative world an open-recursive CPE resolves
     /// against. Required for [`WanMode::Recurse`]; ignored otherwise.
     pub fn with_zonedb(mut self, zonedb: Arc<ZoneDb>) -> CpeDevice {
@@ -183,7 +178,7 @@ impl CpeDevice {
     fn send_reply_for(&mut self, ctx: &mut Ctx<'_>, request: &IpPacket, payload: Bytes) {
         let reply = self
             .nat
-            .local_reply(request, payload.clone(), ctx.now())
+            .local_reply(request, payload.clone())
             .or_else(|| resolver_sim::reply_packet(request, payload));
         if let Some(reply) = reply {
             if ctx.capture_enabled() {
@@ -211,7 +206,7 @@ impl CpeDevice {
                 }
             }
             ReplyPath::NatSpoof(delivered) => {
-                if let Some(reply) = self.nat.local_reply(&delivered, payload, ctx.now()) {
+                if let Some(reply) = self.nat.local_reply(&delivered, payload) {
                     if ctx.capture_enabled() {
                         // Conntrack restored the spoofed source: the client
                         // will see an answer "from" the resolver it asked.
@@ -287,7 +282,7 @@ impl CpeDevice {
         // the paper's step 2 produce identical version.bind strings.
         let orig_dst = packet.dst();
         let before = ctx.capture_enabled().then(|| packet.flow_summary());
-        match self.nat.outbound(packet, ctx.now()) {
+        match self.nat.outbound(packet) {
             NatVerdict::Local(delivered) => {
                 ctx.capture_nat_rewrite(LAN, before, &delivered, false);
                 let dnat_applied = delivered.dst() != orig_dst;
@@ -321,15 +316,15 @@ impl CpeDevice {
         }
     }
 
-    fn receive_wan(&mut self, ctx: &mut Ctx<'_>, packet: IpPacket) {
+    fn receive_wan(&mut self, ctx: &mut Ctx<'_>, mut packet: IpPacket) {
         // Conntrack first: masqueraded replies are addressed to the WAN IP
         // but belong to an inside host (netfilter PREROUTING order).
         if packet.is_v4() {
             let before = ctx.capture_enabled().then(|| packet.flow_summary());
-            if let Some(mut translated) = self.nat.inbound(packet.clone(), ctx.now()) {
-                ctx.capture_nat_rewrite(WAN, before, &translated, true);
-                if translated.decrement_ttl() {
-                    ctx.send(LAN, translated);
+            if self.nat.inbound(&mut packet) {
+                ctx.capture_nat_rewrite(WAN, before, &packet, true);
+                if packet.decrement_ttl() {
+                    ctx.send(LAN, packet);
                 }
                 return;
             }
@@ -384,11 +379,8 @@ impl CpeDevice {
         // IPv6 is routed, not NATed: deliver anything inside the delegated
         // prefix.
         if let Some(prefix) = self.config.lan_prefix_v6 {
-            if prefix.contains(packet.dst()) {
-                let mut pkt = packet;
-                if pkt.decrement_ttl() {
-                    ctx.send(LAN, pkt);
-                }
+            if prefix.contains(packet.dst()) && packet.decrement_ttl() {
+                ctx.send(LAN, packet);
             }
         }
     }

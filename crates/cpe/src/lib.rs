@@ -39,9 +39,9 @@ mod tests {
     /// probe <-> CPE <-> ISP resolver. Returns (sim, probe, cpe, resolver).
     fn home(config: CpeConfig) -> (Simulator, netsim::NodeId, netsim::NodeId, netsim::NodeId) {
         let mut sim = Simulator::new(7);
-        let probe = sim.add_device(Host::boxed("probe", [PROBE.parse::<IpAddr>().unwrap()]));
-        let cpe = sim.add_device(CpeDevice::boxed(config));
-        let resolver = sim.add_device(RecursiveResolver::boxed(
+        let probe = sim.add_device(Host::new("probe", [PROBE.parse::<IpAddr>().unwrap()]));
+        let cpe = sim.add_device(CpeDevice::new(config));
+        let resolver = sim.add_device(RecursiveResolver::new(
             "isp-resolver",
             [ISP_RESOLVER.parse::<IpAddr>().unwrap()],
             ResolveCtx::v4("75.75.75.10".parse().unwrap()),
@@ -256,20 +256,20 @@ mod tests {
         let mut sim = Simulator::new(11);
         let cpe_dev =
             CpeDevice::new(config).with_zonedb(Arc::new(ZoneDb::standard_world()));
-        let cpe = sim.add_device(Box::new(cpe_dev));
-        let resolver = sim.add_device(RecursiveResolver::boxed(
+        let cpe = sim.add_device(cpe_dev);
+        let resolver = sim.add_device(RecursiveResolver::new(
             "isp-resolver",
             [ISP_RESOLVER.parse::<IpAddr>().unwrap()],
             ResolveCtx::v4("75.75.75.10".parse().unwrap()),
             Arc::new(ZoneDb::standard_world()),
             SoftwareProfile::unbound("1.9.0"),
         ));
-        let scanner = sim.add_device(Host::boxed("scanner", [SCANNER.parse::<IpAddr>().unwrap()]));
+        let scanner = sim.add_device(Host::new("scanner", [SCANNER.parse::<IpAddr>().unwrap()]));
         let mut core = Router::new("wan-core");
         core.routes.add(Cidr::host(WAN_IP.parse().unwrap()), IfaceId(0));
         core.routes.add(Cidr::host(ISP_RESOLVER.parse().unwrap()), IfaceId(1));
         core.routes.add(Cidr::host(SCANNER.parse().unwrap()), IfaceId(2));
-        let core = sim.add_device(Box::new(core));
+        let core = sim.add_device(core);
         let ms = SimDuration::from_millis;
         sim.connect((core, IfaceId(0)), (cpe, WAN), ms(5));
         sim.connect((core, IfaceId(1)), (resolver, IfaceId(0)), ms(5));

@@ -52,18 +52,6 @@ impl BackgroundClient {
         }
     }
 
-    /// Boxed convenience constructor.
-    pub fn boxed(
-        name: impl Into<SharedStr>,
-        addr: IpAddr,
-        resolver: IpAddr,
-        names: Vec<dns_wire::Name>,
-        interval: SimDuration,
-        sport: u16,
-    ) -> Box<BackgroundClient> {
-        Box::new(Self::new(name, addr, resolver, names, interval, sport))
-    }
-
     fn fire(&mut self, ctx: &mut Ctx<'_>) {
         if self.names.is_empty() {
             return;
@@ -130,7 +118,7 @@ mod tests {
     #[test]
     fn client_queries_on_schedule() {
         let mut sim = Simulator::new(1);
-        let client = sim.add_device(BackgroundClient::boxed(
+        let client = sim.add_device(BackgroundClient::new(
             "tv",
             "10.0.0.2".parse().unwrap(),
             "10.0.0.53".parse().unwrap(),
@@ -158,8 +146,8 @@ mod tests {
         );
         // Hand-deliver packets through the Device interface via a sim.
         let mut sim = Simulator::new(1);
-        let a = sim.add_device(Box::new(c));
-        let b = sim.add_device(netsim::Host::boxed("peer", ["10.0.0.53".parse::<IpAddr>().unwrap()]));
+        let a = sim.add_device(c);
+        let b = sim.add_device(netsim::Host::new("peer", ["10.0.0.53".parse::<IpAddr>().unwrap()]));
         sim.connect((a, IfaceId(0)), (b, IfaceId(0)), SimDuration::from_millis(1));
         // Matching response.
         let ok = IpPacket::udp_v4(

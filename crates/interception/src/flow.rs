@@ -417,8 +417,8 @@ mod tests {
         };
 
         let mut sim = Simulator::new(1);
-        let client = sim.add_device(Host::boxed("client", Vec::new()));
-        let nat = sim.add_device(Host::boxed("nat", Vec::new()));
+        let client = sim.add_device(Host::new("client", Vec::new()));
+        let nat = sim.add_device(Host::new("nat", Vec::new()));
         let mut encoder = dns_wire::QueryEncoder::new();
         let a_query = Question::new("example.com".parse().unwrap(), RType::A);
         let query = Bytes::copy_from_slice(encoder.encode_query(0x1234, &a_query).unwrap());

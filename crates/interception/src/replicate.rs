@@ -35,11 +35,6 @@ impl ReplicatingInterceptor {
         }
     }
 
-    /// Boxed convenience constructor.
-    pub fn boxed(name: impl Into<SharedStr>, redirect_to: IpAddr) -> Box<ReplicatingInterceptor> {
-        Box::new(Self::new(name, redirect_to))
-    }
-
     /// Adds a client-side route.
     pub fn route_client(&mut self, prefix: Cidr) -> &mut Self {
         self.routes.add(prefix, netsim::IfaceId(0));
@@ -56,7 +51,7 @@ impl ReplicatingInterceptor {
 }
 
 impl Device for ReplicatingInterceptor {
-    fn receive(&mut self, ctx: &mut Ctx<'_>, iface: netsim::IfaceId, packet: IpPacket) {
+    fn receive(&mut self, ctx: &mut Ctx<'_>, iface: netsim::IfaceId, mut packet: IpPacket) {
         match iface.0 {
             0 => {
                 let is_dns =
@@ -65,7 +60,7 @@ impl Device for ReplicatingInterceptor {
                     // Replicate: the original continues untouched…
                     self.forward(ctx, packet.clone());
                     // …and a DNAT-tracked copy goes to our resolver.
-                    if let NatVerdict::Forward(copy) = self.nat.outbound(packet, ctx.now()) {
+                    if let NatVerdict::Forward(copy) = self.nat.outbound(packet) {
                         self.replicated += 1;
                         self.forward(ctx, copy);
                     }
@@ -76,11 +71,8 @@ impl Device for ReplicatingInterceptor {
             _ => {
                 // Reply side: conntrack translation restores the spoofed
                 // source for our copies; everything else passes through.
-                let pkt = match self.nat.inbound(packet.clone(), ctx.now()) {
-                    Some(translated) => translated,
-                    None => packet,
-                };
-                self.forward(ctx, pkt);
+                self.nat.inbound(&mut packet);
+                self.forward(ctx, packet);
             }
         }
     }
@@ -109,25 +101,25 @@ mod tests {
     /// client — replicator — hub router — {real resolver, alt resolver}
     fn world() -> (Simulator, netsim::NodeId, netsim::NodeId) {
         let mut sim = Simulator::new(3);
-        let client = sim.add_device(Host::boxed("client", ["73.1.1.1".parse::<IpAddr>().unwrap()]));
+        let client = sim.add_device(Host::new("client", ["73.1.1.1".parse::<IpAddr>().unwrap()]));
         let mut rep = ReplicatingInterceptor::new("replicator", "75.75.75.75".parse().unwrap());
         rep.route_client("73.0.0.0/8".parse().unwrap());
-        let rep = sim.add_device(Box::new(rep));
+        let rep = sim.add_device(rep);
         let mut hub = netsim::Router::new("hub");
         hub.add_addr("62.0.0.1".parse().unwrap());
         hub.routes.add("73.0.0.0/8".parse().unwrap(), IfaceId(0));
         hub.routes.add(Cidr::host("8.8.8.8".parse().unwrap()), IfaceId(1));
         hub.routes.add(Cidr::host("75.75.75.75".parse().unwrap()), IfaceId(2));
-        let hub = sim.add_device(Box::new(hub));
+        let hub = sim.add_device(hub);
         let zonedb = Arc::new(ZoneDb::standard_world());
-        let real = sim.add_device(RecursiveResolver::boxed(
+        let real = sim.add_device(RecursiveResolver::new(
             "google",
             ["8.8.8.8".parse::<IpAddr>().unwrap()],
             ResolveCtx::v4("172.253.226.35".parse().unwrap()),
             Arc::clone(&zonedb),
             SoftwareProfile::chaos_silent("google"),
         ));
-        let alt = sim.add_device(RecursiveResolver::boxed(
+        let alt = sim.add_device(RecursiveResolver::new(
             "isp",
             ["75.75.75.75".parse::<IpAddr>().unwrap()],
             ResolveCtx::v4("75.75.75.10".parse().unwrap()),

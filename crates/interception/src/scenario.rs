@@ -538,8 +538,9 @@ pub struct WorldTemplate {
 }
 
 /// What every world in one region shares: the public-resolver sites its
-/// probes reach, and its root server's identity. Each probe's site and
-/// root server then allocate only their box.
+/// probes reach, each with its location answer resolved, and its root
+/// server's identity. Each probe's site and root server then allocate
+/// nothing.
 struct RegionParts {
     /// One site per template resolver, in the template's order.
     sites: Vec<Arc<SiteProfile>>,
@@ -556,13 +557,14 @@ impl RegionParts {
             .map(|public| {
                 let brand = brand_of(public.key);
                 let (eg4, eg6) = brand_egress(brand);
-                Arc::new(SiteProfile::new(
+                let profile = SiteProfile::new(
                     brand,
                     public.v4.iter().chain(public.v6.iter()).copied(),
                     region.iata(),
                     84,
                     ResolveCtx { egress_v4: Some(eg4), egress_v6: Some(eg6) },
-                ))
+                );
+                Arc::new(profile.with_location_answer(public.location_query(), &template.zonedb))
             })
             .collect();
         let mut root_profile = SoftwareProfile::custom("9.16.15");
@@ -774,7 +776,7 @@ impl HomeScenario {
         if home_v6 {
             probe_host.add_addr(IpAddr::V6(probe_v6));
         }
-        let probe = sim.add_device(Box::new(probe_host));
+        let probe = sim.add_device(probe_host);
 
         // --- CPE ----------------------------------------------------------
         let mut cpe_config = self.cpe_config(wan_v4);
@@ -789,8 +791,7 @@ impl HomeScenario {
         }
         // The zone database rides along for open-recursive models; for
         // everything else it is an unused Arc clone.
-        let cpe =
-            sim.add_device(Box::new(CpeDevice::new(cpe_config).with_zonedb(Arc::clone(&zonedb))));
+        let cpe = sim.add_device(CpeDevice::new(cpe_config).with_zonedb(Arc::clone(&zonedb)));
 
         // --- Optional inner (user) router ---------------------------------
         let inner_node = self.inner_router.as_ref().map(|model| {
@@ -812,7 +813,7 @@ impl HomeScenario {
                     lan_prefix_v6,
                 );
             }
-            sim.add_device(CpeDevice::boxed(inner_config))
+            sim.add_device(CpeDevice::new(inner_config))
         });
 
         // --- ISP resolver -------------------------------------------------
@@ -823,7 +824,7 @@ impl HomeScenario {
             self.iterative_isp_resolver && isp.resolver_mode == ResolverMode::Normal;
         let root_auth_v4: Ipv4Addr = Ipv4Addr::new(198, 41, 0, 8);
         let isp_resolver = if use_iterative {
-            sim.add_device(resolver_sim::IterativeResolver::boxed(
+            sim.add_device(resolver_sim::IterativeResolver::new(
                 isp_device("-resolver"),
                 [IpAddr::V4(isp.resolver_v4), IpAddr::V6(isp.resolver_v6)],
                 IpAddr::V4(isp.resolver_egress_v4),
@@ -847,7 +848,7 @@ impl HomeScenario {
                 ResolverMode::RefuseAll => resolver.refuse_all = true,
                 ResolverMode::NxWildcard(ip) => resolver.nxdomain_wildcard = Some(ip),
             }
-            sim.add_device(Box::new(resolver))
+            sim.add_device(resolver)
         };
 
         // A middlebox that blocks some resolvers routes their traffic to a
@@ -868,7 +869,7 @@ impl HomeScenario {
                 SoftwareProfile::custom(&isp.resolver_version),
             );
             filter.refuse_all = true;
-            sim.add_device(Box::new(filter))
+            sim.add_device(filter)
         });
 
         // --- Routers --------------------------------------------------------
@@ -896,7 +897,7 @@ impl HomeScenario {
         edge.routes.add(Cidr::host(IpAddr::V4(filter_resolver_v4)), IfaceId(3));
         edge.routes.add_default_v4(IfaceId(2));
         edge.routes.add_default_v6(IfaceId(2));
-        let edge = sim.add_device(Box::new(edge));
+        let edge = sim.add_device(edge);
 
         let mut border = Router::new(isp_device("-border"));
         border.routes.reserve(4 + resolver_routes);
@@ -911,7 +912,7 @@ impl HomeScenario {
         }
         border.routes.add_default_v4(IfaceId(1));
         border.routes.add_default_v6(IfaceId(1));
-        let border = sim.add_device(Box::new(border));
+        let border = sim.add_device(border);
 
         let region = template.region(self.region);
         let public_addrs: usize = template.resolvers.iter().map(|r| r.v4.len() + r.v6.len()).sum();
@@ -938,7 +939,7 @@ impl HomeScenario {
             core.routes.add(Cidr::host(IpAddr::V6(isp.resolver_v6)), IfaceId(6));
         }
         // Site routes installed below once sites exist.
-        let core = sim.add_device(Box::new(core));
+        let core = sim.add_device(core);
 
         // --- Public resolver sites ------------------------------------------
         // Each site's profile comes shared from the template's region
@@ -946,7 +947,7 @@ impl HomeScenario {
         let mut first_site = NodeId(0);
         for (i, (public, profile)) in template.resolvers.iter().zip(&region.sites).enumerate() {
             let site = PublicResolverSite::with_profile(Arc::clone(profile), Arc::clone(&zonedb));
-            let node = sim.add_device(Box::new(site));
+            let node = sim.add_device(site);
             if i == 0 {
                 first_site = node;
             }
@@ -968,7 +969,7 @@ impl HomeScenario {
                 region.root_profile.clone(),
             );
             root.refuse_all = true;
-            let node = sim.add_device(Box::new(root));
+            let node = sim.add_device(root);
             let core_router = sim.device_mut::<Router>(core).expect("core is a router");
             for addr in template.root_addrs.iter() {
                 core_router.routes.add(Cidr::host(*addr), IfaceId(7));
@@ -985,13 +986,13 @@ impl HomeScenario {
             let mut root_auth =
                 AuthoritativeServer::new("root-auth", [IpAddr::V4(root_auth_v4)]);
             root_auth.serve(tree.root.clone());
-            let root_auth = sim.add_device(root_auth.boxed());
+            let root_auth = sim.add_device(root_auth);
 
             let mut auth = AuthoritativeServer::new("world-auth", [IpAddr::V4(WORLD_AUTH_V4)]);
             for zone in &tree.world {
                 auth.serve(zone.clone());
             }
-            let auth = sim.add_device(auth.boxed());
+            let auth = sim.add_device(auth);
 
             let core_router = sim.device_mut::<Router>(core).expect("core is a router");
             core_router.routes.add(Cidr::host(IpAddr::V4(root_auth_v4)), IfaceId(8));
@@ -1045,7 +1046,7 @@ impl HomeScenario {
                 });
             }
             mb.set_nat(nat, [IfaceId(0)]);
-            sim.add_device(Box::new(mb))
+            sim.add_device(mb)
         });
 
         // A beyond-ISP interceptor needs an alternate resolver out in the
@@ -1075,12 +1076,12 @@ impl HomeScenario {
                 to_port: None,
             });
             bx.set_nat(nat, [IfaceId(0)]);
-            sim.add_device(Box::new(bx))
+            sim.add_device(bx)
         });
 
         let alt_resolver_node = if alt_resolver_needed {
             let alt_addr: IpAddr = "185.194.112.32".parse().expect("static address");
-            let node = sim.add_device(RecursiveResolver::boxed(
+            let node = sim.add_device(RecursiveResolver::new(
                 "alt-resolver",
                 [alt_addr],
                 ResolveCtx::v4("185.194.112.33".parse().expect("static address")),
@@ -1113,12 +1114,12 @@ impl HomeScenario {
             sim.connect((probe, IfaceId(0)), lan_gateway, ms(1));
         } else {
             let n = self.background_clients as usize;
-            let sw = sim.add_device(netsim::Switch::boxed("lan-switch", n + 2));
+            let sw = sim.add_device(netsim::Switch::new("lan-switch", n + 2));
             sim.connect((probe, IfaceId(0)), (sw, IfaceId(0)), ms(1));
             sim.connect((sw, IfaceId(n + 1)), lan_gateway, ms(1));
             for i in 0..n {
                 let addr = Ipv4Addr::new(192, 168, 1, 150 + i as u8);
-                let client = sim.add_device(crate::background::BackgroundClient::boxed(
+                let client = sim.add_device(crate::background::BackgroundClient::new(
                     format!("iot-{i}"),
                     IpAddr::V4(addr),
                     "8.8.8.8".parse().expect("static address"),
@@ -1194,7 +1195,7 @@ impl HomeScenario {
         // out in the core, beyond the client AS. Appended after everything
         // else so every pre-existing node id stays stable.
         let scanner_v4 = Ipv4Addr::new(91, 216, 216, 9);
-        let scanner = sim.add_device(Host::boxed("scanner", [IpAddr::V4(scanner_v4)]));
+        let scanner = sim.add_device(Host::new("scanner", [IpAddr::V4(scanner_v4)]));
         sim.device_mut::<Router>(core)
             .expect("core is a router")
             .routes

@@ -43,11 +43,6 @@ impl Host {
         host
     }
 
-    /// Boxed convenience constructor.
-    pub fn boxed(name: impl Into<SharedStr>, addrs: impl IntoIterator<Item = IpAddr>) -> Box<Host> {
-        Box::new(Host::new(name, addrs))
-    }
-
     /// Adds an address after construction.
     pub fn add_addr(&mut self, addr: IpAddr) {
         if !self.addrs.contains(&addr) {
@@ -117,8 +112,8 @@ mod tests {
     #[test]
     fn host_collects_addressed_packets() {
         let mut sim = Simulator::new(1);
-        let a = sim.add_device(Host::boxed("a", [addr("10.0.0.1")]));
-        let b = sim.add_device(Host::boxed("b", [addr("10.0.0.2")]));
+        let a = sim.add_device(Host::new("a", [addr("10.0.0.1")]));
+        let b = sim.add_device(Host::new("b", [addr("10.0.0.2")]));
         sim.connect((a, IfaceId(0)), (b, IfaceId(0)), SimDuration::from_millis(1));
         let p = IpPacket::udp_v4(
             "10.0.0.1".parse().unwrap(),
@@ -137,8 +132,8 @@ mod tests {
     #[test]
     fn host_rejects_misaddressed_packets() {
         let mut sim = Simulator::new(1);
-        let a = sim.add_device(Host::boxed("a", [addr("10.0.0.1")]));
-        let b = sim.add_device(Host::boxed("b", [addr("10.0.0.2")]));
+        let a = sim.add_device(Host::new("a", [addr("10.0.0.1")]));
+        let b = sim.add_device(Host::new("b", [addr("10.0.0.2")]));
         sim.connect((a, IfaceId(0)), (b, IfaceId(0)), SimDuration::from_millis(1));
         let p = IpPacket::udp_v4(
             "10.0.0.1".parse().unwrap(),
@@ -157,8 +152,8 @@ mod tests {
     #[test]
     fn host_answers_echo() {
         let mut sim = Simulator::new(1);
-        let a = sim.add_device(Host::boxed("a", [addr("10.0.0.1")]));
-        let b = sim.add_device(Host::boxed("b", [addr("10.0.0.2")]));
+        let a = sim.add_device(Host::new("a", [addr("10.0.0.1")]));
+        let b = sim.add_device(Host::new("b", [addr("10.0.0.2")]));
         sim.connect((a, IfaceId(0)), (b, IfaceId(0)), SimDuration::from_millis(1));
         let ping = IpPacket::icmp(
             addr("10.0.0.1"),

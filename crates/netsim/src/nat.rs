@@ -11,7 +11,6 @@
 
 use crate::fxhash::FxHashMap;
 use crate::packet::{IpPacket, Transport};
-use crate::time::{SimDuration, SimTime};
 use std::net::IpAddr;
 
 /// Transport protocol selector for NAT rules.
@@ -142,14 +141,6 @@ pub(crate) struct Masquerade {
     pub public_addr: IpAddr,
 }
 
-#[derive(Debug, Clone)]
-struct ConntrackEntry {
-    /// The flow as the inside host sent it.
-    original: FlowTuple,
-    /// Last packet time, for expiry.
-    last_seen: SimTime,
-}
-
 /// Result of pushing a packet through [`NatEngine::outbound`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NatVerdict {
@@ -171,12 +162,18 @@ pub struct NatEngine {
     /// Addresses considered local to the NAT device (DNAT to these delivers
     /// locally instead of forwarding).
     local_addrs: Vec<IpAddr>,
-    /// Keyed by the tuple a *reply* arriving from outside will carry.
-    conntrack: FxHashMap<FlowTuple, ConntrackEntry>,
-    /// Entry lifetime.
-    timeout: SimDuration,
+    /// Keyed by the tuple a *reply* arriving from outside will carry; the
+    /// value is the flow as the inside host sent it. Entries never expire:
+    /// a world lives for one probe's few dozen flows.
+    conntrack: FxHashMap<FlowTuple, FlowTuple>,
     next_ephemeral: u16,
 }
+
+/// Flows the conntrack table holds before it first grows: the most that
+/// 16 buckets take. A probe tracks one flow per query, 8 to 17 of them,
+/// so its table regrows at most once; a larger one would cost every
+/// world build its buckets up front.
+const CONNTRACK_FLOWS: usize = 14;
 
 impl NatEngine {
     /// An engine with no rules (transparent pass-through).
@@ -185,8 +182,7 @@ impl NatEngine {
             dnat_rules: Vec::new(),
             masquerade_v4: None,
             local_addrs: Vec::new(),
-            conntrack: FxHashMap::default(),
-            timeout: SimDuration::from_secs(30),
+            conntrack: FxHashMap::with_capacity_and_hasher(CONNTRACK_FLOWS, Default::default()),
             next_ephemeral: 49152,
         }
     }
@@ -217,19 +213,12 @@ impl NatEngine {
         self.conntrack.len()
     }
 
-    /// Drops entries idle longer than the timeout.
-    pub fn expire(&mut self, now: SimTime) {
-        let timeout = self.timeout;
-        self.conntrack
-            .retain(|_, e| now.duration_since(e.last_seen) < timeout);
-    }
-
     /// Processes a packet travelling from inside to outside.
     ///
     /// Applies DNAT first (destination rewrite), then masquerade (source
     /// rewrite), records the flow, and says whether the rewritten packet
     /// should be forwarded or delivered to the NAT device itself.
-    pub fn outbound(&mut self, mut pkt: IpPacket, now: SimTime) -> NatVerdict {
+    pub fn outbound(&mut self, mut pkt: IpPacket) -> NatVerdict {
         let original = FlowTuple::of(&pkt);
 
         // DNAT phase.
@@ -264,9 +253,7 @@ impl NatEngine {
         }
 
         if dnat_applied || snat_applied {
-            let translated = FlowTuple::of(&pkt);
-            let entry = ConntrackEntry { original, last_seen: now };
-            self.conntrack.insert(translated.reply(), entry);
+            self.conntrack.insert(FlowTuple::of(&pkt).reply(), original);
         }
 
         if deliver_local {
@@ -276,7 +263,7 @@ impl NatEngine {
         }
     }
 
-    /// Processes a packet travelling from outside to inside.
+    /// Processes a packet travelling from outside to inside, in place.
     ///
     /// If the packet matches a tracked flow's reply direction, both source
     /// and destination are restored to what the inside host expects: the
@@ -284,19 +271,17 @@ impl NatEngine {
     /// paper's key observation — the *source* becomes the address the inside
     /// host originally queried, spoofing the target resolver.
     ///
-    /// Returns `None` for unsolicited packets (default-deny firewall).
-    pub fn inbound(&mut self, mut pkt: IpPacket, now: SimTime) -> Option<IpPacket> {
-        let key = FlowTuple::of(&pkt);
-        let entry = self.conntrack.get_mut(&key)?;
-        entry.last_seen = now;
-        let orig = entry.original;
+    /// Returns whether a tracked flow matched; an unsolicited packet is
+    /// left as it is (a default-deny firewall drops it).
+    pub fn inbound(&self, pkt: &mut IpPacket) -> bool {
+        let Some(&orig) = self.conntrack.get(&FlowTuple::of(pkt)) else { return false };
         pkt.set_src(orig.dst);
         pkt.set_dst(orig.src);
         if let Some(udp) = pkt.udp_payload_mut() {
             udp.src_port = orig.dst_port;
             udp.dst_port = orig.src_port;
         }
-        Some(pkt)
+        true
     }
 
     /// Produces a reply packet for traffic the NAT device answered locally
@@ -304,21 +289,16 @@ impl NatEngine {
     /// delivered locally and a reply payload, builds the reply and runs it
     /// through the same reverse translation so the inside host sees the
     /// spoofed source.
-    pub fn local_reply(
-        &mut self,
-        request: &IpPacket,
-        payload: bytes::Bytes,
-        now: SimTime,
-    ) -> Option<IpPacket> {
+    pub fn local_reply(&self, request: &IpPacket, payload: bytes::Bytes) -> Option<IpPacket> {
         let udp = request.udp_payload()?;
-        let reply = IpPacket::udp(
+        let mut reply = IpPacket::udp(
             request.dst(),
             request.src(),
             udp.dst_port,
             udp.src_port,
             payload,
         )?;
-        self.inbound(reply, now)
+        self.inbound(&mut reply).then_some(reply)
     }
 
     fn allocate_port(&mut self, want: u16, pkt: &IpPacket, dst_port: u16) -> u16 {
@@ -374,7 +354,7 @@ mod tests {
     fn passthrough_without_rules() {
         let mut nat = NatEngine::new();
         let pkt = dns_query("192.168.1.100", "8.8.8.8", 4000);
-        match nat.outbound(pkt.clone(), SimTime::ZERO) {
+        match nat.outbound(pkt.clone()) {
             NatVerdict::Forward(out) => assert_eq!(out, pkt),
             other => panic!("unexpected verdict {other:?}"),
         }
@@ -386,7 +366,7 @@ mod tests {
         let mut nat = NatEngine::new();
         nat.masquerade_v4("73.22.1.5".parse().unwrap());
         let pkt = dns_query("192.168.1.100", "8.8.8.8", 4000);
-        let out = match nat.outbound(pkt, SimTime::ZERO) {
+        let out = match nat.outbound(pkt) {
             NatVerdict::Forward(p) => p,
             other => panic!("unexpected {other:?}"),
         };
@@ -394,14 +374,14 @@ mod tests {
         assert_eq!(out.udp_payload().unwrap().src_port, 4000); // port-preserving
 
         // Reply from 8.8.8.8 back to the public address.
-        let reply = IpPacket::udp_v4(
+        let mut translated = IpPacket::udp_v4(
             v4("8.8.8.8"),
             v4("73.22.1.5"),
             53,
             4000,
             Bytes::from_static(b"resp"),
         );
-        let translated = nat.inbound(reply, SimTime::ZERO).unwrap();
+        assert!(nat.inbound(&mut translated));
         assert_eq!(translated.dst(), "192.168.1.100".parse::<IpAddr>().unwrap());
         assert_eq!(translated.src(), "8.8.8.8".parse::<IpAddr>().unwrap());
         assert_eq!(translated.udp_payload().unwrap().dst_port, 4000);
@@ -416,7 +396,7 @@ mod tests {
         nat.masquerade_v4("73.22.1.5".parse().unwrap());
 
         let pkt = dns_query("192.168.1.100", "8.8.8.8", 4000);
-        let out = match nat.outbound(pkt, SimTime::ZERO) {
+        let out = match nat.outbound(pkt) {
             NatVerdict::Forward(p) => p,
             other => panic!("unexpected {other:?}"),
         };
@@ -424,14 +404,14 @@ mod tests {
         assert_eq!(out.src(), "73.22.1.5".parse::<IpAddr>().unwrap());
 
         // The ISP resolver replies to the masqueraded source.
-        let reply = IpPacket::udp_v4(
+        let mut translated = IpPacket::udp_v4(
             v4("75.75.75.75"),
             v4("73.22.1.5"),
             53,
             out.udp_payload().unwrap().src_port,
             Bytes::from_static(b"resp"),
         );
-        let translated = nat.inbound(reply, SimTime::ZERO).unwrap();
+        assert!(nat.inbound(&mut translated));
         // Spoofed: source restored to the *original* target.
         assert_eq!(translated.src(), "8.8.8.8".parse::<IpAddr>().unwrap());
         assert_eq!(translated.dst(), "192.168.1.100".parse::<IpAddr>().unwrap());
@@ -446,7 +426,7 @@ mod tests {
         nat.add_local_addr("192.168.1.1".parse().unwrap());
 
         let pkt = dns_query("192.168.1.100", "1.1.1.1", 4001);
-        let delivered = match nat.outbound(pkt, SimTime::ZERO) {
+        let delivered = match nat.outbound(pkt) {
             NatVerdict::Local(p) => p,
             other => panic!("unexpected {other:?}"),
         };
@@ -454,7 +434,7 @@ mod tests {
 
         // Local forwarder answers; reply must appear to come from 1.1.1.1.
         let reply = nat
-            .local_reply(&delivered, Bytes::from_static(b"answer"), SimTime::ZERO)
+            .local_reply(&delivered, Bytes::from_static(b"answer"))
             .unwrap();
         assert_eq!(reply.src(), "1.1.1.1".parse::<IpAddr>().unwrap());
         assert_eq!(reply.dst(), "192.168.1.100".parse::<IpAddr>().unwrap());
@@ -469,7 +449,7 @@ mod tests {
         rule.exempt_dsts.push("9.9.9.9".parse().unwrap());
         nat.add_dnat(rule);
         let pkt = dns_query("192.168.1.100", "9.9.9.9", 4000);
-        match nat.outbound(pkt.clone(), SimTime::ZERO) {
+        match nat.outbound(pkt.clone()) {
             NatVerdict::Forward(out) => assert_eq!(out.dst(), pkt.dst()),
             other => panic!("unexpected {other:?}"),
         }
@@ -482,13 +462,13 @@ mod tests {
         rule.match_dsts.push("8.8.8.8".parse().unwrap());
         nat.add_dnat(rule);
         // Matching destination is rewritten…
-        let out = match nat.outbound(dns_query("192.168.1.2", "8.8.8.8", 1), SimTime::ZERO) {
+        let out = match nat.outbound(dns_query("192.168.1.2", "8.8.8.8", 1)) {
             NatVerdict::Forward(p) => p,
             other => panic!("unexpected {other:?}"),
         };
         assert_eq!(out.dst(), "75.75.75.75".parse::<IpAddr>().unwrap());
         // …a non-listed one is not.
-        let out = match nat.outbound(dns_query("192.168.1.2", "1.1.1.1", 2), SimTime::ZERO) {
+        let out = match nat.outbound(dns_query("192.168.1.2", "1.1.1.1", 2)) {
             NatVerdict::Forward(p) => p,
             other => panic!("unexpected {other:?}"),
         };
@@ -500,7 +480,7 @@ mod tests {
         let mut nat = NatEngine::new();
         nat.add_dnat(DnatRule::redirect_dns("75.75.75.75".parse().unwrap()));
         let pkt = dns_query("192.168.1.100", "75.75.75.75", 4000);
-        match nat.outbound(pkt.clone(), SimTime::ZERO) {
+        match nat.outbound(pkt.clone()) {
             NatVerdict::Forward(out) => assert_eq!(out, pkt),
             other => panic!("unexpected {other:?}"),
         }
@@ -512,7 +492,9 @@ mod tests {
         let mut nat = NatEngine::new();
         nat.masquerade_v4("73.22.1.5".parse().unwrap());
         let stray = IpPacket::udp_v4(v4("6.6.6.6"), v4("73.22.1.5"), 53, 9999, Bytes::new());
-        assert!(nat.inbound(stray, SimTime::ZERO).is_none());
+        let mut kept = stray.clone();
+        assert!(!nat.inbound(&mut kept));
+        assert_eq!(kept, stray, "an untracked packet is left as it is");
     }
 
     #[test]
@@ -520,7 +502,7 @@ mod tests {
         let mut nat = NatEngine::new();
         nat.add_dnat(DnatRule::redirect_dns("75.75.75.75".parse().unwrap()));
         let pkt = IpPacket::udp_v4(v4("192.168.1.2"), v4("8.8.8.8"), 4000, 443, Bytes::new());
-        match nat.outbound(pkt.clone(), SimTime::ZERO) {
+        match nat.outbound(pkt.clone()) {
             NatVerdict::Forward(out) => assert_eq!(out.dst(), pkt.dst()),
             other => panic!("unexpected {other:?}"),
         }
@@ -538,22 +520,10 @@ mod tests {
             Bytes::new(),
         )
         .unwrap();
-        match nat.outbound(pkt.clone(), SimTime::ZERO) {
+        match nat.outbound(pkt.clone()) {
             NatVerdict::Forward(out) => assert_eq!(out.dst(), pkt.dst()),
             other => panic!("unexpected {other:?}"),
         }
-    }
-
-    #[test]
-    fn conntrack_expires_idle_entries() {
-        let mut nat = NatEngine::new();
-        nat.masquerade_v4("73.22.1.5".parse().unwrap());
-        nat.outbound(dns_query("192.168.1.2", "8.8.8.8", 4000), SimTime::ZERO);
-        assert_eq!(nat.conntrack_len(), 1);
-        nat.expire(SimTime::ZERO + SimDuration::from_secs(10));
-        assert_eq!(nat.conntrack_len(), 1);
-        nat.expire(SimTime::ZERO + SimDuration::from_secs(31));
-        assert_eq!(nat.conntrack_len(), 0);
     }
 
     #[test]
@@ -561,11 +531,11 @@ mod tests {
         let mut nat = NatEngine::new();
         nat.masquerade_v4("73.22.1.5".parse().unwrap());
         // Two inside hosts pick the same source port toward the same server.
-        let a = match nat.outbound(dns_query("192.168.1.100", "8.8.8.8", 4000), SimTime::ZERO) {
+        let a = match nat.outbound(dns_query("192.168.1.100", "8.8.8.8", 4000)) {
             NatVerdict::Forward(p) => p,
             _ => unreachable!(),
         };
-        let b = match nat.outbound(dns_query("192.168.1.101", "8.8.8.8", 4000), SimTime::ZERO) {
+        let b = match nat.outbound(dns_query("192.168.1.101", "8.8.8.8", 4000)) {
             NatVerdict::Forward(p) => p,
             _ => unreachable!(),
         };
@@ -574,15 +544,10 @@ mod tests {
         assert_eq!(pa, 4000);
         assert_ne!(pa, pb);
         // Replies to each port reach the right inside host.
-        let ra = IpPacket::udp_v4(v4("8.8.8.8"), v4("73.22.1.5"), 53, pa, Bytes::new());
-        let rb = IpPacket::udp_v4(v4("8.8.8.8"), v4("73.22.1.5"), 53, pb, Bytes::new());
-        assert_eq!(
-            nat.inbound(ra, SimTime::ZERO).unwrap().dst(),
-            "192.168.1.100".parse::<IpAddr>().unwrap()
-        );
-        assert_eq!(
-            nat.inbound(rb, SimTime::ZERO).unwrap().dst(),
-            "192.168.1.101".parse::<IpAddr>().unwrap()
-        );
+        let mut ra = IpPacket::udp_v4(v4("8.8.8.8"), v4("73.22.1.5"), 53, pa, Bytes::new());
+        let mut rb = IpPacket::udp_v4(v4("8.8.8.8"), v4("73.22.1.5"), 53, pb, Bytes::new());
+        assert!(nat.inbound(&mut ra) && nat.inbound(&mut rb));
+        assert_eq!(ra.dst(), "192.168.1.100".parse::<IpAddr>().unwrap());
+        assert_eq!(rb.dst(), "192.168.1.101".parse::<IpAddr>().unwrap());
     }
 }

@@ -143,15 +143,15 @@ impl Router {
 }
 
 impl Device for Router {
-    fn receive(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, packet: IpPacket) {
+    fn receive(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, mut packet: IpPacket) {
         // NAT processing first (mirrors netfilter PREROUTING for inbound and
         // the POSTROUTING/DNAT pipeline for traffic from inside interfaces).
-        let packet = if let Some((engine, inside)) = &mut self.nat {
+        if let Some((engine, inside)) = &mut self.nat {
             // Snapshot the pre-NAT tuple only while recording, so the
             // disabled path stays untouched.
             let before = ctx.capture_enabled().then(|| packet.flow_summary());
             if inside.contains(&iface) {
-                match engine.outbound(packet, ctx.now()) {
+                match engine.outbound(packet) {
                     NatVerdict::Local(p) => {
                         // DNAT pointed at the router itself; base router has
                         // no DNS stack, so local policy applies.
@@ -161,25 +161,17 @@ impl Device for Router {
                     }
                     NatVerdict::Forward(p) => {
                         ctx.capture_nat_rewrite(iface, before, &p, false);
-                        p
+                        packet = p;
                     }
                 }
-            } else {
-                match engine.inbound(packet.clone(), ctx.now()) {
-                    Some(translated) => {
-                        ctx.capture_nat_rewrite(iface, before, &translated, true);
-                        translated
-                    }
-                    // Untracked traffic from outside passes through unchanged
-                    // (middlebox behaviour). Delivery to the router's own
-                    // masqueraded address that matches no flow is handled
-                    // below as local delivery.
-                    None => packet,
-                }
+            } else if engine.inbound(&mut packet) {
+                ctx.capture_nat_rewrite(iface, before, &packet, true);
             }
-        } else {
-            packet
-        };
+            // Untracked traffic from outside passes through unchanged
+            // (middlebox behaviour). Delivery to the router's own
+            // masqueraded address that matches no flow is handled below as
+            // local delivery.
+        }
 
         if self.addrs.contains(&packet.dst()) {
             self.deliver_local(ctx, iface, packet);
@@ -217,8 +209,8 @@ mod tests {
     }
 
     impl Sink {
-        pub fn boxed(name: &str) -> Box<Sink> {
-            Box::new(Sink { name: name.into(), received: Vec::new() })
+        pub fn new(name: &str) -> Sink {
+            Sink { name: name.into(), received: Vec::new() }
         }
     }
 
@@ -245,13 +237,13 @@ mod tests {
     /// iface 0 (a side) and default to iface 1 (b side).
     fn two_sided() -> (Simulator, NodeId, NodeId, NodeId) {
         let mut sim = Simulator::new(1);
-        let a = sim.add_device(Sink::boxed("a"));
-        let b = sim.add_device(Sink::boxed("b"));
+        let a = sim.add_device(Sink::new("a"));
+        let b = sim.add_device(Sink::new("b"));
         let mut router = Router::new("r");
         router.add_addr("10.0.0.1".parse().unwrap());
         router.routes.add("10.0.0.0/8".parse().unwrap(), IfaceId(0));
         router.routes.add_default_v4(IfaceId(1));
-        let r = sim.add_device(Box::new(router));
+        let r = sim.add_device(router);
         sim.connect((a, IfaceId(0)), (r, IfaceId(0)), SimDuration::from_millis(1));
         sim.connect((b, IfaceId(0)), (r, IfaceId(1)), SimDuration::from_millis(1));
         (sim, a, b, r)
@@ -326,11 +318,11 @@ mod tests {
     #[test]
     fn no_route_drop_is_counted_and_recorded() {
         let mut sim = Simulator::new(1);
-        let a = sim.add_device(Sink::boxed("a"));
+        let a = sim.add_device(Sink::new("a"));
         let mut router = Router::new("r");
         router.add_addr("10.0.0.1".parse().unwrap());
         router.routes.add("10.0.0.0/8".parse().unwrap(), IfaceId(0));
-        let r = sim.add_device(Box::new(router));
+        let r = sim.add_device(router);
         sim.connect((a, IfaceId(0)), (r, IfaceId(0)), SimDuration::from_millis(1));
         sim.record_capture();
         sim.inject(a, IfaceId(0), dns_pkt("10.0.0.2", "99.99.99.99"));
@@ -376,8 +368,8 @@ mod tests {
         // DNATs port 53 to 75.75.75.75 without masquerade; the reply passes
         // back through and regains the spoofed source.
         let mut sim = Simulator::new(1);
-        let a = sim.add_device(Sink::boxed("client"));
-        let b = sim.add_device(Sink::boxed("net"));
+        let a = sim.add_device(Sink::new("client"));
+        let b = sim.add_device(Sink::new("net"));
         let mut mb = Router::new("middlebox");
         mb.add_addr("62.0.0.1".parse().unwrap());
         mb.routes.add("73.0.0.0/8".parse().unwrap(), IfaceId(0));
@@ -385,7 +377,7 @@ mod tests {
         let mut nat = NatEngine::new();
         nat.add_dnat(DnatRule::redirect_dns("75.75.75.75".parse().unwrap()));
         mb.set_nat(nat, [IfaceId(0)]);
-        let m = sim.add_device(Box::new(mb));
+        let m = sim.add_device(mb);
         sim.connect((a, IfaceId(0)), (m, IfaceId(0)), SimDuration::from_millis(1));
         sim.connect((b, IfaceId(0)), (m, IfaceId(1)), SimDuration::from_millis(1));
 
@@ -415,8 +407,8 @@ mod tests {
     #[test]
     fn middlebox_passes_unrelated_traffic() {
         let mut sim = Simulator::new(1);
-        let a = sim.add_device(Sink::boxed("client"));
-        let b = sim.add_device(Sink::boxed("net"));
+        let a = sim.add_device(Sink::new("client"));
+        let b = sim.add_device(Sink::new("net"));
         let mut mb = Router::new("middlebox");
         mb.add_addr("62.0.0.1".parse().unwrap());
         mb.routes.add("73.0.0.0/8".parse().unwrap(), IfaceId(0));
@@ -424,7 +416,7 @@ mod tests {
         let mut nat = NatEngine::new();
         nat.add_dnat(DnatRule::redirect_dns("75.75.75.75".parse().unwrap()));
         mb.set_nat(nat, [IfaceId(0)]);
-        let m = sim.add_device(Box::new(mb));
+        let m = sim.add_device(mb);
         sim.connect((a, IfaceId(0)), (m, IfaceId(0)), SimDuration::from_millis(1));
         sim.connect((b, IfaceId(0)), (m, IfaceId(1)), SimDuration::from_millis(1));
 

@@ -281,21 +281,28 @@ impl Ord for Event {
     }
 }
 
-/// Recyclable container capacity for a [`Simulator`].
+/// Recyclable container capacity and device boxes for a [`Simulator`].
 ///
 /// A fleet campaign builds one short-lived simulator per probe; the
 /// containers behind it (device table, link table, attachment map, event
-/// queue, action scratch) would otherwise be allocated and grown from zero
-/// every time. A worker keeps one `SimScratch`, passes it
-/// to [`Simulator::with_scratch`], and recovers it with
-/// [`Simulator::into_scratch`] when the measurement is done — the contents
-/// are always cleared, only the capacity survives, so a recycled simulator
+/// queue, action scratch) and the box of every device would otherwise be
+/// allocated and grown from zero every time. A worker keeps one
+/// `SimScratch`, passes it to [`Simulator::with_scratch`], and recovers it
+/// with [`Simulator::into_scratch`] when the measurement is done. The
+/// containers are always cleared; only their capacity survives. The
+/// devices survive as boxes: [`Simulator::add_device`] moves each new
+/// device into the box the previous world had at the same node id when
+/// that box holds the same type, dropping the old value. Every device
+/// still starts from the value its builder made, so a recycled simulator
 /// behaves bit-for-bit like a fresh one. That includes the flight
 /// recorder's event buffer: a recycled simulator starts with capture off,
 /// and [`Simulator::record_capture`] records into the kept capacity.
 #[derive(Default)]
 pub struct SimScratch {
+    /// The previous world's device boxes, in node-id order.
     devices: Vec<Box<dyn Device>>,
+    /// Empty, with capacity for the next world's device table.
+    table: Vec<Box<dyn Device>>,
     links: Vec<Link>,
     attachments: FxHashMap<Attachment, LinkId>,
     queue: Vec<Reverse<Event>>,
@@ -307,6 +314,9 @@ pub struct SimScratch {
 /// The simulator.
 pub struct Simulator {
     devices: Vec<Box<dyn Device>>,
+    /// The previous world's boxes that [`Simulator::add_device`] has not
+    /// yet reached, the highest node id first.
+    recycled: Vec<Box<dyn Device>>,
     links: Vec<Link>,
     /// (node, iface) -> link index.
     attachments: FxHashMap<Attachment, LinkId>,
@@ -335,12 +345,14 @@ impl Simulator {
     }
 
     /// Creates a simulator with the given RNG seed, recycling the container
-    /// capacity in `scratch`. Every container is cleared before use, so the
-    /// result is indistinguishable from [`Simulator::new`] apart from the
-    /// allocations it avoids.
+    /// capacity and device boxes in `scratch`. Every container is cleared
+    /// before use and every recycled box is refilled by
+    /// [`Simulator::add_device`], so the result is indistinguishable from
+    /// [`Simulator::new`] apart from the allocations it avoids.
     pub fn with_scratch(seed: u64, scratch: SimScratch) -> Simulator {
         let SimScratch {
-            mut devices,
+            devices: mut recycled,
+            table: mut devices,
             mut links,
             mut attachments,
             mut queue,
@@ -348,6 +360,9 @@ impl Simulator {
             payloads,
             capture: mut spare_capture,
         } = scratch;
+        // Node ids count up from 0, so the box for the next one is popped
+        // from the end.
+        recycled.reverse();
         devices.clear();
         links.clear();
         attachments.clear();
@@ -356,6 +371,7 @@ impl Simulator {
         spare_capture.clear();
         Simulator {
             devices,
+            recycled,
             links,
             attachments,
             // An empty vec heapifies in O(1) and keeps its capacity.
@@ -380,12 +396,15 @@ impl Simulator {
         }
     }
 
-    /// Tears the simulator down, dropping devices and pending events but
-    /// keeping every container's capacity for the next
-    /// [`Simulator::with_scratch`] call.
+    /// Tears the simulator down, dropping pending events but keeping every
+    /// container's capacity and the device boxes for the next
+    /// [`Simulator::with_scratch`] call. A device's value is dropped when
+    /// the next world's [`Simulator::add_device`] overwrites it, or with
+    /// its box if that world does not reuse the box.
     pub fn into_scratch(self) -> SimScratch {
         let Simulator {
-            mut devices,
+            devices,
+            mut recycled,
             mut links,
             mut attachments,
             queue,
@@ -395,7 +414,8 @@ impl Simulator {
             spare_capture,
             ..
         } = self;
-        devices.clear();
+        // Boxes of the previous world that this one did not reuse.
+        recycled.clear();
         links.clear();
         attachments.clear();
         actions.clear();
@@ -407,13 +427,25 @@ impl Simulator {
             .map(|b| std::mem::take(&mut b.events))
             .unwrap_or(spare_capture);
         capture.clear();
-        SimScratch { devices, links, attachments, queue, actions, payloads, capture }
+        SimScratch { devices, table: recycled, links, attachments, queue, actions, payloads, capture }
     }
 
-    /// Adds a device, returning its id.
-    pub fn add_device(&mut self, device: Box<dyn Device>) -> NodeId {
+    /// Adds a device, returning its id. The device moves into the box the
+    /// previous world of a recycled simulator had at this id when that box
+    /// holds a `T`; otherwise into a new box.
+    pub fn add_device<T: Device>(&mut self, device: T) -> NodeId {
         let id = NodeId(self.devices.len());
-        self.devices.push(device);
+        let boxed = match self.recycled.pop() {
+            Some(mut old) => match old.as_any_mut().downcast_mut::<T>() {
+                Some(slot) => {
+                    *slot = device;
+                    old
+                }
+                None => Box::new(device),
+            },
+            None => Box::new(device),
+        };
+        self.devices.push(boxed);
         id
     }
 
@@ -855,8 +887,8 @@ mod tests {
     }
 
     impl Probe {
-        fn new(name: &str, echo: bool) -> Box<Probe> {
-            Box::new(Probe { name: name.into(), received: Vec::new(), echo, timers: Vec::new() })
+        fn new(name: &str, echo: bool) -> Probe {
+            Probe { name: name.into(), received: Vec::new(), echo, timers: Vec::new() }
         }
     }
 
@@ -1330,6 +1362,73 @@ mod tests {
         assert!(none.is_empty());
         assert_eq!(after_times, fresh_times);
         assert_eq!(after_stats, fresh_stats);
+    }
+
+    #[test]
+    fn recycled_boxes_are_refilled_by_type_and_runs_match_fresh() {
+        /// Sends every packet back out of the interface it came in on.
+        struct Mirror {
+            mirrored: u64,
+        }
+        impl Device for Mirror {
+            fn receive(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, packet: IpPacket) {
+                self.mirrored += 1;
+                ctx.send(iface, packet);
+            }
+            fn name(&self) -> &str {
+                "mirror"
+            }
+            fn as_any(&self) -> &dyn Any {
+                self
+            }
+            fn as_any_mut(&mut self) -> &mut dyn Any {
+                self
+            }
+        }
+        /// The address of each box, in node-id order.
+        fn boxes(devices: &[Box<dyn Device>]) -> Vec<*const u8> {
+            devices.iter().map(|d| (&**d as *const dyn Device).cast::<u8>()).collect()
+        }
+        /// A probe and `peer` over a faulty link: the probe's arrival times
+        /// and the counters.
+        fn run<T: Device>(sim: &mut Simulator, peer: T) -> (Vec<u64>, SimStats) {
+            let a = sim.add_device(Probe::new("a", false));
+            let b = sim.add_device(peer);
+            let faults = FaultProfile { loss: 0.2, duplicate: 0.15, ..FaultProfile::default() };
+            sim.connect_faulty((a, IfaceId(0)), (b, IfaceId(0)), SimDuration::from_millis(2), faults);
+            for _ in 0..50 {
+                sim.inject(a, IfaceId(0), pkt());
+            }
+            sim.run_to_quiescence();
+            let probe = sim.device::<Probe>(a).expect("a probe");
+            (probe.received.iter().map(|(t, _, _)| t.as_nanos()).collect(), sim.stats())
+        }
+
+        let mut first = Simulator::new(99);
+        let fresh = run(&mut first, Probe::new("b", true));
+        let first_boxes = boxes(&first.devices);
+
+        // The same shape: every box is reused, holding the new values.
+        let mut same = Simulator::with_scratch(99, first.into_scratch());
+        assert_eq!(run(&mut same, Probe::new("b", true)), fresh);
+        assert_eq!(boxes(&same.devices), first_boxes);
+
+        // Another type at node 1: that box is rebuilt, node 0's is reused,
+        // and the run is the one a fresh simulator makes.
+        let mirrored = run(&mut Simulator::new(99), Mirror { mirrored: 0 });
+        let mut mixed = Simulator::with_scratch(99, same.into_scratch());
+        assert_eq!(run(&mut mixed, Mirror { mirrored: 0 }), mirrored);
+        let mixed_boxes = boxes(&mixed.devices);
+        assert_eq!(mixed_boxes[0], first_boxes[0]);
+        assert_ne!(mixed_boxes[1], first_boxes[1]);
+        assert!(mixed.device::<Mirror>(NodeId(1)).expect("a mirror").mirrored > 0);
+
+        // A smaller world keeps only the boxes it reused.
+        let mut small = Simulator::with_scratch(99, mixed.into_scratch());
+        small.add_device(Probe::new("a", false));
+        let scratch = small.into_scratch();
+        assert_eq!(boxes(&scratch.devices), vec![first_boxes[0]]);
+        assert!(scratch.table.is_empty());
     }
 
     #[test]

@@ -25,11 +25,6 @@ impl Switch {
     pub fn new(name: impl Into<SharedStr>, ports: usize) -> Switch {
         Switch { name: name.into(), ports, forwarded: 0 }
     }
-
-    /// Boxed convenience constructor.
-    pub fn boxed(name: impl Into<SharedStr>, ports: usize) -> Box<Switch> {
-        Box::new(Switch::new(name, ports))
-    }
 }
 
 impl Device for Switch {
@@ -73,10 +68,10 @@ mod tests {
     #[test]
     fn switch_floods_to_all_other_ports() {
         let mut sim = Simulator::new(1);
-        let a = sim.add_device(Host::boxed("a", ["10.0.0.1".parse::<IpAddr>().unwrap()]));
-        let b = sim.add_device(Host::boxed("b", ["10.0.0.2".parse::<IpAddr>().unwrap()]));
-        let c = sim.add_device(Host::boxed("c", ["10.0.0.3".parse::<IpAddr>().unwrap()]));
-        let sw = sim.add_device(Switch::boxed("sw", 3));
+        let a = sim.add_device(Host::new("a", ["10.0.0.1".parse::<IpAddr>().unwrap()]));
+        let b = sim.add_device(Host::new("b", ["10.0.0.2".parse::<IpAddr>().unwrap()]));
+        let c = sim.add_device(Host::new("c", ["10.0.0.3".parse::<IpAddr>().unwrap()]));
+        let sw = sim.add_device(Switch::new("sw", 3));
         sim.connect((a, IfaceId(0)), (sw, IfaceId(0)), SimDuration::from_micros(10));
         sim.connect((b, IfaceId(0)), (sw, IfaceId(1)), SimDuration::from_micros(10));
         sim.connect((c, IfaceId(0)), (sw, IfaceId(2)), SimDuration::from_micros(10));
@@ -100,8 +95,8 @@ mod tests {
     #[test]
     fn no_reflection_back_to_sender_port() {
         let mut sim = Simulator::new(1);
-        let a = sim.add_device(Host::boxed("a", ["10.0.0.1".parse::<IpAddr>().unwrap()]));
-        let sw = sim.add_device(Switch::boxed("sw", 2));
+        let a = sim.add_device(Host::new("a", ["10.0.0.1".parse::<IpAddr>().unwrap()]));
+        let sw = sim.add_device(Switch::new("sw", 2));
         sim.connect((a, IfaceId(0)), (sw, IfaceId(0)), SimDuration::from_micros(10));
         let pkt = IpPacket::udp_v4(
             "10.0.0.1".parse().unwrap(),

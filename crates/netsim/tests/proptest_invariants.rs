@@ -1,7 +1,7 @@
 //! Property-based invariants for the network simulator substrate.
 
 use bytes::Bytes;
-use netsim::{Cidr, DnatRule, IpPacket, NatEngine, NatVerdict, RouteTable, SimTime};
+use netsim::{Cidr, DnatRule, IpPacket, NatEngine, NatVerdict, RouteTable};
 use proptest::prelude::*;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
@@ -120,15 +120,15 @@ proptest! {
         let mut nat = NatEngine::new();
         nat.masquerade_v4(IpAddr::V4(public));
         let pkt = IpPacket::udp_v4(inside, server, sport, dport, Bytes::from_static(b"q"));
-        let out = match nat.outbound(pkt, SimTime::ZERO) {
+        let out = match nat.outbound(pkt) {
             NatVerdict::Forward(p) => p,
             v => return Err(TestCaseError::fail(format!("unexpected verdict {v:?}"))),
         };
         prop_assert_eq!(out.src(), IpAddr::V4(public));
         let out_udp = out.udp_payload().unwrap();
         // Reply comes back and must be restored exactly.
-        let reply = IpPacket::udp_v4(server, public, dport, out_udp.src_port, Bytes::from_static(b"r"));
-        let restored = nat.inbound(reply, SimTime::ZERO).unwrap();
+        let mut restored = IpPacket::udp_v4(server, public, dport, out_udp.src_port, Bytes::from_static(b"r"));
+        prop_assert!(nat.inbound(&mut restored));
         prop_assert_eq!(restored.src(), IpAddr::V4(server));
         prop_assert_eq!(restored.dst(), IpAddr::V4(inside));
         let udp = restored.udp_payload().unwrap();
@@ -152,14 +152,14 @@ proptest! {
         nat.add_dnat(DnatRule::redirect_dns(IpAddr::V4(resolver)));
         nat.masquerade_v4(IpAddr::V4(public));
         let pkt = IpPacket::udp_v4(inside, target, sport, 53, Bytes::from_static(b"q"));
-        let out = match nat.outbound(pkt, SimTime::ZERO) {
+        let out = match nat.outbound(pkt) {
             NatVerdict::Forward(p) => p,
             v => return Err(TestCaseError::fail(format!("unexpected verdict {v:?}"))),
         };
         prop_assert_eq!(out.dst(), IpAddr::V4(resolver));
         let out_udp = out.udp_payload().unwrap();
-        let reply = IpPacket::udp_v4(resolver, public, 53, out_udp.src_port, Bytes::from_static(b"r"));
-        let restored = nat.inbound(reply, SimTime::ZERO).unwrap();
+        let mut restored = IpPacket::udp_v4(resolver, public, 53, out_udp.src_port, Bytes::from_static(b"r"));
+        prop_assert!(nat.inbound(&mut restored));
         prop_assert_eq!(restored.src(), IpAddr::V4(target));
         prop_assert_eq!(restored.dst(), IpAddr::V4(inside));
     }
@@ -174,6 +174,8 @@ proptest! {
         let mut nat = NatEngine::new();
         nat.masquerade_v4(IpAddr::V4(public));
         let stray = IpPacket::udp_v4(src, public, sport, dport, Bytes::new());
-        prop_assert!(nat.inbound(stray, SimTime::ZERO).is_none());
+        let mut kept = stray.clone();
+        prop_assert!(!nat.inbound(&mut kept));
+        prop_assert_eq!(kept, stray);
     }
 }

@@ -67,11 +67,6 @@ impl AuthoritativeServer {
         self
     }
 
-    /// Boxes the server.
-    pub fn boxed(self) -> Box<AuthoritativeServer> {
-        Box::new(self)
-    }
-
     fn best_zone(&self, qname: &Name) -> Option<&ServedZone> {
         self.zones
             .iter()
@@ -202,8 +197,8 @@ mod tests {
 
     fn ask_message(msg: &Message, src: &str) -> Message {
         let mut sim = Simulator::new(1);
-        let client = sim.add_device(Host::boxed("c", [src.parse::<IpAddr>().unwrap()]));
-        let s = sim.add_device(server().boxed());
+        let client = sim.add_device(Host::new("c", [src.parse::<IpAddr>().unwrap()]));
+        let s = sim.add_device(server());
         sim.connect((client, IfaceId(0)), (s, IfaceId(0)), SimDuration::from_millis(1));
         let pkt = IpPacket::udp(
             src.parse().unwrap(),
@@ -271,8 +266,8 @@ mod tests {
             delegations: vec![],
         });
         let mut sim = Simulator::new(1);
-        let client = sim.add_device(Host::boxed("c", ["75.75.75.10".parse::<IpAddr>().unwrap()]));
-        let srv = sim.add_device(s.boxed());
+        let client = sim.add_device(Host::new("c", ["75.75.75.10".parse::<IpAddr>().unwrap()]));
+        let srv = sim.add_device(s);
         sim.connect((client, IfaceId(0)), (srv, IfaceId(0)), SimDuration::from_millis(1));
         let msg =
             Message::query(1, Question::new("whoami.akamai.com".parse().unwrap(), RType::A));

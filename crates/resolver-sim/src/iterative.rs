@@ -105,17 +105,6 @@ impl IterativeResolver {
         }
     }
 
-    /// Boxed convenience constructor.
-    pub fn boxed(
-        name: impl Into<SharedStr>,
-        service_addrs: impl IntoIterator<Item = IpAddr>,
-        egress: IpAddr,
-        root_hints: Vec<IpAddr>,
-        profile: SoftwareProfile,
-    ) -> Box<IterativeResolver> {
-        Box::new(Self::new(name, service_addrs, egress, root_hints, profile))
-    }
-
     /// Cache statistics (hits, misses).
     pub fn cache_stats(&self) -> (u64, u64) {
         (self.cache.hits, self.cache.misses)

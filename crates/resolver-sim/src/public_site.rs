@@ -2,7 +2,7 @@
 //! semantics of paper Table 1.
 
 use crate::server::{local_reply_payload, reply_payload, send_reply, LocalReply};
-use crate::zone::{ResolveCtx, ZoneDb};
+use crate::zone::{ResolveCtx, ResolveResult, ZoneDb};
 use bytes::Bytes;
 use dns_wire::debug_queries::{self, ServerIdKind};
 use dns_wire::{Header, MessageView, Name, Question, RClass, RData, RType, Rcode};
@@ -31,12 +31,13 @@ impl PublicBrand {
 }
 
 /// What one anycast site of one public resolver is, apart from the world
-/// it answers in: its name, service addresses, site code, egress, and the
-/// TXT answers it serves (the identity, Quad9's version, and the OpenDNS
-/// debug strings, server then flags).
+/// it answers in: its name, service addresses, site code, egress, the TXT
+/// answers it serves (the identity, Quad9's version, and the OpenDNS debug
+/// strings, server then flags), and the zone answer to its location
+/// question once resolved.
 ///
 /// Built once, a profile is shared by every world with a site there, so a
-/// site device costs a world build only its box.
+/// site device costs a world build no allocation.
 #[derive(Debug)]
 pub struct SiteProfile {
     name: SharedStr,
@@ -46,6 +47,8 @@ pub struct SiteProfile {
     identity_txt: Option<RData>,
     version_txt: Option<RData>,
     debug_txt: Option<[RData; 2]>,
+    /// The location question and the zone's answer to it from `egress`.
+    location: Option<(Question, ResolveResult)>,
 }
 
 impl SiteProfile {
@@ -80,7 +83,28 @@ impl SiteProfile {
             debug_txt: (brand == PublicBrand::OpenDns).then(|| {
                 [RData::txt(format!("server m{node_index}.{site}")), RData::txt("flags: 20 0 2F8 0")]
             }),
+            location: None,
         }
+    }
+
+    /// Resolves `question`, the resolver's location question, through
+    /// `zonedb` from the site's egress once, so every site sharing this
+    /// profile answers it without a zone walk. A zone answer depends only
+    /// on the question and the egress, so the stored one is what the zone
+    /// path would give. A CHAOS question and one the site answers itself
+    /// (the OpenDNS debug name) keep their own paths.
+    pub fn with_location_answer(mut self, question: Question, zonedb: &ZoneDb) -> SiteProfile {
+        if question.qclass == RClass::In && self.debug_answer(&question).is_none() {
+            let answer = zonedb.resolve(&question, &self.egress);
+            self.location = Some((question, answer));
+        }
+        self
+    }
+
+    /// The debug strings this site synthesizes for `q`, if it asks for
+    /// them.
+    fn debug_answer(&self, q: &Question) -> Option<&[RData; 2]> {
+        self.debug_txt.as_ref().filter(|_| q.qtype == RType::Txt && is_opendns_debug(&q.qname))
     }
 }
 
@@ -110,18 +134,6 @@ impl PublicResolverSite {
     ) -> PublicResolverSite {
         let profile = SiteProfile::new(brand, service_addrs, iata, node_index, egress);
         PublicResolverSite::with_profile(Arc::new(profile), zonedb)
-    }
-
-    /// Boxed convenience constructor.
-    pub fn boxed(
-        brand: PublicBrand,
-        service_addrs: impl IntoIterator<Item = IpAddr>,
-        iata: &str,
-        node_index: u32,
-        egress: ResolveCtx,
-        zonedb: Arc<ZoneDb>,
-    ) -> Box<PublicResolverSite> {
-        Box::new(Self::new(brand, service_addrs, iata, node_index, egress, zonedb))
     }
 
     /// Creates a site from a shared profile; it allocates nothing.
@@ -161,16 +173,24 @@ impl PublicResolverSite {
     }
 
     fn answer_in(&self, ctx: &mut Ctx<'_>, query: &MessageView<'_>, q: &Question) -> Option<Bytes> {
-        if let Some([server, flags]) = &self.profile.debug_txt {
-            if q.qtype == RType::Txt && is_opendns_debug(&q.qname) {
-                let header = Header::response_to(query.header(), Rcode::NoError);
-                return reply_payload(ctx, query, &header, |w| {
-                    w.answer_question(RClass::In, 0, server)?;
-                    w.answer_question(RClass::In, 0, flags)
-                });
-            }
+        if let Some([server, flags]) = self.profile.debug_answer(q) {
+            let header = Header::response_to(query.header(), Rcode::NoError);
+            return reply_payload(ctx, query, &header, |w| {
+                w.answer_question(RClass::In, 0, server)?;
+                w.answer_question(RClass::In, 0, flags)
+            });
         }
-        let result = self.zonedb.resolve(q, &self.profile.egress);
+        self.answer_zone(ctx, query, &self.zonedb.resolve(q, &self.profile.egress))
+    }
+
+    /// Writes a zone answer: its rcode, AD when this site validates and
+    /// the answer is signed, then its records.
+    fn answer_zone(
+        &self,
+        ctx: &mut Ctx<'_>,
+        query: &MessageView<'_>,
+        result: &ResolveResult,
+    ) -> Option<Bytes> {
         let mut header = Header::response_to(query.header(), result.rcode);
         header.ad = self.dnssec_validating && result.authenticated;
         reply_payload(ctx, query, &header, |w| result.answers.iter().try_for_each(|r| w.answer(r)))
@@ -194,8 +214,11 @@ impl Device for PublicResolverSite {
         let Some(q) = query.question() else { return };
         self.queries_handled += 1;
 
+        let location = self.profile.location.as_ref().filter(|(asked, _)| q.matches(asked));
         let payload = if let Some(kind) = debug_queries::server_id_kind_view(&q) {
             self.answer_chaos(ctx, &query, kind)
+        } else if let Some((_, answer)) = location {
+            self.answer_zone(ctx, &query, answer)
         } else if q.qclass == RClass::In {
             self.answer_in(ctx, &query, &q.to_question())
         } else {
@@ -225,8 +248,8 @@ mod tests {
     use dns_wire::Message;
     use netsim::{Host, SimDuration, Simulator};
 
-    fn site(brand: PublicBrand, addr: &str, egress: &str) -> Box<PublicResolverSite> {
-        PublicResolverSite::boxed(
+    fn site(brand: PublicBrand, addr: &str, egress: &str) -> PublicResolverSite {
+        PublicResolverSite::new(
             brand,
             [addr.parse::<IpAddr>().unwrap()],
             "IAD",
@@ -243,7 +266,7 @@ mod tests {
         question: Question,
     ) -> Message {
         let mut sim = Simulator::new(1);
-        let client = sim.add_device(Host::boxed("c", ["73.1.1.1".parse::<IpAddr>().unwrap()]));
+        let client = sim.add_device(Host::new("c", ["73.1.1.1".parse::<IpAddr>().unwrap()]));
         let s = sim.add_device(site(brand, addr, egress));
         sim.connect((client, IfaceId(0)), (s, IfaceId(0)), SimDuration::from_millis(1));
         let msg = Message::query(1, question);

@@ -77,17 +77,6 @@ impl RecursiveResolver {
         }
     }
 
-    /// Boxed convenience constructor.
-    pub fn boxed(
-        name: impl Into<SharedStr>,
-        service_addrs: impl Into<Arc<[IpAddr]>>,
-        egress: ResolveCtx,
-        zonedb: Arc<ZoneDb>,
-        profile: SoftwareProfile,
-    ) -> Box<RecursiveResolver> {
-        Box::new(Self::new(name, service_addrs, egress, zonedb, profile))
-    }
-
     /// Cache statistics: (hits, misses).
     pub fn cache_stats(&self) -> (u64, u64) {
         (self.cache.hits, self.cache.misses)
@@ -218,8 +207,8 @@ mod tests {
         Arc::new(ZoneDb::standard_world())
     }
 
-    fn isp_resolver() -> Box<RecursiveResolver> {
-        RecursiveResolver::boxed(
+    fn isp_resolver() -> RecursiveResolver {
+        RecursiveResolver::new(
             "isp-resolver",
             ["75.75.75.75".parse::<IpAddr>().unwrap()],
             ResolveCtx::v4("75.75.75.10".parse().unwrap()),
@@ -229,9 +218,9 @@ mod tests {
     }
 
     /// Client host at 73.1.1.1 directly linked to the resolver.
-    fn harness(resolver: Box<RecursiveResolver>) -> (Simulator, netsim::NodeId, netsim::NodeId) {
+    fn harness(resolver: RecursiveResolver) -> (Simulator, netsim::NodeId, netsim::NodeId) {
         let mut sim = Simulator::new(1);
-        let client = sim.add_device(Host::boxed("client", ["73.1.1.1".parse::<IpAddr>().unwrap()]));
+        let client = sim.add_device(Host::new("client", ["73.1.1.1".parse::<IpAddr>().unwrap()]));
         let r = sim.add_device(resolver);
         sim.connect((client, IfaceId(0)), (r, IfaceId(0)), SimDuration::from_millis(5));
         (sim, client, r)

@@ -28,9 +28,9 @@ struct World {
 
 fn build() -> World {
     let mut sim = Simulator::new(5);
-    let client = sim.add_device(Host::boxed("client", [CLIENT.parse::<IpAddr>().unwrap()]));
+    let client = sim.add_device(Host::new("client", [CLIENT.parse::<IpAddr>().unwrap()]));
 
-    let resolver = sim.add_device(IterativeResolver::boxed(
+    let resolver = sim.add_device(IterativeResolver::new(
         "iterative",
         [RESOLVER_SVC.parse::<IpAddr>().unwrap()],
         RESOLVER_EGRESS.parse().unwrap(),
@@ -48,7 +48,7 @@ fn build() -> World {
             nameservers: vec![("a.gtld-servers.net".parse().unwrap(), COM_NS.parse().unwrap())],
         }],
     });
-    let root = sim.add_device(root.boxed());
+    let root = sim.add_device(root);
 
     // TLD: delegates example.com and akamai.com.
     let mut tld = AuthoritativeServer::new("com-tld", [COM_NS.parse::<IpAddr>().unwrap()]);
@@ -72,7 +72,7 @@ fn build() -> World {
             },
         ],
     });
-    let tld = sim.add_device(tld.boxed());
+    let tld = sim.add_device(tld);
 
     // example.com authoritative, with an in-zone CNAME chain.
     let mut example = StaticZone::new();
@@ -85,7 +85,7 @@ fn build() -> World {
         zone: Arc::new(example),
         delegations: vec![],
     });
-    let example_srv = sim.add_device(example_srv.boxed());
+    let example_srv = sim.add_device(example_srv);
 
     // akamai.com authoritative: the whoami reflector.
     let mut akamai_srv =
@@ -98,7 +98,7 @@ fn build() -> World {
         )),
         delegations: vec![],
     });
-    let akamai_srv = sim.add_device(akamai_srv.boxed());
+    let akamai_srv = sim.add_device(akamai_srv);
 
     // A hub router connecting everyone.
     let mut hub = Router::new("hub");
@@ -110,7 +110,7 @@ fn build() -> World {
     hub.routes.add(Cidr::host(COM_NS.parse().unwrap()), IfaceId(3));
     hub.routes.add(Cidr::host(EXAMPLE_NS.parse().unwrap()), IfaceId(4));
     hub.routes.add(Cidr::host(AKAMAI_NS.parse().unwrap()), IfaceId(5));
-    let hub = sim.add_device(Box::new(hub));
+    let hub = sim.add_device(hub);
 
     let ms = SimDuration::from_millis;
     sim.connect((client, IfaceId(0)), (hub, IfaceId(0)), ms(1));
@@ -200,8 +200,8 @@ fn unreachable_tree_eventually_servfails() {
     // Root hints pointing into the void: timers fire, retries exhaust, and
     // the client gets SERVFAIL rather than silence.
     let mut sim = Simulator::new(9);
-    let client = sim.add_device(Host::boxed("client", [CLIENT.parse::<IpAddr>().unwrap()]));
-    let resolver = sim.add_device(IterativeResolver::boxed(
+    let client = sim.add_device(Host::new("client", [CLIENT.parse::<IpAddr>().unwrap()]));
+    let resolver = sim.add_device(IterativeResolver::new(
         "iterative",
         [RESOLVER_SVC.parse::<IpAddr>().unwrap()],
         RESOLVER_EGRESS.parse().unwrap(),

@@ -1,9 +1,16 @@
 //! Property-based tests for the resolver components.
 
-use dns_wire::{Message, MessageView, Question, RData, RType, Rcode, Record};
-use netsim::{SimDuration, SimTime};
+use bytes::Bytes;
+use dns_wire::debug_queries;
+use dns_wire::{Message, MessageView, Name, Question, RData, RType, Rcode, Record};
+use netsim::{Host, IfaceId, IpPacket, SimDuration, SimTime, Simulator};
 use proptest::prelude::*;
-use resolver_sim::{DnsCache, ForwarderCore, FwdAction, ResolveResult, SoftwareProfile};
+use resolver_sim::{
+    DnsCache, ForwarderCore, FwdAction, PublicBrand, PublicResolverSite, ResolveCtx,
+    ResolveResult, SiteProfile, SoftwareProfile, ZoneDb,
+};
+use std::net::IpAddr;
+use std::sync::Arc;
 
 fn arb_name() -> impl Strategy<Value = dns_wire::Name> {
     proptest::collection::vec("[a-z0-9]{1,12}", 1..=4)
@@ -13,6 +20,60 @@ fn arb_name() -> impl Strategy<Value = dns_wire::Name> {
 fn arb_question() -> impl Strategy<Value = Question> {
     (arb_name(), prop_oneof![Just(RType::A), Just(RType::Aaaa), Just(RType::Txt)])
         .prop_map(|(n, t)| Question::new(n, t))
+}
+
+/// Each brand's location question (paper Table 1), service addresses (v4,
+/// v6) and egress.
+fn location_site(brand: PublicBrand) -> (Question, [IpAddr; 2], ResolveCtx) {
+    let (question, v4, v6, egress_v4, egress_v6) = match brand {
+        PublicBrand::Cloudflare => (
+            Question::chaos_txt(debug_queries::id_server()),
+            "1.1.1.1",
+            "2606:4700:4700::1111",
+            "172.68.1.1",
+            "2400:cb00::1",
+        ),
+        PublicBrand::Google => (
+            Question::new(debug_queries::google_myaddr(), RType::Txt),
+            "8.8.8.8",
+            "2001:4860:4860::8888",
+            "172.253.226.35",
+            "2404:6800::35",
+        ),
+        PublicBrand::Quad9 => (
+            Question::chaos_txt(debug_queries::id_server()),
+            "9.9.9.9",
+            "2620:fe::fe",
+            "74.63.16.10",
+            "2620:171::10",
+        ),
+        PublicBrand::OpenDns => (
+            Question::new(debug_queries::opendns_debug(), RType::Txt),
+            "208.67.222.222",
+            "2620:119:35::35",
+            "146.112.1.1",
+            "2a04:e4c0::1",
+        ),
+    };
+    let egress =
+        ResolveCtx { egress_v4: Some(egress_v4.parse().unwrap()), egress_v6: Some(egress_v6.parse().unwrap()) };
+    (question, [v4.parse().unwrap(), v6.parse().unwrap()], egress)
+}
+
+/// The reply payload `site` sends a client for the query `wire`, asked
+/// at `server`.
+fn site_reply(site: PublicResolverSite, server: IpAddr, wire: &[u8]) -> Bytes {
+    let client: IpAddr = if server.is_ipv4() { "73.1.1.1" } else { "2001:db8::1" }.parse().unwrap();
+    let mut sim = Simulator::new(1);
+    let host = sim.add_device(Host::new("client", [client]));
+    let node = sim.add_device(site);
+    sim.connect((host, IfaceId(0)), (node, IfaceId(0)), SimDuration::from_millis(1));
+    let query = IpPacket::udp(client, server, 4000, 53, Bytes::copy_from_slice(wire)).unwrap();
+    sim.inject(host, IfaceId(0), query);
+    sim.run_to_quiescence();
+    let mut inbox = sim.device_mut::<Host>(host).unwrap().drain_inbox();
+    assert_eq!(inbox.len(), 1, "one reply");
+    inbox.remove(0).packet.udp_payload().unwrap().payload.clone()
 }
 
 proptest! {
@@ -94,5 +155,50 @@ proptest! {
         let fake_query = Message::query(txid, Question::new("x.example".parse().unwrap(), RType::A));
         let fake = Message::response_to(&fake_query, Rcode::NoError);
         prop_assert!(fwd.handle_upstream_response(fake).is_none());
+    }
+
+    #[test]
+    fn a_stored_location_answer_writes_the_zone_paths_bytes(
+        brand in prop_oneof![
+            Just(PublicBrand::Cloudflare),
+            Just(PublicBrand::Google),
+            Just(PublicBrand::Quad9),
+            Just(PublicBrand::OpenDns),
+        ],
+        v6 in any::<bool>(),
+        id in any::<u16>(),
+        rd in any::<bool>(),
+        cd in any::<bool>(),
+        case in any::<u64>(),
+    ) {
+        let (question, addrs, egress) = location_site(brand);
+        // The qname as a client might spell it, one letter case per bit.
+        let spelled: String = question
+            .qname
+            .to_string()
+            .chars()
+            .enumerate()
+            .map(|(i, c)| if (case >> (i % 64)) & 1 == 1 { c.to_ascii_uppercase() } else { c })
+            .collect();
+        let asked = Question { qname: spelled.parse::<Name>().unwrap(), ..question.clone() };
+        let mut query = Message::query(id, asked);
+        query.header.rd = rd;
+        query.header.cd = cd;
+        let wire = query.encode().unwrap();
+
+        let zonedb = Arc::new(ZoneDb::standard_world());
+        let profile = || SiteProfile::new(brand, addrs, "IAD", 84, egress);
+        let stored = PublicResolverSite::with_profile(
+            Arc::new(profile().with_location_answer(question, &zonedb)),
+            Arc::clone(&zonedb),
+        );
+        let zone_path = PublicResolverSite::with_profile(Arc::new(profile()), Arc::clone(&zonedb));
+        let server = addrs[usize::from(v6)];
+        let reply = site_reply(stored, server, &wire);
+        prop_assert_eq!(&reply, &site_reply(zone_path, server, &wire));
+        let answered = Message::parse(&reply).unwrap();
+        prop_assert_eq!(answered.header.id, id);
+        prop_assert_eq!(answered.header.rcode, Rcode::NoError);
+        prop_assert!(!answered.answers.is_empty(), "{brand:?} answers its location question");
     }
 }

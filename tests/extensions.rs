@@ -88,17 +88,17 @@ fn replication_is_detected_as_interception() {
 
     let mut sim = Simulator::new(11);
     let zonedb = Arc::new(ZoneDb::standard_world());
-    let client = sim.add_device(Host::boxed("client", ["73.1.1.1".parse::<IpAddr>().unwrap()]));
+    let client = sim.add_device(Host::new("client", ["73.1.1.1".parse::<IpAddr>().unwrap()]));
     let mut rep = ReplicatingInterceptor::new("rep", "75.75.75.75".parse().unwrap());
     rep.route_client("73.0.0.0/8".parse().unwrap());
-    let rep = sim.add_device(Box::new(rep));
+    let rep = sim.add_device(rep);
     let mut hub = Router::new("hub");
     hub.add_addr("62.0.0.1".parse().unwrap());
     hub.routes.add("73.0.0.0/8".parse().unwrap(), IfaceId(0));
     hub.routes.add(Cidr::host("1.1.1.1".parse().unwrap()), IfaceId(1));
     hub.routes.add(Cidr::host("75.75.75.75".parse().unwrap()), IfaceId(2));
-    let hub = sim.add_device(Box::new(hub));
-    let site = sim.add_device(PublicResolverSite::boxed(
+    let hub = sim.add_device(hub);
+    let site = sim.add_device(PublicResolverSite::new(
         PublicBrand::Cloudflare,
         ["1.1.1.1".parse::<IpAddr>().unwrap()],
         "IAD",
@@ -106,7 +106,7 @@ fn replication_is_detected_as_interception() {
         ResolveCtx::v4("172.68.1.1".parse().unwrap()),
         Arc::clone(&zonedb),
     ));
-    let isp = sim.add_device(RecursiveResolver::boxed(
+    let isp = sim.add_device(RecursiveResolver::new(
         "isp",
         ["75.75.75.75".parse::<IpAddr>().unwrap()],
         ResolveCtx::v4("75.75.75.10".parse().unwrap()),

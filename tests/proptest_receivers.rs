@@ -59,8 +59,8 @@ const RECEIVERS: [Receiver; 8] = [
     Receiver::CpeWan(WanMode::Recurse),
 ];
 
-fn isp_resolver() -> Box<RecursiveResolver> {
-    RecursiveResolver::boxed(
+fn isp_resolver() -> RecursiveResolver {
+    RecursiveResolver::new(
         "isp-resolver",
         [ip(UPSTREAM)],
         ResolveCtx::v4("75.75.75.10".parse().unwrap()),
@@ -70,9 +70,9 @@ fn isp_resolver() -> Box<RecursiveResolver> {
 }
 
 /// One client host linked straight to `device`.
-fn direct(device: Box<dyn netsim::Device>) -> (Simulator, NodeId) {
+fn direct<T: netsim::Device>(device: T) -> (Simulator, NodeId) {
     let mut sim = Simulator::new(1);
-    let client = sim.add_device(Host::boxed("client", [ip(CLIENT)]));
+    let client = sim.add_device(Host::new("client", [ip(CLIENT)]));
     let server = sim.add_device(device);
     sim.connect((client, IfaceId(0)), (server, IfaceId(0)), SimDuration::from_millis(1));
     (sim, client)
@@ -81,16 +81,16 @@ fn direct(device: Box<dyn netsim::Device>) -> (Simulator, NodeId) {
 /// probe — CPE — hub — {scanner, upstream resolver}.
 fn home(config: CpeConfig) -> (Simulator, NodeId, NodeId) {
     let mut sim = Simulator::new(1);
-    let probe = sim.add_device(Host::boxed("probe", [ip(PROBE)]));
+    let probe = sim.add_device(Host::new("probe", [ip(PROBE)]));
     let zonedb = Arc::new(ZoneDb::standard_world());
-    let cpe = sim.add_device(Box::new(CpeDevice::new(config).with_zonedb(zonedb)));
+    let cpe = sim.add_device(CpeDevice::new(config).with_zonedb(zonedb));
     let mut hub = Router::new("hub");
     hub.add_addr(ip("62.0.0.1"));
     hub.routes.add(Cidr::host(ip(CPE_WAN)), IfaceId(0));
     hub.routes.add(Cidr::host(ip(SCANNER)), IfaceId(1));
     hub.routes.add(Cidr::host(ip(UPSTREAM)), IfaceId(2));
-    let hub = sim.add_device(Box::new(hub));
-    let scanner = sim.add_device(Host::boxed("scanner", [ip(SCANNER)]));
+    let hub = sim.add_device(hub);
+    let scanner = sim.add_device(Host::new("scanner", [ip(SCANNER)]));
     let upstream = sim.add_device(isp_resolver());
     sim.connect((probe, IfaceId(0)), (cpe, LAN), SimDuration::from_millis(1));
     sim.connect((cpe, WAN), (hub, IfaceId(0)), SimDuration::from_millis(1));
@@ -105,7 +105,7 @@ fn world(receiver: Receiver) -> (Simulator, NodeId, IpAddr, IpAddr) {
     let zonedb = || Arc::new(ZoneDb::standard_world());
     let (sim, client, server) = match receiver {
         Receiver::PublicSite => {
-            let site = PublicResolverSite::boxed(
+            let site = PublicResolverSite::new(
                 PublicBrand::Cloudflare,
                 [ip("1.1.1.1")],
                 "IAD",
@@ -132,13 +132,13 @@ fn world(receiver: Receiver) -> (Simulator, NodeId, IpAddr, IpAddr) {
                     nameservers: vec![("ns1.sub.example.com".parse().unwrap(), ip("192.0.33.1"))],
                 }],
             });
-            let (sim, client) = direct(server.boxed());
+            let (sim, client) = direct(server);
             (sim, client, ip("192.0.32.1"))
         }
         Receiver::Iterative => {
             // The root hint answers nothing: each resolution retries, then
             // fails with SERVFAIL.
-            let resolver = IterativeResolver::boxed(
+            let resolver = IterativeResolver::new(
                 "iterative",
                 [ip("10.53.0.1")],
                 ip("10.53.0.2"),
