@@ -55,8 +55,10 @@ fn location_site(brand: PublicBrand) -> (Question, [IpAddr; 2], ResolveCtx) {
             "2a04:e4c0::1",
         ),
     };
-    let egress =
-        ResolveCtx { egress_v4: Some(egress_v4.parse().unwrap()), egress_v6: Some(egress_v6.parse().unwrap()) };
+    let egress = ResolveCtx {
+        egress_v4: Some(egress_v4.parse().unwrap()),
+        egress_v6: Some(egress_v6.parse().unwrap()),
+    };
     (question, [v4.parse().unwrap(), v6.parse().unwrap()], egress)
 }
 
