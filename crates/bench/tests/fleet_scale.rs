@@ -154,19 +154,19 @@ fn assert_heavy_tail_budget() {
 }
 
 /// Per-probe budgets for the capture-enabled campaign on the 300-probe
-/// fleet: the measured 102.2 allocations and 153,662 bytes per responding
-/// probe (debug; release reads 102.0 and 153,275), plus 10%. The whole
+/// fleet: the measured 101.2 allocations and 153,638 bytes per responding
+/// probe (debug; release reads 101.0 and 153,251), plus 10%. The whole
 /// campaign counts, measurement included.
 /// Regressing past these means hops went back to per-hop strings, the
 /// capture buffer stopped being recycled through `SimScratch`, or flow
 /// reconstruction re-parsed messages into owned ones.
-const MAX_CAPTURE_ALLOCS_PER_PROBE: f64 = 112.4;
-const MAX_CAPTURE_BYTES_PER_PROBE: f64 = 169_029.0;
+const MAX_CAPTURE_ALLOCS_PER_PROBE: f64 = 111.3;
+const MAX_CAPTURE_BYTES_PER_PROBE: f64 = 169_002.0;
 
 /// The flight recorder's zero-cost contract, enforced at the allocator:
-/// with capture disabled (the default `NullCapture`), two identical
-/// campaign runs allocate the exact same number of allocations and bytes
-/// — the disabled path performs no hidden, data-dependent allocation.
+/// with the recorder off (the default), two identical campaign runs
+/// allocate the exact same number of allocations and bytes — the disabled
+/// path performs no hidden, data-dependent allocation.
 /// With capture enabled, reports stay bitwise identical while the only
 /// extra allocations are the recorded events and reconstructed flows,
 /// held to per-probe budgets.

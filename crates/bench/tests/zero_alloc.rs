@@ -8,8 +8,11 @@
 //! filter are all allocation-free. So is a warm *answered* round trip: the
 //! stub hands the locator the delivered payload itself. A warm world build
 //! is pinned to its exact count: a few containers per device, each device
-//! moved into the box the previous world left. So is a warm locator run:
-//! its one evidence list, plus what the world makes. A locator run folded into metrics must allocate exactly what the
+//! moved into the box the previous world left. Switching the flight
+//! recorder on over a recycled world allocates nothing, and it records
+//! into the capacity the previous worlds left. A warm locator run is
+//! pinned too: its one evidence list, plus what the world makes. A
+//! locator run folded into metrics must allocate exactly what the
 //! untraced run does. The same counter also pins the component pieces
 //! individually, so a regression report names the layer that started
 //! allocating rather than just "the path".
@@ -175,6 +178,56 @@ fn steady_state_probe_path_allocates_nothing() {
         allocs, 14,
         "warm clean world build allocated {allocs} times; the 14 listed above are each \
          device's own"
+    );
+
+    // --- Flight recorder on a warm recycled world: the recorder is the
+    // simulator's own event vector, recycled through `SimScratch` with its
+    // capacity. Two scratches are warmed alike, each by worlds that
+    // recorded nine answered `id.server` round trips. Over the first,
+    // switching the recorder on costs nothing, and the world's first
+    // captured round trip allocates exactly what the first uncaptured one
+    // does over the second: every hop lands in the kept capacity (a
+    // captured packet is a clone sharing its payload slab). Once the world
+    // is warm, a captured round trip allocates nothing.
+    let warmed = |mut scratch: SimScratch| {
+        for _ in 0..3 {
+            let mut transport = SimTransport::new(clean.build_with_scratch(&template, scratch));
+            transport.enable_capture();
+            for i in 0..9 {
+                let out = transport.query(cloudflare, &id_server, 0x7200 + i, opts);
+                assert!(out.response().is_some(), "the clean home reaches Cloudflare");
+            }
+            scratch = transport.scenario.sim.into_scratch();
+        }
+        SimTransport::new(clean.build_with_scratch(&template, scratch))
+    };
+    let mut uncaptured = warmed(built.sim.into_scratch());
+    let mut captured = warmed(SimScratch::default());
+    let (allocs, ()) = allocations_in(|| captured.enable_capture());
+    assert_eq!(allocs, 0, "switching the flight recorder on allocated {allocs} times");
+    let (plain_first, out) =
+        allocations_in(|| uncaptured.query(cloudflare, &id_server, 0x7300, opts));
+    assert!(out.response().is_some(), "the clean home reaches Cloudflare");
+    let (captured_first, out) =
+        allocations_in(|| captured.query(cloudflare, &id_server, 0x7300, opts));
+    assert!(out.response().is_some(), "the clean home reaches Cloudflare");
+    assert_eq!(
+        captured_first, plain_first,
+        "a recycled world's first captured id.server round trip allocated {captured_first} \
+         times against {plain_first} uncaptured; the recorder must record into the capacity \
+         the previous worlds left"
+    );
+    for i in 1..8 {
+        let out = captured.query(cloudflare, &id_server, 0x7300 + i, opts);
+        assert!(out.response().is_some(), "the clean home reaches Cloudflare");
+    }
+    let (allocs, out) = allocations_in(|| captured.query(cloudflare, &id_server, 0x7400, opts));
+    assert!(out.response().is_some(), "answered");
+    assert!(!captured.scenario.sim.capture_events().is_empty(), "the hops are on the record");
+    assert_eq!(
+        allocs, 0,
+        "a warm captured id.server round trip allocated {allocs} times; every hop must \
+         land in the recycled event capacity"
     );
 
     // --- Component: cached query encoding re-stamps the txid in place.

@@ -17,7 +17,6 @@ use resolver_sim::{
     encode_payload, handle_server_id, local_reply_payload, reply_payload, send_local_reply,
     send_reply, ForwarderCore, FwdAction, LocalReply, ResolveCtx, ZoneDb,
 };
-use std::any::Any;
 use std::net::IpAddr;
 use std::sync::Arc;
 
@@ -141,11 +140,11 @@ impl CpeDevice {
         let Ok(query) = MessageView::parse(&udp.payload) else { return };
         let upstream_v6 = self.spec().and_then(|s| s.upstream_v6);
         let upstream_v4 = self.spec().map(|s| s.upstream_v4);
-        // `ForwarderCore` keeps the path only for forwarded queries, so the
+        // `ForwarderCore` keeps the path only for relayed queries, so the
         // reply direction of a synchronous answer must be decided here.
         let wan_side = matches!(path, ReplyPath::WanDirect(_));
         let Some(fc) = &mut self.forwarder else { return };
-        match fc.handle_query(&query, path) {
+        match fc.handle_query(&query) {
             FwdAction::Respond(reply) => {
                 let Some(payload) = local_reply_payload(ctx, &query, reply) else { return };
                 if wan_side {
@@ -154,7 +153,8 @@ impl CpeDevice {
                     self.send_reply_for(ctx, &request, payload);
                 }
             }
-            FwdAction::Forward(relayed) => {
+            FwdAction::Forward => {
+                let relayed = fc.relay(&query, path);
                 let Some(payload) = encode_payload(ctx, &relayed) else { return };
                 // Choose upstream by the family the CPE can speak.
                 let (src, dst) = match (request.is_v4(), upstream_v6, self.config.wan_v6) {
@@ -351,12 +351,12 @@ impl CpeDevice {
                     WanMode::LocalOnly => {
                         // Synchronous answers only (CHAOS identity and
                         // friends); recursive names are never relayed for
-                        // outside clients, so they go unanswered.
-                        let path = ReplyPath::Direct(packet.clone());
+                        // outside clients, so they go unanswered and leave
+                        // no pending relay behind.
                         let Some(udp) = packet.udp_payload() else { return };
                         let Ok(query) = MessageView::parse(&udp.payload) else { return };
                         let Some(fc) = &mut self.forwarder else { return };
-                        if let FwdAction::Respond(reply) = fc.handle_query(&query, path) {
+                        if let FwdAction::Respond(reply) = fc.handle_query(&query) {
                             send_local_reply(ctx, WAN, &packet, &query, Some(reply));
                         }
                     }
@@ -408,13 +408,5 @@ impl Device for CpeDevice {
 
     fn name(&self) -> &str {
         &self.config.name
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }

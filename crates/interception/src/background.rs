@@ -5,7 +5,6 @@
 
 use dns_wire::{QueryEncoder, Question, RType};
 use netsim::{Ctx, Device, IfaceId, IpPacket, SharedStr, SimDuration};
-use std::any::Any;
 use std::net::IpAddr;
 
 /// A LAN device that issues periodic DNS queries.
@@ -92,14 +91,6 @@ impl Device for BackgroundClient {
 
     fn name(&self) -> &str {
         &self.name
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

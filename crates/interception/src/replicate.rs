@@ -8,7 +8,6 @@
 use netsim::{
     Cidr, Ctx, Device, DnatRule, IpPacket, NatEngine, NatVerdict, RouteTable, SharedStr,
 };
-use std::any::Any;
 use std::net::IpAddr;
 
 /// A replicating in-path interceptor with two interfaces: 0 toward the
@@ -79,14 +78,6 @@ impl Device for ReplicatingInterceptor {
 
     fn name(&self) -> &str {
         &self.name
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

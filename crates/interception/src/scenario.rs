@@ -1278,6 +1278,9 @@ impl HomeScenario {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
+    use dns_wire::{Message, MessageView, Question, RType};
+    use netsim::{CaptureKind, IpPacket};
 
     #[test]
     fn worked_examples_cover_all_three_verdict_shapes() {
@@ -1354,5 +1357,39 @@ mod tests {
         let built = HomeScenario { probe_has_v6: false, ..HomeScenario::clean() }.build();
         assert!(built.addrs.probe_v6.is_none());
         assert!(!built.locator_config().test_ipv6);
+    }
+
+    #[test]
+    fn unanswered_wan_side_query_leaves_no_relay_behind() {
+        // The XB6 answers only local names on its public address, so an
+        // outside A query goes unanswered. It must not use up a forwarder
+        // transaction ID: the probe's next intercepted query is still the
+        // first one relayed upstream.
+        let mut built = HomeScenario::xb6_case_study().build();
+        built.sim.record_capture();
+        let query = |id| {
+            let question = Question::new("example.com".parse().unwrap(), RType::A);
+            Bytes::from(Message::query(id, question).encode().unwrap())
+        };
+        let (scanner, cpe) = (built.addrs.scanner_v4, built.addrs.cpe_public_v4);
+        let scan = IpPacket::udp_v4(scanner, cpe, 40000, 53, query(0x1234));
+        built.sim.inject(built.scanner, IfaceId(0), scan);
+        built.sim.run_to_quiescence();
+        let google = Ipv4Addr::new(8, 8, 8, 8);
+        let probed = IpPacket::udp_v4(built.addrs.probe_v4, google, 40001, 53, query(0x5678));
+        built.sim.inject(built.probe, IfaceId(0), probed);
+        built.sim.run_to_quiescence();
+        let relayed: Vec<u16> = built
+            .sim
+            .capture_events()
+            .iter()
+            .filter(|e| e.node == built.cpe && matches!(e.kind, CaptureKind::Egress { .. }))
+            .filter_map(|e| {
+                let udp = e.kind.packet().udp_payload()?;
+                let id = MessageView::parse(&udp.payload).ok()?.header().id;
+                (e.iface == Some(cpe::WAN) && udp.src_port != 53).then_some(id)
+            })
+            .collect();
+        assert_eq!(relayed, [0x4000]);
     }
 }

@@ -55,7 +55,7 @@ pub struct SimTransport {
     encoder: QueryEncoder,
     /// Per-probe timing samples, when attached. `None` (the default)
     /// disables every clock read in the hot path — the same zero-cost-off
-    /// discipline as `CaptureSink`.
+    /// discipline as the simulator's flight recorder.
     timing: Option<Box<ProbeTimingLog>>,
     /// Phase slot the next queries are attributed to (set by the locator
     /// through `note_step`, or to the scan slot by `begin_scan_phase`).

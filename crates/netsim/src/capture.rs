@@ -11,15 +11,14 @@
 //! node, and interface. An ingress event's sender is the receiving
 //! interface's [`crate::Simulator::peer`].
 //!
-//! Recording goes through the [`CaptureSink`] trait with a [`NullCapture`]
-//! default, mirroring the `enabled()` pattern of `core::trace::TraceSink`:
-//! the simulator caches `enabled()` in a plain bool so the disabled path
-//! costs one branch per hop and allocates nothing.
+//! The recorder is a plain event vector the simulator owns, switched on by
+//! [`crate::Simulator::record_capture`]. While it is off, every emission
+//! site checks one bool, so the disabled path costs one branch per hop and
+//! allocates nothing.
 
 use crate::packet::{FlowSummary, IpPacket};
 use crate::sim::{IfaceId, LinkId, NodeId};
 use crate::time::{SimDuration, SimTime};
-use std::any::Any;
 
 /// Why the fault layer disposed of (or detained) a packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -223,69 +222,6 @@ pub struct CaptureEvent {
     pub kind: CaptureKind,
 }
 
-/// Receives capture events. Implementations that return `false` from
-/// [`enabled`](CaptureSink::enabled) are never handed an event: the
-/// simulator caches the flag and emission sites check a plain bool, so a
-/// disabled sink keeps the hot path free of clones and allocations.
-pub(crate) trait CaptureSink: Any {
-    /// Whether this sink wants events. Checked once at installation.
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    /// Records one hop.
-    fn record(&mut self, event: CaptureEvent);
-
-    /// Downcast support (the simulator recovers its in-memory buffer
-    /// through it).
-    fn as_any(&self) -> &dyn Any;
-
-    /// Mutable downcast support.
-    fn as_any_mut(&mut self) -> &mut dyn Any;
-}
-
-/// The default sink: discards everything and reports itself disabled.
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct NullCapture;
-
-impl CaptureSink for NullCapture {
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    fn record(&mut self, _event: CaptureEvent) {}
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
-/// An in-memory sink that appends every event to a vector, in emission
-/// order (which is chronological — the event loop is time-ordered).
-#[derive(Debug, Default)]
-pub(crate) struct CaptureBuffer {
-    /// The recorded hops.
-    pub events: Vec<CaptureEvent>,
-}
-
-impl CaptureSink for CaptureBuffer {
-    fn record(&mut self, event: CaptureEvent) {
-        self.events.push(event);
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -330,12 +266,5 @@ mod tests {
                 CaptureKind::NatRewrite { phase, before, after: both, packet: packet.clone() };
             assert_eq!(kind.verb(), verb);
         }
-    }
-
-    #[test]
-    fn null_capture_is_disabled() {
-        assert!(!NullCapture.enabled());
-        let buffer = CaptureBuffer::default();
-        assert!(buffer.enabled());
     }
 }

@@ -9,7 +9,6 @@ use crate::packet::{IcmpMessage, IpPacket, Transport};
 use crate::shared::SharedStr;
 use crate::sim::{Ctx, Device, IfaceId};
 use crate::time::SimTime;
-use std::any::Any;
 use std::net::IpAddr;
 
 /// A received packet with its delivery time.
@@ -87,14 +86,6 @@ impl Device for Host {
 
     fn name(&self) -> &str {
         &self.name
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

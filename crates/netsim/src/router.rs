@@ -13,7 +13,6 @@ use crate::packet::{IcmpMessage, IpPacket, Transport};
 use crate::route::RouteTable;
 use crate::shared::SharedStr;
 use crate::sim::{Ctx, Device, IfaceId};
-use std::any::Any;
 use std::net::IpAddr;
 
 /// Router configuration and state.
@@ -183,14 +182,6 @@ impl Device for Router {
     fn name(&self) -> &str {
         &self.name
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 #[cfg(test)]
@@ -220,12 +211,6 @@ mod tests {
         }
         fn name(&self) -> &str {
             &self.name
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 

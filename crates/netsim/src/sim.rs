@@ -7,9 +7,7 @@
 //! monotonically increasing sequence number, so runs are fully
 //! deterministic.
 
-use crate::capture::{
-    CaptureBuffer, CaptureEvent, CaptureKind, CaptureSink, FaultCause, NatPhase, NullCapture,
-};
+use crate::capture::{CaptureEvent, CaptureKind, FaultCause, NatPhase};
 use crate::fxhash::FxHashMap;
 use crate::packet::{FlowSummary, IpPacket};
 use crate::pool::PayloadPool;
@@ -49,8 +47,8 @@ pub struct Ctx<'a> {
     rng: &'a mut StdRng,
     actions: &'a mut Vec<Action>,
     payloads: &'a mut PayloadPool,
-    capture_on: bool,
-    capture: &'a mut dyn CaptureSink,
+    /// The flight recorder's events, when it is on.
+    capture: Option<&'a mut Vec<CaptureEvent>>,
 }
 
 impl<'a> Ctx<'a> {
@@ -68,7 +66,7 @@ impl<'a> Ctx<'a> {
     /// building a [`CaptureKind`] so the disabled path never clones
     /// packets.
     pub fn capture_enabled(&self) -> bool {
-        self.capture_on
+        self.capture.is_some()
     }
 
     /// Records one capture hop at the current time and node. A no-op when
@@ -76,8 +74,8 @@ impl<'a> Ctx<'a> {
     /// [`capture_enabled`](Ctx::capture_enabled) to avoid constructing the
     /// event at all.
     pub fn capture(&mut self, iface: Option<IfaceId>, kind: CaptureKind) {
-        if self.capture_on {
-            self.capture.record(CaptureEvent { at: self.now, node: self.node, iface, kind });
+        if let Some(events) = &mut self.capture {
+            events.push(CaptureEvent { at: self.now, node: self.node, iface, kind });
         }
     }
 
@@ -130,7 +128,9 @@ impl<'a> Ctx<'a> {
     }
 }
 
-/// A simulated network element.
+/// A simulated network element. Harnesses reach a device's concrete state
+/// through [`Simulator::device`] and [`Simulator::device_mut`], which
+/// downcast it through its `Any` supertrait.
 pub trait Device: Any {
     /// Handles a packet arriving on `iface`.
     fn receive(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, packet: IpPacket);
@@ -140,12 +140,6 @@ pub trait Device: Any {
 
     /// Human-readable name for traces.
     fn name(&self) -> &str;
-
-    /// Downcast support so harnesses can inspect concrete device state.
-    fn as_any(&self) -> &dyn Any;
-
-    /// Mutable downcast support.
-    fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
 /// One endpoint of a link.
@@ -324,10 +318,11 @@ pub struct Simulator {
     now: SimTime,
     seq: u64,
     rng: StdRng,
+    /// Whether the flight recorder is on ([`Simulator::record_capture`]).
     capture_on: bool,
-    capture: Box<dyn CaptureSink>,
-    /// Recycled event capacity for the next [`Simulator::record_capture`].
-    spare_capture: Vec<CaptureEvent>,
+    /// The flight recorder's events, in emission order (chronological: the
+    /// event loop is time-ordered). Empty while the recorder is off.
+    capture: Vec<CaptureEvent>,
     events_processed: u64,
     packets_dropped: u64,
     packets_duplicated: u64,
@@ -358,7 +353,7 @@ impl Simulator {
             mut queue,
             mut actions,
             payloads,
-            capture: mut spare_capture,
+            mut capture,
         } = scratch;
         // Node ids count up from 0, so the box for the next one is popped
         // from the end.
@@ -368,7 +363,7 @@ impl Simulator {
         attachments.clear();
         queue.clear();
         actions.clear();
-        spare_capture.clear();
+        capture.clear();
         Simulator {
             devices,
             recycled,
@@ -380,10 +375,7 @@ impl Simulator {
             seq: 0,
             rng: StdRng::seed_from_u64(seed),
             capture_on: false,
-            // Box<NullCapture> is a zero-sized allocation-free box, so the
-            // default recorder costs nothing even at construction.
-            capture: Box::new(NullCapture),
-            spare_capture,
+            capture,
             events_processed: 0,
             packets_dropped: 0,
             packets_duplicated: 0,
@@ -411,7 +403,6 @@ impl Simulator {
             action_scratch: mut actions,
             payloads,
             mut capture,
-            spare_capture,
             ..
         } = self;
         // Boxes of the previous world that this one did not reuse.
@@ -421,11 +412,6 @@ impl Simulator {
         actions.clear();
         let mut queue = queue.into_vec();
         queue.clear();
-        let mut capture = capture
-            .as_any_mut()
-            .downcast_mut::<CaptureBuffer>()
-            .map(|b| std::mem::take(&mut b.events))
-            .unwrap_or(spare_capture);
         capture.clear();
         SimScratch { devices, table: recycled, links, attachments, queue, actions, payloads, capture }
     }
@@ -436,7 +422,7 @@ impl Simulator {
     pub fn add_device<T: Device>(&mut self, device: T) -> NodeId {
         let id = NodeId(self.devices.len());
         let boxed = match self.recycled.pop() {
-            Some(mut old) => match old.as_any_mut().downcast_mut::<T>() {
+            Some(mut old) => match (&mut *old as &mut dyn Any).downcast_mut::<T>() {
                 Some(slot) => {
                     *slot = device;
                     old
@@ -535,44 +521,27 @@ impl Simulator {
         }
     }
 
-    /// Installs a flight-recorder sink. The sink's
-    /// [`enabled`](CaptureSink::enabled) flag is cached here: a disabled
-    /// sink (the default [`NullCapture`]) reduces every emission site to
-    /// one branch with no clone and no allocation.
-    pub(crate) fn set_capture(&mut self, sink: Box<dyn CaptureSink>) {
-        self.capture_on = sink.enabled();
-        self.capture = sink;
-    }
-
-    /// Installs the in-memory flight recorder, recording into the event
-    /// capacity recycled through [`SimScratch`].
+    /// Turns the flight recorder on. It records into the event capacity
+    /// recycled through [`SimScratch`]; while it is off, every emission
+    /// site costs one branch, with no clone and no allocation.
     pub fn record_capture(&mut self) {
-        let events = std::mem::take(&mut self.spare_capture);
-        self.set_capture(Box::new(CaptureBuffer { events }));
+        self.capture_on = true;
     }
 
-    /// Whether a capture sink is currently recording.
+    /// Whether the flight recorder is on.
     pub fn capture_enabled(&self) -> bool {
         self.capture_on
     }
 
-    /// The events recorded so far, when the installed sink is the
-    /// in-memory recorder of [`Simulator::record_capture`] (empty slice
-    /// otherwise).
+    /// The events recorded so far (empty while the recorder is off).
     pub fn capture_events(&self) -> &[CaptureEvent] {
-        self.capture
-            .as_any()
-            .downcast_ref::<CaptureBuffer>()
-            .map(|b| b.events.as_slice())
-            .unwrap_or(&[])
+        &self.capture
     }
 
-    /// Empties the recorded events in place, keeping their capacity, when
-    /// the installed sink is the in-memory recorder. Recording continues.
+    /// Empties the recorded events in place, keeping their capacity.
+    /// Recording continues.
     pub fn clear_capture_events(&mut self) {
-        if let Some(b) = self.capture.as_any_mut().downcast_mut::<CaptureBuffer>() {
-            b.events.clear();
-        }
+        self.capture.clear();
     }
 
     /// Human-readable name of a device, if the node exists.
@@ -610,12 +579,12 @@ impl Simulator {
 
     /// Immutable access to a device, downcast to its concrete type.
     pub fn device<T: Device>(&self, node: NodeId) -> Option<&T> {
-        self.devices.get(node.0)?.as_any().downcast_ref::<T>()
+        (&**self.devices.get(node.0)? as &dyn Any).downcast_ref::<T>()
     }
 
     /// Mutable access to a device, downcast to its concrete type.
     pub fn device_mut<T: Device>(&mut self, node: NodeId) -> Option<&mut T> {
-        self.devices.get_mut(node.0)?.as_any_mut().downcast_mut::<T>()
+        (&mut **self.devices.get_mut(node.0)? as &mut dyn Any).downcast_mut::<T>()
     }
 
     /// Runs until the queue is empty or virtual time would exceed `deadline`.
@@ -659,12 +628,8 @@ impl Simulator {
         let node = match ev.kind {
             EventKind::Arrival { node, iface, packet } => {
                 if self.capture_on {
-                    self.capture.record(CaptureEvent {
-                        at: ev.at,
-                        node,
-                        iface: Some(iface),
-                        kind: CaptureKind::Ingress { packet: packet.clone() },
-                    });
+                    let kind = CaptureKind::Ingress { packet: packet.clone() };
+                    self.record(Attachment { node, iface }, kind);
                 }
                 let Some(device) = self.devices.get_mut(node.0) else {
                     self.action_scratch = actions;
@@ -676,8 +641,7 @@ impl Simulator {
                     rng: &mut self.rng,
                     actions: &mut actions,
                     payloads: &mut self.payloads,
-                    capture_on: self.capture_on,
-                    capture: &mut *self.capture,
+                    capture: self.capture_on.then_some(&mut self.capture),
                 };
                 device.receive(&mut ctx, iface, packet);
                 node
@@ -693,8 +657,7 @@ impl Simulator {
                     rng: &mut self.rng,
                     actions: &mut actions,
                     payloads: &mut self.payloads,
-                    capture_on: self.capture_on,
-                    capture: &mut *self.capture,
+                    capture: self.capture_on.then_some(&mut self.capture),
                 };
                 device.timer(&mut ctx, token);
                 node
@@ -714,15 +677,30 @@ impl Simulator {
         self.action_scratch = actions;
     }
 
-    /// Records a fault-layer capture event at the sending attachment.
-    /// Only called from `transmit`, always behind the `capture_on` check.
-    fn capture_fault(&mut self, from: Attachment, kind: CaptureKind) {
-        self.capture.record(CaptureEvent {
-            at: self.now,
-            node: from.node,
-            iface: Some(from.iface),
-            kind,
-        });
+    /// Records one capture event at `here`, stamped with the current time.
+    /// Callers check `capture_on` first, so the disabled path clones
+    /// nothing.
+    fn record(&mut self, here: Attachment, kind: CaptureKind) {
+        let event = CaptureEvent { at: self.now, node: here.node, iface: Some(here.iface), kind };
+        self.capture.push(event);
+    }
+
+    /// Counts a packet the fault layer dropped on its way out of `from`,
+    /// on `link` when one is attached, and records the verdict.
+    fn drop_packet(
+        &mut self,
+        from: Attachment,
+        link: Option<LinkId>,
+        cause: FaultCause,
+        packet: IpPacket,
+    ) {
+        self.packets_dropped += 1;
+        if let Some(link) = link {
+            self.links[link.0].stats.dropped += 1;
+        }
+        if self.capture_on {
+            self.record(from, CaptureKind::FaultDrop { link, cause, packet });
+        }
     }
 
     fn transmit(&mut self, from: Attachment, packet: IpPacket) {
@@ -730,92 +708,32 @@ impl Simulator {
         // captured flight always shows the attempt even when the link
         // eats the packet.
         if self.capture_on {
-            self.capture.record(CaptureEvent {
-                at: self.now,
-                node: from.node,
-                iface: Some(from.iface),
-                kind: CaptureKind::Egress { packet: packet.clone() },
-            });
+            self.record(from, CaptureKind::Egress { packet: packet.clone() });
         }
         let Some(&link_id) = self.attachments.get(&from) else {
-            self.packets_dropped += 1;
-            if self.capture_on {
-                self.capture_fault(
-                    from,
-                    CaptureKind::FaultDrop { link: None, cause: FaultCause::Unattached, packet },
-                );
-            }
-            return;
+            return self.drop_packet(from, None, FaultCause::Unattached, packet);
         };
         let idx = link_id.0;
         if !self.links[idx].up {
-            self.packets_dropped += 1;
-            self.links[idx].stats.dropped += 1;
-            if self.capture_on {
-                self.capture_fault(
-                    from,
-                    CaptureKind::FaultDrop {
-                        link: Some(link_id),
-                        cause: FaultCause::LinkDown,
-                        packet,
-                    },
-                );
-            }
-            return;
+            return self.drop_packet(from, Some(link_id), FaultCause::LinkDown, packet);
         }
         // Fault order: burst episode in progress, burst trigger, uniform
         // loss, late delivery, duplication. Index accesses (rather than a
         // held borrow) let each step roll the simulator RNG.
         if self.links[idx].burst_remaining > 0 {
             self.links[idx].burst_remaining -= 1;
-            self.packets_dropped += 1;
-            self.links[idx].stats.dropped += 1;
-            if self.capture_on {
-                self.capture_fault(
-                    from,
-                    CaptureKind::FaultDrop {
-                        link: Some(link_id),
-                        cause: FaultCause::BurstLoss,
-                        packet,
-                    },
-                );
-            }
-            return;
+            return self.drop_packet(from, Some(link_id), FaultCause::BurstLoss, packet);
         }
         let faults = self.links[idx].faults;
         if let Some(burst) = faults.burst {
             if burst.start > 0.0 && burst.length > 0 && self.rng.gen::<f64>() < burst.start {
                 // The triggering packet counts against the burst length.
                 self.links[idx].burst_remaining = burst.length - 1;
-                self.packets_dropped += 1;
-                self.links[idx].stats.dropped += 1;
-                if self.capture_on {
-                    self.capture_fault(
-                        from,
-                        CaptureKind::FaultDrop {
-                            link: Some(link_id),
-                            cause: FaultCause::BurstLoss,
-                            packet,
-                        },
-                    );
-                }
-                return;
+                return self.drop_packet(from, Some(link_id), FaultCause::BurstLoss, packet);
             }
         }
         if faults.loss > 0.0 && self.rng.gen::<f64>() < faults.loss {
-            self.packets_dropped += 1;
-            self.links[idx].stats.dropped += 1;
-            if self.capture_on {
-                self.capture_fault(
-                    from,
-                    CaptureKind::FaultDrop {
-                        link: Some(link_id),
-                        cause: FaultCause::UniformLoss,
-                        packet,
-                    },
-                );
-            }
-            return;
+            return self.drop_packet(from, Some(link_id), FaultCause::UniformLoss, packet);
         }
         let link = &self.links[idx];
         let (dest, latency, jitter) =
@@ -831,14 +749,8 @@ impl Simulator {
                 self.packets_delayed += 1;
                 self.links[idx].stats.delayed += 1;
                 if self.capture_on {
-                    self.capture_fault(
-                        from,
-                        CaptureKind::Delayed {
-                            link: link_id,
-                            extra: late.delay,
-                            packet: packet.clone(),
-                        },
-                    );
+                    let (link, extra, packet) = (link_id, late.delay, packet.clone());
+                    self.record(from, CaptureKind::Delayed { link, extra, packet });
                 }
             }
         }
@@ -847,10 +759,8 @@ impl Simulator {
             self.packets_duplicated += 1;
             self.links[idx].stats.duplicated += 1;
             if self.capture_on {
-                self.capture_fault(
-                    from,
-                    CaptureKind::Duplicated { link: link_id, packet: packet.clone() },
-                );
+                let packet = packet.clone();
+                self.record(from, CaptureKind::Duplicated { link: link_id, packet });
             }
             self.push_event(
                 at + latency,
@@ -909,12 +819,6 @@ mod tests {
         }
         fn name(&self) -> &str {
             &self.name
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 
@@ -1208,6 +1112,9 @@ mod tests {
         assert_eq!(events[1].node, b);
         // Injected at now = 2ms (after the first drain), delivered at 4ms.
         assert_eq!(events[1].at, SimTime::from_nanos(4_000_000));
+        // Switching the recorder on again keeps what it recorded.
+        sim.record_capture();
+        assert_eq!(sim.capture_events().len(), 2);
         // Clearing empties the buffer but keeps recording.
         sim.clear_capture_events();
         assert!(sim.capture_events().is_empty());
@@ -1377,12 +1284,6 @@ mod tests {
             }
             fn name(&self) -> &str {
                 "mirror"
-            }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
             }
         }
         /// The address of each box, in node-id order.

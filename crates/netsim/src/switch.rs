@@ -10,7 +10,6 @@ use crate::capture::CaptureKind;
 use crate::packet::IpPacket;
 use crate::shared::SharedStr;
 use crate::sim::{Ctx, Device, IfaceId};
-use std::any::Any;
 
 /// A flooding switch with a fixed number of ports.
 pub struct Switch {
@@ -45,14 +44,6 @@ impl Device for Switch {
 
     fn name(&self) -> &str {
         &self.name
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -10,7 +10,6 @@ use crate::zone::{ResolveCtx, Zone, ZoneAnswer};
 use bytes::Bytes;
 use dns_wire::{Header, MessageView, Name, Question, RData, Rcode, Record};
 use netsim::{Ctx, Device, FxHashSet, IfaceId, IpPacket, SharedStr};
-use std::any::Any;
 use std::net::IpAddr;
 use std::sync::Arc;
 
@@ -150,14 +149,6 @@ impl Device for AuthoritativeServer {
 
     fn name(&self) -> &str {
         &self.name
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

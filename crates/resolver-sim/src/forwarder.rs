@@ -20,10 +20,10 @@ pub enum FwdAction<'p> {
     /// Answer the client directly with this reply, written from the
     /// query's view.
     Respond(LocalReply<'p>),
-    /// Send this (ID-remapped) query to the upstream resolver. The only
-    /// case that materializes the query: it is held until the answer
-    /// comes back.
-    Forward(Message),
+    /// Relay the query to the upstream resolver. Deciding this registers
+    /// nothing: a caller that sends the query gets the ID-remapped message
+    /// from [`ForwarderCore::relay`].
+    Forward,
     /// Say nothing.
     Drop,
 }
@@ -74,9 +74,8 @@ impl<M> ForwarderCore<M> {
         self.pending.len()
     }
 
-    /// Processes a client query; `meta` is returned when the upstream
-    /// response arrives.
-    pub fn handle_query(&mut self, query: &MessageView<'_>, meta: M) -> FwdAction<'_> {
+    /// Decides what to do with a client query.
+    pub fn handle_query(&mut self, query: &MessageView<'_>) -> FwdAction<'_> {
         if query.header().qr {
             return FwdAction::Drop;
         }
@@ -96,15 +95,21 @@ impl<M> ForwarderCore<M> {
             self.answered_locally += 1;
             return FwdAction::Respond(LocalReply::Status(Rcode::NxDomain));
         }
+        FwdAction::Forward
+    }
 
-        // Relay with a fresh transaction ID.
+    /// Registers a query [`handle_query`](ForwarderCore::handle_query)
+    /// chose to forward and returns it with a fresh transaction ID, the
+    /// only case that materializes the query. `meta` is returned when the
+    /// upstream response arrives.
+    pub fn relay(&mut self, query: &MessageView<'_>, meta: M) -> Message {
         let orig_txid = query.header().id;
         let txid = self.allocate_txid();
         self.pending.insert(txid, PendingQuery { orig_txid, meta });
         let mut relayed = query.to_message();
         relayed.header.id = txid;
         self.forwarded += 1;
-        FwdAction::Forward(relayed)
+        relayed
     }
 
     /// Processes an upstream response; returns the stored metadata and the
@@ -157,7 +162,7 @@ mod tests {
     fn version_bind_answered_locally() {
         let mut f = fwd();
         let query = wire(&debug_queries::version_bind_query(42));
-        let action = f.handle_query(&view(&query), 0);
+        let action = f.handle_query(&view(&query));
         assert_eq!(action, FwdAction::Respond(LocalReply::Text("dnsmasq-2.85")));
         assert_eq!(f.answered_locally, 1);
         assert_eq!(f.forwarded, 0);
@@ -167,10 +172,11 @@ mod tests {
     fn in_queries_forwarded_with_remapped_txid() {
         let mut f = fwd();
         let query = a_query(7, "example.com");
-        let relayed = match f.handle_query(&view(&query), 99) {
-            FwdAction::Forward(m) => m,
-            other => panic!("unexpected {other:?}"),
-        };
+        assert_eq!(f.handle_query(&view(&query)), FwdAction::Forward);
+        // Deciding to forward registers nothing; relaying does.
+        assert_eq!((f.pending_len(), f.forwarded), (0, 0));
+        let relayed = f.relay(&view(&query), 99);
+        assert_eq!(f.forwarded, 1);
         assert_ne!(relayed.header.id, 7);
         assert_eq!(relayed.questions, Message::parse(&query).unwrap().questions);
         assert_eq!(f.pending_len(), 1);
@@ -196,11 +202,7 @@ mod tests {
         assert!(f.handle_upstream_response(fake).is_none());
         // Non-response messages are also rejected.
         let query = a_query(2, "example.com");
-        let relayed = match f.handle_query(&view(&query), 0) {
-            FwdAction::Forward(m) => m,
-            other => panic!("unexpected {other:?}"),
-        };
-        let mut not_a_response = relayed;
+        let mut not_a_response = f.relay(&view(&query), 0);
         not_a_response.header.qr = false;
         assert!(f.handle_upstream_response(not_a_response).is_none());
         assert_eq!(f.pending_len(), 1);
@@ -212,12 +214,12 @@ mod tests {
         f.blocklist.push("doubleclick.net".parse().unwrap());
         let blocked = a_query(3, "ads.DoubleClick.net");
         assert_eq!(
-            f.handle_query(&view(&blocked), 0),
+            f.handle_query(&view(&blocked)),
             FwdAction::Respond(LocalReply::Status(Rcode::NxDomain))
         );
         // Non-blocked names still forward.
         let query = a_query(4, "example.com");
-        assert!(matches!(f.handle_query(&view(&query), 0), FwdAction::Forward(_)));
+        assert_eq!(f.handle_query(&view(&query)), FwdAction::Forward);
     }
 
     #[test]
@@ -227,7 +229,7 @@ mod tests {
             "75.75.75.75".parse().unwrap(),
         );
         let query = wire(&debug_queries::version_bind_query(1));
-        assert_eq!(f.handle_query(&view(&query), ()), FwdAction::Drop);
+        assert_eq!(f.handle_query(&view(&query)), FwdAction::Drop);
     }
 
     #[test]
@@ -243,7 +245,7 @@ mod tests {
         );
         let query = wire(&q);
         assert_eq!(
-            f.handle_query(&view(&query), 0),
+            f.handle_query(&view(&query)),
             FwdAction::Respond(LocalReply::Status(Rcode::NotImp))
         );
     }
@@ -254,10 +256,7 @@ mod tests {
         let mut ids = std::collections::HashSet::new();
         for i in 0..100 {
             let query = a_query(i, "example.com");
-            match f.handle_query(&view(&query), 0) {
-                FwdAction::Forward(m) => assert!(ids.insert(m.header.id)),
-                other => panic!("unexpected {other:?}"),
-            }
+            assert!(ids.insert(f.relay(&view(&query), 0).header.id));
         }
         assert_eq!(f.pending_len(), 100);
     }

@@ -14,7 +14,6 @@ use crate::software::SoftwareProfile;
 use crate::zone::ResolveResult;
 use dns_wire::{Message, MessageView, Name, Question, RClass, RData, RType, Rcode, Record};
 use netsim::{Ctx, Device, FxHashMap, FxHashSet, IfaceId, IpPacket, SharedStr, SimDuration};
-use std::any::Any;
 use std::net::IpAddr;
 
 /// Source port for upstream queries.
@@ -391,13 +390,5 @@ impl Device for IterativeResolver {
 
     fn name(&self) -> &str {
         &self.name
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }

@@ -7,7 +7,6 @@ use bytes::Bytes;
 use dns_wire::debug_queries::{self, ServerIdKind};
 use dns_wire::{Header, MessageView, Name, Question, RClass, RData, RType, Rcode};
 use netsim::{Ctx, Device, IfaceId, IpPacket, SharedStr};
-use std::any::Any;
 use std::net::IpAddr;
 use std::sync::Arc;
 
@@ -231,14 +230,6 @@ impl Device for PublicResolverSite {
 
     fn name(&self) -> &str {
         &self.profile.name
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

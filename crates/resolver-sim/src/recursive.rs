@@ -18,7 +18,6 @@ use crate::zone::{ResolveCtx, ResolveResult, ZoneDb};
 use bytes::Bytes;
 use dns_wire::{Header, MessageView, Question, RClass, RData, RType, Rcode};
 use netsim::{Ctx, Device, FxHashMap, IfaceId, IpPacket, SharedStr, SimDuration};
-use std::any::Any;
 use std::net::{IpAddr, Ipv4Addr};
 use std::sync::Arc;
 
@@ -185,14 +184,6 @@ impl Device for RecursiveResolver {
 
     fn name(&self) -> &str {
         &self.name
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -130,10 +130,9 @@ proptest! {
         let mut relayed = Vec::new();
         for (i, id) in ids.iter().enumerate() {
             let q = Message::query(*id, Question::new(name.clone(), RType::A)).encode().unwrap();
-            match fwd.handle_query(&MessageView::parse(&q).unwrap(), i) {
-                FwdAction::Forward(m) => relayed.push((i, *id, m)),
-                other => prop_assert!(false, "unexpected action {other:?}"),
-            }
+            let query = MessageView::parse(&q).unwrap();
+            prop_assert_eq!(fwd.handle_query(&query), FwdAction::Forward);
+            relayed.push((i, *id, fwd.relay(&query, i)));
         }
         // All relayed transaction IDs are distinct.
         let mut txids: Vec<u16> = relayed.iter().map(|(_, _, m)| m.header.id).collect();

@@ -4,8 +4,8 @@
 //! into an [`AtomicHistogram`] on drop. The entire mechanism is gated on
 //! whether a histogram is attached: a disabled span never touches the
 //! clock, never allocates, and compiles down to a `None` check — the same
-//! zero-cost-when-off discipline `CaptureSink` follows on the packet
-//! path.
+//! zero-cost-when-off discipline the simulator's flight recorder follows
+//! on the packet path.
 //!
 //! A [`PhaseTimer`] is a fixed set of labeled histograms (one per
 //! pipeline phase) that spans and direct `record_us` calls feed into.
