@@ -4,8 +4,8 @@
 //! that rustc uses for its own tables, and the result gets one folded
 //! multiply to spread it over all 64 bits. It is several times cheaper
 //! than the standard library's SipHash on the short fixed-size keys the
-//! simulator hashes on every packet (interface attachments, flow tuples,
-//! addresses, transaction IDs).
+//! simulator hashes on every packet (flow tuples, addresses, transaction
+//! IDs).
 //!
 //! It offers no protection against keys chosen to collide, so it is only
 //! for keys the simulation itself generates, never for outside input. Its

@@ -101,20 +101,18 @@ impl Router {
         }
         if !packet.decrement_ttl() {
             self.ttl_drops += 1;
-            if let Some(&source) = self.addrs.first() {
-                if let Some(te) = IpPacket::icmp(
-                    source,
-                    packet.src(),
-                    IcmpMessage::TimeExceeded { original: packet.flow_summary() },
-                ) {
-                    ctx.send(in_iface, te);
-                }
-            }
+            let error = self.addrs.first().and_then(|&source| {
+                let original = packet.flow_summary();
+                IpPacket::icmp(source, packet.src(), IcmpMessage::TimeExceeded { original })
+            });
             if ctx.capture_enabled() {
                 ctx.capture(
                     Some(in_iface),
                     CaptureKind::RouteDrop { reason: DropReason::TtlExpired, packet },
                 );
+            }
+            if let Some(te) = error {
+                ctx.send(in_iface, te);
             }
             return;
         }
@@ -262,9 +260,10 @@ mod tests {
         sim.inject(a, IfaceId(0), p);
         sim.run_to_quiescence();
         assert_eq!(sim.device::<Router>(r).unwrap().ttl_drops, 1);
-        let drop =
-            sim.capture_events().iter().find(|e| matches!(e.kind, CaptureKind::RouteDrop { .. }));
-        assert_eq!(drop.expect("the router records its drop").kind.verb(), "drop(ttl-expired)");
+        // The router records its drop before the error it sends.
+        let at_router: Vec<_> =
+            sim.capture_events().iter().filter(|e| e.node == r).map(|e| e.kind.verb()).collect();
+        assert_eq!(at_router, ["ingress", "drop(ttl-expired)", "egress"]);
         // The source got an ICMP time-exceeded.
         let back = &sim.device::<Sink>(a).unwrap().received;
         assert_eq!(back.len(), 1);

@@ -8,7 +8,6 @@
 //! deterministic.
 
 use crate::capture::{CaptureEvent, CaptureKind, FaultCause, NatPhase};
-use crate::fxhash::FxHashMap;
 use crate::packet::{FlowSummary, IpPacket};
 use crate::pool::PayloadPool;
 use crate::time::{SimDuration, SimTime};
@@ -31,30 +30,18 @@ pub struct IfaceId(pub usize);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LinkId(pub usize);
 
-/// Side effects a device can request while handling an event.
-#[derive(Debug)]
-enum Action {
-    Send { iface: IfaceId, packet: IpPacket },
-    Timer { delay: SimDuration, token: u64 },
-}
-
-/// Execution context handed to devices. Collects the device's side effects
-/// (packet transmissions, timer requests) and exposes virtual time and the
-/// simulation RNG.
+/// Execution context handed to devices. It borrows the network, so a
+/// packet the device sends is transmitted, and a timer it sets is queued,
+/// at the call; it also exposes virtual time and the simulation RNG.
 pub struct Ctx<'a> {
-    now: SimTime,
     node: NodeId,
-    rng: &'a mut StdRng,
-    actions: &'a mut Vec<Action>,
-    payloads: &'a mut PayloadPool,
-    /// The flight recorder's events, when it is on.
-    capture: Option<&'a mut Vec<CaptureEvent>>,
+    net: &'a mut Net,
 }
 
 impl<'a> Ctx<'a> {
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        self.now
+        self.net.now
     }
 
     /// The device's own node id.
@@ -66,16 +53,17 @@ impl<'a> Ctx<'a> {
     /// building a [`CaptureKind`] so the disabled path never clones
     /// packets.
     pub fn capture_enabled(&self) -> bool {
-        self.capture.is_some()
+        self.net.capture_on
     }
 
     /// Records one capture hop at the current time and node. A no-op when
     /// the recorder is off, but callers should gate on
     /// [`capture_enabled`](Ctx::capture_enabled) to avoid constructing the
-    /// event at all.
+    /// event at all. A device records a hop before the sends it leads to,
+    /// since each send records its egress at the call.
     pub fn capture(&mut self, iface: Option<IfaceId>, kind: CaptureKind) {
-        if let Some(events) = &mut self.capture {
-            events.push(CaptureEvent { at: self.now, node: self.node, iface, kind });
+        if self.net.capture_on {
+            self.net.capture.push(CaptureEvent { at: self.net.now, node: self.node, iface, kind });
         }
     }
 
@@ -103,20 +91,24 @@ impl<'a> Ctx<'a> {
         }
     }
 
-    /// Transmits a packet out of `iface`. If the interface has no link the
-    /// packet is silently dropped (like a cable that isn't plugged in).
+    /// Transmits a packet out of `iface` now: the link's faults are rolled
+    /// and the arrival is scheduled before this returns. If the interface
+    /// has no link the packet is dropped (like a cable that isn't plugged
+    /// in).
     pub fn send(&mut self, iface: IfaceId, packet: IpPacket) {
-        self.actions.push(Action::Send { iface, packet });
+        self.net.transmit(Attachment { node: self.node, iface }, packet);
     }
 
     /// Requests a timer callback after `delay`, carrying `token`.
     pub fn set_timer(&mut self, delay: SimDuration, token: u64) {
-        self.actions.push(Action::Timer { delay, token });
+        self.net.set_timer(self.node, delay, token);
     }
 
     /// Deterministic simulation RNG (seeded at simulator construction).
+    /// Sends draw from it too, at the call, so a device that draws after
+    /// a send sees the stream the send left.
     pub fn rng(&mut self) -> &mut StdRng {
-        self.rng
+        &mut self.net.rng
     }
 
     /// Copies `data` into the simulator's pooled payload slabs and returns
@@ -124,7 +116,7 @@ impl<'a> Ctx<'a> {
     /// of `Bytes::from(vec)` so payload storage is carved from recycled
     /// slabs rather than allocated per packet.
     pub fn alloc_payload(&mut self, data: &[u8]) -> Bytes {
-        self.payloads.alloc(data)
+        self.net.payloads.alloc(data)
     }
 }
 
@@ -143,7 +135,7 @@ pub trait Device: Any {
 }
 
 /// One endpoint of a link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Attachment {
     /// Device.
     pub node: NodeId,
@@ -278,19 +270,20 @@ impl Ord for Event {
 /// Recyclable container capacity and device boxes for a [`Simulator`].
 ///
 /// A fleet campaign builds one short-lived simulator per probe; the
-/// containers behind it (device table, link table, attachment map, event
-/// queue, action scratch) and the box of every device would otherwise be
-/// allocated and grown from zero every time. A worker keeps one
-/// `SimScratch`, passes it to [`Simulator::with_scratch`], and recovers it
-/// with [`Simulator::into_scratch`] when the measurement is done. The
-/// containers are always cleared; only their capacity survives. The
-/// devices survive as boxes: [`Simulator::add_device`] moves each new
-/// device into the box the previous world had at the same node id when
-/// that box holds the same type, dropping the old value. Every device
-/// still starts from the value its builder made, so a recycled simulator
-/// behaves bit-for-bit like a fresh one. That includes the flight
-/// recorder's event buffer: a recycled simulator starts with capture off,
-/// and [`Simulator::record_capture`] records into the kept capacity.
+/// containers behind it (device table, link and port tables, event queue)
+/// and the box of every device would otherwise be allocated and grown from
+/// zero every time. A worker keeps one `SimScratch`, passes it to
+/// [`Simulator::with_scratch`], and recovers it with
+/// [`Simulator::into_scratch`] when the measurement is done. The
+/// containers are always cleared; only their capacity survives, and the
+/// port table's row width. The devices survive as boxes:
+/// [`Simulator::add_device`] moves each new device into the box the
+/// previous world had at the same node id when that box holds the same
+/// type, dropping the old value. Every device still starts from the value
+/// its builder made, so a recycled simulator behaves bit-for-bit like a
+/// fresh one. That includes the flight recorder's event buffer: a
+/// recycled simulator starts with capture off, and
+/// [`Simulator::record_capture`] records into the kept capacity.
 #[derive(Default)]
 pub struct SimScratch {
     /// The previous world's device boxes, in node-id order.
@@ -298,22 +291,27 @@ pub struct SimScratch {
     /// Empty, with capacity for the next world's device table.
     table: Vec<Box<dyn Device>>,
     links: Vec<Link>,
-    attachments: FxHashMap<Attachment, LinkId>,
+    ports: Vec<u32>,
+    width: usize,
     queue: Vec<Reverse<Event>>,
-    actions: Vec<Action>,
     payloads: PayloadPool,
     capture: Vec<CaptureEvent>,
 }
 
-/// The simulator.
-pub struct Simulator {
-    devices: Vec<Box<dyn Device>>,
-    /// The previous world's boxes that [`Simulator::add_device`] has not
-    /// yet reached, the highest node id first.
-    recycled: Vec<Box<dyn Device>>,
+/// A port with no link in [`Net::ports`].
+const UNATTACHED: u32 = u32::MAX;
+
+/// The simulator apart from its devices: everything a device's side
+/// effects reach through its [`Ctx`].
+struct Net {
     links: Vec<Link>,
-    /// (node, iface) -> link index.
-    attachments: FxHashMap<Attachment, LinkId>,
+    /// The port table: the index of the link on interface `i` of node `n`
+    /// is at `n * width + i`, or [`UNATTACHED`].
+    ports: Vec<u32>,
+    /// Interfaces per node in `ports`. It only grows, across recycled
+    /// worlds too, so the table is re-laid out only when a link first uses
+    /// a wider interface.
+    width: usize,
     queue: BinaryHeap<Reverse<Event>>,
     now: SimTime,
     seq: u64,
@@ -327,10 +325,17 @@ pub struct Simulator {
     packets_dropped: u64,
     packets_duplicated: u64,
     packets_delayed: u64,
-    /// Reused buffer for device side effects, drained after every dispatch.
-    action_scratch: Vec<Action>,
     /// Slab pool for reply-packet payloads, recycled via [`SimScratch`].
     payloads: PayloadPool,
+}
+
+/// The simulator.
+pub struct Simulator {
+    devices: Vec<Box<dyn Device>>,
+    /// The previous world's boxes that [`Simulator::add_device`] has not
+    /// yet reached, the highest node id first.
+    recycled: Vec<Box<dyn Device>>,
+    net: Net,
 }
 
 impl Simulator {
@@ -349,9 +354,9 @@ impl Simulator {
             devices: mut recycled,
             table: mut devices,
             mut links,
-            mut attachments,
+            mut ports,
+            width,
             mut queue,
-            mut actions,
             payloads,
             mut capture,
         } = scratch;
@@ -360,15 +365,13 @@ impl Simulator {
         recycled.reverse();
         devices.clear();
         links.clear();
-        attachments.clear();
+        ports.clear();
         queue.clear();
-        actions.clear();
         capture.clear();
-        Simulator {
-            devices,
-            recycled,
+        let net = Net {
             links,
-            attachments,
+            ports,
+            width,
             // An empty vec heapifies in O(1) and keeps its capacity.
             queue: BinaryHeap::from(queue),
             now: SimTime::ZERO,
@@ -380,12 +383,12 @@ impl Simulator {
             packets_dropped: 0,
             packets_duplicated: 0,
             packets_delayed: 0,
-            action_scratch: actions,
             // The payload pool needs no clearing: frozen payloads from the
             // previous run keep their own references, and the slab's spare
             // capacity is exactly what we want to reuse.
             payloads,
-        }
+        };
+        Simulator { devices, recycled, net }
     }
 
     /// Tears the simulator down, dropping pending events but keeping every
@@ -394,26 +397,16 @@ impl Simulator {
     /// the next world's [`Simulator::add_device`] overwrites it, or with
     /// its box if that world does not reuse the box.
     pub fn into_scratch(self) -> SimScratch {
-        let Simulator {
-            devices,
-            mut recycled,
-            mut links,
-            mut attachments,
-            queue,
-            action_scratch: mut actions,
-            payloads,
-            mut capture,
-            ..
-        } = self;
+        let Simulator { devices, mut recycled, net } = self;
+        let Net { mut links, mut ports, width, queue, payloads, mut capture, .. } = net;
         // Boxes of the previous world that this one did not reuse.
         recycled.clear();
         links.clear();
-        attachments.clear();
-        actions.clear();
+        ports.clear();
         let mut queue = queue.into_vec();
         queue.clear();
         capture.clear();
-        SimScratch { devices, table: recycled, links, attachments, queue, actions, payloads, capture }
+        SimScratch { devices, table: recycled, links, ports, width, queue, payloads, capture }
     }
 
     /// Adds a device, returning its id. The device moves into the box the
@@ -464,27 +457,22 @@ impl Simulator {
         latency: SimDuration,
         faults: FaultProfile,
     ) -> LinkId {
-        let id = LinkId(self.links.len());
-        let a = Attachment { node: a.0, iface: a.1 };
-        let b = Attachment { node: b.0, iface: b.1 };
-        self.links.push(Link {
-            a,
-            b,
+        let link = Link {
+            a: Attachment { node: a.0, iface: a.1 },
+            b: Attachment { node: b.0, iface: b.1 },
             latency,
             jitter: SimDuration::ZERO,
             faults,
             burst_remaining: 0,
             up: true,
             stats: LinkStats::default(),
-        });
-        self.attachments.insert(a, id);
-        self.attachments.insert(b, id);
-        id
+        };
+        self.net.add_link(link, self.devices.len())
     }
 
     /// Replaces a link's fault profile (and resets any burst in progress).
     pub fn set_link_faults(&mut self, link: LinkId, faults: FaultProfile) {
-        if let Some(l) = self.links.get_mut(link.0) {
+        if let Some(l) = self.net.links.get_mut(link.0) {
             l.faults = faults;
             l.burst_remaining = 0;
         }
@@ -493,31 +481,32 @@ impl Simulator {
     /// Adds uniform random jitter (0..=`jitter`) to each traversal of a
     /// link. Deterministic: drawn from the simulator's seeded RNG.
     pub fn set_link_jitter(&mut self, link: LinkId, jitter: SimDuration) {
-        if let Some(l) = self.links.get_mut(link.0) {
+        if let Some(l) = self.net.links.get_mut(link.0) {
             l.jitter = jitter;
         }
     }
 
     /// Takes a link administratively down (packets dropped) or up.
     pub fn set_link_up(&mut self, link: LinkId, up: bool) {
-        if let Some(l) = self.links.get_mut(link.0) {
+        if let Some(l) = self.net.links.get_mut(link.0) {
             l.up = up;
         }
     }
 
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        self.now
+        self.net.now
     }
 
     /// Snapshot of all simulator counters, including per-link breakdowns.
     pub fn stats(&self) -> SimStats {
+        let net = &self.net;
         SimStats {
-            events_processed: self.events_processed,
-            packets_dropped: self.packets_dropped,
-            packets_duplicated: self.packets_duplicated,
-            packets_delayed: self.packets_delayed,
-            per_link: self.links.iter().map(|l| l.stats).collect(),
+            events_processed: net.events_processed,
+            packets_dropped: net.packets_dropped,
+            packets_duplicated: net.packets_duplicated,
+            packets_delayed: net.packets_delayed,
+            per_link: net.links.iter().map(|l| l.stats).collect(),
         }
     }
 
@@ -525,23 +514,23 @@ impl Simulator {
     /// recycled through [`SimScratch`]; while it is off, every emission
     /// site costs one branch, with no clone and no allocation.
     pub fn record_capture(&mut self) {
-        self.capture_on = true;
+        self.net.capture_on = true;
     }
 
     /// Whether the flight recorder is on.
     pub fn capture_enabled(&self) -> bool {
-        self.capture_on
+        self.net.capture_on
     }
 
     /// The events recorded so far (empty while the recorder is off).
     pub fn capture_events(&self) -> &[CaptureEvent] {
-        &self.capture
+        &self.net.capture
     }
 
     /// Empties the recorded events in place, keeping their capacity.
     /// Recording continues.
     pub fn clear_capture_events(&mut self) {
-        self.capture.clear();
+        self.net.capture.clear();
     }
 
     /// Human-readable name of a device, if the node exists.
@@ -554,27 +543,26 @@ impl Simulator {
     /// of every packet that arrives on that interface.
     pub fn peer(&self, node: NodeId, iface: IfaceId) -> Option<NodeId> {
         let here = Attachment { node, iface };
-        let link = &self.links[self.attachments.get(&here)?.0];
+        let link = &self.net.links[self.net.link_at(here)?];
         Some(if link.a == here { link.b.node } else { link.a.node })
     }
 
     /// Injects a packet as if `node` transmitted it out of `iface` at the
     /// current time. This is how external harnesses originate traffic.
     pub fn inject(&mut self, node: NodeId, iface: IfaceId, packet: IpPacket) {
-        self.transmit(Attachment { node, iface }, packet);
+        self.net.transmit(Attachment { node, iface }, packet);
     }
 
     /// Copies `data` into the simulator's recycled payload pool and returns
     /// it as a packet payload. Lets external drivers (e.g. transports
     /// injecting probe queries) reuse the same slabs the devices do.
     pub fn alloc_payload(&mut self, data: &[u8]) -> Bytes {
-        self.payloads.alloc(data)
+        self.net.payloads.alloc(data)
     }
 
     /// Schedules a timer for a device from outside the event loop.
     pub fn inject_timer(&mut self, node: NodeId, delay: SimDuration, token: u64) {
-        let at = self.now + delay;
-        self.push_event(at, EventKind::Timer { node, token });
+        self.net.set_timer(node, delay, token);
     }
 
     /// Immutable access to a device, downcast to its concrete type.
@@ -591,20 +579,19 @@ impl Simulator {
     /// Returns the number of events processed by this call.
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
         let mut n = 0;
-        while let Some(Reverse(ev)) = self.queue.peek().map(|e| Reverse(&e.0)) {
+        while let Some(Reverse(ev)) = self.net.queue.peek().map(|e| Reverse(&e.0)) {
             if ev.at > deadline {
                 break;
             }
-            let Reverse(ev) = self.queue.pop().expect("peeked");
-            self.now = ev.at;
+            let Reverse(ev) = self.net.queue.pop().expect("peeked");
             self.dispatch(ev);
             n += 1;
         }
         // Time always advances to the deadline so successive calls line up.
-        if self.now < deadline {
-            self.now = deadline;
+        if self.net.now < deadline {
+            self.net.now = deadline;
         }
-        self.events_processed += n;
+        self.net.events_processed += n;
         n
     }
 
@@ -612,69 +599,76 @@ impl Simulator {
     /// for closed scenarios that are known to quiesce.
     pub fn run_to_quiescence(&mut self) -> u64 {
         let mut n = 0;
-        while let Some(Reverse(ev)) = self.queue.pop() {
-            self.now = ev.at;
+        while let Some(Reverse(ev)) = self.net.queue.pop() {
             self.dispatch(ev);
             n += 1;
         }
-        self.events_processed += n;
+        self.net.events_processed += n;
         n
     }
 
+    /// Advances the clock to `ev` and hands it to its device, whose sends
+    /// and timers reach the network through its [`Ctx`] as it makes them.
     fn dispatch(&mut self, ev: Event) {
-        // The action buffer is recycled across every dispatch: taken here,
-        // drained below, and put back before any return path.
-        let mut actions = std::mem::take(&mut self.action_scratch);
-        let node = match ev.kind {
+        let net = &mut self.net;
+        net.now = ev.at;
+        match ev.kind {
             EventKind::Arrival { node, iface, packet } => {
-                if self.capture_on {
+                if net.capture_on {
                     let kind = CaptureKind::Ingress { packet: packet.clone() };
-                    self.record(Attachment { node, iface }, kind);
+                    net.record(Attachment { node, iface }, kind);
                 }
-                let Some(device) = self.devices.get_mut(node.0) else {
-                    self.action_scratch = actions;
-                    return;
-                };
-                let mut ctx = Ctx {
-                    now: ev.at,
-                    node,
-                    rng: &mut self.rng,
-                    actions: &mut actions,
-                    payloads: &mut self.payloads,
-                    capture: self.capture_on.then_some(&mut self.capture),
-                };
-                device.receive(&mut ctx, iface, packet);
-                node
+                if let Some(device) = self.devices.get_mut(node.0) {
+                    device.receive(&mut Ctx { node, net }, iface, packet);
+                }
             }
             EventKind::Timer { node, token } => {
-                let Some(device) = self.devices.get_mut(node.0) else {
-                    self.action_scratch = actions;
-                    return;
-                };
-                let mut ctx = Ctx {
-                    now: ev.at,
-                    node,
-                    rng: &mut self.rng,
-                    actions: &mut actions,
-                    payloads: &mut self.payloads,
-                    capture: self.capture_on.then_some(&mut self.capture),
-                };
-                device.timer(&mut ctx, token);
-                node
-            }
-        };
-        for action in actions.drain(..) {
-            match action {
-                Action::Send { iface, packet } => {
-                    self.transmit(Attachment { node, iface }, packet)
-                }
-                Action::Timer { delay, token } => {
-                    let at = self.now + delay;
-                    self.push_event(at, EventKind::Timer { node, token });
+                if let Some(device) = self.devices.get_mut(node.0) {
+                    device.timer(&mut Ctx { node, net }, token);
                 }
             }
         }
-        self.action_scratch = actions;
+    }
+}
+
+impl Net {
+    /// The index of the link on `here`, if one is attached.
+    fn link_at(&self, here: Attachment) -> Option<usize> {
+        if here.iface.0 >= self.width {
+            return None;
+        }
+        let link = *self.ports.get(here.node.0 * self.width + here.iface.0)?;
+        (link != UNATTACHED).then_some(link as usize)
+    }
+
+    /// Adds `link` and enters both its ends in the port table. An
+    /// interface wider than the table re-lays it out, from every link.
+    fn add_link(&mut self, link: Link, nodes: usize) -> LinkId {
+        let id = self.links.len();
+        let width = link.a.iface.0.max(link.b.iface.0) + 1;
+        self.links.push(link);
+        if width > self.width {
+            self.width = width;
+            self.ports.clear();
+            (0..=id).for_each(|l| self.attach(l, nodes));
+        } else {
+            self.attach(id, nodes);
+        }
+        LinkId(id)
+    }
+
+    /// Enters both ends of link `idx` in the port table, growing the table
+    /// to `nodes` rows in one step.
+    fn attach(&mut self, idx: usize, nodes: usize) {
+        let Link { a, b, .. } = self.links[idx];
+        let entry = u32::try_from(idx).ok().filter(|&e| e != UNATTACHED).expect("under 2^32 links");
+        for end in [a, b] {
+            let at = end.node.0 * self.width + end.iface.0;
+            if at >= self.ports.len() {
+                self.ports.resize(nodes.max(end.node.0 + 1) * self.width, UNATTACHED);
+            }
+            self.ports[at] = entry;
+        }
     }
 
     /// Records one capture event at `here`, stamped with the current time.
@@ -710,10 +704,10 @@ impl Simulator {
         if self.capture_on {
             self.record(from, CaptureKind::Egress { packet: packet.clone() });
         }
-        let Some(&link_id) = self.attachments.get(&from) else {
+        let Some(idx) = self.link_at(from) else {
             return self.drop_packet(from, None, FaultCause::Unattached, packet);
         };
-        let idx = link_id.0;
+        let link_id = LinkId(idx);
         if !self.links[idx].up {
             return self.drop_packet(from, Some(link_id), FaultCause::LinkDown, packet);
         }
@@ -772,6 +766,10 @@ impl Simulator {
             at,
             EventKind::Arrival { node: dest.node, iface: dest.iface, packet },
         );
+    }
+
+    fn set_timer(&mut self, node: NodeId, delay: SimDuration, token: u64) {
+        self.push_event(self.now + delay, EventKind::Timer { node, token });
     }
 
     fn push_event(&mut self, at: SimTime, kind: EventKind) {
@@ -1330,6 +1328,29 @@ mod tests {
         let scratch = small.into_scratch();
         assert_eq!(boxes(&scratch.devices), vec![first_boxes[0]]);
         assert!(scratch.table.is_empty());
+    }
+
+    #[test]
+    fn recycled_world_cannot_reach_the_previous_worlds_links() {
+        let ms = SimDuration::from_millis;
+        let mut first = Simulator::new(1);
+        let n: Vec<_> = (0..4).map(|_| first.add_device(Probe::new("n", false))).collect();
+        first.connect((n[2], IfaceId(7)), (n[3], IfaceId(0)), ms(1));
+        // The next world keeps the width node 2's interface 7 set, and has
+        // a link 0 of its own for a stale port entry to name.
+        let mut second = Simulator::with_scratch(1, first.into_scratch());
+        let n: Vec<_> = (0..4).map(|_| second.add_device(Probe::new("n", false))).collect();
+        second.connect((n[0], IfaceId(0)), (n[1], IfaceId(0)), ms(1));
+        second.connect((n[3], IfaceId(7)), (n[0], IfaceId(1)), ms(1));
+        second.record_capture();
+        second.inject(n[2], IfaceId(7), pkt());
+        second.run_to_quiescence();
+        let stats = second.stats();
+        assert_eq!((stats.packets_dropped, stats.events_processed), (1, 0));
+        assert_eq!(stats.per_link, [LinkStats::default(); 2]);
+        let verbs: Vec<_> = second.capture_events().iter().map(|e| e.kind.verb()).collect();
+        assert_eq!(verbs, ["egress", "drop(unattached)"]);
+        assert_eq!(second.peer(n[2], IfaceId(7)), None);
     }
 
     #[test]

@@ -28,17 +28,16 @@ impl Switch {
 
 impl Device for Switch {
     fn receive(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, packet: IpPacket) {
-        for port in 0..self.ports {
-            if IfaceId(port) != iface {
-                self.forwarded += 1;
-                if ctx.capture_enabled() {
-                    ctx.capture(
-                        Some(iface),
-                        CaptureKind::RouteForward { out: IfaceId(port), packet: packet.clone() },
-                    );
-                }
-                ctx.send(IfaceId(port), packet.clone());
+        let out = (0..self.ports).map(IfaceId).filter(|&port| port != iface);
+        if ctx.capture_enabled() {
+            for port in out.clone() {
+                let kind = CaptureKind::RouteForward { out: port, packet: packet.clone() };
+                ctx.capture(Some(iface), kind);
             }
+        }
+        for port in out {
+            self.forwarded += 1;
+            ctx.send(port, packet.clone());
         }
     }
 
@@ -66,6 +65,7 @@ mod tests {
         sim.connect((a, IfaceId(0)), (sw, IfaceId(0)), SimDuration::from_micros(10));
         sim.connect((b, IfaceId(0)), (sw, IfaceId(1)), SimDuration::from_micros(10));
         sim.connect((c, IfaceId(0)), (sw, IfaceId(2)), SimDuration::from_micros(10));
+        sim.record_capture();
         let pkt = IpPacket::udp_v4(
             "10.0.0.1".parse().unwrap(),
             "10.0.0.3".parse().unwrap(),
@@ -81,6 +81,10 @@ mod tests {
         assert_eq!(sim.device::<Host>(b).unwrap().inbox().len(), 0);
         assert_eq!(sim.device::<Host>(b).unwrap().misdeliveries, 1);
         assert_eq!(sim.device::<Switch>(sw).unwrap().forwarded, 2);
+        // Every forward is recorded before the first copy goes out.
+        let at_switch: Vec<_> =
+            sim.capture_events().iter().filter(|e| e.node == sw).map(|e| e.kind.verb()).collect();
+        assert_eq!(at_switch, ["ingress", "forward", "forward", "egress", "egress"]);
     }
 
     #[test]
