@@ -92,7 +92,11 @@ fn fold_table4(t: &mut Table4, r: &ProbeResult) {
 impl fmt::Display for Table4 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "Table 4: Number of intercepted probes per public resolver")?;
-        writeln!(f, "{:<16} {:>13} {:>8} | {:>13} {:>8}", "", "Intercepted", "Total", "Intercepted", "Total")?;
+        writeln!(
+            f,
+            "{:<16} {:>13} {:>8} | {:>13} {:>8}",
+            "", "Intercepted", "Total", "Intercepted", "Total"
+        )?;
         writeln!(f, "{:<16} {:>22} | {:>22}", "", "Resolver IPv4", "Resolver IPv6")?;
         for (key, row) in self.rows.iter() {
             writeln!(
@@ -114,7 +118,11 @@ impl fmt::Display for Table4 {
             self.all_intercepted.intercepted_v6,
             self.all_intercepted.total_v6
         )?;
-        writeln!(f, "(any interception: {} of {} responding probes)", self.any_intercepted, self.responding)
+        writeln!(
+            f,
+            "(any interception: {} of {} responding probes)",
+            self.any_intercepted, self.responding
+        )
     }
 }
 
@@ -348,9 +356,7 @@ fn finish_figure4(
 impl fmt::Display for Figure4 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "Figure 4: Interception location (CPE / within ISP / beyond-unknown)")?;
-        for (title, bars) in
-            [("countries", &self.countries), ("organizations", &self.orgs)]
-        {
+        for (title, bars) in [("countries", &self.countries), ("organizations", &self.orgs)] {
             writeln!(f, "-- top {} {title} --", bars.len())?;
             writeln!(
                 f,
@@ -573,19 +579,17 @@ impl AggregateReport {
         }
         for (label, bar) in other.figure4_countries {
             merge_figure4_bar(
-                self.figure4_countries.entry(label.clone()).or_insert_with(|| Figure4Bar {
-                    label,
-                    ..Figure4Bar::default()
-                }),
+                self.figure4_countries
+                    .entry(label.clone())
+                    .or_insert_with(|| Figure4Bar { label, ..Figure4Bar::default() }),
                 &bar,
             );
         }
         for (label, bar) in other.figure4_orgs {
             merge_figure4_bar(
-                self.figure4_orgs.entry(label.clone()).or_insert_with(|| Figure4Bar {
-                    label,
-                    ..Figure4Bar::default()
-                }),
+                self.figure4_orgs
+                    .entry(label.clone())
+                    .or_insert_with(|| Figure4Bar { label, ..Figure4Bar::default() }),
                 &bar,
             );
         }
@@ -695,8 +699,7 @@ mod tests {
         let t4 = &summary.table4;
         assert_eq!(t4.responding as u64, summary.probes);
         // Any-intercepted never exceeds per-resolver sums.
-        let max_per_resolver =
-            t4.rows.iter().map(|(_, r)| r.intercepted_v4).max().unwrap_or(0);
+        let max_per_resolver = t4.rows.iter().map(|(_, r)| r.intercepted_v4).max().unwrap_or(0);
         assert!(t4.any_intercepted >= max_per_resolver);
         assert!(t4.all_intercepted.intercepted_v4 <= max_per_resolver);
 

@@ -438,10 +438,7 @@ where
                     scope.spawn(move |_| work(worker))
                 })
                 .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("campaign worker panicked"))
-                .collect()
+            handles.into_iter().map(|h| h.join().expect("campaign worker panicked")).collect()
         })
         .expect("campaign scope")
     }
@@ -469,17 +466,13 @@ where
         Vec::new,
         |out: &mut Vec<(usize, R)>, idx, result| out.push((idx, result)),
     );
-    let mut slots: Vec<Option<R>> =
-        batches.iter().flatten().map(|_| None).collect();
+    let mut slots: Vec<Option<R>> = batches.iter().flatten().map(|_| None).collect();
     for batch in batches {
         for (idx, result) in batch {
             slots[idx] = Some(result);
         }
     }
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("every claimed index yields a result"))
-        .collect()
+    slots.into_iter().map(|slot| slot.expect("every claimed index yields a result")).collect()
 }
 
 #[cfg(test)]
@@ -535,8 +528,7 @@ mod tests {
             snap.intercepted as usize,
             metered.iter().filter(|r| r.report.intercepted).count()
         );
-        let total_queries: u64 =
-            metered.iter().map(|r| r.report.queries_sent as u64).sum();
+        let total_queries: u64 = metered.iter().map(|r| r.report.queries_sent as u64).sum();
         let counted: u64 = snap.steps.iter().map(|s| s.queries).sum();
         assert_eq!(counted, total_queries);
     }
@@ -703,7 +695,8 @@ mod tests {
         // attempts=1 *is* the single-shot pipeline: an explicit retry
         // budget of one reproduces the default configuration bit for bit,
         // flaky probes included.
-        let fleet_default = generate(FleetConfig { size: 150, flaky_rate: 0.3, ..FleetConfig::default() });
+        let fleet_default =
+            generate(FleetConfig { size: 150, flaky_rate: 0.3, ..FleetConfig::default() });
         let fleet_explicit = generate(FleetConfig {
             size: 150,
             flaky_rate: 0.3,

@@ -40,10 +40,8 @@ pub fn figure3_chart(fig: &Figure3) -> String {
 fn figure4_panel(bars: &[Figure4Bar], out: &mut String) {
     let max = bars.iter().map(|b| b.total()).max().unwrap_or(1).max(1);
     for bar in bars {
-        let segments = bar_segments(
-            &[(bar.cpe, '█'), (bar.within_isp, '▒'), (bar.beyond_unknown, '░')],
-            max,
-        );
+        let segments =
+            bar_segments(&[(bar.cpe, '█'), (bar.within_isp, '▒'), (bar.beyond_unknown, '░')], max);
         let _ = writeln!(out, "{:>22} ({:>3}) |{}", bar.label, bar.total(), segments);
     }
 }
@@ -149,7 +147,12 @@ mod tests {
     fn zero_valued_bars_render_without_glyphs() {
         let fig = Figure3 {
             bars: vec![
-                Figure3Bar { org: "Comcast".into(), asn: 7922, transparent: 12, ..Default::default() },
+                Figure3Bar {
+                    org: "Comcast".into(),
+                    asn: 7922,
+                    transparent: 12,
+                    ..Default::default()
+                },
                 Figure3Bar { org: "Ghost".into(), asn: 1, ..Default::default() },
             ],
         };

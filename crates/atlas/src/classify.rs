@@ -240,8 +240,7 @@ pub fn classify_with_transport(
     let (class, wrong_source) = match transport.query(target, &scan_q, SCAN_A_TXID, opts) {
         QueryOutcome::WrongSource { from, .. } => (OpenDnsClass::TransparentForwarder, Some(from)),
         QueryOutcome::Timeout => {
-            let dnat =
-                report.intercepted && report.location == Some(InterceptorLocation::Cpe);
+            let dnat = report.intercepted && report.location == Some(InterceptorLocation::Cpe);
             (if dnat { OpenDnsClass::DnatInterceptor } else { OpenDnsClass::Clean }, None)
         }
         QueryOutcome::Response(_) => {
@@ -398,7 +397,11 @@ fn relayed_beyond_home(flows: &[QueryFlow], qname: &Name, skip: &[u16]) -> bool 
 /// * **DNAT interceptor** — the in-home capture must show the DNAT
 ///   rewrite and a locally minted answer.
 /// * **Clean** — the scanner must never have received a DNS response.
-pub(crate) fn capture_consistent(class: OpenDnsClass, flows: &[QueryFlow], cpe_v4: Ipv4Addr) -> bool {
+pub(crate) fn capture_consistent(
+    class: OpenDnsClass,
+    flows: &[QueryFlow],
+    cpe_v4: Ipv4Addr,
+) -> bool {
     let cpe = IpAddr::V4(cpe_v4);
     let scan_txids = [SCAN_A_TXID, SCAN_WHOAMI_TXID];
     match class {
@@ -422,9 +425,7 @@ pub(crate) fn capture_consistent(class: OpenDnsClass, flows: &[QueryFlow], cpe_v
                 && flows.iter().any(|f| f.hops.iter().any(|h| h.action == "mint"))
         }
         OpenDnsClass::Clean => !flows.iter().any(|f| {
-            f.hops
-                .iter()
-                .any(|h| &*h.node == "scanner" && h.direction == FlowDirection::Response)
+            f.hops.iter().any(|h| &*h.node == "scanner" && h.direction == FlowDirection::Response)
         }),
     }
 }

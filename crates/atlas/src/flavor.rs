@@ -126,9 +126,7 @@ impl Flavor {
             }
             Flavor::BenignXb6Healthy => scenario.cpe_model = CpeModelKind::Xb6Healthy,
             Flavor::Xb6Buggy => scenario.cpe_model = CpeModelKind::Xb6Buggy,
-            Flavor::PiHole => {
-                scenario.cpe_model = CpeModelKind::PiHole { version: "2.87".into() }
-            }
+            Flavor::PiHole => scenario.cpe_model = CpeModelKind::PiHole { version: "2.87".into() },
             Flavor::CpeDnsmasq { version } => {
                 // A fully intercepting Dnsmasq box is the targeted model
                 // with an empty target list meaning "all": use Selective
@@ -146,8 +144,9 @@ impl Flavor {
                     CpeModelKind::CustomInterceptor { version_string: "9.11.4-RedHat".into() }
             }
             Flavor::CpeCustom { version_string } => {
-                scenario.cpe_model =
-                    CpeModelKind::CustomInterceptor { version_string: version_string.clone().into() }
+                scenario.cpe_model = CpeModelKind::CustomInterceptor {
+                    version_string: version_string.clone().into(),
+                }
             }
             Flavor::CpeStealth => scenario.cpe_model = CpeModelKind::StealthInterceptor,
             Flavor::CpeTargetedOne { target } => {
@@ -208,11 +207,9 @@ impl Flavor {
                 // reflects that (§6).
                 scenario.isp.resolver_in_as = false;
                 scenario.isp.resolver_v4 = "185.76.53.53".parse().expect("static address");
-                scenario.isp.resolver_egress_v4 =
-                    "185.76.53.10".parse().expect("static address");
+                scenario.isp.resolver_egress_v4 = "185.76.53.10".parse().expect("static address");
                 scenario.isp.resolver_v6 = "2a00:5354::1".parse().expect("static address");
-                scenario.isp.resolver_egress_v6 =
-                    "2a00:5354::10".parse().expect("static address");
+                scenario.isp.resolver_egress_v6 = "2a00:5354::10".parse().expect("static address");
                 scenario.beyond = Some(MiddleboxSpec::redirect_all_to_isp());
             }
         }

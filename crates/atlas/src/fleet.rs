@@ -155,10 +155,7 @@ pub fn generate(config: FleetConfig) -> Fleet {
             // the benign population.
             let responds = is_quota || rng.gen::<f64>() < config.respond_rate;
             let flaky = !is_quota && rng.gen::<f64>() < config.flaky_rate;
-            let sim_seed = config
-                .seed
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                .wrapping_add(id as u64);
+            let sim_seed = config.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(id as u64);
             probes.push(ProbeSpec {
                 id,
                 org: org_idx,
@@ -182,13 +179,8 @@ pub fn generate(config: FleetConfig) -> Fleet {
 /// open-DNS classes cycle round-robin through the probe ids so every
 /// class is present in any contiguous slice of five.
 pub fn classification_fleet(size: usize, seed: u64) -> Fleet {
-    let config = FleetConfig {
-        size,
-        seed,
-        respond_rate: 1.0,
-        flaky_rate: 0.0,
-        ..FleetConfig::default()
-    };
+    let config =
+        FleetConfig { size, seed, respond_rate: 1.0, flaky_rate: 0.0, ..FleetConfig::default() };
     let mut probes = Vec::with_capacity(size);
     let mut next_customer: Vec<u32> = vec![0; config.orgs.len()];
     for id in 0..size as u32 {
@@ -202,8 +194,7 @@ pub fn classification_fleet(size: usize, seed: u64) -> Fleet {
         let org = id as usize % config.orgs.len();
         let customer_index = next_customer[org];
         next_customer[org] += 1;
-        let sim_seed =
-            config.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(id as u64);
+        let sim_seed = config.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(id as u64);
         probes.push(ProbeSpec {
             id,
             org,
@@ -296,15 +287,9 @@ mod tests {
     #[test]
     fn full_fleet_quotas_are_exact() {
         let fleet = generate(FleetConfig::default());
-        let expected: u32 = fleet
-            .config
-            .orgs
-            .iter()
-            .flat_map(|o| o.quotas.iter())
-            .map(|(_, n)| *n)
-            .sum();
-        let actual =
-            fleet.probes.iter().filter(|p| p.flavor.intercepts()).count() as u32;
+        let expected: u32 =
+            fleet.config.orgs.iter().flat_map(|o| o.quotas.iter()).map(|(_, n)| *n).sum();
+        let actual = fleet.probes.iter().filter(|p| p.flavor.intercepts()).count() as u32;
         assert_eq!(actual, expected);
     }
 

@@ -37,9 +37,9 @@ pub use classify::{
     run_classification_timed, ClassCounts, ClassifiedDevice, ClassifySummary, DeviceClassification,
     SCAN_A_TXID, SCAN_WHOAMI_TXID,
 };
-pub use metrics::{AsVerdicts, CampaignMetrics, MetricsRegistry};
 pub use flavor::Flavor;
 pub use fleet::{classification_fleet, generate, scenario_for, Fleet, FleetConfig, ProbeSpec};
+pub use metrics::{AsVerdicts, CampaignMetrics, MetricsRegistry};
 pub use orgs::OrgSpec;
 pub use raw::{RawMeasurement, RawQueryRecord, RecordingTransport, ReplayTransport};
 pub use telemetry::{CampaignTelemetry, ProgressEvent};

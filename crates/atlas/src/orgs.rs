@@ -85,180 +85,366 @@ pub(crate) fn default_catalog() -> Vec<OrgSpec> {
     use ResolverKey::*;
     let custom = |s: &str| CpeCustom { version_string: s.into() };
     vec![
-        OrgSpec::new("Comcast", 7922, "US", 8.0, 0.45, "unbound 1.9.0", vec![
-            (Xb6Buggy, 10),
-            (PiHole, 2),
-            (CpeTargetedOne { target: Google }, 2),
-            (custom("new"), 1),
-            (MiddleboxTransparent, 8),
-            (MiddleboxOneAllowed { allowed: OpenDns }, 8),
-            (MiddleboxTargetedOne { target: Google }, 8),
-            (MiddleboxTargetedOne { target: Cloudflare }, 6),
-        ]),
-        OrgSpec::new("Charter", 20115, "US", 3.0, 0.30, "9.11.4-RedHat", vec![
-            (MiddleboxTransparent, 2),
-            (MiddleboxTargetedOne { target: Google }, 3),
-            (CpeDnsmasq { version: "2.80".into() }, 1),
-        ]),
-        OrgSpec::new("AT&T", 7018, "US", 3.0, 0.35, "unbound 1.6.7", vec![
-            (MiddleboxTransparent, 1),
-            (MiddleboxTargetedOne { target: Cloudflare }, 2),
-            (custom("Windows NS"), 1),
-        ]),
-        OrgSpec::new("Verizon", 701, "US", 2.0, 0.30, "9.16.15", vec![
-            (custom("Microsoft"), 1),
-            (CpeStealth, 1),
-        ]),
-        OrgSpec::new("Shaw", 6327, "CA", 1.5, 0.30, "unbound 1.9.0", vec![
-            (Xb6Buggy, 2),
-            (MiddleboxTargetedOne { target: Google }, 1),
-        ]),
-        OrgSpec::new("Bell", 577, "CA", 1.0, 0.30, "9.11.4-RedHat", vec![
-            (custom("Q9-U-2.1"), 1),
-        ]),
-        OrgSpec::new("DTAG", 3320, "DE", 6.0, 0.50, "PowerDNS Recursor 4.1.11", vec![
-            (PiHole, 2),
-            (CpeDnsmasq { version: "2.85".into() }, 1),
-            (MiddleboxTransparent, 1),
-            (MiddleboxTargetedOne { target: Google }, 2),
-        ]),
-        OrgSpec::new("Vodafone DE", 3209, "DE", 3.0, 0.40, "unbound 1.9.0", vec![
-            (Xb6Buggy, 2),
-            (MiddleboxTransparent, 1),
-            (MiddleboxOneAllowed { allowed: Quad9 }, 2),
-        ]),
-        OrgSpec::new("Free", 12322, "FR", 3.5, 0.55, "unbound 1.13.1", vec![
-            (PiHole, 1),
-            (CpeUnbound, 1),
-            (MiddleboxTargetedOne { target: Cloudflare }, 1),
-        ]),
-        OrgSpec::new("Orange", 3215, "FR", 3.0, 0.45, "9.11.5-P4", vec![
-            (MiddleboxTransparent, 1),
-            (MiddleboxTargetedOne { target: Google }, 2),
-            (custom("PowerDNS Recursor 4.1.11"), 1),
-        ]),
-        OrgSpec::new("BT", 2856, "GB", 3.0, 0.40, "unbound 1.9.0", vec![
-            (PiHole, 1),
-            (CpeUnbound, 1),
-            (MiddleboxTargetedOne { target: Google }, 1),
-        ]),
-        OrgSpec::new("Vodafone UK", 5378, "GB", 1.5, 0.35, "unbound 1.9.0", vec![
-            (Xb6Buggy, 2),
-            (MiddleboxOneAllowed { allowed: Quad9 }, 1),
-        ]),
-        OrgSpec::new("Sky", 5607, "GB", 1.5, 0.45, "9.11.3", vec![
-            (MiddleboxTargetedOne { target: Cloudflare }, 1),
-        ]),
-        OrgSpec::new("KPN", 1136, "NL", 2.5, 0.50, "unbound 1.9.0", vec![
-            (PiHole, 1),
-            (CpeUnbound, 1),
-            (MiddleboxBothFamilies { v6_targets: vec![Cloudflare, Google] }, 1),
-        ]),
-        OrgSpec::new("Ziggo", 33915, "NL", 2.0, 0.45, "unbound 1.9.0", vec![
-            (Xb6Buggy, 2),
-        ]),
-        OrgSpec::new("Rostelecom", 12389, "RU", 2.0, 0.18, "unbound 1.7.3", vec![
-            (MiddleboxTransparent, 5),
-            (MiddleboxModified, 3),
-            (MiddleboxMixed { refused: vec![Google, Cloudflare] }, 2),
-            (MiddleboxOneAllowed { allowed: Quad9 }, 6),
-            (MiddleboxTargetedOne { target: Google }, 6),
-            (MiddleboxBothFamilies { v6_targets: vec![Google, Quad9] }, 3),
-            (MiddleboxV6Only { v6_targets: vec![Google, Cloudflare, OpenDns] }, 2),
-            (IspResolverOutside, 2),
-        ]),
-        OrgSpec::new("MTS", 8359, "RU", 1.2, 0.15, "9.11.4-RedHat", vec![
-            (MiddleboxTransparent, 3),
-            (MiddleboxModified, 2),
-            (MiddleboxOneAllowed { allowed: Quad9 }, 3),
-            (MiddleboxTargetedOne { target: Cloudflare }, 3),
-            (MiddleboxBothFamilies { v6_targets: vec![Cloudflare, OpenDns] }, 2),
-            (MiddleboxV6Only { v6_targets: vec![Google, Quad9] }, 1),
-        ]),
-        OrgSpec::new("Turk Telekom", 9121, "TR", 1.2, 0.15, "dnsmasq-2.76", vec![
-            (MiddleboxTransparent, 4),
-            (MiddleboxModified, 3),
-            (MiddleboxMixed { refused: vec![Quad9] }, 1),
-            (MiddleboxOneAllowed { allowed: OpenDns }, 5),
-            (MiddleboxTargetedOne { target: Google }, 5),
-            (MiddleboxBothFamilies { v6_targets: vec![Google, Cloudflare] }, 2),
-            (MiddleboxV6Only { v6_targets: vec![Quad9, OpenDns, Cloudflare] }, 2),
-            (IspResolverOutside, 1),
-        ]),
-        OrgSpec::new("China Telecom", 4134, "CN", 0.8, 0.18, "unknown", vec![
-            (MiddleboxTransparent, 2),
-            (MiddleboxModified, 1),
-            (MiddleboxMixed { refused: vec![Google] }, 1),
-            (Beyond, 3),
-            (MiddleboxTargetedOne { target: Google }, 3),
-            (MiddleboxBothFamilies { v6_targets: vec![Google] }, 2),
-            (MiddleboxV6Only { v6_targets: vec![Google, Quad9, Cloudflare] }, 1),
-        ]),
-        OrgSpec::new("China Unicom", 4837, "CN", 0.5, 0.18, "unknown", vec![
-            (MiddleboxTransparent, 2),
-            (Beyond, 2),
-            (MiddleboxOneAllowed { allowed: Quad9 }, 1),
-            (MiddleboxTargetedOne { target: Google }, 2),
-        ]),
-        OrgSpec::new("Telkom Indonesia", 7713, "ID", 0.7, 0.12, "dnsmasq-2.80", vec![
-            (MiddleboxTransparent, 2),
-            (MiddleboxOneAllowed { allowed: Quad9 }, 2),
-            (MiddleboxTargetedOne { target: Google }, 2),
-            (MiddleboxV6Only { v6_targets: vec![Google, Cloudflare] }, 1),
-        ]),
-        OrgSpec::new("TIM", 3269, "IT", 2.2, 0.30, "9.11.3", vec![
-            (MiddleboxTransparent, 1),
-            (MiddleboxOneAllowed { allowed: Cloudflare }, 2),
-            (MiddleboxTargetedOne { target: OpenDns }, 1),
-        ]),
-        OrgSpec::new("Telefonica", 3352, "ES", 2.2, 0.32, "unbound 1.6.7", vec![
-            (MiddleboxTransparent, 1),
-            (MiddleboxBothFamilies { v6_targets: vec![OpenDns, Quad9] }, 1),
-            (MiddleboxTargetedOne { target: Google }, 1),
-            (MiddleboxOneAllowed { allowed: Google }, 1),
-        ]),
-        OrgSpec::new("Telia", 3301, "SE", 1.5, 0.45, "9.11.4-RedHat", vec![
-            (CpeRedHat, 2),
-            (PiHole, 1),
-        ]),
-        OrgSpec::new("Swisscom", 3303, "CH", 1.5, 0.55, "unbound 1.13.1", vec![
-            (CpeUnbound, 1),
-            (custom("9.16.15"), 1),
-        ]),
-        OrgSpec::new("Telstra", 1221, "AU", 1.2, 0.32, "unbound 1.9.0", vec![
-            (MiddleboxTargetedOne { target: Google }, 1),
-            (custom("unknown"), 1),
-        ]),
-        OrgSpec::new("NTT", 4713, "JP", 1.0, 0.42, "unbound 1.9.0", vec![
-            (custom("huuh?"), 1),
-        ]),
-        OrgSpec::new("Claro", 28573, "BR", 0.8, 0.20, "dnsmasq-2.79", vec![
-            (MiddleboxTransparent, 2),
-            (MiddleboxModified, 1),
-            (MiddleboxOneAllowed { allowed: OpenDns }, 1),
-        ]),
-        OrgSpec::new("Play", 12912, "PL", 1.5, 0.28, "unbound 1.9.0", vec![
-            (MiddleboxTargetedOne { target: Cloudflare }, 1),
-            (custom("none"), 1),
-        ]),
-        OrgSpec::new("O2 CZ", 5610, "CZ", 1.5, 0.42, "unbound 1.9.0", vec![
-            (CpeDnsmasq { version: "2.76".into() }, 1),
-            (CpeUnbound, 1),
-            (MiddleboxOneAllowed { allowed: Google }, 1),
-        ]),
-        OrgSpec::new("A1 Telekom", 8447, "AT", 1.3, 0.42, "unbound 1.9.0", vec![
-            (CpeUnbound, 1),
-            (custom("9.11.5-Debian"), 1),
-        ]),
-        OrgSpec::new("Proximus", 5432, "BE", 1.2, 0.45, "9.11.3", vec![
-            (MiddleboxOneAllowed { allowed: Quad9 }, 1),
-        ]),
-        OrgSpec::new("Telenor", 2119, "NO", 1.0, 0.45, "unbound 1.9.0", vec![
-            (CpeStealth, 1),
-        ]),
-        OrgSpec::new("Elisa", 719, "FI", 1.0, 0.45, "unbound 1.9.0", vec![
-            (Beyond, 1),
-        ]),
+        OrgSpec::new(
+            "Comcast",
+            7922,
+            "US",
+            8.0,
+            0.45,
+            "unbound 1.9.0",
+            vec![
+                (Xb6Buggy, 10),
+                (PiHole, 2),
+                (CpeTargetedOne { target: Google }, 2),
+                (custom("new"), 1),
+                (MiddleboxTransparent, 8),
+                (MiddleboxOneAllowed { allowed: OpenDns }, 8),
+                (MiddleboxTargetedOne { target: Google }, 8),
+                (MiddleboxTargetedOne { target: Cloudflare }, 6),
+            ],
+        ),
+        OrgSpec::new(
+            "Charter",
+            20115,
+            "US",
+            3.0,
+            0.30,
+            "9.11.4-RedHat",
+            vec![
+                (MiddleboxTransparent, 2),
+                (MiddleboxTargetedOne { target: Google }, 3),
+                (CpeDnsmasq { version: "2.80".into() }, 1),
+            ],
+        ),
+        OrgSpec::new(
+            "AT&T",
+            7018,
+            "US",
+            3.0,
+            0.35,
+            "unbound 1.6.7",
+            vec![
+                (MiddleboxTransparent, 1),
+                (MiddleboxTargetedOne { target: Cloudflare }, 2),
+                (custom("Windows NS"), 1),
+            ],
+        ),
+        OrgSpec::new(
+            "Verizon",
+            701,
+            "US",
+            2.0,
+            0.30,
+            "9.16.15",
+            vec![(custom("Microsoft"), 1), (CpeStealth, 1)],
+        ),
+        OrgSpec::new(
+            "Shaw",
+            6327,
+            "CA",
+            1.5,
+            0.30,
+            "unbound 1.9.0",
+            vec![(Xb6Buggy, 2), (MiddleboxTargetedOne { target: Google }, 1)],
+        ),
+        OrgSpec::new("Bell", 577, "CA", 1.0, 0.30, "9.11.4-RedHat", vec![(custom("Q9-U-2.1"), 1)]),
+        OrgSpec::new(
+            "DTAG",
+            3320,
+            "DE",
+            6.0,
+            0.50,
+            "PowerDNS Recursor 4.1.11",
+            vec![
+                (PiHole, 2),
+                (CpeDnsmasq { version: "2.85".into() }, 1),
+                (MiddleboxTransparent, 1),
+                (MiddleboxTargetedOne { target: Google }, 2),
+            ],
+        ),
+        OrgSpec::new(
+            "Vodafone DE",
+            3209,
+            "DE",
+            3.0,
+            0.40,
+            "unbound 1.9.0",
+            vec![
+                (Xb6Buggy, 2),
+                (MiddleboxTransparent, 1),
+                (MiddleboxOneAllowed { allowed: Quad9 }, 2),
+            ],
+        ),
+        OrgSpec::new(
+            "Free",
+            12322,
+            "FR",
+            3.5,
+            0.55,
+            "unbound 1.13.1",
+            vec![(PiHole, 1), (CpeUnbound, 1), (MiddleboxTargetedOne { target: Cloudflare }, 1)],
+        ),
+        OrgSpec::new(
+            "Orange",
+            3215,
+            "FR",
+            3.0,
+            0.45,
+            "9.11.5-P4",
+            vec![
+                (MiddleboxTransparent, 1),
+                (MiddleboxTargetedOne { target: Google }, 2),
+                (custom("PowerDNS Recursor 4.1.11"), 1),
+            ],
+        ),
+        OrgSpec::new(
+            "BT",
+            2856,
+            "GB",
+            3.0,
+            0.40,
+            "unbound 1.9.0",
+            vec![(PiHole, 1), (CpeUnbound, 1), (MiddleboxTargetedOne { target: Google }, 1)],
+        ),
+        OrgSpec::new(
+            "Vodafone UK",
+            5378,
+            "GB",
+            1.5,
+            0.35,
+            "unbound 1.9.0",
+            vec![(Xb6Buggy, 2), (MiddleboxOneAllowed { allowed: Quad9 }, 1)],
+        ),
+        OrgSpec::new(
+            "Sky",
+            5607,
+            "GB",
+            1.5,
+            0.45,
+            "9.11.3",
+            vec![(MiddleboxTargetedOne { target: Cloudflare }, 1)],
+        ),
+        OrgSpec::new(
+            "KPN",
+            1136,
+            "NL",
+            2.5,
+            0.50,
+            "unbound 1.9.0",
+            vec![
+                (PiHole, 1),
+                (CpeUnbound, 1),
+                (MiddleboxBothFamilies { v6_targets: vec![Cloudflare, Google] }, 1),
+            ],
+        ),
+        OrgSpec::new("Ziggo", 33915, "NL", 2.0, 0.45, "unbound 1.9.0", vec![(Xb6Buggy, 2)]),
+        OrgSpec::new(
+            "Rostelecom",
+            12389,
+            "RU",
+            2.0,
+            0.18,
+            "unbound 1.7.3",
+            vec![
+                (MiddleboxTransparent, 5),
+                (MiddleboxModified, 3),
+                (MiddleboxMixed { refused: vec![Google, Cloudflare] }, 2),
+                (MiddleboxOneAllowed { allowed: Quad9 }, 6),
+                (MiddleboxTargetedOne { target: Google }, 6),
+                (MiddleboxBothFamilies { v6_targets: vec![Google, Quad9] }, 3),
+                (MiddleboxV6Only { v6_targets: vec![Google, Cloudflare, OpenDns] }, 2),
+                (IspResolverOutside, 2),
+            ],
+        ),
+        OrgSpec::new(
+            "MTS",
+            8359,
+            "RU",
+            1.2,
+            0.15,
+            "9.11.4-RedHat",
+            vec![
+                (MiddleboxTransparent, 3),
+                (MiddleboxModified, 2),
+                (MiddleboxOneAllowed { allowed: Quad9 }, 3),
+                (MiddleboxTargetedOne { target: Cloudflare }, 3),
+                (MiddleboxBothFamilies { v6_targets: vec![Cloudflare, OpenDns] }, 2),
+                (MiddleboxV6Only { v6_targets: vec![Google, Quad9] }, 1),
+            ],
+        ),
+        OrgSpec::new(
+            "Turk Telekom",
+            9121,
+            "TR",
+            1.2,
+            0.15,
+            "dnsmasq-2.76",
+            vec![
+                (MiddleboxTransparent, 4),
+                (MiddleboxModified, 3),
+                (MiddleboxMixed { refused: vec![Quad9] }, 1),
+                (MiddleboxOneAllowed { allowed: OpenDns }, 5),
+                (MiddleboxTargetedOne { target: Google }, 5),
+                (MiddleboxBothFamilies { v6_targets: vec![Google, Cloudflare] }, 2),
+                (MiddleboxV6Only { v6_targets: vec![Quad9, OpenDns, Cloudflare] }, 2),
+                (IspResolverOutside, 1),
+            ],
+        ),
+        OrgSpec::new(
+            "China Telecom",
+            4134,
+            "CN",
+            0.8,
+            0.18,
+            "unknown",
+            vec![
+                (MiddleboxTransparent, 2),
+                (MiddleboxModified, 1),
+                (MiddleboxMixed { refused: vec![Google] }, 1),
+                (Beyond, 3),
+                (MiddleboxTargetedOne { target: Google }, 3),
+                (MiddleboxBothFamilies { v6_targets: vec![Google] }, 2),
+                (MiddleboxV6Only { v6_targets: vec![Google, Quad9, Cloudflare] }, 1),
+            ],
+        ),
+        OrgSpec::new(
+            "China Unicom",
+            4837,
+            "CN",
+            0.5,
+            0.18,
+            "unknown",
+            vec![
+                (MiddleboxTransparent, 2),
+                (Beyond, 2),
+                (MiddleboxOneAllowed { allowed: Quad9 }, 1),
+                (MiddleboxTargetedOne { target: Google }, 2),
+            ],
+        ),
+        OrgSpec::new(
+            "Telkom Indonesia",
+            7713,
+            "ID",
+            0.7,
+            0.12,
+            "dnsmasq-2.80",
+            vec![
+                (MiddleboxTransparent, 2),
+                (MiddleboxOneAllowed { allowed: Quad9 }, 2),
+                (MiddleboxTargetedOne { target: Google }, 2),
+                (MiddleboxV6Only { v6_targets: vec![Google, Cloudflare] }, 1),
+            ],
+        ),
+        OrgSpec::new(
+            "TIM",
+            3269,
+            "IT",
+            2.2,
+            0.30,
+            "9.11.3",
+            vec![
+                (MiddleboxTransparent, 1),
+                (MiddleboxOneAllowed { allowed: Cloudflare }, 2),
+                (MiddleboxTargetedOne { target: OpenDns }, 1),
+            ],
+        ),
+        OrgSpec::new(
+            "Telefonica",
+            3352,
+            "ES",
+            2.2,
+            0.32,
+            "unbound 1.6.7",
+            vec![
+                (MiddleboxTransparent, 1),
+                (MiddleboxBothFamilies { v6_targets: vec![OpenDns, Quad9] }, 1),
+                (MiddleboxTargetedOne { target: Google }, 1),
+                (MiddleboxOneAllowed { allowed: Google }, 1),
+            ],
+        ),
+        OrgSpec::new(
+            "Telia",
+            3301,
+            "SE",
+            1.5,
+            0.45,
+            "9.11.4-RedHat",
+            vec![(CpeRedHat, 2), (PiHole, 1)],
+        ),
+        OrgSpec::new(
+            "Swisscom",
+            3303,
+            "CH",
+            1.5,
+            0.55,
+            "unbound 1.13.1",
+            vec![(CpeUnbound, 1), (custom("9.16.15"), 1)],
+        ),
+        OrgSpec::new(
+            "Telstra",
+            1221,
+            "AU",
+            1.2,
+            0.32,
+            "unbound 1.9.0",
+            vec![(MiddleboxTargetedOne { target: Google }, 1), (custom("unknown"), 1)],
+        ),
+        OrgSpec::new("NTT", 4713, "JP", 1.0, 0.42, "unbound 1.9.0", vec![(custom("huuh?"), 1)]),
+        OrgSpec::new(
+            "Claro",
+            28573,
+            "BR",
+            0.8,
+            0.20,
+            "dnsmasq-2.79",
+            vec![
+                (MiddleboxTransparent, 2),
+                (MiddleboxModified, 1),
+                (MiddleboxOneAllowed { allowed: OpenDns }, 1),
+            ],
+        ),
+        OrgSpec::new(
+            "Play",
+            12912,
+            "PL",
+            1.5,
+            0.28,
+            "unbound 1.9.0",
+            vec![(MiddleboxTargetedOne { target: Cloudflare }, 1), (custom("none"), 1)],
+        ),
+        OrgSpec::new(
+            "O2 CZ",
+            5610,
+            "CZ",
+            1.5,
+            0.42,
+            "unbound 1.9.0",
+            vec![
+                (CpeDnsmasq { version: "2.76".into() }, 1),
+                (CpeUnbound, 1),
+                (MiddleboxOneAllowed { allowed: Google }, 1),
+            ],
+        ),
+        OrgSpec::new(
+            "A1 Telekom",
+            8447,
+            "AT",
+            1.3,
+            0.42,
+            "unbound 1.9.0",
+            vec![(CpeUnbound, 1), (custom("9.11.5-Debian"), 1)],
+        ),
+        OrgSpec::new(
+            "Proximus",
+            5432,
+            "BE",
+            1.2,
+            0.45,
+            "9.11.3",
+            vec![(MiddleboxOneAllowed { allowed: Quad9 }, 1)],
+        ),
+        OrgSpec::new("Telenor", 2119, "NO", 1.0, 0.45, "unbound 1.9.0", vec![(CpeStealth, 1)]),
+        OrgSpec::new("Elisa", 719, "FI", 1.0, 0.45, "unbound 1.9.0", vec![(Beyond, 1)]),
         // A long benign tail keeps the intercepted fraction near the
         // paper's ≈2%.
         OrgSpec::new("Init7", 13030, "CH", 2.0, 0.60, "unbound 1.13.1", vec![]),
@@ -302,10 +488,7 @@ mod tests {
         assert!(total > 50.0);
         // Comcast carries the largest weight among orgs with quotas.
         let comcast = cat.iter().find(|o| o.name == "Comcast").unwrap();
-        assert!(cat
-            .iter()
-            .filter(|o| !o.quotas.is_empty())
-            .all(|o| o.weight <= comcast.weight));
+        assert!(cat.iter().filter(|o| !o.quotas.is_empty()).all(|o| o.weight <= comcast.weight));
     }
 
     #[test]
@@ -342,9 +525,8 @@ mod tests {
     #[test]
     fn isp_profiles_have_disjoint_prefixes() {
         let cat = default_catalog();
-        let mut prefixes: Vec<Ipv4Addr> = (0..cat.len().min(70))
-            .map(|i| cat[i].isp_profile(i).v4_prefix)
-            .collect();
+        let mut prefixes: Vec<Ipv4Addr> =
+            (0..cat.len().min(70)).map(|i| cat[i].isp_profile(i).v4_prefix).collect();
         let before = prefixes.len();
         prefixes.sort();
         prefixes.dedup();

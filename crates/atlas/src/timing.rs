@@ -312,11 +312,7 @@ pub fn prometheus_exposition(
         for (class, h) in OpenDnsClass::ALL.iter().zip(&t.class_rtt) {
             w.histogram("repro_rtt_class_microseconds", &[("class", class.label())], &h.snapshot());
         }
-        w.header(
-            "repro_wall_microseconds",
-            "histogram",
-            "Wall-clock duration per campaign phase.",
-        );
+        w.header("repro_wall_microseconds", "histogram", "Wall-clock duration per campaign phase.");
         for (name, h) in t.wall.snapshots() {
             w.histogram("repro_wall_microseconds", &[("phase", name)], &h);
         }
@@ -428,8 +424,7 @@ mod tests {
         assert!(text.contains("repro_probes_total 5\n"));
         assert!(text.contains("repro_intercepted_total 2\n"));
         assert!(text.contains("# TYPE repro_rtt_virtual_microseconds histogram\n"));
-        assert!(text
-            .contains("repro_rtt_virtual_microseconds_count{phase=\"location\"} 1\n"));
+        assert!(text.contains("repro_rtt_virtual_microseconds_count{phase=\"location\"} 1\n"));
         assert!(text.contains("repro_timing_samples_dropped_total{clock=\"virtual\"} 0\n"));
     }
 }

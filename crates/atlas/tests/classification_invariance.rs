@@ -134,11 +134,8 @@ proptest! {
 #[test]
 fn thousand_device_fleet_classifies_perfectly() {
     let fleet = classification_fleet(1000, 0x41544C53);
-    let single = run_classification_timed(
-        &fleet,
-        CampaignOptions { threads: 1, batch_size: 1 },
-        None,
-    );
+    let single =
+        run_classification_timed(&fleet, CampaignOptions { threads: 1, batch_size: 1 }, None);
     assert_eq!(single.probes, 1000);
     assert_eq!(single.truth_matches, 1000);
     assert_eq!(single.truth_mismatches, 0);
@@ -148,10 +145,7 @@ fn thousand_device_fleet_classifies_perfectly() {
         assert_eq!(single.truth.get(class), 200);
         assert_eq!(single.classified.get(class), 200);
     }
-    let wide = run_classification_timed(
-        &fleet,
-        CampaignOptions { threads: 16, batch_size: 64 },
-        None,
-    );
+    let wide =
+        run_classification_timed(&fleet, CampaignOptions { threads: 16, batch_size: 64 }, None);
     assert_eq!(wide, single);
 }

@@ -19,8 +19,8 @@ use interception::{
     render_flows, CpeModelKind, HomeScenario, MiddleboxSpec, QueryFlow, SimTransport,
 };
 use locator::{
-    baseline, default_resolvers, describe_response, HijackLocator, QueryOptions,
-    QueryTransport, TxidSequence,
+    baseline, default_resolvers, describe_response, HijackLocator, QueryOptions, QueryTransport,
+    TxidSequence,
 };
 use std::net::IpAddr;
 
@@ -65,9 +65,7 @@ fn parse_value<T: std::str::FromStr>(flag: &str, value: &str) -> T {
     if value.is_empty() {
         fail(&format!("{flag} needs a value"));
     }
-    value
-        .parse()
-        .unwrap_or_else(|_| fail(&format!("{flag}: invalid value {value:?}")))
+    value.parse().unwrap_or_else(|_| fail(&format!("{flag}: invalid value {value:?}")))
 }
 
 fn path_value(flag: &str, value: String) -> String {
@@ -236,10 +234,7 @@ fn main() {
                 args.progress,
             )
         } else {
-            (
-                run_campaign(fleet, options, registry.as_ref(), None, timing.as_ref()),
-                Vec::new(),
-            )
+            (run_campaign(fleet, options, registry.as_ref(), None, timing.as_ref()), Vec::new())
         };
         eprintln!(
             "campaign done: {} probes measured in {:.1}s",
@@ -316,10 +311,7 @@ fn run_classify(args: &Args) {
     // scan is heavier per device (locator run + scanner probes + capture),
     // so cap the default at 1000 — explicit sizes are honored as given.
     let size = if args.size == 10_000 { 1_000 } else { args.size };
-    eprintln!(
-        "classifying: {size} devices, seed {}, {} threads…",
-        args.seed, args.threads
-    );
+    eprintln!("classifying: {size} devices, seed {}, {} threads…", args.seed, args.threads);
     let fleet = classification_fleet(size, args.seed);
     let options = CampaignOptions { threads: args.threads, batch_size: args.batch };
     let timing =
@@ -417,10 +409,9 @@ fn run_campaign_with_progress<'a>(
                     // "right now" figure. Both are guarded against zero
                     // elapsed, so the very first sample prints 0.
                     match events.last() {
-                        Some(prev) => eprint!(
-                            "\r{event}  [{:.0}/s now]",
-                            event.interval_probes_per_sec(prev)
-                        ),
+                        Some(prev) => {
+                            eprint!("\r{event}  [{:.0}/s now]", event.interval_probes_per_sec(prev))
+                        }
                         None => eprint!("\r{event}"),
                     }
                 }
@@ -462,7 +453,10 @@ fn print_table1() {
             _ => "TXT",
         };
         let out = transport.query(resolver.v4[0], &q, txids.next(), QueryOptions::default());
-        let response = out.response().map(|reply| describe_response(&reply.view())).unwrap_or_else(|| "-".into());
+        let response = out
+            .response()
+            .map(|reply| describe_response(&reply.view()))
+            .unwrap_or_else(|| "-".into());
         println!(
             "{:<16} {:<10} {:<26} {}",
             resolver.key.display_name(),
@@ -500,7 +494,12 @@ fn print_tables_2_and_3() {
     let mut txids = TxidSequence::new(0x1000);
     for (id, transport, _) in &mut transports {
         let cf = transport
-            .query(cloudflare.v4[0], &cloudflare.location_query(), txids.next(), QueryOptions::default())
+            .query(
+                cloudflare.v4[0],
+                &cloudflare.location_query(),
+                txids.next(),
+                QueryOptions::default(),
+            )
             .response()
             .map(|reply| describe_response(&reply.view()))
             .unwrap_or_else(|| "-".into());
@@ -514,7 +513,10 @@ fn print_tables_2_and_3() {
     println!();
 
     println!("Table 3: Example responses to IPv4 version.bind queries");
-    println!("{:<10} {:<20} {:<20} {:<20}", "ProbeID", "Cloudflare DNS", "Google DNS", "CPE Public IP");
+    println!(
+        "{:<10} {:<20} {:<20} {:<20}",
+        "ProbeID", "Cloudflare DNS", "Google DNS", "CPE Public IP"
+    );
     for (id, transport, cpe_v4) in &mut transports {
         if *id == "1053" {
             // The clean probe was not intercepted, so step 2 never runs.
@@ -620,12 +622,8 @@ fn write_archives(path: &str, fleet: &Fleet, results: &[ProbeResult]) {
     for r in results.iter().filter(|r| r.report.intercepted) {
         let (_, measurement) = atlas_sim::measure_probe_archived(fleet, r.probe);
         let org = &fleet.config.orgs[r.probe.org];
-        let line = Line {
-            probe_id: r.probe.id,
-            asn: org.asn,
-            country: org.country.clone(),
-            measurement,
-        };
+        let line =
+            Line { probe_id: r.probe.id, asn: org.asn, country: org.country.clone(), measurement };
         out.push_str(&serde_json::to_string(&line).expect("serializable"));
         out.push('\n');
         count += 1;

@@ -24,28 +24,42 @@ use std::net::IpAddr;
 /// A mixed population of interceptor scenarios, one per detection-relevant
 /// shape.
 fn interceptor_population() -> Vec<(&'static str, HomeScenario)> {
-    let quad9: Vec<IpAddr> =
-        vec!["9.9.9.9".parse().unwrap(), "149.112.112.112".parse().unwrap()];
+    let quad9: Vec<IpAddr> = vec!["9.9.9.9".parse().unwrap(), "149.112.112.112".parse().unwrap()];
     let google: Vec<IpAddr> = vec!["8.8.8.8".parse().unwrap(), "8.8.4.4".parse().unwrap()];
     vec![
         ("xb6", HomeScenario::xb6_case_study()),
-        ("pi_hole", HomeScenario {
-            cpe_model: CpeModelKind::PiHole { version: "2.87".into() },
-            ..HomeScenario::clean()
-        }),
+        (
+            "pi_hole",
+            HomeScenario {
+                cpe_model: CpeModelKind::PiHole { version: "2.87".into() },
+                ..HomeScenario::clean()
+            },
+        ),
         ("middlebox", HomeScenario::isp_middlebox()),
-        ("selective_allow_quad9", HomeScenario {
-            cpe_model: CpeModelKind::SelectiveAllowed { allowed: quad9, version: "2.85".into() },
-            ..HomeScenario::clean()
-        }),
-        ("targeted_google_only", HomeScenario {
-            cpe_model: CpeModelKind::SelectiveTargeted { targets: google, version: "2.85".into() },
-            ..HomeScenario::clean()
-        }),
-        ("stealth_cpe", HomeScenario {
-            cpe_model: CpeModelKind::StealthInterceptor,
-            ..HomeScenario::clean()
-        }),
+        (
+            "selective_allow_quad9",
+            HomeScenario {
+                cpe_model: CpeModelKind::SelectiveAllowed {
+                    allowed: quad9,
+                    version: "2.85".into(),
+                },
+                ..HomeScenario::clean()
+            },
+        ),
+        (
+            "targeted_google_only",
+            HomeScenario {
+                cpe_model: CpeModelKind::SelectiveTargeted {
+                    targets: google,
+                    version: "2.85".into(),
+                },
+                ..HomeScenario::clean()
+            },
+        ),
+        (
+            "stealth_cpe",
+            HomeScenario { cpe_model: CpeModelKind::StealthInterceptor, ..HomeScenario::clean() },
+        ),
         ("beyond_isp", {
             let mut s = HomeScenario::clean();
             s.beyond = Some(MiddleboxSpec {
@@ -64,10 +78,7 @@ fn interceptor_population() -> Vec<(&'static str, HomeScenario)> {
 
 fn config_with_panel(built: &interception::BuiltScenario, panel: &[ResolverKey]) -> LocatorConfig {
     let mut config = built.locator_config();
-    config.resolvers = default_resolvers()
-        .into_iter()
-        .filter(|r| panel.contains(&r.key))
-        .collect();
+    config.resolvers = default_resolvers().into_iter().filter(|r| panel.contains(&r.key)).collect();
     config
 }
 
@@ -115,11 +126,15 @@ fn one_resolver_panels_miss_selective_interceptors() {
 fn version_bind_clears_the_appendix_a_confounder() {
     let cases: Vec<(&str, HomeScenario, bool)> = vec![
         ("true CPE interceptor", HomeScenario::xb6_case_study(), true),
-        ("open-port-53 + ISP middlebox", HomeScenario {
-            cpe_model: CpeModelKind::OpenWanForwarder { version: "2.80".into() },
-            middlebox: Some(MiddleboxSpec::redirect_all_to_isp()),
-            ..HomeScenario::clean()
-        }, false),
+        (
+            "open-port-53 + ISP middlebox",
+            HomeScenario {
+                cpe_model: CpeModelKind::OpenWanForwarder { version: "2.80".into() },
+                middlebox: Some(MiddleboxSpec::redirect_all_to_isp()),
+                ..HomeScenario::clean()
+            },
+            false,
+        ),
         ("ISP middlebox, closed CPE", HomeScenario::isp_middlebox(), false),
     ];
     let mut verdicts = Vec::new();
@@ -197,11 +212,8 @@ fn upstream_loss_never_reads_as_interception() {
         let trials = 20;
         for seed in 0..trials {
             // Intercepted home under loss.
-            let scenario = HomeScenario {
-                seed,
-                upstream_loss: loss,
-                ..HomeScenario::xb6_case_study()
-            };
+            let scenario =
+                HomeScenario { seed, upstream_loss: loss, ..HomeScenario::xb6_case_study() };
             let built = scenario.build();
             let config = built.locator_config();
             let mut transport = SimTransport::new(built);
@@ -209,8 +221,7 @@ fn upstream_loss_never_reads_as_interception() {
                 detected += 1;
             }
             // Clean home under the same loss: must never read as intercepted.
-            let scenario =
-                HomeScenario { seed, upstream_loss: loss, ..HomeScenario::clean() };
+            let scenario = HomeScenario { seed, upstream_loss: loss, ..HomeScenario::clean() };
             let built = scenario.build();
             let config = built.locator_config();
             let mut transport = SimTransport::new(built);

@@ -7,10 +7,7 @@ use std::path::Path;
 use std::process::Command;
 
 fn repro(args: &[&str]) -> std::process::Output {
-    Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args(args)
-        .output()
-        .expect("repro binary runs")
+    Command::new(env!("CARGO_BIN_EXE_repro")).args(args).output().expect("repro binary runs")
 }
 
 #[test]
@@ -99,7 +96,8 @@ fn valid_observability_flags_write_their_files() {
     // Classification mode consumes the same flags without forcing a
     // measurement campaign.
     let scan_timings = dir.join("scan-timings.json");
-    let out = repro(&["--classify", "--size", "20", "--timings-json", scan_timings.to_str().unwrap()]);
+    let out =
+        repro(&["--classify", "--size", "20", "--timings-json", scan_timings.to_str().unwrap()]);
     assert!(
         out.status.success(),
         "classify with --timings-json failed: {}",

@@ -186,10 +186,7 @@ fn assert_capture_zero_cost() {
                 .map(|(r, _flows)| r.report)
                 .collect()
         } else {
-            run_campaign(&fleet, options, None, None, None)
-                .into_iter()
-                .map(|r| r.report)
-                .collect()
+            run_campaign(&fleet, options, None, None, None).into_iter().map(|r| r.report).collect()
         };
         let (count1, bytes1) =
             (ALLOCATIONS.load(Ordering::Relaxed), ALLOCATED_BYTES.load(Ordering::Relaxed));
@@ -216,10 +213,7 @@ fn assert_capture_zero_cost() {
         "capture-enabled: {count_c} allocs / {bytes_c} B (events + flows on top), \
          {count_per_probe:.1} allocs / {bytes_per_probe:.0} B per probe"
     );
-    assert_eq!(
-        reports_a, reports_c,
-        "enabling the flight recorder must not change any report"
-    );
+    assert_eq!(reports_a, reports_c, "enabling the flight recorder must not change any report");
     assert!(
         count_per_probe <= MAX_CAPTURE_ALLOCS_PER_PROBE,
         "capture-enabled allocation count regressed past the budget: \
@@ -264,8 +258,8 @@ fn assert_streaming_memory() {
 
     let streaming = [&small, &large]
         .map(|fleet| peak_growth(|| run_campaign_streaming(fleet, options, None, None)));
-    let collect_all =
-        [&small, &large].map(|fleet| peak_growth(|| run_campaign(fleet, options, None, None, None)));
+    let collect_all = [&small, &large]
+        .map(|fleet| peak_growth(|| run_campaign(fleet, options, None, None, None)));
     let per_added = |[small, large]: [u64; 2]| (large as f64 - small as f64) / added;
     let (streaming_slope, collect_all_slope) = (per_added(streaming), per_added(collect_all));
     eprintln!(

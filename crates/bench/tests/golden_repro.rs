@@ -45,10 +45,8 @@ fn path_arg(path: &Path) -> &str {
 
 /// Runs `repro` with `args` and requires a zero exit.
 fn repro(args: &[&str]) -> Output {
-    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args(args)
-        .output()
-        .expect("repro binary runs");
+    let out =
+        Command::new(env!("CARGO_BIN_EXE_repro")).args(args).output().expect("repro binary runs");
     assert!(
         out.status.success(),
         "repro {args:?} exited with {:?}\nstderr: {}",
@@ -263,7 +261,9 @@ fn timings_200_match_golden_on_the_virtual_clock() {
     // clock and must match the golden exactly.
     let mut timings = parse_json(&fresh);
     let wall = field_mut(&mut timings, "wall_clock");
-    let Value::Array(phases) = field_mut(wall, "per_phase") else { panic!("per_phase is not an array") };
+    let Value::Array(phases) = field_mut(wall, "per_phase") else {
+        panic!("per_phase is not an array")
+    };
     let names: Vec<_> = phases.iter().map(|p| field(p, "name").clone()).collect();
     let want = ["world-build", "encode", "attempt", "probe-total"];
     assert_eq!(names, want.map(|n| Value::String(n.into())));

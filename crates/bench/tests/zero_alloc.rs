@@ -24,10 +24,10 @@ use dns_wire::{Message, MessageView, Name, QueryEncoder, Question, RType};
 use interception::{HomeScenario, ProbeTimingLog, SimTransport, Vantage, WorldTemplate};
 use locator::{HijackLocator, MetricsFolder, QueryOptions, QueryTransport};
 use netsim::{PayloadPool, SimScratch};
-use timing::{AtomicHistogram, Span};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::net::IpAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
+use timing::{AtomicHistogram, Span};
 
 struct CountingAlloc;
 
@@ -298,10 +298,7 @@ fn steady_state_probe_path_allocates_nothing() {
     }
     let (allocs, out) = allocations_in(|| transport.query(server, &question, 0x6400, opts));
     assert!(out.is_timeout());
-    assert_eq!(
-        allocs, 0,
-        "enabled timing record path allocated {allocs} times after warmup"
-    );
+    assert_eq!(allocs, 0, "enabled timing record path allocated {allocs} times after warmup");
     assert!(transport.take_timing().is_some(), "observer log survives the probe");
 
     // --- Component: the histogram record path is a pair of atomic adds

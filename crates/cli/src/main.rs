@@ -101,8 +101,7 @@ fn parse(args: &[String]) -> Result<Options, String> {
             "--retry-backoff" => {
                 i += 1;
                 let v = args.get(i).ok_or("--retry-backoff needs milliseconds")?;
-                opts.retry_backoff_ms =
-                    v.parse().map_err(|_| format!("invalid backoff {v}"))?;
+                opts.retry_backoff_ms = v.parse().map_err(|_| format!("invalid backoff {v}"))?;
             }
             "--no-v6" => opts.test_v6 = false,
             "--json" => opts.json = true,
@@ -419,7 +418,9 @@ fn run_ttl_extension(transport: &mut UdpTransport, timeout_ms: u64) {
         let result =
             ttl_scan(transport, resolver.v4[0], &resolver.location_query(), 20, &mut txids, opts);
         match result.first_response_ttl {
-            Some(ttl) => println!("  {:<16} first answer at TTL {ttl}", resolver.key.display_name()),
+            Some(ttl) => {
+                println!("  {:<16} first answer at TTL {ttl}", resolver.key.display_name())
+            }
             None => println!("  {:<16} no answer within 20 hops", resolver.key.display_name()),
         }
         match &baseline {

@@ -195,8 +195,20 @@ mod tests {
         let mut t = MockTransport::new();
         let cpe: IpAddr = "73.22.1.5".parse().unwrap();
         let name: Name = "example.com".parse().unwrap();
-        t.push_rule(None, Some(name.clone()), Some(RClass::In), Respond::A("1.2.3.4".parse().unwrap()));
-        let verdict = a_record_cpe_check(&mut t, cpe, "8.8.8.8".parse().unwrap(), &name, &mut txids(), opts());
+        t.push_rule(
+            None,
+            Some(name.clone()),
+            Some(RClass::In),
+            Respond::A("1.2.3.4".parse().unwrap()),
+        );
+        let verdict = a_record_cpe_check(
+            &mut t,
+            cpe,
+            "8.8.8.8".parse().unwrap(),
+            &name,
+            &mut txids(),
+            opts(),
+        );
         assert_eq!(verdict, ARecordVerdict::ClaimsCpe { answer: "1.2.3.4".into() });
     }
 
@@ -228,14 +240,24 @@ mod tests {
         let looks_like_root = |s: &str| s.contains("root");
         // Clean: roots answer with plausible node names.
         let mut t = MockTransport::new();
-        t.push_rule(Some(roots.to_vec()), None, Some(RClass::Chaos), Respond::Txt("a1.us-mia.root".into()));
+        t.push_rule(
+            Some(roots.to_vec()),
+            None,
+            Some(RClass::Chaos),
+            Respond::Txt("a1.us-mia.root".into()),
+        );
         assert_eq!(
             hostname_bind_root_check(&mut t, &roots, looks_like_root, &mut txids(), opts()),
             RootCheckVerdict::Clean
         );
         // Manipulated: a forwarder's version string comes back instead.
         let mut t = MockTransport::new();
-        t.push_rule(Some(roots.to_vec()), None, Some(RClass::Chaos), Respond::Txt("dnsmasq-2.85".into()));
+        t.push_rule(
+            Some(roots.to_vec()),
+            None,
+            Some(RClass::Chaos),
+            Respond::Txt("dnsmasq-2.85".into()),
+        );
         assert!(matches!(
             hostname_bind_root_check(&mut t, &roots, looks_like_root, &mut txids(), opts()),
             RootCheckVerdict::Manipulated { .. }
@@ -250,10 +272,8 @@ mod tests {
 
     #[test]
     fn prevalence_check_distinguishes_egress() {
-        let google = default_resolvers()
-            .into_iter()
-            .find(|r| r.key == ResolverKey::Google)
-            .unwrap();
+        let google =
+            default_resolvers().into_iter().find(|r| r.key == ResolverKey::Google).unwrap();
         let name: Name = "reflect.dns-hijack-study.example".parse().unwrap();
         // Clean: reflection shows a Google egress.
         let mut t = MockTransport::new();

@@ -337,8 +337,7 @@ impl HijackLocator {
 
         let (cpe_response, cpe_seq) = self.version_bind_to(transport, sink, cpe_addr);
 
-        let mut resolver_responses: PerResolver<Option<VersionBindAnswer>> =
-            PerResolver::default();
+        let mut resolver_responses: PerResolver<Option<VersionBindAnswer>> = PerResolver::default();
         let mut resolver_seqs: PerResolver<Option<u32>> = PerResolver::default();
         let resolvers = self.config.resolvers.clone();
         for resolver in resolvers.iter() {
@@ -651,9 +650,8 @@ mod tests {
         let mut locator = HijackLocator::new(config_with_cpe());
         let mut transport = clean_transport();
         let report = locator.run(&mut transport);
-        let expected: Vec<u16> = (0..report.queries_sent as u16)
-            .map(|i| 0x1000u16.wrapping_add(i))
-            .collect();
+        let expected: Vec<u16> =
+            (0..report.queries_sent as u16).map(|i| 0x1000u16.wrapping_add(i)).collect();
         assert_eq!(transport.txid_log, expected);
     }
 
@@ -700,10 +698,7 @@ mod tests {
         // Single-shot: both Cloudflare v4 addresses time out → Timeout cell.
         let mut locator = HijackLocator::new(config_with_cpe());
         let single = locator.run(&mut make());
-        assert_eq!(
-            *single.matrix.v4.get(ResolverKey::Cloudflare),
-            LocationTestResult::Timeout
-        );
+        assert_eq!(*single.matrix.v4.get(ResolverKey::Cloudflare), LocationTestResult::Timeout);
         assert_eq!(single.wire_attempts, single.queries_sent);
 
         // Three attempts: the first address recovers on its third try.
@@ -711,10 +706,7 @@ mod tests {
         config.query_options.attempts = 3;
         let mut locator = HijackLocator::new(config);
         let retried = locator.run(&mut make());
-        assert_eq!(
-            *retried.matrix.v4.get(ResolverKey::Cloudflare),
-            LocationTestResult::Standard
-        );
+        assert_eq!(*retried.matrix.v4.get(ResolverKey::Cloudflare), LocationTestResult::Standard);
         assert!(!retried.intercepted, "recovered answers stay non-interception");
         assert_eq!(retried.queries_sent, 16, "logical query count is unchanged");
         assert_eq!(retried.wire_attempts, 18, "two extra attempts on the flaky address");
@@ -1077,15 +1069,11 @@ mod tests {
         };
         let silent = HijackLocator::new(config_with_cpe()).run(&mut make());
         let mut rec = TraceRecorder::default();
-        let traced =
-            HijackLocator::new(config_with_cpe()).run_traced(&mut make(), &mut rec);
+        let traced = HijackLocator::new(config_with_cpe()).run_traced(&mut make(), &mut rec);
         assert_eq!(silent, traced, "the sink must not perturb the pipeline");
         // One QueryIssued per logical query; verdict events echo provenance.
-        let issued = rec
-            .events
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::QueryIssued { .. }))
-            .count();
+        let issued =
+            rec.events.iter().filter(|e| matches!(e, TraceEvent::QueryIssued { .. })).count();
         assert_eq!(issued as u32, traced.queries_sent);
         let verdicts: Vec<_> = rec
             .events

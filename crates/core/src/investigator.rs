@@ -39,9 +39,7 @@ impl Default for InvestigationConfig {
             locator: LocatorConfig::default(),
             signed_name: Some("example.com".parse().expect("static name")),
             canary_name: Some(
-                "definitely-not-a-real-name.dns-hijack-study.example"
-                    .parse()
-                    .expect("static name"),
+                "definitely-not-a-real-name.dns-hijack-study.example".parse().expect("static name"),
             ),
             ttl_budget: None,
         }
@@ -156,10 +154,7 @@ fn summarize(
     }
     let mut parts = vec![format!(
         "interception detected, located at {}",
-        report
-            .location
-            .map(|l| l.to_string())
-            .unwrap_or_else(|| "unknown".into())
+        report.location.map(|l| l.to_string()).unwrap_or_else(|| "unknown".into())
     )];
     if let Some(t) = report.transparency {
         parts.push(format!("transparency: {t}"));

@@ -32,8 +32,8 @@
 #![warn(missing_docs)]
 
 pub mod baseline;
-pub mod dot;
 mod detector;
+pub mod dot;
 mod investigator;
 pub mod metrics;
 mod mock;

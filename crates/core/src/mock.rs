@@ -313,14 +313,20 @@ impl MockTransport {
                 rec.class = q.qclass;
                 Some(Message::response_to(&query, Rcode::NoError).with_answer(rec))
             }
-            Respond::A(ip) => Some(
-                Message::response_to(&query, Rcode::NoError)
-                    .with_answer(Record::new(q.qname.clone(), 30, RData::A(*ip))),
-            ),
-            Respond::Aaaa(ip) => Some(
-                Message::response_to(&query, Rcode::NoError)
-                    .with_answer(Record::new(q.qname.clone(), 30, RData::Aaaa(*ip))),
-            ),
+            Respond::A(ip) => {
+                Some(Message::response_to(&query, Rcode::NoError).with_answer(Record::new(
+                    q.qname.clone(),
+                    30,
+                    RData::A(*ip),
+                )))
+            }
+            Respond::Aaaa(ip) => {
+                Some(Message::response_to(&query, Rcode::NoError).with_answer(Record::new(
+                    q.qname.clone(),
+                    30,
+                    RData::Aaaa(*ip),
+                )))
+            }
             Respond::Rcode(rc) => Some(Message::response_to(&query, *rc)),
             Respond::Timeout => None,
             Respond::WrongTxid(inner) => {

@@ -17,9 +17,7 @@ use std::net::IpAddr;
 use std::sync::{Arc, OnceLock};
 
 /// Identifies one of the studied public resolvers.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum ResolverKey {
     /// Cloudflare DNS (1.1.1.1).
     Cloudflare,
@@ -33,12 +31,8 @@ pub enum ResolverKey {
 
 impl ResolverKey {
     /// All four studied resolvers, in the paper's table order.
-    pub const ALL: [ResolverKey; 4] = [
-        ResolverKey::Cloudflare,
-        ResolverKey::Google,
-        ResolverKey::Quad9,
-        ResolverKey::OpenDns,
-    ];
+    pub const ALL: [ResolverKey; 4] =
+        [ResolverKey::Cloudflare, ResolverKey::Google, ResolverKey::Quad9, ResolverKey::OpenDns];
 
     /// Human-readable name as used in the paper's tables.
     pub fn display_name(self) -> &'static str {
@@ -106,10 +100,9 @@ impl PublicResolver {
         };
         match self.key {
             ResolverKey::Cloudflare => is_iata_code(&text),
-            ResolverKey::Google => text
-                .parse::<IpAddr>()
-                .map(|ip| self.egress_contains(ip))
-                .unwrap_or(false),
+            ResolverKey::Google => {
+                text.parse::<IpAddr>().map(|ip| self.egress_contains(ip)).unwrap_or(false)
+            }
             ResolverKey::Quad9 => {
                 // e.g. "res100.iad.rrdns.pch.net"
                 text.ends_with(".pch.net") && text.starts_with("res")
@@ -279,10 +272,8 @@ mod tests {
     #[test]
     fn service_addresses_are_distinct() {
         let rs = default_resolvers();
-        let mut all: Vec<IpAddr> = rs
-            .iter()
-            .flat_map(|r| r.v4.iter().chain(r.v6.iter()).copied())
-            .collect();
+        let mut all: Vec<IpAddr> =
+            rs.iter().flat_map(|r| r.v4.iter().chain(r.v6.iter()).copied()).collect();
         let before = all.len();
         all.sort();
         all.dedup();

@@ -251,9 +251,19 @@ impl TraceEvent<'_> {
             TraceEvent::StepVerdict { step, verdict, cited, at_us } => {
                 TraceEvent::StepVerdict { step, verdict, cited: cited.into_owned(), at_us }
             }
-            TraceEvent::RunFinished { intercepted, location, queries_sent, wire_attempts, at_us } => {
-                TraceEvent::RunFinished { intercepted, location, queries_sent, wire_attempts, at_us }
-            }
+            TraceEvent::RunFinished {
+                intercepted,
+                location,
+                queries_sent,
+                wire_attempts,
+                at_us,
+            } => TraceEvent::RunFinished {
+                intercepted,
+                location,
+                queries_sent,
+                wire_attempts,
+                at_us,
+            },
         }
     }
 }
@@ -277,7 +287,11 @@ impl Serialize for TraceEvent<'_> {
             ),
             TraceEvent::AttemptSent { seq, attempt, txid, .. } => (
                 "AttemptSent",
-                vec![("seq", seq.to_value()), ("attempt", attempt.to_value()), ("txid", txid.to_value())],
+                vec![
+                    ("seq", seq.to_value()),
+                    ("attempt", attempt.to_value()),
+                    ("txid", txid.to_value()),
+                ],
             ),
             TraceEvent::ResponseAccepted { seq, attempt, txid, observed, .. } => (
                 "ResponseAccepted",
@@ -299,13 +313,23 @@ impl Serialize for TraceEvent<'_> {
             ),
             TraceEvent::AttemptTimedOut { seq, attempt, txid, .. } => (
                 "AttemptTimedOut",
-                vec![("seq", seq.to_value()), ("attempt", attempt.to_value()), ("txid", txid.to_value())],
+                vec![
+                    ("seq", seq.to_value()),
+                    ("attempt", attempt.to_value()),
+                    ("txid", txid.to_value()),
+                ],
             ),
             TraceEvent::StepVerdict { step, verdict, cited, .. } => (
                 "StepVerdict",
-                vec![("step", step.to_value()), ("verdict", verdict.to_value()), ("cited", cited.to_value())],
+                vec![
+                    ("step", step.to_value()),
+                    ("verdict", verdict.to_value()),
+                    ("cited", cited.to_value()),
+                ],
             ),
-            TraceEvent::RunFinished { intercepted, location, queries_sent, wire_attempts, .. } => (
+            TraceEvent::RunFinished {
+                intercepted, location, queries_sent, wire_attempts, ..
+            } => (
                 "RunFinished",
                 vec![
                     ("intercepted", intercepted.to_value()),
@@ -379,7 +403,13 @@ impl fmt::Display for TraceEvent<'_> {
                 }
                 f.write_str(")")
             }
-            TraceEvent::RunFinished { intercepted, location, queries_sent, wire_attempts, at_us } => {
+            TraceEvent::RunFinished {
+                intercepted,
+                location,
+                queries_sent,
+                wire_attempts,
+                at_us,
+            } => {
                 let location: &dyn fmt::Display = match location {
                     Some(location) => location,
                     None => &"-",

@@ -28,8 +28,8 @@ use crate::transport::{
     query_with_retry_traced, QueryCtx, QueryOptions, QueryOutcome, QueryTransport, TxidSequence,
 };
 use dns_wire::Question;
-use std::borrow::Cow;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::net::IpAddr;
 
 /// Result of a TTL scan toward one server.
@@ -109,7 +109,11 @@ pub(crate) fn ttl_scan_traced<T: QueryTransport, S: TraceSink>(
         );
         queries_sent += retried.attempts_used;
         if let QueryOutcome::Response(_) = retried.outcome {
-            return TtlScanResult { first_response_ttl: Some(ttl), max_ttl_probed: ttl, queries_sent };
+            return TtlScanResult {
+                first_response_ttl: Some(ttl),
+                max_ttl_probed: ttl,
+                queries_sent,
+            };
         }
     }
     TtlScanResult { first_response_ttl: None, max_ttl_probed: max_ttl, queries_sent }
@@ -184,7 +188,14 @@ mod tests {
     #[test]
     fn scan_finds_first_answering_ttl() {
         let mut t = gate(4);
-        let r = ttl_scan(&mut t, "1.1.1.1".parse().unwrap(), &q(), 8, &mut TxidSequence::new(0x6000), QueryOptions::default());
+        let r = ttl_scan(
+            &mut t,
+            "1.1.1.1".parse().unwrap(),
+            &q(),
+            8,
+            &mut TxidSequence::new(0x6000),
+            QueryOptions::default(),
+        );
         assert_eq!(r.first_response_ttl, Some(4));
         assert_eq!(r.queries_sent, 4);
     }
@@ -221,7 +232,14 @@ mod tests {
     #[test]
     fn scan_gives_up_past_budget() {
         let mut t = gate(10);
-        let r = ttl_scan(&mut t, "1.1.1.1".parse().unwrap(), &q(), 5, &mut TxidSequence::new(0x6000), QueryOptions::default());
+        let r = ttl_scan(
+            &mut t,
+            "1.1.1.1".parse().unwrap(),
+            &q(),
+            5,
+            &mut TxidSequence::new(0x6000),
+            QueryOptions::default(),
+        );
         assert_eq!(r.first_response_ttl, None);
         assert_eq!(r.queries_sent, 5);
     }
@@ -229,16 +247,26 @@ mod tests {
     #[test]
     fn hop_one_means_cpe() {
         let mut t = gate(1);
-        let r = ttl_scan(&mut t, "1.1.1.1".parse().unwrap(), &q(), 8, &mut TxidSequence::new(0x6000), QueryOptions::default());
+        let r = ttl_scan(
+            &mut t,
+            "1.1.1.1".parse().unwrap(),
+            &q(),
+            8,
+            &mut TxidSequence::new(0x6000),
+            QueryOptions::default(),
+        );
         assert!(r.answered_at_first_hop());
-        let baseline = TtlScanResult { first_response_ttl: Some(5), max_ttl_probed: 5, queries_sent: 5 };
+        let baseline =
+            TtlScanResult { first_response_ttl: Some(5), max_ttl_probed: 5, queries_sent: 5 };
         assert_eq!(interpret(&r, &baseline), TtlVerdict::AnsweredByCpe);
     }
 
     #[test]
     fn earlier_than_baseline_is_in_path_interceptor() {
-        let suspect = TtlScanResult { first_response_ttl: Some(3), max_ttl_probed: 3, queries_sent: 3 };
-        let baseline = TtlScanResult { first_response_ttl: Some(5), max_ttl_probed: 5, queries_sent: 5 };
+        let suspect =
+            TtlScanResult { first_response_ttl: Some(3), max_ttl_probed: 3, queries_sent: 3 };
+        let baseline =
+            TtlScanResult { first_response_ttl: Some(5), max_ttl_probed: 5, queries_sent: 5 };
         assert_eq!(interpret(&suspect, &baseline), TtlVerdict::InterceptedAtHop { hops: 3 });
     }
 
@@ -251,7 +279,8 @@ mod tests {
     #[test]
     fn no_answer_is_inconclusive() {
         let none = TtlScanResult { first_response_ttl: None, max_ttl_probed: 8, queries_sent: 8 };
-        let base = TtlScanResult { first_response_ttl: Some(5), max_ttl_probed: 5, queries_sent: 5 };
+        let base =
+            TtlScanResult { first_response_ttl: Some(5), max_ttl_probed: 5, queries_sent: 5 };
         assert_eq!(interpret(&none, &base), TtlVerdict::Inconclusive);
     }
 }

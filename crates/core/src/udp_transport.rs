@@ -44,7 +44,13 @@ pub struct UdpTransport {
 impl UdpTransport {
     /// Creates a transport with default socket settings.
     pub fn new() -> UdpTransport {
-        UdpTransport { bind_addr: None, port: 53, sent: 0, received: 0, encoder: QueryEncoder::new() }
+        UdpTransport {
+            bind_addr: None,
+            port: 53,
+            sent: 0,
+            received: 0,
+            encoder: QueryEncoder::new(),
+        }
     }
 
     fn bind_for(&self, server: IpAddr) -> std::io::Result<UdpSocket> {
@@ -131,13 +137,12 @@ mod tests {
             for _ in 0..n {
                 let Ok((len, peer)) = socket.recv_from(&mut buf) else { return };
                 let Ok(query) = Message::parse(&buf[..len]) else { continue };
-                let mut resp = Message::response_to(&query, Rcode::NoError).with_answer(
-                    Record::new(
+                let mut resp =
+                    Message::response_to(&query, Rcode::NoError).with_answer(Record::new(
                         query.questions[0].qname.clone(),
                         30,
                         RData::A(Ipv4Addr::new(93, 184, 216, 34)),
-                    ),
-                );
+                    ));
                 if wrong_txid {
                     resp.header.id = resp.header.id.wrapping_add(1);
                 }
@@ -193,13 +198,11 @@ mod tests {
             for _ in 0..n {
                 let Ok((len, peer)) = listener.recv_from(&mut buf) else { return };
                 let Ok(query) = Message::parse(&buf[..len]) else { continue };
-                let resp = Message::response_to(&query, Rcode::NoError).with_answer(
-                    Record::new(
-                        query.questions[0].qname.clone(),
-                        30,
-                        RData::A(Ipv4Addr::new(93, 184, 216, 34)),
-                    ),
-                );
+                let resp = Message::response_to(&query, Rcode::NoError).with_answer(Record::new(
+                    query.questions[0].qname.clone(),
+                    30,
+                    RData::A(Ipv4Addr::new(93, 184, 216, 34)),
+                ));
                 let bytes = resp.encode().unwrap();
                 upstream.send_to(&bytes, peer).ok();
             }

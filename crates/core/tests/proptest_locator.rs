@@ -3,8 +3,7 @@
 
 use dns_wire::{Message, RData, Rcode, Record, Reply};
 use locator::{
-    default_resolvers, HijackLocator, InterceptorLocation, LocatorConfig, MockTransport,
-    Respond,
+    default_resolvers, HijackLocator, InterceptorLocation, LocatorConfig, MockTransport, Respond,
 };
 use proptest::prelude::*;
 

@@ -182,10 +182,8 @@ mod tests {
 
     #[test]
     fn mode_queries() {
-        let fwd = ForwarderSpec::new(
-            SoftwareProfile::dnsmasq("2.85"),
-            "75.75.75.75".parse().unwrap(),
-        );
+        let fwd =
+            ForwarderSpec::new(SoftwareProfile::dnsmasq("2.85"), "75.75.75.75".parse().unwrap());
         let m = DnsMode::Interceptor(fwd.clone(), InterceptSpec::default());
         assert!(m.intercepts());
         assert_eq!(m.forwarder().unwrap().profile.version_string(), Some("dnsmasq-2.85"));

@@ -10,9 +10,7 @@
 use crate::config::{CpeConfig, DnsMode, ForwarderSpec, InterceptSpec, WanMode};
 use bytes::Bytes;
 use dns_wire::{Header, Message, MessageView, RClass, Rcode};
-use netsim::{
-    CaptureKind, Ctx, Device, DnatRule, IfaceId, IpPacket, NatEngine, NatVerdict, Proto,
-};
+use netsim::{CaptureKind, Ctx, Device, DnatRule, IfaceId, IpPacket, NatEngine, NatVerdict, Proto};
 use resolver_sim::{
     encode_payload, handle_server_id, local_reply_payload, reply_payload, send_local_reply,
     send_reply, ForwarderCore, FwdAction, LocalReply, ResolveCtx, ZoneDb,
@@ -286,8 +284,7 @@ impl CpeDevice {
             NatVerdict::Local(delivered) => {
                 ctx.capture_nat_rewrite(LAN, before, &delivered, false);
                 let dnat_applied = delivered.dst() != orig_dst;
-                let is_dns =
-                    delivered.udp_payload().map(|u| u.dst_port == 53).unwrap_or(false);
+                let is_dns = delivered.udp_payload().map(|u| u.dst_port == 53).unwrap_or(false);
                 if !is_dns {
                     // Non-DNS traffic to our own addresses: nothing listens.
                     return;
@@ -333,10 +330,8 @@ impl CpeDevice {
         // Upstream responses to the embedded forwarder.
         let to_me = self.is_self_addr(packet.dst());
         if to_me {
-            let is_fwd_response = packet
-                .udp_payload()
-                .map(|u| u.dst_port == FWD_SPORT)
-                .unwrap_or(false);
+            let is_fwd_response =
+                packet.udp_payload().map(|u| u.dst_port == FWD_SPORT).unwrap_or(false);
             if is_fwd_response {
                 self.handle_upstream_response(ctx, &packet);
                 return;

@@ -191,11 +191,8 @@ mod tests {
 
     #[test]
     fn pi_hole_blocks_ads_and_intercepts() {
-        let (mut sim, probe, cpe, _r) = home(models::pi_hole(
-            WAN_IP.parse().unwrap(),
-            ISP_RESOLVER.parse().unwrap(),
-            "2.87",
-        ));
+        let (mut sim, probe, cpe, _r) =
+            home(models::pi_hole(WAN_IP.parse().unwrap(), ISP_RESOLVER.parse().unwrap(), "2.87"));
         let q = Question::new("ads.doubleclick.net".parse().unwrap(), RType::A);
         sim.inject(probe, IfaceId(0), dns_query_pkt("1.1.1.1", q, 11));
         sim.run_to_quiescence();
@@ -254,8 +251,7 @@ mod tests {
     fn wan_world(config: CpeConfig) -> (Simulator, netsim::NodeId, netsim::NodeId) {
         use netsim::{Cidr, Router};
         let mut sim = Simulator::new(11);
-        let cpe_dev =
-            CpeDevice::new(config).with_zonedb(Arc::new(ZoneDb::standard_world()));
+        let cpe_dev = CpeDevice::new(config).with_zonedb(Arc::new(ZoneDb::standard_world()));
         let cpe = sim.add_device(cpe_dev);
         let resolver = sim.add_device(RecursiveResolver::new(
             "isp-resolver",
@@ -303,7 +299,11 @@ mod tests {
         sim.run_to_quiescence();
         let resp = responses(&mut sim, scanner);
         assert_eq!(resp.len(), 1);
-        assert_eq!(resp[0].0, ISP_RESOLVER.parse::<IpAddr>().unwrap(), "answer source is the upstream, not the queried CPE");
+        assert_eq!(
+            resp[0].0,
+            ISP_RESOLVER.parse::<IpAddr>().unwrap(),
+            "answer source is the upstream, not the queried CPE"
+        );
         assert_eq!(resp[0].1.header.id, 41);
         assert_eq!(resp[0].1.answers[0].rdata, RData::A("93.184.216.34".parse().unwrap()));
         assert_eq!(sim.device::<CpeDevice>(cpe).unwrap().transparent_relays, 1);
@@ -321,7 +321,11 @@ mod tests {
         sim.run_to_quiescence();
         let resp = responses(&mut sim, scanner);
         assert_eq!(resp.len(), 1);
-        assert_eq!(resp[0].0, WAN_IP.parse::<IpAddr>().unwrap(), "open forwarder answers from its own address");
+        assert_eq!(
+            resp[0].0,
+            WAN_IP.parse::<IpAddr>().unwrap(),
+            "open forwarder answers from its own address"
+        );
         assert_eq!(resp[0].1.header.id, 42);
         assert_eq!(resp[0].1.answers[0].rdata, RData::A("93.184.216.34".parse().unwrap()));
         assert_eq!(sim.device::<CpeDevice>(cpe).unwrap().transparent_relays, 0);
@@ -351,10 +355,8 @@ mod tests {
     fn local_only_wan_listener_never_relays_for_outsiders() {
         // The XB6 answers version.bind at its public address but a
         // recursive A query from the outside goes unanswered.
-        let (mut sim, scanner, _cpe) = wan_world(models::xb6_buggy(
-            WAN_IP.parse().unwrap(),
-            ISP_RESOLVER.parse().unwrap(),
-        ));
+        let (mut sim, scanner, _cpe) =
+            wan_world(models::xb6_buggy(WAN_IP.parse().unwrap(), ISP_RESOLVER.parse().unwrap()));
         let q = Question::chaos_txt(debug_queries::version_bind());
         sim.inject(scanner, IfaceId(0), scan_query_pkt(q, 44));
         sim.run_to_quiescence();

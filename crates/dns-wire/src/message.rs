@@ -200,15 +200,7 @@ impl Record {
 
 impl fmt::Display for Record {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} {} {} {} {}",
-            self.name,
-            self.ttl,
-            self.class,
-            self.rdata.rtype(),
-            self.rdata
-        )
+        write!(f, "{} {} {} {} {}", self.name, self.ttl, self.class, self.rdata.rtype(), self.rdata)
     }
 }
 
@@ -299,7 +291,11 @@ impl Message {
     /// for name-compression state. Callers that own the destination buffer
     /// (like [`QueryEncoder`]'s cache slots) encode straight into it with
     /// no intermediate copy.
-    pub(crate) fn encode_to(&self, out: &mut Vec<u8>, compress: &mut NameCompressor) -> Result<(), BuildError> {
+    pub(crate) fn encode_to(
+        &self,
+        out: &mut Vec<u8>,
+        compress: &mut NameCompressor,
+    ) -> Result<(), BuildError> {
         let mut w = Writer::from_vec(std::mem::take(out));
         let written = self.write(&mut w, compress);
         *out = w.into_bytes();
@@ -308,12 +304,8 @@ impl Message {
 
     /// Appends the message to the empty writer `w`.
     fn write(&self, w: &mut Writer, compress: &mut NameCompressor) -> Result<(), BuildError> {
-        let sections = [
-            self.questions.len(),
-            self.answers.len(),
-            self.authority.len(),
-            self.additional.len(),
-        ];
+        let sections =
+            [self.questions.len(), self.answers.len(), self.authority.len(), self.additional.len()];
         let mut counts = [0u16; 4];
         for (count, len) in counts.iter_mut().zip(sections) {
             *count = u16::try_from(len).map_err(|_| BuildError::TooManyRecords)?;
@@ -323,11 +315,8 @@ impl Message {
         for q in &self.questions {
             q.encode(w, compress);
         }
-        let records = self
-            .answers
-            .iter()
-            .chain(self.authority.iter())
-            .chain(self.additional.iter());
+        let records =
+            self.answers.iter().chain(self.authority.iter()).chain(self.additional.iter());
         for rec in records {
             rec.encode(w, compress)?;
         }
@@ -392,11 +381,8 @@ impl QueryEncoder {
             bytes[0..2].copy_from_slice(&txid.to_be_bytes());
             return Ok(&self.cache[idx].1);
         }
-        let mut slot = if self.cache.len() >= Self::CAPACITY {
-            self.cache.remove(0).1
-        } else {
-            Vec::new()
-        };
+        let mut slot =
+            if self.cache.len() >= Self::CAPACITY { self.cache.remove(0).1 } else { Vec::new() };
         let msg = Message::query(txid, question.clone());
         msg.encode_to(&mut slot, &mut self.compress)?;
         self.cache.push((question.clone(), slot));
@@ -528,11 +514,7 @@ mod tests {
         let mut msg = Message::query(1, Question::new(name.clone(), RType::A));
         msg.header.qr = true;
         for i in 0..4 {
-            msg.answers.push(Record::new(
-                name.clone(),
-                60,
-                RData::A(Ipv4Addr::new(10, 0, 0, i)),
-            ));
+            msg.answers.push(Record::new(name.clone(), 60, RData::A(Ipv4Addr::new(10, 0, 0, i))));
         }
         let bytes = msg.encode().unwrap();
         // Uncompressed, each answer would repeat the 38-byte name; with
@@ -566,10 +548,7 @@ mod tests {
         let mut bytes = msg.encode().unwrap();
         bytes.extend_from_slice(b"junk");
         assert!(Message::parse(&bytes).is_ok());
-        assert_eq!(
-            Message::parse_strict(&bytes),
-            Err(ParseError::TrailingBytes { remaining: 4 })
-        );
+        assert_eq!(Message::parse_strict(&bytes), Err(ParseError::TrailingBytes { remaining: 4 }));
     }
 
     #[test]
@@ -583,10 +562,7 @@ mod tests {
         let mut w = Writer::new();
         Header::query(1).encode(&mut w, [1, 0, 0, 0]);
         let bytes = w.into_bytes();
-        assert!(matches!(
-            Message::parse(&bytes),
-            Err(ParseError::UnexpectedEnd { .. })
-        ));
+        assert!(matches!(Message::parse(&bytes), Err(ParseError::UnexpectedEnd { .. })));
     }
 
     #[test]

@@ -355,7 +355,9 @@ impl NameCompressor {
                 if len == 0 {
                     return Some(start);
                 }
-                if !buf[off + 1..off + 1 + len].eq_ignore_ascii_case(&suffix[spos + 1..spos + 1 + slen]) {
+                if !buf[off + 1..off + 1 + len]
+                    .eq_ignore_ascii_case(&suffix[spos + 1..spos + 1 + slen])
+                {
                     continue 'candidates;
                 }
                 off += 1 + len;
@@ -368,8 +370,7 @@ impl NameCompressor {
 
 impl PartialEq for Name {
     fn eq(&self, other: &Self) -> bool {
-        self.wire.len() == other.wire.len()
-            && self.wire.eq_ignore_ascii_case(&other.wire)
+        self.wire.len() == other.wire.len() && self.wire.eq_ignore_ascii_case(&other.wire)
     }
 }
 

@@ -108,11 +108,7 @@ impl RData {
     }
 
     /// Parses RDATA of `rtype` from exactly `rdlength` bytes at the cursor.
-    pub fn parse(
-        r: &mut Reader<'_>,
-        rtype: RType,
-        rdlength: u16,
-    ) -> Result<RData, ParseError> {
+    pub fn parse(r: &mut Reader<'_>, rtype: RType, rdlength: u16) -> Result<RData, ParseError> {
         let start = r.position();
         let end = start + rdlength as usize;
         let out = match rtype {
@@ -176,11 +172,7 @@ impl RData {
     /// cursor without building anything. Accepts and rejects exactly the
     /// inputs [`RData::parse`] does — the zero-copy message view uses this
     /// to guarantee a validated view can always be materialized.
-    pub(crate) fn skip(
-        r: &mut Reader<'_>,
-        rtype: RType,
-        rdlength: u16,
-    ) -> Result<(), ParseError> {
+    pub(crate) fn skip(r: &mut Reader<'_>, rtype: RType, rdlength: u16) -> Result<(), ParseError> {
         let start = r.position();
         let end = start + rdlength as usize;
         match rtype {
@@ -392,10 +384,7 @@ mod tests {
         // Declares a 10-byte string but RDATA is only 3 bytes long.
         let bytes = [10u8, b'a', b'b'];
         let mut r = Reader::new(&bytes);
-        assert_eq!(
-            RData::parse(&mut r, RType::Txt, 3),
-            Err(ParseError::BadCharacterString)
-        );
+        assert_eq!(RData::parse(&mut r, RType::Txt, 3), Err(ParseError::BadCharacterString));
     }
 
     #[test]
@@ -432,10 +421,7 @@ mod tests {
     fn a_with_wrong_length_rejected() {
         let bytes = [1, 2, 3];
         let mut r = Reader::new(&bytes);
-        assert_eq!(
-            RData::parse(&mut r, RType::A, 3),
-            Err(ParseError::BadRdataLength { rtype: 1 })
-        );
+        assert_eq!(RData::parse(&mut r, RType::A, 3), Err(ParseError::BadRdataLength { rtype: 1 }));
     }
 
     #[test]

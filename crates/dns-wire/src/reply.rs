@@ -68,10 +68,7 @@ impl Reply {
 
 impl fmt::Debug for Reply {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Reply")
-            .field("view", &self.view())
-            .field("len", &self.bytes.len())
-            .finish()
+        f.debug_struct("Reply").field("view", &self.view()).field("len", &self.bytes.len()).finish()
     }
 }
 

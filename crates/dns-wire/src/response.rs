@@ -31,7 +31,11 @@ impl EncodeScratch {
     /// `Message::response_to` copies. [`Header::response_to`] gives the
     /// header `Message::response_to` would; callers adjust flags from
     /// there.
-    pub fn response<'s>(&'s mut self, query: &MessageView<'_>, header: &Header) -> ResponseWriter<'s> {
+    pub fn response<'s>(
+        &'s mut self,
+        query: &MessageView<'_>,
+        header: &Header,
+    ) -> ResponseWriter<'s> {
         let EncodeScratch { buf: w, compress } = self;
         w.clear();
         compress.clear();

@@ -19,9 +19,7 @@
 
 use crate::error::ParseError;
 use crate::message::{Header, Message, Question, Record};
-use crate::name::{
-    decompress, label_count, walk_name, wire_is_subdomain_of, Name, MAX_NAME_LEN,
-};
+use crate::name::{decompress, label_count, walk_name, wire_is_subdomain_of, Name, MAX_NAME_LEN};
 use crate::rdata::RData;
 use crate::reply::Reply;
 use crate::types::{RClass, RType};
@@ -424,15 +422,7 @@ impl<'a> Iterator for RecordIter<'a> {
         let rdlength = self.r.read_u16().expect("validated");
         let rdata_off = self.r.position();
         RData::skip(&mut self.r, rtype, rdlength).expect(VALIDATED);
-        Some(RecordView {
-            name: NameRef { buf, off },
-            rtype,
-            class,
-            ttl,
-            buf,
-            rdata_off,
-            rdlength,
-        })
+        Some(RecordView { name: NameRef { buf, off }, rtype, class, ttl, buf, rdata_off, rdlength })
     }
 }
 
@@ -547,8 +537,11 @@ mod tests {
     fn compressed_names_resolve_through_the_view() {
         let name: Name = "a.b.example.com".parse().unwrap();
         let query = Message::query(3, Question::new(name.clone(), RType::Txt));
-        let resp = Message::response_to(&query, Rcode::NoError)
-            .with_answer(Record::new(name.clone(), 5, RData::txt("hello")));
+        let resp = Message::response_to(&query, Rcode::NoError).with_answer(Record::new(
+            name.clone(),
+            5,
+            RData::txt("hello"),
+        ));
         let bytes = resp.encode().unwrap();
         // The answer's owner name is a compression pointer; the view must
         // still compare and materialize it correctly.

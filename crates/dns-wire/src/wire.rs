@@ -49,10 +49,7 @@ impl<'a> Reader<'a> {
 
     /// Reads one octet.
     pub(crate) fn read_u8(&mut self) -> Result<u8, ParseError> {
-        let b = *self
-            .buf
-            .get(self.pos)
-            .ok_or(ParseError::UnexpectedEnd { offset: self.pos })?;
+        let b = *self.buf.get(self.pos).ok_or(ParseError::UnexpectedEnd { offset: self.pos })?;
         self.pos += 1;
         Ok(b)
     }
@@ -71,10 +68,7 @@ impl<'a> Reader<'a> {
 
     /// Reads exactly `n` bytes, advancing the cursor.
     pub(crate) fn read_bytes(&mut self, n: usize) -> Result<&'a [u8], ParseError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .ok_or(ParseError::UnexpectedEnd { offset: self.pos })?;
+        let end = self.pos.checked_add(n).ok_or(ParseError::UnexpectedEnd { offset: self.pos })?;
         if end > self.buf.len() {
             return Err(ParseError::UnexpectedEnd { offset: self.pos });
         }

@@ -45,13 +45,20 @@ fn arb_rdata() -> impl Strategy<Value = RData> {
         arb_name().prop_map(RData::Ptr),
         (any::<u16>(), arb_name())
             .prop_map(|(preference, exchange)| RData::Mx { preference, exchange }),
-        (arb_name(), arb_name(), any::<u32>(), any::<u32>(), any::<u32>(), any::<u32>(), any::<u32>())
+        (
+            arb_name(),
+            arb_name(),
+            any::<u32>(),
+            any::<u32>(),
+            any::<u32>(),
+            any::<u32>(),
+            any::<u32>()
+        )
             .prop_map(|(mname, rname, serial, refresh, retry, expire, minimum)| {
                 RData::Soa(Soa { mname, rname, serial, refresh, retry, expire, minimum })
             }),
-        (200u16..60000, proptest::collection::vec(any::<u8>(), 0..=64)).prop_map(
-            |(rtype, data)| RData::Unknown { rtype, data: bytes::Bytes::from(data) }
-        ),
+        (200u16..60000, proptest::collection::vec(any::<u8>(), 0..=64))
+            .prop_map(|(rtype, data)| RData::Unknown { rtype, data: bytes::Bytes::from(data) }),
     ]
 }
 

@@ -29,11 +29,7 @@ fn arb_name() -> impl Strategy<Value = Name> {
 }
 
 fn arb_rclass() -> impl Strategy<Value = RClass> {
-    prop_oneof![
-        Just(RClass::In),
-        Just(RClass::Chaos),
-        any::<u16>().prop_map(RClass::from_u16),
-    ]
+    prop_oneof![Just(RClass::In), Just(RClass::Chaos), any::<u16>().prop_map(RClass::from_u16),]
 }
 
 fn arb_rdata() -> impl Strategy<Value = RData> {
@@ -47,13 +43,20 @@ fn arb_rdata() -> impl Strategy<Value = RData> {
         arb_name().prop_map(RData::Ptr),
         (any::<u16>(), arb_name())
             .prop_map(|(preference, exchange)| RData::Mx { preference, exchange }),
-        (arb_name(), arb_name(), any::<u32>(), any::<u32>(), any::<u32>(), any::<u32>(), any::<u32>())
+        (
+            arb_name(),
+            arb_name(),
+            any::<u32>(),
+            any::<u32>(),
+            any::<u32>(),
+            any::<u32>(),
+            any::<u32>()
+        )
             .prop_map(|(mname, rname, serial, refresh, retry, expire, minimum)| {
                 RData::Soa(Soa { mname, rname, serial, refresh, retry, expire, minimum })
             }),
-        (200u16..60000, proptest::collection::vec(any::<u8>(), 0..=64)).prop_map(
-            |(rtype, data)| RData::Unknown { rtype, data: bytes::Bytes::from(data) }
-        ),
+        (200u16..60000, proptest::collection::vec(any::<u8>(), 0..=64))
+            .prop_map(|(rtype, data)| RData::Unknown { rtype, data: bytes::Bytes::from(data) }),
     ]
 }
 
@@ -200,7 +203,8 @@ fn assert_reply_parity(
     prop_assert_eq!(stored.header(), fresh.header());
     prop_assert_eq!(stored.question_count(), fresh.question_count());
     prop_assert_eq!(stored.answer_count(), fresh.answer_count());
-    let questions = |v: &MessageView<'_>| v.questions().map(|q| q.to_question()).collect::<Vec<_>>();
+    let questions =
+        |v: &MessageView<'_>| v.questions().map(|q| q.to_question()).collect::<Vec<_>>();
     prop_assert_eq!(questions(&stored), questions(fresh));
     let sections = |v: &MessageView<'_>| {
         [v.answers(), v.authority(), v.additional()]

@@ -96,7 +96,11 @@ impl Device for BackgroundClient {
 
 /// Arms a background client: schedules its first timer tick. Call after
 /// adding the device to the simulator.
-pub(crate) fn start_background(sim: &mut netsim::Simulator, node: netsim::NodeId, delay: SimDuration) {
+pub(crate) fn start_background(
+    sim: &mut netsim::Simulator,
+    node: netsim::NodeId,
+    delay: SimDuration,
+) {
     sim.inject_timer(node, delay, 0);
 }
 

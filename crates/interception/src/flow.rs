@@ -270,12 +270,8 @@ pub fn render_flows(flows: &[QueryFlow]) -> String {
     let mut out = String::new();
     for flow in flows {
         let (qname, qtype) = flow.question_text();
-        let _ = writeln!(
-            out,
-            "txid 0x{:04x}  {qname} {qtype}  ({} hops)",
-            flow.txid,
-            flow.hops.len()
-        );
+        let _ =
+            writeln!(out, "txid 0x{:04x}  {qname} {qtype}  ({} hops)", flow.txid, flow.hops.len());
         for hop in &flow.hops {
             let iface = hop.iface.map(|i| format!("if{i}")).unwrap_or_else(|| "-".into());
             let us = hop.at_us;

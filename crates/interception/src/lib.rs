@@ -24,15 +24,15 @@ mod scenario;
 mod timing;
 mod transport;
 
+pub use background::BackgroundClient;
 pub use flow::{
     flow_rtt_us, flows_to_json, render_flows, FlowDirection, FlowHop, HopDetail, QueryFlow,
 };
-pub use timing::{phase_label, ProbeTimingLog, RttSample, PHASE_COUNT};
 pub use isp::{IspProfile, MiddleboxSpec, RedirectTarget, ResolverMode};
+pub use replicate::ReplicatingInterceptor;
 pub use scenario::{
     BuiltScenario, CpeModelKind, GroundTruth, HomeScenario, OpenDnsClass, Region, ScenarioAddrs,
     WorldTemplate,
 };
-pub use background::BackgroundClient;
-pub use replicate::ReplicatingInterceptor;
+pub use timing::{phase_label, ProbeTimingLog, RttSample, PHASE_COUNT};
 pub use transport::{SimTransport, Vantage};

@@ -5,9 +5,7 @@
 //! client, so interception and replication are indistinguishable" for the
 //! technique's purposes — which this device lets tests demonstrate.
 
-use netsim::{
-    Cidr, Ctx, Device, DnatRule, IpPacket, NatEngine, NatVerdict, RouteTable, SharedStr,
-};
+use netsim::{Cidr, Ctx, Device, DnatRule, IpPacket, NatEngine, NatVerdict, RouteTable, SharedStr};
 use std::net::IpAddr;
 
 /// A replicating in-path interceptor with two interfaces: 0 toward the
@@ -26,12 +24,7 @@ impl ReplicatingInterceptor {
     pub fn new(name: impl Into<SharedStr>, redirect_to: IpAddr) -> ReplicatingInterceptor {
         let mut nat = NatEngine::new();
         nat.add_dnat(DnatRule::redirect_dns(redirect_to));
-        ReplicatingInterceptor {
-            name: name.into(),
-            routes: RouteTable::new(),
-            nat,
-            replicated: 0,
-        }
+        ReplicatingInterceptor { name: name.into(), routes: RouteTable::new(), nat, replicated: 0 }
     }
 
     /// Adds a client-side route.
@@ -53,8 +46,7 @@ impl Device for ReplicatingInterceptor {
     fn receive(&mut self, ctx: &mut Ctx<'_>, iface: netsim::IfaceId, mut packet: IpPacket) {
         match iface.0 {
             0 => {
-                let is_dns =
-                    packet.udp_payload().map(|u| u.dst_port == 53).unwrap_or(false);
+                let is_dns = packet.udp_payload().map(|u| u.dst_port == 53).unwrap_or(false);
                 if is_dns {
                     // Replicate: the original continues untouched…
                     self.forward(ctx, packet.clone());

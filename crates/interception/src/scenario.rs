@@ -11,8 +11,8 @@ use crate::isp::{IspProfile, MiddleboxSpec, RedirectTarget, ResolverMode};
 use cpe::{models, CpeConfig, CpeDevice, DnsMode};
 use locator::{InterceptorLocation, LocatorConfig, ResolverKey};
 use netsim::{
-    BurstLoss, Cidr, DnatRule, FaultProfile, Host, IfaceId, LateDelivery, NatEngine, NodeId,
-    Proto, Router, SharedStr, SimDuration, SimScratch, Simulator,
+    BurstLoss, Cidr, DnatRule, FaultProfile, Host, IfaceId, LateDelivery, NatEngine, NodeId, Proto,
+    Router, SharedStr, SimDuration, SimScratch, Simulator,
 };
 use resolver_sim::{
     ChaosPolicy, PublicBrand, PublicResolverSite, RecursiveResolver, ResolveCtx, SiteProfile,
@@ -307,7 +307,10 @@ impl HomeScenario {
 
     /// An ISP that intercepts everything at a middlebox.
     pub fn isp_middlebox() -> HomeScenario {
-        HomeScenario { middlebox: Some(MiddleboxSpec::redirect_all_to_isp()), ..HomeScenario::clean() }
+        HomeScenario {
+            middlebox: Some(MiddleboxSpec::redirect_all_to_isp()),
+            ..HomeScenario::clean()
+        }
     }
 
     /// The three §3.4 worked-example probes, as `(probe id, scenario)`
@@ -428,8 +431,8 @@ impl HomeScenario {
                 // die at the border, so the technique can only say
                 // beyond/unknown.
                 let spec = self.middlebox.as_ref().expect("truth said middlebox");
-                let v4_catches_bogon = spec.redirect_v4.is_some()
-                    && !spec.match_dsts.iter().any(|a| a.is_ipv4());
+                let v4_catches_bogon =
+                    spec.redirect_v4.is_some() && !spec.match_dsts.iter().any(|a| a.is_ipv4());
                 let v6_catches_bogon = self.probe_has_v6
                     && spec.redirect_v6.is_some()
                     && !spec.match_dsts.iter().any(|a| !a.is_ipv4());
@@ -591,13 +594,8 @@ impl AuthTree {
     /// Builds the standard tree, parsing each qname exactly once.
     fn standard() -> AuthTree {
         use resolver_sim::{Delegation, ReflectKind, ReflectorZone, ServedZone, StaticZone};
-        let apexes = [
-            "example.com",
-            "akamai.com",
-            "google.com",
-            "opendns.com",
-            "dns-hijack-study.example",
-        ];
+        let apexes =
+            ["example.com", "akamai.com", "google.com", "opendns.com", "dns-hijack-study.example"];
         let root = ServedZone {
             apex: dns_wire::Name::root(),
             zone: Arc::new(StaticZone::new()),
@@ -616,11 +614,7 @@ impl AuthTree {
         example.add_a("example.com", 3600, Ipv4Addr::new(93, 184, 216, 34));
         example.add_a("www.example.com", 3600, Ipv4Addr::new(93, 184, 216, 34));
         let mut probe_zone = StaticZone::new();
-        probe_zone.add_a(
-            "probe.dns-hijack-study.example",
-            60,
-            Ipv4Addr::new(93, 184, 216, 40),
-        );
+        probe_zone.add_a("probe.dns-hijack-study.example", 60, Ipv4Addr::new(93, 184, 216, 40));
         let world = vec![
             ServedZone {
                 apex: "example.com".parse().expect("static name"),
@@ -705,22 +699,18 @@ impl Default for WorldTemplate {
 /// Per-brand egress addresses (v4, v6) for public resolver sites.
 fn brand_egress(brand: PublicBrand) -> (Ipv4Addr, Ipv6Addr) {
     match brand {
-        PublicBrand::Cloudflare => (
-            Ipv4Addr::new(172, 68, 1, 1),
-            "2400:cb00::1".parse().expect("static address"),
-        ),
-        PublicBrand::Google => (
-            Ipv4Addr::new(172, 253, 226, 35),
-            "2404:6800::35".parse().expect("static address"),
-        ),
-        PublicBrand::Quad9 => (
-            Ipv4Addr::new(74, 63, 16, 10),
-            "2620:171::10".parse().expect("static address"),
-        ),
-        PublicBrand::OpenDns => (
-            Ipv4Addr::new(146, 112, 1, 1),
-            "2a04:e4c0::1".parse().expect("static address"),
-        ),
+        PublicBrand::Cloudflare => {
+            (Ipv4Addr::new(172, 68, 1, 1), "2400:cb00::1".parse().expect("static address"))
+        }
+        PublicBrand::Google => {
+            (Ipv4Addr::new(172, 253, 226, 35), "2404:6800::35".parse().expect("static address"))
+        }
+        PublicBrand::Quad9 => {
+            (Ipv4Addr::new(74, 63, 16, 10), "2620:171::10".parse().expect("static address"))
+        }
+        PublicBrand::OpenDns => {
+            (Ipv4Addr::new(146, 112, 1, 1), "2a04:e4c0::1".parse().expect("static address"))
+        }
     }
 }
 
@@ -752,7 +742,11 @@ impl HomeScenario {
     /// [`Simulator::into_scratch`]). Campaign workers use this so each
     /// probe's world is built into already-sized allocations instead of
     /// growing a fresh one from zero.
-    pub fn build_with_scratch(&self, template: &WorldTemplate, scratch: SimScratch) -> BuiltScenario {
+    pub fn build_with_scratch(
+        &self,
+        template: &WorldTemplate,
+        scratch: SimScratch,
+    ) -> BuiltScenario {
         let isp = &self.isp;
         // "<ISP>-edge" and the like, in one allocation each (`format!`
         // would grow the string twice).
@@ -855,16 +849,15 @@ impl HomeScenario {
         // dedicated refusing resolver (§4.1.2's "Both" pattern).
         let filter_resolver_v4 =
             Ipv4Addr::from(u32::from(isp.v4_prefix) + (76 << 16) + (76 << 8) + 76);
-        let needs_filter_resolver = self
-            .middlebox
-            .as_ref()
-            .map(|m| !m.refused_dsts.is_empty())
-            .unwrap_or(false);
+        let needs_filter_resolver =
+            self.middlebox.as_ref().map(|m| !m.refused_dsts.is_empty()).unwrap_or(false);
         let filter_resolver_node = needs_filter_resolver.then(|| {
             let mut filter = RecursiveResolver::new(
                 isp_device("-filter-resolver"),
                 [IpAddr::V4(filter_resolver_v4)],
-                ResolveCtx::v4(Ipv4Addr::from(u32::from(isp.v4_prefix) + (76 << 16) + (76 << 8) + 77)),
+                ResolveCtx::v4(Ipv4Addr::from(
+                    u32::from(isp.v4_prefix) + (76 << 16) + (76 << 8) + 77,
+                )),
                 Arc::clone(&zonedb),
                 SoftwareProfile::custom(&isp.resolver_version),
             );
@@ -880,7 +873,8 @@ impl HomeScenario {
         let home_v4_host = Cidr::host(IpAddr::V4(wan_v4));
 
         // Each router's table is sized up front for the routes added below.
-        let (v6_routes, resolver_routes) = (2 * usize::from(home_v6), 3 * usize::from(isp.resolver_in_as));
+        let (v6_routes, resolver_routes) =
+            (2 * usize::from(home_v6), 3 * usize::from(isp.resolver_in_as));
         let mut edge = Router::new(isp_device("-edge"));
         edge.routes.reserve(4 + v6_routes + resolver_routes);
         edge.add_addr(IpAddr::V4(Ipv4Addr::from(u32::from(isp.v4_prefix) + 1)));
@@ -983,8 +977,7 @@ impl HomeScenario {
         let auth_nodes = use_iterative.then(|| {
             use resolver_sim::AuthoritativeServer;
             let tree = &template.auth_tree;
-            let mut root_auth =
-                AuthoritativeServer::new("root-auth", [IpAddr::V4(root_auth_v4)]);
+            let mut root_auth = AuthoritativeServer::new("root-auth", [IpAddr::V4(root_auth_v4)]);
             root_auth.serve(tree.root.clone());
             let root_auth = sim.add_device(root_auth);
 
@@ -1321,10 +1314,8 @@ mod tests {
             HomeScenario::xb6_case_study().expected_location(),
             Some(InterceptorLocation::Cpe)
         );
-        let stealth = HomeScenario {
-            cpe_model: CpeModelKind::StealthInterceptor,
-            ..HomeScenario::clean()
-        };
+        let stealth =
+            HomeScenario { cpe_model: CpeModelKind::StealthInterceptor, ..HomeScenario::clean() };
         assert_eq!(stealth.expected_location(), Some(InterceptorLocation::WithinIsp));
         let outside = HomeScenario {
             isp: IspProfile { resolver_in_as: false, ..IspProfile::comcast_like() },

@@ -270,7 +270,8 @@ mod tests {
     fn clean_scenario_reaches_real_resolvers() {
         let mut t = SimTransport::new(HomeScenario::clean().build());
         for (i, resolver) in default_resolvers().into_iter().enumerate() {
-            let out = t.query(resolver.v4[0], &resolver.location_query(), 0x2000 + i as u16, opts());
+            let out =
+                t.query(resolver.v4[0], &resolver.location_query(), 0x2000 + i as u16, opts());
             let reply = out.response().unwrap_or_else(|| panic!("timeout for {:?}", resolver.key));
             assert!(
                 resolver.is_standard_location_response(&reply.view()),
@@ -285,7 +286,8 @@ mod tests {
     fn clean_scenario_v6_works_too() {
         let mut t = SimTransport::new(HomeScenario::clean().build());
         for (i, resolver) in default_resolvers().into_iter().enumerate() {
-            let out = t.query(resolver.v6[0], &resolver.location_query(), 0x2100 + i as u16, opts());
+            let out =
+                t.query(resolver.v6[0], &resolver.location_query(), 0x2100 + i as u16, opts());
             let reply = out.response().expect("v6 response");
             assert!(resolver.is_standard_location_response(&reply.view()), "{:?}", resolver.key);
         }
@@ -321,8 +323,9 @@ mod tests {
 
     #[test]
     fn v6_query_without_v6_home_times_out() {
-        let mut t =
-            SimTransport::new(HomeScenario { probe_has_v6: false, ..HomeScenario::clean() }.build());
+        let mut t = SimTransport::new(
+            HomeScenario { probe_has_v6: false, ..HomeScenario::clean() }.build(),
+        );
         let q = Question::chaos_txt("id.server".parse().unwrap());
         let out = t.query("2606:4700:4700::1111".parse().unwrap(), &q, 0x2000, opts());
         assert!(out.is_timeout());

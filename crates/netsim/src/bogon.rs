@@ -43,12 +43,12 @@ fn bogons_v6_table() -> &'static [Cidr] {
     static TABLE: OnceLock<Vec<Cidr>> = OnceLock::new();
     TABLE.get_or_init(|| {
         [
-            "::/8",         // unspecified / v4-mapped region
-            "100::/64",     // discard-only (RFC 6666)
-            "2001:db8::/32",// documentation
-            "fc00::/7",     // unique local
-            "fe80::/10",    // link local
-            "ff00::/8",     // multicast
+            "::/8",          // unspecified / v4-mapped region
+            "100::/64",      // discard-only (RFC 6666)
+            "2001:db8::/32", // documentation
+            "fc00::/7",      // unique local
+            "fe80::/10",     // link local
+            "ff00::/8",      // multicast
         ]
         .iter()
         .map(|s| s.parse().expect("static prefix"))

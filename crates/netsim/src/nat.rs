@@ -240,9 +240,7 @@ impl NatEngine {
         if let (Some(m), false) = (masq, deliver_local) {
             if pkt.src() != m.public_addr {
                 pkt.set_src(m.public_addr);
-                if let Some((want, dport)) =
-                    pkt.udp_payload().map(|u| (u.src_port, u.dst_port))
-                {
+                if let Some((want, dport)) = pkt.udp_payload().map(|u| (u.src_port, u.dst_port)) {
                     let allocated = self.allocate_port(want, &pkt, dport);
                     if let Some(udp) = pkt.udp_payload_mut() {
                         udp.src_port = allocated;
@@ -291,13 +289,8 @@ impl NatEngine {
     /// spoofed source.
     pub fn local_reply(&self, request: &IpPacket, payload: bytes::Bytes) -> Option<IpPacket> {
         let udp = request.udp_payload()?;
-        let mut reply = IpPacket::udp(
-            request.dst(),
-            request.src(),
-            udp.dst_port,
-            udp.src_port,
-            payload,
-        )?;
+        let mut reply =
+            IpPacket::udp(request.dst(), request.src(), udp.dst_port, udp.src_port, payload)?;
         self.inbound(&mut reply).then_some(reply)
     }
 
@@ -317,11 +310,8 @@ impl NatEngine {
         }
         for _ in 0..16384 {
             let candidate = self.next_ephemeral;
-            self.next_ephemeral = if self.next_ephemeral == u16::MAX {
-                49152
-            } else {
-                self.next_ephemeral + 1
-            };
+            self.next_ephemeral =
+                if self.next_ephemeral == u16::MAX { 49152 } else { self.next_ephemeral + 1 };
             if !self.conntrack.contains_key(&probe(candidate)) {
                 return candidate;
             }
@@ -374,13 +364,8 @@ mod tests {
         assert_eq!(out.udp_payload().unwrap().src_port, 4000); // port-preserving
 
         // Reply from 8.8.8.8 back to the public address.
-        let mut translated = IpPacket::udp_v4(
-            v4("8.8.8.8"),
-            v4("73.22.1.5"),
-            53,
-            4000,
-            Bytes::from_static(b"resp"),
-        );
+        let mut translated =
+            IpPacket::udp_v4(v4("8.8.8.8"), v4("73.22.1.5"), 53, 4000, Bytes::from_static(b"resp"));
         assert!(nat.inbound(&mut translated));
         assert_eq!(translated.dst(), "192.168.1.100".parse::<IpAddr>().unwrap());
         assert_eq!(translated.src(), "8.8.8.8".parse::<IpAddr>().unwrap());
@@ -433,9 +418,7 @@ mod tests {
         assert_eq!(delivered.dst(), "192.168.1.1".parse::<IpAddr>().unwrap());
 
         // Local forwarder answers; reply must appear to come from 1.1.1.1.
-        let reply = nat
-            .local_reply(&delivered, Bytes::from_static(b"answer"))
-            .unwrap();
+        let reply = nat.local_reply(&delivered, Bytes::from_static(b"answer")).unwrap();
         assert_eq!(reply.src(), "1.1.1.1".parse::<IpAddr>().unwrap());
         assert_eq!(reply.dst(), "192.168.1.100".parse::<IpAddr>().unwrap());
         assert_eq!(reply.udp_payload().unwrap().dst_port, 4001);

@@ -264,8 +264,13 @@ mod tests {
 
     #[test]
     fn ttl_decrement_drops_at_one() {
-        let mut p =
-            IpPacket::udp_v4("1.1.1.1".parse().unwrap(), "2.2.2.2".parse().unwrap(), 1, 2, Bytes::new());
+        let mut p = IpPacket::udp_v4(
+            "1.1.1.1".parse().unwrap(),
+            "2.2.2.2".parse().unwrap(),
+            1,
+            2,
+            Bytes::new(),
+        );
         p.ttl = 2;
         assert!(p.decrement_ttl());
         assert_eq!(p.ttl, 1);

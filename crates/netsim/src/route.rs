@@ -59,11 +59,7 @@ impl Cidr {
                 (u32::from(*addr) & mask) == (u32::from(ip) & mask)
             }
             (Cidr::V6 { addr, prefix }, IpAddr::V6(ip)) => {
-                let mask = if *prefix == 0 {
-                    0
-                } else {
-                    u128::MAX << (128 - *prefix as u32)
-                };
+                let mask = if *prefix == 0 { 0 } else { u128::MAX << (128 - *prefix as u32) };
                 (u128::from(*addr) & mask) == (u128::from(ip) & mask)
             }
             _ => false,

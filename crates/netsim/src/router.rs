@@ -66,7 +66,11 @@ impl Router {
 
     /// Installs a NAT engine; packets arriving on `inside` interfaces go
     /// through the outbound path, all others through the inbound path.
-    pub fn set_nat(&mut self, engine: NatEngine, inside: impl IntoIterator<Item = IfaceId>) -> &mut Self {
+    pub fn set_nat(
+        &mut self,
+        engine: NatEngine,
+        inside: impl IntoIterator<Item = IfaceId>,
+    ) -> &mut Self {
         self.nat = Some((engine, inside.into_iter().collect()));
         self
     }
@@ -80,9 +84,11 @@ impl Router {
 
     fn deliver_local(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, packet: IpPacket) {
         if let Transport::Icmp(IcmpMessage::EchoRequest { id, seq }) = &packet.transport {
-            if let Some(reply) =
-                IpPacket::icmp(packet.dst(), packet.src(), IcmpMessage::EchoReply { id: *id, seq: *seq })
-            {
+            if let Some(reply) = IpPacket::icmp(
+                packet.dst(),
+                packet.src(),
+                IcmpMessage::EchoReply { id: *id, seq: *seq },
+            ) {
                 ctx.send(iface, reply);
             }
         }
@@ -213,7 +219,13 @@ mod tests {
     }
 
     fn dns_pkt(src: &str, dst: &str) -> IpPacket {
-        IpPacket::udp_v4(src.parse().unwrap(), dst.parse().unwrap(), 4000, 53, Bytes::from_static(b"q"))
+        IpPacket::udp_v4(
+            src.parse().unwrap(),
+            dst.parse().unwrap(),
+            4000,
+            53,
+            Bytes::from_static(b"q"),
+        )
     }
 
     /// Topology: sink_a <-> router <-> sink_b, router routes 10.0.0.0/8 to
@@ -267,10 +279,7 @@ mod tests {
         // The source got an ICMP time-exceeded.
         let back = &sim.device::<Sink>(a).unwrap().received;
         assert_eq!(back.len(), 1);
-        assert!(matches!(
-            back[0].transport,
-            Transport::Icmp(IcmpMessage::TimeExceeded { .. })
-        ));
+        assert!(matches!(back[0].transport, Transport::Icmp(IcmpMessage::TimeExceeded { .. })));
     }
 
     #[test]

@@ -762,10 +762,7 @@ impl Net {
             );
         }
         self.links[idx].stats.delivered += 1;
-        self.push_event(
-            at,
-            EventKind::Arrival { node: dest.node, iface: dest.iface, packet },
-        );
+        self.push_event(at, EventKind::Arrival { node: dest.node, iface: dest.iface, packet });
     }
 
     fn set_timer(&mut self, node: NodeId, delay: SimDuration, token: u64) {
@@ -973,9 +970,16 @@ mod tests {
         let mut sim = Simulator::new(11);
         let a = sim.add_device(Probe::new("a", false));
         let b = sim.add_device(Probe::new("b", false));
-        let faults =
-            FaultProfile { burst: Some(BurstLoss { start: 1.0, length: 2 }), ..FaultProfile::default() };
-        let l = sim.connect_faulty((a, IfaceId(0)), (b, IfaceId(0)), SimDuration::from_millis(1), faults);
+        let faults = FaultProfile {
+            burst: Some(BurstLoss { start: 1.0, length: 2 }),
+            ..FaultProfile::default()
+        };
+        let l = sim.connect_faulty(
+            (a, IfaceId(0)),
+            (b, IfaceId(0)),
+            SimDuration::from_millis(1),
+            faults,
+        );
         // First packet triggers the burst, second is consumed by it.
         sim.inject(a, IfaceId(0), pkt());
         sim.inject(a, IfaceId(0), pkt());
@@ -983,7 +987,13 @@ mod tests {
         assert_eq!(sim.device::<Probe>(b).unwrap().received.len(), 0);
         assert_eq!(sim.stats().packets_dropped, 2);
         // Replacing the profile resets the episode; start = 0 never triggers.
-        sim.set_link_faults(l, FaultProfile { burst: Some(BurstLoss { start: 0.0, length: 2 }), ..FaultProfile::default() });
+        sim.set_link_faults(
+            l,
+            FaultProfile {
+                burst: Some(BurstLoss { start: 0.0, length: 2 }),
+                ..FaultProfile::default()
+            },
+        );
         sim.inject(a, IfaceId(0), pkt());
         sim.run_to_quiescence();
         assert_eq!(sim.device::<Probe>(b).unwrap().received.len(), 1);
@@ -1038,7 +1048,12 @@ mod tests {
                 duplicate: 0.15,
                 late: Some(LateDelivery { probability: 0.1, delay: SimDuration::from_millis(50) }),
             };
-            sim.connect_faulty((a, IfaceId(0)), (b, IfaceId(0)), SimDuration::from_millis(2), faults);
+            sim.connect_faulty(
+                (a, IfaceId(0)),
+                (b, IfaceId(0)),
+                SimDuration::from_millis(2),
+                faults,
+            );
             for _ in 0..200 {
                 sim.inject(a, IfaceId(0), pkt());
             }
@@ -1050,7 +1065,12 @@ mod tests {
                 .iter()
                 .map(|(t, _, _)| t.as_nanos())
                 .collect();
-            (times, sim.stats().packets_dropped, sim.stats().packets_duplicated, sim.stats().packets_delayed)
+            (
+                times,
+                sim.stats().packets_dropped,
+                sim.stats().packets_duplicated,
+                sim.stats().packets_delayed,
+            )
         };
         let first = run(99);
         // Every fault class exercised at least once with this seed.
@@ -1124,7 +1144,8 @@ mod tests {
         let mut sim = Simulator::new(7);
         let a = sim.add_device(Probe::new("a", false));
         let b = sim.add_device(Probe::new("b", false));
-        let l = sim.connect_lossy((a, IfaceId(0)), (b, IfaceId(0)), SimDuration::from_millis(1), 1.0);
+        let l =
+            sim.connect_lossy((a, IfaceId(0)), (b, IfaceId(0)), SimDuration::from_millis(1), 1.0);
         sim.record_capture();
         sim.inject(a, IfaceId(0), pkt());
         sim.run_to_quiescence();
@@ -1224,7 +1245,12 @@ mod tests {
                 duplicate: 0.15,
                 late: Some(LateDelivery { probability: 0.1, delay: SimDuration::from_millis(50) }),
             };
-            sim.connect_faulty((a, IfaceId(0)), (b, IfaceId(0)), SimDuration::from_millis(2), faults);
+            sim.connect_faulty(
+                (a, IfaceId(0)),
+                (b, IfaceId(0)),
+                SimDuration::from_millis(2),
+                faults,
+            );
             for _ in 0..100 {
                 sim.inject(a, IfaceId(0), pkt());
             }
@@ -1294,7 +1320,12 @@ mod tests {
             let a = sim.add_device(Probe::new("a", false));
             let b = sim.add_device(peer);
             let faults = FaultProfile { loss: 0.2, duplicate: 0.15, ..FaultProfile::default() };
-            sim.connect_faulty((a, IfaceId(0)), (b, IfaceId(0)), SimDuration::from_millis(2), faults);
+            sim.connect_faulty(
+                (a, IfaceId(0)),
+                (b, IfaceId(0)),
+                SimDuration::from_millis(2),
+                faults,
+            );
             for _ in 0..50 {
                 sim.inject(a, IfaceId(0), pkt());
             }
@@ -1370,17 +1401,17 @@ mod tests {
                 duplicate: 0.15,
                 late: Some(LateDelivery { probability: 0.1, delay: SimDuration::from_millis(50) }),
             };
-            sim.connect_faulty((a, IfaceId(0)), (b, IfaceId(0)), SimDuration::from_millis(2), faults);
+            sim.connect_faulty(
+                (a, IfaceId(0)),
+                (b, IfaceId(0)),
+                SimDuration::from_millis(2),
+                faults,
+            );
             for _ in 0..100 {
                 sim.inject(a, IfaceId(0), pkt());
             }
             sim.run_to_quiescence();
-            sim.device::<Probe>(a)
-                .unwrap()
-                .received
-                .iter()
-                .map(|(t, _, _)| t.as_nanos())
-                .collect()
+            sim.device::<Probe>(a).unwrap().received.iter().map(|(t, _, _)| t.as_nanos()).collect()
         };
         assert_eq!(run(false), run(true));
     }

@@ -166,8 +166,7 @@ mod tests {
     }
 
     fn server() -> AuthoritativeServer {
-        let mut s =
-            AuthoritativeServer::new("ns1", ["192.0.32.1".parse::<IpAddr>().unwrap()]);
+        let mut s = AuthoritativeServer::new("ns1", ["192.0.32.1".parse::<IpAddr>().unwrap()]);
         s.serve(ServedZone {
             apex: "example.com".parse().unwrap(),
             zone: example_zone(),
@@ -232,7 +231,8 @@ mod tests {
 
     #[test]
     fn query_without_a_question_gets_formerr() {
-        let mut query = Message::query(7, Question::new("www.example.com".parse().unwrap(), RType::A));
+        let mut query =
+            Message::query(7, Question::new("www.example.com".parse().unwrap(), RType::A));
         query.questions.clear();
         let resp = ask_message(&query, "10.0.0.1");
         assert_eq!(resp, Message::response_to(&query, Rcode::FormErr));
@@ -260,8 +260,7 @@ mod tests {
         let client = sim.add_device(Host::new("c", ["75.75.75.10".parse::<IpAddr>().unwrap()]));
         let srv = sim.add_device(s);
         sim.connect((client, IfaceId(0)), (srv, IfaceId(0)), SimDuration::from_millis(1));
-        let msg =
-            Message::query(1, Question::new("whoami.akamai.com".parse().unwrap(), RType::A));
+        let msg = Message::query(1, Question::new("whoami.akamai.com".parse().unwrap(), RType::A));
         let pkt = IpPacket::udp_v4(
             "75.75.75.10".parse().unwrap(),
             "192.0.34.1".parse().unwrap(),

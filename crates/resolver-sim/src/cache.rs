@@ -50,19 +50,12 @@ impl DnsCache {
     /// for empty/negative results). At capacity, the soonest-expiring entry
     /// is evicted.
     pub fn put(&mut self, q: &Question, result: ResolveResult, now: SimTime) {
-        let ttl_secs = result
-            .answers
-            .iter()
-            .map(|r| r.ttl as u64)
-            .min()
-            .unwrap_or(NEGATIVE_TTL_SECS);
+        let ttl_secs =
+            result.answers.iter().map(|r| r.ttl as u64).min().unwrap_or(NEGATIVE_TTL_SECS);
         let expiry = now + SimDuration::from_secs(ttl_secs);
         if self.map.len() >= self.capacity && !self.map.contains_key(&Self::key(q)) {
-            if let Some(evict) = self
-                .map
-                .iter()
-                .min_by_key(|(_, (exp, _))| *exp)
-                .map(|(k, _)| k.clone())
+            if let Some(evict) =
+                self.map.iter().min_by_key(|(_, (exp, _))| *exp).map(|(k, _)| k.clone())
             {
                 self.map.remove(&evict);
             }

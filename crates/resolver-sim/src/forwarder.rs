@@ -237,11 +237,7 @@ mod tests {
         let mut f = fwd();
         let q = Message::query(
             5,
-            Question {
-                qname: "x.y".parse().unwrap(),
-                qtype: RType::A,
-                qclass: RClass::Hesiod,
-            },
+            Question { qname: "x.y".parse().unwrap(), qtype: RType::A, qclass: RClass::Hesiod },
         );
         let query = wire(&q);
         assert_eq!(

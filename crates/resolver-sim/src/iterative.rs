@@ -125,9 +125,7 @@ impl IterativeResolver {
         resp.header.qr = true;
         resp.header.ra = true;
         let Some(payload) = encode_payload(ctx, &resp) else { return };
-        if let Some(pkt) =
-            IpPacket::udp(client.queried, client.src, 53, client.sport, payload)
-        {
+        if let Some(pkt) = IpPacket::udp(client.queried, client.src, 53, client.sport, payload) {
             ctx.send(client.iface, pkt);
         }
     }
@@ -146,8 +144,7 @@ impl IterativeResolver {
 
     fn send_upstream(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, txid: u16) {
         let Some(iter) = self.pending.get_mut(&txid) else { return };
-        let Some(&server) = iter.servers.get(iter.next_server % iter.servers.len().max(1))
-        else {
+        let Some(&server) = iter.servers.get(iter.next_server % iter.servers.len().max(1)) else {
             return;
         };
         iter.attempts += 1;
@@ -294,8 +291,7 @@ impl IterativeResolver {
             let iter = self.pending.remove(&txid).expect("present above");
             let mut answers = iter.chain.clone();
             answers.extend(resp.answers);
-            let result =
-                ResolveResult { rcode: Rcode::NoError, answers, authenticated: false };
+            let result = ResolveResult { rcode: Rcode::NoError, answers, authenticated: false };
             self.cache.put(&iter.original, result.clone(), ctx.now());
             Self::respond_result(ctx, &iter.client, &iter.original, &result);
             return;

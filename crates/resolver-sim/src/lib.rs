@@ -30,8 +30,8 @@ mod zone;
 
 pub use authoritative::{AuthoritativeServer, Delegation, ServedZone};
 pub use cache::DnsCache;
-pub use iterative::IterativeResolver;
 pub use forwarder::{ForwarderCore, FwdAction};
+pub use iterative::IterativeResolver;
 pub use public_site::{PublicBrand, PublicResolverSite, SiteProfile};
 pub use recursive::RecursiveResolver;
 pub use server::{

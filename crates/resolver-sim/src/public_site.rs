@@ -80,7 +80,10 @@ impl SiteProfile {
                 .then(|| RData::txt(format!("Q9-P-6.1-{site}"))),
             // OpenDNS synthesizes debug.opendns.com at the resolver itself.
             debug_txt: (brand == PublicBrand::OpenDns).then(|| {
-                [RData::txt(format!("server m{node_index}.{site}")), RData::txt("flags: 20 0 2F8 0")]
+                [
+                    RData::txt(format!("server m{node_index}.{site}")),
+                    RData::txt("flags: 20 0 2F8 0"),
+                ]
             }),
             location: None,
         }
@@ -250,12 +253,7 @@ mod tests {
         )
     }
 
-    fn ask(
-        brand: PublicBrand,
-        addr: &str,
-        egress: &str,
-        question: Question,
-    ) -> Message {
+    fn ask(brand: PublicBrand, addr: &str, egress: &str, question: Question) -> Message {
         let mut sim = Simulator::new(1);
         let client = sim.add_device(Host::new("c", ["73.1.1.1".parse::<IpAddr>().unwrap()]));
         let s = sim.add_device(site(brand, addr, egress));

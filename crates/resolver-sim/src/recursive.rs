@@ -238,9 +238,11 @@ mod tests {
     #[test]
     fn resolves_a_record_through_zonedb() {
         let (mut sim, client, _r) = harness(isp_resolver());
-        sim.inject(client, IfaceId(0), query_pkt(
-            Question::new("example.com".parse().unwrap(), RType::A), 7,
-        ));
+        sim.inject(
+            client,
+            IfaceId(0),
+            query_pkt(Question::new("example.com".parse().unwrap(), RType::A), 7),
+        );
         sim.run_to_quiescence();
         let resp = response_of(&mut sim, client);
         assert_eq!(resp.header.id, 7);
@@ -251,9 +253,11 @@ mod tests {
     #[test]
     fn whoami_reveals_this_resolvers_egress() {
         let (mut sim, client, _r) = harness(isp_resolver());
-        sim.inject(client, IfaceId(0), query_pkt(
-            Question::new("whoami.akamai.com".parse().unwrap(), RType::A), 8,
-        ));
+        sim.inject(
+            client,
+            IfaceId(0),
+            query_pkt(Question::new("whoami.akamai.com".parse().unwrap(), RType::A), 8),
+        );
         sim.run_to_quiescence();
         let resp = response_of(&mut sim, client);
         assert_eq!(resp.answers[0].rdata, RData::A("75.75.75.10".parse().unwrap()));
@@ -262,9 +266,11 @@ mod tests {
     #[test]
     fn version_bind_answers_per_profile() {
         let (mut sim, client, _r) = harness(isp_resolver());
-        sim.inject(client, IfaceId(0), query_pkt(
-            Question::chaos_txt(debug_queries::version_bind()), 9,
-        ));
+        sim.inject(
+            client,
+            IfaceId(0),
+            query_pkt(Question::chaos_txt(debug_queries::version_bind()), 9),
+        );
         sim.run_to_quiescence();
         let resp = response_of(&mut sim, client);
         assert_eq!(resp.answers[0].rdata.txt_string().unwrap(), "unbound 1.9.0");
@@ -294,9 +300,11 @@ mod tests {
         let mut resolver = isp_resolver();
         resolver.nxdomain_wildcard = Some("75.75.0.99".parse().unwrap());
         let (mut sim, client, _r) = harness(resolver);
-        sim.inject(client, IfaceId(0), query_pkt(
-            Question::new("no-such-name.example.com".parse().unwrap(), RType::A), 3,
-        ));
+        sim.inject(
+            client,
+            IfaceId(0),
+            query_pkt(Question::new("no-such-name.example.com".parse().unwrap(), RType::A), 3),
+        );
         sim.run_to_quiescence();
         let resp = response_of(&mut sim, client);
         assert_eq!(resp.header.rcode, Rcode::NoError);
@@ -308,14 +316,18 @@ mod tests {
         let mut resolver = isp_resolver();
         resolver.refuse_all = true;
         let (mut sim, client, _r) = harness(resolver);
-        sim.inject(client, IfaceId(0), query_pkt(
-            Question::new("example.com".parse().unwrap(), RType::A), 4,
-        ));
+        sim.inject(
+            client,
+            IfaceId(0),
+            query_pkt(Question::new("example.com".parse().unwrap(), RType::A), 4),
+        );
         sim.run_to_quiescence();
         assert_eq!(response_of(&mut sim, client).header.rcode, Rcode::Refused);
-        sim.inject(client, IfaceId(0), query_pkt(
-            Question::chaos_txt(debug_queries::version_bind()), 5,
-        ));
+        sim.inject(
+            client,
+            IfaceId(0),
+            query_pkt(Question::chaos_txt(debug_queries::version_bind()), 5),
+        );
         sim.run_to_quiescence();
         let resp = response_of(&mut sim, client);
         assert_eq!(resp.answers[0].rdata.txt_string().unwrap(), "unbound 1.9.0");

@@ -185,7 +185,11 @@ mod tests {
         // CHAOS class but a non-server-id name also passes through.
         let weird = Message::query(
             2,
-            Question { qname: "foo.bar".parse().unwrap(), qtype: RType::Txt, qclass: RClass::Chaos },
+            Question {
+                qname: "foo.bar".parse().unwrap(),
+                qtype: RType::Txt,
+                qclass: RClass::Chaos,
+            },
         );
         assert!(server_id_reply(&weird, &profile).is_none());
     }

@@ -144,10 +144,7 @@ mod tests {
     #[test]
     fn table_5_string_shapes() {
         assert_eq!(SoftwareProfile::dnsmasq("2.85").version_string(), Some("dnsmasq-2.85"));
-        assert_eq!(
-            SoftwareProfile::pi_hole("2.87").version_string(),
-            Some("dnsmasq-pi-hole-2.87")
-        );
+        assert_eq!(SoftwareProfile::pi_hole("2.87").version_string(), Some("dnsmasq-pi-hole-2.87"));
         assert_eq!(SoftwareProfile::unbound("1.9.0").version_string(), Some("unbound 1.9.0"));
         assert_eq!(SoftwareProfile::custom("huuh?").version_string(), Some("huuh?"));
     }

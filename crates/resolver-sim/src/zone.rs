@@ -84,8 +84,7 @@ impl StaticZone {
     }
 
     fn position(&self, name: &Name, rtype: u16) -> Result<usize, usize> {
-        self.entries
-            .binary_search_by(|(n, t, _)| cmp_names(n, name).then(t.cmp(&rtype)))
+        self.entries.binary_search_by(|(n, t, _)| cmp_names(n, name).then(t.cmp(&rtype)))
     }
 
     fn lookup_records(&self, name: &Name, rtype: u16) -> Option<&[Record]> {
@@ -95,9 +94,7 @@ impl StaticZone {
     fn contains_name(&self, name: &Name) -> bool {
         // Entries are sorted by name first: the partition point sits just
         // past the last entry with this name, if any exists.
-        let i = self
-            .entries
-            .partition_point(|(n, _, _)| cmp_names(n, name) != Ordering::Greater);
+        let i = self.entries.partition_point(|(n, _, _)| cmp_names(n, name) != Ordering::Greater);
         i > 0 && self.entries[i - 1].0 == *name
     }
 
@@ -184,19 +181,15 @@ impl Zone for ReflectorZone {
         match self.kind {
             ReflectKind::Address => match q.qtype {
                 RType::A => match ctx.egress_v4 {
-                    Some(ip) => ZoneAnswer::Records(vec![Record::new(
-                        q.qname.clone(),
-                        30,
-                        RData::A(ip),
-                    )]),
+                    Some(ip) => {
+                        ZoneAnswer::Records(vec![Record::new(q.qname.clone(), 30, RData::A(ip))])
+                    }
                     None => ZoneAnswer::NoData,
                 },
                 RType::Aaaa => match ctx.egress_v6 {
-                    Some(ip) => ZoneAnswer::Records(vec![Record::new(
-                        q.qname.clone(),
-                        30,
-                        RData::Aaaa(ip),
-                    )]),
+                    Some(ip) => {
+                        ZoneAnswer::Records(vec![Record::new(q.qname.clone(), 30, RData::Aaaa(ip))])
+                    }
                     None => ZoneAnswer::NoData,
                 },
                 _ => ZoneAnswer::NoData,
@@ -300,11 +293,7 @@ impl ZoneDb {
         // al. reflector).
         let mut probe = StaticZone::new();
         probe.add_a("probe.dns-hijack-study.example", 60, Ipv4Addr::new(93, 184, 216, 40));
-        probe.add_aaaa(
-            "probe.dns-hijack-study.example",
-            60,
-            "2606:2800:220::40".parse().unwrap(),
-        );
+        probe.add_aaaa("probe.dns-hijack-study.example", 60, "2606:2800:220::40".parse().unwrap());
         db.mount("probe.dns-hijack-study.example".parse().unwrap(), Arc::new(probe));
         db.mount(
             "reflect.dns-hijack-study.example".parse().unwrap(),
@@ -414,10 +403,7 @@ mod tests {
     #[test]
     fn whoami_reflects_v6_egress_for_aaaa() {
         let db = ZoneDb::standard_world();
-        let ctx = ResolveCtx {
-            egress_v4: None,
-            egress_v6: Some("2001:558::10".parse().unwrap()),
-        };
+        let ctx = ResolveCtx { egress_v4: None, egress_v6: Some("2001:558::10".parse().unwrap()) };
         let r = db.resolve(&q("whoami.akamai.com", RType::Aaaa), &ctx);
         assert_eq!(r.answers[0].rdata, RData::Aaaa("2001:558::10".parse().unwrap()));
         // No v4 egress: A query yields NoData.

@@ -65,10 +65,7 @@ fn build() -> World {
             },
             Delegation {
                 child: "akamai.com".parse().unwrap(),
-                nameservers: vec![(
-                    "ns1.akamai.com".parse().unwrap(),
-                    AKAMAI_NS.parse().unwrap(),
-                )],
+                nameservers: vec![("ns1.akamai.com".parse().unwrap(), AKAMAI_NS.parse().unwrap())],
             },
         ],
     });
@@ -159,10 +156,7 @@ fn cname_chase_restarts_from_roots() {
     assert_eq!(resp.header.rcode, Rcode::NoError);
     // The chain carries both the CNAME and the final A.
     assert!(resp.answers.iter().any(|r| matches!(r.rdata, RData::Cname(_))));
-    assert!(resp
-        .answers
-        .iter()
-        .any(|r| r.rdata == RData::A("93.184.216.34".parse().unwrap())));
+    assert!(resp.answers.iter().any(|r| r.rdata == RData::A("93.184.216.34".parse().unwrap())));
 }
 
 #[test]
@@ -229,10 +223,7 @@ fn unreachable_tree_eventually_servfails() {
 #[test]
 fn chaos_identity_answered_locally() {
     let mut world = build();
-    let msg = Message::query(
-        8,
-        Question::chaos_txt(dns_wire::debug_queries::version_bind()),
-    );
+    let msg = Message::query(8, Question::chaos_txt(dns_wire::debug_queries::version_bind()));
     let pkt = IpPacket::udp_v4(
         CLIENT.parse().unwrap(),
         RESOLVER_SVC.parse().unwrap(),

@@ -6,8 +6,8 @@ use dns_wire::{Message, MessageView, Name, Question, RData, RType, Rcode, Record
 use netsim::{Host, IfaceId, IpPacket, SimDuration, SimTime, Simulator};
 use proptest::prelude::*;
 use resolver_sim::{
-    DnsCache, ForwarderCore, FwdAction, PublicBrand, PublicResolverSite, ResolveCtx,
-    ResolveResult, SiteProfile, SoftwareProfile, ZoneDb,
+    DnsCache, ForwarderCore, FwdAction, PublicBrand, PublicResolverSite, ResolveCtx, ResolveResult,
+    SiteProfile, SoftwareProfile, ZoneDb,
 };
 use std::net::IpAddr;
 use std::sync::Arc;

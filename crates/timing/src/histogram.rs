@@ -388,10 +388,7 @@ mod tests {
     fn empty_histogram_is_all_zeros() {
         let h = Histogram::new();
         let s = h.snapshot();
-        assert_eq!(
-            (s.count, s.sum, s.min, s.max, s.p50, s.p999),
-            (0, 0, 0, 0, 0, 0)
-        );
+        assert_eq!((s.count, s.sum, s.min, s.max, s.p50, s.p999), (0, 0, 0, 0, 0, 0));
         assert!(s.buckets.is_empty());
     }
 

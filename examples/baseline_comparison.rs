@@ -25,11 +25,14 @@ fn main() {
         ("clean home", HomeScenario::clean()),
         ("buggy XB6 (CPE interceptor)", HomeScenario::xb6_case_study()),
         ("ISP middlebox", HomeScenario::isp_middlebox()),
-        ("open-port-53 CPE + ISP middlebox (Appendix A)", HomeScenario {
-            cpe_model: CpeModelKind::OpenWanForwarder { version: "2.80".into() },
-            middlebox: Some(MiddleboxSpec::redirect_all_to_isp()),
-            ..HomeScenario::clean()
-        }),
+        (
+            "open-port-53 CPE + ISP middlebox (Appendix A)",
+            HomeScenario {
+                cpe_model: CpeModelKind::OpenWanForwarder { version: "2.80".into() },
+                middlebox: Some(MiddleboxSpec::redirect_all_to_isp()),
+                ..HomeScenario::clean()
+            },
+        ),
     ];
 
     println!(
@@ -80,11 +83,12 @@ fn main() {
             .find(|r| r.key == ResolverKey::Google)
             .expect("catalog has Google");
         let reflect: dns_wire::Name = "reflect.dns-hijack-study.example".parse().unwrap();
-        let prevalence = match own_authoritative_check(&mut transport, &google, &reflect, &mut txids, opts) {
-            PrevalenceVerdict::Clean { .. } => "clean",
-            PrevalenceVerdict::Intercepted { .. } => "intercepted (loc?)",
-            PrevalenceVerdict::Inconclusive => "inconclusive",
-        };
+        let prevalence =
+            match own_authoritative_check(&mut transport, &google, &reflect, &mut txids, opts) {
+                PrevalenceVerdict::Clean { .. } => "clean",
+                PrevalenceVerdict::Intercepted { .. } => "intercepted (loc?)",
+                PrevalenceVerdict::Inconclusive => "inconclusive",
+            };
 
         let report = HijackLocator::new(config).run(&mut transport);
         let verdict = match report.location {

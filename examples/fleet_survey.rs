@@ -11,8 +11,7 @@ use atlas_sim::{generate, run_campaign_streaming, CampaignOptions, FleetConfig};
 
 fn main() {
     let size = std::env::var("FLEET_SIZE").ok().and_then(|s| s.parse().ok()).unwrap_or(2_000);
-    let threads =
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
+    let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
 
     println!("generating fleet of {size} probes…");
     let fleet = generate(FleetConfig { size, ..FleetConfig::default() });

@@ -35,8 +35,7 @@ fn main() {
 
     println!("## 2. version.bind to the CPE's own public IP ({cpe_public})\n");
     let vb = Question::chaos_txt(debug_queries::version_bind());
-    let outcome =
-        transport.query(cpe_public.into(), &vb, 0x2001, QueryOptions::default());
+    let outcome = transport.query(cpe_public.into(), &vb, 0x2001, QueryOptions::default());
     print_trace(&mut transport);
     if let Some(resp) = outcome.response() {
         println!("\nCPE answers: {}\n", describe_response(&resp.view()));
@@ -59,10 +58,7 @@ fn main() {
         "intercepted resolvers (v4): {:?}",
         report.matrix.intercepted_v4().iter().map(|k| k.display_name()).collect::<Vec<_>>()
     );
-    println!(
-        "location: {}",
-        report.location.map(|l| l.to_string()).unwrap_or_else(|| "-".into())
-    );
+    println!("location: {}", report.location.map(|l| l.to_string()).unwrap_or_else(|| "-".into()));
     println!(
         "transparency: {}",
         report.transparency.map(|t| t.to_string()).unwrap_or_else(|| "-".into())

@@ -62,10 +62,7 @@ fn dot_model_matches_section_6_claims() {
     // Strict DoT prevents interception altogether; opportunistic allows
     // it; and the location queries still detect it inside the channel.
     assert!(!interception_possible(DotProfile::Strict, DotPathCondition::MitmWithBogusCert));
-    assert!(interception_possible(
-        DotProfile::Opportunistic,
-        DotPathCondition::MitmWithBogusCert
-    ));
+    assert!(interception_possible(DotProfile::Opportunistic, DotPathCondition::MitmWithBogusCert));
     let outcome = establish(DotProfile::Opportunistic, DotPathCondition::MitmWithBogusCert);
     assert!(location_queries_detect(outcome));
 }
@@ -81,8 +78,9 @@ fn replication_is_detected_as_interception() {
     use dns_wire::{Message, MessageView};
     use interception::ReplicatingInterceptor;
     use netsim::{Cidr, Host, IfaceId, IpPacket, Router, SimDuration, Simulator};
-    use resolver_sim::{PublicBrand, PublicResolverSite, RecursiveResolver, ResolveCtx,
-        SoftwareProfile, ZoneDb};
+    use resolver_sim::{
+        PublicBrand, PublicResolverSite, RecursiveResolver, ResolveCtx, SoftwareProfile, ZoneDb,
+    };
     use std::net::IpAddr;
     use std::sync::Arc;
 
@@ -120,10 +118,7 @@ fn replication_is_detected_as_interception() {
 
     // id.server CHAOS toward Cloudflare: the replica's answer (unbound →
     // REFUSED) beats the genuine IATA answer.
-    let q = Message::query(
-        3,
-        dns_wire::Question::chaos_txt("id.server".parse().unwrap()),
-    );
+    let q = Message::query(3, dns_wire::Question::chaos_txt("id.server".parse().unwrap()));
     let pkt = IpPacket::udp_v4(
         "73.1.1.1".parse().unwrap(),
         "1.1.1.1".parse().unwrap(),
@@ -151,13 +146,25 @@ fn ad_downgrade_corroborates_interception() {
     // Clean path to Google (a validating resolver over a signed zone): AD set.
     let mut clean = SimTransport::new(HomeScenario::clean().build());
     assert_eq!(
-        ad_downgrade_check(&mut clean, "8.8.8.8".parse().unwrap(), &signed, &mut TxidSequence::new(0x3000), QueryOptions::default()),
+        ad_downgrade_check(
+            &mut clean,
+            "8.8.8.8".parse().unwrap(),
+            &signed,
+            &mut TxidSequence::new(0x3000),
+            QueryOptions::default()
+        ),
         AdVerdict::Authenticated
     );
     // Intercepted path: the ISP's non-validating resolver answers — AD gone.
     let mut hijacked = SimTransport::new(HomeScenario::xb6_case_study().build());
     assert_eq!(
-        ad_downgrade_check(&mut hijacked, "8.8.8.8".parse().unwrap(), &signed, &mut TxidSequence::new(0x3000), QueryOptions::default()),
+        ad_downgrade_check(
+            &mut hijacked,
+            "8.8.8.8".parse().unwrap(),
+            &signed,
+            &mut TxidSequence::new(0x3000),
+            QueryOptions::default()
+        ),
         AdVerdict::Downgraded
     );
 }
@@ -170,7 +177,13 @@ fn nxdomain_wildcarding_detected_through_interceptor() {
     // Honest path.
     let mut clean = SimTransport::new(HomeScenario::clean().build());
     assert_eq!(
-        nxdomain_wildcard_check(&mut clean, "1.1.1.1".parse().unwrap(), &canary, &mut TxidSequence::new(0x3000), QueryOptions::default()),
+        nxdomain_wildcard_check(
+            &mut clean,
+            "1.1.1.1".parse().unwrap(),
+            &canary,
+            &mut TxidSequence::new(0x3000),
+            QueryOptions::default()
+        ),
         WildcardVerdict::Honest
     );
     // Interception toward a wildcarding ISP resolver.
@@ -184,7 +197,13 @@ fn nxdomain_wildcarding_detected_through_interceptor() {
     };
     let mut hijacked = SimTransport::new(scenario.build());
     assert_eq!(
-        nxdomain_wildcard_check(&mut hijacked, "1.1.1.1".parse().unwrap(), &canary, &mut TxidSequence::new(0x3000), QueryOptions::default()),
+        nxdomain_wildcard_check(
+            &mut hijacked,
+            "1.1.1.1".parse().unwrap(),
+            &canary,
+            &mut TxidSequence::new(0x3000),
+            QueryOptions::default()
+        ),
         WildcardVerdict::Wildcarded { substituted: "75.75.0.99".parse().unwrap() }
     );
 }
@@ -207,10 +226,7 @@ fn iterative_resolver_fidelity_mode_reproduces_verdicts() {
 
     // XB6 home: interception detected and attributed to the CPE; the
     // whoami transparency test passes through the full iterative path.
-    let scenario = HomeScenario {
-        iterative_isp_resolver: true,
-        ..HomeScenario::xb6_case_study()
-    };
+    let scenario = HomeScenario { iterative_isp_resolver: true, ..HomeScenario::xb6_case_study() };
     let built = scenario.build();
     let config = built.locator_config();
     let mut transport = SimTransport::new(built);
@@ -223,10 +239,7 @@ fn iterative_resolver_fidelity_mode_reproduces_verdicts() {
 #[test]
 fn iterative_mode_whoami_reflects_isp_egress_under_interception() {
     use dns_wire::{Question, RData, RType};
-    let scenario = HomeScenario {
-        iterative_isp_resolver: true,
-        ..HomeScenario::xb6_case_study()
-    };
+    let scenario = HomeScenario { iterative_isp_resolver: true, ..HomeScenario::xb6_case_study() };
     let built = scenario.build();
     let mut transport = SimTransport::new(built);
     // whoami "via Google": DNAT sends it to the iterative ISP resolver,
@@ -249,10 +262,7 @@ fn busy_home_verdict_unchanged_and_background_flows_spoofed_consistently() {
     // the locator measures: the verdict must be unchanged, and every
     // background flow must receive its (spoofed-source) answer — conntrack
     // keeps the concurrent flows apart.
-    let scenario = HomeScenario {
-        background_clients: 3,
-        ..HomeScenario::xb6_case_study()
-    };
+    let scenario = HomeScenario { background_clients: 3, ..HomeScenario::xb6_case_study() };
     let built = scenario.build();
     let config = built.locator_config();
     let clients = built.background.clone();
@@ -297,8 +307,5 @@ fn investigator_combines_all_evidence_over_the_simulated_world() {
     let inv = Investigator::new(config).run(&mut transport);
     assert!(!inv.report.intercepted);
     assert_eq!(inv.ad_check, Some(locator::side_checks::AdVerdict::Authenticated));
-    assert_eq!(
-        inv.wildcard_check,
-        Some(locator::side_checks::WildcardVerdict::Honest)
-    );
+    assert_eq!(inv.wildcard_check, Some(locator::side_checks::WildcardVerdict::Honest));
 }

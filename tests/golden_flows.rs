@@ -155,10 +155,6 @@ fn capture_does_not_change_the_verdict_or_the_trace() {
 
         let captured = capture(id, scenario);
         assert_eq!(captured.intercepted, report_off.intercepted, "probe {id}");
-        assert_eq!(
-            captured.location,
-            report_off.location.map(|l| l.to_string()),
-            "probe {id}"
-        );
+        assert_eq!(captured.location, report_off.location.map(|l| l.to_string()), "probe {id}");
     }
 }

@@ -6,9 +6,7 @@ use interception::{
     CpeModelKind, GroundTruth, HomeScenario, IspProfile, MiddleboxSpec, RedirectTarget,
     ResolverMode, SimTransport,
 };
-use locator::{
-    HijackLocator, InterceptorLocation, LocationTestResult, ResolverKey, Transparency,
-};
+use locator::{HijackLocator, InterceptorLocation, LocationTestResult, ResolverKey, Transparency};
 
 fn run(scenario: HomeScenario) -> (locator::ProbeReport, SimTransport) {
     let built = scenario.build();
@@ -146,10 +144,8 @@ fn resolver_outside_as_limitation_reproduced() {
 fn stealth_cpe_limitation_reproduced() {
     // §6: the CPE interceptor hides version.bind; step 2 cannot identify
     // it, but its DNAT still answers bogon queries → within-ISP.
-    let (report, t) = run(HomeScenario {
-        cpe_model: CpeModelKind::StealthInterceptor,
-        ..HomeScenario::clean()
-    });
+    let (report, t) =
+        run(HomeScenario { cpe_model: CpeModelKind::StealthInterceptor, ..HomeScenario::clean() });
     assert!(report.intercepted);
     assert_eq!(report.location, Some(InterceptorLocation::WithinIsp));
     assert_eq!(report.location, t.scenario.expected);
@@ -159,15 +155,10 @@ fn stealth_cpe_limitation_reproduced() {
 #[test]
 fn selective_interceptor_leaves_allowed_resolver_standard() {
     // "Only one resolver allowed" (§4.1.1): Quad9 exempted, others captured.
-    let quad9_addrs: Vec<std::net::IpAddr> = vec![
-        "9.9.9.9".parse().unwrap(),
-        "149.112.112.112".parse().unwrap(),
-    ];
+    let quad9_addrs: Vec<std::net::IpAddr> =
+        vec!["9.9.9.9".parse().unwrap(), "149.112.112.112".parse().unwrap()];
     let (report, _) = run(HomeScenario {
-        cpe_model: CpeModelKind::SelectiveAllowed {
-            allowed: quad9_addrs,
-            version: "2.85".into(),
-        },
+        cpe_model: CpeModelKind::SelectiveAllowed { allowed: quad9_addrs, version: "2.85".into() },
         ..HomeScenario::clean()
     });
     assert!(report.intercepted);
@@ -211,10 +202,7 @@ fn status_modified_transparency_detected() {
     // Middlebox interception whose resolver refuses foreign queries →
     // Figure 3's "Status Modified" category.
     let (report, _) = run(HomeScenario {
-        isp: IspProfile {
-            resolver_mode: ResolverMode::RefuseAll,
-            ..IspProfile::comcast_like()
-        },
+        isp: IspProfile { resolver_mode: ResolverMode::RefuseAll, ..IspProfile::comcast_like() },
         middlebox: Some(MiddleboxSpec::redirect_all_to_isp()),
         ..HomeScenario::clean()
     });

@@ -20,10 +20,7 @@ fn arb_scenario() -> impl Strategy<Value = HomeScenario> {
             middlebox: Some(MiddleboxSpec::redirect_all_to_isp()),
             ..HomeScenario::clean()
         }),
-        Just(HomeScenario {
-            background_clients: 2,
-            ..HomeScenario::xb6_case_study()
-        }),
+        Just(HomeScenario { background_clients: 2, ..HomeScenario::xb6_case_study() }),
     ]
 }
 

@@ -6,8 +6,8 @@
 //! expectation CI diffs on every push.
 
 use atlas_sim::{
-    classification_fleet, generate, run_campaign_timed, run_classification_timed,
-    CampaignOptions, CampaignTimings, FleetConfig, TimingRegistry,
+    classification_fleet, generate, run_campaign_timed, run_classification_timed, CampaignOptions,
+    CampaignTimings, FleetConfig, TimingRegistry,
 };
 use interception::{flow_rtt_us, HomeScenario, ProbeTimingLog, SimTransport};
 use locator::{HijackLocator, MetricsFolder, Step};
@@ -27,9 +27,8 @@ fn intercepted_devices_answer_strictly_faster_than_clean_path() {
     assert!(summary.probes > 0);
 
     let snap = timing.snapshot();
-    let intercepted = snap
-        .class("dnat_interceptor")
-        .expect("dnat_interceptor class histogram present");
+    let intercepted =
+        snap.class("dnat_interceptor").expect("dnat_interceptor class histogram present");
     let clean = snap.class("clean").expect("clean class histogram present");
     assert!(intercepted.count > 0, "no RTT samples for intercepted devices");
     assert!(clean.count > 0, "no RTT samples for clean devices");
