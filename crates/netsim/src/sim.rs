@@ -32,7 +32,9 @@ pub struct LinkId(pub usize);
 
 /// Execution context handed to devices. It borrows the network, so a
 /// packet the device sends is transmitted, and a timer it sets is queued,
-/// at the call; it also exposes virtual time and the simulation RNG.
+/// at the call; it also exposes virtual time. It does not expose the
+/// simulation RNG: devices draw nothing, and every draw is the fault
+/// layer's, made as a send crosses a link.
 pub struct Ctx<'a> {
     node: NodeId,
     net: &'a mut Net,
@@ -102,13 +104,6 @@ impl<'a> Ctx<'a> {
     /// Requests a timer callback after `delay`, carrying `token`.
     pub fn set_timer(&mut self, delay: SimDuration, token: u64) {
         self.net.set_timer(self.node, delay, token);
-    }
-
-    /// Deterministic simulation RNG (seeded at simulator construction).
-    /// Sends draw from it too, at the call, so a device that draws after
-    /// a send sees the stream the send left.
-    pub fn rng(&mut self) -> &mut StdRng {
-        &mut self.net.rng
     }
 
     /// Copies `data` into the simulator's pooled payload slabs and returns
