@@ -6,7 +6,9 @@
 //! without an answer must not allocate at all: cached encode, pooled
 //! payload, packet forwarding hop by hop, and the borrowed-view receive
 //! filter are all allocation-free. So is a warm *answered* round trip: the
-//! stub hands the locator the delivered payload itself. A warm world build
+//! stub hands the locator the delivered payload itself. So is a warm
+//! *intercepted* one: the CPE relays the query and the answer as the bytes
+//! that arrived, with a new transaction ID. A warm world build
 //! is pinned to its exact count: a few containers per device, each device
 //! moved into the box the previous world left. Switching the flight
 //! recorder on over a recycled world allocates nothing, and it records
@@ -105,6 +107,37 @@ fn steady_state_probe_path_allocates_nothing() {
         allocs, 0,
         "warm answered id.server round trip allocated {allocs} times; \
          the accepted reply is the delivered payload and must cost nothing"
+    );
+
+    // --- End to end, intercepted: a warm probe-vantage
+    // `o-o.myaddr.l.google.com` TXT query to 8.8.8.8 through the XB6 case
+    // study. The CPE's DNAT rule captures it, its forwarder takes it in
+    // through the front door and relays the datagram to the ISP resolver
+    // with only the transaction ID rewritten (a copy into a pooled slab,
+    // and a pending entry in a map that kept its capacity), the ISP
+    // resolver answers from its cache, and the forwarder relays that
+    // answer back the same way, through conntrack's restore of 8.8.8.8 as
+    // the source. Neither the query nor the answer becomes an owned
+    // message, so nothing allocates. The first query is the resolver's
+    // cache miss; the ninth falls short of conntrack's first growth, as
+    // on the clean home.
+    let xb6 = HomeScenario::xb6_case_study();
+    let isp_egress = xb6.isp.resolver_egress_v4.to_string();
+    let mut hijacked = SimTransport::new(xb6.build());
+    let google = IpAddr::V4("8.8.8.8".parse().unwrap());
+    let myaddr = Question::new(dns_wire::debug_queries::google_myaddr(), RType::Txt);
+    for i in 0..8 {
+        let out = hijacked.query(google, &myaddr, 0x7500 + i, opts);
+        assert!(out.response().is_some(), "the XB6 answers for 8.8.8.8");
+    }
+    let (allocs, out) = allocations_in(|| hijacked.query(google, &myaddr, 0x7600, opts));
+    let reply = out.response().expect("answered");
+    let answer = reply.view().answers().next().expect("one answer");
+    assert_eq!(answer.txt_str().as_deref(), Some(&*isp_egress), "the ISP resolver answered");
+    assert_eq!(
+        allocs, 0,
+        "warm intercepted o-o.myaddr round trip allocated {allocs} times; the relay copies \
+         the datagram with a new ID and must not materialize either message"
     );
 
     // --- Locator run and metrics fold: the locator over a warm clean

@@ -3,17 +3,23 @@
 //!
 //! This is the mechanism of the paper's §5 case study, implemented for
 //! real: an RDK-B/XDNS-style firewall rule rewrites outbound UDP/53 to the
-//! router's own forwarder, the forwarder relays to the ISP resolver, and
-//! conntrack restores the original destination as the reply's source — so
-//! the client sees an answer "from" 8.8.8.8 that Google never sent.
+//! router's own forwarder, the forwarder relays the client's datagram to
+//! the ISP resolver with only its transaction ID rewritten, and conntrack
+//! restores the original destination as the reply's source — so the client
+//! sees an answer "from" 8.8.8.8 that Google never sent.
+//!
+//! Every query the CPE serves comes in through the resolver models' front
+//! door ([`resolver_sim::receive_query`]) and is answered locally by their
+//! one rule ([`resolver_sim::local_answer`]) or relayed; a relayed query
+//! and its answer stay the bytes that arrived, copied with a new ID.
 
 use crate::config::{CpeConfig, DnsMode, ForwarderSpec, InterceptSpec, WanMode};
 use bytes::Bytes;
-use dns_wire::{Header, Message, MessageView, RClass, Rcode};
+use dns_wire::Header;
 use netsim::{CaptureKind, Ctx, Device, DnatRule, IfaceId, IpPacket, NatEngine, NatVerdict, Proto};
 use resolver_sim::{
-    encode_payload, handle_server_id, local_reply_payload, reply_payload, send_local_reply,
-    send_reply, ForwarderCore, FwdAction, LocalReply, ResolveCtx, ZoneDb,
+    local_answer, local_reply_payload, receive_answer, receive_query, relay_payload, reply_packet,
+    reply_payload, send_local_reply, send_reply, ForwarderCore, FwdAction, ResolveCtx, ZoneDb,
 };
 use std::net::IpAddr;
 use std::sync::Arc;
@@ -48,8 +54,6 @@ pub struct CpeDevice {
     zonedb: Option<Arc<ZoneDb>>,
     /// DNS queries the DNAT rule captured.
     pub intercepted_queries: u64,
-    /// DNS queries answered on the CPE's own addresses.
-    pub self_queries: u64,
     /// WAN-side queries relayed upstream with the client source preserved
     /// ([`WanMode::Transparent`]).
     pub transparent_relays: u64,
@@ -81,7 +85,7 @@ impl CpeDevice {
             }
         }
         let forwarder = config.dns.forwarder().map(|spec| {
-            let mut fc = ForwarderCore::new(spec.profile.clone(), spec.upstream_v4);
+            let mut fc = ForwarderCore::new(spec.profile.clone());
             fc.blocklist = spec.blocklist.clone();
             fc
         });
@@ -91,7 +95,6 @@ impl CpeDevice {
             forwarder,
             zonedb: None,
             intercepted_queries: 0,
-            self_queries: 0,
             transparent_relays: 0,
         }
     }
@@ -129,39 +132,30 @@ impl CpeDevice {
         }
     }
 
-    fn is_self_addr(&self, dst: IpAddr) -> bool {
-        self.config.owns_addr(dst)
-    }
-
-    fn handle_forwarder_query(&mut self, ctx: &mut Ctx<'_>, request: IpPacket, path: ReplyPath) {
-        let Some(udp) = request.udp_payload() else { return };
-        let Ok(query) = MessageView::parse(&udp.payload) else { return };
-        let upstream_v6 = self.spec().and_then(|s| s.upstream_v6);
-        let upstream_v4 = self.spec().map(|s| s.upstream_v4);
-        // `ForwarderCore` keeps the path only for relayed queries, so the
-        // reply direction of a synchronous answer must be decided here.
-        let wan_side = matches!(path, ReplyPath::WanDirect(_));
+    /// Takes `request` through the front door to the forwarder, which
+    /// answers it locally or relays it; `path` is how the answer goes back.
+    fn handle_forwarder_query(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        request: IpPacket,
+        path: fn(IpPacket) -> ReplyPath,
+    ) {
+        let Some(query) = receive_query(&request, |dst| self.serves_addr(dst)) else { return };
+        let Some(spec) = self.config.dns.forwarder() else { return };
+        // Choose upstream by the family the CPE can speak.
+        let (src, dst) = match (request.is_v4(), spec.upstream_v6, self.config.wan_v6) {
+            (false, Some(up6), Some(wan6)) => (IpAddr::V6(wan6), up6),
+            _ => (IpAddr::V4(self.config.wan_v4), spec.upstream_v4),
+        };
         let Some(fc) = &mut self.forwarder else { return };
         match fc.handle_query(&query) {
             FwdAction::Respond(reply) => {
                 let Some(payload) = local_reply_payload(ctx, &query, reply) else { return };
-                if wan_side {
-                    send_reply(ctx, WAN, &request, payload);
-                } else {
-                    self.send_reply_for(ctx, &request, payload);
-                }
+                self.answer(ctx, &path(request), payload);
             }
             FwdAction::Forward => {
-                let relayed = fc.relay(&query, path);
-                let Some(payload) = encode_payload(ctx, &relayed) else { return };
-                // Choose upstream by the family the CPE can speak.
-                let (src, dst) = match (request.is_v4(), upstream_v6, self.config.wan_v6) {
-                    (false, Some(up6), Some(wan6)) => (IpAddr::V6(wan6), up6),
-                    _ => {
-                        let Some(up) = upstream_v4 else { return };
-                        (IpAddr::V4(self.config.wan_v4), up)
-                    }
-                };
+                let txid = fc.relay(query.header().id, path(request.clone()));
+                let payload = relay_payload(ctx, query.as_bytes(), txid);
                 if let Some(pkt) = IpPacket::udp(src, dst, FWD_SPORT, 53, payload) {
                     ctx.send(WAN, pkt);
                 }
@@ -170,57 +164,34 @@ impl CpeDevice {
         }
     }
 
-    /// Replies to a request the forwarder answered synchronously. For a
-    /// DNAT-intercepted request conntrack restores the spoofed source; a
-    /// direct (self-addressed) request is answered from the address queried.
-    fn send_reply_for(&mut self, ctx: &mut Ctx<'_>, request: &IpPacket, payload: Bytes) {
-        let reply = self
-            .nat
-            .local_reply(request, payload.clone())
-            .or_else(|| resolver_sim::reply_packet(request, payload));
-        if let Some(reply) = reply {
-            if ctx.capture_enabled() {
-                // The flight recorder's smoking gun: this response never
-                // came from the address it claims — the CPE minted it.
-                ctx.capture(Some(LAN), CaptureKind::LocalMint { packet: reply.clone() });
-            }
-            ctx.send(LAN, reply);
-        }
+    /// Relays an upstream answer to the client whose query it answers, as
+    /// the bytes that arrived with the client's transaction ID restored.
+    fn handle_upstream_response(&mut self, ctx: &mut Ctx<'_>, packet: &IpPacket) {
+        let Some(answer) = receive_answer(packet) else { return };
+        let Some(fc) = &mut self.forwarder else { return };
+        let Some((txid, path)) = fc.handle_upstream_response(answer.header().id) else { return };
+        let payload = relay_payload(ctx, answer.as_bytes(), txid);
+        self.answer(ctx, &path, payload);
     }
 
-    fn handle_upstream_response(&mut self, ctx: &mut Ctx<'_>, packet: &IpPacket) {
-        let Some(udp) = packet.udp_payload() else { return };
-        let Ok(response) = Message::parse(&udp.payload) else { return };
-        let Some(fc) = &mut self.forwarder else { return };
-        let Some((path, restored)) = fc.handle_upstream_response(response) else { return };
-        let Some(payload) = encode_payload(ctx, &restored) else { return };
-        match path {
-            ReplyPath::Direct(request) => {
-                if let Some(reply) = resolver_sim::reply_packet(&request, payload) {
-                    if ctx.capture_enabled() {
-                        ctx.capture(Some(LAN), CaptureKind::LocalMint { packet: reply.clone() });
-                    }
-                    ctx.send(LAN, reply);
-                }
-            }
-            ReplyPath::NatSpoof(delivered) => {
-                if let Some(reply) = self.nat.local_reply(&delivered, payload) {
-                    if ctx.capture_enabled() {
-                        // Conntrack restored the spoofed source: the client
-                        // will see an answer "from" the resolver it asked.
-                        ctx.capture(Some(LAN), CaptureKind::LocalMint { packet: reply.clone() });
-                    }
-                    ctx.send(LAN, reply);
-                }
-            }
-            ReplyPath::WanDirect(request) => {
-                // The open forwarder answers the outside client itself,
-                // from the address that was queried — no spoofing involved.
-                if let Some(reply) = resolver_sim::reply_packet(&request, payload) {
-                    ctx.send(WAN, reply);
-                }
-            }
+    /// Sends the forwarder's answer `payload` back along `path`.
+    fn answer(&self, ctx: &mut Ctx<'_>, path: &ReplyPath, payload: Bytes) {
+        let (iface, reply) = match path {
+            // The open forwarder answers the outside client itself, from
+            // the address that was queried — no spoofing involved.
+            ReplyPath::WanDirect(request) => (WAN, reply_packet(request, payload)),
+            ReplyPath::Direct(request) => (LAN, reply_packet(request, payload)),
+            // Conntrack restores the spoofed source: the client will see an
+            // answer "from" the resolver it asked.
+            ReplyPath::NatSpoof(delivered) => (LAN, self.nat.local_reply(delivered, payload)),
+        };
+        let Some(reply) = reply else { return };
+        if iface == LAN && ctx.capture_enabled() {
+            // The flight recorder's smoking gun: the CPE minted this
+            // response, whatever address it claims to come from.
+            ctx.capture(Some(LAN), CaptureKind::LocalMint { packet: reply.clone() });
         }
+        ctx.send(iface, reply);
     }
 
     /// [`WanMode::Transparent`]: relay the scanner's packet upstream with
@@ -229,6 +200,10 @@ impl CpeDevice {
     /// directly, which is exactly the response-source mismatch the paper's
     /// scanner taxonomy keys on.
     fn relay_transparently(&mut self, ctx: &mut Ctx<'_>, packet: IpPacket) {
+        let is_dns = packet.udp_payload().is_some_and(|udp| udp.dst_port == 53);
+        if !is_dns || !self.serves_addr(packet.dst()) {
+            return;
+        }
         let Some(spec) = self.spec() else { return };
         let upstream = spec.upstream_v4;
         let mut relayed = packet;
@@ -246,20 +221,12 @@ impl CpeDevice {
     /// egress handed to reflector zones is the CPE's own WAN address, so a
     /// whoami probe reveals the CPE itself — the open-recursive signature.
     fn answer_recursively_wan(&mut self, ctx: &mut Ctx<'_>, packet: &IpPacket) {
-        let Some(udp) = packet.udp_payload() else { return };
-        let Ok(query) = MessageView::parse(&udp.payload) else { return };
-        if query.header().qr {
-            return;
-        }
+        let Some(query) = receive_query(packet, |dst| self.serves_addr(dst)) else { return };
         let Some(spec) = self.spec() else { return };
         let Some(q) = query.question() else { return };
-        if let Some(reply) = handle_server_id(&q, &spec.profile) {
+        if let Some(reply) = local_answer(&q, &spec.profile) {
             // A silent profile sends nothing on identity queries.
             send_local_reply(ctx, WAN, packet, &query, reply);
-            return;
-        }
-        if q.qclass != RClass::In {
-            send_local_reply(ctx, WAN, packet, &query, Some(LocalReply::Status(Rcode::NotImp)));
             return;
         }
         let Some(db) = &self.zonedb else { return };
@@ -283,26 +250,19 @@ impl CpeDevice {
         match self.nat.outbound(packet) {
             NatVerdict::Local(delivered) => {
                 ctx.capture_nat_rewrite(LAN, before, &delivered, false);
-                let dnat_applied = delivered.dst() != orig_dst;
-                let is_dns = delivered.udp_payload().map(|u| u.dst_port == 53).unwrap_or(false);
-                if !is_dns {
-                    // Non-DNS traffic to our own addresses: nothing listens.
-                    return;
-                }
-                if dnat_applied {
-                    // The DNAT rule captured this query for our forwarder.
+                if delivered.dst() != orig_dst {
+                    // The DNAT rule (UDP/53 only) captured this query for
+                    // our forwarder.
                     self.intercepted_queries += 1;
-                    let path = ReplyPath::NatSpoof(delivered.clone());
-                    self.handle_forwarder_query(ctx, delivered, path);
-                } else if self.serves_addr(orig_dst) {
-                    // Addressed to us directly and the forwarder listens
-                    // there (LAN always; WAN only with port 53 open).
-                    self.self_queries += 1;
-                    let path = ReplyPath::Direct(delivered.clone());
-                    self.handle_forwarder_query(ctx, delivered, path);
+                    self.handle_forwarder_query(ctx, delivered, ReplyPath::NatSpoof);
+                } else {
+                    // Addressed to us directly: the forwarder answers where
+                    // it listens (LAN always; WAN only with port 53 open).
+                    // Anything else meets silence, and the client times
+                    // out, exactly what the technique expects from a clean
+                    // CPE.
+                    self.handle_forwarder_query(ctx, delivered, ReplyPath::Direct);
                 }
-                // Otherwise: port 53 closed — silence; the client times
-                // out, exactly what the technique expects from a clean CPE.
             }
             NatVerdict::Forward(mut pkt) => {
                 ctx.capture_nat_rewrite(LAN, before, &pkt, false);
@@ -327,41 +287,34 @@ impl CpeDevice {
             }
         }
 
-        // Upstream responses to the embedded forwarder.
-        let to_me = self.is_self_addr(packet.dst());
-        if to_me {
-            let is_fwd_response =
-                packet.udp_payload().map(|u| u.dst_port == FWD_SPORT).unwrap_or(false);
-            if is_fwd_response {
+        if self.config.owns_addr(packet.dst()) {
+            // Upstream responses to the embedded forwarder.
+            if packet.udp_payload().is_some_and(|udp| udp.dst_port == FWD_SPORT) {
                 self.handle_upstream_response(ctx, &packet);
                 return;
             }
             // DNS queries arriving from the WAN side at our public address
             // (an outside scanner): served only with listen_wan. What
             // happens next is the open-DNS taxonomy axis.
-            let is_dns = packet.udp_payload().map(|u| u.dst_port == 53).unwrap_or(false);
-            if is_dns && self.serves_addr(packet.dst()) {
-                self.self_queries += 1;
-                match self.wan_mode() {
-                    WanMode::LocalOnly => {
-                        // Synchronous answers only (CHAOS identity and
-                        // friends); recursive names are never relayed for
-                        // outside clients, so they go unanswered and leave
-                        // no pending relay behind.
-                        let Some(udp) = packet.udp_payload() else { return };
-                        let Ok(query) = MessageView::parse(&udp.payload) else { return };
-                        let Some(fc) = &mut self.forwarder else { return };
-                        if let FwdAction::Respond(reply) = fc.handle_query(&query) {
-                            send_local_reply(ctx, WAN, &packet, &query, Some(reply));
-                        }
+            match self.wan_mode() {
+                WanMode::LocalOnly => {
+                    // Synchronous answers only (CHAOS identity and
+                    // friends); recursive names are never relayed for
+                    // outside clients, so they go unanswered and leave
+                    // no pending relay behind.
+                    let Some(query) = receive_query(&packet, |dst| self.serves_addr(dst)) else {
+                        return;
+                    };
+                    let Some(fc) = &mut self.forwarder else { return };
+                    if let FwdAction::Respond(reply) = fc.handle_query(&query) {
+                        send_local_reply(ctx, WAN, &packet, &query, Some(reply));
                     }
-                    WanMode::OpenRelay => {
-                        let path = ReplyPath::WanDirect(packet.clone());
-                        self.handle_forwarder_query(ctx, packet, path);
-                    }
-                    WanMode::Transparent => self.relay_transparently(ctx, packet),
-                    WanMode::Recurse => self.answer_recursively_wan(ctx, &packet),
                 }
+                WanMode::OpenRelay => {
+                    self.handle_forwarder_query(ctx, packet, ReplyPath::WanDirect)
+                }
+                WanMode::Transparent => self.relay_transparently(ctx, packet),
+                WanMode::Recurse => self.answer_recursively_wan(ctx, &packet),
             }
             return;
         }

@@ -27,7 +27,7 @@ mod tests {
     use bytes::Bytes;
     use dns_wire::debug_queries;
     use dns_wire::{Message, Question, RData, RType, Rcode};
-    use netsim::{Host, IfaceId, IpPacket, SimDuration, Simulator};
+    use netsim::{CaptureKind, Host, IfaceId, IpPacket, SimDuration, Simulator};
     use resolver_sim::{RecursiveResolver, ResolveCtx, SoftwareProfile, ZoneDb};
     use std::net::IpAddr;
     use std::sync::Arc;
@@ -123,6 +123,54 @@ mod tests {
         assert_eq!(resp.len(), 1);
         assert_eq!(resp[0].0, "8.8.8.8".parse::<IpAddr>().unwrap());
         assert_eq!(resp[0].1.answers[0].rdata.txt_string().unwrap(), "dnsmasq-2.78-xfin");
+    }
+
+    #[test]
+    fn intercepted_queries_and_answers_cross_the_cpe_as_the_bytes_that_arrived() {
+        // The XB6 relays each intercepted datagram to the ISP resolver and
+        // the answer back, rewriting only the transaction ID (bytes 0-1).
+        // The second query carries one byte after its question, which the
+        // view accepts and a decode-and-encode would drop.
+        let (mut sim, probe, cpe, resolver) =
+            home(models::xb6_buggy(WAN_IP.parse().unwrap(), ISP_RESOLVER.parse().unwrap()));
+        sim.record_capture();
+        let q = Question::new("example.com".parse().unwrap(), RType::A);
+        let plain = Message::query(21, q.clone()).encode().unwrap();
+        let mut trailing = Message::query(22, q).encode().unwrap();
+        trailing.push(0xAB);
+        for query in [plain, trailing] {
+            let packet = IpPacket::udp_v4(
+                PROBE.parse().unwrap(),
+                "8.8.8.8".parse().unwrap(),
+                4321,
+                53,
+                Bytes::from(query.clone()),
+            );
+            sim.inject(probe, IfaceId(0), packet);
+            sim.run_to_quiescence();
+            // What each device sent out the given interface, as UDP payloads.
+            let sent = |node, iface| -> Vec<Bytes> {
+                sim.capture_events()
+                    .iter()
+                    .filter(|e| e.node == node && e.iface == Some(iface))
+                    .filter_map(|e| match &e.kind {
+                        CaptureKind::Egress { packet } => {
+                            packet.udp_payload().map(|u| u.payload.clone())
+                        }
+                        _ => None,
+                    })
+                    .collect()
+            };
+            let (relayed, answered) = (sent(cpe, WAN), sent(resolver, IfaceId(0)));
+            let delivered = sent(cpe, LAN);
+            assert_eq!((relayed.len(), answered.len(), delivered.len()), (1, 1, 1));
+            assert_eq!(relayed[0][2..], query[2..], "the relayed query is the query");
+            assert_eq!(answered[0][..2], relayed[0][..2], "the resolver answered the relay");
+            assert_eq!(delivered[0][2..], answered[0][2..], "the relayed answer is the answer");
+            assert_eq!(delivered[0][..2], query[..2], "the client's ID is restored");
+            responses(&mut sim, probe);
+            sim.clear_capture_events();
+        }
     }
 
     #[test]

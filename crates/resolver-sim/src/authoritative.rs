@@ -5,11 +5,11 @@
 //! in-packet iterative path reveals exactly the egress the querying
 //! recursor used.
 
-use crate::server::{local_reply_payload, reply_payload, send_reply, LocalReply};
+use crate::server::{local_reply_payload, receive_query, reply_payload, send_reply, LocalReply};
 use crate::zone::{ResolveCtx, Zone, ZoneAnswer};
 use bytes::Bytes;
 use dns_wire::{Header, MessageView, Name, Question, RData, Rcode, Record};
-use netsim::{Ctx, Device, FxHashSet, IfaceId, IpPacket, SharedStr};
+use netsim::{Ctx, Device, IfaceId, IpPacket, SharedStr};
 use std::net::IpAddr;
 use std::sync::Arc;
 
@@ -40,7 +40,7 @@ pub struct ServedZone {
 /// The authoritative server device.
 pub struct AuthoritativeServer {
     name: SharedStr,
-    service_addrs: FxHashSet<IpAddr>,
+    service_addrs: Arc<[IpAddr]>,
     zones: Vec<ServedZone>,
     /// Queries handled.
     pub queries_handled: u64,
@@ -50,11 +50,11 @@ impl AuthoritativeServer {
     /// Creates a server with no zones.
     pub fn new(
         name: impl Into<SharedStr>,
-        service_addrs: impl IntoIterator<Item = IpAddr>,
+        service_addrs: impl Into<Arc<[IpAddr]>>,
     ) -> AuthoritativeServer {
         AuthoritativeServer {
             name: name.into(),
-            service_addrs: service_addrs.into_iter().collect(),
+            service_addrs: service_addrs.into(),
             zones: Vec::new(),
             queries_handled: 0,
         }
@@ -128,14 +128,9 @@ impl AuthoritativeServer {
 
 impl Device for AuthoritativeServer {
     fn receive(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, packet: IpPacket) {
-        let Some(udp) = packet.udp_payload() else { return };
-        if udp.dst_port != 53 || !self.service_addrs.contains(&packet.dst()) {
+        let Some(query) = receive_query(&packet, |dst| self.service_addrs.contains(&dst)) else {
             return;
-        }
-        let Ok(query) = MessageView::parse(&udp.payload) else { return };
-        if query.header().qr {
-            return;
-        }
+        };
         self.queries_handled += 1;
         let payload = match query.question() {
             Some(q) => self.answer(ctx, &query, &q.to_question(), packet.src()),

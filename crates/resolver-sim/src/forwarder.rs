@@ -1,18 +1,19 @@
 //! A DNS forwarder core: the state machine inside every CPE DNS stack
 //! (Dnsmasq, XDNS, Pi-hole).
 //!
-//! The forwarder answers CHAOS server-identification queries itself — the
-//! property the paper's step 2 exploits — and relays everything else to a
-//! configured upstream, remapping transaction IDs. It is transport-free:
-//! the CPE device feeds it the views of client queries and parsed upstream
-//! responses, and ships the actions it returns.
+//! The forwarder answers by the local-answer rule itself — a CHAOS
+//! server-identification query by its software profile, the property the
+//! paper's step 2 exploits — and NXDOMAIN for blocklisted names. Everything
+//! else is relayed upstream as the datagram the client sent, with only the
+//! transaction ID rewritten. The core is transport-free and deals only in
+//! IDs: the device takes each query through the front door, hands the core
+//! its view, and copies the bytes itself; per upstream ID the core keeps the
+//! client's ID and the device's metadata until the answer comes back.
 
-use crate::server::{apply_chaos_policy, LocalReply};
+use crate::server::{local_answer, LocalReply};
 use crate::software::SoftwareProfile;
-use dns_wire::debug_queries;
-use dns_wire::{Message, MessageView, Name, RClass, Rcode};
+use dns_wire::{MessageView, Name, Rcode};
 use netsim::FxHashMap;
-use std::net::IpAddr;
 
 /// What the forwarder wants done with a client query.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -21,46 +22,35 @@ pub enum FwdAction<'p> {
     /// query's view.
     Respond(LocalReply<'p>),
     /// Relay the query to the upstream resolver. Deciding this registers
-    /// nothing: a caller that sends the query gets the ID-remapped message
-    /// from [`ForwarderCore::relay`].
+    /// nothing: a caller that sends the query gets its upstream ID from
+    /// [`ForwarderCore::relay`].
     Forward,
     /// Say nothing.
     Drop,
 }
 
-/// A pending forwarded query, carrying caller-defined metadata `M` (the CPE
-/// device stores the NAT-translated request packet there).
-#[derive(Debug, Clone)]
-pub(crate) struct PendingQuery<M> {
-    /// The client's original transaction ID, restored on the way back.
-    pub orig_txid: u16,
-    /// Caller metadata.
-    pub meta: M,
-}
-
-/// The forwarder state machine.
+/// The forwarder state machine, carrying caller-defined metadata `M` per
+/// relayed query (the CPE device stores the path its answer takes back).
 #[derive(Debug)]
 pub struct ForwarderCore<M> {
     /// Software identity (drives version.bind answers).
     pub profile: SoftwareProfile,
-    /// Upstream resolver address.
-    pub upstream: IpAddr,
     /// Names answered locally with NXDOMAIN (Pi-hole style blocklist).
     pub blocklist: Vec<Name>,
-    pending: FxHashMap<u16, PendingQuery<M>>,
+    /// Per upstream transaction ID: the client's ID and the metadata.
+    pending: FxHashMap<u16, (u16, M)>,
     next_txid: u16,
     /// Queries forwarded upstream.
     pub forwarded: u64,
-    /// Queries answered locally (CHAOS + blocklist).
+    /// Queries answered locally (CHAOS, other classes, blocklist).
     pub answered_locally: u64,
 }
 
 impl<M> ForwarderCore<M> {
-    /// Creates a forwarder with the given identity and upstream.
-    pub fn new(profile: SoftwareProfile, upstream: IpAddr) -> ForwarderCore<M> {
+    /// Creates a forwarder with the given identity.
+    pub fn new(profile: SoftwareProfile) -> ForwarderCore<M> {
         ForwarderCore {
             profile,
-            upstream,
             blocklist: Vec::new(),
             pending: FxHashMap::default(),
             next_txid: 0x4000,
@@ -74,22 +64,13 @@ impl<M> ForwarderCore<M> {
         self.pending.len()
     }
 
-    /// Decides what to do with a client query.
+    /// Decides what to do with a client query that came through the
+    /// front door.
     pub fn handle_query(&mut self, query: &MessageView<'_>) -> FwdAction<'_> {
-        if query.header().qr {
-            return FwdAction::Drop;
-        }
         let Some(q) = query.question() else { return FwdAction::Drop };
-
-        // CHAOS server-identification handled locally — the step-2 hook.
-        if let Some(kind) = debug_queries::server_id_kind_view(&q) {
+        if let Some(reply) = local_answer(&q, &self.profile) {
             self.answered_locally += 1;
-            let reply = apply_chaos_policy(self.profile.policy(kind));
             return reply.map_or(FwdAction::Drop, FwdAction::Respond);
-        }
-        if q.qclass != RClass::In {
-            self.answered_locally += 1;
-            return FwdAction::Respond(LocalReply::Status(Rcode::NotImp));
         }
         if self.blocklist.iter().any(|b| q.qname.is_subdomain_of(b)) {
             self.answered_locally += 1;
@@ -98,30 +79,22 @@ impl<M> ForwarderCore<M> {
         FwdAction::Forward
     }
 
-    /// Registers a query [`handle_query`](ForwarderCore::handle_query)
-    /// chose to forward and returns it with a fresh transaction ID, the
-    /// only case that materializes the query. `meta` is returned when the
-    /// upstream response arrives.
-    pub fn relay(&mut self, query: &MessageView<'_>, meta: M) -> Message {
-        let orig_txid = query.header().id;
+    /// Registers the relay of a query [`handle_query`](ForwarderCore::handle_query)
+    /// chose to forward, sent by the client with transaction ID
+    /// `client_txid`, and returns the fresh ID the relayed copy carries
+    /// upstream. `meta` comes back with the answer.
+    pub fn relay(&mut self, client_txid: u16, meta: M) -> u16 {
         let txid = self.allocate_txid();
-        self.pending.insert(txid, PendingQuery { orig_txid, meta });
-        let mut relayed = query.to_message();
-        relayed.header.id = txid;
+        self.pending.insert(txid, (client_txid, meta));
         self.forwarded += 1;
-        relayed
+        txid
     }
 
-    /// Processes an upstream response; returns the stored metadata and the
-    /// response with the client's transaction ID restored. `None` for
-    /// unexpected responses (late, duplicated, or spoofed).
-    pub fn handle_upstream_response(&mut self, mut response: Message) -> Option<(M, Message)> {
-        if !response.header.qr {
-            return None;
-        }
-        let pending = self.pending.remove(&response.header.id)?;
-        response.header.id = pending.orig_txid;
-        Some((pending.meta, response))
+    /// Matches an upstream answer carrying transaction ID `txid` to its
+    /// relay: the client's ID to restore and the stored metadata. `None`
+    /// for unexpected answers (late, duplicated, or spoofed).
+    pub fn handle_upstream_response(&mut self, txid: u16) -> Option<(u16, M)> {
+        self.pending.remove(&txid)
     }
 
     fn allocate_txid(&mut self) -> u16 {
@@ -140,10 +113,10 @@ impl<M> ForwarderCore<M> {
 mod tests {
     use super::*;
     use dns_wire::debug_queries;
-    use dns_wire::{Question, RData, RType, Record};
+    use dns_wire::{Message, Question, RClass, RType};
 
     fn fwd() -> ForwarderCore<u32> {
-        ForwarderCore::new(SoftwareProfile::dnsmasq("2.85"), "75.75.75.75".parse().unwrap())
+        ForwarderCore::new(SoftwareProfile::dnsmasq("2.85"))
     }
 
     fn a_query(id: u16, name: &str) -> Vec<u8> {
@@ -175,36 +148,25 @@ mod tests {
         assert_eq!(f.handle_query(&view(&query)), FwdAction::Forward);
         // Deciding to forward registers nothing; relaying does.
         assert_eq!((f.pending_len(), f.forwarded), (0, 0));
-        let relayed = f.relay(&view(&query), 99);
+        let txid = f.relay(7, 99);
         assert_eq!(f.forwarded, 1);
-        assert_ne!(relayed.header.id, 7);
-        assert_eq!(relayed.questions, Message::parse(&query).unwrap().questions);
+        assert_ne!(txid, 7);
         assert_eq!(f.pending_len(), 1);
 
-        // Upstream answers with the relayed ID; forwarder restores 7 and
-        // hands back the metadata.
-        let resp = Message::response_to(&relayed, Rcode::NoError).with_answer(Record::new(
-            "example.com".parse().unwrap(),
-            60,
-            RData::A("1.2.3.4".parse().unwrap()),
-        ));
-        let (meta, restored) = f.handle_upstream_response(resp).unwrap();
-        assert_eq!(meta, 99);
-        assert_eq!(restored.header.id, 7);
+        // Upstream answers with the relayed ID; the forwarder gives back
+        // the client's 7 and the metadata, once.
+        assert_eq!(f.handle_upstream_response(txid), Some((7, 99)));
         assert_eq!(f.pending_len(), 0);
+        assert_eq!(f.handle_upstream_response(txid), None);
     }
 
     #[test]
     fn unexpected_upstream_response_rejected() {
         let mut f = fwd();
-        let query = Message::parse(&a_query(1, "example.com")).unwrap();
-        let fake = Message::response_to(&query, Rcode::NoError);
-        assert!(f.handle_upstream_response(fake).is_none());
-        // Non-response messages are also rejected.
-        let query = a_query(2, "example.com");
-        let mut not_a_response = f.relay(&view(&query), 0);
-        not_a_response.header.qr = false;
-        assert!(f.handle_upstream_response(not_a_response).is_none());
+        assert!(f.handle_upstream_response(1).is_none());
+        // An answer to a different relay leaves the pending one in place.
+        let txid = f.relay(2, 0);
+        assert!(f.handle_upstream_response(txid.wrapping_add(1)).is_none());
         assert_eq!(f.pending_len(), 1);
     }
 
@@ -224,10 +186,7 @@ mod tests {
 
     #[test]
     fn silent_chaos_profile_drops() {
-        let mut f: ForwarderCore<()> = ForwarderCore::new(
-            SoftwareProfile::chaos_silent("mute"),
-            "75.75.75.75".parse().unwrap(),
-        );
+        let mut f: ForwarderCore<()> = ForwarderCore::new(SoftwareProfile::chaos_silent("mute"));
         let query = wire(&debug_queries::version_bind_query(1));
         assert_eq!(f.handle_query(&view(&query)), FwdAction::Drop);
     }
@@ -251,8 +210,7 @@ mod tests {
         let mut f = fwd();
         let mut ids = std::collections::HashSet::new();
         for i in 0..100 {
-            let query = a_query(i, "example.com");
-            assert!(ids.insert(f.relay(&view(&query), 0).header.id));
+            assert!(ids.insert(f.relay(i, 0)));
         }
         assert_eq!(f.pending_len(), 100);
     }

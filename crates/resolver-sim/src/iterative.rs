@@ -9,12 +9,15 @@
 //! hold on the true packet path).
 
 use crate::cache::DnsCache;
-use crate::server::{encode_payload, handle_server_id, send_local_reply, LocalReply};
+use crate::server::{
+    encode_payload, local_answer, receive_answer, receive_query, send_local_reply,
+};
 use crate::software::SoftwareProfile;
 use crate::zone::ResolveResult;
-use dns_wire::{Message, MessageView, Name, Question, RClass, RData, RType, Rcode, Record};
-use netsim::{Ctx, Device, FxHashMap, FxHashSet, IfaceId, IpPacket, SharedStr, SimDuration};
+use dns_wire::{Message, Name, Question, RData, RType, Rcode, Record};
+use netsim::{Ctx, Device, FxHashMap, IfaceId, IpPacket, SharedStr, SimDuration};
 use std::net::IpAddr;
+use std::sync::Arc;
 
 /// Source port for upstream queries.
 const UPSTREAM_SPORT: u16 = 53210;
@@ -63,7 +66,7 @@ struct Iteration {
 /// The iterative resolver device.
 pub struct IterativeResolver {
     name: SharedStr,
-    service_addrs: FxHashSet<IpAddr>,
+    service_addrs: Arc<[IpAddr]>,
     /// Source address for upstream queries (must route back to us).
     egress: IpAddr,
     root_hints: Vec<IpAddr>,
@@ -84,14 +87,14 @@ impl IterativeResolver {
     /// Creates the resolver.
     pub fn new(
         name: impl Into<SharedStr>,
-        service_addrs: impl IntoIterator<Item = IpAddr>,
+        service_addrs: impl Into<Arc<[IpAddr]>>,
         egress: IpAddr,
         root_hints: Vec<IpAddr>,
         profile: SoftwareProfile,
     ) -> IterativeResolver {
         IterativeResolver {
             name: name.into(),
-            service_addrs: service_addrs.into_iter().collect(),
+            service_addrs: service_addrs.into(),
             egress,
             root_hints,
             profile,
@@ -171,22 +174,14 @@ impl IterativeResolver {
     }
 
     fn handle_client_query(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, packet: &IpPacket) {
-        let udp = packet.udp_payload().expect("caller checked");
-        let Ok(query) = MessageView::parse(&udp.payload) else { return };
-        if query.header().qr {
+        let Some(query) = receive_query(packet, |dst| self.service_addrs.contains(&dst)) else {
             return;
-        }
+        };
         let Some(question) = query.question() else { return };
         self.queries_handled += 1;
-
-        // CHAOS identity queries are answered locally, straight from the
-        // query's view.
-        if let Some(reply) = handle_server_id(&question, &self.profile) {
-            send_local_reply(ctx, iface, packet, &query, reply);
-            return;
-        }
-        if question.qclass != RClass::In {
-            let reply = Some(LocalReply::Status(Rcode::NotImp));
+        // CHAOS identity queries and other classes are answered locally,
+        // straight from the query's view.
+        if let Some(reply) = local_answer(&question, &self.profile) {
             send_local_reply(ctx, iface, packet, &query, reply);
             return;
         }
@@ -196,7 +191,7 @@ impl IterativeResolver {
         let client = ClientInfo {
             iface,
             src: packet.src(),
-            sport: udp.src_port,
+            sport: packet.udp_payload().expect("the front door admitted UDP").src_port,
             queried: packet.dst(),
             txid: query.header().id,
         };
@@ -227,18 +222,17 @@ impl IterativeResolver {
     }
 
     fn handle_upstream_response(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, packet: &IpPacket) {
-        let udp = packet.udp_payload().expect("caller checked");
-        let Ok(resp) = Message::parse(&udp.payload) else { return };
-        if !resp.header.qr {
-            return;
-        }
-        let txid = resp.header.id;
+        let Some(answer) = receive_answer(packet) else { return };
+        let txid = answer.header().id;
         let Some(iter) = self.pending.get_mut(&txid) else { return };
         // Bailiwick-lite: the response must come from the server we asked.
         let asked = iter.servers.get(iter.next_server % iter.servers.len().max(1)).copied();
         if asked != Some(packet.src()) {
             return;
         }
+        // The answer's records are followed across events, so it becomes
+        // an owned message.
+        let resp = answer.to_message();
 
         match resp.header.rcode {
             Rcode::NoError => {}
@@ -353,14 +347,12 @@ fn final_owner(resp: &Message, current: &Question) -> Name {
 
 impl Device for IterativeResolver {
     fn receive(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, packet: IpPacket) {
-        let Some(udp) = packet.udp_payload() else { return };
         // Upstream responses: addressed to our egress on the upstream port.
-        if packet.dst() == self.egress && udp.dst_port == UPSTREAM_SPORT {
+        let upstream = packet.dst() == self.egress
+            && packet.udp_payload().is_some_and(|udp| udp.dst_port == UPSTREAM_SPORT);
+        if upstream {
             self.handle_upstream_response(ctx, iface, &packet);
-            return;
-        }
-        // Client queries on any service address.
-        if udp.dst_port == 53 && self.service_addrs.contains(&packet.dst()) {
+        } else {
             self.handle_client_query(ctx, iface, &packet);
         }
     }

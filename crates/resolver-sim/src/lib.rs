@@ -13,7 +13,13 @@
 //!   OpenDNS with the exact location-query semantics of paper Table 1.
 //! * [`ForwarderCore`] — the Dnsmasq/XDNS-style forwarder state machine CPE
 //!   devices embed; it answers `version.bind` itself, which is what the
-//!   paper's step 2 detects.
+//!   paper's step 2 detects, and relays the rest with only the transaction
+//!   ID rewritten.
+//!
+//! Every server device here, and the CPE, takes a query in through one
+//! front door, [`receive_query`]; the ones with a software identity answer
+//! CHAOS server identification and any other non-IN class by one rule,
+//! [`local_answer`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,8 +41,8 @@ pub use iterative::IterativeResolver;
 pub use public_site::{PublicBrand, PublicResolverSite, SiteProfile};
 pub use recursive::RecursiveResolver;
 pub use server::{
-    encode_payload, handle_server_id, local_reply_payload, reply_packet, reply_payload,
-    send_local_reply, send_reply, LocalReply,
+    local_answer, local_reply_payload, receive_answer, receive_query, relay_payload, reply_packet,
+    reply_payload, send_local_reply, send_reply, LocalReply,
 };
 pub use software::{ChaosPolicy, SoftwareProfile};
 pub use zone::{

@@ -1,10 +1,11 @@
 //! Anycast sites of the four public resolvers, with the location-query
 //! semantics of paper Table 1.
 
-use crate::server::{local_reply_payload, reply_payload, send_reply, LocalReply};
+use crate::server::{local_answer, receive_query, reply_payload, send_local_reply, send_reply};
+use crate::software::{ChaosPolicy, SoftwareProfile};
 use crate::zone::{ResolveCtx, ResolveResult, ZoneDb};
 use bytes::Bytes;
-use dns_wire::debug_queries::{self, ServerIdKind};
+use dns_wire::debug_queries;
 use dns_wire::{Header, MessageView, Name, Question, RClass, RData, RType, Rcode};
 use netsim::{Ctx, Device, IfaceId, IpPacket, SharedStr};
 use std::net::IpAddr;
@@ -31,9 +32,9 @@ impl PublicBrand {
 
 /// What one anycast site of one public resolver is, apart from the world
 /// it answers in: its name, service addresses, site code, egress, the TXT
-/// answers it serves (the identity, Quad9's version, and the OpenDNS debug
-/// strings, server then flags), and the zone answer to its location
-/// question once resolved.
+/// answers it serves (the identity and Quad9's version as a software
+/// profile, and the OpenDNS debug strings, server then flags), and the
+/// zone answer to its location question once resolved.
 ///
 /// Built once, a profile is shared by every world with a site there, so a
 /// site device costs a world build no allocation.
@@ -43,8 +44,8 @@ pub struct SiteProfile {
     brand: PublicBrand,
     service_addrs: Arc<[IpAddr]>,
     egress: ResolveCtx,
-    identity_txt: Option<RData>,
-    version_txt: Option<RData>,
+    /// The brand's CHAOS answers: a text where it has one, else NOTIMP.
+    chaos: SoftwareProfile,
     debug_txt: Option<[RData; 2]>,
     /// The location question and the zone's answer to it from `egress`.
     location: Option<(Question, ResolveResult)>,
@@ -69,15 +70,21 @@ impl SiteProfile {
             // Google and OpenDNS do not implement id.server.
             PublicBrand::Google | PublicBrand::OpenDns => None,
         };
+        // Only Quad9 answers version.bind (§3.2).
+        let version = (brand == PublicBrand::Quad9).then(|| format!("Q9-P-6.1-{site}"));
+        let policy = |text: Option<String>| {
+            text.map_or(ChaosPolicy::Status(Rcode::NotImp), |t| ChaosPolicy::Text(t.into()))
+        };
         SiteProfile {
             name: format!("{brand:?}-{iata}").into(),
             brand,
             service_addrs: service_addrs.into_iter().collect(),
             egress,
-            identity_txt: identity.map(RData::txt),
-            // Only Quad9 answers version.bind (§3.2).
-            version_txt: (brand == PublicBrand::Quad9)
-                .then(|| RData::txt(format!("Q9-P-6.1-{site}"))),
+            chaos: SoftwareProfile {
+                name: format!("{brand:?}").into(),
+                version_bind: policy(version),
+                id_server: policy(identity),
+            },
             // OpenDNS synthesizes debug.opendns.com at the resolver itself.
             debug_txt: (brand == PublicBrand::OpenDns).then(|| {
                 [
@@ -118,8 +125,6 @@ impl SiteProfile {
 pub struct PublicResolverSite {
     profile: Arc<SiteProfile>,
     zonedb: Arc<ZoneDb>,
-    /// Whether this resolver validates DNSSEC (AD bit on signed answers).
-    pub dnssec_validating: bool,
     /// Total queries handled.
     pub queries_handled: u64,
 }
@@ -140,38 +145,12 @@ impl PublicResolverSite {
 
     /// Creates a site from a shared profile; it allocates nothing.
     pub fn with_profile(profile: Arc<SiteProfile>, zonedb: Arc<ZoneDb>) -> PublicResolverSite {
-        PublicResolverSite {
-            // Cloudflare, Google, and Quad9 validate; classic OpenDNS does
-            // not.
-            dnssec_validating: profile.brand != PublicBrand::OpenDns,
-            profile,
-            zonedb,
-            queries_handled: 0,
-        }
+        PublicResolverSite { profile, zonedb, queries_handled: 0 }
     }
 
     /// The brand of this site.
     pub fn brand(&self) -> PublicBrand {
         self.profile.brand
-    }
-
-    fn answer_chaos(
-        &self,
-        ctx: &mut Ctx<'_>,
-        query: &MessageView<'_>,
-        kind: ServerIdKind,
-    ) -> Option<Bytes> {
-        let text = match kind {
-            ServerIdKind::Version => self.profile.version_txt.as_ref(),
-            ServerIdKind::Identity => self.profile.identity_txt.as_ref(),
-        };
-        match text {
-            Some(rdata) => {
-                let header = Header::response_to(query.header(), Rcode::NoError);
-                reply_payload(ctx, query, &header, |w| w.answer_question(RClass::Chaos, 0, rdata))
-            }
-            None => local_reply_payload(ctx, query, LocalReply::Status(Rcode::NotImp)),
-        }
     }
 
     fn answer_in(&self, ctx: &mut Ctx<'_>, query: &MessageView<'_>, q: &Question) -> Option<Bytes> {
@@ -185,8 +164,9 @@ impl PublicResolverSite {
         self.answer_zone(ctx, query, &self.zonedb.resolve(q, &self.profile.egress))
     }
 
-    /// Writes a zone answer: its rcode, AD when this site validates and
-    /// the answer is signed, then its records.
+    /// Writes a zone answer: its rcode, AD when the answer is signed and
+    /// this site validates (Cloudflare, Google and Quad9 do; classic
+    /// OpenDNS does not), then its records.
     fn answer_zone(
         &self,
         ctx: &mut Ctx<'_>,
@@ -194,7 +174,7 @@ impl PublicResolverSite {
         result: &ResolveResult,
     ) -> Option<Bytes> {
         let mut header = Header::response_to(query.header(), result.rcode);
-        header.ad = self.dnssec_validating && result.authenticated;
+        header.ad = self.profile.brand != PublicBrand::OpenDns && result.authenticated;
         reply_payload(ctx, query, &header, |w| result.answers.iter().try_for_each(|r| w.answer(r)))
     }
 }
@@ -205,26 +185,19 @@ fn is_opendns_debug(name: &Name) -> bool {
 
 impl Device for PublicResolverSite {
     fn receive(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, packet: IpPacket) {
-        let Some(udp) = packet.udp_payload() else { return };
-        if udp.dst_port != 53 || !self.profile.service_addrs.contains(&packet.dst()) {
-            return;
-        }
-        let Ok(query) = MessageView::parse(&udp.payload) else { return };
-        if query.header().qr {
-            return;
-        }
+        let addrs = &self.profile.service_addrs;
+        let Some(query) = receive_query(&packet, |dst| addrs.contains(&dst)) else { return };
         let Some(q) = query.question() else { return };
         self.queries_handled += 1;
+        if let Some(reply) = local_answer(&q, &self.profile.chaos) {
+            send_local_reply(ctx, iface, &packet, &query, reply);
+            return;
+        }
 
         let location = self.profile.location.as_ref().filter(|(asked, _)| q.matches(asked));
-        let payload = if let Some(kind) = debug_queries::server_id_kind_view(&q) {
-            self.answer_chaos(ctx, &query, kind)
-        } else if let Some((_, answer)) = location {
-            self.answer_zone(ctx, &query, answer)
-        } else if q.qclass == RClass::In {
-            self.answer_in(ctx, &query, &q.to_question())
-        } else {
-            local_reply_payload(ctx, &query, LocalReply::Status(Rcode::NotImp))
+        let payload = match location {
+            Some((_, answer)) => self.answer_zone(ctx, &query, answer),
+            None => self.answer_in(ctx, &query, &q.to_question()),
         };
         if let Some(payload) = payload {
             send_reply(ctx, iface, &packet, payload);

@@ -10,8 +10,8 @@
 
 use crate::cache::DnsCache;
 use crate::server::{
-    handle_server_id, local_reply_payload, reply_packet, reply_payload, send_local_reply,
-    LocalReply,
+    local_answer, local_reply_payload, receive_query, reply_packet, reply_payload,
+    send_local_reply, LocalReply,
 };
 use crate::software::SoftwareProfile;
 use crate::zone::{ResolveCtx, ResolveResult, ZoneDb};
@@ -41,10 +41,6 @@ pub struct RecursiveResolver {
     /// Refuse every IN query (models resolvers that block foreign clients,
     /// producing the paper's "Status Modified" category).
     pub refuse_all: bool,
-    /// Whether this resolver validates DNSSEC (sets the AD bit on answers
-    /// from signed zones). Most ISP alternate resolvers do not — the
-    /// downgrade a validating client can notice (§1's DNSSEC interference).
-    pub dnssec_validating: bool,
     pending: FxHashMap<u64, (IfaceId, IpPacket)>,
     next_token: u64,
     /// Total queries handled.
@@ -69,7 +65,6 @@ impl RecursiveResolver {
             cache: DnsCache::new(4096),
             nxdomain_wildcard: None,
             refuse_all: false,
-            dnssec_validating: false,
             pending: FxHashMap::default(),
             next_token: 0,
             queries_handled: 0,
@@ -98,65 +93,49 @@ impl RecursiveResolver {
             return (local_reply_payload(ctx, query, LocalReply::Status(Rcode::Refused)), false);
         }
         let now = ctx.now();
-        let (wildcard, validating) = (self.nxdomain_wildcard, self.dnssec_validating);
+        let wildcard = self.nxdomain_wildcard;
         if let Some(cached) = self.cache.get(q, now) {
-            return (write_result(ctx, query, cached, wildcard, validating), false);
+            return (write_result(ctx, query, cached, wildcard), false);
         }
         let result = self.zonedb.resolve(q, &self.egress);
-        let payload = write_result(ctx, query, &result, wildcard, validating);
+        let payload = write_result(ctx, query, &result, wildcard);
         self.cache.put(q, result, now);
         (payload, true)
     }
 }
 
-/// Writes the reply carrying `result`, with the AD bit when a validating
-/// resolver got a signed answer; with `wildcard` set, an NXDOMAIN for an A
-/// question becomes an A record pointing there.
+/// Writes the reply carrying `result` (never with AD: this resolver does
+/// not validate, the downgrade a validating client can notice); with
+/// `wildcard` set, an NXDOMAIN for an A question becomes an A record
+/// pointing there.
 fn write_result(
     ctx: &mut Ctx<'_>,
     query: &MessageView<'_>,
     result: &ResolveResult,
     wildcard: Option<Ipv4Addr>,
-    validating: bool,
 ) -> Option<Bytes> {
-    let ad = validating && result.authenticated;
     if result.rcode == Rcode::NxDomain {
         if let (Some(ad_ip), Some(q)) = (wildcard, query.question()) {
             if q.qtype == RType::A {
-                let mut header = Header::response_to(query.header(), Rcode::NoError);
-                header.ad = ad;
+                let header = Header::response_to(query.header(), Rcode::NoError);
                 return reply_payload(ctx, query, &header, |w| {
                     w.answer_question(RClass::In, 60, &RData::A(ad_ip))
                 });
             }
         }
     }
-    let mut header = Header::response_to(query.header(), result.rcode);
-    header.ad = ad;
+    let header = Header::response_to(query.header(), result.rcode);
     reply_payload(ctx, query, &header, |w| result.answers.iter().try_for_each(|r| w.answer(r)))
 }
 
 impl Device for RecursiveResolver {
     fn receive(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, packet: IpPacket) {
-        let Some(udp) = packet.udp_payload() else { return };
-        if udp.dst_port != 53 || !self.service_addrs.contains(&packet.dst()) {
+        let Some(query) = receive_query(&packet, |dst| self.service_addrs.contains(&dst)) else {
             return;
-        }
-        let Ok(query) = MessageView::parse(&udp.payload) else { return };
-        if query.header().qr {
-            return;
-        }
+        };
         let Some(q) = query.question() else { return };
         self.queries_handled += 1;
-
-        // CHAOS server-identification queries answer per software profile.
-        if let Some(reply) = handle_server_id(&q, &self.profile) {
-            send_local_reply(ctx, iface, &packet, &query, reply);
-            return;
-        }
-
-        if q.qclass != RClass::In {
-            let reply = Some(LocalReply::Status(Rcode::NotImp));
+        if let Some(reply) = local_answer(&q, &self.profile) {
             send_local_reply(ctx, iface, &packet, &query, reply);
             return;
         }

@@ -1,6 +1,10 @@
-//! Shared building blocks for DNS server devices: reply-packet construction,
-//! the reply writer's entry point, and CHAOS server-identification
-//! handling.
+//! Where every simulated DNS device meets the wire: the one front door a
+//! query comes in through, the one door an answer to the device's own
+//! upstream query comes in through, the local-answer rule, the ID-only
+//! relay copy, and the reply writers.
+//!
+//! These two doors are the only places the servers and the CPE parse DNS
+//! bytes, so a rejected datagram has one place to be counted.
 
 use crate::software::{ChaosPolicy, SoftwareProfile};
 use bytes::Bytes;
@@ -11,6 +15,7 @@ use dns_wire::{
 };
 use netsim::{Ctx, IfaceId, IpPacket};
 use std::cell::RefCell;
+use std::net::IpAddr;
 
 thread_local! {
     /// The encode scratch every DNS device on this thread shares. A
@@ -19,6 +24,67 @@ thread_local! {
     /// warm from probe to probe. Encoding clears it first, so what an
     /// earlier encode left behind never reaches the wire.
     static SCRATCH: RefCell<EncodeScratch> = RefCell::new(EncodeScratch::new());
+    /// The buffer a relayed datagram is patched in on its way into the
+    /// payload pool, shared and kept warm the same way.
+    static RELAY: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+}
+
+/// The front door: the query `packet` carries, if it is a UDP datagram to
+/// port 53 at an address the device answers on (`serves`), and its payload
+/// parses as a DNS message with QR clear. Anything else is `None`, and the
+/// device stays silent.
+pub fn receive_query(
+    packet: &IpPacket,
+    serves: impl FnOnce(IpAddr) -> bool,
+) -> Option<MessageView<'_>> {
+    let udp = packet.udp_payload()?;
+    if udp.dst_port != 53 || !serves(packet.dst()) {
+        return None;
+    }
+    MessageView::parse(&udp.payload).ok().filter(|query| !query.header().qr)
+}
+
+/// The door for an answer to one of the device's own upstream queries:
+/// the payload of `packet` (already routed to the port the device asked
+/// from) parsed as a DNS message with QR set. Anything else is `None`.
+pub fn receive_answer(packet: &IpPacket) -> Option<MessageView<'_>> {
+    let udp = packet.udp_payload()?;
+    MessageView::parse(&udp.payload).ok().filter(|answer| answer.header().qr)
+}
+
+/// The local-answer rule, applied before any lookup or relay: a CHAOS
+/// server-identification question is answered by `profile`'s policy, and a
+/// question of any other class but IN gets NOTIMP. Returns:
+///
+/// * `None` — an IN question; the caller looks it up or relays it.
+/// * `Some(None)` — the profile stays silent.
+/// * `Some(Some(reply))` — the reply to send.
+pub fn local_answer<'p>(
+    q: &QuestionView<'_>,
+    profile: &'p SoftwareProfile,
+) -> Option<Option<LocalReply<'p>>> {
+    if let Some(kind) = debug_queries::server_id_kind_view(q) {
+        return Some(match profile.policy(kind) {
+            ChaosPolicy::Text(text) => Some(LocalReply::Text(text)),
+            ChaosPolicy::Status(rcode) => Some(LocalReply::Status(*rcode)),
+            ChaosPolicy::Silent => None,
+        });
+    }
+    (q.qclass != RClass::In).then_some(Some(LocalReply::Status(Rcode::NotImp)))
+}
+
+/// Copies the DNS message `wire` into a slab of the simulator's payload
+/// pool with its transaction ID (bytes 0–1) replaced by `id` and every
+/// other byte as it arrived: a forwarder's relay. Warm, it allocates
+/// nothing.
+pub fn relay_payload(ctx: &mut Ctx<'_>, wire: &[u8], id: u16) -> Bytes {
+    RELAY.with(|buf| {
+        let mut buf = buf.borrow_mut();
+        buf.clear();
+        buf.extend_from_slice(wire);
+        buf[..2].copy_from_slice(&id.to_be_bytes());
+        ctx.alloc_payload(&buf)
+    })
 }
 
 /// Builds the UDP reply packet for `request`: source/destination and ports
@@ -30,10 +96,10 @@ pub fn reply_packet(request: &IpPacket, payload: Bytes) -> Option<IpPacket> {
 
 /// Encodes `msg` through the thread's shared scratch into a slab of the
 /// simulator's payload pool, so the steady state allocates nothing per
-/// message. Returns `None` if encoding fails. For messages a device holds
-/// across events (relayed queries, upstream answers); a synchronous answer
-/// goes through [`reply_payload`] instead.
-pub fn encode_payload(ctx: &mut Ctx<'_>, msg: &Message) -> Option<Bytes> {
+/// message. Returns `None` if encoding fails. For the messages the
+/// iterative resolver builds across events; a synchronous answer goes
+/// through [`reply_payload`] instead.
+pub(crate) fn encode_payload(ctx: &mut Ctx<'_>, msg: &Message) -> Option<Bytes> {
     SCRATCH.with(|scratch| {
         let mut scratch = scratch.borrow_mut();
         let wire = msg.encode_into(&mut scratch).ok()?;
@@ -110,43 +176,24 @@ pub fn send_local_reply(
     }
 }
 
-/// The reply one CHAOS policy gives (`None` = stay silent).
-pub(crate) fn apply_chaos_policy(policy: &ChaosPolicy) -> Option<LocalReply<'_>> {
-    match policy {
-        ChaosPolicy::Text(text) => Some(LocalReply::Text(text)),
-        ChaosPolicy::Status(rcode) => Some(LocalReply::Status(*rcode)),
-        ChaosPolicy::Silent => None,
-    }
-}
-
-/// If `q` is a CHAOS server-identification question, answers it according
-/// to `profile`. Returns:
-///
-/// * `None` — not a CHAOS server-id query; caller handles it.
-/// * `Some(None)` — it was, and the profile stays silent.
-/// * `Some(Some(reply))` — it was, here is the reply.
-pub fn handle_server_id<'p>(
-    q: &QuestionView<'_>,
-    profile: &'p SoftwareProfile,
-) -> Option<Option<LocalReply<'p>>> {
-    let kind = debug_queries::server_id_kind_view(q)?;
-    Some(apply_chaos_policy(profile.policy(kind)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use dns_wire::{Question, RType};
 
+    fn packet(dst: &str, dst_port: u16, payload: Vec<u8>) -> IpPacket {
+        IpPacket::udp_v4(
+            "192.168.1.100".parse().unwrap(),
+            dst.parse().unwrap(),
+            4000,
+            dst_port,
+            Bytes::from(payload),
+        )
+    }
+
     #[test]
     fn reply_packet_swaps_endpoints() {
-        let req = IpPacket::udp_v4(
-            "192.168.1.100".parse().unwrap(),
-            "75.75.75.75".parse().unwrap(),
-            4000,
-            53,
-            Bytes::from_static(b"q"),
-        );
+        let req = packet("75.75.75.75", 53, b"q".to_vec());
         let reply = reply_packet(&req, Bytes::from_static(b"r")).unwrap();
         assert_eq!(reply.src(), req.dst());
         assert_eq!(reply.dst(), req.src());
@@ -155,49 +202,66 @@ mod tests {
         assert_eq!(udp.dst_port, 4000);
     }
 
-    /// [`handle_server_id`] on `query`'s first question as a server sees
-    /// it, in the query's wire form.
-    fn server_id_reply<'p>(
-        query: &Message,
-        profile: &'p SoftwareProfile,
-    ) -> Option<Option<LocalReply<'p>>> {
+    #[test]
+    fn the_front_door_admits_only_queries_to_a_served_address_on_port_53() {
+        let query = Message::query(7, Question::new("example.com".parse().unwrap(), RType::A));
+        let wire = query.encode().unwrap();
+        let served: IpAddr = "75.75.75.75".parse().unwrap();
+        let serves = |dst| dst == served;
+        let admitted = packet("75.75.75.75", 53, wire.clone());
+        assert_eq!(receive_query(&admitted, serves).unwrap().header().id, 7);
+        assert!(receive_query(&packet("75.75.75.76", 53, wire.clone()), serves).is_none());
+        assert!(receive_query(&packet("75.75.75.75", 5353, wire.clone()), serves).is_none());
+        assert!(receive_query(&packet("75.75.75.75", 53, wire[..5].to_vec()), serves).is_none());
+        let answer = Message::response_to(&query, Rcode::NoError).encode().unwrap();
+        assert!(receive_query(&packet("75.75.75.75", 53, answer.clone()), serves).is_none());
+        // The answer door is its mirror: QR set, and a query is turned away.
+        assert_eq!(receive_answer(&packet("75.75.75.75", 53, answer)).unwrap().header().id, 7);
+        assert!(receive_answer(&admitted).is_none());
+    }
+
+    /// [`local_answer`] on `query`'s first question as a server sees it,
+    /// in the query's wire form.
+    fn local<'p>(query: &Message, profile: &'p SoftwareProfile) -> Option<Option<LocalReply<'p>>> {
         let wire = query.encode().unwrap();
         let view = MessageView::parse(&wire).unwrap();
-        handle_server_id(&view.question().unwrap(), profile)
+        local_answer(&view.question().unwrap(), profile)
     }
 
     #[test]
     fn server_id_version_vs_identity() {
         let profile = SoftwareProfile::dnsmasq("2.85");
         let vb = dns_wire::debug_queries::version_bind_query(1);
-        assert_eq!(server_id_reply(&vb, &profile), Some(Some(LocalReply::Text("dnsmasq-2.85"))));
+        assert_eq!(local(&vb, &profile), Some(Some(LocalReply::Text("dnsmasq-2.85"))));
 
         let unbound = SoftwareProfile::unbound("1.9.0");
         let id = dns_wire::debug_queries::id_server_query(2);
-        assert_eq!(server_id_reply(&id, &unbound), Some(Some(LocalReply::Status(Rcode::Refused))));
+        assert_eq!(local(&id, &unbound), Some(Some(LocalReply::Status(Rcode::Refused))));
     }
 
     #[test]
     fn non_chaos_query_passes_through() {
         let profile = SoftwareProfile::dnsmasq("2.85");
         let q = Message::query(1, Question::new("example.com".parse().unwrap(), RType::A));
-        assert!(server_id_reply(&q, &profile).is_none());
-        // CHAOS class but a non-server-id name also passes through.
-        let weird = Message::query(
-            2,
-            Question {
-                qname: "foo.bar".parse().unwrap(),
-                qtype: RType::Txt,
-                qclass: RClass::Chaos,
-            },
-        );
-        assert!(server_id_reply(&weird, &profile).is_none());
+        assert!(local(&q, &profile).is_none());
+    }
+
+    #[test]
+    fn other_classes_and_chaos_names_get_notimp() {
+        let profile = SoftwareProfile::dnsmasq("2.85");
+        for qclass in [RClass::Chaos, RClass::Hesiod] {
+            let other = Message::query(
+                2,
+                Question { qname: "foo.bar".parse().unwrap(), qtype: RType::Txt, qclass },
+            );
+            assert_eq!(local(&other, &profile), Some(Some(LocalReply::Status(Rcode::NotImp))));
+        }
     }
 
     #[test]
     fn silent_profile_produces_no_response() {
         let profile = SoftwareProfile::chaos_silent("mute");
         let vb = dns_wire::debug_queries::version_bind_query(1);
-        assert_eq!(server_id_reply(&vb, &profile), Some(None));
+        assert_eq!(local(&vb, &profile), Some(None));
     }
 }

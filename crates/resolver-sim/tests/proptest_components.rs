@@ -124,38 +124,33 @@ proptest! {
         ids in proptest::collection::vec(any::<u16>(), 1..60),
         names in proptest::collection::vec("[a-z]{1,10}", 1..4),
     ) {
-        let mut fwd: ForwarderCore<usize> =
-            ForwarderCore::new(SoftwareProfile::dnsmasq("2.85"), "75.75.75.75".parse().unwrap());
+        let mut fwd: ForwarderCore<usize> = ForwarderCore::new(SoftwareProfile::dnsmasq("2.85"));
         let name: dns_wire::Name = format!("{}.example.com", names.join(".")).parse().unwrap();
         let mut relayed = Vec::new();
         for (i, id) in ids.iter().enumerate() {
             let q = Message::query(*id, Question::new(name.clone(), RType::A)).encode().unwrap();
             let query = MessageView::parse(&q).unwrap();
             prop_assert_eq!(fwd.handle_query(&query), FwdAction::Forward);
-            relayed.push((i, *id, fwd.relay(&query, i)));
+            relayed.push((i, *id, fwd.relay(query.header().id, i)));
         }
         // All relayed transaction IDs are distinct.
-        let mut txids: Vec<u16> = relayed.iter().map(|(_, _, m)| m.header.id).collect();
+        let mut txids: Vec<u16> = relayed.iter().map(|&(_, _, txid)| txid).collect();
         txids.sort_unstable();
         txids.dedup();
         prop_assert_eq!(txids.len(), relayed.len());
-        // Each response is matched back to its metadata with its original id.
-        for (meta, orig_id, m) in relayed {
-            let resp = Message::response_to(&m, Rcode::NoError);
-            let (got_meta, restored) = fwd.handle_upstream_response(resp).expect("pending");
-            prop_assert_eq!(got_meta, meta);
-            prop_assert_eq!(restored.header.id, orig_id);
+        // Each answer's ID is matched back to the client's ID and the
+        // metadata, once.
+        for (meta, orig_id, txid) in relayed {
+            prop_assert_eq!(fwd.handle_upstream_response(txid), Some((orig_id, meta)));
+            prop_assert_eq!(fwd.handle_upstream_response(txid), None);
         }
         prop_assert_eq!(fwd.pending_len(), 0);
     }
 
     #[test]
     fn forwarder_rejects_unknown_txids(txid in any::<u16>()) {
-        let mut fwd: ForwarderCore<()> =
-            ForwarderCore::new(SoftwareProfile::dnsmasq("2.85"), "75.75.75.75".parse().unwrap());
-        let fake_query = Message::query(txid, Question::new("x.example".parse().unwrap(), RType::A));
-        let fake = Message::response_to(&fake_query, Rcode::NoError);
-        prop_assert!(fwd.handle_upstream_response(fake).is_none());
+        let mut fwd: ForwarderCore<()> = ForwarderCore::new(SoftwareProfile::dnsmasq("2.85"));
+        prop_assert!(fwd.handle_upstream_response(txid).is_none());
     }
 
     #[test]
