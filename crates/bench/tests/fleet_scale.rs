@@ -132,11 +132,11 @@ fn assert_allocation_flatness() {
 }
 
 /// Per-probe budgets on the heavy-tail fleet at 1,200 probes: the measured
-/// 20.78 allocations and 8,351 bytes per responding probe (debug; release
-/// reads 20.77 and 8,345), plus 10%.
+/// 19.96 allocations and 8,305 bytes per responding probe (debug; release
+/// reads 19.96 and 8,300), plus 10%.
 /// The benign budgets above never see loss, retries or backoff; these do.
-const MAX_HEAVY_TAIL_ALLOCS_PER_PROBE: f64 = 22.9;
-const MAX_HEAVY_TAIL_BYTES_PER_PROBE: f64 = 9_187.0;
+const MAX_HEAVY_TAIL_ALLOCS_PER_PROBE: f64 = 22.0;
+const MAX_HEAVY_TAIL_BYTES_PER_PROBE: f64 = 9_136.0;
 
 fn assert_heavy_tail_budget() {
     let (count, bytes) = allocations_per_probe(heavy_tail(1200));
@@ -154,14 +154,14 @@ fn assert_heavy_tail_budget() {
 }
 
 /// Per-probe budgets for the capture-enabled campaign on the 300-probe
-/// fleet: the measured 101.2 allocations and 153,638 bytes per responding
-/// probe (debug; release reads 101.0 and 153,251), plus 10%. The whole
+/// fleet: the measured 97.9 allocations and 153,454 bytes per responding
+/// probe (debug; release reads 97.7 and 153,066), plus 10%. The whole
 /// campaign counts, measurement included.
 /// Regressing past these means hops went back to per-hop strings, the
 /// capture buffer stopped being recycled through `SimScratch`, or flow
 /// reconstruction re-parsed messages into owned ones.
-const MAX_CAPTURE_ALLOCS_PER_PROBE: f64 = 111.3;
-const MAX_CAPTURE_BYTES_PER_PROBE: f64 = 169_002.0;
+const MAX_CAPTURE_ALLOCS_PER_PROBE: f64 = 107.7;
+const MAX_CAPTURE_BYTES_PER_PROBE: f64 = 168_799.0;
 
 /// The flight recorder's zero-cost contract, enforced at the allocator:
 /// with the recorder off (the default), two identical campaign runs

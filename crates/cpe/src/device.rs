@@ -33,7 +33,7 @@ pub const WAN: IfaceId = IfaceId(1);
 const FWD_SPORT: u16 = 53535;
 
 /// How a forwarder answer travels back to the client.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum ReplyPath {
     /// The client addressed the CPE itself; reply directly.
     Direct(IpPacket),
@@ -151,7 +151,7 @@ impl CpeDevice {
         match fc.handle_query(&query) {
             FwdAction::Respond(reply) => {
                 let Some(payload) = local_reply_payload(ctx, &query, reply) else { return };
-                self.answer(ctx, &path(request), payload);
+                self.send_answer(ctx, &path(request), payload);
             }
             FwdAction::Forward => {
                 let txid = fc.relay(query.header().id, path(request.clone()));
@@ -169,13 +169,15 @@ impl CpeDevice {
     fn handle_upstream_response(&mut self, ctx: &mut Ctx<'_>, packet: &IpPacket) {
         let Some(answer) = receive_answer(packet) else { return };
         let Some(fc) = &mut self.forwarder else { return };
-        let Some((txid, path)) = fc.handle_upstream_response(answer.header().id) else { return };
-        let payload = relay_payload(ctx, answer.as_bytes(), txid);
-        self.answer(ctx, &path, payload);
+        let Some((client_txid, path)) = fc.handle_upstream_response(answer.header().id) else {
+            return;
+        };
+        let payload = relay_payload(ctx, answer.as_bytes(), client_txid);
+        self.send_answer(ctx, &path, payload);
     }
 
     /// Sends the forwarder's answer `payload` back along `path`.
-    fn answer(&self, ctx: &mut Ctx<'_>, path: &ReplyPath, payload: Bytes) {
+    fn send_answer(&self, ctx: &mut Ctx<'_>, path: &ReplyPath, payload: Bytes) {
         let (iface, reply) = match path {
             // The open forwarder answers the outside client itself, from
             // the address that was queried — no spoofing involved.
