@@ -591,7 +591,7 @@ mod tests {
             // flows (e.g. a CPE's re-keyed upstream forward) may start at
             // the device that minted them.
             assert!(
-                flows.iter().any(|f| f.hops.first().is_some_and(|h| &*h.node == "probe")),
+                flows.iter().any(|f| f.hops.first().is_some_and(|h| f.node(h) == "probe")),
                 "probe {} has no flow starting at the probe host",
                 a.probe.id
             );

@@ -47,6 +47,7 @@ use locator::{
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::net::{IpAddr, Ipv4Addr};
+use std::sync::OnceLock;
 
 /// Transaction ID of the scanner's ordinary `A` probe. Far above the
 /// locator's sequence (0x1000–0x5fff) and the forwarder re-key pool
@@ -57,8 +58,11 @@ pub const SCAN_A_TXID: u16 = 0xC1A0;
 pub const SCAN_WHOAMI_TXID: u16 = 0xC1A1;
 
 /// The name the scanner's ordinary probe asks for (resolvable in the
-/// simulated world's standard zones).
-pub(crate) const SCAN_QNAME: &str = "example.com";
+/// simulated world's standard zones), parsed once per process.
+fn scan_qname() -> &'static Name {
+    static SCAN_QNAME: OnceLock<Name> = OnceLock::new();
+    SCAN_QNAME.get_or_init(|| "example.com".parse().expect("static name"))
+}
 
 /// What one classification run of a single device yields.
 #[derive(Debug, Clone)]
@@ -236,7 +240,7 @@ pub fn classify_with_transport(
     let cpe_v4 = transport.scenario.addrs.cpe_public_v4;
     let target = IpAddr::V4(cpe_v4);
     let opts = QueryOptions::default();
-    let scan_q = Question::new(SCAN_QNAME.parse().expect("static name"), RType::A);
+    let scan_q = Question::new(scan_qname().clone(), RType::A);
     let (class, wrong_source) = match transport.query(target, &scan_q, SCAN_A_TXID, opts) {
         QueryOutcome::WrongSource { from, .. } => (OpenDnsClass::TransparentForwarder, Some(from)),
         QueryOutcome::Timeout => {
@@ -366,7 +370,7 @@ fn scanner_answer_source(flows: &[QueryFlow], txid: u16) -> Option<IpAddr> {
         f.hops
             .iter()
             .find(|h| {
-                &*h.node == "scanner"
+                f.node(h) == "scanner"
                     && h.action == "ingress"
                     && h.direction == FlowDirection::Response
             })
@@ -380,7 +384,7 @@ fn relayed_beyond_home(flows: &[QueryFlow], qname: &Name, skip: &[u16]) -> bool 
     flows.iter().any(|f| {
         !skip.contains(&f.txid)
             && f.question.as_ref().is_some_and(|q| q.qname == *qname)
-            && f.hops.first().is_some_and(|h| !matches!(&*h.node, "probe" | "scanner"))
+            && f.hops.first().is_some_and(|h| !matches!(f.node(h), "probe" | "scanner"))
     })
 }
 
@@ -410,11 +414,7 @@ pub(crate) fn capture_consistent(
         }
         OpenDnsClass::OpenForwarder => {
             scanner_answer_source(flows, SCAN_A_TXID) == Some(cpe)
-                && relayed_beyond_home(
-                    flows,
-                    &SCAN_QNAME.parse().expect("static name"),
-                    &scan_txids,
-                )
+                && relayed_beyond_home(flows, scan_qname(), &scan_txids)
         }
         OpenDnsClass::OpenRecursive => {
             scanner_answer_source(flows, SCAN_WHOAMI_TXID) == Some(cpe)
@@ -425,7 +425,7 @@ pub(crate) fn capture_consistent(
                 && flows.iter().any(|f| f.hops.iter().any(|h| h.action == "mint"))
         }
         OpenDnsClass::Clean => !flows.iter().any(|f| {
-            f.hops.iter().any(|h| &*h.node == "scanner" && h.direction == FlowDirection::Response)
+            f.hops.iter().any(|h| f.node(h) == "scanner" && h.direction == FlowDirection::Response)
         }),
     }
 }

@@ -108,7 +108,7 @@ proptest! {
             let queried = atlas_sim::scenario_for(&fleet, r.probe).build().addrs.cpe_public_v4;
             let foreign = r.device.flows.iter().any(|f| {
                 f.hops.iter().any(|h| {
-                    &*h.node == "scanner"
+                    f.node(h) == "scanner"
                         && h.action == "ingress"
                         && h.direction == FlowDirection::Response
                         && h.tuple.src != std::net::IpAddr::V4(queried)

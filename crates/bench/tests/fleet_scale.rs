@@ -154,14 +154,16 @@ fn assert_heavy_tail_budget() {
 }
 
 /// Per-probe budgets for the capture-enabled campaign on the 300-probe
-/// fleet: the measured 97.9 allocations and 153,454 bytes per responding
-/// probe (debug; release reads 97.7 and 153,066), plus 10%. The whole
+/// fleet: the measured 89.4 allocations and 112,211 bytes per responding
+/// probe (debug; release reads 89.2 and 111,824), plus 10%. The whole
 /// campaign counts, measurement included.
-/// Regressing past these means hops went back to per-hop strings, the
-/// capture buffer stopped being recycled through `SimScratch`, or flow
-/// reconstruction re-parsed messages into owned ones.
-const MAX_CAPTURE_ALLOCS_PER_PROBE: f64 = 107.7;
-const MAX_CAPTURE_BYTES_PER_PROBE: f64 = 168_799.0;
+/// Regressing past these means hops went back to owning or sharing their
+/// node's name, flow reconstruction went back to hash-map indexes or
+/// re-parsed messages into owned ones, a capture event or hop grew back a
+/// tuple its packet already carries, or the capture buffer stopped being
+/// recycled through `SimScratch`.
+const MAX_CAPTURE_ALLOCS_PER_PROBE: f64 = 98.3;
+const MAX_CAPTURE_BYTES_PER_PROBE: f64 = 123_432.0;
 
 /// The flight recorder's zero-cost contract, enforced at the allocator:
 /// with the recorder off (the default), two identical campaign runs

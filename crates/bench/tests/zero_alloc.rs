@@ -12,8 +12,10 @@
 //! is pinned to its exact count: a few containers per device, each device
 //! moved into the box the previous world left. Switching the flight
 //! recorder on over a recycled world allocates nothing, and it records
-//! into the capacity the previous worlds left. A warm locator run is
-//! pinned too: its one evidence list, plus what the world makes. A
+//! into the capacity the previous worlds left. Rebuilding flows from that
+//! record is pinned to its exact count: the lists, and one names table
+//! the flows share with its names, but nothing per hop. A warm locator
+//! run is pinned too: its one evidence list, plus what the world makes. A
 //! locator run folded into metrics must allocate exactly what the
 //! untraced run does. The same counter also pins the component pieces
 //! individually, so a regression report names the layer that started
@@ -261,6 +263,25 @@ fn steady_state_probe_path_allocates_nothing() {
         allocs, 0,
         "a warm captured id.server round trip allocated {allocs} times; every hop must \
          land in the recycled event capacity"
+    );
+
+    // --- Flow rebuild: the nine round trips on that record become nine
+    // flows of 28 hops, each crossing the same six devices. A hop costs
+    // nothing of its own: its node is an index into one names table the
+    // flows share, and `id.server` is interned, so the question is free.
+    //   flow list:   grows to 4, 8, 16 flows                            3
+    //   hop lists:   each grows to 4, 8, 16, 32 hops              9 x 4 36
+    //   names table: its vector and the copy the flows share            2
+    //   names:       probe, plain-router, Comcast-edge, Comcast-border,
+    //                internet-core, Cloudflare-IAD                      6
+    //                                                                  47
+    let (allocs, flows) = allocations_in(|| captured.take_flows());
+    assert_eq!(flows.len(), 9);
+    assert!(flows.iter().all(|f| f.hops.len() == 28), "{flows:?}");
+    assert_eq!(
+        allocs, 47,
+        "rebuilding nine id.server flows allocated {allocs} times; the 47 listed above are \
+         the lists, the names table and its names"
     );
 
     // --- Component: cached query encoding re-stamps the txid in place.

@@ -38,7 +38,7 @@ pub fn open_wan_forwarder(wan_v4: Ipv4Addr, upstream: IpAddr, version: &str) -> 
 /// 11992 (Table 3).
 pub fn open_wan_forwarder_nxdomain(wan_v4: Ipv4Addr, upstream: IpAddr) -> CpeConfig {
     let mut spec = ForwarderSpec::new(
-        SoftwareProfile::version_bind_status("legacy-fwd", dns_wire::Rcode::NxDomain),
+        SoftwareProfile::version_bind_status(dns_wire::Rcode::NxDomain),
         upstream,
     );
     spec.listen_wan = true;
@@ -126,7 +126,7 @@ pub fn custom_interceptor(
 /// `version.bind`. Step 2 cannot identify it; the locator classifies the
 /// interception as non-CPE.
 pub fn stealth_interceptor(wan_v4: Ipv4Addr, upstream: IpAddr) -> CpeConfig {
-    let spec = ForwarderSpec::new(SoftwareProfile::version_hidden("stealth"), upstream);
+    let spec = ForwarderSpec::new(SoftwareProfile::version_hidden(), upstream);
     CpeConfig::v4_only(
         "stealth-interceptor",
         wan_v4,

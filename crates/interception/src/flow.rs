@@ -2,22 +2,24 @@
 //! timelines.
 //!
 //! The flight recorder in `netsim` emits one [`CaptureEvent`] per packet
-//! hop; this module groups those events by DNS transaction ID and question
-//! into [`QueryFlow`]s, so a probe report's verdict can be expanded down
-//! to packet truth — "this response was minted by the CPE's DNAT at hop 2
-//! and never reached 8.8.8.8". ICMP errors are attached to the query whose
-//! flow tuple they quote, surviving NAT rewrites because every observed
-//! tuple variant of a query is indexed.
+//! hop; this module groups those events by DNS transaction ID into
+//! [`QueryFlow`]s, so a probe report's verdict can be expanded down to
+//! packet truth — "this response was minted by the CPE's DNAT at hop 2
+//! and never reached 8.8.8.8". An ICMP error joins the flow of the latest
+//! earlier query hop carrying the tuple it quotes, so it attaches across
+//! NAT rewrites: the erring router quotes the tuple it saw.
 //!
-//! Hops stay typed: addresses are `IpAddr`s, verbs are static labels and
-//! details a small [`HopDetail`] enum. Text is made only where a timeline
-//! leaves the program — [`render_flows`] and the JSON [`Serialize`] impls
-//! — so timelines can be golden-tested byte for byte and exported as
-//! pcap-style JSON without every reconstruction paying for the strings.
+//! Hops stay typed and own nothing: addresses are `IpAddr`s, verbs are
+//! static labels, details a small [`HopDetail`] enum and the node an index
+//! into one names table that every flow of a reconstruction shares. Text
+//! is made only where a timeline leaves the program — [`render_flows`]
+//! and the JSON [`Serialize`] impl — so timelines can be golden-tested
+//! byte for byte and exported as pcap-style JSON without every
+//! reconstruction paying for the strings.
 
 use dns_wire::{MessageView, Question};
 use netsim::{
-    CaptureEvent, CaptureKind, FlowSummary, FxHashMap, IcmpMessage, SimDuration, Simulator,
+    CaptureEvent, CaptureKind, FlowSummary, IcmpMessage, IpPacket, SimDuration, Simulator,
     Transport,
 };
 use serde::{Serialize, Value};
@@ -60,13 +62,11 @@ impl fmt::Display for Endpoint {
 /// Extra context of one hop, formatted only on output.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HopDetail {
-    /// A NAT rewrite's flow tuples; renders the sides that changed, and
-    /// nothing when neither did.
+    /// A NAT rewrite. The hop's own tuple is the one after it; renders
+    /// the sides that changed, and nothing when neither did.
     Nat {
         /// The tuple before the rewrite.
         before: FlowSummary,
-        /// The tuple after it.
-        after: FlowSummary,
     },
     /// Late delivery held the packet this long beyond latency and jitter.
     Delayed(SimDuration),
@@ -76,18 +76,25 @@ pub enum HopDetail {
     IcmpTimeExceeded,
 }
 
-impl fmt::Display for HopDetail {
+/// A hop's detail as the outputs print it.
+struct DetailText<'a> {
+    detail: HopDetail,
+    /// The hop's tuple: for a NAT rewrite, the one after it.
+    tuple: &'a FlowSummary,
+}
+
+impl fmt::Display for DetailText<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match *self {
-            HopDetail::Nat { before, after } => {
-                let (src, dst) = (Endpoint::src, Endpoint::dst);
+        match self.detail {
+            HopDetail::Nat { before } => {
+                let (src, dst, after) = (Endpoint::src, Endpoint::dst, self.tuple);
                 let mut sep = "";
-                if src(&before) != src(&after) {
-                    write!(f, "src {} -> {}", src(&before), src(&after))?;
+                if src(&before) != src(after) {
+                    write!(f, "src {} -> {}", src(&before), src(after))?;
                     sep = ", ";
                 }
-                if dst(&before) != dst(&after) {
-                    write!(f, "{sep}dst {} -> {}", dst(&before), dst(&after))?;
+                if dst(&before) != dst(after) {
+                    write!(f, "{sep}dst {} -> {}", dst(&before), dst(after))?;
                 }
                 Ok(())
             }
@@ -103,8 +110,11 @@ impl fmt::Display for HopDetail {
 pub struct FlowHop {
     /// Simulated time in microseconds.
     pub at_us: u64,
-    /// Device name at which the hop happened, shared by every hop there.
-    pub node: Arc<str>,
+    /// The device at which the hop happened, as an index into the names
+    /// table of its flow: read the name with [`QueryFlow::node`]. Two hops
+    /// of one reconstruction share an index exactly when they share a
+    /// device.
+    pub node: u16,
     /// Interface index, when the hop concerns one.
     pub iface: Option<usize>,
     /// What happened: one of [`CaptureKind::verb`]'s labels — `egress`,
@@ -115,27 +125,15 @@ pub struct FlowHop {
     pub direction: FlowDirection,
     /// Addresses and ports as seen at this hop.
     pub tuple: FlowSummary,
-    /// Extra context (NAT before/after tuples, delay magnitude, egress
-    /// interface of a route decision, ICMP kind). `None` when the action
-    /// speaks for itself.
+    /// Extra context (the tuple before a NAT rewrite, delay magnitude,
+    /// egress interface of a route decision, ICMP kind). `None` when the
+    /// action speaks for itself.
     pub detail: Option<HopDetail>,
 }
 
-/// Serializes with the keys, order and text of the flow JSON export:
-/// endpoints as `{ip}:{port}` strings, the detail as its display text.
-impl Serialize for FlowHop {
-    fn to_value(&self) -> Value {
-        let text = |endpoint: Endpoint| Value::String(endpoint.to_string());
-        Value::Object(vec![
-            ("at_us".into(), self.at_us.to_value()),
-            ("node".into(), self.node.to_value()),
-            ("iface".into(), self.iface.to_value()),
-            ("action".into(), self.action.to_value()),
-            ("direction".into(), self.direction.to_value()),
-            ("src".into(), text(Endpoint::src(&self.tuple))),
-            ("dst".into(), text(Endpoint::dst(&self.tuple))),
-            ("detail".into(), self.detail.map(|d| d.to_string()).to_value()),
-        ])
+impl FlowHop {
+    fn detail_text(&self) -> Option<DetailText<'_>> {
+        self.detail.map(|detail| DetailText { detail, tuple: &self.tuple })
     }
 }
 
@@ -149,9 +147,18 @@ pub struct QueryFlow {
     pub question: Option<Question>,
     /// Hops in chronological order.
     pub hops: Vec<FlowHop>,
+    /// Device names by [`FlowHop::node`], shared by every flow of one
+    /// reconstruction; a device no hop visited has an empty name.
+    names: Arc<[Box<str>]>,
 }
 
 impl QueryFlow {
+    /// The name of the device at which `hop` happened. `hop` must come
+    /// from this flow or from another of the same reconstruction.
+    pub fn node(&self, hop: &FlowHop) -> &str {
+        &self.names[usize::from(hop.node)]
+    }
+
     /// The question's name and type as the outputs print them (e.g.
     /// `example.com.` and `A`), or two empty strings without a question.
     fn question_text(&self) -> (String, String) {
@@ -160,28 +167,67 @@ impl QueryFlow {
             None => (String::new(), String::new()),
         }
     }
+
+    /// One hop with the keys, order and text of the flow JSON export:
+    /// endpoints as `{ip}:{port}` strings, the detail as its display text.
+    fn hop_value(&self, hop: &FlowHop) -> Value {
+        let text = |endpoint: Endpoint| Value::String(endpoint.to_string());
+        Value::Object(vec![
+            ("at_us".into(), hop.at_us.to_value()),
+            ("node".into(), self.node(hop).to_value()),
+            ("iface".into(), hop.iface.to_value()),
+            ("action".into(), hop.action.to_value()),
+            ("direction".into(), hop.direction.to_value()),
+            ("src".into(), text(Endpoint::src(&hop.tuple))),
+            ("dst".into(), text(Endpoint::dst(&hop.tuple))),
+            ("detail".into(), hop.detail_text().map(|d| d.to_string()).to_value()),
+        ])
+    }
 }
 
 /// Serializes as `{txid, qname, qtype, hops}`, the flow JSON export.
 impl Serialize for QueryFlow {
     fn to_value(&self) -> Value {
         let (qname, qtype) = self.question_text();
+        let hops = self.hops.iter().map(|hop| self.hop_value(hop)).collect();
         Value::Object(vec![
             ("txid".into(), self.txid.to_value()),
             ("qname".into(), Value::String(qname)),
             ("qtype".into(), Value::String(qtype)),
-            ("hops".into(), self.hops.to_value()),
+            ("hops".into(), Value::Array(hops)),
         ])
     }
 }
 
 fn hop_detail(kind: &CaptureKind) -> Option<HopDetail> {
     match *kind {
-        CaptureKind::NatRewrite { before, after, .. } => Some(HopDetail::Nat { before, after }),
+        CaptureKind::NatRewrite { before, .. } => Some(HopDetail::Nat { before }),
         CaptureKind::Delayed { extra, .. } => Some(HopDetail::Delayed(extra)),
         CaptureKind::RouteForward { out, .. } => Some(HopDetail::OutIface(out.0)),
         _ => None,
     }
+}
+
+/// The DNS payload a packet carries, if it is long enough for a header.
+fn dns_payload(packet: &IpPacket) -> Option<&[u8]> {
+    match &packet.transport {
+        Transport::Udp(udp) if udp.payload.len() >= 12 => Some(&udp.payload[..]),
+        _ => None,
+    }
+}
+
+fn txid_of(payload: &[u8]) -> u16 {
+    u16::from_be_bytes([payload[0], payload[1]])
+}
+
+fn is_response(payload: &[u8]) -> bool {
+    payload[2] & 0x80 != 0
+}
+
+/// The flow of transaction `txid`, scanning newest first: a hop most
+/// often joins the flow that opened last.
+fn flow_of(flows: &[QueryFlow], txid: u16) -> Option<usize> {
+    flows.iter().rposition(|flow| flow.txid == txid)
 }
 
 /// Groups capture events into per-query hop timelines, in one pass.
@@ -189,60 +235,70 @@ fn hop_detail(kind: &CaptureKind) -> Option<HopDetail> {
 /// Events must come from `sim`'s own recorder (names are resolved against
 /// it) and be in emission order, which the simulator guarantees is
 /// chronological. Flows appear in order of their first observed hop.
+/// A hop allocates nothing beyond its place in its flow's hop list; each
+/// visited device's name is copied once, into the shared names table.
 pub(crate) fn reconstruct_flows(sim: &Simulator, events: &[CaptureEvent]) -> Vec<QueryFlow> {
     let mut flows: Vec<QueryFlow> = Vec::new();
-    let mut by_txid: FxHashMap<u16, usize> = FxHashMap::default();
-    // Every tuple a query was seen under — pre- and post-NAT — so ICMP
-    // errors quoting a rewritten tuple still attach to the right flow.
-    let mut by_tuple: FxHashMap<FlowSummary, usize> = FxHashMap::default();
-    // Each node's name, resolved once and shared by all of its hops.
-    let mut names: Vec<Option<Arc<str>>> = Vec::new();
+    let mut names: Vec<Box<str>> = vec![Box::default(); sim.node_count()];
 
-    for ev in events {
+    for (at, ev) in events.iter().enumerate() {
         let packet = ev.kind.packet();
-        let (idx, direction, detail) = match &packet.transport {
-            Transport::Udp(udp) if udp.payload.len() >= 12 => {
-                let txid = u16::from_be_bytes([udp.payload[0], udp.payload[1]]);
-                let idx = *by_txid.entry(txid).or_insert_with(|| {
-                    flows.push(QueryFlow { txid, question: None, hops: Vec::new() });
-                    flows.len() - 1
+        let (idx, direction, detail) = if let Some(payload) = dns_payload(packet) {
+            let txid = txid_of(payload);
+            let idx = flow_of(&flows, txid).unwrap_or_else(|| {
+                flows.push(QueryFlow {
+                    txid,
+                    question: None,
+                    hops: Vec::new(),
+                    names: Arc::default(),
                 });
-                let flow = &mut flows[idx];
-                if flow.question.is_none() {
-                    flow.question = MessageView::parse(&udp.payload)
-                        .ok()
-                        .and_then(|view| view.question())
-                        .map(|q| q.to_question());
-                }
-                let direction = if udp.payload[2] & 0x80 != 0 {
-                    FlowDirection::Response
-                } else {
-                    by_tuple.insert(packet.flow_summary(), idx);
-                    FlowDirection::Query
-                };
-                (idx, direction, hop_detail(&ev.kind))
+                flows.len() - 1
+            });
+            let flow = &mut flows[idx];
+            if flow.question.is_none() {
+                flow.question = MessageView::parse(payload)
+                    .ok()
+                    .and_then(|view| view.question())
+                    .map(|q| q.to_question());
             }
-            Transport::Icmp(IcmpMessage::TimeExceeded { original }) => {
-                let Some(&idx) = by_tuple.get(original) else { continue };
-                (idx, FlowDirection::Icmp, Some(HopDetail::IcmpTimeExceeded))
-            }
-            _ => continue,
+            let direction =
+                if is_response(payload) { FlowDirection::Response } else { FlowDirection::Query };
+            (idx, direction, hop_detail(&ev.kind))
+        } else if let Transport::Icmp(IcmpMessage::TimeExceeded { original }) = &packet.transport {
+            // Only a TTL-limited query draws this error, so the scan back
+            // is rare, and short: the erring router's own drop of the
+            // query is the hop it finds.
+            let quoted = events[..at].iter().rev().find_map(|earlier| {
+                let packet = earlier.kind.packet();
+                let payload = dns_payload(packet)?;
+                (!is_response(payload) && packet.flow_summary() == *original)
+                    .then(|| txid_of(payload))
+            });
+            let Some(idx) = quoted.and_then(|txid| flow_of(&flows, txid)) else { continue };
+            (idx, FlowDirection::Icmp, Some(HopDetail::IcmpTimeExceeded))
+        } else {
+            continue;
         };
-        if names.len() <= ev.node.0 {
-            names.resize(ev.node.0 + 1, None);
+        let name = &mut names[ev.node.0];
+        if name.is_empty() {
+            *name = sim.node_name(ev.node).unwrap_or_default().into();
         }
-        let node = names[ev.node.0]
-            .get_or_insert_with(|| Arc::from(sim.node_name(ev.node).unwrap_or("?")))
-            .clone();
         flows[idx].hops.push(FlowHop {
             at_us: ev.at.as_micros(),
-            node,
+            node: u16::try_from(ev.node.0).expect("a names table has at most 65,536 entries"),
             iface: ev.iface.map(|i| i.0),
             action: ev.kind.verb(),
             direction,
             tuple: packet.flow_summary(),
             detail,
         });
+    }
+    // The table is complete only now: every flow gets a share of it.
+    if !flows.is_empty() {
+        let names: Arc<[Box<str>]> = names.into();
+        for flow in &mut flows {
+            flow.names = Arc::clone(&names);
+        }
     }
     flows
 }
@@ -280,13 +336,13 @@ pub fn render_flows(flows: &[QueryFlow]) -> String {
                 "  {:>7}.{:03}ms  {:<14} {:<22} {:>3}  {} -> {}",
                 us / 1_000,
                 us % 1_000,
-                hop.node,
+                flow.node(hop),
                 hop.action,
                 iface,
                 Endpoint::src(&hop.tuple),
                 Endpoint::dst(&hop.tuple)
             );
-            if let Some(detail) = &hop.detail {
+            if let Some(detail) = hop.detail_text() {
                 let _ = write!(out, "  [{detail}]");
             }
             out.push('\n');
@@ -324,11 +380,11 @@ mod tests {
         assert_eq!(flow.txid, 0x2a2a);
         assert_eq!(flow.question, Some(q));
         // The query leaves the probe, the response comes back to it.
-        assert_eq!(&*flow.hops.first().unwrap().node, "probe");
+        assert_eq!(flow.node(flow.hops.first().unwrap()), "probe");
         assert_eq!(flow.hops.first().unwrap().action, "egress");
         assert_eq!(flow.hops.first().unwrap().direction, FlowDirection::Query);
         let last = flow.hops.last().unwrap();
-        assert_eq!(&*last.node, "probe");
+        assert_eq!(flow.node(last), "probe");
         assert_eq!(last.action, "ingress");
         assert_eq!(last.direction, FlowDirection::Response);
         // The flow visited a resolver beyond the home (masquerade on the
@@ -357,7 +413,7 @@ mod tests {
         // The query never escaped the home toward the real resolver: no
         // hop carries the original destination beyond the CPE.
         assert!(
-            !flow.hops.iter().any(|h| h.node.contains("isp") && h.tuple.dst == google),
+            !flow.hops.iter().any(|h| flow.node(h).contains("isp") && h.tuple.dst == google),
             "query leaked upstream: {flow:?}"
         );
     }
@@ -399,6 +455,113 @@ mod tests {
             .is_timeout());
         let flows = t.take_flows();
         assert_eq!(flow_rtt_us(&flows[0]), None);
+    }
+
+    #[test]
+    fn ttl_expiry_error_joins_the_query_it_quotes() {
+        // Two hops out, the ISP's edge router drops the query and answers
+        // with a time-exceeded error quoting the tuple it saw: the one the
+        // CPE's masquerade made.
+        let mut t = SimTransport::new(HomeScenario::clean().build());
+        t.enable_capture();
+        let q = Question::new("example.com".parse().unwrap(), RType::A);
+        let opts = QueryOptions { ttl: Some(2), ..QueryOptions::default() };
+        assert!(t.query("8.8.8.8".parse().unwrap(), &q, 0x4e4e, opts).is_timeout());
+        let quoted = FlowSummary {
+            src: "73.0.1.0".parse().unwrap(),
+            dst: "8.8.8.8".parse().unwrap(),
+            src_port: 40000,
+            dst_port: 53,
+        };
+        let errors: Vec<_> = t
+            .scenario
+            .sim
+            .capture_events()
+            .iter()
+            .filter_map(|ev| match &ev.kind.packet().transport {
+                Transport::Icmp(IcmpMessage::TimeExceeded { original }) => Some(*original),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(errors, [quoted, quoted], "the error's two hops quote the post-SNAT tuple");
+
+        let flows = t.take_flows();
+        assert_eq!(flows.len(), 1, "{flows:?}");
+        let flow = &flows[0];
+        let tail: Vec<_> = flow.hops[flow.hops.len() - 3..]
+            .iter()
+            .map(|h| (flow.node(h), h.action, h.direction, h.detail))
+            .collect();
+        let icmp = Some(HopDetail::IcmpTimeExceeded);
+        assert_eq!(
+            tail,
+            [
+                ("Comcast-edge", "drop(ttl-expired)", FlowDirection::Query, None),
+                ("Comcast-edge", "egress", FlowDirection::Icmp, icmp),
+                ("plain-router", "ingress", FlowDirection::Icmp, icmp),
+            ]
+        );
+        assert_eq!(flow.hops[flow.hops.len() - 3].tuple, quoted);
+    }
+
+    /// Each recorded DNS event, one whose UDP payload holds a header, is a
+    /// hop of exactly one flow: the flow of its transaction ID holds every
+    /// such event of that ID, in order, and nothing else but ICMP hops.
+    #[test]
+    fn every_dns_event_of_the_taxonomy_examples_lands_in_exactly_one_flow() {
+        use dns_wire::debug_queries;
+        use locator::HijackLocator;
+
+        for (label, scenario) in HomeScenario::taxonomy_examples() {
+            let built = scenario.build();
+            let config = built.locator_config();
+            let cpe = IpAddr::V4(built.addrs.cpe_public_v4);
+            let mut t = SimTransport::new(built);
+            t.enable_capture();
+            HijackLocator::new(config).run(&mut t);
+            t.vantage = crate::Vantage::Scanner;
+            let opts = QueryOptions::default();
+            let scan = Question::new("example.com".parse().unwrap(), RType::A);
+            let _ = t.query(cpe, &scan, 0xC1A0, opts);
+            let whoami = Question::new(debug_queries::whoami_akamai(), RType::A);
+            let _ = t.query(cpe, &whoami, 0xC1A1, opts);
+
+            let sim = &t.scenario.sim;
+            let dns: Vec<_> = sim
+                .capture_events()
+                .iter()
+                .filter_map(|ev| {
+                    let packet = ev.kind.packet();
+                    let payload = dns_payload(packet)?;
+                    let node = sim.node_name(ev.node).unwrap();
+                    let hop = (ev.at.as_micros(), node, ev.kind.verb(), packet.flow_summary());
+                    Some((txid_of(payload), hop))
+                })
+                .collect();
+            let flows = reconstruct_flows(sim, sim.capture_events());
+            assert!(flows.len() > 2, "{label}: {} flows", flows.len());
+            let mut txids: Vec<u16> = flows.iter().map(|f| f.txid).collect();
+            txids.sort_unstable();
+            txids.dedup();
+            assert_eq!(txids.len(), flows.len(), "{label}: one flow per transaction ID");
+            let mut hops = 0;
+            for flow in &flows {
+                let expected: Vec<_> = dns
+                    .iter()
+                    .filter(|(txid, _)| *txid == flow.txid)
+                    .map(|(_, hop)| *hop)
+                    .collect();
+                let got: Vec<_> = flow
+                    .hops
+                    .iter()
+                    .filter(|h| h.direction != FlowDirection::Icmp)
+                    .map(|h| (h.at_us, flow.node(h), h.action, h.tuple))
+                    .collect();
+                assert_eq!(got, expected, "{label}: flow 0x{:04x}", flow.txid);
+                hops += got.len();
+            }
+            assert_eq!(hops, dns.len(), "{label}: a DNS event outside every flow");
+        }
     }
 
     /// Every hop label and detail that no golden timeline shows, pinned
@@ -456,7 +619,6 @@ mod tests {
                 CaptureKind::NatRewrite {
                     phase: NatPhase::DnatSnat,
                     before: inside,
-                    after: outside,
                     packet: rewritten.clone(),
                 },
             ),
@@ -508,7 +670,6 @@ mod tests {
                 CaptureKind::NatRewrite {
                     phase: NatPhase::Reverse,
                     before: reply,
-                    after: reply,
                     packet: udp(reply, &answer),
                 },
             ),

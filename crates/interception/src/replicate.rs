@@ -100,7 +100,7 @@ mod tests {
             ["8.8.8.8".parse::<IpAddr>().unwrap()],
             ResolveCtx::v4("172.253.226.35".parse().unwrap()),
             Arc::clone(&zonedb),
-            SoftwareProfile::chaos_silent("google"),
+            SoftwareProfile::chaos_silent(),
         ));
         let alt = sim.add_device(RecursiveResolver::new(
             "isp",

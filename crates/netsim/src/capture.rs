@@ -6,9 +6,9 @@
 //! path a packet was diverted, dropped, or rewritten. The capture layer
 //! shows it: every forwarding element emits one structured
 //! [`CaptureEvent`] per packet hop — link egress and ingress, NAT/DNAT
-//! rewrites with before/after tuples, fault-injection verdicts with their
-//! cause, and route decisions — each stamped with the simulated time,
-//! node, and interface. An ingress event's sender is the receiving
+//! rewrites with the tuple before them, fault-injection verdicts with
+//! their cause, and route decisions — each stamped with the simulated
+//! time, node, and interface. An ingress event's sender is the receiving
 //! interface's [`crate::Simulator::peer`].
 //!
 //! The recorder is a plain event vector the simulator owns, switched on by
@@ -149,9 +149,8 @@ pub enum CaptureKind {
         phase: NatPhase,
         /// Flow tuple before the rewrite.
         before: FlowSummary,
-        /// Flow tuple after the rewrite.
-        after: FlowSummary,
-        /// The packet as it left the NAT.
+        /// The packet as it left the NAT: its flow tuple is the one after
+        /// the rewrite.
         packet: IpPacket,
     },
     /// A routing element chose an egress interface for the packet.
@@ -262,8 +261,7 @@ mod tests {
             (NatPhase::DnatSnat, "nat(dnat+snat)"),
             (NatPhase::Reverse, "nat(reverse)"),
         ] {
-            let kind =
-                CaptureKind::NatRewrite { phase, before, after: both, packet: packet.clone() };
+            let kind = CaptureKind::NatRewrite { phase, before, packet: packet.clone() };
             assert_eq!(kind.verb(), verb);
         }
     }

@@ -71,9 +71,10 @@ impl<'a> Ctx<'a> {
 
     /// Records a NAT rewrite hop. `before` is the flow tuple snapshotted
     /// ahead of the rewrite — pass `None` (and skip the snapshot) when the
-    /// recorder is off. The phase is classified from the before/after
-    /// tuples, or forced to [`NatPhase::Reverse`] for conntrack reply
-    /// translation; nothing is recorded when the tuples are identical.
+    /// recorder is off; the rewritten `packet` carries the tuple after it.
+    /// The phase is classified from the two tuples, or forced to
+    /// [`NatPhase::Reverse`] for conntrack reply translation; nothing is
+    /// recorded when the tuples are identical.
     pub fn capture_nat_rewrite(
         &mut self,
         iface: IfaceId,
@@ -82,13 +83,15 @@ impl<'a> Ctx<'a> {
         reverse: bool,
     ) {
         let Some(before) = before else { return };
-        let after = packet.flow_summary();
-        let phase =
-            if reverse { Some(NatPhase::Reverse) } else { NatPhase::classify(&before, &after) };
+        let phase = if reverse {
+            Some(NatPhase::Reverse)
+        } else {
+            NatPhase::classify(&before, &packet.flow_summary())
+        };
         if let Some(phase) = phase {
             self.capture(
                 Some(iface),
-                CaptureKind::NatRewrite { phase, before, after, packet: packet.clone() },
+                CaptureKind::NatRewrite { phase, before, packet: packet.clone() },
             );
         }
     }
@@ -526,6 +529,11 @@ impl Simulator {
     /// Recording continues.
     pub fn clear_capture_events(&mut self) {
         self.net.capture.clear();
+    }
+
+    /// How many devices the simulator holds; their node ids run from 0.
+    pub fn node_count(&self) -> usize {
+        self.devices.len()
     }
 
     /// Human-readable name of a device, if the node exists.

@@ -186,7 +186,7 @@ mod tests {
 
     #[test]
     fn silent_chaos_profile_drops() {
-        let mut f: ForwarderCore<()> = ForwarderCore::new(SoftwareProfile::chaos_silent("mute"));
+        let mut f: ForwarderCore<()> = ForwarderCore::new(SoftwareProfile::chaos_silent());
         let query = wire(&debug_queries::version_bind_query(1));
         assert_eq!(f.handle_query(&view(&query)), FwdAction::Drop);
     }

@@ -80,11 +80,7 @@ impl SiteProfile {
             brand,
             service_addrs: service_addrs.into_iter().collect(),
             egress,
-            chaos: SoftwareProfile {
-                name: format!("{brand:?}").into(),
-                version_bind: policy(version),
-                id_server: policy(identity),
-            },
+            chaos: SoftwareProfile { version_bind: policy(version), id_server: policy(identity) },
             // OpenDNS synthesizes debug.opendns.com at the resolver itself.
             debug_txt: (brand == PublicBrand::OpenDns).then(|| {
                 [

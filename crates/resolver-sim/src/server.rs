@@ -260,7 +260,7 @@ mod tests {
 
     #[test]
     fn silent_profile_produces_no_response() {
-        let profile = SoftwareProfile::chaos_silent("mute");
+        let profile = SoftwareProfile::chaos_silent();
         let vb = dns_wire::debug_queries::version_bind_query(1);
         assert_eq!(local(&vb, &profile), Some(None));
     }

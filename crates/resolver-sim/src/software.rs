@@ -28,8 +28,6 @@ pub enum ChaosPolicy {
 /// A DNS implementation's identity as seen through CHAOS queries.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SoftwareProfile {
-    /// Marketing name, for traces.
-    pub name: SharedStr,
     /// Answer to `version.bind` / `version.server`.
     pub version_bind: ChaosPolicy,
     /// Answer to `id.server` / `hostname.bind`.
@@ -41,7 +39,6 @@ impl SoftwareProfile {
     pub fn dnsmasq(version: &str) -> SoftwareProfile {
         let s = SharedStr::shared(format!("dnsmasq-{version}"));
         SoftwareProfile {
-            name: "Dnsmasq".into(),
             version_bind: ChaosPolicy::Text(s.clone()),
             id_server: ChaosPolicy::Text(s),
         }
@@ -51,7 +48,6 @@ impl SoftwareProfile {
     pub fn pi_hole(version: &str) -> SoftwareProfile {
         let s = SharedStr::shared(format!("dnsmasq-pi-hole-{version}"));
         SoftwareProfile {
-            name: "Pi-hole".into(),
             version_bind: ChaosPolicy::Text(s.clone()),
             id_server: ChaosPolicy::Text(s),
         }
@@ -61,7 +57,6 @@ impl SoftwareProfile {
     pub fn unbound(version: &str) -> SoftwareProfile {
         let s = SharedStr::from(format!("unbound {version}"));
         SoftwareProfile {
-            name: "Unbound".into(),
             version_bind: ChaosPolicy::Text(s),
             id_server: ChaosPolicy::Status(Rcode::Refused),
         }
@@ -72,7 +67,6 @@ impl SoftwareProfile {
     pub fn xdns(version: &str) -> SoftwareProfile {
         let s = SharedStr::shared(format!("dnsmasq-{version}"));
         SoftwareProfile {
-            name: "XDNS (RDK-B)".into(),
             version_bind: ChaosPolicy::Text(s.clone()),
             id_server: ChaosPolicy::Text(s),
         }
@@ -80,21 +74,18 @@ impl SoftwareProfile {
 
     /// An arbitrary version string (Table 5's long tail: `Windows NS`,
     /// `Microsoft`, `new`, `unknown`, `none`, `huuh?`, …). A literal or
-    /// shared text is used in place for both the name and the answer.
+    /// shared text is used in place for the answer.
     pub fn custom(version_string: impl Into<SharedStr>) -> SoftwareProfile {
-        let version_string = version_string.into();
         SoftwareProfile {
-            name: version_string.clone(),
-            version_bind: ChaosPolicy::Text(version_string),
+            version_bind: ChaosPolicy::Text(version_string.into()),
             id_server: ChaosPolicy::Status(Rcode::NotImp),
         }
     }
 
     /// Software that forwards everything but answers `version.bind` with a
     /// given status code (Table 3's probe 11992 pattern: NXDOMAIN).
-    pub fn version_bind_status(name: impl Into<SharedStr>, rcode: Rcode) -> SoftwareProfile {
+    pub fn version_bind_status(rcode: Rcode) -> SoftwareProfile {
         SoftwareProfile {
-            name: name.into(),
             version_bind: ChaosPolicy::Status(rcode),
             id_server: ChaosPolicy::Status(rcode),
         }
@@ -102,21 +93,16 @@ impl SoftwareProfile {
 
     /// Software with `version.bind` disabled — the paper's §6 limitation:
     /// such a CPE interceptor cannot be identified by step 2.
-    pub fn version_hidden(name: impl Into<SharedStr>) -> SoftwareProfile {
+    pub fn version_hidden() -> SoftwareProfile {
         SoftwareProfile {
-            name: name.into(),
             version_bind: ChaosPolicy::Status(Rcode::Refused),
             id_server: ChaosPolicy::Status(Rcode::Refused),
         }
     }
 
     /// Software that answers neither query (drops CHAOS entirely).
-    pub fn chaos_silent(name: impl Into<SharedStr>) -> SoftwareProfile {
-        SoftwareProfile {
-            name: name.into(),
-            version_bind: ChaosPolicy::Silent,
-            id_server: ChaosPolicy::Silent,
-        }
+    pub fn chaos_silent() -> SoftwareProfile {
+        SoftwareProfile { version_bind: ChaosPolicy::Silent, id_server: ChaosPolicy::Silent }
     }
 
     /// How this software answers a server-identification question of
@@ -151,13 +137,13 @@ mod tests {
 
     #[test]
     fn hidden_and_silent_profiles_reveal_nothing() {
-        assert_eq!(SoftwareProfile::version_hidden("stealth").version_string(), None);
-        assert_eq!(SoftwareProfile::chaos_silent("mute").version_string(), None);
+        assert_eq!(SoftwareProfile::version_hidden().version_string(), None);
+        assert_eq!(SoftwareProfile::chaos_silent().version_string(), None);
         assert_eq!(
-            SoftwareProfile::version_hidden("stealth").version_bind,
+            SoftwareProfile::version_hidden().version_bind,
             ChaosPolicy::Status(Rcode::Refused)
         );
-        assert_eq!(SoftwareProfile::chaos_silent("mute").version_bind, ChaosPolicy::Silent);
+        assert_eq!(SoftwareProfile::chaos_silent().version_bind, ChaosPolicy::Silent);
     }
 
     #[test]

@@ -137,7 +137,7 @@ fn transparent_forwarder_capture_shows_foreign_response_source() {
         .hops
         .iter()
         .find(|h| {
-            &*h.node == "scanner"
+            scan_flow.node(h) == "scanner"
                 && h.action == "ingress"
                 && h.direction == interception::FlowDirection::Response
         })
@@ -166,7 +166,7 @@ fn open_classes_differ_only_beyond_the_home() {
             f.question.as_ref().is_some_and(|q| q.qname == qname)
                 && f.txid != atlas_sim::SCAN_A_TXID
                 && f.txid != atlas_sim::SCAN_WHOAMI_TXID
-                && f.hops.first().is_some_and(|h| !matches!(&*h.node, "probe" | "scanner"))
+                && f.hops.first().is_some_and(|h| !matches!(f.node(h), "probe" | "scanner"))
         })
     };
     assert!(relayed(&fwd.flows, "example.com."), "open forwarder must relay upstream");

@@ -113,7 +113,7 @@ fn rtt_log_matches_the_flight_recorder_and_the_metered_responses() {
         let logged: Vec<u64> = log.rtt.iter().map(|sample| sample.rtt_us).collect();
         let recorded: Vec<u64> = flows
             .iter()
-            .filter(|flow| flow.hops.first().is_some_and(|hop| &*hop.node == "probe"))
+            .filter(|flow| flow.hops.first().is_some_and(|hop| flow.node(hop) == "probe"))
             .filter_map(flow_rtt_us)
             .collect();
         assert!(!logged.is_empty(), "{name}: no answered query was timed");
