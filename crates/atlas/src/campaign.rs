@@ -59,12 +59,12 @@ pub struct CampaignOptions {
     pub threads: usize,
     /// Probes claimed per `fetch_add` on the shared cursor. Larger batches
     /// mean fewer contended atomic writes; smaller batches balance a
-    /// heavy-tail fleet better. The default suits both: the repository
-    /// benchmark measures ~44µs of CPU per census probe (one worker, a
-    /// shared 2-vCPU x86-64 host), so a batch of
-    /// [`CampaignOptions::DEFAULT_BATCH`] costs ~1.4ms — long enough to
-    /// amortize the claim, short enough that no worker drags a meaningful
-    /// tail. Clamped to at least 1.
+    /// heavy-tail fleet better. The default suits both: a batch of
+    /// [`CampaignOptions::DEFAULT_BATCH`] costs that many times the
+    /// repository benchmark's `cpu_us_per_probe` on `census` (tens of
+    /// microseconds per probe at most), long enough to amortize the claim
+    /// and short enough that no worker drags a meaningful tail. Clamped to
+    /// at least 1.
     pub batch_size: usize,
 }
 

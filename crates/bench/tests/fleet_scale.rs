@@ -96,8 +96,9 @@ fn allocations_per_probe(config: FleetConfig) -> (f64, f64) {
 /// back (e.g. re-encoding location queries, rebuilding the resolver table,
 /// per-packet payload Vecs, per-query name strings, a device encode
 /// scratch regrown per probe, accepted replies decoded into owned
-/// messages, a device box per world or a location answer rebuilt per
-/// query); the flatness *ratio* alone would not catch a uniform creep.
+/// messages, a device box per world or a public-resolver site's reply
+/// built per query instead of copied from its profile's memo); the
+/// flatness *ratio* alone would not catch a uniform creep.
 /// The steady-state *wire* path itself is pinned to exactly zero by
 /// `tests/zero_alloc.rs`; this budget covers the whole probe — world
 /// build, verdicts, aggregation — where some setup allocation is real.

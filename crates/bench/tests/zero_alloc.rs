@@ -6,10 +6,12 @@
 //! without an answer must not allocate at all: cached encode, pooled
 //! payload, packet forwarding hop by hop, and the borrowed-view receive
 //! filter are all allocation-free. So is a warm *answered* round trip: the
-//! stub hands the locator the delivered payload itself. So is a warm
+//! public-resolver site copies the reply its shared profile memoized, and
+//! the stub hands the locator the delivered payload itself. So is a warm
 //! *intercepted* one: the CPE relays the query and the answer as the bytes
-//! that arrived, with a new transaction ID. A warm world build
-//! is pinned to its exact count: a few containers per device, each device
+//! that arrived, with a new transaction ID. A memo fill is pinned to its
+//! exact count: the copies it keeps, plus what the answer path builds. A
+//! warm world build is pinned to its exact count: a few containers per device, each device
 //! moved into the box the previous world left. Switching the flight
 //! recorder on over a recycled world allocates nothing, and it records
 //! into the capacity the previous worlds left. Rebuilding flows from that
@@ -85,10 +87,9 @@ fn steady_state_probe_path_allocates_nothing() {
 
     // --- End to end, answered: a warm probe-vantage CHAOS `id.server`
     // query to 1.1.1.1 across the clean home, answered by the Cloudflare
-    // site. Every hop, the CPE's masquerade, the site's view parse and its
-    // reply written from that view around the TXT answer its shared
-    // profile holds (thread-shared scratch, pooled payload slab), the
-    // interned names and the in-place inbox drain are allocation-free, and
+    // site. Every hop, the CPE's masquerade, the site's reply copied out of
+    // its shared profile's memo into a pooled payload slab, the interned
+    // names and the in-place inbox drain are allocation-free, and
     // the stub hands the locator the delivered payload slab itself as a
     // `Reply`, validated once and never decoded into owned records. The
     // CPE's conntrack gains one entry per query (each query has a fresh
@@ -142,6 +143,76 @@ fn steady_state_probe_path_allocates_nothing() {
          the datagram with a new ID and must not materialize either message"
     );
 
+    // --- End to end, every brand's location question: a warm
+    // probe-vantage round trip to each public resolver's first v4 address
+    // across a fresh clean home. Each site finds the query's bytes after
+    // its ID in its shared profile's memo and sends the stored reply,
+    // copied into a pooled slab under the query's ID: no parse, no lookup,
+    // no owned question. Twelve queries fall short of conntrack's first
+    // growth.
+    let mut located = SimTransport::new(HomeScenario::clean().build());
+    for (r, resolver) in locator::default_resolvers().into_iter().enumerate() {
+        let location = resolver.location_query();
+        let txid = 0x7800 + 0x10 * r as u16;
+        for i in 0..2 {
+            let out = located.query(resolver.v4[0], &location, txid + i, opts);
+            assert!(out.response().is_some(), "the clean home reaches {:?}", resolver.key);
+        }
+        let (allocs, out) =
+            allocations_in(|| located.query(resolver.v4[0], &location, txid + 2, opts));
+        assert!(out.response().is_some(), "answered");
+        assert_eq!(
+            allocs, 0,
+            "a warm {:?} location round trip allocated {allocs} times; a memoized reply \
+             is a copy into a pooled slab",
+            resolver.key
+        );
+    }
+
+    // --- A memo fill: the first answer to a query a region's profiles
+    // have not seen. Two clean worlds are built and warmed alike, one
+    // against the shared template, whose profiles have answered these
+    // queries above, and one against a fresh template, whose profiles
+    // start with empty memos. Over the fresh one, a query takes the answer
+    // path and memoizes its reply, and costs what the same query over the
+    // warm one does plus the fill:
+    //   Cloudflare id.server: the query's bytes after its ID, the reply   2
+    // Google's `o-o.myaddr` answer comes from the zone database, and the
+    // answer path builds what it writes (the question's name is interned):
+    //   Google o-o.myaddr:    the egress as text, in two growths          2
+    //                         the zone answer's TXT string list and its
+    //                         record list                                 2
+    //                         the query's bytes after its ID, the reply   2
+    //                                                                    6
+    let fresh_template = WorldTemplate::new();
+    let version_bind = Question::chaos_txt(dns_wire::debug_queries::version_bind());
+    let warmed = |template: &WorldTemplate| {
+        let mut transport = SimTransport::new(HomeScenario::clean().build_with(template));
+        for i in 0..3 {
+            let out = transport.query(cloudflare, &version_bind, 0x7900 + i, opts);
+            assert!(out.response().is_some(), "Cloudflare answers version.bind with NOTIMP");
+        }
+        transport
+    };
+    let (mut memoized, mut unseen) = (warmed(&WorldTemplate::shared()), warmed(&fresh_template));
+    for (txid, server, question, fill) in
+        [(0x7a00, cloudflare, &id_server, 2), (0x7a10, google, &myaddr, 6)]
+    {
+        let (hit, out) = allocations_in(|| memoized.query(server, question, txid, opts));
+        assert!(out.response().is_some(), "answered");
+        let (miss, out) = allocations_in(|| unseen.query(server, question, txid, opts));
+        assert!(out.response().is_some(), "answered");
+        assert_eq!(
+            miss,
+            hit + fill,
+            "the first {question:?} query to {server} on a fresh profile allocated {miss} \
+             times against {hit} on a memoized one; the fill listed above is {fill}"
+        );
+    }
+    let (allocs, out) = allocations_in(|| unseen.query(google, &myaddr, 0x7a20, opts));
+    assert!(out.response().is_some(), "answered");
+    assert_eq!(allocs, 0, "the query after a memo fill allocated {allocs} times");
+
     // --- Locator run and metrics fold: the locator over a warm clean
     // dual-stack home (16 location queries) allocates its one evidence
     // list; every observation in it, and every verdict, is a value.
@@ -169,8 +240,8 @@ fn steady_state_probe_path_allocates_nothing() {
     });
     assert_eq!(folded, plain, "metering changes no report field");
     assert_eq!(metrics.total_queries(), u64::from(plain.queries_sent));
-    // What the warm run allocates, item by item (the Google site writes
-    // its o-o.myaddr answer from the one its shared profile holds):
+    // What the warm run allocates, item by item (every site answers out
+    // of its shared profile's memo):
     //   locator:       the run's evidence list                            1
     //   CPE:           conntrack table growth at its 29th entry            1
     //                                                                     2

@@ -541,9 +541,9 @@ pub struct WorldTemplate {
 }
 
 /// What every world in one region shares: the public-resolver sites its
-/// probes reach, each with its location answer resolved, and its root
-/// server's identity. Each probe's site and root server then allocate
-/// nothing.
+/// probes reach, each with the memo of replies it has written, and its
+/// root server's identity. Each probe's site and root server then
+/// allocate nothing.
 struct RegionParts {
     /// One site per template resolver, in the template's order.
     sites: Vec<Arc<SiteProfile>>,
@@ -560,14 +560,14 @@ impl RegionParts {
             .map(|public| {
                 let brand = brand_of(public.key);
                 let (eg4, eg6) = brand_egress(brand);
-                let profile = SiteProfile::new(
+                Arc::new(SiteProfile::new(
                     brand,
                     public.v4.iter().chain(public.v6.iter()).copied(),
                     region.iata(),
                     84,
                     ResolveCtx { egress_v4: Some(eg4), egress_v6: Some(eg6) },
-                );
-                Arc::new(profile.with_location_answer(public.location_query(), &template.zonedb))
+                    Arc::clone(&template.zonedb),
+                ))
             })
             .collect();
         let mut root_profile = SoftwareProfile::custom("9.16.15");
@@ -940,7 +940,7 @@ impl HomeScenario {
         // entry. The sites take consecutive node ids from the first.
         let mut first_site = NodeId(0);
         for (i, (public, profile)) in template.resolvers.iter().zip(&region.sites).enumerate() {
-            let site = PublicResolverSite::with_profile(Arc::clone(profile), Arc::clone(&zonedb));
+            let site = PublicResolverSite::with_profile(Arc::clone(profile));
             let node = sim.add_device(site);
             if i == 0 {
                 first_site = node;

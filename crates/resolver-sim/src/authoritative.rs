@@ -42,8 +42,6 @@ pub struct AuthoritativeServer {
     name: SharedStr,
     service_addrs: Arc<[IpAddr]>,
     zones: Vec<ServedZone>,
-    /// Queries handled.
-    pub queries_handled: u64,
 }
 
 impl AuthoritativeServer {
@@ -56,7 +54,6 @@ impl AuthoritativeServer {
             name: name.into(),
             service_addrs: service_addrs.into(),
             zones: Vec::new(),
-            queries_handled: 0,
         }
     }
 
@@ -131,7 +128,6 @@ impl Device for AuthoritativeServer {
         let Some(query) = receive_query(&packet, |dst| self.service_addrs.contains(&dst)) else {
             return;
         };
-        self.queries_handled += 1;
         let payload = match query.question() {
             Some(q) => self.answer(ctx, &query, &q.to_question(), packet.src()),
             // Nothing to look up without a question.

@@ -75,8 +75,6 @@ pub struct IterativeResolver {
     cache: DnsCache,
     pending: FxHashMap<u16, Iteration>,
     next_txid: u16,
-    /// Total client queries handled.
-    pub queries_handled: u64,
     /// Total upstream queries sent.
     pub upstream_queries: u64,
     /// Resolutions that ended in SERVFAIL.
@@ -101,7 +99,6 @@ impl IterativeResolver {
             cache: DnsCache::new(4096),
             pending: FxHashMap::default(),
             next_txid: 0x7000,
-            queries_handled: 0,
             upstream_queries: 0,
             servfails: 0,
         }
@@ -178,7 +175,6 @@ impl IterativeResolver {
             return;
         };
         let Some(question) = query.question() else { return };
-        self.queries_handled += 1;
         // CHAOS identity queries and other classes are answered locally,
         // straight from the query's view.
         if let Some(reply) = local_answer(&question, &self.profile) {

@@ -1,15 +1,18 @@
 //! Anycast sites of the four public resolvers, with the location-query
 //! semantics of paper Table 1.
 
-use crate::server::{local_answer, receive_query, reply_payload, send_local_reply, send_reply};
+use crate::server::{
+    local_answer, local_reply_payload, parse_query, relay_payload, reply_payload, send_reply,
+    served_datagram,
+};
 use crate::software::{ChaosPolicy, SoftwareProfile};
-use crate::zone::{ResolveCtx, ResolveResult, ZoneDb};
+use crate::zone::{ResolveCtx, ZoneDb};
 use bytes::Bytes;
 use dns_wire::debug_queries;
 use dns_wire::{Header, MessageView, Name, Question, RClass, RData, RType, Rcode};
 use netsim::{Ctx, Device, IfaceId, IpPacket, SharedStr};
 use std::net::IpAddr;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Which public resolver a site belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -30,15 +33,22 @@ impl PublicBrand {
         [PublicBrand::Cloudflare, PublicBrand::Google, PublicBrand::Quad9, PublicBrand::OpenDns];
 }
 
+/// How many distinct queries one profile's memo holds. No workload sends
+/// a site more than two distinct datagrams; a query past the last slot
+/// takes the answer path every time.
+const MEMO_SLOTS: usize = 8;
+
 /// What one anycast site of one public resolver is, apart from the world
 /// it answers in: its name, service addresses, site code, egress, the TXT
 /// answers it serves (the identity and Quad9's version as a software
-/// profile, and the OpenDNS debug strings, server then flags), and the
-/// zone answer to its location question once resolved.
+/// profile, and the OpenDNS debug strings, server then flags), the zone
+/// database it resolves through, and a memo of the replies it has written.
 ///
 /// Built once, a profile is shared by every world with a site there, so a
-/// site device costs a world build no allocation.
-#[derive(Debug)]
+/// site device costs a world build no allocation. Every input of a reply
+/// lives here and none changes, so a reply is a function of the query's
+/// bytes after its transaction ID; the memo keeps the first reply to each
+/// such query, and every later site answers it with an ID-only copy.
 pub struct SiteProfile {
     name: SharedStr,
     brand: PublicBrand,
@@ -47,21 +57,32 @@ pub struct SiteProfile {
     /// The brand's CHAOS answers: a text where it has one, else NOTIMP.
     chaos: SoftwareProfile,
     debug_txt: Option<[RData; 2]>,
-    /// The location question and the zone's answer to it from `egress`.
-    location: Option<(Question, ResolveResult)>,
+    zonedb: Arc<ZoneDb>,
+    /// Filled in order, once each, by whichever site answers a new query
+    /// first; concurrent fills of one query keep the first.
+    memo: [OnceLock<MemoEntry>; MEMO_SLOTS],
+}
+
+/// One memoized query and the reply the answer path wrote for it.
+struct MemoEntry {
+    /// The query's bytes after its transaction ID.
+    query: Box<[u8]>,
+    /// The reply as first sent, transaction ID included.
+    reply: Box<[u8]>,
 }
 
 impl SiteProfile {
     /// The profile of `brand`'s site at `iata` (an IATA code such as
-    /// "IAD"), answering on `service_addrs` and querying authoritative
-    /// servers from `egress`. `node_index` numbers the answering node in
-    /// Quad9's and OpenDNS's identity strings.
+    /// "IAD"), answering on `service_addrs` and resolving through `zonedb`
+    /// from `egress`. `node_index` numbers the answering node in Quad9's
+    /// and OpenDNS's identity strings.
     pub fn new(
         brand: PublicBrand,
         service_addrs: impl IntoIterator<Item = IpAddr>,
         iata: &str,
         node_index: u32,
         egress: ResolveCtx,
+        zonedb: Arc<ZoneDb>,
     ) -> SiteProfile {
         let site = iata.to_ascii_lowercase();
         let identity = match brand {
@@ -88,28 +109,38 @@ impl SiteProfile {
                     RData::txt("flags: 20 0 2F8 0"),
                 ]
             }),
-            location: None,
+            zonedb,
+            memo: Default::default(),
         }
-    }
-
-    /// Resolves `question`, the resolver's location question, through
-    /// `zonedb` from the site's egress once, so every site sharing this
-    /// profile answers it without a zone walk. A zone answer depends only
-    /// on the question and the egress, so the stored one is what the zone
-    /// path would give. A CHAOS question and one the site answers itself
-    /// (the OpenDNS debug name) keep their own paths.
-    pub fn with_location_answer(mut self, question: Question, zonedb: &ZoneDb) -> SiteProfile {
-        if question.qclass == RClass::In && self.debug_answer(&question).is_none() {
-            let answer = zonedb.resolve(&question, &self.egress);
-            self.location = Some((question, answer));
-        }
-        self
     }
 
     /// The debug strings this site synthesizes for `q`, if it asks for
     /// them.
     fn debug_answer(&self, q: &Question) -> Option<&[RData; 2]> {
         self.debug_txt.as_ref().filter(|_| q.qtype == RType::Txt && is_opendns_debug(&q.qname))
+    }
+
+    /// The transaction ID of `wire`, a datagram the front door's address
+    /// check passed, and the memoized reply to it: the one to a query
+    /// whose bytes after the ID equal `wire`'s. Filled slots form a
+    /// prefix, so the walk stops at the first empty one.
+    fn memoized(&self, wire: &[u8]) -> Option<(u16, &[u8])> {
+        let (id, tail) = wire.split_first_chunk()?;
+        let entry = self.memo.iter().map_while(OnceLock::get).find(|e| *e.query == *tail)?;
+        Some((u16::from_be_bytes(*id), &entry.reply))
+    }
+
+    /// Memoizes `reply` as the answer to the admitted query `wire`, in the
+    /// first slot that is empty or already holds it; a full memo keeps
+    /// what it has.
+    fn memoize(&self, wire: &[u8], reply: &[u8]) {
+        let tail = &wire[2..];
+        for slot in &self.memo {
+            let entry = slot.get_or_init(|| MemoEntry { query: tail.into(), reply: reply.into() });
+            if *entry.query == *tail {
+                return;
+            }
+        }
     }
 }
 
@@ -120,9 +151,6 @@ impl SiteProfile {
 /// wires toward the client's region.
 pub struct PublicResolverSite {
     profile: Arc<SiteProfile>,
-    zonedb: Arc<ZoneDb>,
-    /// Total queries handled.
-    pub queries_handled: u64,
 }
 
 impl PublicResolverSite {
@@ -135,13 +163,13 @@ impl PublicResolverSite {
         egress: ResolveCtx,
         zonedb: Arc<ZoneDb>,
     ) -> PublicResolverSite {
-        let profile = SiteProfile::new(brand, service_addrs, iata, node_index, egress);
-        PublicResolverSite::with_profile(Arc::new(profile), zonedb)
+        let profile = SiteProfile::new(brand, service_addrs, iata, node_index, egress, zonedb);
+        PublicResolverSite::with_profile(Arc::new(profile))
     }
 
     /// Creates a site from a shared profile; it allocates nothing.
-    pub fn with_profile(profile: Arc<SiteProfile>, zonedb: Arc<ZoneDb>) -> PublicResolverSite {
-        PublicResolverSite { profile, zonedb, queries_handled: 0 }
+    pub fn with_profile(profile: Arc<SiteProfile>) -> PublicResolverSite {
+        PublicResolverSite { profile }
     }
 
     /// The brand of this site.
@@ -149,26 +177,25 @@ impl PublicResolverSite {
         self.profile.brand
     }
 
-    fn answer_in(&self, ctx: &mut Ctx<'_>, query: &MessageView<'_>, q: &Question) -> Option<Bytes> {
-        if let Some([server, flags]) = self.profile.debug_answer(q) {
+    /// The answer path: the local-answer rule, then the OpenDNS debug
+    /// strings or a zone answer. `None` stays silent.
+    fn answer(&self, ctx: &mut Ctx<'_>, query: &MessageView<'_>) -> Option<Bytes> {
+        let q = query.question()?;
+        if let Some(reply) = local_answer(&q, &self.profile.chaos) {
+            return local_reply_payload(ctx, query, reply?);
+        }
+        let q = q.to_question();
+        if let Some([server, flags]) = self.profile.debug_answer(&q) {
             let header = Header::response_to(query.header(), Rcode::NoError);
             return reply_payload(ctx, query, &header, |w| {
                 w.answer_question(RClass::In, 0, server)?;
                 w.answer_question(RClass::In, 0, flags)
             });
         }
-        self.answer_zone(ctx, query, &self.zonedb.resolve(q, &self.profile.egress))
-    }
-
-    /// Writes a zone answer: its rcode, AD when the answer is signed and
-    /// this site validates (Cloudflare, Google and Quad9 do; classic
-    /// OpenDNS does not), then its records.
-    fn answer_zone(
-        &self,
-        ctx: &mut Ctx<'_>,
-        query: &MessageView<'_>,
-        result: &ResolveResult,
-    ) -> Option<Bytes> {
+        // A zone answer: its rcode, AD when the answer is signed and this
+        // site validates (Cloudflare, Google and Quad9 do; classic OpenDNS
+        // does not), then its records.
+        let result = self.profile.zonedb.resolve(&q, &self.profile.egress);
         let mut header = Header::response_to(query.header(), result.rcode);
         header.ad = self.profile.brand != PublicBrand::OpenDns && result.authenticated;
         reply_payload(ctx, query, &header, |w| result.answers.iter().try_for_each(|r| w.answer(r)))
@@ -180,24 +207,25 @@ fn is_opendns_debug(name: &Name) -> bool {
 }
 
 impl Device for PublicResolverSite {
+    /// A query the memo holds is answered with the stored reply under its
+    /// own ID, unparsed; any other goes through the parse and the answer
+    /// path, and the reply it gets is memoized.
     fn receive(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, packet: IpPacket) {
-        let addrs = &self.profile.service_addrs;
-        let Some(query) = receive_query(&packet, |dst| addrs.contains(&dst)) else { return };
-        let Some(q) = query.question() else { return };
-        self.queries_handled += 1;
-        if let Some(reply) = local_answer(&q, &self.profile.chaos) {
-            send_local_reply(ctx, iface, &packet, &query, reply);
+        let profile = &*self.profile;
+        let Some(wire) = served_datagram(&packet, |dst| profile.service_addrs.contains(&dst))
+        else {
             return;
-        }
-
-        let location = self.profile.location.as_ref().filter(|(asked, _)| q.matches(asked));
-        let payload = match location {
-            Some((_, answer)) => self.answer_zone(ctx, &query, answer),
-            None => self.answer_in(ctx, &query, &q.to_question()),
         };
-        if let Some(payload) = payload {
-            send_reply(ctx, iface, &packet, payload);
-        }
+        let payload = match profile.memoized(wire) {
+            Some((id, reply)) => relay_payload(ctx, reply, id),
+            None => {
+                let Some(query) = parse_query(wire) else { return };
+                let Some(payload) = self.answer(ctx, &query) else { return };
+                profile.memoize(wire, &payload);
+                payload
+            }
+        };
+        send_reply(ctx, iface, &packet, payload);
     }
 
     fn name(&self) -> &str {

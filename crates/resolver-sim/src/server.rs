@@ -37,11 +37,24 @@ pub fn receive_query(
     packet: &IpPacket,
     serves: impl FnOnce(IpAddr) -> bool,
 ) -> Option<MessageView<'_>> {
+    parse_query(served_datagram(packet, serves)?)
+}
+
+/// The front door's address check on its own: the payload of `packet` if
+/// it is a UDP datagram to port 53 at an address the device answers on
+/// (`serves`), not yet parsed.
+pub(crate) fn served_datagram(
+    packet: &IpPacket,
+    serves: impl FnOnce(IpAddr) -> bool,
+) -> Option<&[u8]> {
     let udp = packet.udp_payload()?;
-    if udp.dst_port != 53 || !serves(packet.dst()) {
-        return None;
-    }
-    MessageView::parse(&udp.payload).ok().filter(|query| !query.header().qr)
+    (udp.dst_port == 53 && serves(packet.dst())).then_some(&udp.payload[..])
+}
+
+/// The front door's parse on its own: `wire` as a DNS message with QR
+/// clear.
+pub(crate) fn parse_query(wire: &[u8]) -> Option<MessageView<'_>> {
+    MessageView::parse(wire).ok().filter(|query| !query.header().qr)
 }
 
 /// The door for an answer to one of the device's own upstream queries:

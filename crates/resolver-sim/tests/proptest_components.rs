@@ -154,20 +154,29 @@ proptest! {
     }
 
     #[test]
-    fn a_stored_location_answer_writes_the_zone_paths_bytes(
+    fn a_memoized_reply_is_the_answer_paths_bytes_under_the_new_id(
         brand in prop_oneof![
             Just(PublicBrand::Cloudflare),
             Just(PublicBrand::Google),
             Just(PublicBrand::Quad9),
             Just(PublicBrand::OpenDns),
         ],
+        kind in 0usize..4,
+        first_v6 in any::<bool>(),
         v6 in any::<bool>(),
+        first_id in any::<u16>(),
         id in any::<u16>(),
         rd in any::<bool>(),
         cd in any::<bool>(),
         case in any::<u64>(),
     ) {
-        let (question, addrs, egress) = location_site(brand);
+        let (location, addrs, egress) = location_site(brand);
+        let question = match kind {
+            0 => location,
+            1 => Question::chaos_txt(debug_queries::id_server()),
+            2 => Question::chaos_txt(debug_queries::version_bind()),
+            _ => Question::new(debug_queries::opendns_debug(), RType::Txt),
+        };
         // The qname as a client might spell it, one letter case per bit.
         let spelled: String = question
             .qname
@@ -176,25 +185,95 @@ proptest! {
             .enumerate()
             .map(|(i, c)| if (case >> (i % 64)) & 1 == 1 { c.to_ascii_uppercase() } else { c })
             .collect();
-        let asked = Question { qname: spelled.parse::<Name>().unwrap(), ..question.clone() };
-        let mut query = Message::query(id, asked);
-        query.header.rd = rd;
-        query.header.cd = cd;
-        let wire = query.encode().unwrap();
+        let asked = Question { qname: spelled.parse::<Name>().unwrap(), ..question };
+        let wire = |id: u16| {
+            let mut query = Message::query(id, asked.clone());
+            query.header.rd = rd;
+            query.header.cd = cd;
+            query.encode().unwrap()
+        };
 
         let zonedb = Arc::new(ZoneDb::standard_world());
-        let profile = || SiteProfile::new(brand, addrs, "IAD", 84, egress);
-        let stored = PublicResolverSite::with_profile(
-            Arc::new(profile().with_location_answer(question, &zonedb)),
-            Arc::clone(&zonedb),
-        );
-        let zone_path = PublicResolverSite::with_profile(Arc::new(profile()), Arc::clone(&zonedb));
-        let server = addrs[usize::from(v6)];
-        let reply = site_reply(stored, server, &wire);
-        prop_assert_eq!(&reply, &site_reply(zone_path, server, &wire));
-        let answered = Message::parse(&reply).unwrap();
+        let profile = || Arc::new(SiteProfile::new(brand, addrs, "IAD", 84, egress, Arc::clone(&zonedb)));
+        let shared = profile();
+        let ask = |profile: &Arc<SiteProfile>, v6: bool, id: u16| {
+            site_reply(PublicResolverSite::with_profile(Arc::clone(profile)), addrs[usize::from(v6)], &wire(id))
+        };
+        // The first reply fills the memo; the second, asked under another
+        // ID and maybe over the other family, comes from it.
+        let filled = ask(&shared, first_v6, first_id);
+        let memoized = ask(&shared, v6, id);
+        let fresh = ask(&profile(), v6, id);
+        prop_assert_eq!(&memoized, &fresh);
+        prop_assert_eq!(&filled[2..], &fresh[2..]);
+        let answered = Message::parse(&memoized).unwrap();
         prop_assert_eq!(answered.header.id, id);
-        prop_assert_eq!(answered.header.rcode, Rcode::NoError);
-        prop_assert!(!answered.answers.is_empty(), "{brand:?} answers its location question");
+        prop_assert_eq!(answered.question(), Some(&asked));
+        if kind == 0 {
+            prop_assert_eq!(answered.header.rcode, Rcode::NoError);
+            prop_assert!(!answered.answers.is_empty(), "{brand:?} answers its location question");
+        }
+    }
+}
+
+/// Four sites on one fresh profile, each on its own thread, ask the same
+/// ten questions at once, each thread in its own order, so they race to
+/// fill the memo's slots, fill them with the same query, and run past its
+/// eight slots. Every reply is the bytes a fresh profile's answer path
+/// writes.
+#[test]
+fn concurrent_fills_of_one_profile_all_get_the_answer_paths_bytes() {
+    let (location, addrs, egress) = location_site(PublicBrand::Google);
+    let mut questions = vec![
+        location,
+        Question::chaos_txt(debug_queries::id_server()),
+        Question::chaos_txt(debug_queries::version_bind()),
+        Question::new(debug_queries::opendns_debug(), RType::Txt),
+        Question::new(debug_queries::whoami_akamai(), RType::A),
+        Question::new(debug_queries::whoami_akamai(), RType::Aaaa),
+    ];
+    for name in ["example.com", "www.example.com", "nowhere.example.com", "opendns.com"] {
+        questions.push(Question::new(name.parse().unwrap(), RType::A));
+    }
+    let questions = &questions;
+    let zonedb = Arc::new(ZoneDb::standard_world());
+    let profile = || {
+        Arc::new(SiteProfile::new(
+            PublicBrand::Google,
+            addrs,
+            "IAD",
+            84,
+            egress,
+            Arc::clone(&zonedb),
+        ))
+    };
+    let ask = |profile: &Arc<SiteProfile>, i: usize| {
+        let wire = Message::query(0x4000 + i as u16, questions[i].clone()).encode().unwrap();
+        site_reply(PublicResolverSite::with_profile(Arc::clone(profile)), addrs[i % 2], &wire)
+    };
+    let expected: Vec<Bytes> = (0..questions.len()).map(|i| ask(&profile(), i)).collect();
+    let shared = profile();
+    let start = std::sync::Barrier::new(4);
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..4)
+            .map(|thread| {
+                let (shared, start, ask) = (&shared, &start, &ask);
+                scope.spawn(move || {
+                    start.wait();
+                    let order = (0..questions.len()).map(|k| (k + 3 * thread) % questions.len());
+                    order.map(|i| (i, ask(shared, i))).collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        for worker in workers {
+            for (i, reply) in worker.join().unwrap() {
+                assert_eq!(reply, expected[i], "{:?}", questions[i]);
+            }
+        }
+    });
+    // Once filled, the memo still answers each question as the answer
+    // path does.
+    for (i, expected) in expected.iter().enumerate() {
+        assert_eq!(&ask(&shared, i), expected, "{:?}", questions[i]);
     }
 }

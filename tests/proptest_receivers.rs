@@ -12,7 +12,9 @@
 //! payload that is a query (QR clear), and must be a response carrying the
 //! query's transaction ID and first question. A query without a question
 //! gets FORMERR from the authoritative server and no reply from the
-//! others.
+//! others. A public-resolver site whose shared profile has memoized
+//! replies answers every payload exactly as a fresh site does, silence
+//! included.
 
 use bytes::Bytes;
 use cpe::{models, CpeConfig, CpeDevice, DnsMode, ForwarderSpec, WanMode, LAN, WAN};
@@ -21,7 +23,7 @@ use netsim::{Cidr, Host, IfaceId, IpPacket, NodeId, Router, SimDuration, Simulat
 use proptest::prelude::*;
 use resolver_sim::{
     AuthoritativeServer, Delegation, IterativeResolver, PublicBrand, PublicResolverSite,
-    RecursiveResolver, ResolveCtx, ServedZone, SoftwareProfile, StaticZone, ZoneDb,
+    RecursiveResolver, ResolveCtx, ServedZone, SiteProfile, SoftwareProfile, StaticZone, ZoneDb,
 };
 use std::net::{IpAddr, Ipv4Addr};
 use std::sync::Arc;
@@ -102,20 +104,8 @@ fn home(config: CpeConfig) -> (Simulator, NodeId, NodeId) {
 /// Builds `receiver`'s world: the simulator, the querying host, its
 /// address and the address it queries.
 fn world(receiver: Receiver) -> (Simulator, NodeId, IpAddr, IpAddr) {
-    let zonedb = || Arc::new(ZoneDb::standard_world());
     let (sim, client, server) = match receiver {
-        Receiver::PublicSite => {
-            let site = PublicResolverSite::new(
-                PublicBrand::Cloudflare,
-                [ip("1.1.1.1")],
-                "IAD",
-                84,
-                ResolveCtx::v4("172.68.1.1".parse().unwrap()),
-                zonedb(),
-            );
-            let (sim, client) = direct(site);
-            (sim, client, ip("1.1.1.1"))
-        }
+        Receiver::PublicSite => return site_world(&site_profile()),
         Receiver::Recursive => {
             let (sim, client) = direct(isp_resolver());
             (sim, client, ip(UPSTREAM))
@@ -166,10 +156,34 @@ fn world(receiver: Receiver) -> (Simulator, NodeId, IpAddr, IpAddr) {
     (sim, client, ip(CLIENT), server)
 }
 
+/// A fresh profile for the public-resolver site under test.
+fn site_profile() -> Arc<SiteProfile> {
+    Arc::new(SiteProfile::new(
+        PublicBrand::Cloudflare,
+        [ip("1.1.1.1")],
+        "IAD",
+        84,
+        ResolveCtx::v4("172.68.1.1".parse().unwrap()),
+        Arc::new(ZoneDb::standard_world()),
+    ))
+}
+
+/// The public-resolver site's world, its site on `profile`.
+fn site_world(profile: &Arc<SiteProfile>) -> (Simulator, NodeId, IpAddr, IpAddr) {
+    let (sim, client) = direct(PublicResolverSite::with_profile(Arc::clone(profile)));
+    (sim, client, ip(CLIENT), ip("1.1.1.1"))
+}
+
 /// Sends `payload` to `receiver` and returns the payloads of the UDP/53
 /// replies that reach the querying host.
 fn replies(receiver: Receiver, payload: &[u8]) -> Vec<Bytes> {
-    let (mut sim, client, src, dst) = world(receiver);
+    exchange(world(receiver), payload)
+}
+
+/// Sends `payload` across `world` and returns the payloads of the UDP/53
+/// replies that reach the querying host.
+fn exchange(world: (Simulator, NodeId, IpAddr, IpAddr), payload: &[u8]) -> Vec<Bytes> {
+    let (mut sim, client, src, dst) = world;
     let packet = IpPacket::udp(src, dst, CLIENT_PORT, 53, Bytes::copy_from_slice(payload))
         .expect("same-family addresses");
     sim.inject(client, IfaceId(0), packet);
@@ -210,6 +224,26 @@ fn check(payload: &[u8]) -> Result<(), TestCaseError> {
                 prop_assert_eq!(reply.header.rcode, Rcode::FormErr);
             }
         }
+    }
+    Ok(())
+}
+
+/// A warm site answers `payload` exactly as a fresh one does, silence
+/// included. Its profile has answered `warmup` first, so its memo holds
+/// a datagram `payload` may differ from in a single byte. Then `payload`
+/// is asked twice, the second time out of the memo if the first was
+/// answered, and once more under another transaction ID.
+fn check_warm_site(warmup: &[u8], payload: &[u8]) -> Result<(), TestCaseError> {
+    let warm = site_profile();
+    exchange(site_world(&warm), warmup);
+    let mut other_id = payload.to_vec();
+    if let Some(id) = other_id.get_mut(..2) {
+        id.copy_from_slice(&(u16::from_be_bytes([id[0], id[1]]) ^ 0x5a5a).to_be_bytes());
+    }
+    for wire in [payload, payload, &other_id] {
+        let fresh = exchange(site_world(&site_profile()), wire);
+        let answered = exchange(site_world(&warm), wire);
+        prop_assert!(answered == fresh, "warm {answered:02x?}, fresh {fresh:02x?} for {wire:02x?}");
     }
     Ok(())
 }
@@ -295,12 +329,38 @@ proptest! {
         query in arb_query(),
         mutation in arb_mutation(),
     ) {
-        check(&mutate(&query, &mutation))?;
+        let mutated = mutate(&query, &mutation);
+        check(&mutated)?;
+        check_warm_site(&query.encode().unwrap(), &mutated)?;
     }
 
     #[test]
     fn receivers_survive_arbitrary_bytes(bytes in proptest::collection::vec(any::<u8>(), 0..=160)) {
         check(&bytes)?;
+        let location = Message::query(0x5151, Question::chaos_txt(debug_queries::id_server()));
+        check_warm_site(&location.encode().unwrap(), &bytes)?;
+    }
+}
+
+/// Every one-byte change after the transaction ID of a query a warm site
+/// has memoized, at every position and in the lowest and highest bit,
+/// gets what a fresh site gives.
+#[test]
+fn a_warm_site_answers_each_one_byte_change_of_a_memoized_query_afresh() {
+    let queries = [
+        Question::chaos_txt(debug_queries::id_server()),
+        Question::chaos_txt(debug_queries::version_bind()),
+        Question::new("www.example.com".parse().unwrap(), RType::A),
+    ];
+    for question in queries {
+        let wire = Message::query(0x5151, question).encode().unwrap();
+        for at in 2..wire.len() {
+            for bits in [0x01, 0x80] {
+                let mut changed = wire.clone();
+                changed[at] ^= bits;
+                check_warm_site(&wire, &changed).unwrap();
+            }
+        }
     }
 }
 

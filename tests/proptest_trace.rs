@@ -9,9 +9,11 @@
 //! rule). The same holds for late delivery and burst loss: a late reply
 //! is addressed to an earlier attempt's source port, and the window it
 //! lands in discards it. A duplicated reply changes nothing at all, since
-//! each attempt's receive filter keeps the first copy.
+//! each attempt's receive filter keeps the first copy. Moving a home to
+//! another region changes only the strings that name a public resolver's
+//! site: every verdict and the kind of every matrix cell stay.
 
-use interception::{CpeModelKind, GroundTruth, HomeScenario, MiddleboxSpec, SimTransport};
+use interception::{CpeModelKind, GroundTruth, HomeScenario, MiddleboxSpec, Region, SimTransport};
 use locator::{
     HijackLocator, InterceptorLocation, MetricsFolder, ProbeMetrics, ProbeReport, Provenance,
     StepProvenance, TraceEvent, TraceRecorder,
@@ -268,6 +270,35 @@ proptest! {
             clean.location,
             faulty.location
         );
+    }
+}
+
+proptest! {
+    // Each case runs the locator in all seven regions.
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn moving_a_home_to_another_region_changes_only_the_site_strings(
+        scenario in arb_scenario(),
+        seed in 0u64..500,
+    ) {
+        let run = |region| run_with(HomeScenario { seed, region, ..scenario.clone() }, 1);
+        let home = run(Region::NaEast);
+        for region in Region::ALL.into_iter().skip(1) {
+            let moved = run(region);
+            let same = (moved.intercepted, moved.location, &moved.cpe, &moved.bogon)
+                == (home.intercepted, home.location, &home.cpe, &home.bogon)
+                && moved.transparency == home.transparency;
+            prop_assert!(same, "{region:?} changed a verdict: {home:?} became {moved:?}");
+            for (moved, home) in [(&moved.matrix.v4, &home.matrix.v4), (&moved.matrix.v6, &home.matrix.v6)] {
+                for ((key, moved), (_, home)) in moved.iter().zip(home.iter()) {
+                    prop_assert!(
+                        std::mem::discriminant(moved) == std::mem::discriminant(home),
+                        "{region:?} changed the {key:?} cell: {home:?} became {moved:?}"
+                    );
+                }
+            }
+        }
     }
 }
 
