@@ -90,20 +90,21 @@ fn allocations_per_probe(config: FleetConfig) -> (f64, f64) {
 /// truth (instead of cloning both) keeps this flat; an accidental
 /// per-probe clone of anything fleet-sized would fail the ratio check.
 /// Absolute per-probe allocation budgets at the 1200-probe point: the
-/// measured 17.11 allocations and 7,165 bytes per probe (debug; release
-/// reads 17.11 and 7,162), plus 10%.
+/// measured 15.11 allocations and 7,093 bytes per probe (debug; release
+/// reads 15.11 and 7,089), plus 10%.
 /// Regressing past these means a per-query or per-build allocation came
 /// back (e.g. re-encoding location queries, rebuilding the resolver table,
 /// per-packet payload Vecs, per-query name strings, a device encode
 /// scratch regrown per probe, accepted replies decoded into owned
-/// messages, a device box per world or a public-resolver site's reply
-/// built per query instead of copied from its profile's memo); the
+/// messages, a device box per world, a public-resolver site's or the ISP
+/// resolver's reply built per query instead of copied from its profile's
+/// memo, or the ISP resolver's profile built per world); the
 /// flatness *ratio* alone would not catch a uniform creep.
 /// The steady-state *wire* path itself is pinned to exactly zero by
 /// `tests/zero_alloc.rs`; this budget covers the whole probe — world
 /// build, verdicts, aggregation — where some setup allocation is real.
-const MAX_ALLOCS_PER_PROBE: f64 = 18.9;
-const MAX_BYTES_PER_PROBE: f64 = 7_882.0;
+const MAX_ALLOCS_PER_PROBE: f64 = 16.7;
+const MAX_BYTES_PER_PROBE: f64 = 7_803.0;
 
 fn assert_allocation_flatness() {
     let (small_count, small_bytes) = allocations_per_probe(benign(300));
@@ -133,11 +134,11 @@ fn assert_allocation_flatness() {
 }
 
 /// Per-probe budgets on the heavy-tail fleet at 1,200 probes: the measured
-/// 19.96 allocations and 8,305 bytes per responding probe (debug; release
-/// reads 19.96 and 8,300), plus 10%.
+/// 17.67 allocations and 8,184 bytes per responding probe (debug; release
+/// reads 17.66 and 8,179), plus 10%.
 /// The benign budgets above never see loss, retries or backoff; these do.
-const MAX_HEAVY_TAIL_ALLOCS_PER_PROBE: f64 = 22.0;
-const MAX_HEAVY_TAIL_BYTES_PER_PROBE: f64 = 9_136.0;
+const MAX_HEAVY_TAIL_ALLOCS_PER_PROBE: f64 = 19.5;
+const MAX_HEAVY_TAIL_BYTES_PER_PROBE: f64 = 9_003.0;
 
 fn assert_heavy_tail_budget() {
     let (count, bytes) = allocations_per_probe(heavy_tail(1200));
@@ -155,16 +156,16 @@ fn assert_heavy_tail_budget() {
 }
 
 /// Per-probe budgets for the capture-enabled campaign on the 300-probe
-/// fleet: the measured 89.4 allocations and 112,211 bytes per responding
-/// probe (debug; release reads 89.2 and 111,824), plus 10%. The whole
+/// fleet: the measured 85.3 allocations and 111,926 bytes per responding
+/// probe (debug; release reads 85.1 and 111,538), plus 10%. The whole
 /// campaign counts, measurement included.
 /// Regressing past these means hops went back to owning or sharing their
 /// node's name, flow reconstruction went back to hash-map indexes or
 /// re-parsed messages into owned ones, a capture event or hop grew back a
 /// tuple its packet already carries, or the capture buffer stopped being
 /// recycled through `SimScratch`.
-const MAX_CAPTURE_ALLOCS_PER_PROBE: f64 = 98.3;
-const MAX_CAPTURE_BYTES_PER_PROBE: f64 = 123_432.0;
+const MAX_CAPTURE_ALLOCS_PER_PROBE: f64 = 93.9;
+const MAX_CAPTURE_BYTES_PER_PROBE: f64 = 123_119.0;
 
 /// The flight recorder's zero-cost contract, enforced at the allocator:
 /// with the recorder off (the default), two identical campaign runs

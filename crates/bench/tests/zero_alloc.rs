@@ -9,12 +9,15 @@
 //! public-resolver site copies the reply its shared profile memoized, and
 //! the stub hands the locator the delivered payload itself. So is a warm
 //! *intercepted* one: the CPE relays the query and the answer as the bytes
-//! that arrived, with a new transaction ID. A memo fill is pinned to its
-//! exact count: the copies it keeps, plus what the answer path builds. A
-//! warm world build is pinned to its exact count: a few containers per device, each device
-//! moved into the box the previous world left. Switching the flight
-//! recorder on over a recycled world allocates nothing, and it records
-//! into the capacity the previous worlds left. Rebuilding flows from that
+//! that arrived, with a new transaction ID, and the ISP resolver copies
+//! the reply its shared profile memoized. A memo fill, a site's or the
+//! ISP resolver's, is pinned to its exact count: the copies it keeps, plus
+//! what the answer path builds. So is a warm world's first ask of its ISP
+//! resolver: the growth of the world's cache and pending-reply tables. A
+//! warm world build is pinned to its exact count: a few containers per
+//! device, each device moved into the box the previous world left.
+//! Switching the flight recorder on over a recycled world allocates
+//! nothing, and it records into the capacity the previous worlds left. Rebuilding flows from that
 //! record is pinned to its exact count: the lists, and one names table
 //! the flows share with its names, but nothing per hop. A warm locator
 //! run is pinned too: its one evidence list, plus what the world makes. A
@@ -118,12 +121,13 @@ fn steady_state_probe_path_allocates_nothing() {
     // through the front door and relays the datagram to the ISP resolver
     // with only the transaction ID rewritten (a copy into a pooled slab,
     // and a pending entry in a map that kept its capacity), the ISP
-    // resolver answers from its cache, and the forwarder relays that
-    // answer back the same way, through conntrack's restore of 8.8.8.8 as
-    // the source. Neither the query nor the answer becomes an owned
-    // message, so nothing allocates. The first query is the resolver's
-    // cache miss; the ninth falls short of conntrack's first growth, as
-    // on the clean home.
+    // resolver copies its profile's memoized reply, sent at once because
+    // the world's cache holds the answer fresh, and the forwarder relays
+    // that answer back the same way, through conntrack's restore of
+    // 8.8.8.8 as the source. Neither the query nor the answer becomes an
+    // owned message, so nothing allocates. The first query is the
+    // resolver's cache miss; the ninth falls short of conntrack's first
+    // growth, as on the clean home.
     let xb6 = HomeScenario::xb6_case_study();
     let isp_egress = xb6.isp.resolver_egress_v4.to_string();
     let mut hijacked = SimTransport::new(xb6.build());
@@ -213,6 +217,96 @@ fn steady_state_probe_path_allocates_nothing() {
     assert!(out.response().is_some(), "answered");
     assert_eq!(allocs, 0, "the query after a memo fill allocated {allocs} times");
 
+    // --- The ISP resolver's memo fill: the same comparison through an ISP
+    // middlebox that sends every query to the ISP's resolver, over the
+    // shared template, whose interned profile has answered these queries
+    // in an earlier world, and over a fresh one. Both worlds are warmed
+    // alike by `whoami` queries, so each has its cache and pending tables
+    // when the measured query comes; the measured query is each world's
+    // first ask of it, so both pay the miss. The fill costs
+    //   id.server (NOTIMP):   the query's bytes after its ID, the reply   2
+    //   o-o.myaddr:           the egress as text, in two growths          2
+    //                         the zone answer's TXT string list and its
+    //                         record list                                 2
+    //                         the query's bytes after its ID, the reply   2
+    //                                                                    6
+    let middlebox = HomeScenario::isp_middlebox();
+    let whoami = Question::new(dns_wire::debug_queries::whoami_akamai(), RType::A);
+    let mut earlier = SimTransport::new(middlebox.build());
+    for question in [&id_server, &myaddr] {
+        assert!(earlier.query(google, question, 0x7b00, opts).response().is_some(), "answered");
+    }
+    let warmed = |template: &WorldTemplate| {
+        let mut transport = SimTransport::new(middlebox.build_with(template));
+        for i in 0..3 {
+            let out = transport.query(google, &whoami, 0x7b10 + i, opts);
+            assert!(out.response().is_some(), "the ISP resolver answers whoami");
+        }
+        transport
+    };
+    let fresh_template = WorldTemplate::new();
+    let (mut memoized, mut unseen) = (warmed(&WorldTemplate::shared()), warmed(&fresh_template));
+    for (txid, question, fill) in [(0x7b20, &id_server, 2), (0x7b30, &myaddr, 6)] {
+        let (hit, out) = allocations_in(|| memoized.query(google, question, txid, opts));
+        assert!(out.response().is_some(), "answered");
+        let (miss, out) = allocations_in(|| unseen.query(google, question, txid, opts));
+        assert!(out.response().is_some(), "answered");
+        assert_eq!(
+            miss,
+            hit + fill,
+            "the ISP resolver's first {question:?} answer on a fresh profile allocated {miss} \
+             times against {hit} on a memoized one; the fill listed above is {fill}"
+        );
+    }
+
+    // --- A warm world's first ask of its ISP resolver: a world built over
+    // the shared template, whose interned profile has memoized every
+    // query here, into the containers of worlds that asked the same, with
+    // their query encoder (as a campaign worker carries both from probe to
+    // probe), and warmed by `id.server` queries, which the resolver
+    // answers locally without touching its cache. Its first `o-o.myaddr`
+    // query is a memo hit but the world's cache miss, so the reply waits
+    // out the resolution latency. That costs the resolver's own tables,
+    // which start empty with every world:
+    //   cache:           its table, at the first entry                   1
+    //   pending replies: its table, at the first entry                   1
+    //                                                                    2
+    // A repeat is a cache hit, sent at once, and costs nothing.
+    let template = WorldTemplate::shared();
+    let first_ask = |scratch: SimScratch, encoder: QueryEncoder| {
+        let built = middlebox.build_with_scratch(&template, scratch);
+        let mut transport = SimTransport::with_encoder(built, encoder);
+        for i in 0..3 {
+            let out = transport.query(google, &id_server, 0x7c00 + i, opts);
+            assert!(out.response().is_some(), "the ISP resolver answers id.server");
+        }
+        transport
+    };
+    let (mut scratch, mut encoder) = (SimScratch::default(), QueryEncoder::new());
+    for _ in 0..3 {
+        let mut transport = first_ask(scratch, encoder);
+        for i in 0..2 {
+            assert!(transport.query(google, &myaddr, 0x7c10 + i, opts).response().is_some());
+        }
+        encoder = transport.take_encoder();
+        scratch = transport.scenario.sim.into_scratch();
+    }
+    let mut warm_world = first_ask(scratch, encoder);
+    let (allocs, out) = allocations_in(|| warm_world.query(google, &myaddr, 0x7c10, opts));
+    let reply = out.response().expect("answered");
+    let answer = reply.view().answers().next().expect("one answer");
+    assert_eq!(answer.txt_str().as_deref(), Some(&*isp_egress), "the ISP resolver answered");
+    assert_eq!(
+        allocs, 2,
+        "a warm world's first o-o.myaddr ask of its ISP resolver allocated {allocs} times; \
+         the 2 listed above are the cache and pending-reply tables"
+    );
+    // The answer's payload slab goes back to the pool before the repeat.
+    drop(out);
+    let (allocs, out) = allocations_in(|| warm_world.query(google, &myaddr, 0x7c11, opts));
+    assert!(out.response().is_some(), "answered");
+    assert_eq!(allocs, 0, "a repeat the world's cache holds allocated {allocs} times");
+
     // --- Locator run and metrics fold: the locator over a warm clean
     // dual-stack home (16 location queries) allocates its one evidence
     // list; every observation in it, and every verdict, is a value.
@@ -261,17 +355,17 @@ fn steady_state_probe_path_allocates_nothing() {
     // Comcast-like ISP, region NaEast) built into the containers of the
     // previous world against the shared template. What is fixed or shared
     // costs nothing: device names such as "probe" and "internet-core", the
-    // four public sites' profiles, the root server's identity and
-    // addresses, the zone database. Every device moves into the box the
-    // previous world had at its node id. Each allocates what is its own:
+    // four public sites' profiles, the ISP resolver's and the root
+    // server's profiles, the zone database. Every device moves into the
+    // box the previous world had at its node id. Each allocates what is
+    // its own:
     //   probe host:      address list                                  1
     //   CPE:             NAT's own-address list, conntrack table        2
-    //   ISP resolver:    name, service addresses                       2
     //   edge router:     name, address list, route table               3
     //   border router:   name, address list, route table               3
     //   core router:     address list, route table                     2
     //   scanner host:    address list                                  1
-    //                                                                 14
+    //                                                                 12
     let template = WorldTemplate::shared();
     let clean = HomeScenario::clean();
     let mut scratch = SimScratch::default();
@@ -281,8 +375,8 @@ fn steady_state_probe_path_allocates_nothing() {
     let (allocs, built) = allocations_in(|| clean.build_with_scratch(&template, scratch));
     assert_eq!(built.sim.node_name(built.scanner), Some("scanner"));
     assert_eq!(
-        allocs, 14,
-        "warm clean world build allocated {allocs} times; the 14 listed above are each \
+        allocs, 12,
+        "warm clean world build allocated {allocs} times; the 12 listed above are each \
          device's own"
     );
 

@@ -1,19 +1,8 @@
 //! ISP profiles and interception-policy specs used by the scenario builder.
 
+use resolver_sim::ResolverMode;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 use std::sync::Arc;
-
-/// How an ISP's resolver treats the queries an interceptor hands it —
-/// this is what drives the paper's Figure-3 transparency categories.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ResolverMode {
-    /// Resolve everything correctly: **Transparent** interception.
-    Normal,
-    /// Refuse foreign queries: **Status Modified** interception.
-    RefuseAll,
-    /// Resolve correctly but rewrite NXDOMAIN to an ad server.
-    NxWildcard(Ipv4Addr),
-}
 
 /// Static description of one ISP (one AS).
 ///

@@ -28,8 +28,9 @@ pub use background::BackgroundClient;
 pub use flow::{
     flow_rtt_us, flows_to_json, render_flows, FlowDirection, FlowHop, HopDetail, QueryFlow,
 };
-pub use isp::{IspProfile, MiddleboxSpec, RedirectTarget, ResolverMode};
+pub use isp::{IspProfile, MiddleboxSpec, RedirectTarget};
 pub use replicate::ReplicatingInterceptor;
+pub use resolver_sim::ResolverMode;
 pub use scenario::{
     BuiltScenario, CpeModelKind, GroundTruth, HomeScenario, OpenDnsClass, Region, ScenarioAddrs,
     WorldTemplate,

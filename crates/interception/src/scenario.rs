@@ -7,19 +7,19 @@
 //! its ground truth so tests and the accuracy analysis can score the
 //! locator against reality.
 
-use crate::isp::{IspProfile, MiddleboxSpec, RedirectTarget, ResolverMode};
+use crate::isp::{IspProfile, MiddleboxSpec, RedirectTarget};
 use cpe::{models, CpeConfig, CpeDevice, DnsMode};
 use locator::{InterceptorLocation, LocatorConfig, ResolverKey};
 use netsim::{
-    BurstLoss, Cidr, DnatRule, FaultProfile, Host, IfaceId, LateDelivery, NatEngine, NodeId, Proto,
-    Router, SharedStr, SimDuration, SimScratch, Simulator,
+    BurstLoss, Cidr, DnatRule, FaultProfile, FxHashMap, Host, IfaceId, LateDelivery, NatEngine,
+    NodeId, Proto, Router, SharedStr, SimDuration, SimScratch, Simulator,
 };
 use resolver_sim::{
-    ChaosPolicy, PublicBrand, PublicResolverSite, RecursiveResolver, ResolveCtx, SiteProfile,
-    SoftwareProfile, ZoneDb,
+    ChaosPolicy, PublicBrand, PublicResolverSite, RecursiveResolver, ResolveCtx, ResolverMode,
+    ResolverProfile, SiteProfile, SoftwareProfile, ZoneDb,
 };
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Geographic region of the probe; selects which anycast site it reaches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -513,8 +513,8 @@ impl BuiltScenario {
 }
 
 /// The immutable world every scenario shares: the standard zone database,
-/// the public-resolver table, the root-server address list, and what each
-/// region's worlds share.
+/// the public-resolver table, the root-server address list, what each
+/// region's worlds share, and the recursive resolvers' profiles.
 ///
 /// Building one household used to reconstruct all of this from scratch —
 /// O(fleet × world) redundant work on a survey's hottest path. A campaign
@@ -538,18 +538,100 @@ pub struct WorldTemplate {
     /// and filled the first time a world in the region is built, so
     /// building the template does no more work than before.
     regions: [OnceLock<RegionParts>; Region::ALL.len()],
+    /// The alternate resolver's profile, built the first time a world
+    /// needs it.
+    alt_resolver: OnceLock<Arc<ResolverProfile>>,
+    /// Each ISP's resolver and filter resolver profile, built the first
+    /// time a world needs it, at most [`MAX_ISP_PROFILES`] of them.
+    isp_resolvers: Mutex<FxHashMap<IspResolverKey, Arc<ResolverProfile>>>,
+}
+
+/// How many ISP resolver profiles one template interns. A fleet needs a
+/// few dozen; a world past the cap gets a profile of its own.
+const MAX_ISP_PROFILES: usize = 1024;
+
+/// What an ISP resolver's profile is built from, by value. Fleets are
+/// regenerated with fresh `Arc`s (a freed pointer can be reused), and
+/// flavors change an ISP's resolver mode and egress per probe, so neither
+/// a pointer nor the [`IspProfile`] itself can name a profile.
+#[derive(PartialEq, Eq, Hash)]
+enum IspResolverKey {
+    /// The ISP's resolver.
+    Resolver {
+        isp: Arc<str>,
+        service: (Ipv4Addr, Ipv6Addr),
+        egress: (Ipv4Addr, Ipv6Addr),
+        version: Arc<str>,
+        mode: ResolverMode,
+    },
+    /// The refusing resolver a filtering middlebox sends blocked queries
+    /// to, addressed in the ISP's prefix.
+    Filter { isp: Arc<str>, v4_prefix: Ipv4Addr, version: Arc<str> },
+}
+
+impl IspResolverKey {
+    fn resolver(isp: &IspProfile) -> IspResolverKey {
+        IspResolverKey::Resolver {
+            isp: Arc::clone(&isp.name),
+            service: (isp.resolver_v4, isp.resolver_v6),
+            egress: (isp.resolver_egress_v4, isp.resolver_egress_v6),
+            version: Arc::clone(&isp.resolver_version),
+            mode: isp.resolver_mode,
+        }
+    }
+
+    fn filter(isp: &IspProfile) -> IspResolverKey {
+        IspResolverKey::Filter {
+            isp: Arc::clone(&isp.name),
+            v4_prefix: isp.v4_prefix,
+            version: Arc::clone(&isp.resolver_version),
+        }
+    }
+
+    /// The profile the key names, built from the key alone.
+    fn profile(&self, zonedb: &Arc<ZoneDb>) -> ResolverProfile {
+        match self {
+            IspResolverKey::Resolver { isp, service, egress, version, mode } => {
+                ResolverProfile::new(
+                    [&**isp, "-resolver"].concat(),
+                    [IpAddr::V4(service.0), IpAddr::V6(service.1)],
+                    ResolveCtx { egress_v4: Some(egress.0), egress_v6: Some(egress.1) },
+                    Arc::clone(zonedb),
+                    SoftwareProfile::custom(version),
+                    *mode,
+                )
+            }
+            IspResolverKey::Filter { isp, v4_prefix, version } => {
+                let (service, egress) = filter_resolver_addrs(*v4_prefix);
+                ResolverProfile::new(
+                    [&**isp, "-filter-resolver"].concat(),
+                    [IpAddr::V4(service)],
+                    ResolveCtx::v4(egress),
+                    Arc::clone(zonedb),
+                    SoftwareProfile::custom(version),
+                    ResolverMode::RefuseAll,
+                )
+            }
+        }
+    }
+}
+
+/// The filter resolver's service address and egress in the ISP prefix
+/// `v4_prefix`: its `.76.76.76` and `.76.76.77`.
+fn filter_resolver_addrs(v4_prefix: Ipv4Addr) -> (Ipv4Addr, Ipv4Addr) {
+    let base = u32::from(v4_prefix) + (76 << 16) + (76 << 8);
+    (Ipv4Addr::from(base + 76), Ipv4Addr::from(base + 77))
 }
 
 /// What every world in one region shares: the public-resolver sites its
-/// probes reach, each with the memo of replies it has written, and its
-/// root server's identity. Each probe's site and root server then
-/// allocate nothing.
+/// probes reach and its root server, each with the memo of replies it has
+/// written. Each probe's site and root server then allocate nothing.
 struct RegionParts {
     /// One site per template resolver, in the template's order.
     sites: Vec<Arc<SiteProfile>>,
-    /// The root server's software: a `hostname.bind` answer naming the
-    /// region's root instance.
-    root_profile: SoftwareProfile,
+    /// The root server: a `hostname.bind` answer naming the region's root
+    /// instance, and a refusal for every IN query, as real roots do.
+    root: Arc<ResolverProfile>,
 }
 
 impl RegionParts {
@@ -570,12 +652,20 @@ impl RegionParts {
                 ))
             })
             .collect();
-        let mut root_profile = SoftwareProfile::custom("9.16.15");
-        root_profile.id_server = ChaosPolicy::Text(SharedStr::shared(format!(
+        let mut software = SoftwareProfile::custom("9.16.15");
+        software.id_server = ChaosPolicy::Text(SharedStr::shared(format!(
             "a1.{}.root-servers.org",
             region.iata().to_ascii_lowercase()
         )));
-        RegionParts { sites, root_profile }
+        let root = Arc::new(ResolverProfile::new(
+            "root-server",
+            Arc::clone(&template.root_addrs),
+            ResolveCtx::v4(Ipv4Addr::new(198, 41, 0, 10)),
+            Arc::clone(&template.zonedb),
+            software,
+            ResolverMode::RefuseAll,
+        ));
+        RegionParts { sites, root }
     }
 }
 
@@ -665,6 +755,8 @@ impl WorldTemplate {
             root_addrs: locator::baseline::default_root_addrs(),
             auth_tree: Arc::new(AuthTree::standard()),
             regions: Default::default(),
+            alt_resolver: OnceLock::new(),
+            isp_resolvers: Mutex::default(),
         }
     }
 
@@ -679,6 +771,8 @@ impl WorldTemplate {
                 root_addrs: locator::baseline::default_root_addrs(),
                 auth_tree: Arc::new(AuthTree::standard()),
                 regions: Default::default(),
+                alt_resolver: OnceLock::new(),
+                isp_resolvers: Mutex::default(),
             })
         }))
     }
@@ -687,6 +781,30 @@ impl WorldTemplate {
     fn region(&self, region: Region) -> &RegionParts {
         // `Region::ALL` lists the regions in declaration order.
         self.regions[region as usize].get_or_init(|| RegionParts::new(self, region))
+    }
+
+    /// The ISP resolver and filter resolver profiles `keys` name, looked
+    /// up under one lock: each is built and interned the first time a
+    /// world needs it. Past the cap, a world gets a profile of its own.
+    fn isp_resolvers(
+        &self,
+        keys: [Option<IspResolverKey>; 2],
+    ) -> [Option<Arc<ResolverProfile>>; 2] {
+        if keys.iter().all(Option::is_none) {
+            return keys.map(|_| None);
+        }
+        let mut interned = self.isp_resolvers.lock().unwrap_or_else(PoisonError::into_inner);
+        keys.map(|key| {
+            let key = key?;
+            if let Some(profile) = interned.get(&key) {
+                return Some(Arc::clone(profile));
+            }
+            let profile = Arc::new(key.profile(&self.zonedb));
+            if interned.len() < MAX_ISP_PROFILES {
+                interned.insert(key, Arc::clone(&profile));
+            }
+            Some(profile)
+        })
     }
 }
 
@@ -813,57 +931,31 @@ impl HomeScenario {
         // --- ISP resolver -------------------------------------------------
         // Fidelity mode: a real iterative resolver walking packet-level
         // authoritative servers. Otherwise (the fleet-scale default) an
-        // instant zone-database recursor.
+        // instant zone-database recursor on the ISP's shared profile. A
+        // middlebox that blocks some resolvers routes their traffic to a
+        // dedicated refusing resolver (§4.1.2's "Both" pattern).
         let use_iterative =
             self.iterative_isp_resolver && isp.resolver_mode == ResolverMode::Normal;
         let root_auth_v4: Ipv4Addr = Ipv4Addr::new(198, 41, 0, 8);
-        let isp_resolver = if use_iterative {
-            sim.add_device(resolver_sim::IterativeResolver::new(
+        let (filter_resolver_v4, _) = filter_resolver_addrs(isp.v4_prefix);
+        let needs_filter_resolver =
+            self.middlebox.as_ref().map(|m| !m.refused_dsts.is_empty()).unwrap_or(false);
+        let [isp_profile, filter_profile] = template.isp_resolvers([
+            (!use_iterative).then(|| IspResolverKey::resolver(isp)),
+            needs_filter_resolver.then(|| IspResolverKey::filter(isp)),
+        ]);
+        let isp_resolver = match isp_profile {
+            Some(profile) => sim.add_device(RecursiveResolver::with_profile(profile)),
+            None => sim.add_device(resolver_sim::IterativeResolver::new(
                 isp_device("-resolver"),
                 [IpAddr::V4(isp.resolver_v4), IpAddr::V6(isp.resolver_v6)],
                 IpAddr::V4(isp.resolver_egress_v4),
                 vec![IpAddr::V4(root_auth_v4)],
                 SoftwareProfile::custom(&isp.resolver_version),
-            ))
-        } else {
-            let egress = ResolveCtx {
-                egress_v4: Some(isp.resolver_egress_v4),
-                egress_v6: Some(isp.resolver_egress_v6),
-            };
-            let mut resolver = RecursiveResolver::new(
-                isp_device("-resolver"),
-                [IpAddr::V4(isp.resolver_v4), IpAddr::V6(isp.resolver_v6)],
-                egress,
-                Arc::clone(&zonedb),
-                SoftwareProfile::custom(&isp.resolver_version),
-            );
-            match isp.resolver_mode {
-                ResolverMode::Normal => {}
-                ResolverMode::RefuseAll => resolver.refuse_all = true,
-                ResolverMode::NxWildcard(ip) => resolver.nxdomain_wildcard = Some(ip),
-            }
-            sim.add_device(resolver)
+            )),
         };
-
-        // A middlebox that blocks some resolvers routes their traffic to a
-        // dedicated refusing resolver (§4.1.2's "Both" pattern).
-        let filter_resolver_v4 =
-            Ipv4Addr::from(u32::from(isp.v4_prefix) + (76 << 16) + (76 << 8) + 76);
-        let needs_filter_resolver =
-            self.middlebox.as_ref().map(|m| !m.refused_dsts.is_empty()).unwrap_or(false);
-        let filter_resolver_node = needs_filter_resolver.then(|| {
-            let mut filter = RecursiveResolver::new(
-                isp_device("-filter-resolver"),
-                [IpAddr::V4(filter_resolver_v4)],
-                ResolveCtx::v4(Ipv4Addr::from(
-                    u32::from(isp.v4_prefix) + (76 << 16) + (76 << 8) + 77,
-                )),
-                Arc::clone(&zonedb),
-                SoftwareProfile::custom(&isp.resolver_version),
-            );
-            filter.refuse_all = true;
-            sim.add_device(filter)
-        });
+        let filter_resolver_node =
+            filter_profile.map(|profile| sim.add_device(RecursiveResolver::with_profile(profile)));
 
         // --- Routers --------------------------------------------------------
         // Interface plan:
@@ -955,15 +1047,7 @@ impl HomeScenario {
         // One anycast root node answering CHAOS hostname.bind with a
         // root-style identity and refusing recursion, as real roots do.
         let root_node = {
-            let mut root = RecursiveResolver::new(
-                "root-server",
-                Arc::clone(&template.root_addrs),
-                ResolveCtx::v4(Ipv4Addr::new(198, 41, 0, 10)),
-                Arc::clone(&zonedb),
-                region.root_profile.clone(),
-            );
-            root.refuse_all = true;
-            let node = sim.add_device(root);
+            let node = sim.add_device(RecursiveResolver::with_profile(Arc::clone(&region.root)));
             let core_router = sim.device_mut::<Router>(core).expect("core is a router");
             for addr in template.root_addrs.iter() {
                 core_router.routes.add(Cidr::host(*addr), IfaceId(7));
@@ -1073,14 +1157,18 @@ impl HomeScenario {
         });
 
         let alt_resolver_node = if alt_resolver_needed {
-            let alt_addr: IpAddr = "185.194.112.32".parse().expect("static address");
-            let node = sim.add_device(RecursiveResolver::new(
-                "alt-resolver",
-                [alt_addr],
-                ResolveCtx::v4("185.194.112.33".parse().expect("static address")),
-                Arc::clone(&zonedb),
-                SoftwareProfile::unbound("1.9.0"),
-            ));
+            let alt_addr = IpAddr::V4(Ipv4Addr::new(185, 194, 112, 32));
+            let profile = template.alt_resolver.get_or_init(|| {
+                Arc::new(ResolverProfile::new(
+                    "alt-resolver",
+                    [alt_addr],
+                    ResolveCtx::v4(Ipv4Addr::new(185, 194, 112, 33)),
+                    Arc::clone(&template.zonedb),
+                    SoftwareProfile::unbound("1.9.0"),
+                    ResolverMode::Normal,
+                ))
+            });
+            let node = sim.add_device(RecursiveResolver::with_profile(Arc::clone(profile)));
             let core_router = sim.device_mut::<Router>(core).expect("core is a router");
             core_router.routes.add(Cidr::host(alt_addr), IfaceId(5));
             Some(node)
@@ -1382,5 +1470,115 @@ mod tests {
             })
             .collect();
         assert_eq!(relayed, [0x4000]);
+    }
+
+    /// The ISP resolver and filter resolver profiles `template` gives a
+    /// world of `isp`.
+    fn interned(template: &WorldTemplate, isp: &IspProfile) -> [Arc<ResolverProfile>; 2] {
+        let keys = [Some(IspResolverKey::resolver(isp)), Some(IspResolverKey::filter(isp))];
+        template.isp_resolvers(keys).map(|profile| profile.expect("both were asked for"))
+    }
+
+    #[test]
+    fn isps_that_differ_in_one_key_field_get_distinct_profiles() {
+        let template = WorldTemplate::new();
+        let base = IspProfile::comcast_like();
+        let [resolver, filter] = interned(&template, &base);
+        // The same values in fresh `Arc`s, with every field the profiles
+        // are not built from changed, share both profiles.
+        let regenerated = IspProfile {
+            asn: 3320,
+            name: "Comcast".into(),
+            country: "DE".into(),
+            resolver_version: "unbound 1.9.0".into(),
+            resolver_in_as: false,
+            ..base.clone()
+        };
+        let [same_resolver, same_filter] = interned(&template, &regenerated);
+        assert!(Arc::ptr_eq(&same_resolver, &resolver) && Arc::ptr_eq(&same_filter, &filter));
+        let changed = |change: fn(&mut IspProfile)| {
+            let mut isp = base.clone();
+            change(&mut isp);
+            isp
+        };
+        // Each field, and whether the resolver's and the filter's profile
+        // are built from it.
+        let fields: [(&str, IspProfile, bool, bool); 8] = [
+            ("name", changed(|isp| isp.name = "Comcast2".into()), true, true),
+            (
+                "resolver_v4",
+                changed(|isp| isp.resolver_v4 = Ipv4Addr::new(75, 75, 76, 76)),
+                true,
+                false,
+            ),
+            (
+                "resolver_v6",
+                changed(|isp| isp.resolver_v6 = "2001:558:feed::2".parse().unwrap()),
+                true,
+                false,
+            ),
+            (
+                "resolver_egress_v4",
+                changed(|isp| isp.resolver_egress_v4 = Ipv4Addr::new(75, 75, 75, 11)),
+                true,
+                false,
+            ),
+            (
+                "resolver_egress_v6",
+                changed(|isp| isp.resolver_egress_v6 = "2001:558:feed::11".parse().unwrap()),
+                true,
+                false,
+            ),
+            ("resolver_version", changed(|isp| isp.resolver_version = "NOTIMP".into()), true, true),
+            (
+                "resolver_mode",
+                changed(|isp| isp.resolver_mode = ResolverMode::RefuseAll),
+                true,
+                false,
+            ),
+            ("v4_prefix", changed(|isp| isp.v4_prefix = Ipv4Addr::new(74, 0, 0, 0)), false, true),
+        ];
+        for (field, isp, resolver_moves, filter_moves) in fields {
+            let [other_resolver, other_filter] = interned(&template, &isp);
+            assert_eq!(!Arc::ptr_eq(&other_resolver, &resolver), resolver_moves, "{field}");
+            assert_eq!(!Arc::ptr_eq(&other_filter, &filter), filter_moves, "{field}");
+        }
+    }
+
+    #[test]
+    fn a_world_past_the_interning_cap_answers_like_a_fresh_resolver() {
+        use locator::HijackLocator;
+        // Fill the template's map with other ISPs' resolvers.
+        let full = WorldTemplate::new();
+        for i in 0..MAX_ISP_PROFILES as u32 {
+            let isp = IspProfile {
+                resolver_egress_v4: Ipv4Addr::from(0x0a00_0000 + i),
+                ..IspProfile::comcast_like()
+            };
+            full.isp_resolvers([Some(IspResolverKey::resolver(&isp)), None]);
+        }
+        let interned = || full.isp_resolvers.lock().unwrap().len();
+        assert_eq!(interned(), MAX_ISP_PROFILES);
+        // Every world past the cap gets a profile of its own.
+        let isp = IspProfile::comcast_like();
+        let [once, twice] = [(); 2].map(|()| interned_resolver(&full, &isp));
+        assert!(!Arc::ptr_eq(&once, &twice));
+        // And answers as a fresh template's interned resolver does, report
+        // for report, over the middlebox that sends every query to it.
+        let run = |template: &WorldTemplate| {
+            let built = HomeScenario::isp_middlebox().build_with(template);
+            let config = built.locator_config();
+            HijackLocator::new(config).run(&mut crate::SimTransport::new(built))
+        };
+        let past_the_cap = run(&full);
+        assert!(past_the_cap.intercepted);
+        assert_eq!(past_the_cap, run(&WorldTemplate::new()));
+        assert_eq!(interned(), MAX_ISP_PROFILES);
+    }
+
+    /// The ISP resolver profile `template` gives a world of `isp`.
+    fn interned_resolver(template: &WorldTemplate, isp: &IspProfile) -> Arc<ResolverProfile> {
+        let [profile, _] = template.isp_resolvers([Some(IspResolverKey::resolver(isp)), None]);
+        profile.expect("asked for")
     }
 }

@@ -10,10 +10,13 @@ type Key = (dns_wire::Name, u16, u16);
 /// Negative and no-TTL entries are held this long.
 const NEGATIVE_TTL_SECS: u64 = 30;
 
-/// A bounded TTL cache for resolution results.
+/// A bounded TTL cache keyed by question, storing a `V` per entry: the
+/// iterative resolver keeps its resolution results, and a resolver whose
+/// replies come from its shared profile's memo keeps only the timing,
+/// `V = ()`.
 #[derive(Debug)]
-pub struct DnsCache {
-    map: FxHashMap<Key, (SimTime, ResolveResult)>,
+pub struct DnsCache<V> {
+    map: FxHashMap<Key, (SimTime, V)>,
     capacity: usize,
     /// Cache hits served.
     pub hits: u64,
@@ -21,9 +24,9 @@ pub struct DnsCache {
     pub misses: u64,
 }
 
-impl DnsCache {
+impl<V> DnsCache<V> {
     /// Creates a cache holding at most `capacity` entries.
-    pub fn new(capacity: usize) -> DnsCache {
+    pub fn new(capacity: usize) -> DnsCache<V> {
         DnsCache { map: FxHashMap::default(), capacity: capacity.max(1), hits: 0, misses: 0 }
     }
 
@@ -33,11 +36,11 @@ impl DnsCache {
 
     /// Looks up a fresh entry, borrowed: a server writes its records
     /// straight into the reply.
-    pub fn get(&mut self, q: &Question, now: SimTime) -> Option<&ResolveResult> {
+    pub fn get(&mut self, q: &Question, now: SimTime) -> Option<&V> {
         match self.map.get(&Self::key(q)) {
-            Some((expiry, result)) if *expiry > now => {
+            Some((expiry, value)) if *expiry > now => {
                 self.hits += 1;
-                Some(result)
+                Some(value)
             }
             _ => {
                 self.misses += 1;
@@ -46,13 +49,10 @@ impl DnsCache {
         }
     }
 
-    /// Stores a result, using the smallest answer TTL (or the negative TTL
-    /// for empty/negative results). At capacity, the soonest-expiring entry
-    /// is evicted.
-    pub fn put(&mut self, q: &Question, result: ResolveResult, now: SimTime) {
-        let ttl_secs =
-            result.answers.iter().map(|r| r.ttl as u64).min().unwrap_or(NEGATIVE_TTL_SECS);
-        let expiry = now + SimDuration::from_secs(ttl_secs);
+    /// Stores `value` for `ttl` (see [`ResolveResult::cache_ttl`]). At
+    /// capacity, the soonest-expiring entry is evicted.
+    pub fn put(&mut self, q: &Question, ttl: SimDuration, value: V, now: SimTime) {
+        let expiry = now + ttl;
         if self.map.len() >= self.capacity && !self.map.contains_key(&Self::key(q)) {
             if let Some(evict) =
                 self.map.iter().min_by_key(|(_, (exp, _))| *exp).map(|(k, _)| k.clone())
@@ -60,7 +60,7 @@ impl DnsCache {
                 self.map.remove(&evict);
             }
         }
-        self.map.insert(Self::key(q), (expiry, result));
+        self.map.insert(Self::key(q), (expiry, value));
     }
 
     /// Number of stored entries (fresh or stale).
@@ -71,6 +71,15 @@ impl DnsCache {
     /// True when empty.
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
+    }
+}
+
+impl ResolveResult {
+    /// How long a cache holds this result: its smallest answer TTL, or the
+    /// negative TTL (30 s) for an empty or negative result.
+    pub fn cache_ttl(&self) -> SimDuration {
+        let secs = self.answers.iter().map(|r| r.ttl as u64).min().unwrap_or(NEGATIVE_TTL_SECS);
+        SimDuration::from_secs(secs)
     }
 }
 
@@ -95,11 +104,16 @@ mod tests {
         }
     }
 
+    /// Stores `result` for `q` the way a resolver does, for its cache TTL.
+    fn put(cache: &mut DnsCache<ResolveResult>, q: &Question, result: ResolveResult, now: SimTime) {
+        cache.put(q, result.cache_ttl(), result, now);
+    }
+
     #[test]
     fn hit_within_ttl_miss_after() {
         let mut cache = DnsCache::new(16);
         let t0 = SimTime::ZERO;
-        cache.put(&q("example.com"), result(60), t0);
+        put(&mut cache, &q("example.com"), result(60), t0);
         assert!(cache.get(&q("example.com"), t0 + SimDuration::from_secs(59)).is_some());
         assert!(cache.get(&q("example.com"), t0 + SimDuration::from_secs(61)).is_none());
         assert_eq!(cache.hits, 1);
@@ -109,7 +123,7 @@ mod tests {
     #[test]
     fn case_insensitive_keys() {
         let mut cache = DnsCache::new(16);
-        cache.put(&q("Example.COM"), result(60), SimTime::ZERO);
+        put(&mut cache, &q("Example.COM"), result(60), SimTime::ZERO);
         assert!(cache.get(&q("example.com"), SimTime::ZERO).is_some());
     }
 
@@ -117,7 +131,7 @@ mod tests {
     fn negative_results_use_negative_ttl() {
         let mut cache = DnsCache::new(16);
         let neg = ResolveResult { rcode: Rcode::NxDomain, answers: vec![], authenticated: false };
-        cache.put(&q("missing.example"), neg, SimTime::ZERO);
+        put(&mut cache, &q("missing.example"), neg, SimTime::ZERO);
         assert!(cache
             .get(&q("missing.example"), SimTime::ZERO + SimDuration::from_secs(29))
             .is_some());
@@ -129,9 +143,9 @@ mod tests {
     #[test]
     fn eviction_prefers_soonest_expiry() {
         let mut cache = DnsCache::new(2);
-        cache.put(&q("short.example"), result(10), SimTime::ZERO);
-        cache.put(&q("long.example"), result(1000), SimTime::ZERO);
-        cache.put(&q("new.example"), result(500), SimTime::ZERO);
+        put(&mut cache, &q("short.example"), result(10), SimTime::ZERO);
+        put(&mut cache, &q("long.example"), result(1000), SimTime::ZERO);
+        put(&mut cache, &q("new.example"), result(500), SimTime::ZERO);
         assert_eq!(cache.len(), 2);
         assert!(cache.get(&q("short.example"), SimTime::ZERO).is_none());
         assert!(cache.get(&q("long.example"), SimTime::ZERO).is_some());
@@ -141,7 +155,7 @@ mod tests {
     #[test]
     fn types_are_distinct_keys() {
         let mut cache = DnsCache::new(16);
-        cache.put(&q("example.com"), result(60), SimTime::ZERO);
+        put(&mut cache, &q("example.com"), result(60), SimTime::ZERO);
         let aaaa = Question::new("example.com".parse().unwrap(), RType::Aaaa);
         assert!(cache.get(&aaaa, SimTime::ZERO).is_none());
     }

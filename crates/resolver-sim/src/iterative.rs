@@ -72,7 +72,7 @@ pub struct IterativeResolver {
     root_hints: Vec<IpAddr>,
     /// Software identity for CHAOS queries.
     pub profile: SoftwareProfile,
-    cache: DnsCache,
+    cache: DnsCache<ResolveResult>,
     pending: FxHashMap<u16, Iteration>,
     next_txid: u16,
     /// Total upstream queries sent.
@@ -238,7 +238,7 @@ impl IterativeResolver {
                 let rcode = if answers.is_empty() { Rcode::NxDomain } else { Rcode::NoError };
                 answers.extend(resp.answers);
                 let result = ResolveResult { rcode, answers, authenticated: false };
-                self.cache.put(&iter.original, result.clone(), ctx.now());
+                self.cache.put(&iter.original, result.cache_ttl(), result.clone(), ctx.now());
                 Self::respond_result(ctx, &iter.client, &iter.original, &result);
                 return;
             }
@@ -282,7 +282,7 @@ impl IterativeResolver {
             let mut answers = iter.chain.clone();
             answers.extend(resp.answers);
             let result = ResolveResult { rcode: Rcode::NoError, answers, authenticated: false };
-            self.cache.put(&iter.original, result.clone(), ctx.now());
+            self.cache.put(&iter.original, result.cache_ttl(), result.clone(), ctx.now());
             Self::respond_result(ctx, &iter.client, &iter.original, &result);
             return;
         }
@@ -323,7 +323,7 @@ impl IterativeResolver {
         let mut answers = iter.chain.clone();
         answers.extend(resp.answers);
         let result = ResolveResult { rcode: Rcode::NoError, answers, authenticated: false };
-        self.cache.put(&iter.original, result.clone(), ctx.now());
+        self.cache.put(&iter.original, result.cache_ttl(), result.clone(), ctx.now());
         Self::respond_result(ctx, &iter.client, &iter.original, &result);
     }
 }

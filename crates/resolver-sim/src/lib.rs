@@ -8,7 +8,8 @@
 //!   address of the resolver that asks.
 //! * [`RecursiveResolver`] — the "alternate resolver" interceptors forward
 //!   to, with a TTL cache, software identity for CHAOS queries, NXDOMAIN
-//!   wildcarding, and refusal modes.
+//!   wildcarding, and refusal modes ([`ResolverMode`]). What it is lives in
+//!   a [`ResolverProfile`] every world with it shares.
 //! * [`PublicResolverSite`] — anycast sites of Cloudflare/Google/Quad9/
 //!   OpenDNS with the exact location-query semantics of paper Table 1.
 //! * [`ForwarderCore`] — the Dnsmasq/XDNS-style forwarder state machine CPE
@@ -28,6 +29,7 @@ mod authoritative;
 mod cache;
 mod forwarder;
 mod iterative;
+mod memo;
 mod public_site;
 mod recursive;
 mod server;
@@ -39,7 +41,7 @@ pub use cache::DnsCache;
 pub use forwarder::{ForwarderCore, FwdAction};
 pub use iterative::IterativeResolver;
 pub use public_site::{PublicBrand, PublicResolverSite, SiteProfile};
-pub use recursive::RecursiveResolver;
+pub use recursive::{RecursiveResolver, ResolverMode, ResolverProfile};
 pub use server::{
     local_answer, local_reply_payload, receive_answer, receive_query, relay_payload, reply_packet,
     reply_payload, send_local_reply, send_reply, LocalReply,

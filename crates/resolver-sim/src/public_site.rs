@@ -1,6 +1,7 @@
 //! Anycast sites of the four public resolvers, with the location-query
 //! semantics of paper Table 1.
 
+use crate::memo::WireMemo;
 use crate::server::{
     local_answer, local_reply_payload, parse_query, relay_payload, reply_payload, send_reply,
     served_datagram,
@@ -12,7 +13,7 @@ use dns_wire::debug_queries;
 use dns_wire::{Header, MessageView, Name, Question, RClass, RData, RType, Rcode};
 use netsim::{Ctx, Device, IfaceId, IpPacket, SharedStr};
 use std::net::IpAddr;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Which public resolver a site belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -58,17 +59,7 @@ pub struct SiteProfile {
     chaos: SoftwareProfile,
     debug_txt: Option<[RData; 2]>,
     zonedb: Arc<ZoneDb>,
-    /// Filled in order, once each, by whichever site answers a new query
-    /// first; concurrent fills of one query keep the first.
-    memo: [OnceLock<MemoEntry>; MEMO_SLOTS],
-}
-
-/// One memoized query and the reply the answer path wrote for it.
-struct MemoEntry {
-    /// The query's bytes after its transaction ID.
-    query: Box<[u8]>,
-    /// The reply as first sent, transaction ID included.
-    reply: Box<[u8]>,
+    memo: WireMemo<(), MEMO_SLOTS>,
 }
 
 impl SiteProfile {
@@ -110,7 +101,7 @@ impl SiteProfile {
                 ]
             }),
             zonedb,
-            memo: Default::default(),
+            memo: WireMemo::new(),
         }
     }
 
@@ -118,29 +109,6 @@ impl SiteProfile {
     /// them.
     fn debug_answer(&self, q: &Question) -> Option<&[RData; 2]> {
         self.debug_txt.as_ref().filter(|_| q.qtype == RType::Txt && is_opendns_debug(&q.qname))
-    }
-
-    /// The transaction ID of `wire`, a datagram the front door's address
-    /// check passed, and the memoized reply to it: the one to a query
-    /// whose bytes after the ID equal `wire`'s. Filled slots form a
-    /// prefix, so the walk stops at the first empty one.
-    fn memoized(&self, wire: &[u8]) -> Option<(u16, &[u8])> {
-        let (id, tail) = wire.split_first_chunk()?;
-        let entry = self.memo.iter().map_while(OnceLock::get).find(|e| *e.query == *tail)?;
-        Some((u16::from_be_bytes(*id), &entry.reply))
-    }
-
-    /// Memoizes `reply` as the answer to the admitted query `wire`, in the
-    /// first slot that is empty or already holds it; a full memo keeps
-    /// what it has.
-    fn memoize(&self, wire: &[u8], reply: &[u8]) {
-        let tail = &wire[2..];
-        for slot in &self.memo {
-            let entry = slot.get_or_init(|| MemoEntry { query: tail.into(), reply: reply.into() });
-            if *entry.query == *tail {
-                return;
-            }
-        }
     }
 }
 
@@ -216,12 +184,12 @@ impl Device for PublicResolverSite {
         else {
             return;
         };
-        let payload = match profile.memoized(wire) {
-            Some((id, reply)) => relay_payload(ctx, reply, id),
+        let payload = match profile.memo.get(wire) {
+            Some((id, reply, ())) => relay_payload(ctx, reply, id),
             None => {
                 let Some(query) = parse_query(wire) else { return };
                 let Some(payload) = self.answer(ctx, &query) else { return };
-                profile.memoize(wire, &payload);
+                profile.memo.fill(wire, &payload, ());
                 payload
             }
         };

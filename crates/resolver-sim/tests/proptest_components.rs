@@ -2,12 +2,12 @@
 
 use bytes::Bytes;
 use dns_wire::debug_queries;
-use dns_wire::{Message, MessageView, Name, Question, RData, RType, Rcode, Record};
-use netsim::{Host, IfaceId, IpPacket, SimDuration, SimTime, Simulator};
+use dns_wire::{Message, MessageView, Name, Question, RClass, RData, RType, Rcode, Record};
+use netsim::{Device, Host, IfaceId, IpPacket, SimDuration, SimTime, Simulator};
 use proptest::prelude::*;
 use resolver_sim::{
-    DnsCache, ForwarderCore, FwdAction, PublicBrand, PublicResolverSite, ResolveCtx, ResolveResult,
-    SiteProfile, SoftwareProfile, ZoneDb,
+    DnsCache, ForwarderCore, FwdAction, PublicBrand, PublicResolverSite, RecursiveResolver,
+    ResolveCtx, ResolveResult, ResolverMode, ResolverProfile, SiteProfile, SoftwareProfile, ZoneDb,
 };
 use std::net::IpAddr;
 use std::sync::Arc;
@@ -65,17 +65,87 @@ fn location_site(brand: PublicBrand) -> (Question, [IpAddr; 2], ResolveCtx) {
 /// The reply payload `site` sends a client for the query `wire`, asked
 /// at `server`.
 fn site_reply(site: PublicResolverSite, server: IpAddr, wire: &[u8]) -> Bytes {
+    timed_reply(site, server, wire).1
+}
+
+/// The one reply `server_device`, in a world of its own, sends a client
+/// for the query `wire` asked at `server`, and when it arrives.
+fn timed_reply(server_device: impl Device, server: IpAddr, wire: &[u8]) -> (SimTime, Bytes) {
     let client: IpAddr = if server.is_ipv4() { "73.1.1.1" } else { "2001:db8::1" }.parse().unwrap();
     let mut sim = Simulator::new(1);
     let host = sim.add_device(Host::new("client", [client]));
-    let node = sim.add_device(site);
+    let node = sim.add_device(server_device);
     sim.connect((host, IfaceId(0)), (node, IfaceId(0)), SimDuration::from_millis(1));
     let query = IpPacket::udp(client, server, 4000, 53, Bytes::copy_from_slice(wire)).unwrap();
     sim.inject(host, IfaceId(0), query);
     sim.run_to_quiescence();
     let mut inbox = sim.device_mut::<Host>(host).unwrap().drain_inbox();
     assert_eq!(inbox.len(), 1, "one reply");
-    inbox.remove(0).packet.udp_payload().unwrap().payload.clone()
+    let delivery = inbox.remove(0);
+    (delivery.at, delivery.packet.udp_payload().unwrap().payload.clone())
+}
+
+/// The ISP resolver's service addresses (v4, v6).
+fn resolver_addrs() -> [IpAddr; 2] {
+    ["75.75.75.75".parse().unwrap(), "2001:558:feed::1".parse().unwrap()]
+}
+
+/// A fresh profile of an ISP resolver in `mode`, resolving through
+/// `zonedb`.
+fn resolver_profile(mode: ResolverMode, zonedb: &Arc<ZoneDb>) -> Arc<ResolverProfile> {
+    Arc::new(ResolverProfile::new(
+        "isp-resolver",
+        resolver_addrs(),
+        ResolveCtx {
+            egress_v4: Some("75.75.75.10".parse().unwrap()),
+            egress_v6: Some("2001:558:feed::10".parse().unwrap()),
+        },
+        Arc::clone(zonedb),
+        SoftwareProfile::custom("unbound 1.9.0"),
+        mode,
+    ))
+}
+
+/// Every mode of the ISP resolver.
+const MODES: [ResolverMode; 3] = [
+    ResolverMode::Normal,
+    ResolverMode::RefuseAll,
+    ResolverMode::NxWildcard(std::net::Ipv4Addr::new(75, 75, 0, 99)),
+];
+
+/// What an intercepted probe asks the ISP resolver: the paper's Table 1
+/// location questions, the egress reflectors, the probe name, the server
+/// identification questions, an NXDOMAIN name, a CHAOS question that
+/// identifies no server and a question of another class.
+fn resolver_repertoire() -> Vec<Question> {
+    let name = |text: &str| text.parse::<Name>().unwrap();
+    vec![
+        Question::chaos_txt(debug_queries::id_server()),
+        Question::new(debug_queries::google_myaddr(), RType::Txt),
+        Question::new(debug_queries::opendns_debug(), RType::Txt),
+        Question::new(debug_queries::whoami_akamai(), RType::A),
+        Question::new(debug_queries::whoami_akamai(), RType::Aaaa),
+        Question::new(name("probe.dns-hijack-study.example"), RType::A),
+        Question::new(name("probe.dns-hijack-study.example"), RType::Aaaa),
+        Question::chaos_txt(debug_queries::version_bind()),
+        Question::chaos_txt(name("hostname.bind")),
+        Question::new(name("no-such-name.example.com"), RType::A),
+        Question { qname: name("example.com"), qtype: RType::Txt, qclass: RClass::Chaos },
+        Question { qname: name("example.com"), qtype: RType::A, qclass: RClass::Hesiod },
+    ]
+}
+
+/// `question` as a client might spell it: letter `i` of its name upper
+/// case where bit `i % 64` of `case` is set.
+fn spelled(question: &Question, case: u64) -> Question {
+    let spelled: String = question
+        .qname
+        .to_string()
+        .chars()
+        .enumerate()
+        .map(|(i, c)| if (case >> (i % 64)) & 1 == 1 { c.to_ascii_uppercase() } else { c })
+        .collect();
+    Question { qname: spelled.parse().unwrap(), ..question.clone() }
 }
 
 proptest! {
@@ -93,7 +163,7 @@ proptest! {
             answers: vec![Record::new(q.qname.clone(), ttl, RData::A("1.2.3.4".parse().unwrap()))],
             authenticated: false,
         };
-        cache.put(&q, result, SimTime::ZERO);
+        cache.put(&q, result.cache_ttl(), result, SimTime::ZERO);
         let at = SimTime::ZERO + SimDuration::from_secs(probe_offset);
         let hit = cache.get(&q, at);
         if probe_offset < ttl as u64 {
@@ -110,11 +180,8 @@ proptest! {
     ) {
         let mut cache = DnsCache::new(capacity);
         for q in &questions {
-            cache.put(
-                &q.clone(),
-                ResolveResult { rcode: Rcode::NxDomain, answers: vec![], authenticated: false },
-                SimTime::ZERO,
-            );
+            let negative = ResolveResult { rcode: Rcode::NxDomain, answers: vec![], authenticated: false };
+            cache.put(q, negative.cache_ttl(), negative, SimTime::ZERO);
             prop_assert!(cache.len() <= capacity);
         }
     }
@@ -177,15 +244,7 @@ proptest! {
             2 => Question::chaos_txt(debug_queries::version_bind()),
             _ => Question::new(debug_queries::opendns_debug(), RType::Txt),
         };
-        // The qname as a client might spell it, one letter case per bit.
-        let spelled: String = question
-            .qname
-            .to_string()
-            .chars()
-            .enumerate()
-            .map(|(i, c)| if (case >> (i % 64)) & 1 == 1 { c.to_ascii_uppercase() } else { c })
-            .collect();
-        let asked = Question { qname: spelled.parse::<Name>().unwrap(), ..question };
+        let asked = spelled(&question, case);
         let wire = |id: u16| {
             let mut query = Message::query(id, asked.clone());
             query.header.rd = rd;
@@ -213,6 +272,47 @@ proptest! {
             prop_assert_eq!(answered.header.rcode, Rcode::NoError);
             prop_assert!(!answered.answers.is_empty(), "{brand:?} answers its location question");
         }
+    }
+
+    #[test]
+    fn a_memoized_resolver_reply_is_the_answer_paths_bytes_at_its_time(
+        mode in 0..MODES.len(),
+        kind in 0usize..12,
+        first_v6 in any::<bool>(),
+        v6 in any::<bool>(),
+        first_id in any::<u16>(),
+        id in any::<u16>(),
+        rd in any::<bool>(),
+        cd in any::<bool>(),
+        case in any::<u64>(),
+    ) {
+        let mode = MODES[mode];
+        let asked = spelled(&resolver_repertoire()[kind], case);
+        let wire = |id: u16| {
+            let mut query = Message::query(id, asked.clone());
+            query.header.rd = rd;
+            query.header.cd = cd;
+            query.encode().unwrap()
+        };
+        let zonedb = Arc::new(ZoneDb::standard_world());
+        let ask = |profile: &Arc<ResolverProfile>, v6: bool, id: u16| {
+            let resolver = RecursiveResolver::with_profile(Arc::clone(profile));
+            timed_reply(resolver, resolver_addrs()[usize::from(v6)], &wire(id))
+        };
+        // The first reply fills the memo; the second, asked in a world of
+        // its own under another ID and maybe over the other family, comes
+        // from it, and pays the first ask's latency there as the fresh
+        // profile's answer does.
+        let shared = resolver_profile(mode, &zonedb);
+        let (filled_at, filled) = ask(&shared, first_v6, first_id);
+        let (memoized_at, memoized) = ask(&shared, v6, id);
+        let (fresh_at, fresh) = ask(&resolver_profile(mode, &zonedb), v6, id);
+        prop_assert_eq!(&memoized, &fresh);
+        prop_assert_eq!(&filled[2..], &fresh[2..]);
+        prop_assert_eq!((filled_at, memoized_at), (fresh_at, fresh_at));
+        let answered = Message::parse(&memoized).unwrap();
+        prop_assert_eq!(answered.header.id, id);
+        prop_assert_eq!(answered.question(), Some(&asked));
     }
 }
 
@@ -275,5 +375,59 @@ fn concurrent_fills_of_one_profile_all_get_the_answer_paths_bytes() {
     // path does.
     for (i, expected) in expected.iter().enumerate() {
         assert_eq!(&ask(&shared, i), expected, "{:?}", questions[i]);
+    }
+}
+
+/// Four resolvers on one fresh profile, each in worlds of its own on its
+/// own thread, ask the same eighteen questions at once, each thread in its
+/// own order, so they race to fill the memo's slots, fill them with the
+/// same query, and run past its sixteen slots. Every reply is the bytes a
+/// fresh profile's answer path writes, at the same time.
+#[test]
+fn concurrent_fills_of_one_resolver_profile_all_get_the_answer_paths_bytes() {
+    let mut questions = resolver_repertoire();
+    for (name, qtype) in [
+        ("example.com", RType::A),
+        ("example.com", RType::Aaaa),
+        ("example.com", RType::Txt),
+        ("www.example.com", RType::A),
+        ("opendns.com", RType::A),
+        ("probe.dns-hijack-study.example", RType::Txt),
+    ] {
+        questions.push(Question::new(name.parse().unwrap(), qtype));
+    }
+    let questions = &questions;
+    let zonedb = Arc::new(ZoneDb::standard_world());
+    let ask = |profile: &Arc<ResolverProfile>, i: usize| {
+        let wire = Message::query(0x4000 + i as u16, questions[i].clone()).encode().unwrap();
+        let resolver = RecursiveResolver::with_profile(Arc::clone(profile));
+        timed_reply(resolver, resolver_addrs()[i % 2], &wire)
+    };
+    for mode in MODES {
+        let expected: Vec<_> =
+            (0..questions.len()).map(|i| ask(&resolver_profile(mode, &zonedb), i)).collect();
+        let shared = resolver_profile(mode, &zonedb);
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..4)
+                .map(|thread| {
+                    let (shared, start, ask) = (&shared, &start, &ask);
+                    scope.spawn(move || {
+                        start.wait();
+                        let order =
+                            (0..questions.len()).map(|k| (k + 5 * thread) % questions.len());
+                        order.map(|i| (i, ask(shared, i))).collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            for worker in workers {
+                for (i, reply) in worker.join().unwrap() {
+                    assert_eq!(reply, expected[i], "{mode:?} {:?}", questions[i]);
+                }
+            }
+        });
+        for (i, expected) in expected.iter().enumerate() {
+            assert_eq!(&ask(&shared, i), expected, "{mode:?} {:?}", questions[i]);
+        }
     }
 }

@@ -12,18 +12,19 @@
 //! payload that is a query (QR clear), and must be a response carrying the
 //! query's transaction ID and first question. A query without a question
 //! gets FORMERR from the authoritative server and no reply from the
-//! others. A public-resolver site whose shared profile has memoized
-//! replies answers every payload exactly as a fresh site does, silence
-//! included.
+//! others. A public-resolver site or a recursive resolver whose shared
+//! profile has memoized replies answers every payload exactly as a fresh
+//! one does, silence included, at the same virtual time.
 
 use bytes::Bytes;
 use cpe::{models, CpeConfig, CpeDevice, DnsMode, ForwarderSpec, WanMode, LAN, WAN};
 use dns_wire::{debug_queries, Message, Name, Question, RClass, RType, Rcode};
-use netsim::{Cidr, Host, IfaceId, IpPacket, NodeId, Router, SimDuration, Simulator};
+use netsim::{Cidr, Host, IfaceId, IpPacket, NodeId, Router, SimDuration, SimTime, Simulator};
 use proptest::prelude::*;
 use resolver_sim::{
     AuthoritativeServer, Delegation, IterativeResolver, PublicBrand, PublicResolverSite,
-    RecursiveResolver, ResolveCtx, ServedZone, SiteProfile, SoftwareProfile, StaticZone, ZoneDb,
+    RecursiveResolver, ResolveCtx, ResolverMode, ResolverProfile, ServedZone, SiteProfile,
+    SoftwareProfile, StaticZone, ZoneDb,
 };
 use std::net::{IpAddr, Ipv4Addr};
 use std::sync::Arc;
@@ -174,6 +175,25 @@ fn site_world(profile: &Arc<SiteProfile>) -> (Simulator, NodeId, IpAddr, IpAddr)
     (sim, client, ip(CLIENT), ip("1.1.1.1"))
 }
 
+/// A fresh profile for the ISP resolver under test, as a scenario's world
+/// shares it.
+fn resolver_profile() -> Arc<ResolverProfile> {
+    Arc::new(ResolverProfile::new(
+        "isp-resolver",
+        [ip(UPSTREAM)],
+        ResolveCtx::v4("75.75.75.10".parse().unwrap()),
+        Arc::new(ZoneDb::standard_world()),
+        SoftwareProfile::custom("unbound 1.9.0"),
+        ResolverMode::Normal,
+    ))
+}
+
+/// The ISP resolver's world, its resolver on `profile`.
+fn resolver_world(profile: &Arc<ResolverProfile>) -> (Simulator, NodeId, IpAddr, IpAddr) {
+    let (sim, client) = direct(RecursiveResolver::with_profile(Arc::clone(profile)));
+    (sim, client, ip(CLIENT), ip(UPSTREAM))
+}
+
 /// Sends `payload` to `receiver` and returns the payloads of the UDP/53
 /// replies that reach the querying host.
 fn replies(receiver: Receiver, payload: &[u8]) -> Vec<Bytes> {
@@ -183,6 +203,14 @@ fn replies(receiver: Receiver, payload: &[u8]) -> Vec<Bytes> {
 /// Sends `payload` across `world` and returns the payloads of the UDP/53
 /// replies that reach the querying host.
 fn exchange(world: (Simulator, NodeId, IpAddr, IpAddr), payload: &[u8]) -> Vec<Bytes> {
+    timed_exchange(world, payload).into_iter().map(|(_, reply)| reply).collect()
+}
+
+/// [`exchange`], with the virtual time each reply arrives at.
+fn timed_exchange(
+    world: (Simulator, NodeId, IpAddr, IpAddr),
+    payload: &[u8],
+) -> Vec<(SimTime, Bytes)> {
     let (mut sim, client, src, dst) = world;
     let packet = IpPacket::udp(src, dst, CLIENT_PORT, 53, Bytes::copy_from_slice(payload))
         .expect("same-family addresses");
@@ -194,7 +222,7 @@ fn exchange(world: (Simulator, NodeId, IpAddr, IpAddr), payload: &[u8]) -> Vec<B
         .into_iter()
         .filter_map(|d| {
             let udp = d.packet.udp_payload()?;
-            (udp.src_port == 53 && udp.dst_port == CLIENT_PORT).then(|| udp.payload.clone())
+            (udp.src_port == 53 && udp.dst_port == CLIENT_PORT).then(|| (d.at, udp.payload.clone()))
         })
         .collect()
 }
@@ -228,21 +256,43 @@ fn check(payload: &[u8]) -> Result<(), TestCaseError> {
     Ok(())
 }
 
-/// A warm site answers `payload` exactly as a fresh one does, silence
-/// included. Its profile has answered `warmup` first, so its memo holds
-/// a datagram `payload` may differ from in a single byte. Then `payload`
-/// is asked twice, the second time out of the memo if the first was
-/// answered, and once more under another transaction ID.
+/// A warm site and a warm ISP resolver each answer `payload` exactly as
+/// fresh ones do (see [`check_warm_on`]).
+fn check_warm(warmup: &[u8], payload: &[u8]) -> Result<(), TestCaseError> {
+    check_warm_site(warmup, payload)?;
+    check_warm_resolver(warmup, payload)
+}
+
 fn check_warm_site(warmup: &[u8], payload: &[u8]) -> Result<(), TestCaseError> {
-    let warm = site_profile();
-    exchange(site_world(&warm), warmup);
+    check_warm_on(site_profile, site_world, warmup, payload)
+}
+
+fn check_warm_resolver(warmup: &[u8], payload: &[u8]) -> Result<(), TestCaseError> {
+    check_warm_on(resolver_profile, resolver_world, warmup, payload)
+}
+
+/// A receiver on a warm shared profile answers `payload` exactly as one on
+/// a fresh profile does, silence included, at the same virtual time. The
+/// warm profile has answered `warmup` first, so its memo holds a datagram
+/// `payload` may differ from in a single byte. Then `payload` is asked
+/// twice, each time in a world of its own, the second time out of the
+/// memo if the first was answered, and once more under another
+/// transaction ID.
+fn check_warm_on<P>(
+    profile: fn() -> Arc<P>,
+    world: fn(&Arc<P>) -> (Simulator, NodeId, IpAddr, IpAddr),
+    warmup: &[u8],
+    payload: &[u8],
+) -> Result<(), TestCaseError> {
+    let warm = profile();
+    exchange(world(&warm), warmup);
     let mut other_id = payload.to_vec();
     if let Some(id) = other_id.get_mut(..2) {
         id.copy_from_slice(&(u16::from_be_bytes([id[0], id[1]]) ^ 0x5a5a).to_be_bytes());
     }
     for wire in [payload, payload, &other_id] {
-        let fresh = exchange(site_world(&site_profile()), wire);
-        let answered = exchange(site_world(&warm), wire);
+        let fresh = timed_exchange(world(&profile()), wire);
+        let answered = timed_exchange(world(&warm), wire);
         prop_assert!(answered == fresh, "warm {answered:02x?}, fresh {fresh:02x?} for {wire:02x?}");
     }
     Ok(())
@@ -331,37 +381,67 @@ proptest! {
     ) {
         let mutated = mutate(&query, &mutation);
         check(&mutated)?;
-        check_warm_site(&query.encode().unwrap(), &mutated)?;
+        check_warm(&query.encode().unwrap(), &mutated)?;
     }
 
     #[test]
     fn receivers_survive_arbitrary_bytes(bytes in proptest::collection::vec(any::<u8>(), 0..=160)) {
         check(&bytes)?;
         let location = Message::query(0x5151, Question::chaos_txt(debug_queries::id_server()));
-        check_warm_site(&location.encode().unwrap(), &bytes)?;
+        check_warm(&location.encode().unwrap(), &bytes)?;
     }
 }
 
-/// Every one-byte change after the transaction ID of a query a warm site
-/// has memoized, at every position and in the lowest and highest bit,
-/// gets what a fresh site gives.
-#[test]
-fn a_warm_site_answers_each_one_byte_change_of_a_memoized_query_afresh() {
-    let queries = [
-        Question::chaos_txt(debug_queries::id_server()),
-        Question::chaos_txt(debug_queries::version_bind()),
-        Question::new("www.example.com".parse().unwrap(), RType::A),
-    ];
-    for question in queries {
-        let wire = Message::query(0x5151, question).encode().unwrap();
+/// Every one-byte change after the transaction ID of `questions`' queries,
+/// at every position and in the lowest and highest bit, once the query is
+/// memoized: `check` holds for it.
+fn each_one_byte_change(
+    questions: &[Question],
+    check: fn(&[u8], &[u8]) -> Result<(), TestCaseError>,
+) {
+    for question in questions {
+        let wire = Message::query(0x5151, question.clone()).encode().unwrap();
         for at in 2..wire.len() {
             for bits in [0x01, 0x80] {
                 let mut changed = wire.clone();
                 changed[at] ^= bits;
-                check_warm_site(&wire, &changed).unwrap();
+                check(&wire, &changed).unwrap();
             }
         }
     }
+}
+
+/// Every one-byte change after the transaction ID of a query a warm site
+/// has memoized gets what a fresh site gives.
+#[test]
+fn a_warm_site_answers_each_one_byte_change_of_a_memoized_query_afresh() {
+    each_one_byte_change(
+        &[
+            Question::chaos_txt(debug_queries::id_server()),
+            Question::chaos_txt(debug_queries::version_bind()),
+            Question::new("www.example.com".parse().unwrap(), RType::A),
+        ],
+        check_warm_site,
+    );
+}
+
+/// Every one-byte change after the transaction ID of a query a warm ISP
+/// resolver has memoized gets what a fresh resolver gives, at the same
+/// virtual time: a location question, the identification questions and
+/// zone answers of each kind (records, a reflected egress, NXDOMAIN).
+#[test]
+fn a_warm_isp_resolver_answers_each_one_byte_change_of_a_memoized_query_afresh() {
+    each_one_byte_change(
+        &[
+            Question::new(debug_queries::google_myaddr(), RType::Txt),
+            Question::chaos_txt(debug_queries::id_server()),
+            Question::chaos_txt(debug_queries::version_bind()),
+            Question::new(debug_queries::whoami_akamai(), RType::A),
+            Question::new("www.example.com".parse().unwrap(), RType::A),
+            Question::new("nowhere.example.com".parse().unwrap(), RType::A),
+        ],
+        check_warm_resolver,
+    );
 }
 
 /// The harness reaches every receiver: an unmutated query gets an answer

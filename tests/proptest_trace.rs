@@ -11,12 +11,15 @@
 //! lands in discards it. A duplicated reply changes nothing at all, since
 //! each attempt's receive filter keeps the first copy. Moving a home to
 //! another region changes only the strings that name a public resolver's
-//! site: every verdict and the kind of every matrix cell stay.
+//! site: every verdict and the kind of every matrix cell stay. Asking the
+//! public resolvers in another order changes no verdict and no cell
+//! either, so no verdict depends on which query filled a shared memo
+//! first.
 
 use interception::{CpeModelKind, GroundTruth, HomeScenario, MiddleboxSpec, Region, SimTransport};
 use locator::{
     HijackLocator, InterceptorLocation, MetricsFolder, ProbeMetrics, ProbeReport, Provenance,
-    StepProvenance, TraceEvent, TraceRecorder,
+    ResolverKey, StepProvenance, TraceEvent, TraceRecorder,
 };
 use netsim::{BurstLoss, LateDelivery, SimDuration};
 use proptest::prelude::*;
@@ -300,6 +303,54 @@ proptest! {
             }
         }
     }
+}
+
+proptest! {
+    // Each case runs the locator twice.
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn asking_the_resolvers_in_another_order_changes_no_verdict_and_no_cell(
+        scenario in arb_scenario(),
+        seed in 0u64..500,
+        order in 0usize..24,
+    ) {
+        let order = permutation(order);
+        let scenario = HomeScenario { seed, ..scenario };
+        let run = |order: &[usize]| {
+            let built = scenario.clone().build();
+            let mut config = built.locator_config();
+            config.resolvers = order.iter().map(|&i| config.resolvers[i].clone()).collect();
+            HijackLocator::new(config).run(&mut SimTransport::new(built))
+        };
+        let (listed, permuted) = (run(&[0, 1, 2, 3]), run(&order));
+        let same = (permuted.intercepted, permuted.location, &permuted.cpe, &permuted.bogon)
+            == (listed.intercepted, listed.location, &listed.cpe, &listed.bogon)
+            && permuted.transparency == listed.transparency;
+        prop_assert!(same, "order {order:?} changed a verdict: {listed:?} became {permuted:?}");
+        for key in ResolverKey::ALL {
+            for (permuted, listed) in [
+                (permuted.matrix.v4.get(key), listed.matrix.v4.get(key)),
+                (permuted.matrix.v6.get(key), listed.matrix.v6.get(key)),
+            ] {
+                prop_assert!(
+                    std::mem::discriminant(permuted) == std::mem::discriminant(listed),
+                    "order {order:?} changed the {key:?} cell: {listed:?} became {permuted:?}"
+                );
+            }
+        }
+    }
+}
+
+/// The `index`-th of the 24 orders of four items: `index` read as a
+/// factorial-base number, one digit per pick from what is left.
+fn permutation(mut index: usize) -> [usize; 4] {
+    let mut left = vec![0, 1, 2, 3];
+    [6, 2, 1, 1].map(|weight| {
+        let pick = left.remove(index / weight);
+        index %= weight;
+        pick
+    })
 }
 
 /// Late delivery with `probability`, `delay_s` seconds past the latency.
