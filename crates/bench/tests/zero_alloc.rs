@@ -11,8 +11,8 @@
 //! *intercepted* one: the CPE relays the query and the answer as the bytes
 //! that arrived, with a new transaction ID, and the ISP resolver copies
 //! the reply its shared profile memoized. A memo fill, a site's or the
-//! ISP resolver's, is pinned to its exact count: the copies it keeps, plus
-//! what the answer path builds. So is a warm world's first ask of its ISP
+//! ISP resolver's, is pinned to its exact count: the one copy it keeps,
+//! plus what the answer path builds. So is a warm world's first ask of its ISP
 //! resolver: the growth of the world's cache and pending-reply tables. A
 //! warm world build is pinned to its exact count: a few containers per
 //! device, each device moved into the box the previous world left.
@@ -180,14 +180,16 @@ fn steady_state_probe_path_allocates_nothing() {
     // start with empty memos. Over the fresh one, a query takes the answer
     // path and memoizes its reply, and costs what the same query over the
     // warm one does plus the fill:
-    //   Cloudflare id.server: the query's bytes after its ID, the reply   2
+    //   Cloudflare id.server: the query's bytes after its ID and the
+    //                         reply, in one allocation                   1
     // Google's `o-o.myaddr` answer comes from the zone database, and the
     // answer path builds what it writes (the question's name is interned):
     //   Google o-o.myaddr:    the egress as text, in two growths          2
     //                         the zone answer's TXT string list and its
     //                         record list                                 2
-    //                         the query's bytes after its ID, the reply   2
-    //                                                                    6
+    //                         the query's bytes after its ID and the
+    //                         reply, in one allocation                   1
+    //                                                                    5
     let fresh_template = WorldTemplate::new();
     let version_bind = Question::chaos_txt(dns_wire::debug_queries::version_bind());
     let warmed = |template: &WorldTemplate| {
@@ -200,7 +202,7 @@ fn steady_state_probe_path_allocates_nothing() {
     };
     let (mut memoized, mut unseen) = (warmed(&WorldTemplate::shared()), warmed(&fresh_template));
     for (txid, server, question, fill) in
-        [(0x7a00, cloudflare, &id_server, 2), (0x7a10, google, &myaddr, 6)]
+        [(0x7a00, cloudflare, &id_server, 1), (0x7a10, google, &myaddr, 5)]
     {
         let (hit, out) = allocations_in(|| memoized.query(server, question, txid, opts));
         assert!(out.response().is_some(), "answered");
@@ -224,12 +226,14 @@ fn steady_state_probe_path_allocates_nothing() {
     // alike by `whoami` queries, so each has its cache and pending tables
     // when the measured query comes; the measured query is each world's
     // first ask of it, so both pay the miss. The fill costs
-    //   id.server (NOTIMP):   the query's bytes after its ID, the reply   2
+    //   id.server (NOTIMP):   the query's bytes after its ID and the
+    //                         reply, in one allocation                   1
     //   o-o.myaddr:           the egress as text, in two growths          2
     //                         the zone answer's TXT string list and its
     //                         record list                                 2
-    //                         the query's bytes after its ID, the reply   2
-    //                                                                    6
+    //                         the query's bytes after its ID and the
+    //                         reply, in one allocation                   1
+    //                                                                    5
     let middlebox = HomeScenario::isp_middlebox();
     let whoami = Question::new(dns_wire::debug_queries::whoami_akamai(), RType::A);
     let mut earlier = SimTransport::new(middlebox.build());
@@ -246,7 +250,7 @@ fn steady_state_probe_path_allocates_nothing() {
     };
     let fresh_template = WorldTemplate::new();
     let (mut memoized, mut unseen) = (warmed(&WorldTemplate::shared()), warmed(&fresh_template));
-    for (txid, question, fill) in [(0x7b20, &id_server, 2), (0x7b30, &myaddr, 6)] {
+    for (txid, question, fill) in [(0x7b20, &id_server, 1), (0x7b30, &myaddr, 5)] {
         let (hit, out) = allocations_in(|| memoized.query(google, question, txid, opts));
         assert!(out.response().is_some(), "answered");
         let (miss, out) = allocations_in(|| unseen.query(google, question, txid, opts));

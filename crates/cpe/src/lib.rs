@@ -28,7 +28,9 @@ mod tests {
     use dns_wire::debug_queries;
     use dns_wire::{Message, Question, RData, RType, Rcode};
     use netsim::{CaptureKind, Host, IfaceId, IpPacket, SimDuration, Simulator};
-    use resolver_sim::{RecursiveResolver, ResolveCtx, SoftwareProfile, ZoneDb};
+    use resolver_sim::{
+        RecursiveResolver, ResolveCtx, ResolverMode, ResolverProfile, SoftwareProfile, ZoneDb,
+    };
     use std::net::IpAddr;
     use std::sync::Arc;
 
@@ -36,18 +38,24 @@ mod tests {
     const WAN_IP: &str = "73.22.1.5";
     const ISP_RESOLVER: &str = "75.75.75.75";
 
-    /// probe <-> CPE <-> ISP resolver. Returns (sim, probe, cpe, resolver).
-    fn home(config: CpeConfig) -> (Simulator, netsim::NodeId, netsim::NodeId, netsim::NodeId) {
-        let mut sim = Simulator::new(7);
-        let probe = sim.add_device(Host::new("probe", [PROBE.parse::<IpAddr>().unwrap()]));
-        let cpe = sim.add_device(CpeDevice::new(config));
-        let resolver = sim.add_device(RecursiveResolver::new(
+    /// The ISP's resolver, on a profile of its own.
+    fn isp_resolver() -> RecursiveResolver {
+        RecursiveResolver::with_profile(Arc::new(ResolverProfile::new(
             "isp-resolver",
             [ISP_RESOLVER.parse::<IpAddr>().unwrap()],
             ResolveCtx::v4("75.75.75.10".parse().unwrap()),
             Arc::new(ZoneDb::standard_world()),
             SoftwareProfile::unbound("1.9.0"),
-        ));
+            ResolverMode::Normal,
+        )))
+    }
+
+    /// probe <-> CPE <-> ISP resolver. Returns (sim, probe, cpe, resolver).
+    fn home(config: CpeConfig) -> (Simulator, netsim::NodeId, netsim::NodeId, netsim::NodeId) {
+        let mut sim = Simulator::new(7);
+        let probe = sim.add_device(Host::new("probe", [PROBE.parse::<IpAddr>().unwrap()]));
+        let cpe = sim.add_device(CpeDevice::new(config));
+        let resolver = sim.add_device(isp_resolver());
         sim.connect((probe, IfaceId(0)), (cpe, LAN), SimDuration::from_millis(1));
         sim.connect((cpe, WAN), (resolver, IfaceId(0)), SimDuration::from_millis(8));
         (sim, probe, cpe, resolver)
@@ -301,13 +309,7 @@ mod tests {
         let mut sim = Simulator::new(11);
         let cpe_dev = CpeDevice::new(config).with_zonedb(Arc::new(ZoneDb::standard_world()));
         let cpe = sim.add_device(cpe_dev);
-        let resolver = sim.add_device(RecursiveResolver::new(
-            "isp-resolver",
-            [ISP_RESOLVER.parse::<IpAddr>().unwrap()],
-            ResolveCtx::v4("75.75.75.10".parse().unwrap()),
-            Arc::new(ZoneDb::standard_world()),
-            SoftwareProfile::unbound("1.9.0"),
-        ));
+        let resolver = sim.add_device(isp_resolver());
         let scanner = sim.add_device(Host::new("scanner", [SCANNER.parse::<IpAddr>().unwrap()]));
         let mut core = Router::new("wan-core");
         core.routes.add(Cidr::host(WAN_IP.parse().unwrap()), IfaceId(0));

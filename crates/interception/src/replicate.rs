@@ -78,7 +78,9 @@ mod tests {
     use super::*;
     use bytes::Bytes;
     use netsim::{Host, IfaceId, SimDuration, Simulator};
-    use resolver_sim::{RecursiveResolver, ResolveCtx, SoftwareProfile, ZoneDb};
+    use resolver_sim::{
+        RecursiveResolver, ResolveCtx, ResolverMode, ResolverProfile, SoftwareProfile, ZoneDb,
+    };
     use std::sync::Arc;
 
     /// client — replicator — hub router — {real resolver, alt resolver}
@@ -95,18 +97,26 @@ mod tests {
         hub.routes.add(Cidr::host("75.75.75.75".parse().unwrap()), IfaceId(2));
         let hub = sim.add_device(hub);
         let zonedb = Arc::new(ZoneDb::standard_world());
-        let real = sim.add_device(RecursiveResolver::new(
+        let resolver = |name, addr: &str, egress: &str, software| {
+            RecursiveResolver::with_profile(Arc::new(ResolverProfile::new(
+                name,
+                [addr.parse::<IpAddr>().unwrap()],
+                ResolveCtx::v4(egress.parse().unwrap()),
+                Arc::clone(&zonedb),
+                software,
+                ResolverMode::Normal,
+            )))
+        };
+        let real = sim.add_device(resolver(
             "google",
-            ["8.8.8.8".parse::<IpAddr>().unwrap()],
-            ResolveCtx::v4("172.253.226.35".parse().unwrap()),
-            Arc::clone(&zonedb),
+            "8.8.8.8",
+            "172.253.226.35",
             SoftwareProfile::chaos_silent(),
         ));
-        let alt = sim.add_device(RecursiveResolver::new(
+        let alt = sim.add_device(resolver(
             "isp",
-            ["75.75.75.75".parse::<IpAddr>().unwrap()],
-            ResolveCtx::v4("75.75.75.10".parse().unwrap()),
-            zonedb,
+            "75.75.75.75",
+            "75.75.75.10",
             SoftwareProfile::unbound("1.9.0"),
         ));
         sim.connect((client, IfaceId(0)), (rep, IfaceId(0)), SimDuration::from_millis(1));

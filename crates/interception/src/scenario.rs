@@ -536,7 +536,8 @@ pub struct WorldTemplate {
     pub auth_tree: Arc<AuthTree>,
     /// What each region's worlds share, indexed by [`Region::ALL`] order
     /// and filled the first time a world in the region is built, so
-    /// building the template does no more work than before.
+    /// building a template with [`WorldTemplate::new`] does no more work
+    /// than before; [`WorldTemplate::shared`] fills them all.
     regions: [OnceLock<RegionParts>; Region::ALL.len()],
     /// The alternate resolver's profile, built the first time a world
     /// needs it.
@@ -761,11 +762,13 @@ impl WorldTemplate {
     }
 
     /// The process-wide shared template. Built once on first use; every
-    /// subsequent scenario build anywhere in the process reuses it.
+    /// subsequent scenario build anywhere in the process reuses it. It
+    /// builds every region's parts up front, so no campaign pays for a
+    /// region it is the first to reach.
     pub fn shared() -> Arc<WorldTemplate> {
         static SHARED: OnceLock<Arc<WorldTemplate>> = OnceLock::new();
         Arc::clone(SHARED.get_or_init(|| {
-            Arc::new(WorldTemplate {
+            let template = WorldTemplate {
                 zonedb: Arc::new(ZoneDb::standard_world()),
                 resolvers: locator::shared_default_resolvers(),
                 root_addrs: locator::baseline::default_root_addrs(),
@@ -773,7 +776,11 @@ impl WorldTemplate {
                 regions: Default::default(),
                 alt_resolver: OnceLock::new(),
                 isp_resolvers: Mutex::default(),
-            })
+            };
+            for region in Region::ALL {
+                template.region(region);
+            }
+            Arc::new(template)
         }))
     }
 

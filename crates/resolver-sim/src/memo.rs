@@ -18,13 +18,25 @@ pub(crate) struct WireMemo<T, const SLOTS: usize> {
     slots: [OnceLock<MemoEntry<T>>; SLOTS],
 }
 
-/// One memoized query and the reply the answer path wrote for it.
+/// One memoized query and the reply the answer path wrote for it, in one
+/// allocation.
 struct MemoEntry<T> {
-    /// The query's bytes after its transaction ID.
-    query: Box<[u8]>,
-    /// The reply as first sent, transaction ID included.
-    reply: Box<[u8]>,
+    /// The query's bytes after its transaction ID, then the reply as first
+    /// sent, transaction ID included.
+    bytes: Box<[u8]>,
+    /// Where the query ends and the reply starts in `bytes`.
+    split: usize,
     tag: T,
+}
+
+impl<T> MemoEntry<T> {
+    fn query(&self) -> &[u8] {
+        &self.bytes[..self.split]
+    }
+
+    fn reply(&self) -> &[u8] {
+        &self.bytes[self.split..]
+    }
 }
 
 impl<T, const SLOTS: usize> WireMemo<T, SLOTS> {
@@ -39,8 +51,8 @@ impl<T, const SLOTS: usize> WireMemo<T, SLOTS> {
     /// prefix, so the walk stops at the first empty one.
     pub(crate) fn get(&self, wire: &[u8]) -> Option<(u16, &[u8], &T)> {
         let (id, tail) = wire.split_first_chunk()?;
-        let entry = self.slots.iter().map_while(OnceLock::get).find(|e| *e.query == *tail)?;
-        Some((u16::from_be_bytes(*id), &entry.reply, &entry.tag))
+        let entry = self.slots.iter().map_while(OnceLock::get).find(|e| e.query() == tail)?;
+        Some((u16::from_be_bytes(*id), entry.reply(), &entry.tag))
     }
 
     /// Memoizes `reply`, tagged `tag`, as the answer to the admitted query
@@ -51,11 +63,11 @@ impl<T, const SLOTS: usize> WireMemo<T, SLOTS> {
         let mut tag = Some(tag);
         for slot in &self.slots {
             let entry = slot.get_or_init(|| MemoEntry {
-                query: tail.into(),
-                reply: reply.into(),
+                bytes: [tail, reply].concat().into(),
+                split: tail.len(),
                 tag: tag.take().expect("a fill initializes at most one slot"),
             });
-            if *entry.query == *tail {
+            if entry.query() == tail {
                 return;
             }
         }

@@ -33,8 +33,9 @@ const RESOLVE_LATENCY: SimDuration = SimDuration::from_millis(12);
 const CACHE_CAPACITY: usize = 4096;
 
 /// How many distinct queries one profile's memo holds. No workload sends
-/// one resolver more than seven distinct datagrams; a query past the last
-/// slot takes the answer path every time.
+/// one resolver more than seven distinct datagrams (the benchmark's
+/// `taxonomy` sends three); a query past the last slot takes the answer
+/// path every time.
 const MEMO_SLOTS: usize = 16;
 
 /// How a resolver treats the IN queries it is asked — this is what drives
@@ -159,26 +160,6 @@ pub struct RecursiveResolver {
 }
 
 impl RecursiveResolver {
-    /// Creates a resolver in [`ResolverMode::Normal`] with a profile of its
-    /// own (see [`ResolverProfile::new`]).
-    pub fn new(
-        name: impl Into<SharedStr>,
-        service_addrs: impl Into<Arc<[IpAddr]>>,
-        egress: ResolveCtx,
-        zonedb: Arc<ZoneDb>,
-        software: SoftwareProfile,
-    ) -> RecursiveResolver {
-        let profile = ResolverProfile::new(
-            name,
-            service_addrs,
-            egress,
-            zonedb,
-            software,
-            ResolverMode::Normal,
-        );
-        RecursiveResolver::with_profile(Arc::new(profile))
-    }
-
     /// Creates a resolver from a shared profile; it allocates nothing.
     pub fn with_profile(profile: Arc<ResolverProfile>) -> RecursiveResolver {
         RecursiveResolver {
@@ -279,13 +260,7 @@ mod tests {
     }
 
     fn isp_resolver() -> RecursiveResolver {
-        RecursiveResolver::new(
-            "isp-resolver",
-            ["75.75.75.75".parse::<IpAddr>().unwrap()],
-            ResolveCtx::v4("75.75.75.10".parse().unwrap()),
-            world(),
-            SoftwareProfile::unbound("1.9.0"),
-        )
+        RecursiveResolver::with_profile(isp_profile(ResolverMode::Normal))
     }
 
     /// A fresh profile of the ISP resolver above, in `mode`.

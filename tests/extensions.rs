@@ -79,7 +79,8 @@ fn replication_is_detected_as_interception() {
     use interception::ReplicatingInterceptor;
     use netsim::{Cidr, Host, IfaceId, IpPacket, Router, SimDuration, Simulator};
     use resolver_sim::{
-        PublicBrand, PublicResolverSite, RecursiveResolver, ResolveCtx, SoftwareProfile, ZoneDb,
+        PublicBrand, PublicResolverSite, RecursiveResolver, ResolveCtx, ResolverMode,
+        ResolverProfile, SoftwareProfile, ZoneDb,
     };
     use std::net::IpAddr;
     use std::sync::Arc;
@@ -104,13 +105,14 @@ fn replication_is_detected_as_interception() {
         ResolveCtx::v4("172.68.1.1".parse().unwrap()),
         Arc::clone(&zonedb),
     ));
-    let isp = sim.add_device(RecursiveResolver::new(
+    let isp = sim.add_device(RecursiveResolver::with_profile(Arc::new(ResolverProfile::new(
         "isp",
         ["75.75.75.75".parse::<IpAddr>().unwrap()],
         ResolveCtx::v4("75.75.75.10".parse().unwrap()),
         zonedb,
         SoftwareProfile::unbound("1.9.0"),
-    ));
+        ResolverMode::Normal,
+    ))));
     sim.connect((client, IfaceId(0)), (rep, IfaceId(0)), SimDuration::from_millis(1));
     sim.connect((rep, IfaceId(1)), (hub, IfaceId(0)), SimDuration::from_millis(2));
     sim.connect((hub, IfaceId(1)), (site, IfaceId(0)), SimDuration::from_millis(50));

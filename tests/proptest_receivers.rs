@@ -63,13 +63,14 @@ const RECEIVERS: [Receiver; 8] = [
 ];
 
 fn isp_resolver() -> RecursiveResolver {
-    RecursiveResolver::new(
+    RecursiveResolver::with_profile(Arc::new(ResolverProfile::new(
         "isp-resolver",
         [ip(UPSTREAM)],
         ResolveCtx::v4("75.75.75.10".parse().unwrap()),
         Arc::new(ZoneDb::standard_world()),
         SoftwareProfile::unbound("1.9.0"),
-    )
+        ResolverMode::Normal,
+    )))
 }
 
 /// One client host linked straight to `device`.
