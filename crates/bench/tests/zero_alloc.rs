@@ -12,10 +12,11 @@
 //! that arrived, with a new transaction ID, and the ISP resolver copies
 //! the reply its shared profile memoized. A memo fill, a site's or the
 //! ISP resolver's, is pinned to its exact count: the one copy it keeps,
-//! plus what the answer path builds. So is a warm world's first ask of its ISP
-//! resolver: the growth of the world's cache and pending-reply tables. A
-//! warm world build is pinned to its exact count: a few containers per
-//! device, each device moved into the box the previous world left.
+//! plus what the answer path builds. So is a warm world's first ask of
+//! its ISP resolver: the growth of the world's cache and pending-reply
+//! tables. A warm world build is pinned to its exact count: a few
+//! containers per device, each device moved into the box the previous
+//! world left.
 //! Switching the flight recorder on over a recycled world allocates
 //! nothing, and it records into the capacity the previous worlds left. Rebuilding flows from that
 //! record is pinned to its exact count: the lists, and one names table
