@@ -185,12 +185,12 @@ fn steady_state_probe_path_allocates_nothing() {
     //                         reply, in one allocation                   1
     // Google's `o-o.myaddr` answer comes from the zone database, and the
     // answer path builds what it writes (the question's name is interned):
-    //   Google o-o.myaddr:    the egress as text, in two growths          2
+    //   Google o-o.myaddr:    the egress as text, sized once              1
     //                         the zone answer's TXT string list and its
     //                         record list                                 2
     //                         the query's bytes after its ID and the
     //                         reply, in one allocation                   1
-    //                                                                    5
+    //                                                                    4
     let fresh_template = WorldTemplate::new();
     let version_bind = Question::chaos_txt(dns_wire::debug_queries::version_bind());
     let warmed = |template: &WorldTemplate| {
@@ -203,7 +203,7 @@ fn steady_state_probe_path_allocates_nothing() {
     };
     let (mut memoized, mut unseen) = (warmed(&WorldTemplate::shared()), warmed(&fresh_template));
     for (txid, server, question, fill) in
-        [(0x7a00, cloudflare, &id_server, 1), (0x7a10, google, &myaddr, 5)]
+        [(0x7a00, cloudflare, &id_server, 1), (0x7a10, google, &myaddr, 4)]
     {
         let (hit, out) = allocations_in(|| memoized.query(server, question, txid, opts));
         assert!(out.response().is_some(), "answered");
@@ -229,12 +229,12 @@ fn steady_state_probe_path_allocates_nothing() {
     // first ask of it, so both pay the miss. The fill costs
     //   id.server (NOTIMP):   the query's bytes after its ID and the
     //                         reply, in one allocation                   1
-    //   o-o.myaddr:           the egress as text, in two growths          2
+    //   o-o.myaddr:           the egress as text, sized once              1
     //                         the zone answer's TXT string list and its
     //                         record list                                 2
     //                         the query's bytes after its ID and the
     //                         reply, in one allocation                   1
-    //                                                                    5
+    //                                                                    4
     let middlebox = HomeScenario::isp_middlebox();
     let whoami = Question::new(dns_wire::debug_queries::whoami_akamai(), RType::A);
     let mut earlier = SimTransport::new(middlebox.build());
@@ -251,7 +251,7 @@ fn steady_state_probe_path_allocates_nothing() {
     };
     let fresh_template = WorldTemplate::new();
     let (mut memoized, mut unseen) = (warmed(&WorldTemplate::shared()), warmed(&fresh_template));
-    for (txid, question, fill) in [(0x7b20, &id_server, 1), (0x7b30, &myaddr, 5)] {
+    for (txid, question, fill) in [(0x7b20, &id_server, 1), (0x7b30, &myaddr, 4)] {
         let (hit, out) = allocations_in(|| memoized.query(google, question, txid, opts));
         assert!(out.response().is_some(), "answered");
         let (miss, out) = allocations_in(|| unseen.query(google, question, txid, opts));

@@ -26,7 +26,6 @@ use crate::transport::{
 };
 use dns_wire::debug_queries;
 use dns_wire::{MessageView, Name, Question, RType, Rcode};
-use std::borrow::Cow;
 use std::net::IpAddr;
 use std::sync::Arc;
 
@@ -508,17 +507,6 @@ impl HijackLocator {
         let seq = self.queries_sent;
         self.queries_sent += 1;
         transport.note_step(step);
-        if sink.enabled() {
-            sink.record(TraceEvent::QueryIssued {
-                seq,
-                step,
-                server,
-                qname: Cow::Borrowed(&question.qname),
-                qtype: question.qtype.to_u16(),
-                qclass: question.qclass.to_u16(),
-                at_us: transport.now_us(),
-            });
-        }
         let retried = query_with_retry_traced(
             transport,
             server,

@@ -15,18 +15,17 @@
 //! Both checks are *corroborating*, not primary: the location queries of
 //! step 1 remain the detection workhorse.
 
-use crate::trace::{NullSink, Step, TraceEvent, TraceSink};
+use crate::trace::{NullSink, Step, TraceSink};
 use crate::transport::{
     query_with_retry_traced, QueryCtx, QueryOptions, QueryOutcome, QueryTransport, TxidSequence,
 };
 use dns_wire::{Name, Question, RType, Rcode};
 use serde::{Deserialize, Serialize};
-use std::borrow::Cow;
 use std::net::IpAddr;
 
-/// Issues one side-check query, emitting `QueryIssued` (and the per-attempt
-/// events via the traced retry pipeline). `seq` continues whatever numbering
-/// the caller's earlier queries used and is advanced by one.
+/// Issues one side-check query through the traced retry pipeline, which
+/// emits its `QueryIssued` and per-attempt events. `seq` continues whatever
+/// numbering the caller's earlier queries used and is advanced by one.
 fn send_check<T: QueryTransport, S: TraceSink>(
     transport: &mut T,
     sink: &mut S,
@@ -38,17 +37,6 @@ fn send_check<T: QueryTransport, S: TraceSink>(
 ) -> QueryOutcome {
     let this_seq = *seq;
     *seq += 1;
-    if sink.enabled() {
-        sink.record(TraceEvent::QueryIssued {
-            seq: this_seq,
-            step: Step::SideCheck,
-            server,
-            qname: Cow::Borrowed(&question.qname),
-            qtype: question.qtype.to_u16(),
-            qclass: question.qclass.to_u16(),
-            at_us: transport.now_us(),
-        });
-    }
     query_with_retry_traced(
         transport,
         server,

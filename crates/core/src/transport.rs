@@ -328,11 +328,12 @@ pub fn query_with_retry<T: QueryTransport>(
     )
 }
 
-/// [`query_with_retry`] with per-attempt trace events.
+/// [`query_with_retry`] with trace events.
 ///
-/// Emits `AttemptSent` for every wire attempt, then exactly one of
-/// `ResponseAccepted`, `ResponseWrongSource`, or `AttemptTimedOut` for
-/// it — all stamped with the transport's clock and tagged with `ctx`.
+/// Emits `QueryIssued` for the logical query, then `AttemptSent` for every
+/// wire attempt and exactly one of `ResponseAccepted`,
+/// `ResponseWrongSource`, or `AttemptTimedOut` for it — all stamped with
+/// the transport's clock and tagged with `ctx`.
 /// The accepted reply is described once, for `ResponseAccepted`, and the
 /// text comes back in [`RetriedQuery::observed`]. When `sink.enabled()`
 /// is false (the [`NullSink`] path) no event is ever constructed, nothing
@@ -348,6 +349,17 @@ pub(crate) fn query_with_retry_traced<T: QueryTransport, S: TraceSink>(
     sink: &mut S,
     ctx: QueryCtx,
 ) -> RetriedQuery {
+    if sink.enabled() {
+        sink.record(TraceEvent::QueryIssued {
+            seq: ctx.seq,
+            step: ctx.step,
+            server,
+            qname: Cow::Borrowed(&question.qname),
+            qtype: question.qtype.to_u16(),
+            qclass: question.qclass.to_u16(),
+            at_us: transport.now_us(),
+        });
+    }
     let attempts = opts.attempts.max(1);
     let mut last_txid = 0;
     // The first wrong-source reply seen across attempts; if no attempt is
@@ -659,17 +671,18 @@ mod tests {
             .events
             .iter()
             .map(|e| match e {
+                TraceEvent::QueryIssued { .. } => "issued",
                 TraceEvent::AttemptSent { .. } => "sent",
                 TraceEvent::AttemptTimedOut { .. } => "timeout",
                 TraceEvent::ResponseAccepted { .. } => "accepted",
                 _ => "other",
             })
             .collect();
-        // The wrong-id reply never left the transport's filter: its attempt
-        // timed out.
-        assert_eq!(kinds, vec!["sent", "timeout", "sent", "timeout", "sent", "accepted"]);
+        // The query is issued once; the wrong-id reply never left the
+        // transport's filter: its attempt timed out.
+        assert_eq!(kinds, vec!["issued", "sent", "timeout", "sent", "timeout", "sent", "accepted"]);
         assert!(rec.events.iter().all(|e| e.seq() == Some(9)));
-        match &rec.events[3] {
+        match &rec.events[4] {
             TraceEvent::AttemptTimedOut { txid, .. } => assert_eq!(*txid, 0x4001),
             other => panic!("expected a timeout, got {other:?}"),
         }
@@ -732,7 +745,8 @@ mod tests {
             QueryCtx { seq: 3, step: Step::Location },
         );
         assert!(matches!(r.outcome, QueryOutcome::WrongSource { .. }));
-        match &rec.events[1] {
+        assert!(matches!(rec.events[0], TraceEvent::QueryIssued { seq: 3, .. }));
+        match &rec.events[2] {
             TraceEvent::ResponseWrongSource { seq, txid, from, .. } => {
                 assert_eq!(*seq, 3);
                 assert_eq!(*txid, 0x4000);

@@ -23,13 +23,12 @@
 //! known-clean baseline (or against the CPE distance of 1) localizes the
 //! interceptor to a hop count — finer than the paper's three-way verdict.
 
-use crate::trace::{NullSink, Step, TraceEvent, TraceSink};
+use crate::trace::{NullSink, Step, TraceSink};
 use crate::transport::{
     query_with_retry_traced, QueryCtx, QueryOptions, QueryOutcome, QueryTransport, TxidSequence,
 };
 use dns_wire::Question;
 use serde::{Deserialize, Serialize};
-use std::borrow::Cow;
 use std::net::IpAddr;
 
 /// Result of a TTL scan toward one server.
@@ -87,17 +86,6 @@ pub(crate) fn ttl_scan_traced<T: QueryTransport, S: TraceSink>(
         let opts = QueryOptions { ttl: Some(ttl), ..base_opts };
         let this_seq = *seq;
         *seq += 1;
-        if sink.enabled() {
-            sink.record(TraceEvent::QueryIssued {
-                seq: this_seq,
-                step: Step::TtlScan,
-                server,
-                qname: Cow::Borrowed(&question.qname),
-                qtype: question.qtype.to_u16(),
-                qclass: question.qclass.to_u16(),
-                at_us: transport.now_us(),
-            });
-        }
         let retried = query_with_retry_traced(
             transport,
             server,

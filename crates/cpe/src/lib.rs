@@ -6,18 +6,20 @@
 //! [`CpeDevice`] is a full home router: masquerading NAT, an embedded
 //! Dnsmasq/XDNS-style forwarder, and — in interceptor configurations — the
 //! DNAT rule from the paper's §5 case study that silently redirects every
-//! outbound DNS query to the forwarder. [`models`] catalogs the populations
-//! the paper observed: plain routers, LAN-only forwarders, the Appendix-A
-//! open-port-53 confounder, the buggy XB6, Pi-holes, and the §6
-//! `version.bind`-hiding stealth interceptor.
+//! outbound DNS query to the forwarder. [`CpeModelKind`] catalogs the
+//! populations the paper observed, each built into its [`CpeConfig`] in one
+//! place: plain routers, LAN-only forwarders, the Appendix-A open-port-53
+//! confounder, the buggy XB6, Pi-holes, and the §6 `version.bind`-hiding
+//! stealth interceptor.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod catalog;
 mod config;
 mod device;
-pub mod models;
 
+pub use catalog::CpeModelKind;
 pub use config::{CpeConfig, DnsMode, ForwarderSpec, InterceptSpec, WanMode};
 pub use device::{CpeDevice, LAN, WAN};
 
@@ -48,6 +50,11 @@ mod tests {
             SoftwareProfile::unbound("1.9.0"),
             ResolverMode::Normal,
         )))
+    }
+
+    /// `kind`'s configuration at the test home's addresses.
+    fn model(kind: CpeModelKind) -> CpeConfig {
+        kind.config(WAN_IP.parse().unwrap(), ISP_RESOLVER.parse().unwrap())
     }
 
     /// probe <-> CPE <-> ISP resolver. Returns (sim, probe, cpe, resolver).
@@ -90,8 +97,7 @@ mod tests {
         // The probe queries 8.8.8.8; the XB6 DNATs the query to XDNS which
         // forwards to the ISP resolver. The probe receives an answer whose
         // source claims to be 8.8.8.8.
-        let (mut sim, probe, cpe, resolver) =
-            home(models::xb6_buggy(WAN_IP.parse().unwrap(), ISP_RESOLVER.parse().unwrap()));
+        let (mut sim, probe, cpe, resolver) = home(model(CpeModelKind::Xb6Buggy));
         let q = Question::new("example.com".parse().unwrap(), RType::A);
         sim.inject(probe, IfaceId(0), dns_query_pkt("8.8.8.8", q, 77));
         sim.run_to_quiescence();
@@ -102,13 +108,13 @@ mod tests {
         assert_eq!(msg.header.id, 77);
         assert_eq!(msg.answers[0].rdata, RData::A("93.184.216.34".parse().unwrap()));
         assert_eq!(sim.device::<CpeDevice>(cpe).unwrap().intercepted_queries, 1);
-        assert_eq!(sim.device::<RecursiveResolver>(resolver).unwrap().queries_handled, 1);
+        // The resolver resolved the one relayed query: a single cache miss.
+        assert_eq!(sim.device::<RecursiveResolver>(resolver).unwrap().cache_stats(), (0, 1));
     }
 
     #[test]
     fn buggy_xb6_answers_version_bind_at_public_ip() {
-        let (mut sim, probe, _cpe, _r) =
-            home(models::xb6_buggy(WAN_IP.parse().unwrap(), ISP_RESOLVER.parse().unwrap()));
+        let (mut sim, probe, _cpe, _r) = home(model(CpeModelKind::Xb6Buggy));
         let q = Question::chaos_txt(debug_queries::version_bind());
         sim.inject(probe, IfaceId(0), dns_query_pkt(WAN_IP, q, 5));
         sim.run_to_quiescence();
@@ -122,8 +128,7 @@ mod tests {
     fn buggy_xb6_version_bind_identical_via_public_resolver() {
         // The step-2 signature: version.bind "to 8.8.8.8" is answered by
         // XDNS with the same string as version.bind to the CPE public IP.
-        let (mut sim, probe, _cpe, _r) =
-            home(models::xb6_buggy(WAN_IP.parse().unwrap(), ISP_RESOLVER.parse().unwrap()));
+        let (mut sim, probe, _cpe, _r) = home(model(CpeModelKind::Xb6Buggy));
         let q = Question::chaos_txt(debug_queries::version_bind());
         sim.inject(probe, IfaceId(0), dns_query_pkt("8.8.8.8", q, 6));
         sim.run_to_quiescence();
@@ -139,8 +144,7 @@ mod tests {
         // the answer back, rewriting only the transaction ID (bytes 0-1).
         // The second query carries one byte after its question, which the
         // view accepts and a decode-and-encode would drop.
-        let (mut sim, probe, cpe, resolver) =
-            home(models::xb6_buggy(WAN_IP.parse().unwrap(), ISP_RESOLVER.parse().unwrap()));
+        let (mut sim, probe, cpe, resolver) = home(model(CpeModelKind::Xb6Buggy));
         sim.record_capture();
         let q = Question::new("example.com".parse().unwrap(), RType::A);
         let plain = Message::query(21, q.clone()).encode().unwrap();
@@ -186,7 +190,7 @@ mod tests {
         // With a plain router, the query leaves masqueraded toward the real
         // destination; our mini-topology routes everything to the ISP
         // resolver link, so a query to the resolver itself works end to end.
-        let (mut sim, probe, cpe, _r) = home(models::plain(WAN_IP.parse().unwrap()));
+        let (mut sim, probe, cpe, _r) = home(model(CpeModelKind::Plain));
         let q = Question::new("example.com".parse().unwrap(), RType::A);
         sim.inject(probe, IfaceId(0), dns_query_pkt(ISP_RESOLVER, q, 9));
         sim.run_to_quiescence();
@@ -198,7 +202,7 @@ mod tests {
 
     #[test]
     fn plain_router_is_silent_on_version_bind_to_public_ip() {
-        let (mut sim, probe, _cpe, _r) = home(models::plain(WAN_IP.parse().unwrap()));
+        let (mut sim, probe, _cpe, _r) = home(model(CpeModelKind::Plain));
         let q = Question::chaos_txt(debug_queries::version_bind());
         sim.inject(probe, IfaceId(0), dns_query_pkt(WAN_IP, q, 2));
         sim.run_to_quiescence();
@@ -207,11 +211,8 @@ mod tests {
 
     #[test]
     fn open_forwarder_answers_own_ip_but_does_not_intercept() {
-        let (mut sim, probe, cpe, _r) = home(models::open_wan_forwarder(
-            WAN_IP.parse().unwrap(),
-            ISP_RESOLVER.parse().unwrap(),
-            "2.80",
-        ));
+        let (mut sim, probe, cpe, _r) =
+            home(model(CpeModelKind::OpenWanForwarder { version: "2.80".into() }));
         // version.bind to the public IP: answered (port 53 open)…
         let q = Question::chaos_txt(debug_queries::version_bind());
         sim.inject(probe, IfaceId(0), dns_query_pkt(WAN_IP, q, 3));
@@ -230,11 +231,8 @@ mod tests {
     fn open_forwarder_relays_a_records_from_own_ip() {
         // An A query to the CPE's public IP is forwarded upstream and the
         // answer returns from the CPE's address — the Appendix-A behaviour.
-        let (mut sim, probe, _cpe, _r) = home(models::open_wan_forwarder(
-            WAN_IP.parse().unwrap(),
-            ISP_RESOLVER.parse().unwrap(),
-            "2.80",
-        ));
+        let (mut sim, probe, _cpe, _r) =
+            home(model(CpeModelKind::OpenWanForwarder { version: "2.80".into() }));
         let q = Question::new("example.com".parse().unwrap(), RType::A);
         sim.inject(probe, IfaceId(0), dns_query_pkt(WAN_IP, q, 8));
         sim.run_to_quiescence();
@@ -248,7 +246,7 @@ mod tests {
     #[test]
     fn pi_hole_blocks_ads_and_intercepts() {
         let (mut sim, probe, cpe, _r) =
-            home(models::pi_hole(WAN_IP.parse().unwrap(), ISP_RESOLVER.parse().unwrap(), "2.87"));
+            home(model(CpeModelKind::PiHole { version: "2.87".into() }));
         let q = Question::new("ads.doubleclick.net".parse().unwrap(), RType::A);
         sim.inject(probe, IfaceId(0), dns_query_pkt("1.1.1.1", q, 11));
         sim.run_to_quiescence();
@@ -263,12 +261,10 @@ mod tests {
     #[test]
     fn selective_interceptor_exempts_allowed_resolver() {
         let allowed: IpAddr = ISP_RESOLVER.parse().unwrap();
-        let (mut sim, probe, cpe, _r) = home(models::single_resolver_allowed(
-            WAN_IP.parse().unwrap(),
-            ISP_RESOLVER.parse().unwrap(),
-            &[allowed],
-            "2.85",
-        ));
+        let (mut sim, probe, cpe, _r) = home(model(CpeModelKind::SelectiveAllowed {
+            allowed: vec![allowed],
+            version: "2.85".into(),
+        }));
         let q = Question::new("example.com".parse().unwrap(), RType::A);
         sim.inject(probe, IfaceId(0), dns_query_pkt(ISP_RESOLVER, q, 12));
         sim.run_to_quiescence();
@@ -279,10 +275,7 @@ mod tests {
 
     #[test]
     fn stealth_interceptor_hides_from_version_bind() {
-        let (mut sim, probe, cpe, _r) = home(models::stealth_interceptor(
-            WAN_IP.parse().unwrap(),
-            ISP_RESOLVER.parse().unwrap(),
-        ));
+        let (mut sim, probe, cpe, _r) = home(model(CpeModelKind::StealthInterceptor));
         // It intercepts…
         let q = Question::new("example.com".parse().unwrap(), RType::A);
         sim.inject(probe, IfaceId(0), dns_query_pkt("8.8.8.8", q, 13));
@@ -339,11 +332,8 @@ mod tests {
         // The taxonomy's key population: the scanner queries the CPE, but
         // the answer comes back from the *upstream resolver's* address —
         // the response-source mismatch.
-        let (mut sim, scanner, cpe) = wan_world(models::transparent_forwarder(
-            WAN_IP.parse().unwrap(),
-            ISP_RESOLVER.parse().unwrap(),
-            "2.80",
-        ));
+        let (mut sim, scanner, cpe) =
+            wan_world(model(CpeModelKind::TransparentForwarder { version: "2.80".into() }));
         let q = Question::new("example.com".parse().unwrap(), RType::A);
         sim.inject(scanner, IfaceId(0), scan_query_pkt(q, 41));
         sim.run_to_quiescence();
@@ -361,11 +351,8 @@ mod tests {
 
     #[test]
     fn open_relay_answers_scanner_from_queried_address() {
-        let (mut sim, scanner, cpe) = wan_world(models::open_wan_forwarder(
-            WAN_IP.parse().unwrap(),
-            ISP_RESOLVER.parse().unwrap(),
-            "2.80",
-        ));
+        let (mut sim, scanner, cpe) =
+            wan_world(model(CpeModelKind::OpenWanForwarder { version: "2.80".into() }));
         let q = Question::new("example.com".parse().unwrap(), RType::A);
         sim.inject(scanner, IfaceId(0), scan_query_pkt(q, 42));
         sim.run_to_quiescence();
@@ -383,11 +370,8 @@ mod tests {
 
     #[test]
     fn open_recursive_reveals_its_own_egress_on_whoami() {
-        let (mut sim, scanner, _cpe) = wan_world(models::open_recursive(
-            WAN_IP.parse().unwrap(),
-            ISP_RESOLVER.parse().unwrap(),
-            "2.80",
-        ));
+        let (mut sim, scanner, _cpe) =
+            wan_world(model(CpeModelKind::OpenRecursive { version: "2.80".into() }));
         let q = Question::new("whoami.akamai.com".parse().unwrap(), RType::A);
         sim.inject(scanner, IfaceId(0), scan_query_pkt(q, 43));
         sim.run_to_quiescence();
@@ -405,8 +389,7 @@ mod tests {
     fn local_only_wan_listener_never_relays_for_outsiders() {
         // The XB6 answers version.bind at its public address but a
         // recursive A query from the outside goes unanswered.
-        let (mut sim, scanner, _cpe) =
-            wan_world(models::xb6_buggy(WAN_IP.parse().unwrap(), ISP_RESOLVER.parse().unwrap()));
+        let (mut sim, scanner, _cpe) = wan_world(model(CpeModelKind::Xb6Buggy));
         let q = Question::chaos_txt(debug_queries::version_bind());
         sim.inject(scanner, IfaceId(0), scan_query_pkt(q, 44));
         sim.run_to_quiescence();
@@ -421,8 +404,7 @@ mod tests {
 
     #[test]
     fn txid_is_preserved_end_to_end_through_interception() {
-        let (mut sim, probe, _cpe, _r) =
-            home(models::xb6_buggy(WAN_IP.parse().unwrap(), ISP_RESOLVER.parse().unwrap()));
+        let (mut sim, probe, _cpe, _r) = home(model(CpeModelKind::Xb6Buggy));
         for id in [1u16, 999, 0xFFFF] {
             let q = Question::new("example.com".parse().unwrap(), RType::A);
             sim.inject(probe, IfaceId(0), dns_query_pkt("9.9.9.9", q, id));

@@ -25,6 +25,7 @@ mod timing;
 mod transport;
 
 pub use background::BackgroundClient;
+pub use cpe::CpeModelKind;
 pub use flow::{
     flow_rtt_us, flows_to_json, render_flows, FlowDirection, FlowHop, HopDetail, QueryFlow,
 };
@@ -32,8 +33,7 @@ pub use isp::{IspProfile, MiddleboxSpec, RedirectTarget};
 pub use replicate::ReplicatingInterceptor;
 pub use resolver_sim::ResolverMode;
 pub use scenario::{
-    BuiltScenario, CpeModelKind, GroundTruth, HomeScenario, OpenDnsClass, Region, ScenarioAddrs,
-    WorldTemplate,
+    BuiltScenario, GroundTruth, HomeScenario, OpenDnsClass, Region, ScenarioAddrs, WorldTemplate,
 };
 pub use timing::{phase_label, ProbeTimingLog, RttSample, PHASE_COUNT};
 pub use transport::{SimTransport, Vantage};

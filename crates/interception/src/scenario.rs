@@ -8,7 +8,7 @@
 //! locator against reality.
 
 use crate::isp::{IspProfile, MiddleboxSpec, RedirectTarget};
-use cpe::{models, CpeConfig, CpeDevice, DnsMode};
+use cpe::{CpeConfig, CpeDevice, CpeModelKind, DnsMode, WanMode};
 use locator::{InterceptorLocation, LocatorConfig, ResolverKey};
 use netsim::{
     BurstLoss, Cidr, DnatRule, FaultProfile, FxHashMap, Host, IfaceId, LateDelivery, NatEngine,
@@ -63,91 +63,6 @@ impl Region {
             Region::Africa => "JNB",
             Region::Oceania => "SYD",
         }
-    }
-}
-
-/// Which CPE model the household runs. Version strings are
-/// [`SharedStr`]s, so a model made from a literal or from shared text, and
-/// every clone of one, allocates nothing.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CpeModelKind {
-    /// NAT-only router, port 53 closed.
-    Plain,
-    /// LAN-only Dnsmasq forwarder, no interception.
-    DnsmasqLan {
-        /// Dnsmasq version.
-        version: SharedStr,
-    },
-    /// Non-intercepting forwarder with port 53 open on the WAN (App. A).
-    OpenWanForwarder {
-        /// Dnsmasq version.
-        version: SharedStr,
-    },
-    /// Open-port-53 forwarder that answers version.bind NXDOMAIN
-    /// (Table 3's probe 11992).
-    OpenWanForwarderNxDomain,
-    /// The §5 buggy XB6: DNAT interception to the ISP resolver.
-    Xb6Buggy,
-    /// A healthy XB6 (same firmware, no DNAT rule).
-    Xb6Healthy,
-    /// Pi-hole: deliberate interception with ad blocking.
-    PiHole {
-        /// Pi-hole Dnsmasq version.
-        version: SharedStr,
-    },
-    /// Interceptor running Unbound.
-    UnboundInterceptor {
-        /// Unbound version.
-        version: SharedStr,
-    },
-    /// Interceptor with an arbitrary version.bind string (Table 5 tail).
-    CustomInterceptor {
-        /// The exact string returned.
-        version_string: SharedStr,
-    },
-    /// Interceptor whose forwarder refuses version.bind (§6 limitation).
-    StealthInterceptor,
-    /// Interceptor that exempts specific resolver addresses.
-    SelectiveAllowed {
-        /// Exempted destinations.
-        allowed: Vec<IpAddr>,
-        /// Dnsmasq version.
-        version: SharedStr,
-    },
-    /// Interceptor that captures only specific resolver addresses.
-    SelectiveTargeted {
-        /// Captured destinations.
-        targets: Vec<IpAddr>,
-        /// Dnsmasq version.
-        version: SharedStr,
-    },
-    /// Transparent forwarder: relays WAN queries upstream with the
-    /// scanner's source preserved, so the upstream answers the scanner
-    /// directly (the open-DNS taxonomy's key population).
-    TransparentForwarder {
-        /// Dnsmasq version.
-        version: SharedStr,
-    },
-    /// Open recursive resolver on the CPE: resolves WAN queries itself.
-    OpenRecursive {
-        /// Dnsmasq version.
-        version: SharedStr,
-    },
-}
-
-impl CpeModelKind {
-    /// True when the model intercepts (fully or selectively).
-    pub fn intercepts(&self) -> bool {
-        !matches!(
-            self,
-            CpeModelKind::Plain
-                | CpeModelKind::DnsmasqLan { .. }
-                | CpeModelKind::OpenWanForwarder { .. }
-                | CpeModelKind::OpenWanForwarderNxDomain
-                | CpeModelKind::Xb6Healthy
-                | CpeModelKind::TransparentForwarder { .. }
-                | CpeModelKind::OpenRecursive { .. }
-        )
     }
 }
 
@@ -370,31 +285,42 @@ impl HomeScenario {
     }
 
     /// The open-DNS taxonomy class this household's CPE belongs to —
-    /// scanner-vantage ground truth for the classification campaign.
+    /// scanner-vantage ground truth for the classification campaign. A
+    /// device's WAN behaviour decides it (Nawrocki et al.), read from the
+    /// catalog's allocation-free facts about the model.
     pub fn open_dns_class(&self) -> OpenDnsClass {
-        match &self.cpe_model {
-            CpeModelKind::TransparentForwarder { .. } => OpenDnsClass::TransparentForwarder,
-            CpeModelKind::OpenWanForwarder { .. } | CpeModelKind::OpenWanForwarderNxDomain => {
-                OpenDnsClass::OpenForwarder
-            }
-            CpeModelKind::OpenRecursive { .. } => OpenDnsClass::OpenRecursive,
-            model if model.intercepts() => OpenDnsClass::DnatInterceptor,
-            _ => OpenDnsClass::Clean,
+        match (self.cpe_model.wan_service(), self.cpe_model.intercepts()) {
+            (Some(WanMode::Transparent), _) => OpenDnsClass::TransparentForwarder,
+            (Some(WanMode::OpenRelay), _) => OpenDnsClass::OpenForwarder,
+            (Some(WanMode::Recurse), _) => OpenDnsClass::OpenRecursive,
+            (_, true) => OpenDnsClass::DnatInterceptor,
+            (_, false) => OpenDnsClass::Clean,
         }
     }
 
     /// Ground truth implied by the specification. CPE interception shadows
     /// anything further out because queries meet the CPE first.
     pub fn truth(&self) -> GroundTruth {
-        if let Some(inner) = &self.inner_router {
-            if inner.intercepts() {
-                // The inner router meets queries first.
-                return GroundTruth::Cpe { version: cpe_version_of(inner) };
-            }
-        }
-        if self.cpe_model.intercepts() {
-            let version = cpe_version_of(&self.cpe_model);
-            return GroundTruth::Cpe { version };
+        let (cpe, inner) = self.cpe_configs();
+        self.truth_of(&cpe, inner.as_ref())
+    }
+
+    /// [`HomeScenario::truth`] given the home's CPE configurations: an
+    /// intercepting CPE's version is what its forwarder answers to
+    /// `version.bind`.
+    fn truth_of(&self, cpe: &CpeConfig, inner: Option<&CpeConfig>) -> GroundTruth {
+        let intercepting = |config: &CpeConfig| {
+            config.dns.intercepts().then(|| GroundTruth::Cpe {
+                version: config
+                    .dns
+                    .forwarder()
+                    .and_then(|f| f.profile.version_string())
+                    .map(String::from),
+            })
+        };
+        // The inner router meets queries first.
+        if let Some(truth) = inner.and_then(intercepting).or_else(|| intercepting(cpe)) {
+            return truth;
         }
         if self.middlebox.is_some() {
             if self.isp.resolver_in_as {
@@ -446,19 +372,6 @@ impl HomeScenario {
                 Some(InterceptorLocation::BeyondOrUnknown)
             }
         }
-    }
-}
-
-fn cpe_version_of(model: &CpeModelKind) -> Option<String> {
-    match model {
-        CpeModelKind::Xb6Buggy => Some("dnsmasq-2.78-xfin".into()),
-        CpeModelKind::PiHole { version } => Some(format!("dnsmasq-pi-hole-{version}")),
-        CpeModelKind::UnboundInterceptor { version } => Some(format!("unbound {version}")),
-        CpeModelKind::CustomInterceptor { version_string } => Some(version_string.to_string()),
-        CpeModelKind::SelectiveAllowed { version, .. }
-        | CpeModelKind::SelectiveTargeted { version, .. } => Some(format!("dnsmasq-{version}")),
-        CpeModelKind::StealthInterceptor => None,
-        _ => None,
     }
 }
 
@@ -529,11 +442,6 @@ pub struct WorldTemplate {
     /// Root-server addresses for the hostname.bind baseline, shared with
     /// every world's root server.
     pub root_addrs: Arc<[IpAddr]>,
-    /// The standard-world authoritative tree (iterative-resolver fidelity
-    /// mode), with every qname interned: apexes, delegation targets, and
-    /// reflector names are parsed once here and refcount-cloned into each
-    /// probe's authoritative servers.
-    pub auth_tree: Arc<AuthTree>,
     /// What each region's worlds share, indexed by [`Region::ALL`] order
     /// and filled the first time a world in the region is built, so
     /// building a template with [`WorldTemplate::new`] does no more work
@@ -670,78 +578,13 @@ impl RegionParts {
     }
 }
 
-/// The pre-built authoritative tree of the standard world.
-pub struct AuthTree {
-    /// The root zone: delegations (with glue) for every standard apex.
-    pub root: resolver_sim::ServedZone,
-    /// The zones of the world authoritative server.
-    pub world: Vec<resolver_sim::ServedZone>,
-}
-
-/// Glue address every standard-world delegation points at.
+/// The world authoritative server's address (iterative-resolver fidelity
+/// mode): the glue of every root delegation.
 const WORLD_AUTH_V4: Ipv4Addr = Ipv4Addr::new(192, 0, 35, 1);
 
-impl AuthTree {
-    /// Builds the standard tree, parsing each qname exactly once.
-    fn standard() -> AuthTree {
-        use resolver_sim::{Delegation, ReflectKind, ReflectorZone, ServedZone, StaticZone};
-        let apexes =
-            ["example.com", "akamai.com", "google.com", "opendns.com", "dns-hijack-study.example"];
-        let root = ServedZone {
-            apex: dns_wire::Name::root(),
-            zone: Arc::new(StaticZone::new()),
-            delegations: apexes
-                .iter()
-                .map(|apex| Delegation {
-                    child: apex.parse().expect("static name"),
-                    nameservers: vec![(
-                        format!("ns1.{apex}").parse().expect("static name"),
-                        IpAddr::V4(WORLD_AUTH_V4),
-                    )],
-                })
-                .collect(),
-        };
-        let mut example = StaticZone::new();
-        example.add_a("example.com", 3600, Ipv4Addr::new(93, 184, 216, 34));
-        example.add_a("www.example.com", 3600, Ipv4Addr::new(93, 184, 216, 34));
-        let mut probe_zone = StaticZone::new();
-        probe_zone.add_a("probe.dns-hijack-study.example", 60, Ipv4Addr::new(93, 184, 216, 40));
-        let world = vec![
-            ServedZone {
-                apex: "example.com".parse().expect("static name"),
-                zone: Arc::new(example),
-                delegations: vec![],
-            },
-            ServedZone {
-                apex: "akamai.com".parse().expect("static name"),
-                zone: Arc::new(ReflectorZone::new(
-                    dns_wire::debug_queries::whoami_akamai(),
-                    ReflectKind::Address,
-                )),
-                delegations: vec![],
-            },
-            ServedZone {
-                apex: "google.com".parse().expect("static name"),
-                zone: Arc::new(ReflectorZone::new(
-                    dns_wire::debug_queries::google_myaddr(),
-                    ReflectKind::Text,
-                )),
-                delegations: vec![],
-            },
-            ServedZone {
-                apex: "opendns.com".parse().expect("static name"),
-                zone: Arc::new(StaticZone::new()),
-                delegations: vec![],
-            },
-            ServedZone {
-                apex: "dns-hijack-study.example".parse().expect("static name"),
-                zone: Arc::new(probe_zone),
-                delegations: vec![],
-            },
-        ];
-        AuthTree { root, world }
-    }
-}
+/// The probe's address on the CPE's LAN; in a double-NAT home, the inner
+/// router's WAN address.
+const LAN_PROBE_V4: Ipv4Addr = Ipv4Addr::new(192, 168, 1, 100);
 
 impl WorldTemplate {
     /// Builds a fresh template, constructing every piece from scratch.
@@ -754,7 +597,6 @@ impl WorldTemplate {
             zonedb: Arc::new(ZoneDb::standard_world()),
             resolvers: locator::default_resolvers().into(),
             root_addrs: locator::baseline::default_root_addrs(),
-            auth_tree: Arc::new(AuthTree::standard()),
             regions: Default::default(),
             alt_resolver: OnceLock::new(),
             isp_resolvers: Mutex::default(),
@@ -772,7 +614,6 @@ impl WorldTemplate {
                 zonedb: Arc::new(ZoneDb::standard_world()),
                 resolvers: locator::shared_default_resolvers(),
                 root_addrs: locator::baseline::default_root_addrs(),
-                auth_tree: Arc::new(AuthTree::standard()),
                 regions: Default::default(),
                 alt_resolver: OnceLock::new(),
                 isp_resolvers: Mutex::default(),
@@ -881,7 +722,6 @@ impl HomeScenario {
 
         // --- Addressing -------------------------------------------------
         let wan_v4 = isp.customer_v4(self.customer_index);
-        let probe_v4 = Ipv4Addr::new(192, 168, 1, 100);
         let (wan_v6, lan_v6, probe_v6, lan_prefix_v6) = isp.customer_v6(self.customer_index);
         let home_v6 = self.probe_has_v6;
 
@@ -890,7 +730,7 @@ impl HomeScenario {
         // (192.168.2.0/24) behind the user's own router.
         let inner_lan_probe_v4 = Ipv4Addr::new(192, 168, 2, 100);
         let effective_probe_v4 =
-            if self.inner_router.is_some() { inner_lan_probe_v4 } else { probe_v4 };
+            if self.inner_router.is_some() { inner_lan_probe_v4 } else { LAN_PROBE_V4 };
         let mut probe_host = Host::new("probe", [IpAddr::V4(effective_probe_v4)]);
         if home_v6 {
             probe_host.add_addr(IpAddr::V6(probe_v6));
@@ -898,7 +738,8 @@ impl HomeScenario {
         let probe = sim.add_device(probe_host);
 
         // --- CPE ----------------------------------------------------------
-        let mut cpe_config = self.cpe_config(wan_v4);
+        let (mut cpe_config, inner_config) = self.cpe_configs();
+        let truth = self.truth_of(&cpe_config, inner_config.as_ref());
         if home_v6 {
             cpe_config = cpe_config.with_v6(wan_v6, lan_v6, lan_prefix_v6);
             if self.cpe_intercept_v6 {
@@ -913,12 +754,7 @@ impl HomeScenario {
         let cpe = sim.add_device(CpeDevice::new(cpe_config).with_zonedb(Arc::clone(&zonedb)));
 
         // --- Optional inner (user) router ---------------------------------
-        let inner_node = self.inner_router.as_ref().map(|model| {
-            // The inner router's WAN address lives on the outer CPE's LAN;
-            // the scenario reuses the probe's usual outer-LAN address for it.
-            let mut inner_config = self.cpe_config_for(model, probe_v4);
-            inner_config.lan_v4 = Ipv4Addr::new(192, 168, 2, 1);
-            inner_config.name = format!("inner-{}", inner_config.name).into();
+        let inner_node = inner_config.map(|mut inner_config| {
             if home_v6 {
                 // IPv6 is routed, not NATed: the inner router simply
                 // forwards the delegated /64 onward.
@@ -1062,20 +898,34 @@ impl HomeScenario {
             node
         };
 
-        // --- Authoritative tree (iterative-resolver fidelity mode) -----------
-        // The zones and every qname in them come pre-built (and interned)
-        // from the template; only the server devices are per-probe.
+        // --- Authoritative servers (iterative-resolver fidelity mode) -------
+        // The world server serves every zone of the template's database and
+        // the root delegates each apex to it, so the iterative walk answers
+        // what the zone-database recursor does.
         let auth_nodes = use_iterative.then(|| {
-            use resolver_sim::AuthoritativeServer;
-            let tree = &template.auth_tree;
-            let mut root_auth = AuthoritativeServer::new("root-auth", [IpAddr::V4(root_auth_v4)]);
-            root_auth.serve(tree.root.clone());
-            let root_auth = sim.add_device(root_auth);
-
-            let mut auth = AuthoritativeServer::new("world-auth", [IpAddr::V4(WORLD_AUTH_V4)]);
-            for zone in &tree.world {
-                auth.serve(zone.clone());
+            use resolver_sim::{AuthoritativeServer, Delegation, ServedZone, StaticZone};
+            let world_v4 = IpAddr::V4(WORLD_AUTH_V4);
+            let mut auth = AuthoritativeServer::new("world-auth", [world_v4]);
+            let mut delegations = Vec::new();
+            for (apex, zone) in template.zonedb.zones() {
+                let ns =
+                    dns_wire::Name::from_labels(std::iter::once(&b"ns1"[..]).chain(apex.labels()))
+                        .expect("a standard apex has room for one more label");
+                delegations
+                    .push(Delegation { child: apex.clone(), nameservers: vec![(ns, world_v4)] });
+                auth.serve(ServedZone {
+                    apex: apex.clone(),
+                    zone: Arc::clone(zone),
+                    delegations: Vec::new(),
+                });
             }
+            let mut root_auth = AuthoritativeServer::new("root-auth", [IpAddr::V4(root_auth_v4)]);
+            root_auth.serve(ServedZone {
+                apex: dns_wire::Name::root(),
+                zone: Arc::new(StaticZone::new()),
+                delegations,
+            });
+            let root_auth = sim.add_device(root_auth);
             let auth = sim.add_device(auth);
 
             let core_router = sim.device_mut::<Router>(core).expect("core is a router");
@@ -1290,7 +1140,6 @@ impl HomeScenario {
             .add(Cidr::host(IpAddr::V4(scanner_v4)), IfaceId(10));
         sim.connect((core, IfaceId(10)), (scanner, IfaceId(0)), ms(8));
 
-        let truth = self.truth();
         let addrs = ScenarioAddrs {
             probe_v4: effective_probe_v4,
             probe_v6: home_v6.then_some(probe_v6),
@@ -1310,42 +1159,20 @@ impl HomeScenario {
         }
     }
 
-    fn cpe_config(&self, wan_v4: Ipv4Addr) -> CpeConfig {
-        self.cpe_config_for(&self.cpe_model, wan_v4)
-    }
-
-    fn cpe_config_for(&self, model: &CpeModelKind, wan_v4: Ipv4Addr) -> CpeConfig {
-        let up = IpAddr::V4(self.isp.resolver_v4);
-        match model {
-            CpeModelKind::Plain => models::plain(wan_v4),
-            CpeModelKind::DnsmasqLan { version } => models::dnsmasq_lan(wan_v4, up, version),
-            CpeModelKind::OpenWanForwarder { version } => {
-                models::open_wan_forwarder(wan_v4, up, version)
-            }
-            CpeModelKind::OpenWanForwarderNxDomain => {
-                models::open_wan_forwarder_nxdomain(wan_v4, up)
-            }
-            CpeModelKind::Xb6Buggy => models::xb6_buggy(wan_v4, up),
-            CpeModelKind::Xb6Healthy => models::xb6_healthy(wan_v4, up),
-            CpeModelKind::PiHole { version } => models::pi_hole(wan_v4, up, version),
-            CpeModelKind::UnboundInterceptor { version } => {
-                models::unbound_interceptor(wan_v4, up, version)
-            }
-            CpeModelKind::CustomInterceptor { version_string } => {
-                models::custom_interceptor(wan_v4, up, version_string.clone())
-            }
-            CpeModelKind::StealthInterceptor => models::stealth_interceptor(wan_v4, up),
-            CpeModelKind::SelectiveAllowed { allowed, version } => {
-                models::single_resolver_allowed(wan_v4, up, allowed, version)
-            }
-            CpeModelKind::SelectiveTargeted { targets, version } => {
-                models::single_resolver_targeted(wan_v4, up, targets, version)
-            }
-            CpeModelKind::TransparentForwarder { version } => {
-                models::transparent_forwarder(wan_v4, up, version)
-            }
-            CpeModelKind::OpenRecursive { version } => models::open_recursive(wan_v4, up, version),
-        }
+    /// The catalog's configuration of the home's CPE and, in a double-NAT
+    /// home, of the inner router, both forwarding to the ISP's resolver,
+    /// before any IPv6 addressing. The inner router's WAN address lives on
+    /// the outer CPE's LAN: the probe's usual outer-LAN address.
+    fn cpe_configs(&self) -> (CpeConfig, Option<CpeConfig>) {
+        let upstream = IpAddr::V4(self.isp.resolver_v4);
+        let cpe = self.cpe_model.config(self.isp.customer_v4(self.customer_index), upstream);
+        let inner = self.inner_router.as_ref().map(|model| {
+            let mut inner = model.config(LAN_PROBE_V4, upstream);
+            inner.lan_v4 = Ipv4Addr::new(192, 168, 2, 1);
+            inner.name = format!("inner-{}", inner.name).into();
+            inner
+        });
+        (cpe, inner)
     }
 
     fn redirect_addr(&self, target: &RedirectTarget) -> IpAddr {
@@ -1418,6 +1245,68 @@ mod tests {
             ..HomeScenario::clean()
         };
         assert_eq!(outside.expected_location(), Some(InterceptorLocation::BeyondOrUnknown));
+    }
+
+    #[test]
+    fn class_and_truth_agree_with_the_built_cpe_configuration() {
+        // Every catalog model, with the open-DNS class it belongs to and
+        // the version its ground truth carries when it intercepts.
+        use OpenDnsClass::*;
+        let v = || SharedStr::from("2.85");
+        let pinned: [(CpeModelKind, OpenDnsClass, Option<&str>); 14] = [
+            (CpeModelKind::Plain, Clean, None),
+            (CpeModelKind::DnsmasqLan { version: v() }, Clean, None),
+            (CpeModelKind::OpenWanForwarder { version: v() }, OpenForwarder, None),
+            (CpeModelKind::OpenWanForwarderNxDomain, OpenForwarder, None),
+            (CpeModelKind::Xb6Buggy, DnatInterceptor, Some("dnsmasq-2.78-xfin")),
+            (CpeModelKind::Xb6Healthy, Clean, None),
+            (CpeModelKind::PiHole { version: v() }, DnatInterceptor, Some("dnsmasq-pi-hole-2.85")),
+            (
+                CpeModelKind::UnboundInterceptor { version: "1.9.0".into() },
+                DnatInterceptor,
+                Some("unbound 1.9.0"),
+            ),
+            (
+                CpeModelKind::CustomInterceptor { version_string: "huuh?".into() },
+                DnatInterceptor,
+                Some("huuh?"),
+            ),
+            (CpeModelKind::StealthInterceptor, DnatInterceptor, None),
+            (
+                CpeModelKind::SelectiveAllowed { allowed: vec![], version: v() },
+                DnatInterceptor,
+                Some("dnsmasq-2.85"),
+            ),
+            (
+                CpeModelKind::SelectiveTargeted { targets: vec![], version: v() },
+                DnatInterceptor,
+                Some("dnsmasq-2.85"),
+            ),
+            (CpeModelKind::TransparentForwarder { version: v() }, TransparentForwarder, None),
+            (CpeModelKind::OpenRecursive { version: v() }, OpenRecursive, None),
+        ];
+        for (model, class, version) in pinned {
+            let home = HomeScenario { cpe_model: model.clone(), ..HomeScenario::clean() };
+            let (config, _) = home.cpe_configs();
+            let forwarder = config.dns.forwarder();
+            // The class by the built device's WAN behaviour.
+            let built_class = match forwarder.filter(|f| f.listen_wan).map(|f| f.wan_mode) {
+                Some(WanMode::Transparent) => TransparentForwarder,
+                Some(WanMode::OpenRelay) => OpenForwarder,
+                Some(WanMode::Recurse) => OpenRecursive,
+                _ if config.dns.intercepts() => DnatInterceptor,
+                _ => Clean,
+            };
+            assert_eq!((home.open_dns_class(), built_class), (class, class), "{model:?}");
+            let truth = home.truth();
+            if model.intercepts() {
+                let built_version = forwarder.and_then(|f| f.profile.version_string());
+                assert_eq!(built_version, version, "{model:?}");
+                assert_eq!(truth, GroundTruth::Cpe { version: version.map(String::from) });
+            } else {
+                assert_eq!((truth, version), (GroundTruth::NotIntercepted, None), "{model:?}");
+            }
+        }
     }
 
     #[test]

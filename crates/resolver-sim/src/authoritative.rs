@@ -24,9 +24,8 @@ pub struct Delegation {
 
 /// One zone an authoritative server carries.
 ///
-/// Cloning is cheap — the apex name and zone data are refcounted — so
-/// campaign templates pre-build the standard authoritative tree once and
-/// clone it into each probe's servers.
+/// Cloning is cheap: the apex name and zone data are refcounted, so a
+/// scenario's servers share the zones of the template's `ZoneDb`.
 #[derive(Clone)]
 pub struct ServedZone {
     /// Apex this server is authoritative for.

@@ -122,19 +122,6 @@ pub struct PublicResolverSite {
 }
 
 impl PublicResolverSite {
-    /// Creates a site with a profile of its own (see [`SiteProfile::new`]).
-    pub fn new(
-        brand: PublicBrand,
-        service_addrs: impl IntoIterator<Item = IpAddr>,
-        iata: &str,
-        node_index: u32,
-        egress: ResolveCtx,
-        zonedb: Arc<ZoneDb>,
-    ) -> PublicResolverSite {
-        let profile = SiteProfile::new(brand, service_addrs, iata, node_index, egress, zonedb);
-        PublicResolverSite::with_profile(Arc::new(profile))
-    }
-
     /// Creates a site from a shared profile; it allocates nothing.
     pub fn with_profile(profile: Arc<SiteProfile>) -> PublicResolverSite {
         PublicResolverSite { profile }
@@ -208,14 +195,14 @@ mod tests {
     use netsim::{Host, SimDuration, Simulator};
 
     fn site(brand: PublicBrand, addr: &str, egress: &str) -> PublicResolverSite {
-        PublicResolverSite::new(
+        PublicResolverSite::with_profile(Arc::new(SiteProfile::new(
             brand,
             [addr.parse::<IpAddr>().unwrap()],
             "IAD",
             84,
             ResolveCtx::v4(egress.parse().unwrap()),
             Arc::new(ZoneDb::standard_world()),
-        )
+        )))
     }
 
     fn ask(brand: PublicBrand, addr: &str, egress: &str, question: Question) -> Message {

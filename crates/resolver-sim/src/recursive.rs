@@ -155,8 +155,6 @@ pub struct RecursiveResolver {
     cache: DnsCache<()>,
     pending: FxHashMap<u64, (IfaceId, IpPacket)>,
     next_token: u64,
-    /// Total queries handled.
-    pub queries_handled: u64,
 }
 
 impl RecursiveResolver {
@@ -167,7 +165,6 @@ impl RecursiveResolver {
             cache: DnsCache::new(CACHE_CAPACITY),
             pending: FxHashMap::default(),
             next_token: 0,
-            queries_handled: 0,
         }
     }
 
@@ -210,13 +207,11 @@ impl Device for RecursiveResolver {
         };
         let (payload, miss) = match profile.memo.get(wire) {
             Some((id, reply, timing)) => {
-                self.queries_handled += 1;
                 (relay_payload(ctx, reply, id), timing.is_miss(&mut self.cache, ctx.now()))
             }
             None => {
                 let Some(query) = parse_query(wire) else { return };
                 let Some(q) = query.question() else { return };
-                self.queries_handled += 1;
                 let (payload, timing) = profile.answer(ctx, &query, &q);
                 // A miss is stored even when its reply cannot be written.
                 let miss = timing.is_miss(&mut self.cache, ctx.now());
@@ -423,7 +418,7 @@ mod tests {
         sim.inject(client, IfaceId(0), pkt);
         sim.run_to_quiescence();
         assert!(sim.device_mut::<Host>(client).unwrap().drain_inbox().is_empty());
-        assert_eq!(sim.device::<RecursiveResolver>(r).unwrap().queries_handled, 0);
+        assert_eq!(sim.device::<RecursiveResolver>(r).unwrap().cache_stats(), (0, 0));
     }
 
     #[test]

@@ -16,7 +16,7 @@
 use dns_wire::{Name, Question, RData, RType, Rcode, Record};
 use std::borrow::Cow;
 use std::cmp::Ordering;
-use std::net::{Ipv4Addr, Ipv6Addr};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 use std::sync::Arc;
 
 /// Total, case-insensitive ordering over canonical name wire forms.
@@ -197,8 +197,8 @@ impl Zone for ReflectorZone {
             ReflectKind::Text => match q.qtype {
                 RType::Txt => {
                     let text = match (ctx.egress_v4, ctx.egress_v6) {
-                        (Some(ip), _) => ip.to_string(),
-                        (None, Some(ip)) => ip.to_string(),
+                        (Some(ip), _) => address_text(ip.into()),
+                        (None, Some(ip)) => address_text(ip.into()),
                         (None, None) => return ZoneAnswer::NoData,
                     };
                     let rdata = RData::Txt(vec![text.into_bytes()]);
@@ -208,6 +208,19 @@ impl Zone for ReflectorZone {
             },
         }
     }
+}
+
+/// `ip` as text in one allocation, sized for the longest text of its
+/// family (`to_string` grows its buffer twice).
+fn address_text(ip: IpAddr) -> String {
+    use std::fmt::Write;
+    let longest = match ip {
+        IpAddr::V4(_) => "255.255.255.255".len(),
+        IpAddr::V6(_) => "ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff".len(),
+    };
+    let mut text = String::with_capacity(longest);
+    write!(text, "{ip}").expect("writing to a String cannot fail");
+    text
 }
 
 /// Result of a recursive resolution against the database.
@@ -241,6 +254,11 @@ impl ZoneDb {
     pub(crate) fn mount(&mut self, apex: Name, zone: Arc<dyn Zone>) -> &mut Self {
         self.zones.push((apex, zone));
         self
+    }
+
+    /// The mounted zones, each with its apex, in mount order.
+    pub fn zones(&self) -> &[(Name, Arc<dyn Zone>)] {
+        &self.zones
     }
 
     /// Marks an apex as DNSSEC-signed.

@@ -80,7 +80,7 @@ fn replication_is_detected_as_interception() {
     use netsim::{Cidr, Host, IfaceId, IpPacket, Router, SimDuration, Simulator};
     use resolver_sim::{
         PublicBrand, PublicResolverSite, RecursiveResolver, ResolveCtx, ResolverMode,
-        ResolverProfile, SoftwareProfile, ZoneDb,
+        ResolverProfile, SiteProfile, SoftwareProfile, ZoneDb,
     };
     use std::net::IpAddr;
     use std::sync::Arc;
@@ -97,14 +97,14 @@ fn replication_is_detected_as_interception() {
     hub.routes.add(Cidr::host("1.1.1.1".parse().unwrap()), IfaceId(1));
     hub.routes.add(Cidr::host("75.75.75.75".parse().unwrap()), IfaceId(2));
     let hub = sim.add_device(hub);
-    let site = sim.add_device(PublicResolverSite::new(
+    let site = sim.add_device(PublicResolverSite::with_profile(Arc::new(SiteProfile::new(
         PublicBrand::Cloudflare,
         ["1.1.1.1".parse::<IpAddr>().unwrap()],
         "IAD",
         84,
         ResolveCtx::v4("172.68.1.1".parse().unwrap()),
         Arc::clone(&zonedb),
-    ));
+    ))));
     let isp = sim.add_device(RecursiveResolver::with_profile(Arc::new(ResolverProfile::new(
         "isp",
         ["75.75.75.75".parse::<IpAddr>().unwrap()],
@@ -254,6 +254,41 @@ fn iterative_mode_whoami_reflects_isp_egress_under_interception() {
         RData::A("75.75.75.10".parse().unwrap()),
         "the ISP resolver's true egress, seen by the authoritative"
     );
+}
+
+#[test]
+fn iterative_mode_answers_the_standard_questions_as_the_fast_path_does() {
+    // Fidelity mode walks authoritative servers built from the template's
+    // zone database, so the clean home's ISP resolver gives every standard
+    // question the rcode and records the zone-database recursor gives.
+    use dns_wire::{Question, RType};
+    let questions = [
+        ("example.com", RType::A),
+        ("example.com", RType::Aaaa),
+        ("www.example.com", RType::A),
+        ("opendns.com", RType::A),
+        ("probe.dns-hijack-study.example", RType::A),
+        ("probe.dns-hijack-study.example", RType::Aaaa),
+        ("reflect.dns-hijack-study.example", RType::Txt),
+        ("whoami.akamai.com", RType::A),
+        ("o-o.myaddr.l.google.com", RType::Txt),
+        ("debug.opendns.com", RType::Txt),
+    ];
+    let answers = |iterative_isp_resolver: bool| {
+        let scenario = HomeScenario { iterative_isp_resolver, ..HomeScenario::clean() };
+        let isp_resolver = scenario.isp.resolver_v4.into();
+        let mut transport = SimTransport::new(scenario.build());
+        questions.map(|(name, qtype)| {
+            let q = Question::new(name.parse().unwrap(), qtype);
+            let out = transport.query(isp_resolver, &q, 0x2100, QueryOptions::default());
+            let resp = out.response().expect("the ISP resolver answers").to_message();
+            (name, qtype, resp.header.rcode, resp.answers)
+        })
+    };
+    // Every question but `debug.opendns.com` (NXDOMAIN) has records.
+    let fast = answers(false);
+    assert_eq!(fast.iter().filter(|(.., records)| !records.is_empty()).count(), 9);
+    assert_eq!(answers(true), fast);
 }
 
 #[test]

@@ -17,7 +17,7 @@
 //! one does, silence included, at the same virtual time.
 
 use bytes::Bytes;
-use cpe::{models, CpeConfig, CpeDevice, DnsMode, ForwarderSpec, WanMode, LAN, WAN};
+use cpe::{CpeConfig, CpeDevice, CpeModelKind, DnsMode, ForwarderSpec, WanMode, LAN, WAN};
 use dns_wire::{debug_queries, Message, Name, Question, RClass, RType, Rcode};
 use netsim::{Cidr, Host, IfaceId, IpPacket, NodeId, Router, SimDuration, SimTime, Simulator};
 use proptest::prelude::*;
@@ -141,7 +141,8 @@ fn world(receiver: Receiver) -> (Simulator, NodeId, IpAddr, IpAddr) {
             (sim, client, ip("10.53.0.1"))
         }
         Receiver::CpeLanForwarder => {
-            let config = models::dnsmasq_lan(CPE_WAN.parse().unwrap(), ip(UPSTREAM), "2.85");
+            let model = CpeModelKind::DnsmasqLan { version: "2.85".into() };
+            let config = model.config(CPE_WAN.parse().unwrap(), ip(UPSTREAM));
             let (sim, probe, _) = home(config);
             return (sim, probe, ip(PROBE), ip("192.168.1.1"));
         }
