@@ -223,10 +223,10 @@ pub fn scenario_for(fleet: &Fleet, probe: &ProbeSpec) -> interception::HomeScena
         beyond: None,
         probe_has_v6: probe.has_v6,
         region: region_of_country(&org.country),
-        upstream_loss: if probe.flaky { fleet.config.flaky_loss } else { 0.0 },
-        upstream_burst: None,
-        upstream_duplicate: 0.0,
-        upstream_late: None,
+        upstream: netsim::FaultProfile {
+            loss: if probe.flaky { fleet.config.flaky_loss } else { 0.0 },
+            ..netsim::FaultProfile::default()
+        },
         iterative_isp_resolver: false,
         background_clients: 0,
         inner_router: None,

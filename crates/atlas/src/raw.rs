@@ -255,7 +255,8 @@ mod tests {
         // with the same retry policy reproduces the live report bit for
         // bit (timeout records make the replayed retry loop take the same
         // path the live one did).
-        let built = HomeScenario { upstream_loss: 0.3, ..HomeScenario::clean() }.build();
+        let upstream = netsim::FaultProfile { loss: 0.3, ..netsim::FaultProfile::default() };
+        let built = HomeScenario { upstream, ..HomeScenario::clean() }.build();
         let mut config = built.locator_config();
         config.query_options.attempts = 3;
         let mut recording = RecordingTransport::new(SimTransport::new(built));

@@ -19,6 +19,7 @@ use locator::{
     default_resolvers, HijackLocator, InterceptorLocation, LocatorConfig, QueryOptions,
     ResolverKey, TxidSequence,
 };
+use netsim::FaultProfile;
 use std::net::IpAddr;
 
 /// A mixed population of interceptor scenarios, one per detection-relevant
@@ -210,10 +211,10 @@ fn upstream_loss_never_reads_as_interception() {
         let mut detected = 0;
         let mut false_positives = 0;
         let trials = 20;
+        let upstream = FaultProfile { loss, ..FaultProfile::default() };
         for seed in 0..trials {
             // Intercepted home under loss.
-            let scenario =
-                HomeScenario { seed, upstream_loss: loss, ..HomeScenario::xb6_case_study() };
+            let scenario = HomeScenario { seed, upstream, ..HomeScenario::xb6_case_study() };
             let built = scenario.build();
             let config = built.locator_config();
             let mut transport = SimTransport::new(built);
@@ -221,7 +222,7 @@ fn upstream_loss_never_reads_as_interception() {
                 detected += 1;
             }
             // Clean home under the same loss: must never read as intercepted.
-            let scenario = HomeScenario { seed, upstream_loss: loss, ..HomeScenario::clean() };
+            let scenario = HomeScenario { seed, upstream, ..HomeScenario::clean() };
             let built = scenario.build();
             let config = built.locator_config();
             let mut transport = SimTransport::new(built);

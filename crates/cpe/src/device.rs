@@ -16,7 +16,9 @@
 use crate::config::{CpeConfig, DnsMode, ForwarderSpec, InterceptSpec, WanMode};
 use bytes::Bytes;
 use dns_wire::Header;
-use netsim::{CaptureKind, Ctx, Device, DnatRule, IfaceId, IpPacket, NatEngine, NatVerdict, Proto};
+use netsim::{
+    CaptureKind, Cidr, Ctx, Device, DnatRule, IfaceId, IpPacket, NatEngine, NatVerdict, Proto,
+};
 use resolver_sim::{
     local_answer, local_reply_payload, receive_answer, receive_query, relay_payload, reply_packet,
     reply_payload, send_local_reply, send_reply, ForwarderCore, FwdAction, ResolveCtx, ZoneDb,
@@ -358,5 +360,15 @@ impl Device for CpeDevice {
 
     fn name(&self) -> &str {
         &self.config.name
+    }
+
+    /// The WAN addresses and the delegated /64: what the ISP routes here.
+    fn prefixes(&self, report: &mut dyn FnMut(Cidr)) {
+        let config = &self.config;
+        let wan_v6 = config.wan_v6.map(|wan| Cidr::host(IpAddr::V6(wan)));
+        [Some(Cidr::host(IpAddr::V4(config.wan_v4))), wan_v6, config.lan_prefix_v6]
+            .into_iter()
+            .flatten()
+            .for_each(report);
     }
 }

@@ -298,21 +298,17 @@ mod tests {
     /// straight back to the scanner) actually route. Returns
     /// (sim, scanner, cpe).
     fn wan_world(config: CpeConfig) -> (Simulator, netsim::NodeId, netsim::NodeId) {
-        use netsim::{Cidr, Router};
         let mut sim = Simulator::new(11);
         let cpe_dev = CpeDevice::new(config).with_zonedb(Arc::new(ZoneDb::standard_world()));
         let cpe = sim.add_device(cpe_dev);
         let resolver = sim.add_device(isp_resolver());
         let scanner = sim.add_device(Host::new("scanner", [SCANNER.parse::<IpAddr>().unwrap()]));
-        let mut core = Router::new("wan-core");
-        core.routes.add(Cidr::host(WAN_IP.parse().unwrap()), IfaceId(0));
-        core.routes.add(Cidr::host(ISP_RESOLVER.parse().unwrap()), IfaceId(1));
-        core.routes.add(Cidr::host(SCANNER.parse().unwrap()), IfaceId(2));
-        let core = sim.add_device(core);
+        let core = sim.add_device(netsim::Router::new("wan-core"));
         let ms = SimDuration::from_millis;
         sim.connect((core, IfaceId(0)), (cpe, WAN), ms(5));
         sim.connect((core, IfaceId(1)), (resolver, IfaceId(0)), ms(5));
         sim.connect((core, IfaceId(2)), (scanner, IfaceId(0)), ms(5));
+        sim.derive_routes(core, &[]);
         (sim, scanner, cpe)
     }
 

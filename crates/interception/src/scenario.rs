@@ -11,8 +11,8 @@ use crate::isp::{IspProfile, MiddleboxSpec, RedirectTarget};
 use cpe::{CpeConfig, CpeDevice, CpeModelKind, DnsMode, WanMode};
 use locator::{InterceptorLocation, LocatorConfig, ResolverKey};
 use netsim::{
-    BurstLoss, Cidr, DnatRule, FaultProfile, FxHashMap, Host, IfaceId, LateDelivery, NatEngine,
-    NodeId, Proto, Router, SharedStr, SimDuration, SimScratch, Simulator,
+    Cidr, DnatRule, FaultProfile, FxHashMap, Host, IfaceId, NatEngine, NodeId, Proto, Router,
+    SharedStr, SimDuration, SimScratch, Simulator,
 };
 use resolver_sim::{
     ChaosPolicy, PublicBrand, PublicResolverSite, RecursiveResolver, ResolveCtx, ResolverMode,
@@ -122,7 +122,7 @@ pub enum GroundTruth {
     /// The CPE intercepts; carries its true version string when revealed.
     Cpe {
         /// The forwarder's version.bind string (None for stealth models).
-        version: Option<String>,
+        version: Option<SharedStr>,
     },
     /// A middlebox inside the client's AS intercepts.
     IspMiddlebox,
@@ -161,21 +161,19 @@ pub struct HomeScenario {
     pub probe_has_v6: bool,
     /// Probe's region (anycast site selection).
     pub region: Region,
-    /// Loss probability on the home's upstream link (flaky probes; lost
-    /// queries become timeouts, which the technique treats conservatively).
-    pub upstream_loss: f64,
-    /// Seeded burst loss on the upstream link: line flaps that eat several
-    /// consecutive packets, the failure mode a single retry rides out but
-    /// uniform loss cannot reproduce.
-    pub upstream_burst: Option<BurstLoss>,
-    /// Probability that an upstream traversal is delivered twice (duplicate
-    /// responses must not double-count or confuse the locator).
-    pub upstream_duplicate: f64,
-    /// Late delivery on the upstream link: responses that arrive after the
-    /// stub's timeout. Each attempt asks from a fresh source port, so a
-    /// later window's port check discards a late response before any
-    /// receive filter sees it.
-    pub upstream_late: Option<LateDelivery>,
+    /// Faults on the home's upstream link, the CPE's side of the ISP edge:
+    /// - uniform loss (flaky probes; lost queries become timeouts, which
+    ///   the technique treats conservatively);
+    /// - burst loss: line flaps that eat several consecutive packets, the
+    ///   failure mode a single retry rides out but uniform loss cannot
+    ///   reproduce;
+    /// - duplication (duplicate responses must not double-count or confuse
+    ///   the locator);
+    /// - late delivery: responses that arrive after the stub's timeout.
+    ///   Each attempt asks from a fresh source port, so a later window's
+    ///   port check discards a late response before any receive filter
+    ///   sees it.
+    pub upstream: FaultProfile,
     /// Run the ISP resolver as a *real iterative resolver* that walks
     /// packet-level authoritative servers (root → authoritative) instead
     /// of the instant zone-database recursor. Slower per probe; used by
@@ -205,10 +203,7 @@ impl HomeScenario {
             beyond: None,
             probe_has_v6: true,
             region: Region::NaEast,
-            upstream_loss: 0.0,
-            upstream_burst: None,
-            upstream_duplicate: 0.0,
-            upstream_late: None,
+            upstream: FaultProfile::default(),
             iterative_isp_resolver: false,
             background_clients: 0,
             inner_router: None,
@@ -311,11 +306,10 @@ impl HomeScenario {
     fn truth_of(&self, cpe: &CpeConfig, inner: Option<&CpeConfig>) -> GroundTruth {
         let intercepting = |config: &CpeConfig| {
             config.dns.intercepts().then(|| GroundTruth::Cpe {
-                version: config
-                    .dns
-                    .forwarder()
-                    .and_then(|f| f.profile.version_string())
-                    .map(String::from),
+                version: config.dns.forwarder().and_then(|f| match &f.profile.version_bind {
+                    ChaosPolicy::Text(version) => Some(version.clone()),
+                    _ => None,
+                }),
             })
         };
         // The inner router meets queries first.
@@ -801,102 +795,33 @@ impl HomeScenario {
             filter_profile.map(|profile| sim.add_device(RecursiveResolver::with_profile(profile)));
 
         // --- Routers --------------------------------------------------------
-        // Interface plan:
-        //   edge:   0 = home side, 1 = resolver (if in AS), 2 = border
-        //   border: 0 = edge, 1 = outside
-        //   core:   0 = outside/border side, 1..=4 = sites, 5 = alt resolver
-        let home_v4_host = Cidr::host(IpAddr::V4(wan_v4));
-
-        // Each router's table is sized up front for the routes added below.
-        let (v6_routes, resolver_routes) =
-            (2 * usize::from(home_v6), 3 * usize::from(isp.resolver_in_as));
+        // Their tables are derived from the links once the world is wired.
         let mut edge = Router::new(isp_device("-edge"));
-        edge.routes.reserve(4 + v6_routes + resolver_routes);
         edge.add_addr(IpAddr::V4(Ipv4Addr::from(u32::from(isp.v4_prefix) + 1)));
-        edge.routes.add(home_v4_host, IfaceId(0));
-        if home_v6 {
-            edge.routes.add(lan_prefix_v6, IfaceId(0));
-            edge.routes.add(Cidr::host(IpAddr::V6(wan_v6)), IfaceId(0));
-        }
-        if isp.resolver_in_as {
-            edge.routes.add(Cidr::host(IpAddr::V4(isp.resolver_v4)), IfaceId(1));
-            edge.routes.add(Cidr::host(IpAddr::V6(isp.resolver_v6)), IfaceId(1));
-            edge.routes.add(Cidr::host(IpAddr::V4(isp.resolver_egress_v4)), IfaceId(1));
-        }
-        edge.routes.add(Cidr::host(IpAddr::V4(filter_resolver_v4)), IfaceId(3));
-        edge.routes.add_default_v4(IfaceId(2));
-        edge.routes.add_default_v6(IfaceId(2));
         let edge = sim.add_device(edge);
 
         let mut border = Router::new(isp_device("-border"));
-        border.routes.reserve(4 + resolver_routes);
         border.add_addr(IpAddr::V4(Ipv4Addr::from(u32::from(isp.v4_prefix) + 2)));
         border.drop_bogon_destinations(true);
-        border.routes.add(isp.v4_cidr(), IfaceId(0));
-        border.routes.add(isp.v6_cidr(), IfaceId(0));
-        if isp.resolver_in_as {
-            border.routes.add(Cidr::host(IpAddr::V4(isp.resolver_v4)), IfaceId(0));
-            border.routes.add(Cidr::host(IpAddr::V6(isp.resolver_v6)), IfaceId(0));
-            border.routes.add(Cidr::host(IpAddr::V4(isp.resolver_egress_v4)), IfaceId(0));
-        }
-        border.routes.add_default_v4(IfaceId(1));
-        border.routes.add_default_v6(IfaceId(1));
         let border = sim.add_device(border);
 
         let region = template.region(self.region);
-        let public_addrs: usize = template.resolvers.iter().map(|r| r.v4.len() + r.v6.len()).sum();
         let mut core = Router::new("internet-core");
-        // The ISP's three, its resolver's two when outside the AS, one per
-        // public-resolver and root address, the authoritative tree's two,
-        // the alternate resolver's one and the scanner's one: about two
-        // dozen, allocated once.
-        core.routes.reserve(
-            3 + 2 * usize::from(!isp.resolver_in_as)
-                + public_addrs
-                + template.root_addrs.len()
-                + 2 * usize::from(use_iterative)
-                + usize::from(self.beyond.is_some())
-                + 1,
-        );
         core.add_addr(IpAddr::V4(Ipv4Addr::new(62, 115, 0, 1)));
-        core.routes.add(isp.v4_cidr(), IfaceId(0));
-        core.routes.add(isp.v6_cidr(), IfaceId(0));
-        core.routes.add(Cidr::host(IpAddr::V4(isp.resolver_egress_v4)), IfaceId(0));
-        if !isp.resolver_in_as {
-            // The ISP's resolver lives outside the client AS (§6).
-            core.routes.add(Cidr::host(IpAddr::V4(isp.resolver_v4)), IfaceId(6));
-            core.routes.add(Cidr::host(IpAddr::V6(isp.resolver_v6)), IfaceId(6));
-        }
-        // Site routes installed below once sites exist.
         let core = sim.add_device(core);
 
         // --- Public resolver sites ------------------------------------------
         // Each site's profile comes shared from the template's region
         // entry. The sites take consecutive node ids from the first.
-        let mut first_site = NodeId(0);
-        for (i, (public, profile)) in template.resolvers.iter().zip(&region.sites).enumerate() {
-            let site = PublicResolverSite::with_profile(Arc::clone(profile));
-            let node = sim.add_device(site);
-            if i == 0 {
-                first_site = node;
-            }
-            let core_router = sim.device_mut::<Router>(core).expect("core is a router");
-            for addr in public.v4.iter().chain(public.v6.iter()) {
-                core_router.routes.add(Cidr::host(*addr), IfaceId(1 + i));
-            }
+        let first_site = NodeId(sim.node_count());
+        for profile in &region.sites {
+            sim.add_device(PublicResolverSite::with_profile(Arc::clone(profile)));
         }
 
         // --- Root servers (for the hostname.bind baseline) -------------------
         // One anycast root node answering CHAOS hostname.bind with a
         // root-style identity and refusing recursion, as real roots do.
-        let root_node = {
-            let node = sim.add_device(RecursiveResolver::with_profile(Arc::clone(&region.root)));
-            let core_router = sim.device_mut::<Router>(core).expect("core is a router");
-            for addr in template.root_addrs.iter() {
-                core_router.routes.add(Cidr::host(*addr), IfaceId(7));
-            }
-            node
-        };
+        let root_node = sim.add_device(RecursiveResolver::with_profile(Arc::clone(&region.root)));
 
         // --- Authoritative servers (iterative-resolver fidelity mode) -------
         // The world server serves every zone of the template's database and
@@ -925,13 +850,7 @@ impl HomeScenario {
                 zone: Arc::new(StaticZone::new()),
                 delegations,
             });
-            let root_auth = sim.add_device(root_auth);
-            let auth = sim.add_device(auth);
-
-            let core_router = sim.device_mut::<Router>(core).expect("core is a router");
-            core_router.routes.add(Cidr::host(IpAddr::V4(root_auth_v4)), IfaceId(8));
-            core_router.routes.add(Cidr::host(IpAddr::V4(WORLD_AUTH_V4)), IfaceId(9));
-            (root_auth, auth)
+            (sim.add_device(root_auth), sim.add_device(auth))
         });
 
         // --- Optional interceptors ------------------------------------------
@@ -940,13 +859,6 @@ impl HomeScenario {
             let redirect_v6 = spec.redirect_v6.as_ref().map(|t| self.redirect_addr_v6(t));
             let mut mb = Router::new(isp_device("-middlebox"));
             mb.add_addr(IpAddr::V4(Ipv4Addr::from(u32::from(isp.v4_prefix) + 3)));
-            mb.routes.add(home_v4_host, IfaceId(0));
-            if home_v6 {
-                mb.routes.add(lan_prefix_v6, IfaceId(0));
-                mb.routes.add(Cidr::host(IpAddr::V6(wan_v6)), IfaceId(0));
-            }
-            mb.routes.add_default_v4(IfaceId(1));
-            mb.routes.add_default_v6(IfaceId(1));
             let mut nat = NatEngine::new();
             if !spec.refused_dsts.is_empty() {
                 // Blocked resolvers first (first match wins).
@@ -996,10 +908,6 @@ impl HomeScenario {
             };
             let mut bx = Router::new("beyond-interceptor");
             bx.add_addr(IpAddr::V4(Ipv4Addr::new(185, 194, 112, 1)));
-            bx.routes.add(isp.v4_cidr(), IfaceId(0));
-            bx.routes.add(isp.v6_cidr(), IfaceId(0));
-            bx.routes.add_default_v4(IfaceId(1));
-            bx.routes.add_default_v6(IfaceId(1));
             let mut nat = NatEngine::new();
             nat.add_dnat(DnatRule {
                 proto: Proto::Udp,
@@ -1013,28 +921,19 @@ impl HomeScenario {
             sim.add_device(bx)
         });
 
-        let alt_resolver_node = if alt_resolver_needed {
-            let alt_addr = IpAddr::V4(Ipv4Addr::new(185, 194, 112, 32));
+        let alt_resolver_node = alt_resolver_needed.then(|| {
             let profile = template.alt_resolver.get_or_init(|| {
                 Arc::new(ResolverProfile::new(
                     "alt-resolver",
-                    [alt_addr],
+                    [IpAddr::V4(Ipv4Addr::new(185, 194, 112, 32))],
                     ResolveCtx::v4(Ipv4Addr::new(185, 194, 112, 33)),
                     Arc::clone(&template.zonedb),
                     SoftwareProfile::unbound("1.9.0"),
                     ResolverMode::Normal,
                 ))
             });
-            let node = sim.add_device(RecursiveResolver::with_profile(Arc::clone(profile)));
-            let core_router = sim.device_mut::<Router>(core).expect("core is a router");
-            core_router.routes.add(Cidr::host(alt_addr), IfaceId(5));
-            Some(node)
-        } else {
-            None
-        };
-
-        // ISP resolver placed outside the AS when configured so (§6).
-        let resolver_beyond_core = !isp.resolver_in_as;
+            sim.add_device(RecursiveResolver::with_profile(Arc::clone(profile)))
+        });
 
         // --- Wiring ----------------------------------------------------------
         let ms = SimDuration::from_millis;
@@ -1084,17 +983,7 @@ impl HomeScenario {
             }
             None => (cpe, cpe::WAN),
         };
-        sim.connect_faulty(
-            cpe_upstream,
-            (edge, IfaceId(0)),
-            ms(2),
-            FaultProfile {
-                loss: self.upstream_loss,
-                burst: self.upstream_burst,
-                duplicate: self.upstream_duplicate,
-                late: self.upstream_late,
-            },
-        );
+        sim.connect_faulty(cpe_upstream, (edge, IfaceId(0)), ms(2), self.upstream);
         if isp.resolver_in_as {
             sim.connect((edge, IfaceId(1)), (isp_resolver, IfaceId(0)), ms(3));
         }
@@ -1116,7 +1005,8 @@ impl HomeScenario {
         if let Some(alt) = alt_resolver_node {
             sim.connect((core, IfaceId(5)), (alt, IfaceId(0)), ms(4));
         }
-        if resolver_beyond_core {
+        if !isp.resolver_in_as {
+            // The ISP's resolver lives outside the client AS (§6).
             sim.connect((core, IfaceId(6)), (isp_resolver, IfaceId(0)), ms(12));
         }
         if let Some(filter) = filter_resolver_node {
@@ -1134,11 +1024,12 @@ impl HomeScenario {
         // else so every pre-existing node id stays stable.
         let scanner_v4 = Ipv4Addr::new(91, 216, 216, 9);
         let scanner = sim.add_device(Host::new("scanner", [IpAddr::V4(scanner_v4)]));
-        sim.device_mut::<Router>(core)
-            .expect("core is a router")
-            .routes
-            .add(Cidr::host(IpAddr::V4(scanner_v4)), IfaceId(10));
         sim.connect((core, IfaceId(10)), (scanner, IfaceId(0)), ms(8));
+
+        // --- Routes -----------------------------------------------------------
+        // Every table, from the links and what each device accepts; the edge
+        // stands for the ISP's two aggregates.
+        sim.derive_routes(core, &[(edge, isp.v4_cidr()), (edge, isp.v6_cidr())]);
 
         let addrs = ScenarioAddrs {
             probe_v4: effective_probe_v4,
@@ -1302,7 +1193,7 @@ mod tests {
             if model.intercepts() {
                 let built_version = forwarder.and_then(|f| f.profile.version_string());
                 assert_eq!(built_version, version, "{model:?}");
-                assert_eq!(truth, GroundTruth::Cpe { version: version.map(String::from) });
+                assert_eq!(truth, GroundTruth::Cpe { version: version.map(SharedStr::from) });
             } else {
                 assert_eq!((truth, version), (GroundTruth::NotIntercepted, None), "{model:?}");
             }

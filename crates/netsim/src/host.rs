@@ -6,6 +6,7 @@
 //! of its inbox.
 
 use crate::packet::{IcmpMessage, IpPacket, Transport};
+use crate::route::Cidr;
 use crate::shared::SharedStr;
 use crate::sim::{Ctx, Device, IfaceId};
 use crate::time::SimTime;
@@ -86,6 +87,10 @@ impl Device for Host {
 
     fn name(&self) -> &str {
         &self.name
+    }
+
+    fn prefixes(&self, report: &mut dyn FnMut(Cidr)) {
+        self.addrs.iter().for_each(|&addr| report(Cidr::host(addr)));
     }
 }
 

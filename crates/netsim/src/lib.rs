@@ -7,7 +7,8 @@
 //! technique probes:
 //!
 //! * **Dual-stack IP forwarding** with longest-prefix routing and real
-//!   TTL/hop-limit handling ([`Router`], [`RouteTable`]).
+//!   TTL/hop-limit handling ([`Router`], [`RouteTable`]); every table is
+//!   derived from the links ([`Simulator::derive_routes`]).
 //! * **NAT**: DNAT rules with exemption/match lists, masquerade, and a
 //!   conntrack table whose reverse mapping is what makes intercepted DNS
 //!   replies arrive with a spoofed source ([`NatEngine`]).
@@ -30,6 +31,7 @@ mod packet;
 mod pool;
 mod route;
 mod router;
+mod routing;
 mod shared;
 mod sim;
 mod switch;

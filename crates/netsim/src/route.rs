@@ -1,6 +1,7 @@
 //! CIDR prefixes and longest-prefix-match routing tables.
 
 use crate::sim::IfaceId;
+use core::cmp::Reverse;
 use core::fmt;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 use std::str::FromStr;
@@ -48,6 +49,19 @@ impl Cidr {
         match self {
             Cidr::V4 { prefix, .. } | Cidr::V6 { prefix, .. } => *prefix,
         }
+    }
+
+    /// The network address, as given (host bits may be set).
+    pub fn addr(&self) -> IpAddr {
+        match *self {
+            Cidr::V4 { addr, .. } => IpAddr::V4(addr),
+            Cidr::V6 { addr, .. } => IpAddr::V6(addr),
+        }
+    }
+
+    /// True if every address in `other` is inside this prefix.
+    pub(crate) fn covers(&self, other: Cidr) -> bool {
+        self.prefix_len() <= other.prefix_len() && self.contains(other.addr())
     }
 
     /// True if the prefix and the address are the same family and the
@@ -120,11 +134,13 @@ impl RouteTable {
         RouteTable::default()
     }
 
-    /// Makes room for `additional` more routes, so that a table built to
-    /// a known size allocates once.
-    pub fn reserve(&mut self, additional: usize) -> &mut Self {
-        self.routes.reserve_exact(additional);
-        self
+    /// The table that adding `routes` in order builds, kept in their own
+    /// allocation.
+    pub(crate) fn from_routes(mut routes: Vec<(Cidr, IfaceId)>) -> RouteTable {
+        routes.reverse();
+        // Stable: among equal lengths, the latest addition stays first.
+        routes.sort_by_key(|(prefix, _)| Reverse(prefix.prefix_len()));
+        RouteTable { routes }
     }
 
     /// Adds a route. Later additions win ties on prefix length.
@@ -150,6 +166,11 @@ impl RouteTable {
     /// Longest-prefix-match lookup. `None` means no route (drop).
     pub fn lookup(&self, dst: IpAddr) -> Option<IfaceId> {
         self.routes.iter().find(|(p, _)| p.contains(dst)).map(|&(_, iface)| iface)
+    }
+
+    /// The routes, in lookup order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (Cidr, IfaceId)> + '_ {
+        self.routes.iter().copied()
     }
 
     /// Number of routes installed.
@@ -209,6 +230,16 @@ mod tests {
         let c = Cidr::v4("192.168.1.77".parse().unwrap(), 24);
         assert!(c.contains(ip("192.168.1.200")));
         assert!(!c.contains(ip("192.168.2.1")));
+    }
+
+    #[test]
+    fn covering_takes_the_same_family_and_no_longer_prefix() {
+        let aggregate: Cidr = "73.0.0.0/8".parse().unwrap();
+        assert!(aggregate.covers(Cidr::host(ip("73.1.2.3"))));
+        assert!(aggregate.covers(aggregate));
+        assert!(!aggregate.covers("72.0.0.0/7".parse().unwrap()));
+        assert!(!aggregate.covers(Cidr::host(ip("74.0.0.1"))));
+        assert!(!aggregate.covers(Cidr::host(ip("::ffff:73.1.2.3"))));
     }
 
     #[test]

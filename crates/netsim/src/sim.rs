@@ -10,6 +10,7 @@
 use crate::capture::{CaptureEvent, CaptureKind, FaultCause, NatPhase};
 use crate::packet::{FlowSummary, IpPacket};
 use crate::pool::PayloadPool;
+use crate::route::Cidr;
 use crate::time::{SimDuration, SimTime};
 use bytes::Bytes;
 use rand::rngs::StdRng;
@@ -130,6 +131,11 @@ pub trait Device: Any {
 
     /// Human-readable name for traces.
     fn name(&self) -> &str;
+
+    /// Reports each prefix the device accepts packets for, so that
+    /// [`Simulator::derive_routes`] routes it here. None by default: a
+    /// router or a switch forwards what it accepts.
+    fn prefixes(&self, _report: &mut dyn FnMut(Cidr)) {}
 }
 
 /// One endpoint of a link.
@@ -545,9 +551,28 @@ impl Simulator {
     /// if one is attached. Links are point-to-point, so this is the sender
     /// of every packet that arrives on that interface.
     pub fn peer(&self, node: NodeId, iface: IfaceId) -> Option<NodeId> {
+        self.far_end(node, iface).map(|(peer, _)| peer)
+    }
+
+    /// The far end of the link attached to `(node, iface)`, if one is.
+    pub(crate) fn far_end(&self, node: NodeId, iface: IfaceId) -> Option<(NodeId, IfaceId)> {
         let here = Attachment { node, iface };
         let link = &self.net.links[self.net.link_at(here)?];
-        Some(if link.a == here { link.b.node } else { link.a.node })
+        let there = if link.a == here { link.b } else { link.a };
+        Some((there.node, there.iface))
+    }
+
+    /// One more than the highest interface any link uses.
+    pub(crate) fn iface_width(&self) -> usize {
+        self.net.width
+    }
+
+    /// Reports each prefix the device at `node` accepts packets for
+    /// ([`Device::prefixes`]); nothing if the node does not exist.
+    pub fn node_prefixes(&self, node: NodeId, report: &mut dyn FnMut(Cidr)) {
+        if let Some(device) = self.devices.get(node.0) {
+            device.prefixes(report);
+        }
     }
 
     /// Injects a packet as if `node` transmitted it out of `iface` at the

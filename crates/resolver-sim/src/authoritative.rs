@@ -9,7 +9,7 @@ use crate::server::{local_reply_payload, receive_query, reply_payload, send_repl
 use crate::zone::{ResolveCtx, Zone, ZoneAnswer};
 use bytes::Bytes;
 use dns_wire::{Header, MessageView, Name, Question, RData, Rcode, Record};
-use netsim::{Ctx, Device, IfaceId, IpPacket, SharedStr};
+use netsim::{Cidr, Ctx, Device, IfaceId, IpPacket, SharedStr};
 use std::net::IpAddr;
 use std::sync::Arc;
 
@@ -139,6 +139,10 @@ impl Device for AuthoritativeServer {
 
     fn name(&self) -> &str {
         &self.name
+    }
+
+    fn prefixes(&self, report: &mut dyn FnMut(Cidr)) {
+        self.service_addrs.iter().for_each(|&addr| report(Cidr::host(addr)));
     }
 }
 

@@ -15,7 +15,7 @@ use crate::server::{
 use crate::software::SoftwareProfile;
 use crate::zone::ResolveResult;
 use dns_wire::{Message, Name, Question, RData, RType, Rcode, Record};
-use netsim::{Ctx, Device, FxHashMap, IfaceId, IpPacket, SharedStr, SimDuration};
+use netsim::{Cidr, Ctx, Device, FxHashMap, IfaceId, IpPacket, SharedStr, SimDuration};
 use std::net::IpAddr;
 use std::sync::Arc;
 
@@ -374,5 +374,11 @@ impl Device for IterativeResolver {
 
     fn name(&self) -> &str {
         &self.name
+    }
+
+    /// The service addresses and the egress, where upstream answers come
+    /// back.
+    fn prefixes(&self, report: &mut dyn FnMut(Cidr)) {
+        self.service_addrs.iter().chain([&self.egress]).for_each(|&addr| report(Cidr::host(addr)));
     }
 }

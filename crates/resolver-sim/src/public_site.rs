@@ -11,7 +11,7 @@ use crate::zone::{ResolveCtx, ZoneDb};
 use bytes::Bytes;
 use dns_wire::debug_queries;
 use dns_wire::{Header, MessageView, Name, Question, RClass, RData, RType, Rcode};
-use netsim::{Ctx, Device, IfaceId, IpPacket, SharedStr};
+use netsim::{Cidr, Ctx, Device, IfaceId, IpPacket, SharedStr};
 use std::net::IpAddr;
 use std::sync::Arc;
 
@@ -185,6 +185,10 @@ impl Device for PublicResolverSite {
 
     fn name(&self) -> &str {
         &self.profile.name
+    }
+
+    fn prefixes(&self, report: &mut dyn FnMut(Cidr)) {
+        self.profile.service_addrs.iter().for_each(|&addr| report(Cidr::host(addr)));
     }
 }
 

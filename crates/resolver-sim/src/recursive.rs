@@ -22,7 +22,7 @@ use crate::software::SoftwareProfile;
 use crate::zone::{ResolveCtx, ResolveResult, ZoneDb};
 use bytes::Bytes;
 use dns_wire::{Header, MessageView, Question, QuestionView, RClass, RData, RType, Rcode};
-use netsim::{Ctx, Device, FxHashMap, IfaceId, IpPacket, SharedStr, SimDuration, SimTime};
+use netsim::{Cidr, Ctx, Device, FxHashMap, IfaceId, IpPacket, SharedStr, SimDuration, SimTime};
 use std::net::{IpAddr, Ipv4Addr};
 use std::sync::Arc;
 
@@ -240,6 +240,12 @@ impl Device for RecursiveResolver {
 
     fn name(&self) -> &str {
         &self.profile.name
+    }
+
+    /// The service addresses alone: the egress only stamps answers, and no
+    /// packet is ever sent to it.
+    fn prefixes(&self, report: &mut dyn FnMut(Cidr)) {
+        self.profile.service_addrs.iter().for_each(|&addr| report(Cidr::host(addr)));
     }
 }
 

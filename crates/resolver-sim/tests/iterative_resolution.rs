@@ -4,7 +4,7 @@
 
 use bytes::Bytes;
 use dns_wire::{Message, Question, RData, RType, Rcode};
-use netsim::{Cidr, Host, IfaceId, IpPacket, Router, SimDuration, Simulator};
+use netsim::{Host, IfaceId, IpPacket, Router, SimDuration, Simulator};
 use resolver_sim::{
     AuthoritativeServer, Delegation, IterativeResolver, ReflectKind, ReflectorZone, ServedZone,
     SoftwareProfile, StaticZone,
@@ -100,13 +100,6 @@ fn build() -> World {
     // A hub router connecting everyone.
     let mut hub = Router::new("hub");
     hub.add_addr("10.255.255.1".parse().unwrap());
-    hub.routes.add(Cidr::host(CLIENT.parse().unwrap()), IfaceId(0));
-    hub.routes.add(Cidr::host(RESOLVER_SVC.parse().unwrap()), IfaceId(1));
-    hub.routes.add(Cidr::host(RESOLVER_EGRESS.parse().unwrap()), IfaceId(1));
-    hub.routes.add(Cidr::host(ROOT.parse().unwrap()), IfaceId(2));
-    hub.routes.add(Cidr::host(COM_NS.parse().unwrap()), IfaceId(3));
-    hub.routes.add(Cidr::host(EXAMPLE_NS.parse().unwrap()), IfaceId(4));
-    hub.routes.add(Cidr::host(AKAMAI_NS.parse().unwrap()), IfaceId(5));
     let hub = sim.add_device(hub);
 
     let ms = SimDuration::from_millis;
@@ -116,6 +109,7 @@ fn build() -> World {
     sim.connect((tld, IfaceId(0)), (hub, IfaceId(3)), ms(5));
     sim.connect((example_srv, IfaceId(0)), (hub, IfaceId(4)), ms(5));
     sim.connect((akamai_srv, IfaceId(0)), (hub, IfaceId(5)), ms(5));
+    sim.derive_routes(hub, &[]);
 
     World { sim, client, resolver }
 }

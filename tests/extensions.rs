@@ -292,6 +292,31 @@ fn iterative_mode_answers_the_standard_questions_as_the_fast_path_does() {
 }
 
 #[test]
+fn the_outside_as_resolver_reads_the_same_in_both_modes() {
+    // §6's world: the ISP's resolver, and the interceptor in front of it,
+    // sit outside the client AS. The fidelity-mode resolver's upstream
+    // answers come back to its egress, which is routed to where the
+    // resolver hangs off the core, so every verdict is the fast path's.
+    use atlas_sim::{generate, scenario_for, Flavor, FleetConfig};
+    use locator::HijackLocator;
+    let fleet = generate(FleetConfig::default());
+    let outside: Vec<_> =
+        fleet.responding().filter(|p| p.flavor == Flavor::IspResolverOutside).collect();
+    assert_eq!(outside.iter().map(|p| p.id).collect::<Vec<_>>(), [4195, 4224, 4524]);
+    for probe in outside {
+        let [fast, fidelity] = [false, true].map(|iterative_isp_resolver| {
+            let scenario = HomeScenario { iterative_isp_resolver, ..scenario_for(&fleet, probe) };
+            let built = scenario.build();
+            let config = built.locator_config();
+            let r = HijackLocator::new(config).run(&mut SimTransport::new(built));
+            (r.intercepted, r.matrix, r.cpe, r.bogon, r.location, r.transparency)
+        });
+        assert!(fast.0, "probe {} is intercepted", probe.id);
+        assert_eq!(fidelity, fast, "probe {}", probe.id);
+    }
+}
+
+#[test]
 fn busy_home_verdict_unchanged_and_background_flows_spoofed_consistently() {
     use interception::BackgroundClient;
     use locator::{HijackLocator, InterceptorLocation};

@@ -19,7 +19,7 @@
 use bytes::Bytes;
 use cpe::{CpeConfig, CpeDevice, CpeModelKind, DnsMode, ForwarderSpec, WanMode, LAN, WAN};
 use dns_wire::{debug_queries, Message, Name, Question, RClass, RType, Rcode};
-use netsim::{Cidr, Host, IfaceId, IpPacket, NodeId, Router, SimDuration, SimTime, Simulator};
+use netsim::{Host, IfaceId, IpPacket, NodeId, Router, SimDuration, SimTime, Simulator};
 use proptest::prelude::*;
 use resolver_sim::{
     AuthoritativeServer, Delegation, IterativeResolver, PublicBrand, PublicResolverSite,
@@ -90,9 +90,6 @@ fn home(config: CpeConfig) -> (Simulator, NodeId, NodeId) {
     let cpe = sim.add_device(CpeDevice::new(config).with_zonedb(zonedb));
     let mut hub = Router::new("hub");
     hub.add_addr(ip("62.0.0.1"));
-    hub.routes.add(Cidr::host(ip(CPE_WAN)), IfaceId(0));
-    hub.routes.add(Cidr::host(ip(SCANNER)), IfaceId(1));
-    hub.routes.add(Cidr::host(ip(UPSTREAM)), IfaceId(2));
     let hub = sim.add_device(hub);
     let scanner = sim.add_device(Host::new("scanner", [ip(SCANNER)]));
     let upstream = sim.add_device(isp_resolver());
@@ -100,6 +97,7 @@ fn home(config: CpeConfig) -> (Simulator, NodeId, NodeId) {
     sim.connect((cpe, WAN), (hub, IfaceId(0)), SimDuration::from_millis(1));
     sim.connect((hub, IfaceId(1)), (scanner, IfaceId(0)), SimDuration::from_millis(1));
     sim.connect((hub, IfaceId(2)), (upstream, IfaceId(0)), SimDuration::from_millis(1));
+    sim.derive_routes(hub, &[]);
     (sim, probe, scanner)
 }
 

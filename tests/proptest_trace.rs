@@ -21,7 +21,7 @@ use locator::{
     HijackLocator, InterceptorLocation, MetricsFolder, ProbeMetrics, ProbeReport, Provenance,
     ResolverKey, StepProvenance, TraceEvent, TraceRecorder,
 };
-use netsim::{BurstLoss, LateDelivery, SimDuration};
+use netsim::{BurstLoss, FaultProfile, LateDelivery, SimDuration};
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
 
@@ -62,9 +62,9 @@ proptest! {
     ) {
         let mut scenario = scenario;
         scenario.seed = seed;
-        scenario.upstream_loss = [0.0, 0.15, 0.35][loss_step];
-        scenario.upstream_duplicate = [0.0, 0.5][duplicate_step];
-        scenario.upstream_late = [None, Some(late(0.3, 6))][late_step];
+        scenario.upstream.loss = [0.0, 0.15, 0.35][loss_step];
+        scenario.upstream.duplicate = [0.0, 0.5][duplicate_step];
+        scenario.upstream.late = [None, Some(late(0.3, 6))][late_step];
 
         let built = scenario.clone().build();
         let mut config = built.locator_config();
@@ -182,7 +182,7 @@ proptest! {
     ) {
         let mut scenario = scenario;
         scenario.seed = seed;
-        scenario.upstream_loss = [0.0, 0.15, 0.35][loss_step];
+        scenario.upstream.loss = [0.0, 0.15, 0.35][loss_step];
         let run = |shift: u16| {
             let built = scenario.clone().build();
             let mut config = built.locator_config();
@@ -214,7 +214,8 @@ proptest! {
         attempts in 1u32..4,
     ) {
         let run = |loss: f64| {
-            run_with(HomeScenario { seed, upstream_loss: loss, ..scenario.clone() }, attempts)
+            let upstream = FaultProfile { loss, ..scenario.upstream };
+            run_with(HomeScenario { seed, upstream, ..scenario.clone() }, attempts)
         };
         let loss = [0.2, 0.4, 0.6, 0.8][loss_step];
         let lossy = run(loss);
@@ -240,7 +241,8 @@ proptest! {
     ) {
         let duplicate = [0.3, 1.0][duplicate_step];
         let run = |duplicate: f64| {
-            run_with(HomeScenario { seed, upstream_duplicate: duplicate, ..scenario.clone() }, attempts)
+            let upstream = FaultProfile { duplicate, ..scenario.upstream };
+            run_with(HomeScenario { seed, upstream, ..scenario.clone() }, attempts)
         };
         let (duplicated, clean) = (run(duplicate), run(0.0));
         prop_assert!(
@@ -257,10 +259,8 @@ proptest! {
         attempts in 1u32..4,
     ) {
         let clean = run_with(HomeScenario { seed, ..scenario.clone() }, attempts);
-        let faulty = run_with(
-            HomeScenario { seed, upstream_late: late, upstream_burst: burst, ..scenario.clone() },
-            attempts,
-        );
+        let upstream = FaultProfile { late, burst, ..scenario.upstream };
+        let faulty = run_with(HomeScenario { seed, upstream, ..scenario.clone() }, attempts);
         if scenario.truth() == GroundTruth::NotIntercepted {
             prop_assert!(
                 !faulty.intercepted,
