@@ -53,14 +53,17 @@ fn walk(sim: &Simulator) -> Result<(), String> {
     Ok(())
 }
 
-/// Builds `scenario` in both resolver modes and walks each world.
-fn walk_both_modes(label: &str, scenario: &HomeScenario) {
+/// What the walk finds wrong in `scenario`'s world, built in each resolver
+/// mode.
+fn faults(label: &str, scenario: &HomeScenario) -> Vec<String> {
+    let mut faults = Vec::new();
     for iterative_isp_resolver in [false, true] {
         let world = HomeScenario { iterative_isp_resolver, ..scenario.clone() }.build();
         if let Err(fault) = walk(&world.sim) {
-            panic!("{label}, iterative resolver {iterative_isp_resolver}: {fault}");
+            faults.push(format!("{label}, iterative resolver {iterative_isp_resolver}: {fault}"));
         }
     }
+    faults
 }
 
 #[test]
@@ -75,9 +78,10 @@ fn every_router_reaches_every_reported_address() {
         }
     }
     assert_eq!(probes.len(), 64, "(flavor, v6) pairs");
+    let mut found = Vec::new();
     for probe in probes {
         let label = format!("probe {} ({:?}, v6 {})", probe.id, probe.flavor, probe.has_v6);
-        walk_both_modes(&label, &scenario_for(&fleet, probe));
+        found.extend(faults(&label, &scenario_for(&fleet, probe)));
     }
     let inner_router = Some(CpeModelKind::Xb6Buggy);
     let mut homes = vec![
@@ -90,8 +94,9 @@ fn every_router_reaches_every_reported_address() {
     homes.extend(HomeScenario::worked_examples());
     homes.extend(HomeScenario::taxonomy_examples());
     for (label, home) in &homes {
-        walk_both_modes(label, home);
+        found.extend(faults(label, home));
     }
+    assert!(found.is_empty(), "{}", found.join("\n"));
 }
 
 /// Every responding probe's world of the default fleet, in both modes. It
@@ -102,8 +107,16 @@ fn every_router_reaches_every_reported_address() {
 #[ignore = "the whole default fleet, about 2.5 s in debug; CI's full-suite runs it"]
 fn every_fleet_world_routes_every_reported_address() {
     let fleet = generate(FleetConfig::default());
+    let mut found = Vec::new();
     for probe in fleet.responding() {
-        walk_both_modes(&format!("probe {}", probe.id), &scenario_for(&fleet, probe));
+        found.extend(faults(&format!("probe {}", probe.id), &scenario_for(&fleet, probe)));
     }
     assert_eq!(fleet.responding().count() * 2, 19_308);
+    let first: Vec<&str> = found.iter().take(5).map(String::as_str).collect();
+    assert!(
+        found.is_empty(),
+        "{} of 19,308 worlds fail; first:\n{}",
+        found.len(),
+        first.join("\n")
+    );
 }
